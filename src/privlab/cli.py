@@ -29,8 +29,7 @@ from .distillation import (build_css_decoders, coherent_hashing_sim,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
 from .info_measures import uncertainty_audit
-from .privacy import (PrivacyReport, certify_private, epsilon_secret_direct,
-                      twisting_conjugate_measurement,
+from .privacy import (certify_private, twisting_conjugate_measurement,
                       uhlmann_conjugate_measurement)
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
                         build_private_state, maximally_entangled)
@@ -70,6 +69,12 @@ def _check_keys(spec: Mapping, allowed: set, what: str) -> None:
         raise ValueError(f"unknown {what} keys {unknown}; allowed: {sorted(allowed)}")
 
 
+def _spec_kind(spec, what: str):
+    if not isinstance(spec, Mapping) or "kind" not in spec:
+        raise ValueError(f"{what} spec must be an object with a 'kind' entry")
+    return spec["kind"]
+
+
 def _shield_pair(s: float, shield_dim: int) -> tuple[np.ndarray, np.ndarray]:
     if not 0.0 <= s <= 1.0:
         raise ValueError("shield overlap must lie in [0, 1]")
@@ -85,9 +90,7 @@ def _shield_pair(s: float, shield_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_state(spec: Mapping, seed: int):
     """Build the state named by a spec dict; returns (state, extras)."""
-    if not isinstance(spec, Mapping) or "kind" not in spec:
-        raise ValueError("state spec must be an object with a 'kind' entry")
-    kind = spec["kind"]
+    kind = _spec_kind(spec, "state")
     if kind not in STATE_KINDS:
         raise ValueError(f"unknown state kind {kind!r}; "
                          f"choose from {sorted(STATE_KINDS)}")
@@ -151,9 +154,7 @@ def _inline_state(spec: Mapping) -> StateVector:
 
 
 def build_code(spec: Mapping, seed: int) -> CssCode:
-    if not isinstance(spec, Mapping) or "kind" not in spec:
-        raise ValueError("code spec must be an object with a 'kind' entry")
-    kind = spec["kind"]
+    kind = _spec_kind(spec, "code")
     if kind not in CODE_KINDS:
         raise ValueError(f"unknown code kind {kind!r}; "
                          f"choose from {sorted(CODE_KINDS)}")
@@ -197,6 +198,8 @@ def cmd_verify(cfg: Mapping, seed: int):
     state, extras = build_state(cfg.get("state", {"kind": "bell"}), seed)
     meas = cfg.get("measurement", "projective")
     margin = float(cfg.get("soundness_margin", 1e-6))
+    if not math.isfinite(margin):
+        raise ValueError(f"soundness_margin must be finite, got {margin!r}")
     if meas == "projective":
         report = certify_private(state, soundness_margin=margin)
         extra_out = {}
@@ -212,15 +215,9 @@ def cmd_verify(cfg: Mapping, seed: int):
         extra_out = {}
     elif meas == "uhlmann":
         rec = uhlmann_conjugate_measurement(state)
-        eps_cert = rec.p_e + math.sqrt(rec.p_tilde_e)
-        eps_direct = epsilon_secret_direct(state)
-        if eps_direct > eps_cert + margin:
-            raise InvariantViolation(
-                f"direct distance {eps_direct:.6e} exceeds certified bound "
-                f"{eps_cert:.6e} + margin {margin:g}")
-        report = PrivacyReport(p_e=rec.p_e, p_tilde_e=rec.p_tilde_e,
-                               eps_certified=eps_cert, eps_direct=eps_direct,
-                               measurement_used="uhlmann_partner")
+        report = certify_private(state, conj_povm=rec.povm, povm_labels=rec.povm_labels,
+                                 soundness_margin=margin,
+                                 measurement_name="uhlmann_partner")
         extra_out = {"fidelity": rec.fidelity, "bound": rec.bound,
                      "pad_dim": rec.pad_dim}
     else:
@@ -239,7 +236,7 @@ def cmd_distill(cfg: Mapping, seed: int):
         _check_keys({k: v for k, v in code_spec.items() if k != "kind"},
                     CODE_KINDS["two_copy"], "code[two_copy]")
         state_spec = cfg.get("state", {"kind": "shielded_bit"})
-        if state_spec.get("kind") != "shielded_bit":
+        if _spec_kind(state_spec, "state") != "shielded_bit":
             raise ValueError("two_copy distillation needs a shielded_bit state")
         _, extras = build_state(state_spec, seed)
         phi0, phi1 = extras["shields"]

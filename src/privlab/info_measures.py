@@ -16,10 +16,9 @@ from .qudit_ops import ConjugateBasis, Povm, measure
 from .tensor_core import (
     LOG_CLAMP,
     DensityOperator,
-    HilbertSpace,
     StateVector,
     _as_complex,
-    vector_marginal,
+    reduce_blocks,
 )
 
 
@@ -143,50 +142,15 @@ def _key_probs(rho: DensityOperator, columns: np.ndarray) -> np.ndarray:
 
 
 def _cq_blocks(state, key_label: str, columns: np.ndarray,
-               side_labels: Sequence[str]) -> list[np.ndarray]:
-    """Unnormalised side states Tr_rest[(|v_x><v_x| (x) 1) rho] for each column."""
+               side_labels: Sequence[str]) -> np.ndarray:
+    """Unnormalised side states Tr_rest[(|v_x><v_x| (x) 1) rho], stacked over columns x."""
     if isinstance(state, DensityOperator):
-        vec = None
-        rho = state
+        matrix = state.matrix
     else:
-        vec = state
-        rho = None
-    blocks = []
-    d = columns.shape[1]
-    if vec is not None:
-        space = vec.space
-        axis = space.axis(key_label)
-        tensor = vec.amplitudes.reshape(space.dims)
-        for x in range(d):
-            v = columns[:, x]
-            comp = np.tensordot(v.conj(), tensor, axes=(0, axis))  # drops the key axis
-            rest_labels = [l for l in space.labels if l != key_label]
-            rest_space = HilbertSpace(tuple(space.dims_of(rest_labels)), tuple(rest_labels))
-            blocks.append(vector_marginal(rest_space, comp.reshape(-1),
-                                          rest_space.restrict(side_labels).labels))
-        return blocks
-    space = rho.space
-    sub = space.restrict(side_labels)
-    axes = [space.axis(x) for x in sub.labels]
-    kaxis = space.axis(key_label)
-    n = len(space.dims)
-    t = rho.matrix.reshape(space.dims * 2)
-    for x in range(d):
-        v = columns[:, x]
-        m = np.tensordot(v.conj(), t, axes=(0, kaxis))
-        m = np.tensordot(v, m, axes=(0, kaxis + n - 1))
-        # m now has row indices (all but key) then column indices (all but key)
-        rest = [a for a in range(n) if a != kaxis]
-        keep_pos = [rest.index(a) for a in axes]
-        drop_pos = [i for i, a in enumerate(rest) if a not in axes]
-        r = len(rest)
-        perm = keep_pos + drop_pos + [r + p for p in keep_pos] + [r + p for p in drop_pos]
-        m = m.transpose(perm)
-        kdim = sub.dim
-        rdim = int(np.prod([space.dims[a] for a in rest], dtype=np.int64)) // kdim
-        m = m.reshape(kdim, rdim, kdim, rdim)
-        blocks.append(np.einsum("irjr->ij", m))
-    return blocks
+        matrix = np.outer(state.amplitudes, state.amplitudes.conj())
+    projectors = np.einsum("kx,lx->xkl", columns, columns.conj())
+    side = state.space.restrict(side_labels).labels
+    return reduce_blocks(state.space, matrix, side, [((key_label,), projectors)])
 
 
 def _conditional_quantum_entropy(state, key_label: str, columns: np.ndarray,

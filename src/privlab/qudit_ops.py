@@ -26,9 +26,8 @@ from .tensor_core import (
     LinearOperator,
     StateVector,
     _as_complex,
-    embed_operator,
     operator_function,
-    partial_trace,
+    reduce_blocks,
 )
 
 POVM_COMPLETENESS_ATOL = 1e-9
@@ -164,10 +163,13 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]],
     unmeasured factors is the normalised partial trace of the same product.
     Zero-probability outcomes carry no conditional state.
     """
-    rho = state.density() if isinstance(state, StateVector) else state
-    if not isinstance(rho, DensityOperator):
+    if isinstance(state, StateVector):
+        matrix = np.outer(state.amplitudes, state.amplitudes.conj())
+    elif isinstance(state, DensityOperator):
+        matrix = state.matrix
+    else:
         raise TypeError("measure expects a DensityOperator or StateVector")
-    space = rho.space
+    space = state.space
     seen: set[str] = set()
     for labels, povm in povms:
         labels = tuple(labels)
@@ -179,31 +181,17 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]],
             raise ValueError(f"POVM dim {povm.dim} does not match labels {labels}")
     kept = tuple(x for x in space.labels if x not in seen)
 
-    shape = tuple(p.n_outcomes for _, p in povms)
-    probs = np.zeros(shape)
+    blocks = reduce_blocks(space, matrix, kept,
+                           [(labels, np.stack(povm.elements)) for labels, povm in povms])
+    probs = np.einsum("...ii->...", blocks.real)
     conditionals: dict[tuple, DensityOperator] = {}
-    embedded: list[list[np.ndarray]] = []
-    for labels, povm in povms:
-        embedded.append([embed_operator(space, e, tuple(labels)) for e in povm.elements])
-    for idx in np.ndindex(*shape):
-        op = embedded[0][idx[0]]
-        for which in range(1, len(idx)):
-            op = op @ embedded[which][idx[which]]
-        weighted = op @ rho.matrix
-        p = float(np.trace(weighted).real)
-        probs[idx] = p
-        if kept and p > conditional_cutoff:
-            sub = space.restrict(kept)
-            axes = [space.axis(x) for x in sub.labels]
-            rest = [a for a in range(len(space.dims)) if a not in axes]
-            n = len(space.dims)
-            t = weighted.reshape(space.dims * 2)
-            perm = axes + rest + [n + a for a in axes] + [n + a for a in rest]
-            t = t.transpose(perm)
-            kdim = sub.dim
-            t = t.reshape(kdim, space.dim // kdim, kdim, space.dim // kdim)
-            block = np.einsum("irjr->ij", t) / p
-            conditionals[idx] = DensityOperator(sub, 0.5 * (block + block.conj().T))
+    if kept:
+        sub = space.restrict(kept)
+        for idx in np.ndindex(*probs.shape):
+            p = float(probs[idx])
+            if p > conditional_cutoff:
+                block = blocks[idx] / p
+                conditionals[idx] = DensityOperator(sub, 0.5 * (block + block.conj().T))
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise InvariantViolation(f"outcome probabilities sum to {total!r}")

@@ -51,14 +51,3 @@ def random_density_operator(space: HilbertSpace, rng: np.random.Generator,
                             rank: int | None = None) -> DensityOperator:
     return DensityOperator(space, random_density(space.dim, rng, rank))
 
-
-def random_povm_elements(dim: int, n_outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """POVM from Wishart draws whitened by their sum."""
-    rough = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rough.append(g @ g.conj().T)
-    total = np.sum(rough, axis=0)
-    vals, vecs = np.linalg.eigh(total)
-    whiten = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return [whiten @ e @ whiten for e in rough]

@@ -104,6 +104,8 @@ class StateVector:
 
     def __post_init__(self):
         amps = _as_complex(self.amplitudes).reshape(-1)
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         if amps.size != self.space.dim:
             raise ValueError(
                 f"amplitude count {amps.size} does not match space dim {self.space.dim}"
@@ -148,6 +150,8 @@ class DensityOperator:
         dim = self.space.dim
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {dim}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
         herm = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
         if herm > 1e-9:
             raise ValueError(f"matrix is not hermitian (deviation {herm:g})")
@@ -197,8 +201,6 @@ class LinearOperator:
 
     def tensor(self, other: "LinearOperator") -> "LinearOperator":
         kind = self.kind if self.kind == other.kind else "general"
-        if kind == "projector" or kind == "povm-element":
-            pass  # products of projectors stay projectors factorwise
         return LinearOperator(self.space.tensor(other.space),
                               np.kron(self.matrix, other.matrix), kind)
 
@@ -286,6 +288,35 @@ def embed_operator(space: HilbertSpace, matrix: np.ndarray, labels: Sequence[str
     return np.ascontiguousarray(shaped.transpose(perm)).reshape(space.dim, space.dim)
 
 
+def reduce_blocks(space: HilbertSpace, matrix: np.ndarray, keep: Sequence[str],
+                  ops: Sequence[tuple[Sequence[str], np.ndarray]] = ()) -> np.ndarray:
+    """Blocks Tr_rest[(E_j (x) F_k (x) ... (x) 1) rho] on ``keep``, per joint outcome.
+
+    Each entry of ``ops`` pairs a label group with its stacked elements of
+    shape (n, m, m), indexed in the group's label order.  Registers that are
+    neither kept nor measured are traced out first; then each group is
+    contracted against its elements.  The result has shape
+    (n_1, ..., n_k, K, K), with K indexed in the order of ``keep``.
+    """
+    groups = [tuple(labels) for labels, _ in ops] + [tuple(keep)]
+    axes = [space.axis(x) for g in groups for x in g]
+    rest = [a for a in range(len(space.dims)) if a not in axes]
+    sizes = [int(np.prod(space.dims_of(g), dtype=np.int64)) for g in groups]
+    n = len(space.dims)
+    order = axes + rest
+    t = matrix.reshape(space.dims * 2).transpose(order + [n + a for a in order])
+    m = int(np.prod(sizes, dtype=np.int64))
+    rdim = space.dim // m
+    t = np.einsum("irjr->ij", t.reshape(m, rdim, m, rdim)).reshape(sizes * 2)
+    k = len(ops)
+    for g in reversed(range(k)):
+        # t is (outcomes of groups after g, rows of groups 0..g, K, cols of
+        # groups 0..g, K); Tr[E X] pairs E's row with X's column and vice versa.
+        lead = k - 1 - g
+        t = np.tensordot(ops[g][1], t, axes=([1, 2], [lead + 2 * g + 2, lead + g]))
+    return t
+
+
 def vector_marginal(space: HilbertSpace, amps: np.ndarray, keep: Sequence[str]) -> np.ndarray:
     """Reduced density matrix of a (possibly unnormalised) vector."""
     keep = list(keep)
@@ -314,21 +345,10 @@ def partial_trace(state, keep: Iterable[str]) -> DensityOperator:
         return state.marginal(keep)
     if not isinstance(state, DensityOperator):
         raise TypeError("partial_trace expects a DensityOperator or StateVector")
-    space = state.space
-    sub = space.restrict(keep)
+    sub = state.space.restrict(keep)
     if not sub.labels:
         raise ValueError("keep must name at least one factor")
-    axes = [space.axis(x) for x in sub.labels]
-    rest = [a for a in range(len(space.dims)) if a not in axes]
-    n = len(space.dims)
-    t = state.matrix.reshape(space.dims * 2)
-    perm = axes + rest + [n + a for a in axes] + [n + a for a in rest]
-    t = t.transpose(perm)
-    kdim = sub.dim
-    rdim = space.dim // kdim
-    t = t.reshape(kdim, rdim, kdim, rdim)
-    out = np.einsum("irjr->ij", t)
-    return DensityOperator(sub, out)
+    return DensityOperator(sub, reduce_blocks(state.space, state.matrix, sub.labels))
 
 
 def purify(rho: DensityOperator, new_label: str = "E") -> StateVector:
@@ -377,19 +397,6 @@ def operator_function(matrix: np.ndarray, f: str) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"unknown spectral function {f!r}")
     out = (vecs * fv) @ vecs.conj().T
     return vals, vecs, out
-
-
-def hermitian_decompose(op, f: str = "identity"):
-    """Spectral decomposition of a hermitian LinearOperator or DensityOperator.
-
-    Returns ``(eigenvalues, eigenvectors, LinearOperator(f(op)))``.
-    """
-    if isinstance(op, (LinearOperator, DensityOperator)):
-        space, matrix = op.space, op.matrix
-    else:
-        raise TypeError("hermitian_decompose expects a LinearOperator or DensityOperator")
-    vals, vecs, out = operator_function(matrix, f)
-    return vals, vecs, LinearOperator(space, out, "hermitian")
 
 
 def sqrt_psd(matrix: np.ndarray) -> np.ndarray:

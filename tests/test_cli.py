@@ -179,6 +179,21 @@ def test_exit_code_invariant_violation(capsys):
     assert "invariant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin,code", [("nan", 2), ("inf", 2), ("-inf", 2), ("-1", 3)])
+def test_verify_soundness_margin_exit_codes(margin, code, capsys):
+    rc = main(["verify", "--state", "werner", "--d", "2", "--p", "0.5",
+               "--measurement", "projective", f"--soundness-margin={margin}"])
+    assert rc == code
+    capsys.readouterr()
+
+
+def test_distill_non_object_state_spec(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"state": "bell"}))
+    assert main(["distill", "--config", str(cfg)]) == 2
+    assert "state spec must be an object" in capsys.readouterr().err
+
+
 def test_exit_code_io_failure(capsys):
     rc = main(["rates", "--state", "bell", "--d", "2", "--out",
                "/nonexistent-dir/report.json"])

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from privlab import (DensityOperator, HilbertSpace, StateVector, fidelity,
-                     partial_trace, pure_state_trace_distance, purify,
-                     substream, trace_distance, trace_norm)
+from privlab import (DensityOperator, HilbertSpace, Povm, StateVector,
+                     fidelity, haar_unitary, measure, partial_trace,
+                     pure_state_trace_distance, purify, substream,
+                     trace_distance, trace_norm)
+from privlab.info_measures import _cq_blocks
 from privlab.tensor_core import (apply_to_vector, embed_operator,
                                  permute_vector, sqrt_psd, tensor_product,
                                  vector_marginal)
@@ -73,6 +75,17 @@ def test_density_operator_validation():
         DensityOperator(h, np.array([[0.5, 0.5], [-0.5, 0.5]]))
     with pytest.raises(ValueError):
         DensityOperator(h, np.array([[1.4, 0.0], [0.0, -0.4]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_states_reject_non_finite_entries(bad):
+    h = HilbertSpace((2,), ("A",))
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(h, np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        DensityOperator(h, np.array([[1.0, bad], [bad, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        DensityOperator(h, np.array([[bad, 0.0], [0.0, 0.0]]))
 
 
 def test_partial_trace_matches_loop_oracle():
@@ -223,3 +236,94 @@ def test_tensor_product_orders_labels():
     ab = tensor_product(a, b)
     assert ab.space.labels == ("A", "B")
     assert np.allclose(ab.matrix, np.kron(a.matrix, b.matrix))
+
+
+# ---------------------------------------------------------------------------
+# the block-reduction kernel behind partial_trace, measure and the cq blocks
+
+
+def embedded_measure(rho, povms):
+    """Joint outcome probabilities and unnormalised kept blocks, computed by
+    embedding every element into the full space and multiplying it by rho."""
+    space = rho.space
+    measured = {x for labels, _ in povms for x in labels}
+    kept = tuple(x for x in space.labels if x not in measured)
+    embedded = [[embed_operator(space, e, labels) for e in povm.elements]
+                for labels, povm in povms]
+    probs = np.zeros(tuple(povm.n_outcomes for _, povm in povms))
+    blocks = {}
+    for idx in np.ndindex(*probs.shape):
+        op = np.eye(space.dim)
+        for which, j in enumerate(idx):
+            op = op @ embedded[which][j]
+        weighted = op @ rho.matrix
+        probs[idx] = np.trace(weighted).real
+        if kept:
+            blocks[idx] = naive_partial_trace(space.dims, space.labels, weighted, kept)
+    return probs, blocks
+
+
+def isometry_povm(m, n_outcomes, rng):
+    """Non-projective POVM E_j = W_j^dagger W_j from the blocks of a Haar isometry."""
+    w = haar_unitary(m * n_outcomes, rng)[:, :m].reshape(n_outcomes, m, m)
+    return Povm(tuple(b.conj().T @ b for b in w))
+
+
+MEASURE_CASES = [
+    ((2, 3, 2), ("A", "B", "C"), [("B",)]),
+    ((2, 3, 2), ("A", "B", "C"), [("A",), ("C",)]),
+    ((2, 3, 2, 2), ("A", "B", "C", "D"), [("A",), ("B",), ("D",)]),
+    ((2, 3, 2, 2), ("A", "B", "C", "D"), [("C", "A"), ("D",)]),
+    ((3, 2, 2), ("A", "B", "C"), [("C", "B"), ("A",)]),  # nothing kept
+]
+
+
+@pytest.mark.parametrize("projective", [True, False])
+@pytest.mark.parametrize("dims,labels,groups", MEASURE_CASES)
+def test_measure_matches_embedded_oracle(dims, labels, groups, projective):
+    space = HilbertSpace(dims, labels)
+    for trial in range(3):
+        rng = substream(300, trial)
+        rho = random_density_operator(space, rng)
+        povms = []
+        for g in groups:
+            m = int(np.prod(space.dims_of(g)))
+            povm = (Povm.projective_from_columns(haar_unitary(m, rng)) if projective
+                    else isometry_povm(m, 3, rng))
+            povms.append((g, povm))
+        res = measure(rho, povms)
+        probs, blocks = embedded_measure(rho, povms)
+        assert res.probs.shape == probs.shape
+        assert np.allclose(res.probs, probs, rtol=0.0, atol=1e-12)
+        assert set(res.conditionals) == set(blocks)
+        for idx, block in blocks.items():
+            want = block / probs[idx]
+            want = 0.5 * (want + want.conj().T)
+            assert np.allclose(res.conditionals[idx].matrix, want, rtol=0.0, atol=1e-12)
+
+
+def test_partial_trace_non_contiguous_keep():
+    dims, labels = (2, 3, 2, 3), ("A", "B", "C", "D")
+    for trial in range(3):
+        rho = random_density_operator(HilbertSpace(dims, labels), substream(320, trial))
+        for keep in (("A", "C"), ("B", "D"), ("A", "D"), ("A", "B", "D")):
+            want = naive_partial_trace(dims, labels, rho.matrix, keep)
+            assert np.allclose(partial_trace(rho, keep).matrix, want,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_cq_blocks_same_for_vector_and_density():
+    space = HilbertSpace((3, 2, 3), ("A", "B", "E"))
+    for trial in range(3):
+        rng = substream(330, trial)
+        psi = random_pure_state(space, rng)
+        cols = haar_unitary(3, rng)
+        for side in (("E",), ("B",), ("B", "E")):
+            from_vector = _cq_blocks(psi, "A", cols, side)
+            from_density = _cq_blocks(psi.density(), "A", cols, side)
+            assert np.allclose(from_vector, from_density, rtol=0.0, atol=1e-12)
+            for x in range(3):
+                proj = embed_operator(space, np.outer(cols[:, x], cols[:, x].conj()), ("A",))
+                want = naive_partial_trace(space.dims, space.labels,
+                                           proj @ psi.density().matrix, side)
+                assert np.allclose(from_vector[x], want, rtol=0.0, atol=1e-12)
