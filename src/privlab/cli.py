@@ -60,7 +60,7 @@ def _threads() -> int:
         n = int(raw)
     except ValueError:
         raise ValueError(f"PRIVLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+    return min(max(1, n), os.cpu_count() or 1)
 
 
 def _check_keys(spec: Mapping, allowed: set, what: str) -> None:

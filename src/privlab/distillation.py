@@ -7,6 +7,12 @@ extra labels except E are Bob's shield, E is the purifying environment.
 Syndromes live in public registers R (standard basis, values M_z k) and T
 (conjugate basis, values M_x x); decoded guesses go to fresh registers with
 one extra "fail" slot.
+
+The one-shot protocol and the hashing chain run the same CSS circuit, built
+once here from four helpers: ``_code_tables`` (class values and encode maps
+of a code), ``_extract`` (coherent extraction of both syndromes),
+``_key_decode`` (Bob's per-alpha guess of the key string) and ``_encode``
+(strings and guesses onto logical, syndrome and destabiliser coordinates).
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from .info_measures import (CqEnsemble, coherent_information, holevo_information
 from .privacy import PrivacyReport, epsilon_secret_direct
 from .qudit_ops import ConjugateBasis, Povm, measure
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, purify, vector_marginal)
+                          StateVector, pure_state_trace_distance, purify,
+                          vector_marginal)
 
 AMPLITUDE_CAP = 2 ** 20
 
@@ -95,6 +102,99 @@ def _flat_classes(strings: np.ndarray, rows: GfMatrix) -> np.ndarray:
     vals = (strings @ rows.entries.T) % d
     powers = d ** np.arange(rows.rows - 1, -1, -1)
     return vals @ powers
+
+
+# ---------------------------------------------------------------------------
+# the CSS circuit shared by one-shot distillation and the hashing chain
+
+
+@dataclass(frozen=True)
+class _CodeTables:
+    """Flat class values of every string under one code, and its encode maps.
+
+    ``zperm`` sends a string to its flat (logical, z-syndrome,
+    destabiliser) coordinate; ``cperm`` does the same for a guess register
+    and sends its fail slot to the first value past the strings.
+    """
+
+    alpha_of: np.ndarray
+    beta_of: np.ndarray
+    lam_of: np.ndarray
+    mu_of: np.ndarray
+    alpha_keys: list
+    beta_keys: list
+    v: np.ndarray
+    zperm: np.ndarray
+    cperm: np.ndarray
+
+
+def _code_tables(code: CssCode) -> _CodeTables:
+    d, n = code.d, code.n
+    strings = all_strings(d, n)
+    alpha_of = _flat_classes(strings, code.mz)
+    lam_of = _flat_classes(strings, code.logical_z)
+    g_of = _flat_classes(strings, code.destabilizer_z())
+    # k + m_z + m_x = n, so the coordinates (lam, alpha, g) index all d^n values
+    zperm = (lam_of * d ** code.m_z + alpha_of) * d ** code.m_x + g_of
+    return _CodeTables(
+        alpha_of=alpha_of, beta_of=_flat_classes(strings, code.mx),
+        lam_of=lam_of, mu_of=_flat_classes(strings, code.logical_x),
+        alpha_keys=[tuple(int(x) for x in a) for a in all_strings(d, code.m_z)],
+        beta_keys=[tuple(int(x) for x in b) for b in all_strings(d, code.m_x)],
+        v=_conj_matrix(d, n), zperm=zperm, cperm=np.append(zperm, d ** n))
+
+
+def _extract(amps: np.ndarray, tab: _CodeTables) -> np.ndarray:
+    """Coherently copy both syndromes of A (axis 0) onto trailing R, T axes.
+
+    The result has shape ``amps.shape + (r_dim, t_dim)``: beta is read in
+    the conjugate basis, then alpha in the standard basis.
+    """
+    v = tab.v
+    mask_shape = (-1,) + (1,) * (amps.ndim - 1)
+    rows = np.arange(amps.shape[0])
+    g0 = np.tensordot(v.conj().T, amps, axes=(1, 0))
+    out = np.zeros(amps.shape + (len(tab.alpha_keys), len(tab.beta_keys)),
+                   dtype=np.complex128)
+    for beta in range(len(tab.beta_keys)):
+        gb = np.where((tab.beta_of == beta).reshape(mask_shape), g0, 0.0)
+        out[rows, ..., tab.alpha_of, beta] = np.tensordot(v, gb, axes=(1, 0))
+    return out
+
+
+def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables) -> np.ndarray:
+    """Decode Bob's guess of the key string from B (axis 1) into a new last axis.
+
+    ``t1`` carries R and T as its last two axes; the guess register has
+    one slot per string plus the fail slot.
+    """
+    dd = t1.shape[0]
+    t2 = np.zeros(t1.shape + (dd + 1,), dtype=np.complex128)
+    for alpha, key in enumerate(tab.alpha_keys):
+        dec: Povm = key_decoders[key]
+        if dec.dim != dd:
+            raise ValueError("key decoders must act on B alone")
+        sl = t1[..., alpha, :]
+        slots = [dd if lab == "fail" else int(lab) for lab in dec.outcome_labels]
+        for root, slot in zip(dec.sqrt_elements(), slots):
+            contrib = np.tensordot(root, sl, axes=(1, 1))
+            t2[..., alpha, :, slot] += np.moveaxis(contrib, 0, 1)
+    return t2
+
+
+def _encode(arr: np.ndarray, tab: _CodeTables) -> np.ndarray:
+    """Map A (axis 0) by ``zperm`` and the guess register (last axis) by ``cperm``.
+
+    The guess axis grows to (k_dim + 1) * r_dim * t_dim values, so it splits
+    into a logical part with a fail value and an auxiliary part.
+    """
+    dd = arr.shape[0]
+    out = np.zeros_like(arr)
+    out[tab.zperm] = arr
+    enc = np.zeros(arr.shape[:-1] + (dd + len(tab.alpha_keys) * len(tab.beta_keys),),
+                   dtype=np.complex128)
+    enc[..., tab.cperm] = out
+    return enc
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +358,6 @@ def build_css_decoders(state, code: CssCode, cfg: HswConfig = HswConfig(),
                        z_labels=("B",), x_labels=x_labels)
 
 
-def _label_slots(povm: Povm, fail_slot: int) -> list[int]:
-    slots = []
-    for lab in povm.outcome_labels:
-        slots.append(fail_slot if lab == "fail" else int(lab))
-    return slots
-
-
 # ---------------------------------------------------------------------------
 # one-shot distillation
 
@@ -306,35 +399,19 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     e_dim = space.dim_of("E") if has_e else 1
     amps = psi.amplitudes.reshape(dd, dd, s_dim, e_dim)
 
-    strings = all_strings(d, n)
+    tab = _code_tables(code)
     k_dim = d ** code.k
     r_dim, t_dim = d ** code.m_z, d ** code.m_x
-    alpha_of = _flat_classes(strings, code.mz)
-    beta_of = _flat_classes(strings, code.mx)
-    lam_of = _flat_classes(strings, code.logical_z)
-    mu_of = _flat_classes(strings, code.logical_x)
-    g_of = _flat_classes(strings, code.destabilizer_z())
-    v = _conj_matrix(d, n)
-
-    alpha_keys = [tuple(int(x) for x in a) for a in all_strings(d, code.m_z)]
-    beta_keys = [tuple(int(x) for x in b) for b in all_strings(d, code.m_x)]
-    for key in alpha_keys:
+    for key in tab.alpha_keys:
         if key not in key_decoders:
             raise ValueError(f"missing key decoder for alpha {key}")
-    for key in beta_keys:
+    for key in tab.beta_keys:
         if key not in conj_decoders:
             raise ValueError(f"missing conjugate decoder for beta {key}")
 
     # coherent syndrome extraction
     _budget((dd, dd, s_dim, e_dim, r_dim, t_dim), "syndrome extraction")
-    g0 = np.tensordot(v.conj().T, amps, axes=(1, 0))
-    t1 = np.zeros((dd, dd, s_dim, e_dim, r_dim, t_dim), dtype=np.complex128)
-    for beta in range(t_dim):
-        gb = np.where((beta_of == beta)[:, None, None, None], g0, 0.0)
-        wb = np.tensordot(v, gb, axes=(1, 0))
-        for alpha in range(r_dim):
-            sel = alpha_of == alpha
-            t1[sel, :, :, :, alpha, beta] = wb[sel]
+    t1 = _extract(amps, tab)
     nrm = float(np.linalg.norm(t1))
     if abs(nrm - 1.0) > 1e-10:
         raise InvariantViolation(f"syndrome extraction broke normalisation ({nrm!r})")
@@ -342,31 +419,21 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     # coherent key decoding into the guess register
     c_dim = dd + 1
     _budget((dd, dd, s_dim, e_dim, r_dim, t_dim, c_dim), "key decoding")
-    t2 = np.zeros((dd, dd, s_dim, e_dim, r_dim, t_dim, c_dim), dtype=np.complex128)
-    for alpha in range(r_dim):
-        dec: Povm = key_decoders[alpha_keys[alpha]]
-        if dec.dim != dd:
-            raise ValueError("key decoders must act on B alone")
-        slots = _label_slots(dec, dd)
-        roots = dec.sqrt_elements()
-        sl = t1[:, :, :, :, alpha, :]
-        for root, slot in zip(roots, slots):
-            contrib = np.tensordot(root, sl, axes=(1, 1))
-            t2[:, :, :, :, alpha, :, slot] += np.moveaxis(contrib, 0, 1)
+    t2 = _key_decode(t1, key_decoders, tab)
     nrm = float(np.linalg.norm(t2))
     if abs(nrm - 1.0) > 1e-10:
         raise InvariantViolation(f"key decoding broke normalisation ({nrm!r})")
 
     # logical key test on the protocol state
     w2 = np.einsum("absert c->ac", np.abs(t2) ** 2)
-    lam_c = np.concatenate([lam_of, [-1]])
-    succ = sum(float(w2[lam_of == lam][:, lam_c == lam].sum()) for lam in range(k_dim))
+    lam_c = np.concatenate([tab.lam_of, [-1]])
+    succ = sum(float(w2[tab.lam_of == lam][:, lam_c == lam].sum()) for lam in range(k_dim))
     p_prime_e = float(min(max(1.0 - succ, 0.0), 1.0))
 
     # logical conjugate test on the stored pre-decode state
     succ_x = 0.0
     for beta in range(t_dim):
-        dec: Povm = conj_decoders[beta_keys[beta]]
+        dec: Povm = conj_decoders[tab.beta_keys[beta]]
         if dec.dim != dd * s_dim:
             raise ValueError("conjugate decoders must act on (B, shield)")
         roots = dec.sqrt_elements()
@@ -374,10 +441,10 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
         for root, lab in zip(roots, dec.outcome_labels):
             if lab == "fail":
                 continue
-            mu_hat = mu_of[int(lab)]
+            mu_hat = tab.mu_of[int(lab)]
             applied = np.tensordot(root, sl, axes=(1, 1))
-            ga = np.tensordot(v.conj().T, applied, axes=(1, 1))
-            succ_x += float(np.sum(np.abs(ga[mu_of == mu_hat]) ** 2))
+            ga = np.tensordot(tab.v.conj().T, applied, axes=(1, 1))
+            succ_x += float(np.sum(np.abs(ga[tab.mu_of == mu_hat]) ** 2))
     p_tilde_prime_e = float(min(max(1.0 - succ_x, 0.0), 1.0))
     eps_certified = p_prime_e + math.sqrt(p_tilde_prime_e)
 
@@ -385,28 +452,29 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     pz = np.einsum("abse->a", np.abs(amps) ** 2)
     succ_z = 0.0
     eps_z_slots = {a: {lab: i for i, lab in enumerate(key_decoders[a].outcome_labels)}
-                   for a in alpha_keys}
+                   for a in tab.alpha_keys}
     for k in range(dd):
         if pz[k] <= 1e-14:
             continue
         phi = np.einsum("bse,cse->bc", amps[k], amps[k].conj()) / pz[k]
-        akey = alpha_keys[alpha_of[k]]
+        akey = tab.alpha_keys[tab.alpha_of[k]]
         idx = eps_z_slots[akey].get(k)
         if idx is not None:
             el = key_decoders[akey].elements[idx]
             succ_z += float(pz[k] * np.trace(el @ phi).real)
     eps_z = float(min(max(1.0 - succ_z, 0.0), 1.0))
 
+    g0 = np.tensordot(tab.v.conj().T, amps, axes=(1, 0))
     qx = np.einsum("abse->a", np.abs(g0) ** 2)
     succ_xx = 0.0
     eps_x_slots = {b: {lab: i for i, lab in enumerate(conj_decoders[b].outcome_labels)}
-                   for b in beta_keys}
+                   for b in tab.beta_keys}
     gflat = g0.reshape(dd, dd * s_dim, e_dim)
     for x in range(dd):
         if qx[x] <= 1e-14:
             continue
         theta = np.einsum("me,qe->mq", gflat[x], gflat[x].conj()) / qx[x]
-        bkey = beta_keys[beta_of[x]]
+        bkey = tab.beta_keys[tab.beta_of[x]]
         idx = eps_x_slots[bkey].get(x)
         if idx is not None:
             el = conj_decoders[bkey].elements[idx]
@@ -419,19 +487,13 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
             f"hypothesis error {eps_z:.6e}")
 
     # encode: A -> (logical, z-syndrome, destabiliser), guesses likewise
-    zperm = (lam_of * r_dim + alpha_of) * t_dim + g_of
     baux = dd // k_dim
-    cperm = np.concatenate([lam_of * baux + (alpha_of * t_dim + g_of),
-                            [k_dim * baux]])
-    t2a = np.zeros_like(t2)
-    t2a[zperm] = t2
-    enc = np.zeros(t2.shape[:-1] + ((k_dim + 1) * baux,), dtype=np.complex128)
-    enc[..., cperm] = t2a
     dims = ((k_dim, r_dim, t_dim, dd) + ((s_dim,) if shield else ())
             + ((e_dim,) if has_e else ()) + (r_dim, t_dim, k_dim + 1, baux))
     labels = (("A", "Az", "Ag", "Bq") + (("Sq",) if shield else ())
               + (("E",) if has_e else ()) + ("R", "T", "B", "Bg"))
-    enc = enc.reshape((k_dim, r_dim, t_dim) + t2.shape[1:-1] + (k_dim + 1, baux))
+    enc = _encode(t2, tab).reshape((k_dim, r_dim, t_dim) + t2.shape[1:-1]
+                                   + (k_dim + 1, baux))
     final = StateVector(HilbertSpace(dims, labels), enc.reshape(-1))
     eps_direct = epsilon_secret_direct(final, eve_labels=("E", "R"))
 
@@ -474,11 +536,6 @@ class HashingSimResult:
     ideal_encoded_fidelity: float
 
 
-def _pure_distance(u: np.ndarray, w: np.ndarray) -> float:
-    ov = abs(complex(np.vdot(u, w)))
-    return 2.0 * math.sqrt(max(1.0 - min(ov, 1.0) ** 2, 0.0))
-
-
 def coherent_hashing_sim(state, n: int, code: CssCode,
                          cfg: HswConfig = HswConfig()) -> HashingSimResult:
     """Coherently run hashing on n copies and audit the correctness chain.
@@ -490,14 +547,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
     decoupler on (C, D).  Each step is compared against the ideal branch
     where C is a perfect copy of A.
     """
-    if isinstance(state, DensityOperator):
-        if "E" in state.space.labels:
-            raise ValueError("mixed states must not carry an E register")
-        psi1 = purify(state, "E")
-    elif isinstance(state, StateVector):
-        psi1 = state
-    else:
-        raise TypeError("expected a StateVector or DensityOperator")
+    psi1 = _canonical_pure(state)
     extra = set(psi1.space.labels) - {"A", "B", "E"}
     if extra:
         raise ValueError(f"hashing takes plain (A, B) states, got extra {sorted(extra)}")
@@ -507,66 +557,39 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
     if code.n != n:
         raise ValueError("code length must match the number of copies")
 
-    psi = tensor_power_grouped(psi1.permuted(tuple(
-        x for x in ("A", "B", "E") if x in psi1.space.labels)), n)
+    psi = tensor_power_grouped(psi1, n)
     dd = d ** n
     e_dim = psi.space.dim_of("E") if "E" in psi.space.labels else 1
     amps = psi.amplitudes.reshape(dd, dd, e_dim)
 
-    strings = all_strings(d, n)
+    tab = _code_tables(code)
+    v = tab.v
     k_dim = d ** code.k
     r_dim, t_dim = d ** code.m_z, d ** code.m_x
-    alpha_of = _flat_classes(strings, code.mz)
-    beta_of = _flat_classes(strings, code.mx)
-    lam_of = _flat_classes(strings, code.logical_z)
-    g_of = _flat_classes(strings, code.destabilizer_z())
-    v = _conj_matrix(d, n)
     c_dim = dd + 1
     _budget((dd, dd, e_dim, r_dim, t_dim, c_dim, c_dim), "hashing chain")
 
     decs = build_css_decoders(psi, code, cfg, x_on_copy=True)
     eps_z = decs.z_result.average_error
     eps_x = decs.x_result.average_error
-    alpha_keys = [tuple(int(x) for x in a) for a in all_strings(d, code.m_z)]
-    beta_keys = [tuple(int(x) for x in b) for b in all_strings(d, code.m_x)]
 
-    # syndrome extraction
-    g0 = np.tensordot(v.conj().T, amps, axes=(1, 0))
-    t1 = np.zeros((dd, dd, e_dim, r_dim, t_dim), dtype=np.complex128)
-    for beta in range(t_dim):
-        gb = np.where((beta_of == beta)[:, None, None], g0, 0.0)
-        wb = np.tensordot(v, gb, axes=(1, 0))
-        for alpha in range(r_dim):
-            sel = alpha_of == alpha
-            t1[sel, :, :, alpha, beta] = wb[sel]
+    def flat(arr: np.ndarray) -> StateVector:
+        return StateVector(HilbertSpace((arr.size,), ("X",)), arr.reshape(-1))
 
-    # standard-string decode into C, and the ideal copy branch
-    t2 = np.zeros((dd, dd, e_dim, r_dim, t_dim, c_dim), dtype=np.complex128)
-    for alpha in range(r_dim):
-        dec: Povm = decs.key_decoders[alpha_keys[alpha]]
-        slots = _label_slots(dec, dd)
-        roots = dec.sqrt_elements()
-        sl = t1[:, :, :, alpha, :]
-        for root, slot in zip(roots, slots):
-            contrib = np.tensordot(root, sl, axes=(1, 1))
-            t2[:, :, :, alpha, :, slot] += np.moveaxis(contrib, 0, 1)
-    # ideal branch: copy A onto C first, then project the syndromes on A
-    # alone, so C carries the pre-projection string
-    t2p = np.zeros_like(t2)
-    for beta in range(t_dim):
-        sel = beta_of == beta
-        proj_b = v[:, sel] @ v[:, sel].conj().T
-        wb = np.einsum("ac,cbe->abec", proj_b, amps)
-        for alpha in range(r_dim):
-            asel = alpha_of == alpha
-            t2p[asel, :, :, alpha, beta, :dd] = wb[asel]
-    overlap = float(np.vdot(t2, t2p).real)
-    td2 = _pure_distance(t2, t2p)
-    bound2 = 2.0 * math.sqrt(2.0 * eps_z)
+    # standard-string decode into C, and the ideal copy branch: copy A onto
+    # C first, then extract the syndromes from A alone, so C carries the
+    # pre-projection string
+    t2 = _key_decode(_extract(amps, tab), decs.key_decoders, tab)
+    copied = extend_with_copy(psi, "C").amplitudes.reshape(dd, dd, dd, e_dim)
+    t2p = np.moveaxis(_extract(np.moveaxis(copied, 1, -1), tab), 3, -1)
+    t2p = np.pad(t2p, [(0, 0)] * 5 + [(0, 1)])
     for arr, name in ((t2, "key decode"), (t2p, "ideal copy")):
         nrm = float(np.linalg.norm(arr))
         if abs(nrm - 1.0) > 1e-10:
             raise InvariantViolation(f"{name} broke normalisation ({nrm!r})")
+    overlap = float(np.vdot(t2, t2p).real)
+    td2 = pure_state_trace_distance(flat(t2), flat(t2p))
+    bound2 = 2.0 * math.sqrt(2.0 * eps_z)
 
     # conjugate-string decode on (C, B), outcome kept as a conjugated ket
     # in D; the untouched C-fail block routes to the D fail slot
@@ -576,73 +599,53 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
 
     def conj_decode(tin: np.ndarray) -> np.ndarray:
         tout = np.zeros(tin.shape + (c_dim,), dtype=np.complex128)
-        for beta in range(t_dim):
-            dec: Povm = decs.conj_decoders[beta_keys[beta]]
-            roots = dec.sqrt_elements()
+        for beta, key in enumerate(tab.beta_keys):
+            dec: Povm = decs.conj_decoders[key]
             acc = np.add.reduce(dec.elements)
             head = float(np.max(np.abs(np.eye(dd * dd) - acc)))
             if head > 1e-9:
                 raise InvariantViolation(
-                    f"conjugate decoder for beta {beta_keys[beta]} is not "
+                    f"conjugate decoder for beta {key} is not "
                     f"complete on the decoded block ({head!r})")
-            sl = tin[:, :, :, :, beta, :]
-            for root, lab in zip(roots, dec.outcome_labels):
-                dvec = fail_ket if lab == "fail" else vpad[:, int(lab)]
-                rr = np.zeros((c_dim * dd, c_dim * dd), dtype=np.complex128)
-                rr[:dd * dd, :dd * dd] = root
-                rt = rr.reshape(c_dim, dd, c_dim, dd)
-                applied = np.tensordot(rt, sl, axes=((2, 3), (4, 1)))
-                contrib = np.moveaxis(applied, (0, 1), (4, 1))
-                tout[:, :, :, :, beta, :, :] += contrib[..., None] * dvec
-            fb = sl[:, :, :, :, dd]
-            tout[:, :, :, :, beta, dd, dd] += fb
+            # roots on (C, B) as (outcome, C', B', C, B); kets as (outcome, D)
+            roots = np.stack(dec.sqrt_elements()).reshape(-1, dd, dd, dd, dd)
+            kets = np.stack([fail_ket if lab == "fail" else vpad[:, int(lab)]
+                             for lab in dec.outcome_labels])
+            sl = tin[..., beta, :]
+            applied = np.tensordot(roots, sl[..., :dd], axes=((3, 4), (4, 1)))
+            decoded = np.tensordot(applied, kets, axes=(0, 0))
+            tout[..., beta, :dd, :] = decoded.transpose(2, 1, 3, 4, 0, 5)
+            tout[..., beta, dd, dd] = sl[..., dd]
         return tout
-
-    t3 = conj_decode(t2)
-    t3p = conj_decode(t2p)
 
     # ideal conjugate branch: Alice's conjugate string lands in D as a
     # conjugated ket while (C, B, E) keep the exact conditional states
-    t3pp = np.zeros(t2p.shape + (c_dim,), dtype=np.complex128)
-    for beta in range(t_dim):
-        sel = beta_of == beta
-        mb = np.einsum("ax,cx,dx->acd", v[:, sel], v[:, sel].conj(), vpad[:, sel])
-        tb = np.einsum("acd,cbe->abecd", mb, amps)
-        for alpha in range(r_dim):
-            asel = alpha_of == alpha
-            t3pp[asel, :, :, alpha, beta, :dd, :] = tb[asel]
-    td3 = _pure_distance(t3p, t3pp)
+    ideal = np.einsum("ax,cx,dx,cbe->abecd", v, v.conj(), vpad, amps, optimize=True)
+    t3pp = np.moveaxis(_extract(ideal, tab), (3, 4), (5, 6))
+    t3pp = np.pad(t3pp, [(0, 0)] * 5 + [(0, 1), (0, 0)])
+    td3 = pure_state_trace_distance(flat(conj_decode(t2p)), flat(t3pp))
     bound3 = 2.0 * math.sqrt(2.0 * eps_x)
 
-    # phase decoupler on (C, D)
+    # phase decoupler on (C, D), applied in place; the C fail slot is left alone
+    strings = all_strings(d, n)
     phases = np.exp(2j * np.pi * ((strings @ strings.T) % d) / d)
-    t4 = np.empty_like(t3)
-    t4pp = np.empty_like(t3pp)
     vc = v.conj()
-    for c in range(c_dim):
-        if c < dd:
-            u_c = np.zeros((c_dim, c_dim), dtype=np.complex128)
-            u_c[:dd, :dd] = (vc * phases[c]) @ vc.conj().T
-            u_c[dd, dd] = 1.0
-        else:
-            u_c = np.eye(c_dim, dtype=np.complex128)
-        t4[:, :, :, :, :, c, :] = np.tensordot(t3[:, :, :, :, :, c, :], u_c, (5, 1))
-        t4pp[:, :, :, :, :, c, :] = np.tensordot(t3pp[:, :, :, :, :, c, :], u_c, (5, 1))
-    td4 = _pure_distance(t4, t4pp)
+    t4, t4pp = conj_decode(t2), t3pp
+    for c in range(dd):
+        u_c = np.zeros((c_dim, c_dim), dtype=np.complex128)
+        u_c[:dd, :dd] = (vc * phases[c]) @ vc.conj().T
+        u_c[dd, dd] = 1.0
+        for arr in (t4, t4pp):
+            arr[..., c, :] = np.tensordot(arr[..., c, :], u_c, (5, 1))
+    td4 = pure_state_trace_distance(flat(t4), flat(t4pp))
     bound4 = 2.0 * (math.sqrt(2.0 * eps_z) + math.sqrt(2.0 * eps_x))
 
     # encoded logical fidelity with the maximally entangled state on (A, D)
-    zperm = (lam_of * r_dim + alpha_of) * t_dim + g_of
     baux = dd // k_dim
-    dperm = np.concatenate([lam_of * baux + (alpha_of * t_dim + g_of),
-                            [k_dim * baux]])
 
     def logical_fidelity(arr: np.ndarray) -> float:
-        w = np.zeros_like(arr)
-        w[zperm] = arr
-        w2 = np.zeros(w.shape[:-1] + ((k_dim + 1) * baux,), dtype=np.complex128)
-        w2[..., dperm] = w
-        w2 = w2.reshape(k_dim, baux, dd, e_dim, r_dim, t_dim, c_dim, k_dim + 1, baux)
+        w2 = _encode(arr, tab).reshape(k_dim, baux, dd, e_dim, r_dim, t_dim, c_dim,
+                                       k_dim + 1, baux)
         w2 = np.moveaxis(w2, 7, 1).reshape(k_dim * (k_dim + 1), -1)
         rho = w2 @ w2.conj().T
         phi = np.zeros(k_dim * (k_dim + 1), dtype=np.complex128)
@@ -750,14 +753,6 @@ def _op_on_copy(op: np.ndarray, copy: int, sh: int) -> np.ndarray:
     return out.reshape(4 * sh * sh, 4 * sh * sh)
 
 
-def _positive_split(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(0.5 * (delta + delta.conj().T))
-    pos = vecs[:, vals >= 0.0]
-    p0 = pos @ pos.conj().T
-    p0 = 0.5 * (p0 + p0.conj().T)
-    return p0, np.eye(delta.shape[0]) - p0
-
-
 def _adaptive_conj_decoders(phi0: np.ndarray, phi1: np.ndarray) -> Mapping:
     """Optimal conjugate decoders for the XX stabilizer on two copies.
 
@@ -780,8 +775,9 @@ def _adaptive_conj_decoders(phi0: np.ndarray, phi1: np.ndarray) -> Mapping:
                 pb = np.kron(np.outer(h[:, b0], h[:, b0].conj()),
                              np.outer(h[:, b1], h[:, b1].conj()))
                 hs = [np.kron(phis[x0 ^ b0], phis[x1 ^ b1]) for x0, x1 in cands]
-                q0, q1 = _positive_split(np.outer(hs[0], hs[0].conj())
-                                         - np.outer(hs[1], hs[1].conj()))
+                pair, _ = helstrom_pair(np.outer(hs[0], hs[0].conj()),
+                                        np.outer(hs[1], hs[1].conj()))
+                q0, q1 = pair.elements
                 els[0] += np.kron(pb, q0)
                 els[1] += np.kron(pb, q1)
         decoders[(beta,)] = Povm(tuple(els), labels)
@@ -841,19 +837,17 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     # class-level conjugate guess error, end to end
     space = state.space
     shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
-    v = _conj_matrix(2, 2)
-    mu_of = _flat_classes(all_strings(2, 2), code.logical_x)
-    beta_of = _flat_classes(all_strings(2, 2), code.mx)
-    ens = _conditional_ensemble(state, v, ("B",) + shield)
+    tab = _code_tables(code)
+    ens = _conditional_ensemble(state, tab.v, ("B",) + shield)
     error = 0.0
     for x in range(4):
         q = float(ens.probs[x])
         if q <= 1e-14:
             continue
-        dec: Povm = conj_decoders[(int(beta_of[x]),)]
+        dec: Povm = conj_decoders[tab.beta_keys[tab.beta_of[x]]]
         good = 0.0
         for el, lab in zip(dec.elements, dec.outcome_labels):
-            if lab != "fail" and mu_of[int(lab)] == mu_of[x]:
+            if lab != "fail" and tab.mu_of[int(lab)] == tab.mu_of[x]:
                 good += float(np.trace(el @ ens.states[x].matrix).real)
         error += q * (1.0 - good)
     error = float(min(max(error, 0.0), 1.0))

@@ -60,6 +60,8 @@ class CqEnsemble:
             raise ValueError("probability and state counts differ")
         if p.size == 0:
             raise ValueError("empty ensemble")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if float(p.min()) < -1e-12:
             raise ValueError(f"negative probability {p.min():g}")
         if abs(float(p.sum()) - 1.0) > 1e-9:

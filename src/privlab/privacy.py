@@ -177,6 +177,22 @@ def ccq_fidelity_to_key(state, *, eve_labels: Sequence[str] = ("E",)) -> float:
 # conjugate measurements
 
 
+def _conjugate_key_elements(conj_basis: ConjugateBasis, g: np.ndarray) -> list[np.ndarray]:
+    """Conjugate key decoder elements on (B, S) from stacked shield blocks.
+
+    ``g`` stacks d blocks G_k of s rows each; element y has (k, k') block
+    (P*_y)_{k k'} G_k G_k'^dag, made exactly hermitian.
+    """
+    star = conj_basis.conjugated()
+    s = g.shape[0] // conj_basis.d
+    gram = g @ g.conj().T
+    elements = []
+    for y in range(conj_basis.d):
+        el = np.kron(star.projector(y), np.ones((s, s))) * gram
+        elements.append(0.5 * (el + el.conj().T))
+    return elements
+
+
 def twisting_conjugate_measurement(t: TwistingOperator,
                                    conj_basis: ConjugateBasis) -> Povm:
     """Exact conjugate key decoder for a twisted private state.
@@ -185,21 +201,10 @@ def twisting_conjugate_measurement(t: TwistingOperator,
     from the conjugated basis and the diagonal twisting blocks; it acts on
     (B, S) and reproduces Alice's conjugate-basis outcome with certainty.
     """
-    d, s = t.d, t.shield_dim
-    if conj_basis.d != d:
+    if conj_basis.d != t.d:
         raise ValueError("conjugate basis dimension does not match the twisting")
-    star = conj_basis.conjugated()
-    diag = t.diagonal_blocks()
-    elements = []
-    for y in range(d):
-        proj = star.projector(y)
-        el = np.zeros((d * s, d * s), dtype=np.complex128)
-        for k in range(d):
-            for kp in range(d):
-                el[k * s:(k + 1) * s, kp * s:(kp + 1) * s] = \
-                    proj[k, kp] * (diag[k] @ diag[kp].conj().T)
-        elements.append(0.5 * (el + el.conj().T))
-    return Povm(tuple(elements), tuple(range(d)))
+    elements = _conjugate_key_elements(conj_basis, np.vstack(t.diagonal_blocks()))
+    return Povm(tuple(elements), tuple(range(t.d)))
 
 
 @dataclass(frozen=True)
@@ -311,16 +316,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
 
     # Compress through the |0> ancillas: keep R rows with a'=b'=g=0.
     rows = np.arange(s) * (d * d * g)
-    star = conj_basis.conjugated()
-    elements = []
-    for y in range(d):
-        proj = star.projector(y)
-        el = np.zeros((d * s, d * s), dtype=np.complex128)
-        for k in range(d):
-            for kp_ in range(d):
-                omega = (ws[k] @ ws[kp_].conj().T)[np.ix_(rows, rows)]
-                el[k * s:(k + 1) * s, kp_ * s:(kp_ + 1) * s] = proj[k, kp_] * omega
-        elements.append(0.5 * (el + el.conj().T))
+    elements = _conjugate_key_elements(conj_basis, np.vstack([w[rows] for w in ws]))
     rest = np.eye(d * s) - np.sum(elements, axis=0)
     labels: tuple = tuple(range(d))
     if float(np.max(np.abs(rest))) > 1e-12:

@@ -104,6 +104,8 @@ class Povm:
         for e in els:
             if e.shape != (dim, dim):
                 raise ValueError("POVM elements must be square and equal-sized")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("POVM elements must be finite")
             herm = float(np.max(np.abs(e - e.conj().T)))
             if herm > KIND_ATOL:
                 raise ValueError(f"POVM element not hermitian (deviation {herm:g})")

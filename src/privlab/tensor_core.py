@@ -194,6 +194,8 @@ class LinearOperator:
         dim = self.space.dim
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {dim}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("operator entries must be finite")
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         _verify_kind(m, self.kind)

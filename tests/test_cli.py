@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from privlab.cli import build_parser, build_state, main, run
+from privlab.cli import _threads, build_parser, build_state, main, run
 
 
 def payload(argv):
@@ -199,6 +199,12 @@ def test_exit_code_io_failure(capsys):
                "/nonexistent-dir/report.json"])
     assert rc == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw,want", [("100000", os.cpu_count() or 1), ("0", 1)])
+def test_threads_bounded_by_cpu_count(raw, want, monkeypatch):
+    monkeypatch.setenv("PRIVLAB_THREADS", raw)
+    assert _threads() == want
 
 
 def test_parser_rejects_unknown_state_kind():

@@ -9,11 +9,12 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace,
                      InvariantViolation, Povm, PrivacyReport, StateVector,
                      TwistingOperator, build_private_state, ccq_blocks,
                      ccq_fidelity_to_key, certify_private,
-                     epsilon_secret_direct, haar_vector, key_error_rates,
-                     maximally_entangled, purify, random_pure_state,
-                     star_projective_povm, substream, trace_norm,
-                     twisting_conjugate_measurement,
+                     epsilon_secret_direct, haar_unitary, haar_vector,
+                     key_error_rates, maximally_entangled, purify,
+                     random_pure_state, star_projective_povm, substream,
+                     trace_norm, twisting_conjugate_measurement,
                      uhlmann_conjugate_measurement)
+from privlab.privacy import _conjugate_key_elements
 from conftest import assert_povm
 
 
@@ -201,6 +202,42 @@ def test_privacy_report_validation():
     rep = PrivacyReport(p_e=0.1, p_tilde_e=0.04, eps_certified=0.3,
                         eps_direct=0.25, measurement_used="test")
     assert rep.measurement_used == "test"
+
+
+def double_loop_conjugate_elements(conj_basis, omega):
+    """Oracle: element y has (k, k') block (P*_y)_{k k'} omega(k, k')."""
+    d = conj_basis.d
+    s = omega(0, 0).shape[0]
+    star = conj_basis.conjugated()
+    elements = []
+    for y in range(d):
+        proj = star.projector(y)
+        el = np.zeros((d * s, d * s), dtype=np.complex128)
+        for k in range(d):
+            for kp in range(d):
+                el[k * s:(k + 1) * s, kp * s:(kp + 1) * s] = proj[k, kp] * omega(k, kp)
+        elements.append(0.5 * (el + el.conj().T))
+    return elements
+
+
+def test_conjugate_povm_assembly_matches_double_loop():
+    for seed, (d, s, pad) in enumerate(((2, 3, 2), (3, 2, 3), (4, 2, 1))):
+        cb = ConjugateBasis.fourier(d)
+        t = TwistingOperator.random(d, s, substream(400 + seed))
+        diag = t.diagonal_blocks()
+        got = twisting_conjugate_measurement(t, cb).elements
+        want = double_loop_conjugate_elements(
+            cb, lambda k, kp: diag[k] @ diag[kp].conj().T)
+        for a, b in zip(got, want, strict=True):
+            assert np.max(np.abs(a - b)) < 1e-12
+        # Uhlmann form: lab unitaries W_k compressed onto s of their rows
+        ws = [haar_unitary(s * pad, substream(500 + seed, k)) for k in range(d)]
+        rows = np.arange(s) * pad
+        got = _conjugate_key_elements(cb, np.vstack([w[rows] for w in ws]))
+        want = double_loop_conjugate_elements(
+            cb, lambda k, kp: (ws[k] @ ws[kp].conj().T)[np.ix_(rows, rows)])
+        for a, b in zip(got, want, strict=True):
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_uhlmann_on_exact_private_state():

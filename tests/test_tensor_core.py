@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from privlab import (DensityOperator, HilbertSpace, Povm, StateVector,
+from privlab import (CqEnsemble, DensityOperator, HilbertSpace,
+                     LinearOperator, Povm, StateVector,
                      fidelity, haar_unitary, measure, partial_trace,
                      pure_state_trace_distance, purify, substream,
                      trace_distance, trace_norm)
@@ -86,6 +87,20 @@ def test_states_reject_non_finite_entries(bad):
         DensityOperator(h, np.array([[1.0, bad], [bad, 0.0]]))
     with pytest.raises(ValueError, match="finite"):
         DensityOperator(h, np.array([[bad, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["povm", "operator", "ensemble"])
+def test_operators_and_ensembles_reject_non_finite_entries(kind, bad):
+    h = HilbertSpace((2,), ("A",))
+    half = DensityOperator(h, np.eye(2) / 2)
+    build = {
+        "povm": lambda: Povm((np.diag([1.0, bad]), np.zeros((2, 2)))),
+        "operator": lambda: LinearOperator(h, np.diag([1.0, bad])),
+        "ensemble": lambda: CqEnsemble(np.array([bad, 0.5]), (half, half)),
+    }[kind]
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_partial_trace_matches_loop_oracle():
