@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .css_codes import CssCode, sample_universal_css, universality_estimate
-from .distillation import (build_css_decoders, coherent_hashing_sim,
+from .distillation import (_budget, build_css_decoders, coherent_hashing_sim,
                            distillable_rate, one_shot_distill,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
@@ -75,6 +76,28 @@ def _spec_kind(spec, what: str):
     return spec["kind"]
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_int(value, what: str, lo: int = 1) -> int:
+    """A config integer; bools, strings and non-integral numbers are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{what} must be at least {lo}, got {value}")
+    return value
+
+
+def _as_real(value, what: str) -> float:
+    """A finite config number; bools, strings, NaN and infinities are rejected."""
+    if not _is_real(value) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _shield_pair(s: float, shield_dim: int) -> tuple[np.ndarray, np.ndarray]:
     if not 0.0 <= s <= 1.0:
         raise ValueError("shield overlap must lie in [0, 1]")
@@ -97,22 +120,40 @@ def build_state(spec: Mapping, seed: int):
     _check_keys({k: v for k, v in spec.items() if k != "kind"},
                 STATE_KINDS[kind], f"state[{kind}]")
     extras: dict = {}
+    if kind == "inline":
+        return _inline_state(spec), extras
+    if kind == "file":
+        path = spec.get("path")
+        if not isinstance(path, str) or not path:
+            raise ValueError("file state spec needs a 'path' string")
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, Mapping):
+            raise ValueError("a state file must hold a JSON object")
+        _check_keys(payload, STATE_KINDS["inline"], "state[file]")
+        return _inline_state(payload), extras
+    # each kind checks its dense array (werner and twisted states are
+    # D x D matrices) against the cap before building anything
+    d = _as_int(spec.get("d", 2), "d")
     if kind == "bell":
-        return maximally_entangled(int(spec.get("d", 2))), extras
+        _budget((d, d), "bell state")
+        return maximally_entangled(d), extras
     if kind == "bell_power":
-        return tensor_power_grouped(maximally_entangled(int(spec.get("d", 2))),
-                                    int(spec.get("n", 1))), extras
+        n = _as_int(spec.get("n", 1), "n")
+        # past 21 copies any d >= 2 is over the cap, and d = 1 stays 1
+        _budget((d ** min(n, 21),) * 2, "bell_power state")
+        return tensor_power_grouped(maximally_entangled(d), n), extras
     if kind == "werner":
-        d = int(spec.get("d", 2))
-        p = float(spec.get("p", 1.0))
+        _budget((d, d) * 2, "werner state")
+        p = _as_real(spec.get("p", 1.0), "p")
         if not 0.0 <= p <= 1.0:
             raise ValueError("werner weight must lie in [0, 1]")
         phi = maximally_entangled(d).density()
         mat = p * phi.matrix + (1.0 - p) * np.eye(d * d) / (d * d)
         return DensityOperator(phi.space, mat), extras
+    sh = _as_int(spec.get("shield_dim", 2), "shield_dim")
     if kind == "twisted":
-        d = int(spec.get("d", 2))
-        sh = int(spec.get("shield_dim", 2))
+        _budget((d, d, sh) * 2, "twisted state")
         space = HilbertSpace((d, d, sh), ("A", "B", "S"))
         blocks = {(j, k): haar_unitary(sh, substream(seed, 1 + j * d + k))
                   for j in range(d) for k in range(d)}
@@ -121,30 +162,26 @@ def build_state(spec: Mapping, seed: int):
         xi = StateVector(xi_space, haar_vector(sh, substream(seed, 0)))
         extras["twisting"] = t
         return build_private_state(d, t, xi), extras
-    if kind == "shielded_bit":
-        phi0, phi1 = _shield_pair(float(spec.get("s", 0.6)),
-                                  int(spec.get("shield_dim", 2)))
-        extras["shields"] = (phi0, phi1)
-        return shielded_bit_state(phi0, phi1), extras
-    if kind == "inline":
-        return _inline_state(spec), extras
-    path = spec.get("path")
-    if not path:
-        raise ValueError("file state spec needs a 'path'")
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    _check_keys({k: v for k, v in payload.items()},
-                STATE_KINDS["inline"], "state[file]")
-    return _inline_state(payload), extras
+    _budget((2, 2, sh, 2), "shielded_bit state")
+    phi0, phi1 = _shield_pair(_as_real(spec.get("s", 0.6), "s"), sh)
+    extras["shields"] = (phi0, phi1)
+    return shielded_bit_state(phi0, phi1), extras
 
 
 def _inline_state(spec: Mapping) -> StateVector:
-    dims = tuple(int(v) for v in spec.get("dims", ()))
-    labels = tuple(str(v) for v in spec.get("labels", ()))
+    dims, labels = spec.get("dims", ()), spec.get("labels", ())
     raw = spec.get("amps")
-    if not dims or not labels or raw is None:
+    if not isinstance(dims, (list, tuple)) or not isinstance(labels, (list, tuple)) \
+            or not dims or not labels or raw is None:
         raise ValueError("inline state needs dims, labels and amps")
-    pairs = np.asarray(raw, dtype=np.float64)
+    if not all(isinstance(x, str) for x in labels):
+        raise ValueError("inline state labels must be strings")
+    dims = tuple(_as_int(v, "dims entry") for v in dims)
+    _budget(dims, "inline state")
+    pairs = np.asarray(raw, dtype=object)
+    if not all(_is_real(v) for v in pairs.flat):
+        raise ValueError("amps must be real numbers")
+    pairs = pairs.astype(np.float64)
     if pairs.ndim == 1 and pairs.size % 2 == 0:
         pairs = pairs.reshape(-1, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -160,16 +197,25 @@ def build_code(spec: Mapping, seed: int) -> CssCode:
                          f"choose from {sorted(CODE_KINDS)}")
     _check_keys({k: v for k, v in spec.items() if k != "kind"},
                 CODE_KINDS[kind], f"code[{kind}]")
+    if kind == "two_copy":
+        raise ValueError("two_copy codes are driven through the distill command")
+    d = _as_int(spec.get("d", 2), "code d")
+    n = _as_int(spec.get("n"), "code n")
+    # every use of a code indexes its d^n strings
+    _budget((d ** min(n, 21),), "code strings")
     if kind == "explicit":
-        d = int(spec.get("d", 2))
-        n = int(spec["n"])
-        return CssCode.from_stabilizers(d, spec.get("mz_rows", []),
-                                        spec.get("mx_rows", []), n=n)
-    if kind == "sampled":
-        return sample_universal_css(int(spec.get("d", 2)), int(spec["n"]),
-                                    int(spec.get("m_z", 0)), int(spec.get("m_x", 0)),
-                                    substream(seed, 90))
-    raise ValueError("two_copy codes are driven through the distill command")
+        return CssCode.from_stabilizers(d, _rows(spec.get("mz_rows", []), "mz_rows"),
+                                        _rows(spec.get("mx_rows", []), "mx_rows"), n=n)
+    return sample_universal_css(d, n, _as_int(spec.get("m_z", 0), "m_z", lo=0),
+                                _as_int(spec.get("m_x", 0), "m_x", lo=0),
+                                substream(seed, 90))
+
+
+def _rows(rows, what: str) -> list[list[int]]:
+    if not isinstance(rows, (list, tuple)) or \
+            not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ValueError(f"{what} must be a list of integer rows")
+    return [[_as_int(v, f"{what} entry", lo=0) for v in row] for row in rows]
 
 
 def _rows_arg(text: str) -> list[list[int]]:
@@ -188,6 +234,7 @@ def _rows_arg(text: str) -> list[list[int]]:
 def cmd_rates(cfg: Mapping, seed: int):
     _check_keys(cfg, {"state"}, "rates")
     state, _ = build_state(cfg.get("state", {"kind": "bell"}), seed)
+    _budget(state.space.dims * 2, "rate density matrix")
     rb = distillable_rate(state)
     results = dataclasses.asdict(rb)
     return results, [results]
@@ -196,10 +243,9 @@ def cmd_rates(cfg: Mapping, seed: int):
 def cmd_verify(cfg: Mapping, seed: int):
     _check_keys(cfg, {"state", "measurement", "soundness_margin"}, "verify")
     state, extras = build_state(cfg.get("state", {"kind": "bell"}), seed)
+    _budget(state.space.dims * 2, "verified density matrix")
     meas = cfg.get("measurement", "projective")
-    margin = float(cfg.get("soundness_margin", 1e-6))
-    if not math.isfinite(margin):
-        raise ValueError(f"soundness_margin must be finite, got {margin!r}")
+    margin = _as_real(cfg.get("soundness_margin", 1e-6), "soundness_margin")
     if meas == "projective":
         report = certify_private(state, soundness_margin=margin)
         extra_out = {}
@@ -231,7 +277,9 @@ def cmd_verify(cfg: Mapping, seed: int):
 def cmd_distill(cfg: Mapping, seed: int):
     _check_keys(cfg, {"state", "code", "adaptive"}, "distill")
     code_spec = cfg.get("code", {"kind": "two_copy"})
-    adaptive = bool(cfg.get("adaptive", True))
+    adaptive = cfg.get("adaptive", True)
+    if not isinstance(adaptive, bool):
+        raise ValueError(f"adaptive must be true or false, got {adaptive!r}")
     if isinstance(code_spec, Mapping) and code_spec.get("kind") == "two_copy":
         _check_keys({k: v for k, v in code_spec.items() if k != "kind"},
                     CODE_KINDS["two_copy"], "code[two_copy]")
@@ -262,7 +310,7 @@ def cmd_distill(cfg: Mapping, seed: int):
 def cmd_hashing_sim(cfg: Mapping, seed: int):
     _check_keys(cfg, {"state", "n", "code"}, "hashing-sim")
     state, _ = build_state(cfg.get("state", {"kind": "bell"}), seed)
-    n = int(cfg.get("n", 1))
+    n = _as_int(cfg.get("n", 1), "n")
     code_spec = dict(cfg.get("code", {"kind": "explicit", "n": n}))
     code = build_code(code_spec, seed)
     res = coherent_hashing_sim(state, n, code)
@@ -274,11 +322,12 @@ def cmd_css(cfg: Mapping, seed: int):
     _check_keys(cfg, {"mode", "d", "n", "m_z", "m_x", "count", "m",
                       "row_slice", "trials"}, "css")
     mode = cfg.get("mode", "sample")
-    d = int(cfg.get("d", 2))
-    n = int(cfg.get("n", 3))
+    d = _as_int(cfg.get("d", 2), "d")
+    n = _as_int(cfg.get("n", 3), "n")
     if mode == "sample":
-        count = int(cfg.get("count", 1))
-        m_z, m_x = int(cfg.get("m_z", 1)), int(cfg.get("m_x", 1))
+        count = _as_int(cfg.get("count", 1), "count", lo=0)
+        m_z = _as_int(cfg.get("m_z", 1), "m_z", lo=0)
+        m_x = _as_int(cfg.get("m_x", 1), "m_x", lo=0)
         rows = []
         for i in range(count):
             code = sample_universal_css(d, n, m_z, m_x, substream(seed, i))
@@ -289,11 +338,11 @@ def cmd_css(cfg: Mapping, seed: int):
                          "logical_x": json.dumps(code.logical_x.entries.tolist())})
         return {"codes": rows}, rows
     if mode == "universality":
-        est = universality_estimate(d, n, int(cfg.get("m", 1)),
+        est = universality_estimate(d, n, _as_int(cfg.get("m", 1), "m", lo=0),
                                     str(cfg.get("row_slice", "z")),
-                                    trials=int(cfg.get("trials", 10_000)),
+                                    trials=_as_int(cfg.get("trials", 10_000), "trials"),
                                     rng=substream(seed, 0),
-                                    m_other=int(cfg.get("m_x", 0)))
+                                    m_other=_as_int(cfg.get("m_x", 0), "m_x", lo=0))
         results = {"collision_rate": est.collision_rate,
                    "std_error": est.std_error, "trials": est.trials,
                    "reference": est.reference,
@@ -305,10 +354,8 @@ def cmd_css(cfg: Mapping, seed: int):
 def cmd_uncertainty(cfg: Mapping, seed: int):
     _check_keys(cfg, {"mode", "d", "trials"}, "uncertainty")
     mode = str(cfg.get("mode", "maassen_uffink"))
-    d = int(cfg.get("d", 2))
-    trials = int(cfg.get("trials", 100))
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    d = _as_int(cfg.get("d", 2), "d")
+    trials = _as_int(cfg.get("trials", 100), "trials")
 
     def one(i: int):
         rng = substream(seed, i)
@@ -339,7 +386,7 @@ def cmd_uncertainty(cfg: Mapping, seed: int):
 def cmd_appd(cfg: Mapping, seed: int):
     _check_keys(cfg, {"s", "stabilizer"}, "appd")
     raw = cfg.get("s", 0.6)
-    grid = [float(v) for v in (raw if isinstance(raw, (list, tuple)) else [raw])]
+    grid = [_as_real(v, "s") for v in (raw if isinstance(raw, (list, tuple)) else [raw])]
     stab = str(cfg.get("stabilizer", "XX"))
 
     def one(s: float):
@@ -583,9 +630,13 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return {k: v for k, v in over.items() if v is not None}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> str:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.overrides = _collect_overrides(args)
     cfg = _merge_config(args)
     start = time.perf_counter()
@@ -605,7 +656,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError,
+            json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -31,8 +31,7 @@ from .info_measures import (CqEnsemble, coherent_information, holevo_information
 from .privacy import PrivacyReport, epsilon_secret_direct
 from .qudit_ops import ConjugateBasis, Povm, measure
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, pure_state_trace_distance, purify,
-                          vector_marginal)
+                          StateVector, purify, vector_marginal)
 
 AMPLITUDE_CAP = 2 ** 20
 
@@ -40,7 +39,7 @@ _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 
 
 def _budget(dims: Sequence[int], what: str) -> int:
-    total = int(np.prod([int(v) for v in dims], dtype=np.int64))
+    total = math.prod(int(v) for v in dims)
     if total > AMPLITUDE_CAP:
         raise ValueError(
             f"{what} needs {total} amplitudes (dims {tuple(int(v) for v in dims)}), "
@@ -195,6 +194,29 @@ def _encode(arr: np.ndarray, tab: _CodeTables) -> np.ndarray:
                    dtype=np.complex128)
     enc[..., tab.cperm] = out
     return enc
+
+
+def _logical_fidelity(arr: np.ndarray, tab: _CodeTables, k_dim: int) -> float:
+    """Fidelity of the encoded logical (A, last axis) pair with the Bell state.
+
+    Reads the amplitudes of ``_encode(arr, tab)`` with equal logical values
+    on A and on the guess register through the inverse of ``zperm``, so the
+    encoded array is never built; the fail slot carries no logical value.
+    """
+    of = np.argsort(tab.zperm).reshape(k_dim, -1)
+    acc = sum(arr[rows[:, None], ..., rows] for rows in of)
+    val = float(np.vdot(acc, acc).real) / k_dim
+    return math.sqrt(min(max(val, 0.0), 1.0))
+
+
+def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Unnormalised Tr|a - b| of two unit chain states, from one overlap."""
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    for nrm in (na, nb):
+        if not abs(nrm - 1.0) <= 1e-9:
+            raise InvariantViolation(f"chain state norm {nrm!r} is not 1")
+    ov = abs(complex(np.vdot(a, b))) / (na * nb)
+    return 2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, ov) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +595,6 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
     eps_z = decs.z_result.average_error
     eps_x = decs.x_result.average_error
 
-    def flat(arr: np.ndarray) -> StateVector:
-        return StateVector(HilbertSpace((arr.size,), ("X",)), arr.reshape(-1))
-
     # standard-string decode into C, and the ideal copy branch: copy A onto
     # C first, then extract the syndromes from A alone, so C carries the
     # pre-projection string
@@ -588,7 +607,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
         if abs(nrm - 1.0) > 1e-10:
             raise InvariantViolation(f"{name} broke normalisation ({nrm!r})")
     overlap = float(np.vdot(t2, t2p).real)
-    td2 = pure_state_trace_distance(flat(t2), flat(t2p))
+    td2 = _chain_distance(t2, t2p)
     bound2 = 2.0 * math.sqrt(2.0 * eps_z)
 
     # conjugate-string decode on (C, B), outcome kept as a conjugated ket
@@ -623,7 +642,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
     ideal = np.einsum("ax,cx,dx,cbe->abecd", v, v.conj(), vpad, amps, optimize=True)
     t3pp = np.moveaxis(_extract(ideal, tab), (3, 4), (5, 6))
     t3pp = np.pad(t3pp, [(0, 0)] * 5 + [(0, 1), (0, 0)])
-    td3 = pure_state_trace_distance(flat(conj_decode(t2p)), flat(t3pp))
+    td3 = _chain_distance(conj_decode(t2p), t3pp)
     bound3 = 2.0 * math.sqrt(2.0 * eps_x)
 
     # phase decoupler on (C, D), applied in place; the C fail slot is left alone
@@ -637,29 +656,16 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
         u_c[dd, dd] = 1.0
         for arr in (t4, t4pp):
             arr[..., c, :] = np.tensordot(arr[..., c, :], u_c, (5, 1))
-    td4 = pure_state_trace_distance(flat(t4), flat(t4pp))
+    td4 = _chain_distance(t4, t4pp)
     bound4 = 2.0 * (math.sqrt(2.0 * eps_z) + math.sqrt(2.0 * eps_x))
 
     # encoded logical fidelity with the maximally entangled state on (A, D)
-    baux = dd // k_dim
-
-    def logical_fidelity(arr: np.ndarray) -> float:
-        w2 = _encode(arr, tab).reshape(k_dim, baux, dd, e_dim, r_dim, t_dim, c_dim,
-                                       k_dim + 1, baux)
-        w2 = np.moveaxis(w2, 7, 1).reshape(k_dim * (k_dim + 1), -1)
-        rho = w2 @ w2.conj().T
-        phi = np.zeros(k_dim * (k_dim + 1), dtype=np.complex128)
-        for lam in range(k_dim):
-            phi[lam * (k_dim + 1) + lam] = 1.0 / math.sqrt(k_dim)
-        val = float(np.real(phi.conj() @ rho @ phi))
-        return math.sqrt(min(max(val, 0.0), 1.0))
-
     return HashingSimResult(n=n, key_dim=k_dim, eps_z=eps_z, eps_x=eps_x,
                             overlap_psi2=overlap, td_psi2=td2, bound_psi2=bound2,
                             td_psi3=td3, bound_psi3=bound3,
                             td_psi4=td4, bound_psi4=bound4,
-                            encoded_fidelity=logical_fidelity(t4),
-                            ideal_encoded_fidelity=logical_fidelity(t4pp))
+                            encoded_fidelity=_logical_fidelity(t4, tab, k_dim),
+                            ideal_encoded_fidelity=_logical_fidelity(t4pp, tab, k_dim))
 
 
 def tensor_power_grouped(psi: StateVector, n: int) -> StateVector:
@@ -821,6 +827,8 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     s, while any decoder reading a single copy is stuck at
     (1 - sqrt(1 - s^2)) / 2; XI and IX can only use one copy.
     """
+    sh = np.asarray(phi0).size
+    _budget((4 * sh * sh,) * 2, "two-copy decoders on (B1, B2, S1, S2)")
     psi1 = shielded_bit_state(phi0, phi1)
     code = _two_copy_code(stabilizer)
     state = tensor_power_grouped(psi1, 2)

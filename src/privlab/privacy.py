@@ -21,7 +21,8 @@ import numpy as np
 
 from .qudit_ops import ConjugateBasis, Povm, TwistingOperator, measure
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, purify, trace_norm)
+                          StateVector, permute_vector, purify, sqrt_psd,
+                          trace_norm)
 
 SOUNDNESS_ATOL = 1e-6
 
@@ -92,16 +93,13 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
 # direct (ccq) secrecy
 
 
-def ccq_blocks(state, *, eve_labels: Sequence[str] = ("E",)
-               ) -> dict[tuple[int, int], np.ndarray]:
-    """Environment blocks B_jk of the key-measured state.
+def _ccq_amplitudes(state, eve_labels: Sequence[str]) -> np.ndarray:
+    """Amplitudes of the state as a (A, B, lab rest, environment) array.
 
     Registers named in ``eve_labels`` count as the environment; a mixed
     state (which must not carry any of those labels) is purified onto a
-    fresh register first.  Block (j, k) is the unnormalised environment
-    operator left after projecting A and B onto |j>, |k> and tracing every
-    remaining lab register.  A pure state with no environment register has
-    trivial 1x1 blocks.
+    fresh register first.  Every remaining lab register is merged into the
+    third axis, and a state with no environment register gets a trivial one.
     """
     if isinstance(state, StateVector):
         psi = state
@@ -114,18 +112,32 @@ def ccq_blocks(state, *, eve_labels: Sequence[str] = ("E",)
         psi = purify(rho, eve_labels[0] if eve_labels else "E")
         eves = (eve_labels[0] if eve_labels else "E",)
     space = psi.space
-    da, db = space.dim_of("A"), space.dim_of("B")
     shield = tuple(x for x in space.labels if x not in ("A", "B") + eves)
-    order = ("A", "B") + shield + eves
-    amps = psi.permuted(order).amplitudes
+    amps = permute_vector(space, psi.amplitudes, ("A", "B") + shield + eves)
     s = int(np.prod(space.dims_of(shield), dtype=np.int64)) if shield else 1
     de = int(np.prod(space.dims_of(eves), dtype=np.int64)) if eves else 1
-    w = amps.reshape(da, db, s, de)
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for j in range(da):
-        for k in range(db):
-            blocks[(j, k)] = np.einsum("se,sf->ef", w[j, k], w[j, k].conj())
-    return blocks
+    return amps.reshape(space.dim_of("A"), space.dim_of("B"), s, de)
+
+
+def _env_block(x: np.ndarray) -> np.ndarray:
+    """sum_s |x_s><x_s| over the rows of an (s, environment) amplitude block."""
+    return x.T @ x.conj()
+
+
+def ccq_blocks(state, *, eve_labels: Sequence[str] = ("E",)
+               ) -> dict[tuple[int, int], np.ndarray]:
+    """Environment blocks B_jk of the key-measured state.
+
+    Registers named in ``eve_labels`` count as the environment; a mixed
+    state (which must not carry any of those labels) is purified onto a
+    fresh register first.  Block (j, k) is the unnormalised environment
+    operator left after projecting A and B onto |j>, |k> and tracing every
+    remaining lab register.  A pure state with no environment register has
+    trivial 1x1 blocks.
+    """
+    w = _ccq_amplitudes(state, eve_labels)
+    return {(j, k): _env_block(w[j, k])
+            for j in range(w.shape[0]) for k in range(w.shape[1])}
 
 
 def epsilon_secret_direct(state, *, eve_labels: Sequence[str] = ("E",)) -> float:
@@ -135,20 +147,23 @@ def epsilon_secret_direct(state, *, eve_labels: Sequence[str] = ("E",)) -> float
     the state's own environment marginal, so the distance is
     (sum of off-diagonal block traces + sum_j || B_jj - rho_E / d ||_1) / 2.
     B may be larger than A (guess registers keep a failure slot); its extra
-    values are pure error and enter through the off-diagonal sum.
+    values are pure error and enter through the off-diagonal sum.  Only the
+    diagonal blocks are built; an off-diagonal trace is the squared norm
+    of its amplitudes.
     """
     space = state.space if isinstance(state, StateVector) else _to_density(state).space
     d = space.dim_of("A")
     if space.dim_of("B") < d:
         raise ValueError("register B cannot be smaller than the key register A")
-    blocks = ccq_blocks(state, eve_labels=eve_labels)
-    rho_e = np.sum([b for b in blocks.values()], axis=0)
+    w = _ccq_amplitudes(state, eve_labels)
+    rho_e = _env_block(w.reshape(-1, w.shape[3]))
     total = 0.0
-    for (j, k), b in blocks.items():
-        if j == k:
-            total += trace_norm(b - rho_e / d)
-        else:
-            total += float(np.trace(b).real)
+    for j in range(d):
+        for k in range(w.shape[1]):
+            if j == k:
+                total += trace_norm(_env_block(w[j, j]) - rho_e / d)
+            else:
+                total += float(np.vdot(w[j, k], w[j, k]).real)
     return float(min(max(0.5 * total, 0.0), 1.0))
 
 
@@ -159,16 +174,12 @@ def ccq_fidelity_to_key(state, *, eve_labels: Sequence[str] = ("E",)) -> float:
     occupies the diagonal blocks, so F = sum_j F(B_jj, rho_E / d) with the
     blocks kept unnormalised.
     """
-    from .tensor_core import sqrt_psd
-
-    blocks = ccq_blocks(state, eve_labels=eve_labels)
-    space = state.space if isinstance(state, StateVector) else _to_density(state).space
-    d = space.dim_of("A")
-    rho_e = np.sum([b for b in blocks.values()], axis=0)
-    root_key = sqrt_psd(rho_e / d)
+    w = _ccq_amplitudes(state, eve_labels)
+    d = w.shape[0]
+    root_key = sqrt_psd(_env_block(w.reshape(-1, w.shape[3])) / d)
     f = 0.0
     for j in range(d):
-        cross = sqrt_psd(blocks[(j, j)]) @ root_key
+        cross = sqrt_psd(_env_block(w[j, j])) @ root_key
         f += float(np.sum(np.linalg.svd(cross, compute_uv=False)))
     return float(min(max(f, 0.0), 1.0))
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from privlab.cli import _threads, build_parser, build_state, main, run
+from privlab.distillation import AMPLITUDE_CAP
+from privlab.sampling import substream
 
 
 def payload(argv):
@@ -211,3 +213,151 @@ def test_parser_rejects_unknown_state_kind():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["rates", "--state", "nosuch"])
+
+
+def test_run_reuses_parser_without_leaking_repeated_flags():
+    first = results_of(["appd", "--s", "0.3"])
+    second = results_of(["appd", "--s", "0.6", "--s", "0.9"])
+    assert [row["s"] for row in first["sweep"]] == [0.3]
+    assert [row["s"] for row in second["sweep"]] == [0.6, 0.9]
+    # the public builder still hands out a fresh parser each time
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("command,d", [("verify", 2.5), ("verify", True),
+                                       ("rates", 2.5), ("rates", True),
+                                       ("verify", 100000), ("rates", 100000),
+                                       ("rates", 33)])
+def test_state_spec_rejects_mistyped_and_oversized_d(command, d, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"state": {"kind": "werner", "d": d, "p": 0.9}}))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_werner_at_the_amplitude_cap_still_builds():
+    # D = 1024, so the D x D matrix holds exactly AMPLITUDE_CAP entries
+    state, _ = build_state({"kind": "werner", "d": 32, "p": 0.9}, 0)
+    assert state.matrix.size == AMPLITUDE_CAP
+    with pytest.raises(ValueError, match="amplitudes"):
+        build_state({"kind": "bell_power", "d": 2, "n": 11}, 0)
+
+
+def test_file_state_path_must_be_a_string(tmp_path, capsys):
+    # an integer path would be taken as an open file descriptor
+    src = tmp_path / "state.json"
+    src.write_text(json.dumps({"dims": [2, 2], "labels": ["A", "B"],
+                               "amps": [[1.0, 0.0], [0, 0], [0, 0], [0, 0]]}))
+    fd = os.open(src, os.O_RDONLY)
+    try:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"state": {"kind": "file", "path": fd}}))
+        assert main(["rates", "--config", str(cfg)]) == 2
+    finally:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    capsys.readouterr()
+
+
+# Small valid configs for every subcommand; the fuzz test breaks one entry.
+FUZZ_BASES = [
+    ("rates", {"state": {"kind": "werner", "d": 2, "p": 0.9}}),
+    ("rates", {"state": {"kind": "inline", "dims": [2, 2], "labels": ["A", "B"],
+                         "amps": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.8, 0.0]]}}),
+    ("verify", {"state": {"kind": "twisted", "d": 2, "shield_dim": 2},
+                "measurement": "twisting", "soundness_margin": 1e-6}),
+    ("verify", {"state": {"kind": "bell_power", "d": 2, "n": 1},
+                "measurement": "uhlmann"}),
+    ("distill", {"state": {"kind": "bell_power", "d": 2, "n": 2},
+                 "code": {"kind": "explicit", "d": 2, "n": 2, "mz_rows": [[1, 1]],
+                          "mx_rows": []}}),
+    ("distill", {"state": {"kind": "werner", "d": 4, "p": 0.9},
+                 "code": {"kind": "sampled", "d": 2, "n": 2, "m_z": 1, "m_x": 0}}),
+    ("distill", {"state": {"kind": "shielded_bit", "s": 0.6, "shield_dim": 2},
+                 "code": {"kind": "two_copy", "stabilizer": "XX"}, "adaptive": True}),
+    ("hashing-sim", {"state": {"kind": "werner", "d": 2, "p": 0.95}, "n": 2,
+                     "code": {"kind": "explicit", "d": 2, "n": 2, "mz_rows": [[1, 1]]}}),
+    ("css", {"mode": "sample", "d": 3, "n": 3, "m_z": 1, "m_x": 1, "count": 2}),
+    ("css", {"mode": "universality", "d": 2, "n": 4, "m": 2, "m_x": 0,
+             "row_slice": "z", "trials": 50}),
+    ("uncertainty", {"mode": "cit", "d": 2, "trials": 2}),
+    ("appd", {"s": [0.3, 0.6], "stabilizer": "XX"}),
+]
+
+NAN, INF = float("nan"), float("inf")
+# values of the wrong type, or not finite, for an entry of each JSON type
+POISON = {
+    int: [NAN, INF, -INF, True, False, "2", 2.5, None, [2], {"v": 2}],
+    float: [NAN, INF, -INF, True, "0.5", None, [0.5], {"v": 0.5}],
+    str: [5, 2.5, True, None, ["x"], {"v": "x"}, NAN, "nosuch"],
+    bool: ["yes", 1, 0, None, NAN, [True]],
+    list: [NAN, True, "x", None, 3, {"v": 1}],
+    dict: ["bell", 5, None, [], True, NAN],
+}
+# well-typed values that may be out of range
+IN_TYPE = {int: [0, -1, -7, 1, 3], float: [-0.5, 0.0, 1.0, 1.5, 1e300],
+           str: [""], bool: [False], list: [[]], dict: [{}]}
+# sizes past the amplitude cap, for the size entries of state and code specs
+OVERSIZED = [1025, 100000, 10 ** 9, 10 ** 30]
+SIZE_KEYS = {"d", "n", "shield_dim"}
+
+
+def _leaves(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _fuzz_case(i):
+    """(command, config, expectation) for fuzz case i; expectation is
+    'error' (exit 2, 3 or 4), 'invalid' (exit 2) or 'any'."""
+    rng = substream(2718, i)
+    command, base = FUZZ_BASES[int(rng.integers(len(FUZZ_BASES)))]
+    leaves = [(p, v) for p, v in _leaves(base) if p]
+    path, value = leaves[int(rng.integers(len(leaves)))]
+    kind = bool if isinstance(value, bool) else type(value)
+    in_spec = path[0] in ("state", "code") or (command == "hashing-sim" and path == ("n",))
+    roll = rng.random()
+    if kind is int and in_spec and (path[-1] in SIZE_KEYS or "dims" in path) and roll < 0.25:
+        pick = OVERSIZED[int(rng.integers(len(OVERSIZED)))]
+        return command, _replaced(base, path, pick), "invalid"
+    if roll < 0.1 and isinstance(value, dict):
+        return command, _replaced(base, path + ("bogus",), 1), "invalid"
+    if roll < 0.7:
+        pool = POISON[kind]
+        return command, _replaced(base, path, pool[int(rng.integers(len(pool)))]), "error"
+    pool = IN_TYPE[kind]
+    return command, _replaced(base, path, pool[int(rng.integers(len(pool)))]), "any"
+
+
+def test_cli_fuzz_exit_codes(tmp_path, capsys):
+    cases = [("verify", {"state": {"kind": "werner", "d": 2.5, "p": 0.9}}, "invalid"),
+             ("rates", {"state": {"kind": "werner", "d": True, "p": 0.9}}, "invalid"),
+             ("verify", {"state": {"kind": "werner", "d": 100000, "p": 0.9}}, "invalid")]
+    cases += [_fuzz_case(i) for i in range(300)]
+    bad = []
+    for i, (command, cfg, want) in enumerate(cases):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(path), "--seed", str(i)])
+        capsys.readouterr()
+        ok = {"any": rc in (0, 2, 3, 4), "error": rc in (2, 3, 4),
+              "invalid": rc == 2}[want]
+        if not ok:
+            bad.append((command, json.dumps(cfg), want, rc))
+    assert not bad, bad

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from privlab import (CssCode, DensityOperator, HilbertSpace, StateVector,
-                     build_css_decoders, coherent_hashing_sim,
-                     coherent_information, distillable_rate, extend_with_copy,
-                     maximally_entangled, one_shot_distill, partial_trace,
-                     random_pure_state, shielded_bit_state, substream,
-                     tensor_power_grouped, two_copy_scenario)
+from privlab import (CssCode, DensityOperator, HilbertSpace,
+                     InvariantViolation, StateVector, build_css_decoders,
+                     coherent_hashing_sim, coherent_information,
+                     distillable_rate, extend_with_copy, maximally_entangled,
+                     one_shot_distill, partial_trace, pure_state_trace_distance,
+                     random_pure_state, sample_universal_css,
+                     shielded_bit_state, substream, tensor_power_grouped,
+                     two_copy_scenario)
+from privlab.distillation import (_chain_distance, _code_tables, _encode,
+                                  _logical_fidelity)
 
 
 def werner(p, d=2):
@@ -248,3 +252,59 @@ def test_one_shot_code_dimension_mismatch():
     code = CssCode.from_stabilizers(3, [[1, 2]], [], n=2)
     with pytest.raises(ValueError):
         build_css_decoders(phi2, code)
+
+
+def _encoded_fidelity_oracle(arr, tab, k_dim):
+    # encode A and the guess register, then <phi|rho_AD|phi> on the logical parts
+    dd = arr.shape[0]
+    baux = dd // k_dim
+    w2 = _encode(arr, tab).reshape((k_dim, baux) + arr.shape[1:-1] + (k_dim + 1, baux))
+    w2 = np.moveaxis(w2, -2, 1).reshape(k_dim * (k_dim + 1), -1)
+    rho = w2 @ w2.conj().T
+    phi = np.zeros(k_dim * (k_dim + 1), dtype=np.complex128)
+    for lam in range(k_dim):
+        phi[lam * (k_dim + 1) + lam] = 1.0 / math.sqrt(k_dim)
+    return math.sqrt(min(max(float(np.real(phi.conj() @ rho @ phi)), 0.0), 1.0))
+
+
+@pytest.mark.parametrize("d,n,m_z,m_x,seed", [(2, 3, 1, 0, 0), (2, 3, 1, 1, 1),
+                                             (3, 2, 1, 0, 2), (2, 2, 0, 0, 3)])
+def test_logical_fidelity_matches_encoded_oracle(d, n, m_z, m_x, seed):
+    code = sample_universal_css(d, n, m_z, m_x, substream(60 + seed))
+    tab = _code_tables(code)
+    k_dim, dd = d ** code.k, d ** n
+    rng = substream(70 + seed)
+    shape = (dd, dd, 2, d ** m_z, d ** m_x, dd + 1, dd + 1)
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    arr /= np.linalg.norm(arr)
+    # mostly on the logical diagonal, so the fidelity is far from zero
+    for a in range(dd):
+        arr[a, ..., a] += 3.0 / math.sqrt(dd)
+    arr /= np.linalg.norm(arr)
+    want = _encoded_fidelity_oracle(arr, tab, k_dim)
+    assert 0.1 < want < 1.0
+    assert _logical_fidelity(arr, tab, k_dim) == pytest.approx(want, abs=1e-12)
+
+
+def test_chain_distance_matches_pure_state_distance_and_rejects_bad_norms():
+    rng = substream(80)
+    a = rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5))
+    b = a + 0.3 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    flat = lambda x: StateVector(HilbertSpace((x.size,), ("X",)), x.reshape(-1))
+    assert _chain_distance(a, b) == pytest.approx(
+        pure_state_trace_distance(flat(a), flat(b)), abs=1e-12)
+    for bad in (np.nan, np.inf, 2.0):
+        c = b.copy()
+        c[1, 2, 3] = bad
+        with pytest.raises(InvariantViolation):
+            _chain_distance(a, c)
+        with pytest.raises(InvariantViolation):
+            _chain_distance(c, a)
+
+
+def test_two_copy_scenario_enforces_amplitude_cap():
+    # the decoders act on (B1, B2, S1, S2): (4 * 50^2)^2 entries each
+    phi0, phi1 = np.eye(50)[0], np.eye(50)[1]
+    with pytest.raises(ValueError, match="amplitudes"):
+        two_copy_scenario(phi0, phi1)

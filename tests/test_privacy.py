@@ -9,9 +9,10 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace,
                      InvariantViolation, Povm, PrivacyReport, StateVector,
                      TwistingOperator, build_private_state, ccq_blocks,
                      ccq_fidelity_to_key, certify_private,
-                     epsilon_secret_direct, haar_unitary, haar_vector,
-                     key_error_rates, maximally_entangled, purify,
-                     random_pure_state, star_projective_povm, substream,
+                     epsilon_secret_direct, fidelity, haar_unitary,
+                     haar_vector, key_error_rates, maximally_entangled,
+                     purify, random_density_operator, random_pure_state,
+                     star_projective_povm, substream,
                      trace_norm, twisting_conjugate_measurement,
                      uhlmann_conjugate_measurement)
 from privlab.privacy import _conjugate_key_elements
@@ -87,6 +88,85 @@ def test_epsilon_secret_direct_oracle():
                 ideal += np.kron(jk, rho_e / d)
         want = 0.5 * trace_norm(measured - ideal)
         assert epsilon_secret_direct(psi) == pytest.approx(want, abs=1e-10)
+
+
+def _oracle_blocks(psi, eves):
+    # per-block einsum over the explicitly permuted amplitudes
+    space = psi.space
+    rest = [x for x in space.labels if x not in ("A", "B") + eves]
+    order = ["A", "B"] + rest + list(eves)
+    arr = psi.amplitudes.reshape(space.dims).transpose([space.axis(x) for x in order])
+    w = arr.reshape(space.dim_of("A"), space.dim_of("B"), -1,
+                    int(np.prod(space.dims_of(eves))))
+    return {(j, k): np.einsum("se,sf->ef", w[j, k], w[j, k].conj())
+            for j in range(w.shape[0]) for k in range(w.shape[1])}
+
+
+def _oracle_ccq_pair(blocks, da, db):
+    # explicit measured ccq and its own-marginal ideal key
+    rho_e = np.sum(list(blocks.values()), axis=0)
+    de = rho_e.shape[0]
+    measured = np.zeros((da * db * de,) * 2, dtype=np.complex128)
+    ideal = np.zeros_like(measured)
+    for (j, k), b in blocks.items():
+        jk = np.zeros((da * db, da * db))
+        jk[j * db + k, j * db + k] = 1.0
+        measured += np.kron(jk, b)
+        if j == k:
+            ideal += np.kron(jk, rho_e / da)
+    return measured, ideal
+
+
+# (dims, labels, eve_labels, mixed): B larger than A, lab registers besides
+# A and B, a two-register environment in scrambled order, and mixed inputs
+CCQ_SHAPES = [
+    ((2, 3, 3), ("A", "B", "E"), ("E",), False),
+    ((2, 2, 3, 2), ("A", "B", "S", "E"), ("E",), False),
+    ((2, 3, 2, 2, 3), ("R", "B", "S", "A", "E"), ("E", "R"), False),
+    ((3, 4, 2, 2, 2), ("A", "B", "Sq", "E", "R"), ("E", "R"), False),
+    ((2, 3, 2), ("A", "B", "S"), ("E",), True),
+    ((3, 3), ("A", "B"), ("E", "R"), True),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CCQ_SHAPES)))
+def test_ccq_direct_figures_match_explicit_oracle(case):
+    dims, labels, eves, mixed = CCQ_SHAPES[case]
+    space = HilbertSpace(dims, labels)
+    rng = substream(90 + case)
+    if mixed:
+        state = random_density_operator(space, rng, rank=3)
+        psi = purify(state, eves[0])
+        oracle_eves = (eves[0],)
+    else:
+        state = psi = random_pure_state(space, rng)
+        oracle_eves = eves
+    want_blocks = _oracle_blocks(psi, oracle_eves)
+    blocks = ccq_blocks(state, eve_labels=eves)
+    assert sorted(blocks) == sorted(want_blocks)
+    for key, b in blocks.items():
+        np.testing.assert_allclose(b, want_blocks[key], rtol=0, atol=1e-12)
+    da, db = space.dim_of("A"), space.dim_of("B")
+    measured, ideal = _oracle_ccq_pair(want_blocks, da, db)
+    assert epsilon_secret_direct(state, eve_labels=eves) == pytest.approx(
+        0.5 * trace_norm(measured - ideal), abs=1e-12)
+    if da == db:
+        # square roots of the rank-deficient full matrices turn rounding
+        # dust of 1e-17 into about 3e-9, so this cross-check is coarser
+        assert ccq_fidelity_to_key(state, eve_labels=eves) == pytest.approx(
+            fidelity(measured, ideal), abs=1e-8)
+
+
+def test_ccq_fidelity_matches_block_formula():
+    # F = sum_j F(B_jj, rho_E / d) on the block dict, wider B included
+    for case, (dims, labels) in enumerate([((2, 3, 2, 3), ("A", "B", "S", "E")),
+                                           ((3, 3, 4), ("A", "B", "E"))]):
+        psi = random_pure_state(HilbertSpace(dims, labels), substream(110 + case))
+        blocks = ccq_blocks(psi)
+        d = psi.space.dim_of("A")
+        rho_e = np.sum(list(blocks.values()), axis=0)
+        want = sum(fidelity(blocks[(j, j)], rho_e / d) for j in range(d))
+        assert ccq_fidelity_to_key(psi) == pytest.approx(want, abs=1e-12)
 
 
 def test_epsilon_secret_direct_guess_register_larger_than_key():
