@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .css_codes import CssCode, sample_universal_css, universality_estimate
-from .distillation import (_budget, build_css_decoders, coherent_hashing_sim,
+from .distillation import (build_css_decoders, coherent_hashing_sim,
                            distillable_rate, one_shot_distill,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
@@ -36,7 +36,7 @@ from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
                         build_private_state, maximally_entangled)
 from .sampling import haar_unitary, haar_vector, random_pure_state, substream
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector)
+                          StateVector, _budget)
 
 STATE_KINDS = {
     "bell": {"d"},
@@ -62,6 +62,15 @@ def _threads() -> int:
     except ValueError:
         raise ValueError(f"PRIVLAB_THREADS must be an integer, got {raw!r}")
     return min(max(1, n), os.cpu_count() or 1)
+
+
+def _map_trials(fn, items) -> list:
+    """``list(map(fn, items))``, over a thread pool when more than one worker is allowed."""
+    workers = _threads()
+    if workers == 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _check_keys(spec: Mapping, allowed: set, what: str) -> None:
@@ -372,8 +381,7 @@ def cmd_uncertainty(cfg: Mapping, seed: int):
         return uncertainty_audit(mode, state, z_witness=(("E",), zw),
                                  x_witness=(("B",), xw))
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        records = list(pool.map(one, range(trials)))
+    records = _map_trials(one, range(trials))
     slacks = np.array([r.slack for r in records])
     worst = int(np.argmin(slacks))
     results = {"mode": mode, "d": d, "trials": trials,
@@ -398,8 +406,7 @@ def cmd_appd(cfg: Mapping, seed: int):
                 "nonadaptive_error": na.error_prob,
                 "nonadaptive_analytic": na.analytic_error}
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(one, grid))
+    rows = _map_trials(one, grid)
     return {"stabilizer": stab, "sweep": rows}, rows
 
 

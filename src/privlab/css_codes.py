@@ -33,8 +33,17 @@ def is_prime(d: int) -> bool:
     return all(d % q for q in range(2, int(d ** 0.5) + 1))
 
 
+# GF(d) arithmetic is int64: a product of two reduced entries stays below
+# 2^42, so sums of up to 2^20 of them (longer than any string that fits the
+# amplitude cap) stay below 2^62.
+_MAX_FIELD_ORDER = 2 ** 21
+
+
 def _check_prime(d: int) -> int:
     d = int(d)
+    if d > _MAX_FIELD_ORDER:
+        raise ValueError(f"field order {d} is above the {_MAX_FIELD_ORDER} limit "
+                         "of int64 GF(d) arithmetic")
     if not is_prime(d):
         raise ValueError(f"field order {d} is not prime")
     return d

@@ -30,21 +30,11 @@ from .info_measures import (CqEnsemble, coherent_information, holevo_information
                             shannon_entropy)
 from .privacy import PrivacyReport, epsilon_secret_direct
 from .qudit_ops import ConjugateBasis, Povm, measure
-from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, purify, vector_marginal)
-
-AMPLITUDE_CAP = 2 ** 20
+from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,  # noqa: F401
+                          InvariantViolation, StateVector, _budget, purify,
+                          vector_marginal)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
-
-
-def _budget(dims: Sequence[int], what: str) -> int:
-    total = math.prod(int(v) for v in dims)
-    if total > AMPLITUDE_CAP:
-        raise ValueError(
-            f"{what} needs {total} amplitudes (dims {tuple(int(v) for v in dims)}), "
-            f"above the {AMPLITUDE_CAP} cap")
-    return total
 
 
 def _canonical_pure(state) -> StateVector:

@@ -42,8 +42,9 @@ def _entropy_of_weights(w: np.ndarray) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else _as_complex(rho)
-    return _entropy_of_weights(np.linalg.eigvalsh(m))
+    if isinstance(rho, DensityOperator):
+        return _entropy_of_weights(rho.eigenvalues())
+    return _entropy_of_weights(np.linalg.eigvalsh(_as_complex(rho)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def _conditional_quantum_entropy(state, key_label: str, columns: np.ndarray,
                                  side_labels: Sequence[str]) -> float:
     """S(K|side) in bits after measuring key_label in the given basis."""
     blocks = _cq_blocks(state, key_label, columns, side_labels)
-    joint = sum(_entropy_of_weights(np.linalg.eigvalsh(b)) for b in blocks)
+    joint = sum(_entropy_of_weights(v) for v in np.linalg.eigvalsh(blocks))
     side = _entropy_of_weights(np.linalg.eigvalsh(np.sum(blocks, axis=0)))
     return float(joint - side)
 

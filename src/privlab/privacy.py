@@ -21,8 +21,8 @@ import numpy as np
 
 from .qudit_ops import ConjugateBasis, Povm, TwistingOperator, measure
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, permute_vector, purify, sqrt_psd,
-                          trace_norm)
+                          StateVector, _budget, permute_vector, purify,
+                          sqrt_psd, trace_norm)
 
 SOUNDNESS_ATOL = 1e-6
 
@@ -272,6 +272,8 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
 
     g = max(1, math.ceil(r / (d * s)))
     dr = s * d * d * g
+    # psi_t and kap0 below are (d*d*r) x dr; for full rank they grow as d^6
+    _budget((d, d, r, s, d, d, g), "Uhlmann partner purification")
 
     # psi_tilde = copy A and B onto |0> ancillas; R groups (S, A', B', G).
     psi_t = np.zeros((d, d, r, s, d, d, g), dtype=np.complex128)

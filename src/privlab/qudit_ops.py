@@ -12,8 +12,9 @@ diagonalises X with eigenvalue w^{-x}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .tensor_core import (
     LinearOperator,
     StateVector,
     _as_complex,
+    _check_finite,
+    _check_psd,
+    _lock,
     operator_function,
     reduce_blocks,
 )
@@ -68,6 +72,7 @@ class ConjugateBasis:
         th.flags.writeable = False
 
     @classmethod
+    @lru_cache(maxsize=8)  # each entry holds d^3 amplitudes with its POVM
     def fourier(cls, d: int) -> "ConjugateBasis":
         x, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
         return cls(d, 2.0 * np.pi * x * k / d)
@@ -86,6 +91,10 @@ class ConjugateBasis:
         return np.outer(v, v.conj())
 
     def povm(self) -> "Povm":
+        return self._povm
+
+    @cached_property
+    def _povm(self) -> "Povm":
         return Povm.projective_from_columns(self.vectors)
 
 
@@ -101,18 +110,19 @@ class Povm:
         if not els:
             raise ValueError("a POVM needs at least one element")
         dim = els[0].shape[0]
-        for e in els:
-            if e.shape != (dim, dim):
-                raise ValueError("POVM elements must be square and equal-sized")
-            if not np.all(np.isfinite(e)):
-                raise ValueError("POVM elements must be finite")
-            herm = float(np.max(np.abs(e - e.conj().T)))
-            if herm > KIND_ATOL:
-                raise ValueError(f"POVM element not hermitian (deviation {herm:g})")
-            lo = float(np.linalg.eigvalsh(0.5 * (e + e.conj().T))[0])
-            if lo < -PSD_ATOL:
-                raise ValueError(f"POVM element not positive (min eig {lo:g})")
-        total = np.sum(els, axis=0)
+        if any(e.shape != (dim, dim) for e in els):
+            raise ValueError("POVM elements must be square and equal-sized")
+        stack = np.stack(els)
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("POVM elements must be finite")
+        adj = stack.conj().swapaxes(1, 2)
+        herm = float(np.max(np.abs(stack - adj)))
+        if herm > KIND_ATOL:
+            raise ValueError(f"POVM element not hermitian (deviation {herm:g})")
+        lo = float(np.min(np.linalg.eigvalsh(0.5 * (stack + adj))[:, 0]))
+        if lo < -PSD_ATOL:
+            raise ValueError(f"POVM element not positive (min eig {lo:g})")
+        total = stack.sum(axis=0)
         dev = float(np.max(np.abs(total - np.eye(dim))))
         if dev > POVM_COMPLETENESS_ATOL:
             raise ValueError(f"POVM does not sum to identity (deviation {dev:g})")
@@ -133,6 +143,7 @@ class Povm:
         return len(self.elements)
 
     @classmethod
+    @lru_cache(maxsize=8)
     def standard_basis(cls, d: int) -> "Povm":
         return cls.projective_from_columns(np.eye(d))
 
@@ -143,7 +154,12 @@ class Povm:
         return cls(els, labels)
 
     def sqrt_elements(self) -> tuple[np.ndarray, ...]:
-        return tuple(operator_function(e, "sqrt")[2] for e in self.elements)
+        """Square roots of the elements, computed once per POVM (read-only)."""
+        return self._roots
+
+    @cached_property
+    def _roots(self) -> tuple[np.ndarray, ...]:
+        return tuple(_lock(operator_function(e, "sqrt")[2]) for e in self.elements)
 
 
 @dataclass(frozen=True)
@@ -154,6 +170,29 @@ class MeasurementResult:
     outcome_labels: tuple[tuple, ...]      # per-POVM outcome labels
     kept_labels: tuple[str, ...]
     conditionals: Mapping[tuple, DensityOperator]
+
+
+class _Conditionals(Mapping):
+    """Conditional states by joint outcome, each built as a DensityOperator on first read."""
+
+    def __init__(self, space: HilbertSpace, keys: list[tuple], matrices: np.ndarray):
+        self._space = space
+        self._rows = {key: i for i, key in enumerate(keys)}
+        self._matrices = matrices
+        self._built: dict[tuple, DensityOperator] = {}
+
+    def __getitem__(self, key: tuple) -> DensityOperator:
+        rho = self._built.get(key)
+        if rho is None:
+            rho = DensityOperator(self._space, self._matrices[self._rows[key]])
+            self._built[key] = rho
+        return rho
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 def measure(state, povms: Sequence[tuple[Sequence[str], Povm]],
@@ -186,14 +225,18 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]],
     blocks = reduce_blocks(space, matrix, kept,
                            [(labels, np.stack(povm.elements)) for labels, povm in povms])
     probs = np.einsum("...ii->...", blocks.real)
-    conditionals: dict[tuple, DensityOperator] = {}
+    conditionals: Mapping[tuple, DensityOperator] = {}
     if kept:
-        sub = space.restrict(kept)
-        for idx in np.ndindex(*probs.shape):
-            p = float(probs[idx])
-            if p > conditional_cutoff:
-                block = blocks[idx] / p
-                conditionals[idx] = DensityOperator(sub, 0.5 * (block + block.conj().T))
+        k = blocks.shape[-1]
+        flat = probs.reshape(-1)
+        live = np.flatnonzero(flat > conditional_cutoff)
+        cond = blocks.reshape(-1, k, k)[live] / flat[live, None, None]
+        cond = 0.5 * (cond + cond.conj().swapaxes(1, 2))
+        # one stacked check now; each DensityOperator runs its own when read
+        _check_finite(cond)
+        _check_psd(np.linalg.eigvalsh(cond))
+        outcomes = list(np.ndindex(*probs.shape))
+        conditionals = _Conditionals(space.restrict(kept), [outcomes[i] for i in live], cond)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise InvariantViolation(f"outcome probabilities sum to {total!r}")

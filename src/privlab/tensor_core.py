@@ -21,6 +21,8 @@ PSD_ATOL = 1e-10       # most negative eigenvalue tolerated on a positive object
 SUPPORT_ATOL = 1e-10   # rank decisions (support of an operator)
 LOG_CLAMP = 1e-12      # eigenvalue clamp before logarithms
 
+AMPLITUDE_CAP = 2 ** 20  # largest dense array (complex entries) a workload may ask for
+
 OPERATOR_KINDS = ("general", "hermitian", "unitary", "projector", "povm-element")
 
 
@@ -31,6 +33,28 @@ class InvariantViolation(RuntimeError):
 def _as_complex(a) -> np.ndarray:
     arr = np.array(a, dtype=np.complex128)
     return arr
+
+
+def _budget(dims: Sequence[int], what: str) -> int:
+    total = math.prod(int(v) for v in dims)
+    if total > AMPLITUDE_CAP:
+        raise ValueError(
+            f"{what} needs {total} amplitudes (dims {tuple(int(v) for v in dims)}), "
+            f"above the {AMPLITUDE_CAP} cap")
+    return total
+
+
+def _check_finite(m: np.ndarray) -> None:
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+
+
+def _check_psd(vals: np.ndarray) -> np.ndarray:
+    """Pass through ascending eigenvalues (one row per matrix) if none is too negative."""
+    lo = float(np.min(vals[..., 0], initial=np.inf))
+    if lo < -PSD_ATOL:
+        raise ValueError(f"matrix is not positive semidefinite (min eig {lo:g})")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -57,7 +81,7 @@ class HilbertSpace:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         try:
@@ -150,8 +174,7 @@ class DensityOperator:
         dim = self.space.dim
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {dim}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
+        _check_finite(m)
         herm = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
         if herm > 1e-9:
             raise ValueError(f"matrix is not hermitian (deviation {herm:g})")
@@ -162,9 +185,8 @@ class DensityOperator:
             raise ValueError(f"trace {tr!r} is not 1")
         if abs(tr - 1.0) > NORM_ATOL:
             m = m / tr.real
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -PSD_ATOL:
-            raise ValueError(f"matrix is not positive semidefinite (min eig {lo:g})")
+        # the spectrum of the stored matrix, kept for entropies and ranks
+        object.__setattr__(self, "_eigenvalues", _lock(_check_psd(np.linalg.eigvalsh(m))))
         object.__setattr__(self, "matrix", _lock(m))
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
@@ -175,7 +197,8 @@ class DensityOperator:
         return partial_trace(self, keep)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending eigenvalues, computed once at construction (read-only)."""
+        return self._eigenvalues
 
     def rank(self, tol: float = SUPPORT_ATOL) -> int:
         return int(np.sum(self.eigenvalues() > tol))

@@ -2,12 +2,15 @@
 
 import json
 import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from privlab import cli
 from privlab.cli import _threads, build_parser, build_state, main, run
-from privlab.distillation import AMPLITUDE_CAP
+from privlab.tensor_core import AMPLITUDE_CAP
 from privlab.sampling import substream
 
 
@@ -207,6 +210,40 @@ def test_exit_code_io_failure(capsys):
 def test_threads_bounded_by_cpu_count(raw, want, monkeypatch):
     monkeypatch.setenv("PRIVLAB_THREADS", raw)
     assert _threads() == want
+
+
+def test_one_worker_runs_trials_without_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker run must not start a thread pool")
+
+    monkeypatch.setenv("PRIVLAB_THREADS", "1")
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    res = results_of(["uncertainty", "--mode", "cit", "--d", "2",
+                      "--trials", "3", "--seed", "2"])
+    assert res["trials"] == 3 and res["min_slack"] >= -1e-9
+
+
+def test_uhlmann_partner_arrays_enforce_amplitude_cap(capsys):
+    # Werner d=8 is full rank: the padded purification needs 8^7 amplitudes
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "--state", "werner", "--d", "8", "--p", "0.9",
+                   "--measurement", "uhlmann"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "Uhlmann partner" in capsys.readouterr().err
+    assert peak < 16 * 2 ** 20
+
+
+def test_css_rejects_field_orders_beyond_int64_arithmetic(capsys):
+    start = time.perf_counter()
+    rc = main(["css", "--mode", "sample", "--d", "99999999999973", "--n", "2",
+               "--m-z", "1", "--m-x", "0"])
+    assert rc == 2
+    assert time.perf_counter() - start < 1.0
+    assert "field order 99999999999973 is above" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_state_kind():

@@ -41,6 +41,20 @@ def test_von_neumann_entropy_basics():
                                                      abs=1e-10)
 
 
+def test_von_neumann_entropy_reads_the_construction_spectrum(monkeypatch):
+    rho = random_density_operator(HilbertSpace((2, 3), ("A", "B")), substream(5))
+    want = -sum(v * math.log2(v) for v in np.linalg.eigvalsh(rho.matrix) if v > 1e-12)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    got = von_neumann_entropy(rho)
+    assert calls == []
+    assert got == pytest.approx(want, abs=1e-12)
+    monkeypatch.undo()
+    assert got == von_neumann_entropy(rho.matrix)  # the fresh eigvalsh path
+    assert not rho.eigenvalues().flags.writeable
+
+
 def test_von_neumann_entropy_additivity():
     a = random_density_operator(HilbertSpace((2,), ("A",)), substream(3))
     b = random_density_operator(HilbertSpace((3,), ("B",)), substream(4))

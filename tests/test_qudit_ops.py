@@ -140,6 +140,27 @@ def test_measure_born_rule_oracle():
             assert np.allclose(cond.matrix, marg, atol=1e-10)
 
 
+def test_measure_builds_conditionals_only_when_read(monkeypatch):
+    space = HilbertSpace((3, 2, 3), ("A", "B", "E"))
+    psi = random_pure_state(space, substream(64))
+    builds = []
+    post_init = DensityOperator.__post_init__
+    monkeypatch.setattr(DensityOperator, "__post_init__",
+                        lambda self: builds.append(1) or post_init(self))
+    res = measure(psi, [(("A",), Povm.standard_basis(3)),
+                        (("E",), ConjugateBasis.fourier(3).povm())])
+    assert builds == []
+    assert len(res.conditionals) == 9 and sorted(res.conditionals) == sorted(
+        np.ndindex(3, 3))
+    cond = res.conditionals[(1, 2)]
+    assert len(builds) == 1
+    assert res.conditionals[(1, 2)] is cond and len(builds) == 1
+    assert cond.space.labels == ("B",)
+    assert abs(np.trace(cond.matrix) - 1.0) < 1e-12
+    with pytest.raises(TypeError):
+        res.conditionals[(0, 0)] = cond
+
+
 def test_measure_two_registers_joint_probs():
     phi = maximally_entangled(2)
     res = measure(phi.density(), [(("A",), Povm.standard_basis(2)),
@@ -171,10 +192,29 @@ def test_povm_validation():
     with pytest.raises(ValueError):
         Povm((np.array([[0.5, 0.7], [0.7, 0.5]]),
               np.array([[0.5, -0.7], [-0.7, 0.5]])))  # not PSD
+    # a fault in the last element alone, with the sum still the identity
+    with pytest.raises(ValueError, match="positive"):
+        Povm((np.diag([1.0, 0.0]), np.diag([0.5, 0.0]), np.diag([-0.5, 1.0])))
+    with pytest.raises(ValueError, match="finite"):
+        Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([0.0, np.nan])))
     povm = Povm.standard_basis(3)
     assert povm.dim == 3 and povm.n_outcomes == 3
     roots = povm.sqrt_elements()
     for r, e in zip(roots, povm.elements):
+        assert np.allclose(r @ r, e, atol=1e-12)
+
+
+def test_standard_and_fourier_povms_and_roots_are_built_once():
+    povm = Povm.standard_basis(3)
+    assert Povm.standard_basis(3) is povm
+    basis = ConjugateBasis.fourier(5)
+    assert ConjugateBasis.fourier(5) is basis and basis.povm() is basis.povm()
+    assert_povm(basis.povm(), 5)
+    roots = basis.povm().sqrt_elements()
+    assert basis.povm().sqrt_elements() is roots
+    for arr in (*povm.elements, *basis.povm().elements, *roots, basis.theta):
+        assert not arr.flags.writeable
+    for r, e in zip(roots, basis.povm().elements):
         assert np.allclose(r @ r, e, atol=1e-12)
 
 

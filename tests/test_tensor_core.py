@@ -58,6 +58,8 @@ def test_hilbert_space_accessors():
         HilbertSpace((2, 2), ("A", "A"))
     with pytest.raises(ValueError):
         HilbertSpace((2, 0), ("A", "B"))
+    # exact integer product: an int64 product would wrap to 0 here
+    assert HilbertSpace((2 ** 32, 2 ** 32), ("A", "B")).dim == 2 ** 64
 
 
 def test_state_vector_validation():
