@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,22 +54,7 @@ CODE_KINDS = {
 }
 
 
-def _threads() -> int:
-    raw = os.environ.get("PRIVLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"PRIVLAB_THREADS must be an integer, got {raw!r}")
-    return min(max(1, n), os.cpu_count() or 1)
-
-
-def _map_trials(fn, items) -> list:
-    """``list(map(fn, items))``, over a thread pool when more than one worker is allowed."""
-    workers = _threads()
-    if workers == 1:
-        return list(map(fn, items))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+MAX_TRIALS = 100_000  # largest code count or trial count a run may ask for
 
 
 def _check_keys(spec: Mapping, allowed: set, what: str) -> None:
@@ -97,6 +81,14 @@ def _as_int(value, what: str, lo: int = 1) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < lo:
         raise ValueError(f"{what} must be at least {lo}, got {value}")
+    return value
+
+
+def _as_count(value, what: str, lo: int = 1) -> int:
+    """A config integer no larger than ``MAX_TRIALS``."""
+    value = _as_int(value, what, lo)
+    if value > MAX_TRIALS:
+        raise ValueError(f"{what} must be at most {MAX_TRIALS}, got {value}")
     return value
 
 
@@ -334,7 +326,7 @@ def cmd_css(cfg: Mapping, seed: int):
     d = _as_int(cfg.get("d", 2), "d")
     n = _as_int(cfg.get("n", 3), "n")
     if mode == "sample":
-        count = _as_int(cfg.get("count", 1), "count", lo=0)
+        count = _as_count(cfg.get("count", 1), "count", lo=0)
         m_z = _as_int(cfg.get("m_z", 1), "m_z", lo=0)
         m_x = _as_int(cfg.get("m_x", 1), "m_x", lo=0)
         rows = []
@@ -349,7 +341,7 @@ def cmd_css(cfg: Mapping, seed: int):
     if mode == "universality":
         est = universality_estimate(d, n, _as_int(cfg.get("m", 1), "m", lo=0),
                                     str(cfg.get("row_slice", "z")),
-                                    trials=_as_int(cfg.get("trials", 10_000), "trials"),
+                                    trials=_as_count(cfg.get("trials", 10_000), "trials"),
                                     rng=substream(seed, 0),
                                     m_other=_as_int(cfg.get("m_x", 0), "m_x", lo=0))
         results = {"collision_rate": est.collision_rate,
@@ -364,7 +356,9 @@ def cmd_uncertainty(cfg: Mapping, seed: int):
     _check_keys(cfg, {"mode", "d", "trials"}, "uncertainty")
     mode = str(cfg.get("mode", "maassen_uffink"))
     d = _as_int(cfg.get("d", 2), "d")
-    trials = _as_int(cfg.get("trials", 100), "trials")
+    trials = _as_count(cfg.get("trials", 100), "trials")
+    # the reduction kernel budgets each audit's measurements on top
+    _budget((d, d) if mode == "maassen_uffink" else (d, d, d), f"{mode} state")
 
     def one(i: int):
         rng = substream(seed, i)
@@ -381,7 +375,7 @@ def cmd_uncertainty(cfg: Mapping, seed: int):
         return uncertainty_audit(mode, state, z_witness=(("E",), zw),
                                  x_witness=(("B",), xw))
 
-    records = _map_trials(one, range(trials))
+    records = [one(i) for i in range(trials)]
     slacks = np.array([r.slack for r in records])
     worst = int(np.argmin(slacks))
     results = {"mode": mode, "d": d, "trials": trials,
@@ -406,7 +400,7 @@ def cmd_appd(cfg: Mapping, seed: int):
                 "nonadaptive_error": na.error_prob,
                 "nonadaptive_analytic": na.analytic_error}
 
-    rows = _map_trials(one, grid)
+    rows = [one(s) for s in grid]
     return {"stabilizer": stab, "sweep": rows}, rows
 
 

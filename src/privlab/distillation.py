@@ -26,13 +26,12 @@ import numpy as np
 
 from .css_codes import CssCode, GfMatrix, all_strings, class_members
 from .discrimination import HswConfig, HswDecoderResult, helstrom_pair, hsw_class_decoder
-from .info_measures import (CqEnsemble, coherent_information, holevo_information,
-                            shannon_entropy)
+from .info_measures import (CqEnsemble, _cq_blocks, coherent_information,
+                            holevo_information, shannon_entropy)
 from .privacy import PrivacyReport, epsilon_secret_direct
-from .qudit_ops import ConjugateBasis, Povm, measure
-from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,  # noqa: F401
-                          InvariantViolation, StateVector, _budget, purify,
-                          vector_marginal)
+from .qudit_ops import ConjugateBasis, Povm
+from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
+                          StateVector, _budget, purify, vector_marginal)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 
@@ -238,42 +237,44 @@ def _conditional_ensemble(psi: StateVector, basis: np.ndarray | None,
 
     ``basis`` columns define the measured basis (standard when None).  With
     ``copy_a`` the conditionals are those of the state with A copied onto a
-    register C first (C keeps the standard-basis value).
+    register C first (C keeps the standard-basis value and must be kept).
     """
     space = psi.space
-    rest = tuple(x for x in space.labels if x != "A")
     d = space.dim_of("A")
-    amps = psi.permuted(("A",) + rest).amplitudes.reshape(d, -1)
-    if basis is not None:
-        rows = basis.conj().T @ amps
+    keep_rest = tuple(x for x in space.labels if x in keep and x != "A")
+    if copy_a:
+        if basis is None or "C" not in keep:
+            raise ValueError("copy_a requires an explicit basis and a kept C")
+        # rho_x = D_x* rho D_x on the (A, kept) marginal with A renamed C and
+        # D_x = diag(basis[:, x]) (x) 1: the copy decoheres A
+        rho = vector_marginal(space, psi.amplitudes, ("A",) + keep_rest)
+        kdim = rho.shape[0]
+        _budget((d, kdim, kdim), "copied-key conditionals")
+        cols = basis.T.reshape(d, d, 1, 1, 1)
+        blocks = (cols.conj() * rho.reshape(1, d, -1, d, kdim // d)
+                  * cols.swapaxes(1, 3)).reshape(d, kdim, kdim)
+        ksp = HilbertSpace((d,) + space.dims_of(keep_rest), ("C",) + keep_rest)
     else:
-        rows = amps
-    rest_dims = tuple(space.dims_of(rest))
-    probs = np.empty(d)
-    states = []
-    keep = tuple(keep)
-    for x in range(d):
-        if copy_a:
-            if basis is None:
-                raise ValueError("copy_a requires an explicit basis")
-            w = basis[:, x].conj()[:, None] * amps  # (C, rest): C holds the copy
-            # the copy decoheres A, so the outcome weight is incoherent
-            p = float(np.sum(np.abs(w) ** 2))
-            sub = HilbertSpace((d,) + rest_dims, ("C",) + rest)
-        else:
-            w = rows[x]
-            p = float(np.sum(np.abs(w) ** 2))
-            sub = HilbertSpace(rest_dims, rest)
-        probs[x] = p
-        keep_here = tuple(lbl for lbl in sub.labels if lbl in keep)
-        ksp = sub.restrict(keep_here)
-        if p <= 1e-14:
-            states.append(DensityOperator(ksp, np.eye(ksp.dim) / ksp.dim))
-            continue
-        mat = vector_marginal(sub, w.reshape(-1) / math.sqrt(p), keep_here)
-        states.append(DensityOperator(ksp, 0.5 * (mat + mat.conj().T)))
-    probs = probs / probs.sum()
-    return CqEnsemble(probs, tuple(states), tuple(range(d)))
+        blocks = _cq_blocks(psi, "A", np.eye(d) if basis is None else basis, keep_rest)
+        ksp = space.restrict(keep_rest)
+    probs = np.einsum("xii->x", blocks).real
+    states = tuple(DensityOperator(ksp, 0.5 * (b + b.conj().T) / p) if p > 1e-14
+                   else DensityOperator(ksp, np.eye(ksp.dim) / ksp.dim)
+                   for b, p in zip(blocks, probs))
+    return CqEnsemble(probs / probs.sum(), states, tuple(range(d)))
+
+
+def _guess_error(ens: CqEnsemble, decoders: Mapping, keys: Sequence,
+                 class_of: np.ndarray, value_of: np.ndarray) -> float:
+    """1 - sum_x p_x sum_y Tr[Lambda_y phi_x], x decoded by ``decoders[keys[class_of[x]]]``
+    and y running over its guesses with ``value_of[y] == value_of[x]`` (never "fail")."""
+    succ = 0.0
+    for x, (p, phi) in enumerate(zip(ens.probs, ens.states)):
+        dec: Povm = decoders[keys[class_of[x]]]
+        for el, lab in zip(dec.elements, dec.outcome_labels):
+            if lab != "fail" and value_of[int(lab)] == value_of[x]:
+                succ += float(p * np.trace(el @ phi.matrix).real)
+    return float(min(max(1.0 - succ, 0.0), 1.0))
 
 
 def distillable_rate(state, conj_basis: ConjugateBasis | None = None) -> RateBreakdown:
@@ -461,37 +462,10 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     eps_certified = p_prime_e + math.sqrt(p_tilde_prime_e)
 
     # incoherent hypothesis errors at string level
-    pz = np.einsum("abse->a", np.abs(amps) ** 2)
-    succ_z = 0.0
-    eps_z_slots = {a: {lab: i for i, lab in enumerate(key_decoders[a].outcome_labels)}
-                   for a in tab.alpha_keys}
-    for k in range(dd):
-        if pz[k] <= 1e-14:
-            continue
-        phi = np.einsum("bse,cse->bc", amps[k], amps[k].conj()) / pz[k]
-        akey = tab.alpha_keys[tab.alpha_of[k]]
-        idx = eps_z_slots[akey].get(k)
-        if idx is not None:
-            el = key_decoders[akey].elements[idx]
-            succ_z += float(pz[k] * np.trace(el @ phi).real)
-    eps_z = float(min(max(1.0 - succ_z, 0.0), 1.0))
-
-    g0 = np.tensordot(tab.v.conj().T, amps, axes=(1, 0))
-    qx = np.einsum("abse->a", np.abs(g0) ** 2)
-    succ_xx = 0.0
-    eps_x_slots = {b: {lab: i for i, lab in enumerate(conj_decoders[b].outcome_labels)}
-                   for b in tab.beta_keys}
-    gflat = g0.reshape(dd, dd * s_dim, e_dim)
-    for x in range(dd):
-        if qx[x] <= 1e-14:
-            continue
-        theta = np.einsum("me,qe->mq", gflat[x], gflat[x].conj()) / qx[x]
-        bkey = tab.beta_keys[tab.beta_of[x]]
-        idx = eps_x_slots[bkey].get(x)
-        if idx is not None:
-            el = conj_decoders[bkey].elements[idx]
-            succ_xx += float(qx[x] * np.trace(el @ theta).real)
-    eps_x = float(min(max(1.0 - succ_xx, 0.0), 1.0))
+    eps_z = _guess_error(_conditional_ensemble(psi, None, ("B",)), key_decoders,
+                         tab.alpha_keys, tab.alpha_of, np.arange(dd))
+    eps_x = _guess_error(_conditional_ensemble(psi, tab.v, ("B",) + shield), conj_decoders,
+                         tab.beta_keys, tab.beta_of, np.arange(dd))
 
     if p_prime_e > eps_z + 1e-9:
         raise InvariantViolation(
@@ -832,23 +806,10 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
         analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** 2, 0.0)))
     key_decoders = build_css_decoders(state, code).key_decoders
 
-    # class-level conjugate guess error, end to end
-    space = state.space
-    shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
+    # class-level conjugate guess error, end to end, on (B, S) of the (A, B, S, E) state
     tab = _code_tables(code)
-    ens = _conditional_ensemble(state, tab.v, ("B",) + shield)
-    error = 0.0
-    for x in range(4):
-        q = float(ens.probs[x])
-        if q <= 1e-14:
-            continue
-        dec: Povm = conj_decoders[tab.beta_keys[tab.beta_of[x]]]
-        good = 0.0
-        for el, lab in zip(dec.elements, dec.outcome_labels):
-            if lab != "fail" and tab.mu_of[int(lab)] == tab.mu_of[x]:
-                good += float(np.trace(el @ ens.states[x].matrix).real)
-        error += q * (1.0 - good)
-    error = float(min(max(error, 0.0), 1.0))
+    error = _guess_error(_conditional_ensemble(state, tab.v, ("B", "S")), conj_decoders,
+                         tab.beta_keys, tab.beta_of, tab.mu_of)
     return TwoCopyResult(stabilizer=stabilizer, adaptive=bool(adaptive),
                       overlap=s_ov, error_prob=error, analytic_error=analytic,
                       state=state, code=code,

@@ -147,13 +147,10 @@ def _key_probs(rho: DensityOperator, columns: np.ndarray) -> np.ndarray:
 def _cq_blocks(state, key_label: str, columns: np.ndarray,
                side_labels: Sequence[str]) -> np.ndarray:
     """Unnormalised side states Tr_rest[(|v_x><v_x| (x) 1) rho], stacked over columns x."""
-    if isinstance(state, DensityOperator):
-        matrix = state.matrix
-    else:
-        matrix = np.outer(state.amplitudes, state.amplitudes.conj())
+    data = state.matrix if isinstance(state, DensityOperator) else state.amplitudes
     projectors = np.einsum("kx,lx->xkl", columns, columns.conj())
     side = state.space.restrict(side_labels).labels
-    return reduce_blocks(state.space, matrix, side, [((key_label,), projectors)])
+    return reduce_blocks(state.space, data, side, [((key_label,), projectors)])
 
 
 def _conditional_quantum_entropy(state, key_label: str, columns: np.ndarray,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -238,8 +238,7 @@ class UhlmannRecord:
     pad_dim: int
 
 
-def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = None,
-                                  *, enforce_bound: bool = True) -> UhlmannRecord:
+def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = None) -> UhlmannRecord:
     """Build a conjugate key decoder for an approximately private state.
 
     The state is purified, copied onto padded lab registers, and matched by
@@ -341,7 +340,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     p_e, p_tilde_e = key_error_rates(rho, conj_basis, povm, povm_labels=povm_labels)
     eps = float(min(max(1.0 - fid, 0.0), 1.0))
     bound = 2.0 * eps - eps * eps
-    if enforce_bound and p_tilde_e > bound + 1e-6:
+    if p_tilde_e > bound + 1e-6:
         raise InvariantViolation(
             f"conjugate error {p_tilde_e:.6e} exceeds the partner bound "
             f"{bound:.6e} at eps = {eps:.6e}")

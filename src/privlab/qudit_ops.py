@@ -35,6 +35,7 @@ from .tensor_core import (
 )
 
 POVM_COMPLETENESS_ATOL = 1e-9
+CONDITIONAL_CUTOFF = 1e-14  # outcomes at or below this probability carry no conditional state
 
 
 def generalized_paulis(d: int) -> tuple[LinearOperator, LinearOperator, complex]:
@@ -195,20 +196,16 @@ class _Conditionals(Mapping):
         return len(self._rows)
 
 
-def measure(state, povms: Sequence[tuple[Sequence[str], Povm]],
-            *, conditional_cutoff: float = 1e-14) -> MeasurementResult:
+def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementResult:
     """Measure disjoint label sets jointly.
 
     For each joint outcome (j, k, ...) the probability is
     Tr[(E_j (x) F_k (x) ... (x) 1) rho] and the conditional state on the
     unmeasured factors is the normalised partial trace of the same product.
-    Zero-probability outcomes carry no conditional state.
+    Zero-probability outcomes carry no conditional state.  A StateVector is
+    reduced from its amplitudes and never becomes a D x D matrix.
     """
-    if isinstance(state, StateVector):
-        matrix = np.outer(state.amplitudes, state.amplitudes.conj())
-    elif isinstance(state, DensityOperator):
-        matrix = state.matrix
-    else:
+    if not isinstance(state, (StateVector, DensityOperator)):
         raise TypeError("measure expects a DensityOperator or StateVector")
     space = state.space
     seen: set[str] = set()
@@ -222,14 +219,15 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]],
             raise ValueError(f"POVM dim {povm.dim} does not match labels {labels}")
     kept = tuple(x for x in space.labels if x not in seen)
 
-    blocks = reduce_blocks(space, matrix, kept,
+    data = state.amplitudes if isinstance(state, StateVector) else state.matrix
+    blocks = reduce_blocks(space, data, kept,
                            [(labels, np.stack(povm.elements)) for labels, povm in povms])
     probs = np.einsum("...ii->...", blocks.real)
     conditionals: Mapping[tuple, DensityOperator] = {}
     if kept:
         k = blocks.shape[-1]
         flat = probs.reshape(-1)
-        live = np.flatnonzero(flat > conditional_cutoff)
+        live = np.flatnonzero(flat > CONDITIONAL_CUTOFF)
         cond = blocks.reshape(-1, k, k)[live] / flat[live, None, None]
         cond = 0.5 * (cond + cond.conj().swapaxes(1, 2))
         # one stacked check now; each DensityOperator runs its own when read

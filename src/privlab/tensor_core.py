@@ -313,14 +313,18 @@ def embed_operator(space: HilbertSpace, matrix: np.ndarray, labels: Sequence[str
     return np.ascontiguousarray(shaped.transpose(perm)).reshape(space.dim, space.dim)
 
 
-def reduce_blocks(space: HilbertSpace, matrix: np.ndarray, keep: Sequence[str],
+def reduce_blocks(space: HilbertSpace, data: np.ndarray, keep: Sequence[str],
                   ops: Sequence[tuple[Sequence[str], np.ndarray]] = ()) -> np.ndarray:
     """Blocks Tr_rest[(E_j (x) F_k (x) ... (x) 1) rho] on ``keep``, per joint outcome.
 
-    Each entry of ``ops`` pairs a label group with its stacked elements of
-    shape (n, m, m), indexed in the group's label order.  Registers that are
-    neither kept nor measured are traced out first; then each group is
-    contracted against its elements.  The result has shape
+    ``data`` is the matrix rho, or (possibly unnormalised) amplitudes psi of
+    rho = |psi><psi|.  Each entry of ``ops`` pairs a label group with its
+    stacked elements of shape (n, m, m), indexed in the group's label order.
+    A matrix has the registers neither kept nor measured traced out first,
+    then each group contracted against its elements.  Amplitudes never become
+    D x D: each group's elements act on the ket, and one contraction with
+    psi* over the measured and traced registers gives sum (E psi) psi*; the
+    stacked kets and the blocks are budgeted first.  The result has shape
     (n_1, ..., n_k, K, K), with K indexed in the order of ``keep``.
     """
     groups = [tuple(labels) for labels, _ in ops] + [tuple(keep)]
@@ -329,11 +333,22 @@ def reduce_blocks(space: HilbertSpace, matrix: np.ndarray, keep: Sequence[str],
     sizes = [int(np.prod(space.dims_of(g), dtype=np.int64)) for g in groups]
     n = len(space.dims)
     order = axes + rest
-    t = matrix.reshape(space.dims * 2).transpose(order + [n + a for a in order])
+    k = len(ops)
+    if data.ndim == 1:
+        outcomes = [len(els) for _, els in ops]
+        _budget(outcomes + [space.dim], "stacked measurement kets")
+        _budget(outcomes + sizes[-1:] * 2, "measurement blocks")
+        t = psi = data.reshape(space.dims).transpose(order).reshape(sizes + [-1])
+        for g in reversed(range(k)):
+            # t is (outcomes and rows of groups after g, columns of groups 0..g, K, rest)
+            t = np.tensordot(ops[g][1], t, axes=([2], [2 * (k - 1 - g) + g]))
+        # t is (n_1, row_1, ..., n_k, row_k, K, rest)
+        return np.tensordot(t, psi.conj(), axes=(list(range(1, 2 * k, 2)) + [2 * k + 1],
+                                                 list(range(k)) + [k + 1]))
+    t = data.reshape(space.dims * 2).transpose(order + [n + a for a in order])
     m = int(np.prod(sizes, dtype=np.int64))
     rdim = space.dim // m
     t = np.einsum("irjr->ij", t.reshape(m, rdim, m, rdim)).reshape(sizes * 2)
-    k = len(ops)
     for g in reversed(range(k)):
         # t is (outcomes of groups after g, rows of groups 0..g, K, cols of
         # groups 0..g, K); Tr[E X] pairs E's row with X's column and vice versa.
@@ -343,14 +358,8 @@ def reduce_blocks(space: HilbertSpace, matrix: np.ndarray, keep: Sequence[str],
 
 
 def vector_marginal(space: HilbertSpace, amps: np.ndarray, keep: Sequence[str]) -> np.ndarray:
-    """Reduced density matrix of a (possibly unnormalised) vector."""
-    keep = list(keep)
-    axes = [space.axis(x) for x in keep]
-    rest = [a for a in range(len(space.dims)) if a not in axes]
-    tensor = np.asarray(amps).reshape(space.dims).transpose(axes + rest)
-    kdim = int(np.prod([space.dims[a] for a in axes], dtype=np.int64))
-    w = tensor.reshape(kdim, -1)
-    return w @ w.conj().T
+    """Reduced density matrix of a (possibly unnormalised) vector: ``reduce_blocks`` with no ops."""
+    return reduce_blocks(space, np.asarray(amps).reshape(-1), keep)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from privlab import cli
-from privlab.cli import _threads, build_parser, build_state, main, run
+from privlab.cli import MAX_TRIALS, build_parser, build_state, main, run
 from privlab.tensor_core import AMPLITUDE_CAP
 from privlab.sampling import substream
 
@@ -206,23 +205,6 @@ def test_exit_code_io_failure(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("raw,want", [("100000", os.cpu_count() or 1), ("0", 1)])
-def test_threads_bounded_by_cpu_count(raw, want, monkeypatch):
-    monkeypatch.setenv("PRIVLAB_THREADS", raw)
-    assert _threads() == want
-
-
-def test_one_worker_runs_trials_without_a_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-worker run must not start a thread pool")
-
-    monkeypatch.setenv("PRIVLAB_THREADS", "1")
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    res = results_of(["uncertainty", "--mode", "cit", "--d", "2",
-                      "--trials", "3", "--seed", "2"])
-    assert res["trials"] == 3 and res["min_slack"] >= -1e-9
-
-
 def test_uhlmann_partner_arrays_enforce_amplitude_cap(capsys):
     # Werner d=8 is full rank: the padded purification needs 8^7 amplitudes
     tracemalloc.start()
@@ -387,6 +369,16 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
              ("rates", {"state": {"kind": "werner", "d": True, "p": 0.9}}, "invalid"),
              ("verify", {"state": {"kind": "werner", "d": 100000, "p": 0.9}}, "invalid")]
     cases += [_fuzz_case(i) for i in range(300)]
+    # uncertainty states and their measurements stay under the cap
+    cases += [("uncertainty", {"mode": "quantum_cit", "d": 102, "trials": 1}, "invalid"),
+              ("uncertainty", {"mode": "maassen_uffink", "d": 1025, "trials": 1}, "invalid"),
+              ("uncertainty", {"mode": "cit", "d": 30, "trials": 1}, "invalid"),
+              ("uncertainty", {"mode": "cit", "d": 17, "trials": 1}, "invalid")]
+    # code and trial counts are bounded
+    cases += [("uncertainty", {"mode": "cit", "d": 2, "trials": MAX_TRIALS + 1}, "invalid"),
+              ("css", {"mode": "sample", "d": 2, "n": 3, "count": 10 ** 9}, "invalid"),
+              ("css", {"mode": "universality", "d": 2, "n": 4, "m": 2,
+                       "trials": 10 ** 12}, "invalid")]
     bad = []
     for i, (command, cfg, want) in enumerate(cases):
         path = tmp_path / f"cfg{i}.json"

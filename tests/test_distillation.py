@@ -8,13 +8,14 @@ import pytest
 from privlab import (CssCode, DensityOperator, HilbertSpace,
                      InvariantViolation, StateVector, build_css_decoders,
                      coherent_hashing_sim, coherent_information,
-                     distillable_rate, extend_with_copy, maximally_entangled,
-                     one_shot_distill, partial_trace, pure_state_trace_distance,
-                     random_pure_state, sample_universal_css,
-                     shielded_bit_state, substream, tensor_power_grouped,
-                     two_copy_scenario)
-from privlab.distillation import (_chain_distance, _code_tables, _encode,
-                                  _logical_fidelity)
+                     distillable_rate, extend_with_copy, haar_unitary,
+                     maximally_entangled, one_shot_distill, partial_trace,
+                     pure_state_trace_distance, purify, random_pure_state,
+                     sample_universal_css, shielded_bit_state, substream,
+                     tensor_power_grouped, two_copy_scenario)
+from privlab.distillation import (_canonical_pure, _chain_distance, _code_tables,
+                                  _conditional_ensemble, _conj_matrix, _encode,
+                                  _guess_error, _logical_fidelity)
 
 
 def werner(p, d=2):
@@ -308,3 +309,134 @@ def test_two_copy_scenario_enforces_amplitude_cap():
     phi0, phi1 = np.eye(50)[0], np.eye(50)[1]
     with pytest.raises(ValueError, match="amplitudes"):
         two_copy_scenario(phi0, phi1)
+
+
+# ---------------------------------------------------------------------------
+# conditional ensembles and guess errors against per-outcome loops
+
+
+def loop_conditional_ensemble(psi, basis, keep, copy_a=False):
+    """Per-outcome oracle: the (unnormalised) conditional vector of each x,
+    then its reduced density matrix on ``keep`` by an explicit product."""
+    space = psi.space
+    rest = tuple(x for x in space.labels if x != "A")
+    d = space.dim_of("A")
+    amps = psi.permuted(("A",) + rest).amplitudes.reshape(d, -1)
+    labels = (("C",) if copy_a else ()) + rest
+    dims = ((d,) if copy_a else ()) + space.dims_of(rest)
+    kept = [i for i, x in enumerate(labels) if x in keep]
+    traced = [i for i in range(len(labels)) if i not in kept]
+    kdim = int(np.prod([dims[i] for i in kept]))
+    probs, mats = [], []
+    for x in range(d):
+        if copy_a:
+            w = basis[:, x].conj()[:, None] * amps
+        else:
+            w = (amps if basis is None else basis.conj().T @ amps)[x]
+        p = float(np.sum(np.abs(w) ** 2))
+        w = w.reshape(dims).transpose(kept + traced).reshape(kdim, -1)
+        probs.append(p)
+        mats.append(w @ w.conj().T / p)
+    return np.array(probs) / sum(probs), mats
+
+
+def assert_ensemble_matches_loop(psi, basis, keep, copy_a=False):
+    ens = _conditional_ensemble(psi, basis, keep, copy_a=copy_a)
+    probs, mats = loop_conditional_ensemble(psi, basis, keep, copy_a=copy_a)
+    assert np.allclose(ens.probs, probs, rtol=0.0, atol=1e-12)
+    for st, want in zip(ens.states, mats):
+        assert np.allclose(st.matrix, want, rtol=0.0, atol=1e-12)
+
+
+def test_conditional_ensemble_matches_per_outcome_loop():
+    space = HilbertSpace((3, 2, 2, 3), ("A", "B", "S", "E"))
+    for trial in range(3):
+        psi = random_pure_state(space, substream(400, trial))
+        cols = haar_unitary(3, substream(410, trial))
+        for keep in (("B",), ("E",), ("B", "S"), ("S", "E")):
+            assert_ensemble_matches_loop(psi, None, keep)
+            assert_ensemble_matches_loop(psi, cols, keep)
+        for keep in (("C", "B"), ("C", "B", "S"), ("C", "E")):
+            assert_ensemble_matches_loop(psi, cols, keep, copy_a=True)
+    with pytest.raises(ValueError, match="copy_a"):
+        _conditional_ensemble(psi, None, ("C", "B"), copy_a=True)
+
+
+def test_conditional_ensembles_of_four_werner_copies_stay_under_the_cap():
+    # (A, B, E) = (16, 16, 256): the stacked kets hold exactly AMPLITUDE_CAP entries
+    psi = tensor_power_grouped(_canonical_pure(werner(0.95)), 4)
+    v = _conj_matrix(2, 4)
+    assert_ensemble_matches_loop(psi, None, ("B",))
+    assert_ensemble_matches_loop(psi, v, ("C", "B"), copy_a=True)
+
+
+def loop_guess_error(ens, decoders, keys, class_of, value_of):
+    """The explicit double loop over outcomes and decoder elements."""
+    error = 0.0
+    for x in range(len(ens.states)):
+        q = float(ens.probs[x])
+        if q <= 1e-14:
+            continue
+        dec = decoders[keys[class_of[x]]]
+        good = 0.0
+        for el, lab in zip(dec.elements, dec.outcome_labels):
+            if lab != "fail" and value_of[int(lab)] == value_of[x]:
+                good += float(np.trace(el @ ens.states[x].matrix).real)
+        error += q * (1.0 - good)
+    return float(min(max(error, 0.0), 1.0))
+
+
+def loop_string_errors(psi, code, key_decoders, conj_decoders):
+    """eps_z and eps_x by one conditional per string, read off the amplitudes
+    of a canonical (A, B, shield..., E) state: the key strings are guessed
+    from B alone, the conjugate strings from (B, shield)."""
+    tab = _code_tables(code)
+    dd, e_dim = psi.space.dim_of("A"), psi.space.dim_of("E")
+    amps = psi.amplitudes.reshape(dd, -1, e_dim)
+    conj_rows = np.tensordot(tab.v.conj().T, amps, axes=(1, 0))
+    errors = []
+    for rows, kdim, keys, class_of, decoders in (
+            (amps, dd, tab.alpha_keys, tab.alpha_of, key_decoders),
+            (conj_rows, amps.shape[1], tab.beta_keys, tab.beta_of, conj_decoders)):
+        succ = 0.0
+        for x in range(dd):
+            w = rows[x].reshape(kdim, -1)
+            dec = decoders[keys[class_of[x]]]
+            for el, lab in zip(dec.elements, dec.outcome_labels):
+                if lab != "fail" and int(lab) == x:
+                    succ += float(np.trace(el @ (w @ w.conj().T)).real)
+        errors.append(min(max(1.0 - succ, 0.0), 1.0))
+    return errors
+
+
+def test_guess_error_matches_explicit_loops():
+    code = CssCode.from_stabilizers(2, [[1, 1]], [], n=2)
+    tab = _code_tables(code)
+    strings = np.arange(4)
+    for p in (0.97, 0.9):
+        psi = _canonical_pure(tensor_power_grouped(purify(werner(p), "E"), 2))
+        decs = build_css_decoders(psi, code)
+        ens_z = _conditional_ensemble(psi, None, ("B",))
+        ens_x = _conditional_ensemble(psi, tab.v, ("B",))
+        for ens, decoders, keys, class_of in (
+                (ens_z, decs.key_decoders, tab.alpha_keys, tab.alpha_of),
+                (ens_x, decs.conj_decoders, tab.beta_keys, tab.beta_of)):
+            assert _guess_error(ens, decoders, keys, class_of, strings) == pytest.approx(
+                loop_guess_error(ens, decoders, keys, class_of, strings), abs=1e-12)
+        out = one_shot_distill(psi, code, decs.key_decoders, decs.conj_decoders)
+        eps_z, eps_x = loop_string_errors(psi, code, decs.key_decoders, decs.conj_decoders)
+        assert out.transcript["eps_z"] == pytest.approx(eps_z, abs=1e-12)
+        assert out.transcript["eps_x"] == pytest.approx(eps_x, abs=1e-12)
+    for stab, adaptive in (("XX", True), ("XX", False), ("XI", True)):
+        res = two_copy_scenario(*shield_pair(0.6), stab, adaptive=adaptive)
+        tab2 = _code_tables(res.code)
+        ens = _conditional_ensemble(res.state, tab2.v, ("B", "S"))
+        assert res.error_prob == pytest.approx(
+            loop_guess_error(ens, res.conj_decoders, tab2.beta_keys, tab2.beta_of,
+                             tab2.mu_of), abs=1e-12)
+        # the shielded state exercises the (B, shield) conditionals of eps_x
+        out = one_shot_distill(res.state, res.code, res.key_decoders, res.conj_decoders)
+        eps_z, eps_x = loop_string_errors(res.state, res.code, res.key_decoders,
+                                          res.conj_decoders)
+        assert out.transcript["eps_z"] == pytest.approx(eps_z, abs=1e-12)
+        assert out.transcript["eps_x"] == pytest.approx(eps_x, abs=1e-12)

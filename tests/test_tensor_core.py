@@ -1,6 +1,7 @@
 """Labeled tensor registers: marginals, purification, distances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from privlab import (CqEnsemble, DensityOperator, HilbertSpace,
                      pure_state_trace_distance, purify, substream,
                      trace_distance, trace_norm)
 from privlab.info_measures import _cq_blocks
-from privlab.tensor_core import (apply_to_vector, embed_operator,
+from privlab.tensor_core import (AMPLITUDE_CAP, apply_to_vector, embed_operator,
                                  permute_vector, sqrt_psd, tensor_product,
                                  vector_marginal)
 from privlab.sampling import random_density_operator, random_pure_state
@@ -298,25 +299,55 @@ MEASURE_CASES = [
 @pytest.mark.parametrize("projective", [True, False])
 @pytest.mark.parametrize("dims,labels,groups", MEASURE_CASES)
 def test_measure_matches_embedded_oracle(dims, labels, groups, projective):
+    # each trial measures a mixed state and a pure one, given as amplitudes
     space = HilbertSpace(dims, labels)
     for trial in range(3):
         rng = substream(300, trial)
         rho = random_density_operator(space, rng)
+        psi = random_pure_state(space, rng)
         povms = []
         for g in groups:
             m = int(np.prod(space.dims_of(g)))
             povm = (Povm.projective_from_columns(haar_unitary(m, rng)) if projective
                     else isometry_povm(m, 3, rng))
             povms.append((g, povm))
-        res = measure(rho, povms)
-        probs, blocks = embedded_measure(rho, povms)
-        assert res.probs.shape == probs.shape
-        assert np.allclose(res.probs, probs, rtol=0.0, atol=1e-12)
-        assert set(res.conditionals) == set(blocks)
-        for idx, block in blocks.items():
-            want = block / probs[idx]
-            want = 0.5 * (want + want.conj().T)
-            assert np.allclose(res.conditionals[idx].matrix, want, rtol=0.0, atol=1e-12)
+        for state, oracle_rho in ((rho, rho), (psi, psi.density())):
+            res = measure(state, povms)
+            probs, blocks = embedded_measure(oracle_rho, povms)
+            assert res.probs.shape == probs.shape
+            assert np.allclose(res.probs, probs, rtol=0.0, atol=1e-12)
+            assert set(res.conditionals) == set(blocks)
+            for idx, block in blocks.items():
+                want = block / probs[idx]
+                want = 0.5 * (want + want.conj().T)
+                assert np.allclose(res.conditionals[idx].matrix, want, rtol=0.0, atol=1e-12)
+
+
+def test_pure_state_measure_never_forms_the_density_matrix():
+    # d = 16: two 16-outcome POVMs stack 256 kets of 4096 amplitudes, exactly
+    # AMPLITUDE_CAP; the D x D matrix alone would take 256 MB
+    d = 16
+    space = HilbertSpace((d, d, d), ("A", "B", "E"))
+    psi = random_pure_state(space, substream(340))
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    povms = [(("A",), Povm.standard_basis(d)),
+             (("B",), Povm.projective_from_columns(fourier))]
+    tracemalloc.start()
+    try:
+        res = measure(psi, povms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    amps = psi.amplitudes.reshape(d, d, d)
+    want = np.sum(np.abs(np.einsum("bk,abe->ake", fourier.conj(), amps)) ** 2, axis=-1)
+    assert np.allclose(res.probs, want, rtol=0.0, atol=1e-12)
+    # d = 17 stacks 289 x 4913 kets, over the cap, and is refused before allocating
+    space = HilbertSpace((17, 17, 17), ("A", "B", "E"))
+    psi = random_pure_state(space, substream(341))
+    basis = Povm.standard_basis(17)
+    with pytest.raises(ValueError, match=f"above the {AMPLITUDE_CAP} cap"):
+        measure(psi, [(("A",), basis), (("B",), basis)])
 
 
 def test_partial_trace_non_contiguous_keep():
