@@ -389,6 +389,7 @@ def cmd_appd(cfg: Mapping, seed: int):
     _check_keys(cfg, {"s", "stabilizer"}, "appd")
     raw = cfg.get("s", 0.6)
     grid = [_as_real(v, "s") for v in (raw if isinstance(raw, (list, tuple)) else [raw])]
+    _as_count(len(grid), "s grid length", lo=0)
     stab = str(cfg.get("stabilizer", "XX"))
 
     def one(s: float):

@@ -13,6 +13,8 @@ once here from four helpers: ``_code_tables`` (class values and encode maps
 of a code), ``_extract`` (coherent extraction of both syndromes),
 ``_key_decode`` (Bob's per-alpha guess of the key string) and ``_encode``
 (strings and guesses onto logical, syndrome and destabiliser coordinates).
+Every decoder error (eps_z, eps_x, p~'_e and the two-copy error) is scored
+by one more, ``_guess_error``, straight from pure-state amplitudes.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ def extend_with_copy(psi: StateVector, label: str = "C") -> StateVector:
     amps = psi.permuted(("A",) + rest).amplitudes.reshape(d, -1)
     _budget((d, d, amps.shape[1]), "coherent copy")
     out = np.zeros((d, d, amps.shape[1]), dtype=np.complex128)
-    for a in range(d):
-        out[a, a] = amps[a]
+    out[np.arange(d), np.arange(d)] = amps
     new_space = HilbertSpace((d, d) + tuple(space.dims_of(rest)), ("A", label) + rest)
     return StateVector(new_space, out.reshape(-1))
 
@@ -150,6 +151,12 @@ def _extract(amps: np.ndarray, tab: _CodeTables) -> np.ndarray:
     return out
 
 
+def _guess_slots(dec: Povm, fail: int) -> np.ndarray:
+    """Guessed string of each outcome of a class decoder; "fail" goes to ``fail``."""
+    labels = np.array(dec.outcome_labels, dtype=object)
+    return np.where(labels == "fail", fail, labels).astype(np.int64)
+
+
 def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables) -> np.ndarray:
     """Decode Bob's guess of the key string from B (axis 1) into a new last axis.
 
@@ -162,11 +169,10 @@ def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables) -> np.n
         dec: Povm = key_decoders[key]
         if dec.dim != dd:
             raise ValueError("key decoders must act on B alone")
-        sl = t1[..., alpha, :]
-        slots = [dd if lab == "fail" else int(lab) for lab in dec.outcome_labels]
-        for root, slot in zip(dec.sqrt_elements(), slots):
-            contrib = np.tensordot(root, sl, axes=(1, 1))
-            t2[..., alpha, :, slot] += np.moveaxis(contrib, 0, 1)
+        # roots as (outcome, B', B); the outcome axis lands on the guess slots
+        roots = np.stack(dec.sqrt_elements())
+        applied = np.tensordot(roots, t1[..., alpha, :], axes=(2, 1))
+        t2[..., alpha, :, _guess_slots(dec, dd)] = np.moveaxis(applied, 1, 2)
     return t2
 
 
@@ -264,16 +270,29 @@ def _conditional_ensemble(psi: StateVector, basis: np.ndarray | None,
     return CqEnsemble(probs / probs.sum(), states, tuple(range(d)))
 
 
-def _guess_error(ens: CqEnsemble, decoders: Mapping, keys: Sequence,
+def _guess_error(rows: np.ndarray, decoders: Mapping, keys: Sequence,
                  class_of: np.ndarray, value_of: np.ndarray) -> float:
-    """1 - sum_x p_x sum_y Tr[Lambda_y phi_x], x decoded by ``decoders[keys[class_of[x]]]``
-    and y running over its guesses with ``value_of[y] == value_of[x]`` (never "fail")."""
+    """1 - sum_x sum_y Tr[Lambda_y w_x w_x^dag] over the rows w_x of a pure state.
+
+    ``rows`` is shaped (x, Bob, rest) with A already in the measured basis,
+    so Tr_rest w_x w_x^dag is p_x phi_x on Bob.  Outcome x is decoded by
+    ``decoders[keys[class_of[x]]]`` and y runs over its guesses with
+    ``value_of[y] == value_of[x]`` (never "fail").
+    """
+    bob = rows.shape[1]
+    _budget((rows.shape[0], bob, bob), "decoder scoring blocks")
+    value_fail = np.append(value_of, -1)
     succ = 0.0
-    for x, (p, phi) in enumerate(zip(ens.probs, ens.states)):
-        dec: Povm = decoders[keys[class_of[x]]]
-        for el, lab in zip(dec.elements, dec.outcome_labels):
-            if lab != "fail" and value_of[int(lab)] == value_of[x]:
-                succ += float(p * np.trace(el @ phi.matrix).real)
+    for c, key in enumerate(keys):
+        dec: Povm = decoders[key]
+        if dec.dim != bob:
+            raise ValueError(f"decoders must act on (B, shield), dimension {bob}")
+        members = np.flatnonzero(class_of == c)
+        w = rows[members]
+        blocks = w @ w.conj().swapaxes(1, 2)
+        hits = np.einsum("yij,xji->xy", np.stack(dec.elements), blocks).real
+        guessed = value_fail[_guess_slots(dec, len(value_of))]
+        succ += float(hits[value_of[members][:, None] == guessed[None, :]].sum())
     return float(min(max(1.0 - succ, 0.0), 1.0))
 
 
@@ -315,6 +334,16 @@ def distillable_rate(state, conj_basis: ConjugateBasis | None = None) -> RateBre
 # decoder families
 
 
+def _class_decoders(ens: CqEnsemble, code: CssCode, which: str,
+                    cfg: HswConfig = HswConfig(), iid_base: CqEnsemble | None = None,
+                    n_copies: int | None = None) -> HswDecoderResult:
+    """One decoder per ``which`` ("alpha" or "beta") class of the code."""
+    m = code.m_z if which == "alpha" else code.m_x
+    classes = {tuple(int(v) for v in c): list(class_members(code, c, which))
+               for c in all_strings(code.d, m)}
+    return hsw_class_decoder(ens, classes, cfg, iid_base=iid_base, n_copies=n_copies)
+
+
 @dataclass(frozen=True)
 class CssDecoders:
     """Per-syndrome decoders plus their incoherent error bookkeeping."""
@@ -346,25 +375,11 @@ def build_css_decoders(state, code: CssCode, cfg: HswConfig = HswConfig(),
     if space.dim_of("A") != dd or space.dim_of("B") != dd:
         raise ValueError("key registers must have dimension d^n")
     shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
-    strings = all_strings(d, n)
-
-    ens_z = _conditional_ensemble(psi, None, ("B",))
-    classes_z = {tuple(int(v) for v in a): list(class_members(code, a, "alpha"))
-                 for a in all_strings(d, code.m_z)}
-    z_result = hsw_class_decoder(ens_z, classes_z, cfg,
-                                 iid_base=iid_base_z, n_copies=n_copies)
-
-    v = _conj_matrix(d, n)
-    if x_on_copy:
-        x_labels = ("C", "B")
-        ens_x = _conditional_ensemble(psi, v, x_labels, copy_a=True)
-    else:
-        x_labels = ("B",) + shield
-        ens_x = _conditional_ensemble(psi, v, x_labels)
-    classes_x = {tuple(int(v_) for v_ in b): list(class_members(code, b, "beta"))
-                 for b in all_strings(d, code.m_x)}
-    x_result = hsw_class_decoder(ens_x, classes_x, cfg,
-                                 iid_base=iid_base_x, n_copies=n_copies)
+    z_result = _class_decoders(_conditional_ensemble(psi, None, ("B",)), code, "alpha",
+                               cfg, iid_base_z, n_copies)
+    x_labels = ("C", "B") if x_on_copy else ("B",) + shield
+    ens_x = _conditional_ensemble(psi, _conj_matrix(d, n), x_labels, copy_a=x_on_copy)
+    x_result = _class_decoders(ens_x, code, "beta", cfg, iid_base_x, n_copies)
     return CssDecoders(key_decoders=z_result.decoders,
                        conj_decoders=x_result.decoders,
                        z_result=z_result, x_result=x_result,
@@ -443,29 +458,20 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     succ = sum(float(w2[tab.lam_of == lam][:, lam_c == lam].sum()) for lam in range(k_dim))
     p_prime_e = float(min(max(1.0 - succ, 0.0), 1.0))
 
-    # logical conjugate test on the stored pre-decode state
-    succ_x = 0.0
-    for beta in range(t_dim):
-        dec: Povm = conj_decoders[tab.beta_keys[beta]]
-        if dec.dim != dd * s_dim:
-            raise ValueError("conjugate decoders must act on (B, shield)")
-        roots = dec.sqrt_elements()
-        sl = t1[:, :, :, :, :, beta].reshape(dd, dd * s_dim, e_dim, r_dim)
-        for root, lab in zip(roots, dec.outcome_labels):
-            if lab == "fail":
-                continue
-            mu_hat = tab.mu_of[int(lab)]
-            applied = np.tensordot(root, sl, axes=(1, 1))
-            ga = np.tensordot(tab.v.conj().T, applied, axes=(1, 1))
-            succ_x += float(np.sum(np.abs(ga[tab.mu_of == mu_hat]) ** 2))
-    p_tilde_prime_e = float(min(max(1.0 - succ_x, 0.0), 1.0))
+    # logical conjugate test on the stored pre-decode state: P_alpha and Q_beta
+    # commute for a CSS code, so conjugate value x lives only on T = beta_of[x]
+    # and T joins the rest that Bob's (B, shield) decoder never reads
+    vh = tab.v.conj().T
+    conj_t1 = np.tensordot(vh, t1, axes=(1, 0)).reshape(dd, dd * s_dim, -1)
+    p_tilde_prime_e = _guess_error(conj_t1, conj_decoders, tab.beta_keys, tab.beta_of,
+                                   tab.mu_of)
     eps_certified = p_prime_e + math.sqrt(p_tilde_prime_e)
 
     # incoherent hypothesis errors at string level
-    eps_z = _guess_error(_conditional_ensemble(psi, None, ("B",)), key_decoders,
-                         tab.alpha_keys, tab.alpha_of, np.arange(dd))
-    eps_x = _guess_error(_conditional_ensemble(psi, tab.v, ("B",) + shield), conj_decoders,
-                         tab.beta_keys, tab.beta_of, np.arange(dd))
+    eps_z = _guess_error(amps.reshape(dd, dd, -1), key_decoders, tab.alpha_keys,
+                         tab.alpha_of, np.arange(dd))
+    eps_x = _guess_error(np.tensordot(vh, amps, axes=(1, 0)).reshape(dd, dd * s_dim, e_dim),
+                         conj_decoders, tab.beta_keys, tab.beta_of, np.arange(dd))
 
     if p_prime_e > eps_z + 1e-9:
         raise InvariantViolation(
@@ -575,35 +581,28 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
     bound2 = 2.0 * math.sqrt(2.0 * eps_z)
 
     # conjugate-string decode on (C, B), outcome kept as a conjugated ket
-    # in D; the untouched C-fail block routes to the D fail slot
-    vpad = np.vstack([v.conj(), np.zeros((1, dd))])
-    fail_ket = np.zeros(c_dim, dtype=np.complex128)
-    fail_ket[dd] = 1.0
+    # in D (column x of ``kets``); the fail outcome and the untouched C-fail
+    # block route to the D fail slot
+    kets = np.pad(v.conj(), (0, 1))
+    kets[dd, dd] = 1.0
 
     def conj_decode(tin: np.ndarray) -> np.ndarray:
         tout = np.zeros(tin.shape + (c_dim,), dtype=np.complex128)
         for beta, key in enumerate(tab.beta_keys):
             dec: Povm = decs.conj_decoders[key]
-            acc = np.add.reduce(dec.elements)
-            head = float(np.max(np.abs(np.eye(dd * dd) - acc)))
-            if head > 1e-9:
-                raise InvariantViolation(
-                    f"conjugate decoder for beta {key} is not "
-                    f"complete on the decoded block ({head!r})")
             # roots on (C, B) as (outcome, C', B', C, B); kets as (outcome, D)
             roots = np.stack(dec.sqrt_elements()).reshape(-1, dd, dd, dd, dd)
-            kets = np.stack([fail_ket if lab == "fail" else vpad[:, int(lab)]
-                             for lab in dec.outcome_labels])
             sl = tin[..., beta, :]
             applied = np.tensordot(roots, sl[..., :dd], axes=((3, 4), (4, 1)))
-            decoded = np.tensordot(applied, kets, axes=(0, 0))
+            decoded = np.tensordot(applied, kets[:, _guess_slots(dec, dd)].T, axes=(0, 0))
             tout[..., beta, :dd, :] = decoded.transpose(2, 1, 3, 4, 0, 5)
             tout[..., beta, dd, dd] = sl[..., dd]
         return tout
 
     # ideal conjugate branch: Alice's conjugate string lands in D as a
     # conjugated ket while (C, B, E) keep the exact conditional states
-    ideal = np.einsum("ax,cx,dx,cbe->abecd", v, v.conj(), vpad, amps, optimize=True)
+    ideal = np.einsum("ax,cx,dx,cbe->abecd", v, v.conj(), kets[:, :dd], amps,
+                      optimize=True)
     t3pp = np.moveaxis(_extract(ideal, tab), (3, 4), (5, 6))
     t3pp = np.pad(t3pp, [(0, 0)] * 5 + [(0, 1), (0, 0)])
     td3 = _chain_distance(conj_decode(t2p), t3pp)
@@ -773,12 +772,8 @@ def _single_copy_conj_decoders(phi0: np.ndarray, phi1: np.ndarray,
     pair, _ = helstrom_pair(DensityOperator(HilbertSpace((2 * sh,), ("W",)), rhos[0]),
                             DensityOperator(HilbertSpace((2 * sh,), ("W",)), rhos[1]))
     els = tuple(_op_on_copy(el, copy, sh) for el in pair.elements)
-    guesses = []
-    for a in (0, 1):
-        y = [0, 0]
-        y[copy] = a
-        guesses.append(2 * y[0] + y[1])
-    povm = Povm(els, tuple(guesses))
+    # guess 0 or 1 on the logical copy, 0 on the other: strings 0 and 2^(1 - copy)
+    povm = Povm(els, (0, 2 ** (1 - copy)))
     return {(0,): povm, (1,): povm}
 
 
@@ -804,12 +799,14 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     else:
         conj_decoders = _single_copy_conj_decoders(phi0, phi1, code)
         analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** 2, 0.0)))
-    key_decoders = build_css_decoders(state, code).key_decoders
+    key_decoders = _class_decoders(_conditional_ensemble(state, None, ("B",)), code,
+                                   "alpha").decoders
 
     # class-level conjugate guess error, end to end, on (B, S) of the (A, B, S, E) state
     tab = _code_tables(code)
-    error = _guess_error(_conditional_ensemble(state, tab.v, ("B", "S")), conj_decoders,
-                         tab.beta_keys, tab.beta_of, tab.mu_of)
+    rows = np.tensordot(tab.v.conj().T, state.amplitudes.reshape(4, 4 * sh * sh, -1),
+                        axes=(1, 0))
+    error = _guess_error(rows, conj_decoders, tab.beta_keys, tab.beta_of, tab.mu_of)
     return TwoCopyResult(stabilizer=stabilizer, adaptive=bool(adaptive),
                       overlap=s_ov, error_prob=error, analytic_error=analytic,
                       state=state, code=code,

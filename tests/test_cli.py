@@ -374,11 +374,12 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
               ("uncertainty", {"mode": "maassen_uffink", "d": 1025, "trials": 1}, "invalid"),
               ("uncertainty", {"mode": "cit", "d": 30, "trials": 1}, "invalid"),
               ("uncertainty", {"mode": "cit", "d": 17, "trials": 1}, "invalid")]
-    # code and trial counts are bounded
+    # code and trial counts and the appd grid are bounded
     cases += [("uncertainty", {"mode": "cit", "d": 2, "trials": MAX_TRIALS + 1}, "invalid"),
               ("css", {"mode": "sample", "d": 2, "n": 3, "count": 10 ** 9}, "invalid"),
               ("css", {"mode": "universality", "d": 2, "n": 4, "m": 2,
-                       "trials": 10 ** 12}, "invalid")]
+                       "trials": 10 ** 12}, "invalid"),
+              ("appd", {"s": [0.5] * (MAX_TRIALS + 1)}, "invalid")]
     bad = []
     for i, (command, cfg, want) in enumerate(cases):
         path = tmp_path / f"cfg{i}.json"

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from privlab import (CssCode, DensityOperator, HilbertSpace,
-                     InvariantViolation, StateVector, build_css_decoders,
+                     InvariantViolation, Povm, StateVector, build_css_decoders,
                      coherent_hashing_sim, coherent_information,
                      distillable_rate, extend_with_copy, haar_unitary,
                      maximally_entangled, one_shot_distill, partial_trace,
                      pure_state_trace_distance, purify, random_pure_state,
                      sample_universal_css, shielded_bit_state, substream,
                      tensor_power_grouped, two_copy_scenario)
+from privlab import distillation
 from privlab.distillation import (_canonical_pure, _chain_distance, _code_tables,
                                   _conditional_ensemble, _conj_matrix, _encode,
-                                  _guess_error, _logical_fidelity)
+                                  _extract, _guess_error, _logical_fidelity)
 
 
 def werner(p, d=2):
@@ -418,10 +419,12 @@ def test_guess_error_matches_explicit_loops():
         decs = build_css_decoders(psi, code)
         ens_z = _conditional_ensemble(psi, None, ("B",))
         ens_x = _conditional_ensemble(psi, tab.v, ("B",))
-        for ens, decoders, keys, class_of in (
-                (ens_z, decs.key_decoders, tab.alpha_keys, tab.alpha_of),
-                (ens_x, decs.conj_decoders, tab.beta_keys, tab.beta_of)):
-            assert _guess_error(ens, decoders, keys, class_of, strings) == pytest.approx(
+        rows_z = psi.amplitudes.reshape(4, 4, -1)
+        rows_x = np.tensordot(tab.v.conj().T, rows_z, axes=(1, 0))
+        for rows, ens, decoders, keys, class_of in (
+                (rows_z, ens_z, decs.key_decoders, tab.alpha_keys, tab.alpha_of),
+                (rows_x, ens_x, decs.conj_decoders, tab.beta_keys, tab.beta_of)):
+            assert _guess_error(rows, decoders, keys, class_of, strings) == pytest.approx(
                 loop_guess_error(ens, decoders, keys, class_of, strings), abs=1e-12)
         out = one_shot_distill(psi, code, decs.key_decoders, decs.conj_decoders)
         eps_z, eps_x = loop_string_errors(psi, code, decs.key_decoders, decs.conj_decoders)
@@ -440,3 +443,90 @@ def test_guess_error_matches_explicit_loops():
                                           res.conj_decoders)
         assert out.transcript["eps_z"] == pytest.approx(eps_z, abs=1e-12)
         assert out.transcript["eps_x"] == pytest.approx(eps_x, abs=1e-12)
+
+
+def loop_p_tilde_prime_e(psi, code, conj_decoders):
+    """The conjugate test p~'_e by the explicit loop over beta and decoder roots:
+    each beta slice of the extracted state is decoded by its own class decoder,
+    read in the conjugate basis, and scored on the logical value mu."""
+    psi = _canonical_pure(psi)
+    tab = _code_tables(code)
+    dd, e_dim = psi.space.dim_of("A"), psi.space.dim_of("E")
+    amps = psi.amplitudes.reshape(dd, dd, -1, e_dim)
+    s_dim, r_dim = amps.shape[2], len(tab.alpha_keys)
+    t1 = _extract(amps, tab)
+    succ_x = 0.0
+    for beta, key in enumerate(tab.beta_keys):
+        dec = conj_decoders[key]
+        sl = t1[:, :, :, :, :, beta].reshape(dd, dd * s_dim, e_dim, r_dim)
+        for root, lab in zip(dec.sqrt_elements(), dec.outcome_labels):
+            if lab == "fail":
+                continue
+            mu_hat = tab.mu_of[int(lab)]
+            applied = np.tensordot(root, sl, axes=(1, 1))
+            ga = np.tensordot(tab.v.conj().T, applied, axes=(1, 1))
+            succ_x += float(np.sum(np.abs(ga[tab.mu_of == mu_hat]) ** 2))
+    return min(max(1.0 - succ_x, 0.0), 1.0)
+
+
+def test_p_tilde_prime_e_matches_per_beta_loop():
+    # Werner d=8 on a code with one stabilizer of each kind, so every beta
+    # class has its own decoder
+    code = sample_universal_css(2, 3, 1, 1, substream(90))
+    assert code.m_x == 1
+    st = werner(0.9, 8)
+    decs = build_css_decoders(st, code)
+    out = one_shot_distill(st, code, decs.key_decoders, decs.conj_decoders)
+    want = loop_p_tilde_prime_e(st, code, decs.conj_decoders)
+    assert want > 1e-3
+    assert out.transcript["p_tilde_prime_e"] == pytest.approx(want, abs=1e-12)
+    # the shielded two-copy states, with and without the adaptive decoder
+    for stab, adaptive in (("XX", True), ("XX", False), ("XI", True), ("IX", True)):
+        res = two_copy_scenario(*shield_pair(0.6), stab, adaptive=adaptive)
+        out = one_shot_distill(res.state, res.code, res.key_decoders, res.conj_decoders)
+        want = loop_p_tilde_prime_e(res.state, res.code, res.conj_decoders)
+        assert want > 1e-3
+        assert out.transcript["p_tilde_prime_e"] == pytest.approx(want, abs=1e-12)
+
+
+def count_conditional_ensembles(monkeypatch):
+    """Record the kept labels of every ``_conditional_ensemble`` call."""
+    calls = []
+    build = distillation._conditional_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(distillation, "_conditional_ensemble", counted)
+    return calls
+
+
+def test_one_shot_scores_decoders_without_conditional_ensembles(monkeypatch):
+    code = sample_universal_css(2, 3, 1, 1, substream(90))
+    st = werner(0.9, 8)
+    decs = build_css_decoders(st, code)
+    calls = count_conditional_ensembles(monkeypatch)
+    one_shot_distill(st, code, decs.key_decoders, decs.conj_decoders)
+    assert calls == []
+
+
+def test_two_copy_scenario_builds_only_the_key_conditionals(monkeypatch):
+    calls = count_conditional_ensembles(monkeypatch)
+    two_copy_scenario(*shield_pair(0.6), "XX", adaptive=True)
+    assert calls == [("B",)]
+
+
+def test_one_shot_rejects_missing_or_misshapen_decoders():
+    phi2 = tensor_power_grouped(maximally_entangled(2), 2)
+    code = CssCode.from_stabilizers(2, [[1, 1]], [], n=2)
+    decs = build_css_decoders(phi2, code)
+    keys, conj = dict(decs.key_decoders), dict(decs.conj_decoders)
+    wide = Povm((np.eye(8),), ("fail",))
+    first = next(iter(keys))
+    for key_decoders, conj_decoders, match in (
+            ({k: v for k, v in keys.items() if k != first}, conj, "missing key decoder"),
+            ({**keys, first: wide}, conj, "key decoders must act on B"),
+            (keys, {k: wide for k in conj}, r"decoders must act on \(B, shield\)")):
+        with pytest.raises(ValueError, match=match):
+            one_shot_distill(phi2, code, key_decoders, conj_decoders)
