@@ -7,7 +7,7 @@ Three views of the same question, "how private is this key":
 * the direct trace distance between the measured (ccq) state and the
   nearest ideal-key ccq with the same environment marginal;
 * an explicitly constructed conjugate measurement for states that are only
-  approximately private, built from an Uhlmann partner on a padded
+  approximately private, built from an Uhlmann partner of the state's
   purification, with the guarantee p_tilde_e <= 2 eps - eps^2.
 """
 
@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .qudit_ops import ConjugateBasis, Povm, TwistingOperator, measure
-from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, _budget, permute_vector, purify,
+from .tensor_core import (DensityOperator, InvariantViolation, StateVector,
+                          _budget, permute_vector, purify,
                           sqrt_psd, trace_norm)
 
 SOUNDNESS_ATOL = 1e-6
@@ -241,14 +241,21 @@ class UhlmannRecord:
 def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = None) -> UhlmannRecord:
     """Build a conjugate key decoder for an approximately private state.
 
-    The state is purified, copied onto padded lab registers, and matched by
-    an Uhlmann partner purification of the ideal key ccq.  The partner is
-    an exact private state whose twisting acts on lab registers only, so
-    its exact conjugate decoder compresses (through the |0> ancillas) to a
-    POVM on (B, shield) for the original state.
+    The state is purified (environment E of rank r; a pure state needs
+    none) and matched by an Uhlmann partner purification of the ideal key
+    ccq with the state's own environment marginal rho_E = d K K^dag.  With
+    A and B copied onto |0> lab ancillas, the overlap between the two
+    purifications is block diagonal: block k is the s x r matrix
+    X_k = conj(psi[k, k]) K, and the fidelity is the sum of the singular
+    values of the X_k.  The partner is an exact private state whose
+    twisting acts on lab registers only.  Undoing the copies puts each of
+    its blocks on the s rows that survive compression through the ancillas
+    as S_k = conj(U_k) conj(Vh_k), from the thin SVD X_k = U_k diag Vh_k
+    kept on the support of X_k; the decoder on (B, shield) is built from
+    the S_k alone.  ``pad_dim`` reports the lab padding g = ceil(r / (d s))
+    the physical construction needs; no padded array is allocated.
     """
-    rho = _to_density(state)
-    space = rho.space
+    space = state.space if isinstance(state, StateVector) else _to_density(state).space
     d = space.dim_of("A")
     if space.dim_of("B") != d:
         raise ValueError("key registers A and B must have equal dimension")
@@ -258,77 +265,37 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
         raise ValueError("conjugate basis dimension does not match register A")
     shield_labels = tuple(x for x in space.labels if x not in ("A", "B"))
     s = int(np.prod(space.dims_of(shield_labels), dtype=np.int64)) if shield_labels else 1
+    r_max = 1 if isinstance(state, StateVector) else d * d * s
+    _budget((d, s, r_max), "Uhlmann partner blocks")
+    _budget((d, d * s, d * s), "Uhlmann partner decoder")
 
-    # Purify with A, B, shield axis order; environment dimension = rank.
-    ordered = HilbertSpace((d, d, s), ("A", "B", "S"))
-    perm = [space.axis(x) for x in ("A", "B", *shield_labels)]
-    mat = rho.matrix.reshape(space.dims * 2)
-    n = len(space.dims)
-    mat = mat.transpose(perm + [n + a for a in perm]).reshape(space.dim, space.dim)
-    psi = purify(DensityOperator(ordered, mat), "E")
-    r = psi.space.dim_of("E")
-    psi4 = psi.amplitudes.reshape(d, d, s, r)
-
-    g = max(1, math.ceil(r / (d * s)))
-    dr = s * d * d * g
-    # psi_t and kap0 below are (d*d*r) x dr; for full rank they grow as d^6
-    _budget((d, d, r, s, d, d, g), "Uhlmann partner purification")
-
-    # psi_tilde = copy A and B onto |0> ancillas; R groups (S, A', B', G).
-    psi_t = np.zeros((d, d, r, s, d, d, g), dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            psi_t[a, b, :, :, a, b, 0] = psi4[a, b].T
-    psi_t = psi_t.reshape(d * d * r, dr)
-
-    # kappa_0 purifies the own-marginal ideal key; R slots k*r+i are disjoint.
-    rho_e = np.einsum("absr,abst->rt", psi4, psi4.conj())
-    evals, evecs = np.linalg.eigh(rho_e)
+    # A label longer than every register label cannot clash with one.
+    psi4 = _ccq_amplitudes(state, ("E" * (1 + max(map(len, space.labels))),))
+    r = psi4.shape[3]
+    evals, evecs = np.linalg.eigh(_env_block(psi4.reshape(-1, r)))
     evals = np.clip(evals, 0.0, None)
-    kap0 = np.zeros((d, d, r, dr), dtype=np.complex128)
-    for k in range(d):
-        for i in range(r):
-            kap0[k, k, :, k * r + i] = math.sqrt(evals[i] / d) * evecs[:, i]
-    kap0 = kap0.reshape(d * d * r, dr)
-
-    x = psi_t.conj().T @ kap0
-    u_x, sing, vh_x = np.linalg.svd(x)
+    # the d overlap blocks X_k = conj(psi[k, k]) K as one (d, s, r) stack
+    x = psi4[np.arange(d), np.arange(d)].conj() @ (evecs * np.sqrt(evals / d))
+    u, sing, vh = np.linalg.svd(x, full_matrices=False)
     fid = float(min(max(np.sum(sing), 0.0), 1.0))
-    kap_p = kap0 @ (vh_x.conj().T @ u_x.conj().T)
+    support = sing > 1e-8 * float(np.max(sing))
+    sk = (u * support[:, None, :]).conj() @ vh.conj()
 
-    # Undo the copies: kappa' is an exact private state, diagonal in (a, b).
-    kp = kap_p.reshape(d, d, r, s, d, d, g)
-    kprime = np.empty_like(kp)
-    for a in range(d):
-        for b in range(d):
-            kprime[a, b] = np.roll(np.roll(kp[a, b], -a, axis=2), -b, axis=3)
-    diag_mass = float(sum(np.vdot(kprime[k, k], kprime[k, k]).real for k in range(d)))
-    off_mass = max(0.0, 1.0 - diag_mass)
+    # Each S_k must be a partial isometry on the support of X_k, and the
+    # overlap sum_k tr(X_k S_k^T) must reach the fidelity.
+    sv = np.linalg.svd(sk, compute_uv=False)
+    bad = ~(np.where(support, np.abs(sv - 1.0), sv) <= 1e-4)
+    if np.any(bad):
+        k = int(np.argmax(np.any(bad, axis=1)))
+        raise InvariantViolation(
+            f"partner twisting block {k} is not isometric on the "
+            f"support (singular values {sv[k]!r})")
+    overlap = complex(np.sum(x * sk))
+    if not abs(overlap - float(np.sum(sing))) <= 1e-9:
+        raise InvariantViolation(
+            f"partner overlap {overlap!r} does not reach the fidelity {fid!r}")
 
-    # m_k = sqrt(d) kappa'[k, k] as a matrix R x E; M_k = W_k M_0 with W_k
-    # a lab-register isometry, completed to a unitary by full SVD.
-    mats = []
-    for k in range(d):
-        m_k = math.sqrt(d) * kprime[k, k].reshape(r, dr)
-        mats.append(m_k.T)
-    s0 = np.linalg.svd(mats[0], compute_uv=False)
-    r0 = int(np.sum(s0 > 1e-8 * max(float(s0[0]), 1e-300)))
-    pinv0 = np.linalg.pinv(mats[0], rcond=1e-8)
-    ws = []
-    for k in range(d):
-        a_k = mats[k] @ pinv0
-        u_k, s_k, vh_k = np.linalg.svd(a_k)
-        head, tail = s_k[:r0], s_k[r0:]
-        if (head.size and float(np.max(np.abs(head - 1.0))) > 1e-4) or \
-                (tail.size and float(np.max(tail)) > 1e-4):
-            raise InvariantViolation(
-                f"partner twisting block {k} is not isometric on the "
-                f"support (singular values {s_k[:r0 + 2]!r})")
-        ws.append(u_k @ vh_k)
-
-    # Compress through the |0> ancillas: keep R rows with a'=b'=g=0.
-    rows = np.arange(s) * (d * d * g)
-    elements = _conjugate_key_elements(conj_basis, np.vstack([w[rows] for w in ws]))
+    elements = _conjugate_key_elements(conj_basis, sk.reshape(d * s, r))
     rest = np.eye(d * s) - np.sum(elements, axis=0)
     labels: tuple = tuple(range(d))
     if float(np.max(np.abs(rest))) > 1e-12:
@@ -337,7 +304,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     povm = Povm(tuple(elements), labels)
 
     povm_labels = ("B", *shield_labels) if shield_labels else ("B",)
-    p_e, p_tilde_e = key_error_rates(rho, conj_basis, povm, povm_labels=povm_labels)
+    p_e, p_tilde_e = key_error_rates(state, conj_basis, povm, povm_labels=povm_labels)
     eps = float(min(max(1.0 - fid, 0.0), 1.0))
     bound = 2.0 * eps - eps * eps
     if p_tilde_e > bound + 1e-6:
@@ -345,8 +312,9 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
             f"conjugate error {p_tilde_e:.6e} exceeds the partner bound "
             f"{bound:.6e} at eps = {eps:.6e}")
     return UhlmannRecord(povm=povm, povm_labels=povm_labels, p_e=p_e,
-                         p_tilde_e=p_tilde_e, eps=eps, bound=bound,
-                         fidelity=fid, off_diagonal_mass=off_mass, pad_dim=g)
+                         p_tilde_e=p_tilde_e, eps=eps, bound=bound, fidelity=fid,
+                         off_diagonal_mass=max(0.0, 1.0 - float(np.sum(evals))),
+                         pad_dim=max(1, math.ceil(r / (d * s))))
 
 
 def certify_private(state, conj_basis: ConjugateBasis | None = None,

@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from privlab import (HilbertSpace, random_pure_state,
+                     uhlmann_conjugate_measurement)
 from privlab.cli import MAX_TRIALS, build_parser, build_state, main, run
 from privlab.tensor_core import AMPLITUDE_CAP
 from privlab.sampling import substream
@@ -205,17 +207,36 @@ def test_exit_code_io_failure(capsys):
     capsys.readouterr()
 
 
-def test_uhlmann_partner_arrays_enforce_amplitude_cap(capsys):
-    # Werner d=8 is full rank: the padded purification needs 8^7 amplitudes
+def test_uhlmann_partner_on_werner_d8_stays_small(tmp_path):
+    # Werner d=8 is full rank (r = 64); only d blocks of 1 x 64 are factorised
+    out = tmp_path / "report.json"
     tracemalloc.start()
     try:
         rc = main(["verify", "--state", "werner", "--d", "8", "--p", "0.9",
-                   "--measurement", "uhlmann"])
+                   "--measurement", "uhlmann", "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 2
-    assert "Uhlmann partner" in capsys.readouterr().err
+    assert rc == 0
+    assert peak < 16 * 2 ** 20
+    res = json.loads(out.read_text())["results"]
+    assert res["p_tilde_e"] <= res["bound"]
+    assert res["p_e"] <= res["eps_direct"]
+    assert res["pad_dim"] == 8
+
+
+def test_uhlmann_partner_decoder_enforces_amplitude_cap():
+    # a pure d=2 state with a 512-dim shield has (2, 1024, 1024) decoder
+    # elements, over the cap; it is refused before any D x D array exists
+    space = HilbertSpace((2, 2, 512), ("A", "B", "S"))
+    psi = random_pure_state(space, substream(208))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="Uhlmann partner"):
+            uhlmann_conjugate_measurement(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 16 * 2 ** 20
 
 

@@ -15,6 +15,7 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace,
                      star_projective_povm, substream,
                      trace_norm, twisting_conjugate_measurement,
                      uhlmann_conjugate_measurement)
+from privlab.cli import build_state
 from privlab.privacy import _conjugate_key_elements
 from conftest import assert_povm
 
@@ -348,3 +349,128 @@ def test_uhlmann_rejects_mismatched_keys():
     rho = DensityOperator(HilbertSpace((2, 3), ("A", "B")), np.eye(6) / 6)
     with pytest.raises(ValueError):
         uhlmann_conjugate_measurement(rho)
+
+
+def padded_uhlmann_oracle(state, rng=None):
+    """The partner built on the padded purification, with dr x dr SVDs.
+
+    A and B are copied onto |0> ancillas of a lab register R of dimension
+    dr = s d^2 g, the own-marginal key purification kappa_0 is rotated by
+    the polar factor of psi_t^dag kappa_0, the copies are undone, and the
+    lab unitaries W_k = polar(M_k pinv(M_0)) are compressed onto s rows.
+    With ``rng`` the null-space completion of every SVD is replaced by
+    independent Haar unitaries.
+    """
+    rho = state if isinstance(state, DensityOperator) else state.density()
+    space = rho.space
+    d = space.dim_of("A")
+    cb = ConjugateBasis.fourier(d)
+    shield = tuple(x for x in space.labels if x not in ("A", "B"))
+    s = math.prod(space.dims_of(shield))
+    perm = [space.axis(x) for x in ("A", "B", *shield)]
+    n = len(space.dims)
+    mat = rho.matrix.reshape(space.dims * 2).transpose(
+        perm + [n + a for a in perm]).reshape(space.dim, space.dim)
+    psi = purify(DensityOperator(HilbertSpace((d, d, s), ("A", "B", "S")), mat), "E")
+    r = psi.space.dim_of("E")
+    psi4 = psi.amplitudes.reshape(d, d, s, r)
+    g = max(1, math.ceil(r / (d * s)))
+    dr = s * d * d * g
+
+    def svd(m):
+        u, sv, vh = np.linalg.svd(m)
+        if rng is not None:
+            q = int(np.sum(sv > 1e-10 * max(float(sv[0]), 1e-300)))
+            u, vh = u.copy(), vh.copy()
+            if q < u.shape[0]:
+                u[:, q:] = u[:, q:] @ haar_unitary(u.shape[0] - q, rng)
+                vh[q:] = haar_unitary(u.shape[0] - q, rng) @ vh[q:]
+        return u, sv, vh
+
+    psi_t = np.zeros((d, d, r, s, d, d, g), dtype=np.complex128)
+    for a in range(d):
+        for b in range(d):
+            psi_t[a, b, :, :, a, b, 0] = psi4[a, b].T
+    psi_t = psi_t.reshape(d * d * r, dr)
+    evals, evecs = np.linalg.eigh(np.einsum("absr,abst->rt", psi4, psi4.conj()))
+    evals = np.clip(evals, 0.0, None)
+    kap0 = np.zeros((d, d, r, dr), dtype=np.complex128)
+    for k in range(d):
+        for i in range(r):
+            kap0[k, k, :, k * r + i] = math.sqrt(evals[i] / d) * evecs[:, i]
+    kap0 = kap0.reshape(d * d * r, dr)
+    u_x, sing, vh_x = svd(psi_t.conj().T @ kap0)
+    fid = float(min(max(np.sum(sing), 0.0), 1.0))
+    kp = (kap0 @ (vh_x.conj().T @ u_x.conj().T)).reshape(d, d, r, s, d, d, g)
+    mats = [math.sqrt(d) * np.roll(np.roll(kp[k, k], -k, axis=2), -k, axis=3)
+            .reshape(r, dr).T for k in range(d)]
+    pinv0 = np.linalg.pinv(mats[0], rcond=1e-8)
+    ws = []
+    for k in range(d):
+        u_k, _, vh_k = svd(mats[k] @ pinv0)
+        ws.append(u_k @ vh_k)
+    rows = np.arange(s) * (d * d * g)
+    elements = _conjugate_key_elements(cb, np.vstack([w[rows] for w in ws]))
+    rest = np.eye(d * s) - np.sum(elements, axis=0)
+    labels = tuple(range(d))
+    if float(np.max(np.abs(rest))) > 1e-12:
+        elements.append(0.5 * (rest + rest.conj().T))
+        labels = labels + ("fail",)
+    p_e, p_tilde_e = key_error_rates(rho, cb, Povm(tuple(elements), labels),
+                                     povm_labels=("B", *shield))
+    eps = float(min(max(1.0 - fid, 0.0), 1.0))
+    return {"p_e": p_e, "p_tilde_e": p_tilde_e, "fidelity": fid, "eps": eps,
+            "bound": 2.0 * eps - eps * eps, "pad_dim": g}
+
+
+def _noisy_private_state(d, seed, w):
+    gamma, _ = random_private_state(d, 2, seed)
+    dim = gamma.space.dim
+    return DensityOperator(gamma.space, (1 - w) * gamma.matrix + w * np.eye(dim) / dim)
+
+
+UHLMANN_CASES = {
+    **{f"werner_d{d}": ("werner", {"d": d, "p": 0.9}) for d in range(2, 7)},
+    **{f"twisted_d{d}_s{s}": ("twisted", {"d": d, "shield_dim": s})
+       for d, s in ((2, 2), (3, 4), (4, 8))},
+    "shielded_bit": ("shielded_bit", {"s": 0.6}),
+    "noisy_d2": ("noisy", (2, 80, 0.08)),
+    "noisy_d3": ("noisy", (3, 81, 0.12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UHLMANN_CASES))
+def test_uhlmann_blocks_match_padded_oracle(case):
+    kind, spec = UHLMANN_CASES[case]
+    if kind == "noisy":
+        state = _noisy_private_state(*spec)
+    else:
+        state = build_state({"kind": kind, **spec}, 5)[0]
+    rec = uhlmann_conjugate_measurement(state)
+    want = padded_uhlmann_oracle(state)
+    for key, value in want.items():
+        assert abs(getattr(rec, key) - value) <= 1e-12, key
+    # the oracle's null-space completion carries no payload
+    shuffled = padded_uhlmann_oracle(state, substream(909))
+    assert abs(shuffled["p_tilde_e"] - want["p_tilde_e"]) < 1e-12
+
+
+def test_uhlmann_factorises_only_small_blocks(monkeypatch):
+    state = build_state({"kind": "twisted", "d": 4, "shield_dim": 8}, 5)[0]
+    svd, pinv = np.linalg.svd, np.linalg.pinv
+    shapes, pinvs = [], []
+
+    def counted_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    def counted_pinv(a, *args, **kwargs):
+        pinvs.append(np.shape(a))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    rec = uhlmann_conjugate_measurement(state)
+    assert rec.p_tilde_e <= rec.bound + 1e-6
+    assert not pinvs
+    assert shapes and max(max(sh) for sh in shapes) <= 8  # max(s, r) = max(8, 1)
