@@ -32,7 +32,7 @@ from .info_measures import uncertainty_audit
 from .privacy import (certify_private, twisting_conjugate_measurement,
                       uhlmann_conjugate_measurement)
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
-                        build_private_state, maximally_entangled)
+                        _private_vector, maximally_entangled)
 from .sampling import haar_unitary, haar_vector, random_pure_state, substream
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
                           StateVector, _budget)
@@ -133,8 +133,8 @@ def build_state(spec: Mapping, seed: int):
             raise ValueError("a state file must hold a JSON object")
         _check_keys(payload, STATE_KINDS["inline"], "state[file]")
         return _inline_state(payload), extras
-    # each kind checks its dense array (werner and twisted states are
-    # D x D matrices) against the cap before building anything
+    # each kind checks its size against the cap before building anything
+    # (werner and twisted states against their D x D density matrices)
     d = _as_int(spec.get("d", 2), "d")
     if kind == "bell":
         _budget((d, d), "bell state")
@@ -162,7 +162,7 @@ def build_state(spec: Mapping, seed: int):
         xi_space = HilbertSpace((sh,), ("S",))
         xi = StateVector(xi_space, haar_vector(sh, substream(seed, 0)))
         extras["twisting"] = t
-        return build_private_state(d, t, xi), extras
+        return _private_vector(d, t, xi), extras
     _budget((2, 2, sh, 2), "shielded_bit state")
     phi0, phi1 = _shield_pair(_as_real(spec.get("s", 0.6), "s"), sh)
     extras["shields"] = (phi0, phi1)

@@ -28,8 +28,7 @@ import numpy as np
 
 from .css_codes import CssCode, GfMatrix, all_strings, class_members
 from .discrimination import HswConfig, HswDecoderResult, helstrom_pair, hsw_class_decoder
-from .info_measures import (CqEnsemble, _cq_blocks, coherent_information,
-                            holevo_information, shannon_entropy)
+from .info_measures import CqEnsemble, _cq_blocks, _entropy_of_rows, shannon_entropy
 from .privacy import PrivacyReport, epsilon_secret_direct
 from .qudit_ops import ConjugateBasis, Povm
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
@@ -296,33 +295,53 @@ def _guess_error(rows: np.ndarray, decoders: Mapping, keys: Sequence,
     return float(min(max(1.0 - succ, 0.0), 1.0))
 
 
+def _holevo_of_rows(rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """Holevo quantity of {p_x, w_x w_x^dag / p_x} and the normalised p_x.
+
+    ``rows`` is shaped (x, kept, rest); the average state sums the w_x
+    w_x^dag, i.e. it is read from the blocks laid side by side along rest.
+    """
+    n, m, k = rows.shape
+    p, ent = _entropy_of_rows(rows)
+    avg = _entropy_of_rows(rows.transpose(1, 0, 2).reshape(1, m, n * k))[1][0]
+    q = p / p.sum()
+    return float(avg - q @ ent), q
+
+
 def distillable_rate(state, conj_basis: ConjugateBasis | None = None) -> RateBreakdown:
     """Evaluate the one-way rate bound I(Z:B) - H(Z) + I(X:CBS).
 
     The Z pieces come from measuring A in the standard basis (Bob keeps B
     alone, Eve the purifier); the X piece measures A of the state with a
     coherent copy of A attached, with Bob holding the copy, B and shield.
+    Every entropy is read from the amplitudes t[a, b, s, e] of the pure
+    state (a mixed input is purified onto E) through the smaller side of
+    each cut: the Z ensembles are the rows t[a] as (b, s e) and as (e, b s),
+    the copied X ensemble the rows conj(v[:, x]) (.) t as (C B S, e), and
+    the coherent information S(BS) - S(ABS) the two cuts of t itself.
     """
     psi = _canonical_pure(state)
     space = psi.space
-    d = space.dim_of("A")
+    d, b = space.dim_of("A"), space.dim_of("B")
     if conj_basis is None:
         conj_basis = ConjugateBasis.fourier(d)
     if conj_basis.d != d:
         raise ValueError("conjugate basis dimension does not match register A")
-    shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
-    has_e = "E" in space.labels
+    _budget((d, space.dim), "rate amplitude rows")
+    e = space.dim_of("E") if "E" in space.labels else 1
+    t = psi.amplitudes.reshape(d, b, -1, e)
+    s = t.shape[2]
 
-    ens_zb = _conditional_ensemble(psi, None, ("B",))
-    i_zb = holevo_information(ens_zb)
-    h_z = shannon_entropy(ens_zb.probs)
-    i_ze = holevo_information(_conditional_ensemble(psi, None, ("E",))) if has_e else 0.0
-    ens_x = _conditional_ensemble(psi, conj_basis.vectors, ("C", "B") + shield,
-                                  copy_a=True)
-    i_x_cbs = holevo_information(ens_x)
+    i_zb, pz = _holevo_of_rows(t.reshape(d, b, s * e))
+    h_z = shannon_entropy(pz)
+    # a one-dimensional environment learns nothing
+    i_ze = _holevo_of_rows(t.reshape(d, b * s, e).swapaxes(1, 2))[0] if e > 1 else 0.0
+    copied = conj_basis.vectors.conj().T[:, :, None] * t.reshape(1, d, -1)
+    i_x_cbs = _holevo_of_rows(copied.reshape(d, d * b * s, e))[0]
 
-    lab = psi.marginal(("A", "B") + shield)
-    coherent_info = coherent_information(lab, target=("B",) + shield)
+    s_abs = _entropy_of_rows(t.reshape(1, d * b * s, e))[1][0]
+    s_bs = _entropy_of_rows(t.transpose(1, 2, 0, 3).reshape(1, b * s, d * e))[1][0]
+    coherent_info = float(s_bs - s_abs)
     rate = i_zb - h_z + i_x_cbs
     return RateBreakdown(i_zb=i_zb, i_ze=i_ze, h_z=h_z, i_x_cbs=i_x_cbs,
                          rate=rate, ck_rate=i_zb - i_ze,

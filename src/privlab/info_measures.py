@@ -12,12 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .qudit_ops import ConjugateBasis, Povm, measure
+from .qudit_ops import CONDITIONAL_CUTOFF, ConjugateBasis, Povm, measure
 from .tensor_core import (
     LOG_CLAMP,
     DensityOperator,
     StateVector,
     _as_complex,
+    _check_finite,
     reduce_blocks,
 )
 
@@ -40,11 +41,30 @@ def _entropy_of_weights(w: np.ndarray) -> float:
     return float(-np.sum(w * np.log2(w))) if w.size else 0.0
 
 
+def _entropy_of_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights p_x = ||w_x||^2 and entropies S(w_x w_x^dag / p_x) of stacked blocks.
+
+    ``rows`` stacks n amplitude blocks w_x of shape (m, k).  The spectra
+    come from one batched eigvalsh of whichever Gram matrix
+    (w w^dag or w^dag w, equal nonzero spectra) is smaller; blocks at or
+    below ``CONDITIONAL_CUTOFF`` weight carry entropy 0.
+    """
+    adj = rows.conj().swapaxes(1, 2)
+    gram = rows @ adj if rows.shape[1] <= rows.shape[2] else adj @ rows
+    p = np.einsum("xii->x", gram).real
+    vals = np.linalg.eigvalsh(gram)
+    ent = [_entropy_of_weights(v / q) if q > CONDITIONAL_CUTOFF else 0.0
+           for v, q in zip(vals, p)]
+    return p, np.array(ent)
+
+
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits."""
     if isinstance(rho, DensityOperator):
         return _entropy_of_weights(rho.eigenvalues())
-    return _entropy_of_weights(np.linalg.eigvalsh(_as_complex(rho)))
+    m = _as_complex(rho)
+    _check_finite(m)
+    return _entropy_of_weights(np.linalg.eigvalsh(m))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .qudit_ops import ConjugateBasis, Povm, TwistingOperator, measure
-from .tensor_core import (DensityOperator, InvariantViolation, StateVector,
-                          _budget, permute_vector, purify,
+from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
+                          StateVector, _budget, permute_vector, purify,
                           sqrt_psd, trace_norm)
 
 SOUNDNESS_ATOL = 1e-6
@@ -48,11 +48,9 @@ class PrivacyReport:
                 f"{self.eps_certified:.3e}")
 
 
-def _to_density(state) -> DensityOperator:
-    if isinstance(state, StateVector):
-        return state.density()
-    if isinstance(state, DensityOperator):
-        return state
+def _space_of(state) -> HilbertSpace:
+    if isinstance(state, (StateVector, DensityOperator)):
+        return state.space
     raise TypeError("expected a StateVector or DensityOperator")
 
 
@@ -64,21 +62,22 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
     p_e is the probability that measuring A and B in the standard basis
     gives different values.  p_tilde_e is the probability that the given
     POVM (on povm_labels, everything but A by default) fails to reproduce
-    Alice's outcome when she measures in the conjugate basis.
+    Alice's outcome when she measures in the conjugate basis.  A
+    StateVector is measured on its amplitudes.
     """
-    rho = _to_density(state)
-    d = rho.space.dim_of("A")
+    space = _space_of(state)
+    d = space.dim_of("A")
     if conj_basis.d != d:
         raise ValueError("conjugate basis dimension does not match register A")
     if povm_labels is None:
-        povm_labels = tuple(x for x in rho.space.labels if x != "A")
+        povm_labels = tuple(x for x in space.labels if x != "A")
 
-    std = measure(rho, [(("A",), Povm.standard_basis(d)),
-                        (("B",), Povm.standard_basis(rho.space.dim_of("B")))])
+    std = measure(state, [(("A",), Povm.standard_basis(d)),
+                          (("B",), Povm.standard_basis(space.dim_of("B")))])
     p_same = float(np.trace(std.probs).real)
 
-    conj = measure(rho, [(("A",), conj_basis.povm()),
-                         (tuple(povm_labels), conj_povm)])
+    conj = measure(state, [(("A",), conj_basis.povm()),
+                           (tuple(povm_labels), conj_povm)])
     bob_labels = conj.outcome_labels[1]
     p_match = 0.0
     for y_idx, lab in enumerate(bob_labels):
@@ -105,11 +104,11 @@ def _ccq_amplitudes(state, eve_labels: Sequence[str]) -> np.ndarray:
         psi = state
         eves = tuple(x for x in eve_labels if x in psi.space.labels)
     else:
-        rho = _to_density(state)
-        clash = [x for x in eve_labels if x in rho.space.labels]
+        lab = _space_of(state).labels
+        clash = [x for x in eve_labels if x in lab]
         if clash:
             raise ValueError(f"labels {clash!r} already used by lab registers")
-        psi = purify(rho, eve_labels[0] if eve_labels else "E")
+        psi = purify(state, eve_labels[0] if eve_labels else "E")
         eves = (eve_labels[0] if eve_labels else "E",)
     space = psi.space
     shield = tuple(x for x in space.labels if x not in ("A", "B") + eves)
@@ -149,9 +148,9 @@ def epsilon_secret_direct(state, *, eve_labels: Sequence[str] = ("E",)) -> float
     B may be larger than A (guess registers keep a failure slot); its extra
     values are pure error and enter through the off-diagonal sum.  Only the
     diagonal blocks are built; an off-diagonal trace is the squared norm
-    of its amplitudes.
+    of its amplitudes.  A StateVector is read as given, never purified.
     """
-    space = state.space if isinstance(state, StateVector) else _to_density(state).space
+    space = _space_of(state)
     d = space.dim_of("A")
     if space.dim_of("B") < d:
         raise ValueError("register B cannot be smaller than the key register A")
@@ -255,7 +254,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     the S_k alone.  ``pad_dim`` reports the lab padding g = ceil(r / (d s))
     the physical construction needs; no padded array is allocated.
     """
-    space = state.space if isinstance(state, StateVector) else _to_density(state).space
+    space = _space_of(state)
     d = space.dim_of("A")
     if space.dim_of("B") != d:
         raise ValueError("key registers A and B must have equal dimension")
@@ -327,10 +326,10 @@ def certify_private(state, conj_basis: ConjugateBasis | None = None,
     Without an explicit POVM the conjugate test projects B onto the
     conjugated basis (exact for a maximally entangled key with no shield).
     The certified bound p_e + sqrt(p_tilde_e) must dominate the direct
-    trace distance up to ``soundness_margin``.
+    trace distance up to ``soundness_margin``.  A StateVector stays a
+    vector throughout.
     """
-    rho = _to_density(state)
-    d = rho.space.dim_of("A")
+    d = _space_of(state).dim_of("A")
     if conj_basis is None:
         conj_basis = ConjugateBasis.fourier(d)
     if conj_povm is None:
@@ -338,10 +337,10 @@ def certify_private(state, conj_basis: ConjugateBasis | None = None,
         povm_labels = ("B",)
         if measurement_name is None:
             measurement_name = "conjugate_projective"
-    p_e, p_tilde_e = key_error_rates(rho, conj_basis, conj_povm,
+    p_e, p_tilde_e = key_error_rates(state, conj_basis, conj_povm,
                                      povm_labels=povm_labels)
     eps_cert = p_e + math.sqrt(p_tilde_e)
-    eps_direct = epsilon_secret_direct(rho)
+    eps_direct = epsilon_secret_direct(state)
     if eps_direct > eps_cert + soundness_margin:
         raise InvariantViolation(
             f"direct distance {eps_direct:.6e} exceeds certified bound "

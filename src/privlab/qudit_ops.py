@@ -361,18 +361,37 @@ def maximally_entangled(d: int, labels: tuple[str, str] = ("A", "B")) -> StateVe
     return StateVector(space, amps)
 
 
+def _private_vector(d: int, t: TwistingOperator, xi: StateVector) -> StateVector:
+    """U (|Phi_d> (x) |xi>) = d^{-1/2} sum_j |j j> (x) V_jj |xi> on (A, B, S).
+
+    Only the diagonal twisting blocks touch the key-correlated amplitudes,
+    so the (d d s)^2 twisting unitary is never assembled.
+    """
+    if t.d != d:
+        raise ValueError("twisting dimension does not match d")
+    if xi.space.dim != t.shield_dim:
+        raise ValueError("shield state dimension does not match the twisting blocks")
+    amps = np.zeros((d, d, t.shield_dim), dtype=np.complex128)
+    amps[np.arange(d), np.arange(d)] = np.stack(t.diagonal_blocks()) @ xi.amplitudes
+    return StateVector(t.space, amps.reshape(-1) / np.sqrt(d))
+
+
 def build_private_state(d: int, t: TwistingOperator, xi) -> DensityOperator:
     """Twist a maximally entangled key against a shield state.
 
     ``xi`` is the shield state (StateVector or DensityOperator on the
     shield); the result is U (Phi_d (x) xi) U^dagger on labels (A, B, S).
+    A pure shield is twisted on its amplitudes (``_private_vector``) and
+    only the result becomes a matrix; a mixed one goes through the
+    assembled twisting unitary.
     """
+    if isinstance(xi, StateVector):
+        return _private_vector(d, t, xi).density()
     if t.d != d:
         raise ValueError("twisting dimension does not match d")
-    shield = xi.density() if isinstance(xi, StateVector) else xi
-    if shield.matrix.shape[0] != t.shield_dim:
+    if xi.matrix.shape[0] != t.shield_dim:
         raise ValueError("shield state dimension does not match the twisting blocks")
     phi = maximally_entangled(d).density()
-    base = np.kron(phi.matrix, shield.matrix)
+    base = np.kron(phi.matrix, xi.matrix)
     u = twisting_unitary(t).matrix
     return DensityOperator(t.space, u @ base @ u.conj().T)

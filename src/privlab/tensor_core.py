@@ -411,8 +411,9 @@ def operator_function(matrix: np.ndarray, f: str) -> tuple[np.ndarray, np.ndarra
     ``log2_clamped``.  Returns ``(eigenvalues, eigenvectors, f(matrix))``.
     """
     m = _as_complex(matrix)
+    _check_finite(m)
     herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > KIND_ATOL:
+    if not herm <= KIND_ATOL:
         raise ValueError(f"operator_function needs a hermitian input (deviation {herm:g})")
     vals, vecs = np.linalg.eigh(m)
     if f == "identity":
@@ -439,6 +440,7 @@ def sqrt_psd(matrix: np.ndarray) -> np.ndarray:
 
 def trace_norm(matrix: np.ndarray) -> float:
     m = _as_complex(matrix)
+    _check_finite(m)
     if np.max(np.abs(m - m.conj().T)) <= KIND_ATOL:
         return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))

@@ -21,6 +21,31 @@ def rand_density():
     return make
 
 
+@pytest.fixture
+def factorised(monkeypatch):
+    """Shapes of the matrices np.linalg factorises, listed by function name.
+
+    Wraps ``eigvalsh``, ``eigh``, ``svd`` and ``pinv``; each call records
+    the trailing two dimensions of its argument (one entry per stack).
+    """
+    shapes = {}
+    for name in ("eigvalsh", "eigh", "svd", "pinv"):
+        shapes[name] = []
+
+        def recorded(a, *args, _fn=getattr(np.linalg, name), _log=shapes[name],
+                     **kwargs):
+            _log.append(np.shape(a)[-2:])
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+def largest_side(*shape_lists) -> int:
+    """The largest side among recorded matrix shapes (0 when there are none)."""
+    return max((max(sh) for shapes in shape_lists for sh in shapes), default=0)
+
+
 def assert_povm(povm, dim, atol=1e-9):
     total = np.zeros((dim, dim), dtype=np.complex128)
     for el in povm.elements:

@@ -1,22 +1,28 @@
 """Rates, one-shot distillation, coherent hashing chain, two-copy scenario."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from privlab import (CssCode, DensityOperator, HilbertSpace,
-                     InvariantViolation, Povm, StateVector, build_css_decoders,
-                     coherent_hashing_sim, coherent_information,
-                     distillable_rate, extend_with_copy, haar_unitary,
-                     maximally_entangled, one_shot_distill, partial_trace,
-                     pure_state_trace_distance, purify, random_pure_state,
-                     sample_universal_css, shielded_bit_state, substream,
-                     tensor_power_grouped, two_copy_scenario)
-from privlab import distillation
+import privlab
+from privlab import (ConjugateBasis, CssCode, DensityOperator, HilbertSpace,
+                     InvariantViolation, Povm, RateBreakdown, StateVector,
+                     build_css_decoders, coherent_hashing_sim,
+                     coherent_information, distillable_rate, extend_with_copy,
+                     haar_unitary, holevo_information, maximally_entangled,
+                     one_shot_distill, partial_trace,
+                     pure_state_trace_distance, purify,
+                     random_density_operator, random_pure_state,
+                     sample_universal_css, shannon_entropy, shielded_bit_state,
+                     substream, tensor_power_grouped, two_copy_scenario)
+from privlab import distillation, privacy, tensor_core
+from privlab.cli import build_state, run
 from privlab.distillation import (_canonical_pure, _chain_distance, _code_tables,
                                   _conditional_ensemble, _conj_matrix, _encode,
                                   _extract, _guess_error, _logical_fidelity)
+from conftest import largest_side
 
 
 def werner(p, d=2):
@@ -71,6 +77,79 @@ def test_rate_is_reported_even_when_negative():
     assert rb.coherent_info == pytest.approx(-1.0, abs=1e-9)
     assert rb.ck_rate == pytest.approx(-1.0, abs=1e-9)
     assert rb.i_zb == pytest.approx(0.0, abs=1e-9)
+
+
+def ensemble_rate_oracle(state, conj_basis=None) -> RateBreakdown:
+    """The rate bound from conditional-state ensembles, one density per outcome."""
+    psi = _canonical_pure(state)
+    space = psi.space
+    d = space.dim_of("A")
+    if conj_basis is None:
+        conj_basis = ConjugateBasis.fourier(d)
+    shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
+    has_e = "E" in space.labels
+
+    ens_zb = _conditional_ensemble(psi, None, ("B",))
+    i_zb = holevo_information(ens_zb)
+    h_z = shannon_entropy(ens_zb.probs)
+    i_ze = holevo_information(_conditional_ensemble(psi, None, ("E",))) if has_e else 0.0
+    ens_x = _conditional_ensemble(psi, conj_basis.vectors, ("C", "B") + shield,
+                                  copy_a=True)
+    i_x_cbs = holevo_information(ens_x)
+
+    lab = psi.marginal(("A", "B") + shield)
+    coherent_info = coherent_information(lab, target=("B",) + shield)
+    rate = i_zb - h_z + i_x_cbs
+    return RateBreakdown(i_zb=i_zb, i_ze=i_ze, h_z=h_z, i_x_cbs=i_x_cbs,
+                         rate=rate, ck_rate=i_zb - i_ze,
+                         coherent_info=coherent_info,
+                         identity_residual=abs(i_x_cbs - (h_z - i_ze)))
+
+
+def _haar_phase_basis(d, seed):
+    """A conjugate basis that is not Fourier: Fourier columns with Haar row phases."""
+    u = haar_unitary(d, substream(seed))
+    x, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    return ConjugateBasis(d, 2.0 * np.pi * x * k / d + np.angle(u[0])[None, :])
+
+
+RATE_CASES = {
+    **{f"werner_d{d}": lambda d=d: (werner(0.9, d), None) for d in range(2, 7)},
+    "bell_d3": lambda: (maximally_entangled(3), None),
+    "shielded_bit": lambda: (build_state({"kind": "shielded_bit", "s": 0.6}, 0)[0], None),
+    **{f"twisted_d{d}_s{s}": lambda d=d, s=s: (
+        build_state({"kind": "twisted", "d": d, "shield_dim": s}, 5)[0], None)
+       for d, s in ((2, 2), (3, 5), (4, 16))},
+    "mixed_abs": lambda: (random_density_operator(
+        HilbertSpace((2, 3, 2), ("A", "B", "S")), substream(61)), None),
+    "vector_with_e": lambda: (random_pure_state(
+        HilbertSpace((3, 2, 3, 2), ("E", "A", "S", "B")), substream(62)), None),
+    "haar_phase_basis": lambda: (random_pure_state(
+        HilbertSpace((3, 3, 2, 2), ("A", "B", "S", "E")), substream(63)),
+        _haar_phase_basis(3, 64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_rates_match_the_ensemble_oracle(case):
+    state, basis = RATE_CASES[case]()
+    got = distillable_rate(state, basis)
+    want = ensemble_rate_oracle(state, basis)
+    for field, value in vars(want).items():
+        assert abs(getattr(got, field) - value) <= 1e-12, field
+
+
+def test_twisted_rates_factorise_only_small_blocks(factorised, monkeypatch):
+    purified = []
+    for mod in (privlab, tensor_core, privacy, distillation):
+        monkeypatch.setattr(mod, "purify",
+                            lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
+    res = json.loads(run(["rates", "--state", "twisted", "--d", "4",
+                          "--shield-dim", "16", "--seed", "1"]))["results"]
+    assert res["identity_residual"] <= 1e-10
+    assert not purified
+    assert largest_side(factorised["eigvalsh"], factorised["eigh"],
+                        factorised["svd"]) <= 16
 
 
 def test_tensor_power_grouped_layout():

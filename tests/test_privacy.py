@@ -1,5 +1,6 @@
 """Private-state certification: direct distances, conjugate decoders."""
 
+import json
 import math
 
 import numpy as np
@@ -14,10 +15,11 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace,
                      purify, random_density_operator, random_pure_state,
                      star_projective_povm, substream,
                      trace_norm, twisting_conjugate_measurement,
-                     uhlmann_conjugate_measurement)
+                     twisting_unitary, uhlmann_conjugate_measurement)
+from privlab import cli
 from privlab.cli import build_state
 from privlab.privacy import _conjugate_key_elements
-from conftest import assert_povm
+from conftest import assert_povm, largest_side
 
 
 def random_private_state(d, shield_dim, seed):
@@ -455,22 +457,50 @@ def test_uhlmann_blocks_match_padded_oracle(case):
     assert abs(shuffled["p_tilde_e"] - want["p_tilde_e"]) < 1e-12
 
 
-def test_uhlmann_factorises_only_small_blocks(monkeypatch):
+def test_uhlmann_factorises_only_small_blocks(factorised):
     state = build_state({"kind": "twisted", "d": 4, "shield_dim": 8}, 5)[0]
-    svd, pinv = np.linalg.svd, np.linalg.pinv
-    shapes, pinvs = [], []
-
-    def counted_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a)[-2:])
-        return svd(a, *args, **kwargs)
-
-    def counted_pinv(a, *args, **kwargs):
-        pinvs.append(np.shape(a))
-        return pinv(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     rec = uhlmann_conjugate_measurement(state)
     assert rec.p_tilde_e <= rec.bound + 1e-6
-    assert not pinvs
-    assert shapes and max(max(sh) for sh in shapes) <= 8  # max(s, r) = max(8, 1)
+    assert not factorised["pinv"]
+    assert factorised["svd"]
+    assert largest_side(factorised["svd"]) <= 8  # max(s, r) = max(8, 1)
+
+
+def unitary_private_state(d, t, xi):
+    """U (Phi_d (x) xi) U^dag with the assembled (d d s)^2 twisting unitary."""
+    base = np.kron(maximally_entangled(d).density().matrix, xi.density().matrix)
+    u = twisting_unitary(t).matrix
+    return DensityOperator(t.space, u @ base @ u.conj().T)
+
+
+def test_pure_shield_private_state_matches_twisting_unitary():
+    for d, s, seed in ((2, 2, 1), (3, 5, 2), (4, 16, 3)):
+        t = TwistingOperator.random(d, s, substream(seed))
+        xi = StateVector(HilbertSpace((s,), ("S",)), haar_vector(s, substream(seed, 1)))
+        got = build_private_state(d, t, xi)
+        want = unitary_private_state(d, t, xi)
+        assert got.space == want.space
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+
+
+TWISTED_OPS = [(cmd, d, s, seed)
+               for d, s in ((4, 8), (3, 16), (4, 16))
+               for cmd in ("projective", "twisting", "uhlmann", "rates")
+               for seed in (1, 5, 9)]
+
+
+@pytest.mark.parametrize("cmd,d,s,seed", TWISTED_OPS)
+def test_twisted_cli_payloads_match_the_density_path(cmd, d, s, seed, monkeypatch):
+    argv = (["rates"] if cmd == "rates" else ["verify", "--measurement", cmd]) + [
+        "--state", "twisted", "--d", str(d), "--shield-dim", str(s), "--seed", str(seed)]
+    got = json.loads(cli.run(argv))["results"]
+    monkeypatch.setattr(cli, "_private_vector", unitary_private_state)
+    want = json.loads(cli.run(argv))["results"]
+    assert set(got) == set(want)
+    for key, value in want.items():
+        if isinstance(value, float):
+            # eps_certified is sqrt(p~_e), the square root of rounding dust
+            tol = 1e-6 if key == "eps_certified" else 1e-12
+            assert abs(got[key] - value) <= tol, key
+        else:
+            assert got[key] == value, key

@@ -10,11 +10,11 @@ from privlab import (CqEnsemble, DensityOperator, HilbertSpace,
                      LinearOperator, Povm, StateVector,
                      fidelity, haar_unitary, measure, partial_trace,
                      pure_state_trace_distance, purify, substream,
-                     trace_distance, trace_norm)
+                     trace_distance, trace_norm, von_neumann_entropy)
 from privlab.info_measures import _cq_blocks
 from privlab.tensor_core import (AMPLITUDE_CAP, apply_to_vector, embed_operator,
-                                 permute_vector, sqrt_psd, tensor_product,
-                                 vector_marginal)
+                                 operator_function, permute_vector, sqrt_psd,
+                                 tensor_product, vector_marginal)
 from privlab.sampling import random_density_operator, random_pure_state
 
 
@@ -104,6 +104,18 @@ def test_operators_and_ensembles_reject_non_finite_entries(kind, bad):
     }[kind]
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("helper", [von_neumann_entropy, sqrt_psd, trace_norm,
+                                    lambda m: operator_function(m, "log2_clamped")],
+                         ids=["von_neumann_entropy", "sqrt_psd", "trace_norm",
+                              "operator_function"])
+def test_spectral_helpers_reject_non_finite_matrices(helper, bad):
+    m = np.eye(2, dtype=np.complex128) / 2
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        helper(m)
 
 
 def test_partial_trace_matches_loop_oracle():
@@ -375,3 +387,4 @@ def test_cq_blocks_same_for_vector_and_density():
                 want = naive_partial_trace(space.dims, space.labels,
                                            proj @ psi.density().matrix, side)
                 assert np.allclose(from_vector[x], want, rtol=0.0, atol=1e-12)
+
