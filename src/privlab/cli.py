@@ -29,8 +29,8 @@ from .distillation import (build_css_decoders, coherent_hashing_sim,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
 from .info_measures import uncertainty_audit
-from .privacy import (certify_private, twisting_conjugate_measurement,
-                      uhlmann_conjugate_measurement)
+from .privacy import (_certified_report, certify_private,
+                      twisting_conjugate_measurement, uhlmann_conjugate_measurement)
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
                         _private_vector, maximally_entangled)
 from .sampling import haar_unitary, haar_vector, random_pure_state, substream
@@ -155,10 +155,9 @@ def build_state(spec: Mapping, seed: int):
     sh = _as_int(spec.get("shield_dim", 2), "shield_dim")
     if kind == "twisted":
         _budget((d, d, sh) * 2, "twisted state")
-        space = HilbertSpace((d, d, sh), ("A", "B", "S"))
-        blocks = {(j, k): haar_unitary(sh, substream(seed, 1 + j * d + k))
-                  for j in range(d) for k in range(d)}
-        t = TwistingOperator(space, blocks)
+        # block (k, k) keeps the stream 1 + k d + k of a full d x d draw
+        t = TwistingOperator.from_diagonal(
+            d, [haar_unitary(sh, substream(seed, 1 + k * (d + 1))) for k in range(d)])
         xi_space = HilbertSpace((sh,), ("S",))
         xi = StateVector(xi_space, haar_vector(sh, substream(seed, 0)))
         extras["twisting"] = t
@@ -262,9 +261,8 @@ def cmd_verify(cfg: Mapping, seed: int):
         extra_out = {}
     elif meas == "uhlmann":
         rec = uhlmann_conjugate_measurement(state)
-        report = certify_private(state, conj_povm=rec.povm, povm_labels=rec.povm_labels,
-                                 soundness_margin=margin,
-                                 measurement_name="uhlmann_partner")
+        report = _certified_report(state, rec.p_e, rec.p_tilde_e, margin,
+                                   "uhlmann_partner")
         extra_out = {"fidelity": rec.fidelity, "bound": rec.bound,
                      "pad_dim": rec.pad_dim}
     else:

@@ -5,14 +5,14 @@ and class decoders for ensembles partitioned into syndrome fibers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .info_measures import CqEnsemble, shannon_entropy, von_neumann_entropy
 from .qudit_ops import Povm
-from .tensor_core import (SUPPORT_ATOL, DensityOperator, _as_complex,
-                          operator_function)
+from .tensor_core import (SUPPORT_ATOL, DensityOperator, _as_complex, _budget,
+                          operator_function, sqrt_psd)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def helstrom_pair(rho0, rho1, p0: float = 0.5, p1: float | None = None
     """
     if p1 is None:
         p1 = 1.0 - p0
-    if p0 < -1e-12 or p1 < -1e-12 or abs(p0 + p1 - 1.0) > 1e-9:
+    if not (p0 >= -1e-12 and p1 >= -1e-12 and abs(p0 + p1 - 1.0) <= 1e-9):
         raise ValueError(f"invalid priors ({p0}, {p1})")
     m0, m1 = _matrix_of(rho0), _matrix_of(rho1)
     if m0.shape != m1.shape:
@@ -65,23 +65,51 @@ def helstrom_pair(rho0, rho1, p0: float = 0.5, p1: float | None = None
     return povm, float(min(max(error, 0.0), 1.0))
 
 
-def pgm(ensemble: CqEnsemble) -> Povm:
-    """Pretty good measurement S^{-1/2} p_k phi_k S^{-1/2}.
+def _pgm_of_rows(rows: np.ndarray, labels: Sequence) -> Povm:
+    """Pretty good measurement of the states w_x w_x^dag with priors ||w_x||^2.
 
-    If the average state S is rank deficient, the projector onto its kernel
-    is appended as an explicit "fail" outcome so the POVM stays complete.
+    ``rows`` stacks the blocks w_x as (x, m, r).  With the thin
+    factorisation W = [w_x]_x = U Sigma V^dag on the support sigma^2 >
+    ``SUPPORT_ATOL`` ||W||^2 and Y_x the columns of V^dag that belong to
+    w_x, element x is U Y_x Y_x^dag U^dag, plus a "fail" element 1 - U U^dag
+    below full rank: the elements sum to the identity because U and V are
+    orthonormal, and no inverse root is taken.  Zero rows give {fail: 1}.
     """
-    s = ensemble.average_matrix()
-    vals, vecs, inv_root = operator_function(s, "inv_sqrt_on_support")
-    elements = [inv_root @ (p * st.matrix) @ inv_root
-                for p, st in zip(ensemble.probs, ensemble.states)]
-    labels = list(ensemble.labels) if ensemble.labels else list(range(len(elements)))
-    kernel = vecs[:, vals <= SUPPORT_ATOL]
-    if kernel.shape[1]:
-        elements.append(kernel @ kernel.conj().T)
+    n, m, r = rows.shape
+    # W^dag = Q R and R^dag = U Sigma Vr^dag, so U Y_x = (U Vr^dag) Q_x^dag
+    # with Q_x the rows of Q that belong to w_x
+    q, rr = np.linalg.qr(np.conj(rows.transpose(0, 2, 1), order="C").reshape(n * r, m))
+    u, sing, vrh = np.linalg.svd(rr.conj().T, full_matrices=False)
+    keep = sing ** 2 > SUPPORT_ATOL * float(np.sum(sing ** 2))
+    if not np.any(keep):
+        return Povm((np.eye(m),), ("fail",))
+    u = u[:, keep]
+    # Z_x = conj(U Y_x) = conj(U Vr^dag) Q_x^T and Lambda_x = conj(Z_x Z_x^dag)
+    z = np.conj(u @ vrh[keep]) @ q.reshape(n, r, -1).swapaxes(1, 2)
+    del q
+    elements = z @ z.conj().swapaxes(1, 2)
+    del z
+    elements, labels = list(np.conj(elements, out=elements)), list(labels)
+    if u.shape[1] < m:
+        elements.append(np.eye(m) - u @ u.conj().T)
         labels.append("fail")
-    elements = [0.5 * (e + e.conj().T) for e in elements]
     return Povm(tuple(elements), tuple(labels))
+
+
+def _ensemble_rows(ensemble: CqEnsemble) -> np.ndarray:
+    """Rows sqrt(p_k) sqrt(phi_k) of an ensemble, stacked as (k, dim, dim)."""
+    return np.stack([np.sqrt(p) * sqrt_psd(st.matrix)
+                     for p, st in zip(ensemble.probs, ensemble.states)])
+
+
+def pgm(ensemble: CqEnsemble) -> Povm:
+    """Pretty good measurement S^{-1/2} p_k phi_k S^{-1/2}, by ``_pgm_of_rows``.
+
+    The rows are sqrt(p_k) sqrt(phi_k); if the average state S is rank
+    deficient, the projector onto its kernel is appended as an explicit
+    "fail" outcome so the POVM stays complete.
+    """
+    return _pgm_of_rows(_ensemble_rows(ensemble), ensemble.labels)
 
 
 def pgm_error(ensemble: CqEnsemble, measurement: Povm | None = None) -> float:
@@ -117,6 +145,29 @@ def _band_projector(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return v @ v.conj().T
 
 
+def _class_pgms(rows: np.ndarray, classes: Mapping) -> HswDecoderResult:
+    """One ``_pgm_of_rows`` decoder per class of the rows (x, m, r), with its errors.
+
+    ``classes`` maps a class value to its member indices; the class error
+    1 - sum_x Tr[Lambda_x w_x w_x^dag] / sum_x ||w_x||^2 is read off the same
+    rows (0 at zero weight) and averaged with the classes' shares of the total.
+    """
+    _budget(rows.shape[:1] + rows.shape[1:2] * 2, "class decoder elements")
+    weights = np.einsum("xmr,xmr->x", rows, rows.conj()).real
+    decoders: dict = {}
+    per_class: dict = {}
+    total_error = 0.0
+    for value, members in classes.items():
+        members = np.asarray(members, dtype=np.int64)
+        weight = float(weights[members].sum())
+        dec = decoders[value] = _pgm_of_rows(rows[members], members.tolist())
+        hits = sum(np.vdot(rows[x], el @ rows[x]).real for x, el in zip(members, dec.elements))
+        per_class[value] = float(min(max(1.0 - hits / weight, 0.0), 1.0)) if weight else 0.0
+        total_error += weight * per_class[value]
+    average = float(min(max(total_error / weights.sum(), 0.0), 1.0))
+    return HswDecoderResult(decoders=decoders, per_class_error=per_class, average_error=average)
+
+
 def hsw_class_decoder(ensemble: CqEnsemble, classes: Mapping, cfg: HswConfig = HswConfig(),
                       *, iid_base: CqEnsemble | None = None,
                       n_copies: int | None = None) -> HswDecoderResult:
@@ -125,11 +176,12 @@ def hsw_class_decoder(ensemble: CqEnsemble, classes: Mapping, cfg: HswConfig = H
     ``classes`` maps a class value to the member indices of the ensemble;
     together the classes must partition the index set.  Per class the decoder
     is the PGM over the (renormalized) member states, with outcome labels
-    equal to the member indices.  With ``cfg.use_typicality`` the elements
-    are instead T^{-1/2} Q Q_k Q T^{-1/2} using spectral-band typical
-    projectors derived from ``iid_base`` rates at block length ``n_copies``;
-    members whose prior falls outside the typical band abort, which counts
-    as an error.
+    equal to the member indices, from one factorisation of the class's rows
+    sqrt(p_k) sqrt(phi_k) (``_class_pgms``); a class of zero weight gets
+    {fail: 1}.  With ``cfg.use_typicality`` the elements are instead
+    T^{-1/2} Q Q_k Q T^{-1/2} using spectral-band typical projectors derived
+    from ``iid_base`` rates at block length ``n_copies``; members whose prior
+    falls outside the typical band abort, which counts as an error.
     """
     n = len(ensemble.states)
     seen: set[int] = set()
@@ -143,25 +195,24 @@ def hsw_class_decoder(ensemble: CqEnsemble, classes: Mapping, cfg: HswConfig = H
     if seen != set(range(n)):
         raise ValueError("classes do not partition the ensemble indices")
 
-    q = q_k = None
-    prior_band = None
-    if cfg.use_typicality:
-        if iid_base is None or n_copies is None:
-            raise ValueError("typicality mode needs iid_base and n_copies")
-        h_rate = shannon_entropy(iid_base.probs)
-        s_bar = float(np.dot(iid_base.probs,
-                             [von_neumann_entropy(st) for st in iid_base.states]))
-        s_avg = von_neumann_entropy(iid_base.average_matrix())
-        nd = n_copies * cfg.delta
-        q = _band_projector(ensemble.average_matrix(),
-                            2.0 ** (-n_copies * s_avg - nd),
-                            2.0 ** (-n_copies * s_avg + nd))
-        prior_band = (2.0 ** (-n_copies * h_rate - nd),
-                      2.0 ** (-n_copies * h_rate + nd))
+    if not cfg.use_typicality:
+        return _class_pgms(_ensemble_rows(ensemble), classes)
+    if iid_base is None or n_copies is None:
+        raise ValueError("typicality mode needs iid_base and n_copies")
+    h_rate = shannon_entropy(iid_base.probs)
+    s_bar = float(np.dot(iid_base.probs,
+                         [von_neumann_entropy(st) for st in iid_base.states]))
+    s_avg = von_neumann_entropy(iid_base.average_matrix())
+    nd = n_copies * cfg.delta
+    q = _band_projector(ensemble.average_matrix(),
+                        2.0 ** (-n_copies * s_avg - nd),
+                        2.0 ** (-n_copies * s_avg + nd))
+    prior_band = (2.0 ** (-n_copies * h_rate - nd),
+                  2.0 ** (-n_copies * h_rate + nd))
 
-        def q_k(matrix: np.ndarray) -> np.ndarray:
-            return _band_projector(matrix, 2.0 ** (-n_copies * s_bar - nd),
-                                   2.0 ** (-n_copies * s_bar + nd))
+    def q_k(matrix: np.ndarray) -> np.ndarray:
+        return _band_projector(matrix, 2.0 ** (-n_copies * s_bar - nd),
+                               2.0 ** (-n_copies * s_bar + nd))
 
     decoders: dict = {}
     per_class: dict = {}
@@ -171,37 +222,26 @@ def hsw_class_decoder(ensemble: CqEnsemble, classes: Mapping, cfg: HswConfig = H
     for value, members in classes.items():
         members = tuple(members)
         mass = float(np.sum(ensemble.probs[list(members)]))
-        if not cfg.use_typicality:
-            if mass > 0.0:
-                sub_probs = ensemble.probs[list(members)] / mass
-            else:
-                sub_probs = np.full(len(members), 1.0 / len(members))
-            sub = CqEnsemble(sub_probs,
-                             tuple(ensemble.states[k] for k in members),
-                             tuple(members))
-            dec = pgm(sub)
-            err = pgm_error(sub, dec) if mass > 0.0 else 0.0
-        else:
-            typical = [k for k in members
-                       if prior_band[0] <= ensemble.probs[k] <= prior_band[1]]
-            atyp_mass = float(sum(ensemble.probs[k] for k in members if k not in typical))
-            aborted += atyp_mass
-            sandwiched = {k: q @ q_k(ensemble.states[k].matrix) @ q for k in typical}
-            t = np.sum(list(sandwiched.values()), axis=0) if typical else np.zeros((dim, dim))
-            t = 0.5 * (t + t.conj().T)
-            tvals, tvecs, t_inv_root = operator_function(t, "inv_sqrt_on_support")
-            elements = [0.5 * ((t_inv_root @ sandwiched[k] @ t_inv_root)
-                               + (t_inv_root @ sandwiched[k] @ t_inv_root).conj().T)
-                        for k in typical]
-            rest = np.eye(dim) - np.sum(elements, axis=0) if elements else np.eye(dim)
-            elements.append(0.5 * (rest + rest.conj().T))
-            dec = Povm(tuple(elements), tuple(typical) + ("fail",))
-            err = atyp_mass
-            for pos, k in enumerate(typical):
-                err += float(ensemble.probs[k]
-                             * (1.0 - np.trace(dec.elements[pos]
-                                               @ ensemble.states[k].matrix).real))
-            err = err / mass if mass > 0 else 0.0
+        typical = [k for k in members
+                   if prior_band[0] <= ensemble.probs[k] <= prior_band[1]]
+        atyp_mass = float(sum(ensemble.probs[k] for k in members if k not in typical))
+        aborted += atyp_mass
+        sandwiched = {k: q @ q_k(ensemble.states[k].matrix) @ q for k in typical}
+        t = np.sum(list(sandwiched.values()), axis=0) if typical else np.zeros((dim, dim))
+        t = 0.5 * (t + t.conj().T)
+        tvals, tvecs, t_inv_root = operator_function(t, "inv_sqrt_on_support")
+        elements = [0.5 * ((t_inv_root @ sandwiched[k] @ t_inv_root)
+                           + (t_inv_root @ sandwiched[k] @ t_inv_root).conj().T)
+                    for k in typical]
+        rest = np.eye(dim) - np.sum(elements, axis=0) if elements else np.eye(dim)
+        elements.append(0.5 * (rest + rest.conj().T))
+        dec = Povm(tuple(elements), tuple(typical) + ("fail",))
+        err = atyp_mass
+        for pos, k in enumerate(typical):
+            err += float(ensemble.probs[k]
+                         * (1.0 - np.trace(dec.elements[pos]
+                                           @ ensemble.states[k].matrix).real))
+        err = err / mass if mass > 0 else 0.0
         decoders[value] = dec
         per_class[value] = float(min(max(err, 0.0), 1.0))
         total_error += mass * per_class[value]

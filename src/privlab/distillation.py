@@ -22,17 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .css_codes import CssCode, GfMatrix, all_strings, class_members
-from .discrimination import HswConfig, HswDecoderResult, helstrom_pair, hsw_class_decoder
-from .info_measures import CqEnsemble, _cq_blocks, _entropy_of_rows, shannon_entropy
+from .css_codes import CssCode, GfMatrix, all_strings
+from .discrimination import HswDecoderResult, _class_pgms, helstrom_pair
+from .info_measures import _entropy_of_rows, shannon_entropy
 from .privacy import PrivacyReport, epsilon_secret_direct
 from .qudit_ops import ConjugateBasis, Povm
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, _budget, purify, vector_marginal)
+                          StateVector, _budget, purify)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 
@@ -76,12 +76,6 @@ def extend_with_copy(psi: StateVector, label: str = "C") -> StateVector:
     return StateVector(new_space, out.reshape(-1))
 
 
-def _conj_matrix(d: int, n: int) -> np.ndarray:
-    """Column x is the n-qudit Fourier conjugate-basis vector |x~>."""
-    v1 = ConjugateBasis.fourier(d).vectors
-    return reduce(np.kron, [v1] * n) if n > 1 else v1
-
-
 def _flat_classes(strings: np.ndarray, rows: GfMatrix) -> np.ndarray:
     """Flat class value of each string under the GF(d) map ``rows``."""
     d = rows.d
@@ -100,8 +94,9 @@ def _flat_classes(strings: np.ndarray, rows: GfMatrix) -> np.ndarray:
 class _CodeTables:
     """Flat class values of every string under one code, and its encode maps.
 
-    ``zperm`` sends a string to its flat (logical, z-syndrome,
-    destabiliser) coordinate; ``cperm`` does the same for a guess register
+    ``alpha_classes``/``beta_classes`` map each syndrome value to its member
+    strings; ``zperm`` sends a string to its flat (logical, z-syndrome,
+    destabiliser) coordinate, ``cperm`` does the same for a guess register
     and sends its fail slot to the first value past the strings.
     """
 
@@ -109,8 +104,8 @@ class _CodeTables:
     beta_of: np.ndarray
     lam_of: np.ndarray
     mu_of: np.ndarray
-    alpha_keys: list
-    beta_keys: list
+    alpha_classes: dict
+    beta_classes: dict
     v: np.ndarray
     zperm: np.ndarray
     cperm: np.ndarray
@@ -119,17 +114,21 @@ class _CodeTables:
 def _code_tables(code: CssCode) -> _CodeTables:
     d, n = code.d, code.n
     strings = all_strings(d, n)
-    alpha_of = _flat_classes(strings, code.mz)
+    alpha_of, beta_of = _flat_classes(strings, code.mz), _flat_classes(strings, code.mx)
     lam_of = _flat_classes(strings, code.logical_z)
     g_of = _flat_classes(strings, code.destabilizer_z())
     # k + m_z + m_x = n, so the coordinates (lam, alpha, g) index all d^n values
     zperm = (lam_of * d ** code.m_z + alpha_of) * d ** code.m_x + g_of
     return _CodeTables(
-        alpha_of=alpha_of, beta_of=_flat_classes(strings, code.mx),
+        alpha_of=alpha_of, beta_of=beta_of,
         lam_of=lam_of, mu_of=_flat_classes(strings, code.logical_x),
-        alpha_keys=[tuple(int(x) for x in a) for a in all_strings(d, code.m_z)],
-        beta_keys=[tuple(int(x) for x in b) for b in all_strings(d, code.m_x)],
-        v=_conj_matrix(d, n), zperm=zperm, cperm=np.append(zperm, d ** n))
+        alpha_classes={tuple(int(x) for x in a): np.flatnonzero(alpha_of == c)
+                       for c, a in enumerate(all_strings(d, code.m_z))},
+        beta_classes={tuple(int(x) for x in b): np.flatnonzero(beta_of == c)
+                      for c, b in enumerate(all_strings(d, code.m_x))},
+        # column x of v is the n-qudit Fourier conjugate-basis vector |x~>
+        v=reduce(np.kron, [ConjugateBasis.fourier(d).vectors] * n),
+        zperm=zperm, cperm=np.append(zperm, d ** n))
 
 
 def _extract(amps: np.ndarray, tab: _CodeTables) -> np.ndarray:
@@ -142,9 +141,9 @@ def _extract(amps: np.ndarray, tab: _CodeTables) -> np.ndarray:
     mask_shape = (-1,) + (1,) * (amps.ndim - 1)
     rows = np.arange(amps.shape[0])
     g0 = np.tensordot(v.conj().T, amps, axes=(1, 0))
-    out = np.zeros(amps.shape + (len(tab.alpha_keys), len(tab.beta_keys)),
+    out = np.zeros(amps.shape + (len(tab.alpha_classes), len(tab.beta_classes)),
                    dtype=np.complex128)
-    for beta in range(len(tab.beta_keys)):
+    for beta in range(len(tab.beta_classes)):
         gb = np.where((tab.beta_of == beta).reshape(mask_shape), g0, 0.0)
         out[rows, ..., tab.alpha_of, beta] = np.tensordot(v, gb, axes=(1, 0))
     return out
@@ -164,7 +163,7 @@ def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables) -> np.n
     """
     dd = t1.shape[0]
     t2 = np.zeros(t1.shape + (dd + 1,), dtype=np.complex128)
-    for alpha, key in enumerate(tab.alpha_keys):
+    for alpha, key in enumerate(tab.alpha_classes):
         dec: Povm = key_decoders[key]
         if dec.dim != dd:
             raise ValueError("key decoders must act on B alone")
@@ -184,7 +183,7 @@ def _encode(arr: np.ndarray, tab: _CodeTables) -> np.ndarray:
     dd = arr.shape[0]
     out = np.zeros_like(arr)
     out[tab.zperm] = arr
-    enc = np.zeros(arr.shape[:-1] + (dd + len(tab.alpha_keys) * len(tab.beta_keys),),
+    enc = np.zeros(arr.shape[:-1] + (dd + len(tab.alpha_classes) * len(tab.beta_classes),),
                    dtype=np.complex128)
     enc[..., tab.cperm] = out
     return enc
@@ -236,57 +235,23 @@ class RateBreakdown:
     identity_residual: float
 
 
-def _conditional_ensemble(psi: StateVector, basis: np.ndarray | None,
-                          keep: Sequence[str], copy_a: bool = False) -> CqEnsemble:
-    """Ensemble of conditionals on ``keep`` from measuring A of a pure state.
-
-    ``basis`` columns define the measured basis (standard when None).  With
-    ``copy_a`` the conditionals are those of the state with A copied onto a
-    register C first (C keeps the standard-basis value and must be kept).
-    """
-    space = psi.space
-    d = space.dim_of("A")
-    keep_rest = tuple(x for x in space.labels if x in keep and x != "A")
-    if copy_a:
-        if basis is None or "C" not in keep:
-            raise ValueError("copy_a requires an explicit basis and a kept C")
-        # rho_x = D_x* rho D_x on the (A, kept) marginal with A renamed C and
-        # D_x = diag(basis[:, x]) (x) 1: the copy decoheres A
-        rho = vector_marginal(space, psi.amplitudes, ("A",) + keep_rest)
-        kdim = rho.shape[0]
-        _budget((d, kdim, kdim), "copied-key conditionals")
-        cols = basis.T.reshape(d, d, 1, 1, 1)
-        blocks = (cols.conj() * rho.reshape(1, d, -1, d, kdim // d)
-                  * cols.swapaxes(1, 3)).reshape(d, kdim, kdim)
-        ksp = HilbertSpace((d,) + space.dims_of(keep_rest), ("C",) + keep_rest)
-    else:
-        blocks = _cq_blocks(psi, "A", np.eye(d) if basis is None else basis, keep_rest)
-        ksp = space.restrict(keep_rest)
-    probs = np.einsum("xii->x", blocks).real
-    states = tuple(DensityOperator(ksp, 0.5 * (b + b.conj().T) / p) if p > 1e-14
-                   else DensityOperator(ksp, np.eye(ksp.dim) / ksp.dim)
-                   for b, p in zip(blocks, probs))
-    return CqEnsemble(probs / probs.sum(), states, tuple(range(d)))
-
-
-def _guess_error(rows: np.ndarray, decoders: Mapping, keys: Sequence,
-                 class_of: np.ndarray, value_of: np.ndarray) -> float:
+def _guess_error(rows: np.ndarray, decoders: Mapping, classes: Mapping,
+                 value_of: np.ndarray) -> float:
     """1 - sum_x sum_y Tr[Lambda_y w_x w_x^dag] over the rows w_x of a pure state.
 
     ``rows`` is shaped (x, Bob, rest) with A already in the measured basis,
-    so Tr_rest w_x w_x^dag is p_x phi_x on Bob.  Outcome x is decoded by
-    ``decoders[keys[class_of[x]]]`` and y runs over its guesses with
-    ``value_of[y] == value_of[x]`` (never "fail").
+    so Tr_rest w_x w_x^dag is p_x phi_x on Bob.  Each member x of
+    ``classes[key]`` is decoded by ``decoders[key]`` and y runs over its
+    guesses with ``value_of[y] == value_of[x]`` (never "fail").
     """
     bob = rows.shape[1]
     _budget((rows.shape[0], bob, bob), "decoder scoring blocks")
     value_fail = np.append(value_of, -1)
     succ = 0.0
-    for c, key in enumerate(keys):
+    for key, members in classes.items():
         dec: Povm = decoders[key]
         if dec.dim != bob:
             raise ValueError(f"decoders must act on (B, shield), dimension {bob}")
-        members = np.flatnonzero(class_of == c)
         w = rows[members]
         blocks = w @ w.conj().swapaxes(1, 2)
         hits = np.einsum("yij,xji->xy", np.stack(dec.elements), blocks).real
@@ -353,16 +318,6 @@ def distillable_rate(state, conj_basis: ConjugateBasis | None = None) -> RateBre
 # decoder families
 
 
-def _class_decoders(ens: CqEnsemble, code: CssCode, which: str,
-                    cfg: HswConfig = HswConfig(), iid_base: CqEnsemble | None = None,
-                    n_copies: int | None = None) -> HswDecoderResult:
-    """One decoder per ``which`` ("alpha" or "beta") class of the code."""
-    m = code.m_z if which == "alpha" else code.m_x
-    classes = {tuple(int(v) for v in c): list(class_members(code, c, which))
-               for c in all_strings(code.d, m)}
-    return hsw_class_decoder(ens, classes, cfg, iid_base=iid_base, n_copies=n_copies)
-
-
 @dataclass(frozen=True)
 class CssDecoders:
     """Per-syndrome decoders plus their incoherent error bookkeeping."""
@@ -375,17 +330,17 @@ class CssDecoders:
     x_labels: tuple[str, ...]
 
 
-def build_css_decoders(state, code: CssCode, cfg: HswConfig = HswConfig(),
-                       *, x_on_copy: bool = False,
-                       iid_base_z: CqEnsemble | None = None,
-                       iid_base_x: CqEnsemble | None = None,
-                       n_copies: int | None = None) -> CssDecoders:
+def build_css_decoders(state, code: CssCode, *, x_on_copy: bool = False) -> CssDecoders:
     """Class decoders for a state and code: one POVM per syndrome value.
 
     Key decoders act on B and guess Alice's standard-basis string within
     the alpha class; conjugate decoders act on (B, shield), or on (C, B)
     with ``x_on_copy`` (C being a coherent copy of A), and guess her
-    conjugate-basis string within the beta class.
+    conjugate-basis string within the beta class.  Each decoder is the PGM
+    of its class from one factorisation of the members' amplitude rows, read
+    off t[a, b, s, e] of the pure state: t[x] as (B, S E) for the key
+    strings, (v^dag t)[x] as (B S, E) or conj(v[:, x]) (.) t as (C B, S E)
+    for the conjugate ones.  A class of zero weight gets {fail: 1}.
     """
     psi = _canonical_pure(state)
     space = psi.space
@@ -393,12 +348,19 @@ def build_css_decoders(state, code: CssCode, cfg: HswConfig = HswConfig(),
     dd = d ** n
     if space.dim_of("A") != dd or space.dim_of("B") != dd:
         raise ValueError("key registers must have dimension d^n")
-    shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
-    z_result = _class_decoders(_conditional_ensemble(psi, None, ("B",)), code, "alpha",
-                               cfg, iid_base_z, n_copies)
-    x_labels = ("C", "B") if x_on_copy else ("B",) + shield
-    ens_x = _conditional_ensemble(psi, _conj_matrix(d, n), x_labels, copy_a=x_on_copy)
-    x_result = _class_decoders(ens_x, code, "beta", cfg, iid_base_x, n_copies)
+    tab = _code_tables(code)
+    t = psi.amplitudes.reshape(dd, dd, -1)
+    z_result = _class_pgms(t, tab.alpha_classes)
+    if x_on_copy:
+        _budget((dd, space.dim), "copied conjugate rows")
+        x_labels = ("C", "B")
+        rows = (tab.v.conj().T[:, :, None, None] * t).reshape(dd, dd * dd, -1)
+    else:
+        shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
+        x_labels = ("B",) + shield
+        e_dim = space.dim_of("E") if "E" in space.labels else 1
+        rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, e_dim)
+    x_result = _class_pgms(rows, tab.beta_classes)
     return CssDecoders(key_decoders=z_result.decoders,
                        conj_decoders=x_result.decoders,
                        z_result=z_result, x_result=x_result,
@@ -449,10 +411,10 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     tab = _code_tables(code)
     k_dim = d ** code.k
     r_dim, t_dim = d ** code.m_z, d ** code.m_x
-    for key in tab.alpha_keys:
+    for key in tab.alpha_classes:
         if key not in key_decoders:
             raise ValueError(f"missing key decoder for alpha {key}")
-    for key in tab.beta_keys:
+    for key in tab.beta_classes:
         if key not in conj_decoders:
             raise ValueError(f"missing conjugate decoder for beta {key}")
 
@@ -482,15 +444,14 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     # and T joins the rest that Bob's (B, shield) decoder never reads
     vh = tab.v.conj().T
     conj_t1 = np.tensordot(vh, t1, axes=(1, 0)).reshape(dd, dd * s_dim, -1)
-    p_tilde_prime_e = _guess_error(conj_t1, conj_decoders, tab.beta_keys, tab.beta_of,
-                                   tab.mu_of)
+    p_tilde_prime_e = _guess_error(conj_t1, conj_decoders, tab.beta_classes, tab.mu_of)
     eps_certified = p_prime_e + math.sqrt(p_tilde_prime_e)
 
     # incoherent hypothesis errors at string level
-    eps_z = _guess_error(amps.reshape(dd, dd, -1), key_decoders, tab.alpha_keys,
-                         tab.alpha_of, np.arange(dd))
+    eps_z = _guess_error(amps.reshape(dd, dd, -1), key_decoders, tab.alpha_classes,
+                         np.arange(dd))
     eps_x = _guess_error(np.tensordot(vh, amps, axes=(1, 0)).reshape(dd, dd * s_dim, e_dim),
-                         conj_decoders, tab.beta_keys, tab.beta_of, np.arange(dd))
+                         conj_decoders, tab.beta_classes, np.arange(dd))
 
     if p_prime_e > eps_z + 1e-9:
         raise InvariantViolation(
@@ -547,8 +508,7 @@ class HashingSimResult:
     ideal_encoded_fidelity: float
 
 
-def coherent_hashing_sim(state, n: int, code: CssCode,
-                         cfg: HswConfig = HswConfig()) -> HashingSimResult:
+def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     """Coherently run hashing on n copies and audit the correctness chain.
 
     The input is a single-copy state on (A, B) (purified onto E if mixed).
@@ -580,7 +540,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
     c_dim = dd + 1
     _budget((dd, dd, e_dim, r_dim, t_dim, c_dim, c_dim), "hashing chain")
 
-    decs = build_css_decoders(psi, code, cfg, x_on_copy=True)
+    decs = build_css_decoders(psi, code, x_on_copy=True)
     eps_z = decs.z_result.average_error
     eps_x = decs.x_result.average_error
 
@@ -607,7 +567,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode,
 
     def conj_decode(tin: np.ndarray) -> np.ndarray:
         tout = np.zeros(tin.shape + (c_dim,), dtype=np.complex128)
-        for beta, key in enumerate(tab.beta_keys):
+        for beta, key in enumerate(tab.beta_classes):
             dec: Povm = decs.conj_decoders[key]
             # roots on (C, B) as (outcome, C', B', C, B); kets as (outcome, D)
             roots = np.stack(dec.sqrt_elements()).reshape(-1, dd, dd, dd, dd)
@@ -818,14 +778,13 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     else:
         conj_decoders = _single_copy_conj_decoders(phi0, phi1, code)
         analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** 2, 0.0)))
-    key_decoders = _class_decoders(_conditional_ensemble(state, None, ("B",)), code,
-                                   "alpha").decoders
+    tab = _code_tables(code)
+    key_decoders = _class_pgms(state.amplitudes.reshape(4, 4, -1), tab.alpha_classes).decoders
 
     # class-level conjugate guess error, end to end, on (B, S) of the (A, B, S, E) state
-    tab = _code_tables(code)
     rows = np.tensordot(tab.v.conj().T, state.amplitudes.reshape(4, 4 * sh * sh, -1),
                         axes=(1, 0))
-    error = _guess_error(rows, conj_decoders, tab.beta_keys, tab.beta_of, tab.mu_of)
+    error = _guess_error(rows, conj_decoders, tab.beta_classes, tab.mu_of)
     return TwoCopyResult(stabilizer=stabilizer, adaptive=bool(adaptive),
                       overlap=s_ov, error_prob=error, analytic_error=analytic,
                       state=state, code=code,

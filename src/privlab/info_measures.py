@@ -23,14 +23,21 @@ from .tensor_core import (
 )
 
 
+def _probabilities(p, what: str) -> np.ndarray:
+    """``p`` as floats, finite, nonnegative and summing to 1 (NaN fails every check)."""
+    arr = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} entries must be finite")
+    if arr.size and not float(arr.min()) >= -1e-12:
+        raise ValueError(f"negative {what} entry {arr.min():g}")
+    if not abs(float(arr.sum()) - 1.0) <= 1e-9:
+        raise ValueError(f"{what} sums to {arr.sum()!r}")
+    return arr
+
+
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits of a probability vector."""
-    arr = np.asarray(p, dtype=float).reshape(-1)
-    if arr.size and float(arr.min()) < -1e-12:
-        raise ValueError(f"negative probability {arr.min():g}")
-    if abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {arr.sum()!r}")
-    arr = np.clip(arr, LOG_CLAMP, None)
+    arr = np.clip(_probabilities(p, "probability vector").reshape(-1), LOG_CLAMP, None)
     return float(-np.sum(arr * np.log2(arr)) if arr.size else 0.0)
 
 
@@ -81,12 +88,7 @@ class CqEnsemble:
             raise ValueError("probability and state counts differ")
         if p.size == 0:
             raise ValueError("empty ensemble")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if float(p.min()) < -1e-12:
-            raise ValueError(f"negative probability {p.min():g}")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()!r}")
+        p = _probabilities(p, "probability vector")
         dim = self.states[0].matrix.shape[0]
         if any(s.matrix.shape[0] != dim for s in self.states):
             raise ValueError("ensemble states live on different dimensions")
@@ -122,21 +124,16 @@ def coherent_information(rho: DensityOperator, target="B") -> float:
 
 def conditional_entropy(joint) -> float:
     """H(X|Y) in bits from a joint table with X on axis 0 and Y on axis 1."""
-    j = np.asarray(joint, dtype=float)
+    j = _probabilities(joint, "joint table")
     if j.ndim != 2:
         raise ValueError("joint table must be two-dimensional")
-    if float(j.min()) < -1e-12:
-        raise ValueError(f"negative joint probability {j.min():g}")
-    if abs(float(j.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"joint table sums to {j.sum()!r}")
     return _entropy_of_weights(j.reshape(-1)) - _entropy_of_weights(j.sum(axis=0))
 
 
 def mutual_information(joint) -> float:
     """I(X:Y) in bits from a joint probability table."""
-    j = np.asarray(joint, dtype=float)
-    hx = _entropy_of_weights(j.sum(axis=1))
-    return hx - conditional_entropy(j)
+    h_cond = conditional_entropy(joint)
+    return _entropy_of_weights(np.asarray(joint, dtype=float).sum(axis=1)) - h_cond
 
 
 # ---------------------------------------------------------------------------

@@ -337,17 +337,22 @@ def certify_private(state, conj_basis: ConjugateBasis | None = None,
         povm_labels = ("B",)
         if measurement_name is None:
             measurement_name = "conjugate_projective"
-    p_e, p_tilde_e = key_error_rates(state, conj_basis, conj_povm,
-                                     povm_labels=povm_labels)
+    rates = key_error_rates(state, conj_basis, conj_povm, povm_labels=povm_labels)
+    return _certified_report(state, *rates, soundness_margin, measurement_name or "custom")
+
+
+def _certified_report(state, p_e: float, p_tilde_e: float, soundness_margin: float,
+                      measurement_name: str) -> PrivacyReport:
+    """Report scored key tests; p_e + sqrt(p_tilde_e) must dominate eps_direct."""
     eps_cert = p_e + math.sqrt(p_tilde_e)
     eps_direct = epsilon_secret_direct(state)
-    if eps_direct > eps_cert + soundness_margin:
+    if not eps_direct <= eps_cert + soundness_margin:
         raise InvariantViolation(
             f"direct distance {eps_direct:.6e} exceeds certified bound "
             f"{eps_cert:.6e} + margin {soundness_margin:g}")
     return PrivacyReport(p_e=p_e, p_tilde_e=p_tilde_e,
                          eps_certified=eps_cert, eps_direct=eps_direct,
-                         measurement_used=measurement_name or "custom")
+                         measurement_used=measurement_name)
 
 
 def star_projective_povm(conj_basis: ConjugateBasis) -> Povm:

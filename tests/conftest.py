@@ -25,11 +25,11 @@ def rand_density():
 def factorised(monkeypatch):
     """Shapes of the matrices np.linalg factorises, listed by function name.
 
-    Wraps ``eigvalsh``, ``eigh``, ``svd`` and ``pinv``; each call records
+    Wraps ``eigvalsh``, ``eigh``, ``svd``, ``pinv`` and ``qr``; each call records
     the trailing two dimensions of its argument (one entry per stack).
     """
     shapes = {}
-    for name in ("eigvalsh", "eigh", "svd", "pinv"):
+    for name in ("eigvalsh", "eigh", "svd", "pinv", "qr"):
         shapes[name] = []
 
         def recorded(a, *args, _fn=getattr(np.linalg, name), _log=shapes[name],

@@ -1,5 +1,6 @@
 """Command-line workbench: subcommands, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import time
@@ -8,9 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from privlab import (HilbertSpace, random_pure_state,
-                     uhlmann_conjugate_measurement)
+from privlab import (ConjugateBasis, HilbertSpace, StateVector, TwistingOperator,
+                     certify_private, haar_unitary, haar_vector, random_pure_state,
+                     twisting_conjugate_measurement, uhlmann_conjugate_measurement)
+from privlab import cli, privacy
 from privlab.cli import MAX_TRIALS, build_parser, build_state, main, run
+from privlab.qudit_ops import _private_vector
 from privlab.tensor_core import AMPLITUDE_CAP
 from privlab.sampling import substream
 
@@ -48,6 +52,51 @@ def test_verify_twisting_exact_state():
     assert res["p_tilde_e"] <= 1e-10
     assert res["eps_direct"] <= 1e-9
     assert res["measurement_used"] == "twisting_conjugate"
+
+
+@pytest.mark.parametrize("d, sh, seed", [(2, 3, 7), (4, 8, 11)])
+def test_twisted_state_draws_only_the_diagonal_blocks(monkeypatch, d, sh, seed):
+    drawn = []
+    monkeypatch.setattr(cli, "haar_unitary",
+                        lambda n, rng, _f=cli.haar_unitary: drawn.append(n) or _f(n, rng))
+    state, extras = build_state({"kind": "twisted", "d": d, "shield_dim": sh}, seed)
+    assert drawn == [sh] * d
+    # the full d x d draw it replaces: block (j, k) from substream(seed, 1 + j d + k)
+    blocks = {(j, k): haar_unitary(sh, substream(seed, 1 + j * d + k))
+              for j in range(d) for k in range(d)}
+    full = TwistingOperator(HilbertSpace((d, d, sh), ("A", "B", "S")), blocks)
+    xi = StateVector(HilbertSpace((sh,), ("S",)), haar_vector(sh, substream(seed, 0)))
+    want = _private_vector(d, full, xi)
+    assert np.array_equal(state.amplitudes, want.amplitudes)
+    for k in range(d):
+        assert np.array_equal(extras["twisting"].blocks[(k, k)], blocks[(k, k)])
+    # the twisting payload of the README command is the full draw's
+    res = results_of(["verify", "--state", "twisted", "--d", str(d), "--shield-dim", str(sh),
+                      "--measurement", "twisting", "--seed", str(seed)])
+    rep = certify_private(want, conj_povm=twisting_conjugate_measurement(
+        full, ConjugateBasis.fourier(d)), povm_labels=("B", "S"),
+        measurement_name="twisting_conjugate")
+    assert res == dataclasses.asdict(rep)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "werner", "d": 6, "p": 0.9},
+                                  {"kind": "twisted", "d": 4, "shield_dim": 8}])
+def test_verify_uhlmann_scores_the_key_tests_once(monkeypatch, spec):
+    measured = []
+    monkeypatch.setattr(privacy, "measure",
+                        lambda *a, _f=privacy.measure, **k: measured.append(1) or _f(*a, **k))
+    argv = ["verify", "--measurement", "uhlmann", "--seed", "3"]
+    for key, value in spec.items():
+        argv += [f"--{key.replace('_', '-')}" if key != "kind" else "--state", str(value)]
+    res = results_of(argv)
+    assert len(measured) == 2  # one key test, one conjugate key test
+    # the same payload as certifying again with the partner's POVM
+    state, _ = build_state(spec, 3)
+    rec = uhlmann_conjugate_measurement(state)
+    want = certify_private(state, conj_povm=rec.povm, povm_labels=rec.povm_labels,
+                           measurement_name="uhlmann_partner")
+    assert res == {**dataclasses.asdict(want), "fidelity": rec.fidelity,
+                   "bound": rec.bound, "pad_dim": rec.pad_dim}
 
 
 def test_verify_uhlmann_reports_bound():

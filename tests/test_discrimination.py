@@ -170,3 +170,78 @@ def test_hsw_typicality_path_stays_sound():
         total = np.sum(povm.elements, axis=0)
         vals = np.linalg.eigvalsh(total)
         assert vals.max() <= 1.0 + 1e-9  # sub-normalized is allowed here
+
+
+# ---------------------------------------------------------------------------
+# the amplitude-row PGM against the inverse-square-root formula
+
+
+def inv_sqrt_pgm(probs, mats, labels):
+    """Oracle: S^{-1/2} p_k phi_k S^{-1/2} with the kernel of S as "fail"."""
+    s = sum(p * m for p, m in zip(probs, mats))
+    vals, vecs = np.linalg.eigh(s)
+    sup = vals > 1e-10
+    inv_root = (vecs[:, sup] / np.sqrt(vals[sup])) @ vecs[:, sup].conj().T
+    elements = [inv_root @ (p * m) @ inv_root for p, m in zip(probs, mats)]
+    labels = list(labels)
+    if not sup.all():
+        elements.append(vecs[:, ~sup] @ vecs[:, ~sup].conj().T)
+        labels.append("fail")
+    return elements, labels
+
+
+def assert_povm_matches(povm, elements, labels, atol=1e-10):
+    assert povm.outcome_labels == tuple(labels)
+    for got, want in zip(povm.elements, elements, strict=True):
+        assert np.allclose(got, want, rtol=0.0, atol=atol)
+    total = np.sum(povm.elements, axis=0)
+    assert np.max(np.abs(total - np.eye(povm.dim))) <= 1e-13
+
+
+def _pgm_ensembles():
+    h3, h4 = HilbertSpace((3,), ("Q",)), HilbertSpace((4,), ("Q",))
+    mixed = tuple(random_density_operator(h3, substream(1100 + i)) for i in range(4))
+    low = tuple(random_density_operator(h4, substream(1200 + i), rank=1) for i in range(3))
+    return {
+        "random": CqEnsemble(np.array([0.1, 0.2, 0.3, 0.4]), mixed),
+        "zero_prior_member": CqEnsemble(np.array([0.5, 0.0, 0.25, 0.25]), mixed),
+        "rank_deficient": CqEnsemble(np.array([0.2, 0.3, 0.5]), low, labels=(7, 8, 9)),
+    }
+
+
+@pytest.mark.parametrize("case", ["random", "zero_prior_member", "rank_deficient"])
+def test_pgm_matches_the_inverse_square_root_oracle(case):
+    ens = _pgm_ensembles()[case]
+    povm = pgm(ens)
+    elements, labels = inv_sqrt_pgm(ens.probs, [st.matrix for st in ens.states],
+                                    ens.labels)
+    assert ("fail" in labels) == (case == "rank_deficient")
+    assert_povm_matches(povm, elements, labels)
+
+
+def test_hsw_class_decoder_matches_the_oracle_per_class():
+    h = HilbertSpace((4,), ("Q",))
+    states = tuple(random_density_operator(h, substream(1300 + i), rank=1 + i % 3)
+                   for i in range(6))
+    probs = np.array([0.3, 0.2, 0.0, 0.0, 0.1, 0.4])
+    ens = CqEnsemble(probs, states, labels=tuple(range(6)))
+    classes = {(0,): (0, 1), (1,): (2, 3), (2,): (4, 5)}
+    res = hsw_class_decoder(ens, classes)
+    # the zero-weight class is never read: it gets the single element {fail: 1}
+    dead = res.decoders[(1,)]
+    assert dead.outcome_labels == ("fail",)
+    assert np.array_equal(dead.elements[0], np.eye(4))
+    assert res.per_class_error[(1,)] == 0.0
+    want_avg = 0.0
+    for value in ((0,), (2,)):
+        members = classes[value]
+        mass = probs[list(members)].sum()
+        sub = probs[list(members)] / mass
+        mats = [states[k].matrix for k in members]
+        elements, labels = inv_sqrt_pgm(sub, mats, members)
+        assert_povm_matches(res.decoders[value], elements, labels)
+        err = 1.0 - sum(p * np.trace(el @ m).real
+                        for p, el, m in zip(sub, elements, mats))
+        assert res.per_class_error[value] == pytest.approx(err, abs=1e-12)
+        want_avg += mass * err
+    assert res.average_error == pytest.approx(want_avg, abs=1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import privlab
-from privlab import (ConjugateBasis, CssCode, DensityOperator, HilbertSpace,
+from privlab import (ConjugateBasis, CqEnsemble, CssCode, DensityOperator, HilbertSpace,
                      InvariantViolation, Povm, RateBreakdown, StateVector,
                      build_css_decoders, coherent_hashing_sim,
                      coherent_information, distillable_rate, extend_with_copy,
@@ -20,8 +20,7 @@ from privlab import (ConjugateBasis, CssCode, DensityOperator, HilbertSpace,
 from privlab import distillation, privacy, tensor_core
 from privlab.cli import build_state, run
 from privlab.distillation import (_canonical_pure, _chain_distance, _code_tables,
-                                  _conditional_ensemble, _conj_matrix, _encode,
-                                  _extract, _guess_error, _logical_fidelity)
+                                  _encode, _extract, _guess_error, _logical_fidelity)
 from conftest import largest_side
 
 
@@ -89,12 +88,11 @@ def ensemble_rate_oracle(state, conj_basis=None) -> RateBreakdown:
     shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
     has_e = "E" in space.labels
 
-    ens_zb = _conditional_ensemble(psi, None, ("B",))
+    ens_zb = loop_ensemble(psi, None, ("B",))
     i_zb = holevo_information(ens_zb)
     h_z = shannon_entropy(ens_zb.probs)
-    i_ze = holevo_information(_conditional_ensemble(psi, None, ("E",))) if has_e else 0.0
-    ens_x = _conditional_ensemble(psi, conj_basis.vectors, ("C", "B") + shield,
-                                  copy_a=True)
+    i_ze = holevo_information(loop_ensemble(psi, None, ("E",))) if has_e else 0.0
+    ens_x = loop_ensemble(psi, conj_basis.vectors, ("C", "B") + shield, copy_a=True)
     i_x_cbs = holevo_information(ens_x)
 
     lab = psi.marginal(("A", "B") + shield)
@@ -416,38 +414,16 @@ def loop_conditional_ensemble(psi, basis, keep, copy_a=False):
         p = float(np.sum(np.abs(w) ** 2))
         w = w.reshape(dims).transpose(kept + traced).reshape(kdim, -1)
         probs.append(p)
-        mats.append(w @ w.conj().T / p)
+        mats.append(w @ w.conj().T / p if p > 1e-14 else np.eye(kdim) / kdim)
     return np.array(probs) / sum(probs), mats
 
 
-def assert_ensemble_matches_loop(psi, basis, keep, copy_a=False):
-    ens = _conditional_ensemble(psi, basis, keep, copy_a=copy_a)
+def loop_ensemble(psi, basis, keep, copy_a=False):
+    """``loop_conditional_ensemble`` as a CqEnsemble of validated densities."""
     probs, mats = loop_conditional_ensemble(psi, basis, keep, copy_a=copy_a)
-    assert np.allclose(ens.probs, probs, rtol=0.0, atol=1e-12)
-    for st, want in zip(ens.states, mats):
-        assert np.allclose(st.matrix, want, rtol=0.0, atol=1e-12)
-
-
-def test_conditional_ensemble_matches_per_outcome_loop():
-    space = HilbertSpace((3, 2, 2, 3), ("A", "B", "S", "E"))
-    for trial in range(3):
-        psi = random_pure_state(space, substream(400, trial))
-        cols = haar_unitary(3, substream(410, trial))
-        for keep in (("B",), ("E",), ("B", "S"), ("S", "E")):
-            assert_ensemble_matches_loop(psi, None, keep)
-            assert_ensemble_matches_loop(psi, cols, keep)
-        for keep in (("C", "B"), ("C", "B", "S"), ("C", "E")):
-            assert_ensemble_matches_loop(psi, cols, keep, copy_a=True)
-    with pytest.raises(ValueError, match="copy_a"):
-        _conditional_ensemble(psi, None, ("C", "B"), copy_a=True)
-
-
-def test_conditional_ensembles_of_four_werner_copies_stay_under_the_cap():
-    # (A, B, E) = (16, 16, 256): the stacked kets hold exactly AMPLITUDE_CAP entries
-    psi = tensor_power_grouped(_canonical_pure(werner(0.95)), 4)
-    v = _conj_matrix(2, 4)
-    assert_ensemble_matches_loop(psi, None, ("B",))
-    assert_ensemble_matches_loop(psi, v, ("C", "B"), copy_a=True)
+    space = HilbertSpace((mats[0].shape[0],), ("K",))
+    return CqEnsemble(probs, tuple(DensityOperator(space, 0.5 * (m + m.conj().T))
+                                   for m in mats))
 
 
 def loop_guess_error(ens, decoders, keys, class_of, value_of):
@@ -476,8 +452,8 @@ def loop_string_errors(psi, code, key_decoders, conj_decoders):
     conj_rows = np.tensordot(tab.v.conj().T, amps, axes=(1, 0))
     errors = []
     for rows, kdim, keys, class_of, decoders in (
-            (amps, dd, tab.alpha_keys, tab.alpha_of, key_decoders),
-            (conj_rows, amps.shape[1], tab.beta_keys, tab.beta_of, conj_decoders)):
+            (amps, dd, list(tab.alpha_classes), tab.alpha_of, key_decoders),
+            (conj_rows, amps.shape[1], list(tab.beta_classes), tab.beta_of, conj_decoders)):
         succ = 0.0
         for x in range(dd):
             w = rows[x].reshape(kdim, -1)
@@ -496,15 +472,15 @@ def test_guess_error_matches_explicit_loops():
     for p in (0.97, 0.9):
         psi = _canonical_pure(tensor_power_grouped(purify(werner(p), "E"), 2))
         decs = build_css_decoders(psi, code)
-        ens_z = _conditional_ensemble(psi, None, ("B",))
-        ens_x = _conditional_ensemble(psi, tab.v, ("B",))
+        ens_z = loop_ensemble(psi, None, ("B",))
+        ens_x = loop_ensemble(psi, tab.v, ("B",))
         rows_z = psi.amplitudes.reshape(4, 4, -1)
         rows_x = np.tensordot(tab.v.conj().T, rows_z, axes=(1, 0))
-        for rows, ens, decoders, keys, class_of in (
-                (rows_z, ens_z, decs.key_decoders, tab.alpha_keys, tab.alpha_of),
-                (rows_x, ens_x, decs.conj_decoders, tab.beta_keys, tab.beta_of)):
-            assert _guess_error(rows, decoders, keys, class_of, strings) == pytest.approx(
-                loop_guess_error(ens, decoders, keys, class_of, strings), abs=1e-12)
+        for rows, ens, decoders, classes, class_of in (
+                (rows_z, ens_z, decs.key_decoders, tab.alpha_classes, tab.alpha_of),
+                (rows_x, ens_x, decs.conj_decoders, tab.beta_classes, tab.beta_of)):
+            assert _guess_error(rows, decoders, classes, strings) == pytest.approx(
+                loop_guess_error(ens, decoders, list(classes), class_of, strings), abs=1e-12)
         out = one_shot_distill(psi, code, decs.key_decoders, decs.conj_decoders)
         eps_z, eps_x = loop_string_errors(psi, code, decs.key_decoders, decs.conj_decoders)
         assert out.transcript["eps_z"] == pytest.approx(eps_z, abs=1e-12)
@@ -512,9 +488,9 @@ def test_guess_error_matches_explicit_loops():
     for stab, adaptive in (("XX", True), ("XX", False), ("XI", True)):
         res = two_copy_scenario(*shield_pair(0.6), stab, adaptive=adaptive)
         tab2 = _code_tables(res.code)
-        ens = _conditional_ensemble(res.state, tab2.v, ("B", "S"))
+        ens = loop_ensemble(res.state, tab2.v, ("B", "S"))
         assert res.error_prob == pytest.approx(
-            loop_guess_error(ens, res.conj_decoders, tab2.beta_keys, tab2.beta_of,
+            loop_guess_error(ens, res.conj_decoders, list(tab2.beta_classes), tab2.beta_of,
                              tab2.mu_of), abs=1e-12)
         # the shielded state exercises the (B, shield) conditionals of eps_x
         out = one_shot_distill(res.state, res.code, res.key_decoders, res.conj_decoders)
@@ -532,10 +508,10 @@ def loop_p_tilde_prime_e(psi, code, conj_decoders):
     tab = _code_tables(code)
     dd, e_dim = psi.space.dim_of("A"), psi.space.dim_of("E")
     amps = psi.amplitudes.reshape(dd, dd, -1, e_dim)
-    s_dim, r_dim = amps.shape[2], len(tab.alpha_keys)
+    s_dim, r_dim = amps.shape[2], len(tab.alpha_classes)
     t1 = _extract(amps, tab)
     succ_x = 0.0
-    for beta, key in enumerate(tab.beta_keys):
+    for beta, key in enumerate(tab.beta_classes):
         dec = conj_decoders[key]
         sl = t1[:, :, :, :, :, beta].reshape(dd, dd * s_dim, e_dim, r_dim)
         for root, lab in zip(dec.sqrt_elements(), dec.outcome_labels):
@@ -568,32 +544,65 @@ def test_p_tilde_prime_e_matches_per_beta_loop():
         assert out.transcript["p_tilde_prime_e"] == pytest.approx(want, abs=1e-12)
 
 
-def count_conditional_ensembles(monkeypatch):
-    """Record the kept labels of every ``_conditional_ensemble`` call."""
-    calls = []
-    build = distillation._conditional_ensemble
+def count_density_builds(monkeypatch):
+    """Record one entry for every ``DensityOperator`` constructed."""
+    built = []
+    check = DensityOperator.__post_init__
+    monkeypatch.setattr(DensityOperator, "__post_init__",
+                        lambda self: built.append(1) or check(self))
+    return built
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return build(*args, **kwargs)
 
-    monkeypatch.setattr(distillation, "_conditional_ensemble", counted)
-    return calls
+def test_css_decoders_factorise_per_class_and_build_no_density(factorised, monkeypatch):
+    # Werner d=8 on a code with one stabilizer of each kind: 2 alpha and 2 beta
+    # classes of 4 strings each
+    code = sample_universal_css(2, 3, 1, 1, substream(90))
+    st = werner(0.9, 8)
+    for log in factorised.values():
+        log.clear()
+    built = count_density_builds(monkeypatch)
+    decs = build_css_decoders(st, code)
+    assert not built
+    n_classes = len(decs.key_decoders) + len(decs.conj_decoders)
+    assert n_classes == 4
+    # one QR and one small SVD per class, one eigvalsh per POVM check, and
+    # the single eigh that purifies the input; nothing per string
+    assert len(factorised["qr"]) == len(factorised["svd"]) == n_classes
+    assert len(factorised["eigvalsh"]) == n_classes
+    assert len(factorised["eigh"]) == 1
 
 
 def test_one_shot_scores_decoders_without_conditional_ensembles(monkeypatch):
+    # scoring the decoders reads the amplitudes, not conditional densities
     code = sample_universal_css(2, 3, 1, 1, substream(90))
     st = werner(0.9, 8)
     decs = build_css_decoders(st, code)
-    calls = count_conditional_ensembles(monkeypatch)
+    built = count_density_builds(monkeypatch)
     one_shot_distill(st, code, decs.key_decoders, decs.conj_decoders)
-    assert calls == []
+    assert not built
 
 
 def test_two_copy_scenario_builds_only_the_key_conditionals(monkeypatch):
-    calls = count_conditional_ensembles(monkeypatch)
+    # the key and conjugate decoders come straight from the amplitudes
+    built = count_density_builds(monkeypatch)
     two_copy_scenario(*shield_pair(0.6), "XX", adaptive=True)
-    assert calls == [("B",)]
+    assert not built
+
+
+def test_four_copy_conjugate_decoders_complete_to_machine_precision():
+    # the n=4 hashing decoders: the copied conjugate class average has support
+    # eigenvalues down to 2.4e-8, where an inverse square root of the average
+    # completes only to about 5e-10
+    code = CssCode.from_stabilizers(2, [[1, 1, 1, 1]], [], n=4)
+    psi = tensor_power_grouped(_canonical_pure(werner(0.95)), 4)
+    decs = build_css_decoders(psi, code, x_on_copy=True)
+    for dec in (*decs.key_decoders.values(), *decs.conj_decoders.values()):
+        total = np.sum(dec.elements, axis=0)
+        assert np.max(np.abs(total - np.eye(dec.dim))) <= 1e-12
+    assert decs.conj_decoders[()].dim == 256
+    # the errors of the inverse-square-root construction
+    assert decs.z_result.average_error == pytest.approx(0.07670472888270297, abs=1e-9)
+    assert decs.x_result.average_error == pytest.approx(0.14062772726589967, abs=1e-9)
 
 
 def test_one_shot_rejects_missing_or_misshapen_decoders():

@@ -7,10 +7,10 @@ import pytest
 
 from privlab import (ConjugateBasis, CqEnsemble, DensityOperator, HilbertSpace,
                      Povm, coherent_information, conditional_entropy,
-                     haar_unitary, holevo_information, maximally_entangled,
-                     mutual_information, partial_trace, random_density_operator,
-                     random_pure_state, shannon_entropy, substream,
-                     uncertainty_audit, von_neumann_entropy)
+                     haar_unitary, helstrom_pair, holevo_information,
+                     maximally_entangled, mutual_information, partial_trace,
+                     random_density_operator, random_pure_state, shannon_entropy,
+                     substream, uncertainty_audit, von_neumann_entropy)
 
 
 def test_shannon_entropy_frozen_values():
@@ -221,3 +221,27 @@ def test_audit_custom_conjugate_basis():
     rho = random_density_operator(h, substream(77))
     rec = uncertainty_audit("maassen_uffink", rho, cb)
     assert rec.slack >= -1e-9
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = {
+    "shannon_nan": (lambda: shannon_entropy([NAN, 1.0]), "finite"),
+    "shannon_inf": (lambda: shannon_entropy([INF, 0.0]), "finite"),
+    "conditional_nan": (lambda: conditional_entropy([[NAN, 0.5], [0.25, 0.25]]), "finite"),
+    "conditional_inf": (lambda: conditional_entropy([[-INF, 0.5], [0.25, INF]]), "finite"),
+    "mutual_nan": (lambda: mutual_information([[NAN, 0.5], [0.25, 0.25]]), "finite"),
+    "mutual_inf": (lambda: mutual_information([[INF, 0.5], [0.25, 0.25]]), "finite"),
+    "helstrom_p0_nan": (lambda: helstrom_pair(np.eye(2) / 2, np.eye(2) / 2, p0=NAN),
+                        "invalid priors"),
+    "helstrom_p1_nan": (lambda: helstrom_pair(np.eye(2) / 2, np.eye(2) / 2, p0=0.5,
+                                              p1=NAN), "invalid priors"),
+    "helstrom_p0_inf": (lambda: helstrom_pair(np.eye(2) / 2, np.eye(2) / 2, p0=INF),
+                        "invalid priors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_probabilities_are_rejected_up_front(case):
+    call, match = NON_FINITE[case]
+    with pytest.raises(ValueError, match=match):
+        call()
