@@ -29,7 +29,7 @@ from .distillation import (build_css_decoders, coherent_hashing_sim,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
 from .info_measures import uncertainty_audit
-from .privacy import (_certified_report, certify_private,
+from .privacy import (_certified_report, certify_private, epsilon_secret_direct,
                       twisting_conjugate_measurement, uhlmann_conjugate_measurement)
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
                         _private_vector, maximally_entangled)
@@ -261,7 +261,11 @@ def cmd_verify(cfg: Mapping, seed: int):
         extra_out = {}
     elif meas == "uhlmann":
         rec = uhlmann_conjugate_measurement(state)
-        report = _certified_report(state, rec.p_e, rec.p_tilde_e, margin,
+        # the partner purified the state already; its environment is the
+        # report's unless the state has an E register of its own
+        eps_direct = (rec.eps_direct if "E" not in state.space.labels
+                      else epsilon_secret_direct(state))
+        report = _certified_report(rec.p_e, rec.p_tilde_e, eps_direct, margin,
                                    "uhlmann_partner")
         extra_out = {"fidelity": rec.fidelity, "bound": rec.bound,
                      "pad_dim": rec.pad_dim}

@@ -29,7 +29,7 @@ class HswConfig:
     use_typicality: bool = False
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be nonnegative")
 
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .qudit_ops import ConjugateBasis, Povm, TwistingOperator, measure
-from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, _budget, permute_vector, purify,
-                          sqrt_psd, trace_norm)
+from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
+                          InvariantViolation, StateVector, _budget,
+                          permute_vector, purify)
 
 SOUNDNESS_ATOL = 1e-6
 
@@ -42,7 +42,10 @@ class PrivacyReport:
             v = getattr(self, name)
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise InvariantViolation(f"{name} = {v!r} is not a probability")
-        if self.eps_direct > self.eps_certified + SOUNDNESS_ATOL:
+        if not 0.0 <= self.eps_certified < math.inf:
+            raise InvariantViolation(
+                f"eps_certified = {self.eps_certified!r} is not a finite bound >= 0")
+        if not self.eps_direct <= self.eps_certified + SOUNDNESS_ATOL:
             raise InvariantViolation(
                 f"direct distance {self.eps_direct:.3e} exceeds certified bound "
                 f"{self.eps_certified:.3e}")
@@ -123,6 +126,91 @@ def _env_block(x: np.ndarray) -> np.ndarray:
     return x.T @ x.conj()
 
 
+class _KeyFrame(NamedTuple):
+    """The key-measured state in the eigenframe of rho_E.
+
+    ``rows[j]`` holds the s amplitude rows of block (j, j) in the eigenbasis
+    of the support of rho_E, so B_jj = rows[j]^T conj(rows[j]); ``lam``
+    holds the r eigenvalues of rho_E on that support, and ``off_mass`` the
+    summed traces of the off-diagonal blocks (extra values of B included).
+    """
+
+    rows: np.ndarray
+    lam: np.ndarray
+    off_mass: float
+
+
+def _key_frame(state, eve_labels: Sequence[str]) -> _KeyFrame:
+    """The eigenframe of rho_E, read off the purification when there is one.
+
+    A mixed state is purified, and the purifier's basis already
+    diagonalises rho_E: its spectrum is the squared norms of the
+    environment columns.  A StateVector with a non-trivial environment
+    pays one eigh of rho_E, cut to its support.
+    """
+    space = _space_of(state)
+    d = space.dim_of("A")
+    if space.dim_of("B") < d:
+        raise ValueError("register B cannot be smaller than the key register A")
+    w = _ccq_amplitudes(state, eve_labels)
+    e = w.shape[3]
+    _budget((d, w.shape[2], e), "diagonal key rows")
+    diag = w[np.arange(d), np.arange(d)]
+    off_mass = float(np.vdot(w, w).real - np.vdot(diag, diag).real)
+    flat = w.reshape(-1, e)
+    if not isinstance(state, StateVector) or e == 1:
+        return _KeyFrame(diag, np.sum(flat.real ** 2 + flat.imag ** 2, axis=0), off_mass)
+    lam, vecs = np.linalg.eigh(_env_block(flat))
+    # eigenvalues below eigh's own rounding level carry no support
+    keep = lam > e * np.finfo(float).eps * lam[-1]
+    return _KeyFrame(diag @ vecs[:, keep].conj(), lam[keep], off_mass)
+
+
+def _direct_distance(frame: _KeyFrame) -> float:
+    """(off-diagonal mass + sum_j || B_jj - rho_E / d ||_1) / 2 in the eigenframe.
+
+    In the eigenframe rho_E / d = diag(q).  Let P_k project onto the
+    cluster of equal q = c_k.  The span of the ranges P_k V_j (B_jj =
+    V_j V_j^dag) is invariant under M_j = B_jj - diag(q), and M_j = -c_k on
+    the rest of cluster k.  In an orthonormal basis of that span, cluster
+    by cluster the R factor of the rows of V_j (or the rows themselves when
+    the cluster has at most s members), M_j is Y_j Y_j^dag - C_j of size
+    m <= min(r, g s), so one batched eigvalsh of the (d, m, m) stack gives
+    every ||M_j||_1 exactly.  A stack above ``AMPLITUDE_CAP`` is split over
+    j; no single block may pass it.
+    """
+    rows, lam, off_mass = frame
+    d, s, r = rows.shape
+    # Greedy clusters of sorted eigenvalues, each spanning at most tau:
+    # replacing lam_i by its cluster mean moves sum_j ||M_j||_1 by at most
+    # sum_i |lam_i - mean| <= r tau = 1e-13, i.e. by rounding only.
+    order = np.argsort(lam)
+    sorted_lam = lam[order]
+    tau = 1e-13 / r
+    cuts = [0]
+    while cuts[-1] < r:
+        cuts.append(int(np.searchsorted(sorted_lam, sorted_lam[cuts[-1]] + tau, side="right")))
+    sizes = np.diff(cuts)
+    levels = np.add.reduceat(sorted_lam, cuts[:-1]) / sizes / d
+    # clusters of at most s members keep their rows, larger ones an R factor
+    small = np.repeat(sizes <= s, sizes)
+    parts = [rows[:, :, order[small]]]
+    row_levels = [np.repeat(levels, sizes)[small]]
+    for k in np.flatnonzero(sizes > s):
+        members = rows[:, :, order[cuts[k]:cuts[k + 1]]]
+        parts.append(np.linalg.qr(members.mT, mode="r").mT)
+        row_levels.append(np.full(s, levels[k]))
+    yt = np.concatenate(parts, axis=2)
+    c = np.concatenate(row_levels)
+    # one batched eigvalsh, split over j only where the stack would pass the cap
+    step = max(1, AMPLITUDE_CAP // _budget((c.size, c.size), "compressed key block"))
+    compressed = sum(float(np.sum(np.abs(np.linalg.eigvalsh(
+        yt[lo:lo + step].mT @ yt[lo:lo + step].conj() - np.diag(c)))))
+        for lo in range(0, d, step))
+    rest = float(np.sum((sizes - np.minimum(sizes, s)) * levels))
+    return float(min(max(0.5 * (off_mass + compressed + d * rest), 0.0), 1.0))
+
+
 def ccq_blocks(state, *, eve_labels: Sequence[str] = ("E",)
                ) -> dict[tuple[int, int], np.ndarray]:
     """Environment blocks B_jk of the key-measured state.
@@ -146,24 +234,13 @@ def epsilon_secret_direct(state, *, eve_labels: Sequence[str] = ("E",)) -> float
     the state's own environment marginal, so the distance is
     (sum of off-diagonal block traces + sum_j || B_jj - rho_E / d ||_1) / 2.
     B may be larger than A (guess registers keep a failure slot); its extra
-    values are pure error and enter through the off-diagonal sum.  Only the
-    diagonal blocks are built; an off-diagonal trace is the squared norm
-    of its amplitudes.  A StateVector is read as given, never purified.
+    values are pure error and enter through the off-diagonal sum, the
+    squared norm of their amplitudes.  Each diagonal term is computed in
+    the eigenframe of rho_E on a block of at most g s dimensions (g
+    distinct eigenvalues, s lab rows).  A StateVector is read as given,
+    never purified.
     """
-    space = _space_of(state)
-    d = space.dim_of("A")
-    if space.dim_of("B") < d:
-        raise ValueError("register B cannot be smaller than the key register A")
-    w = _ccq_amplitudes(state, eve_labels)
-    rho_e = _env_block(w.reshape(-1, w.shape[3]))
-    total = 0.0
-    for j in range(d):
-        for k in range(w.shape[1]):
-            if j == k:
-                total += trace_norm(_env_block(w[j, j]) - rho_e / d)
-            else:
-                total += float(np.vdot(w[j, k], w[j, k]).real)
-    return float(min(max(0.5 * total, 0.0), 1.0))
+    return _direct_distance(_key_frame(state, eve_labels))
 
 
 def ccq_fidelity_to_key(state, *, eve_labels: Sequence[str] = ("E",)) -> float:
@@ -171,15 +248,13 @@ def ccq_fidelity_to_key(state, *, eve_labels: Sequence[str] = ("E",)) -> float:
 
     Both states are block diagonal over (j, k), and the ideal key only
     occupies the diagonal blocks, so F = sum_j F(B_jj, rho_E / d) with the
-    blocks kept unnormalised.
+    blocks kept unnormalised.  With B_jj = V_j V_j^dag each term is
+    || (rho_E / d)^(1/2) V_j ||_1, the singular values of one batched SVD
+    of the (d, s, r) rows in the eigenframe of rho_E.
     """
-    w = _ccq_amplitudes(state, eve_labels)
-    d = w.shape[0]
-    root_key = sqrt_psd(_env_block(w.reshape(-1, w.shape[3])) / d)
-    f = 0.0
-    for j in range(d):
-        cross = sqrt_psd(_env_block(w[j, j])) @ root_key
-        f += float(np.sum(np.linalg.svd(cross, compute_uv=False)))
+    rows, lam, _ = _key_frame(state, eve_labels)
+    x = rows * np.sqrt(lam / rows.shape[0])
+    f = float(np.sum(np.linalg.svd(x, compute_uv=False)))
     return float(min(max(f, 0.0), 1.0))
 
 
@@ -223,7 +298,9 @@ class UhlmannRecord:
 
     ``eps`` is 1 - F(measured state, ideal key ccq); the partner
     construction guarantees p_tilde_e <= 2 eps - eps^2 and the key test
-    itself obeys p_e <= trace distance.
+    itself obeys p_e <= trace distance.  ``eps_direct`` is that trace
+    distance (``epsilon_secret_direct``) read off the same purification,
+    with every register but A and B on the lab side.
     """
 
     povm: Povm
@@ -235,6 +312,7 @@ class UhlmannRecord:
     fidelity: float
     off_diagonal_mass: float
     pad_dim: int
+    eps_direct: float
 
 
 def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = None) -> UhlmannRecord:
@@ -269,12 +347,12 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     _budget((d, d * s, d * s), "Uhlmann partner decoder")
 
     # A label longer than every register label cannot clash with one.
-    psi4 = _ccq_amplitudes(state, ("E" * (1 + max(map(len, space.labels))),))
-    r = psi4.shape[3]
-    evals, evecs = np.linalg.eigh(_env_block(psi4.reshape(-1, r)))
-    evals = np.clip(evals, 0.0, None)
-    # the d overlap blocks X_k = conj(psi[k, k]) K as one (d, s, r) stack
-    x = psi4[np.arange(d), np.arange(d)].conj() @ (evecs * np.sqrt(evals / d))
+    frame = _key_frame(state, ("E" * (1 + max(map(len, space.labels))),))
+    lam = frame.lam
+    r = lam.size
+    # the d overlap blocks X_k = conj(psi[k, k]) K as one (d, s, r) stack,
+    # with K = diag(sqrt(lam / d)) in the eigenframe of rho_E
+    x = frame.rows.conj() * np.sqrt(lam / d)
     u, sing, vh = np.linalg.svd(x, full_matrices=False)
     fid = float(min(max(np.sum(sing), 0.0), 1.0))
     support = sing > 1e-8 * float(np.max(sing))
@@ -312,8 +390,9 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
             f"{bound:.6e} at eps = {eps:.6e}")
     return UhlmannRecord(povm=povm, povm_labels=povm_labels, p_e=p_e,
                          p_tilde_e=p_tilde_e, eps=eps, bound=bound, fidelity=fid,
-                         off_diagonal_mass=max(0.0, 1.0 - float(np.sum(evals))),
-                         pad_dim=max(1, math.ceil(r / (d * s))))
+                         off_diagonal_mass=max(0.0, 1.0 - float(np.sum(lam))),
+                         pad_dim=max(1, math.ceil(r / (d * s))),
+                         eps_direct=_direct_distance(frame))
 
 
 def certify_private(state, conj_basis: ConjugateBasis | None = None,
@@ -337,15 +416,15 @@ def certify_private(state, conj_basis: ConjugateBasis | None = None,
         povm_labels = ("B",)
         if measurement_name is None:
             measurement_name = "conjugate_projective"
-    rates = key_error_rates(state, conj_basis, conj_povm, povm_labels=povm_labels)
-    return _certified_report(state, *rates, soundness_margin, measurement_name or "custom")
+    p_e, p_tilde_e = key_error_rates(state, conj_basis, conj_povm, povm_labels=povm_labels)
+    return _certified_report(p_e, p_tilde_e, epsilon_secret_direct(state), soundness_margin,
+                             measurement_name or "custom")
 
 
-def _certified_report(state, p_e: float, p_tilde_e: float, soundness_margin: float,
-                      measurement_name: str) -> PrivacyReport:
+def _certified_report(p_e: float, p_tilde_e: float, eps_direct: float,
+                      soundness_margin: float, measurement_name: str) -> PrivacyReport:
     """Report scored key tests; p_e + sqrt(p_tilde_e) must dominate eps_direct."""
     eps_cert = p_e + math.sqrt(p_tilde_e)
-    eps_direct = epsilon_secret_direct(state)
     if not eps_direct <= eps_cert + soundness_margin:
         raise InvariantViolation(
             f"direct distance {eps_direct:.6e} exceeds certified bound "

@@ -99,6 +99,13 @@ def test_verify_uhlmann_scores_the_key_tests_once(monkeypatch, spec):
                    "bound": rec.bound, "pad_dim": rec.pad_dim}
 
 
+def test_verify_uhlmann_purifies_once(factorised):
+    # the partner and the report read one purification of the 36 x 36 state
+    results_of(["verify", "--state", "werner", "--d", "6", "--p", "0.9",
+                "--measurement", "uhlmann", "--seed", "3"])
+    assert factorised["eigh"].count((36, 36)) == 1
+
+
 def test_verify_uhlmann_reports_bound():
     res = results_of(["verify", "--state", "werner", "--d", "2", "--p", "0.9",
                       "--measurement", "uhlmann", "--seed", "3"])

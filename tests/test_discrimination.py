@@ -245,3 +245,9 @@ def test_hsw_class_decoder_matches_the_oracle_per_class():
         assert res.per_class_error[value] == pytest.approx(err, abs=1e-12)
         want_avg += mass * err
     assert res.average_error == pytest.approx(want_avg, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), -0.1])
+def test_hsw_config_rejects_bad_delta(delta):
+    with pytest.raises(ValueError):
+        HswConfig(delta=delta)

@@ -13,10 +13,10 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace,
                      epsilon_secret_direct, fidelity, haar_unitary,
                      haar_vector, key_error_rates, maximally_entangled,
                      purify, random_density_operator, random_pure_state,
-                     star_projective_povm, substream,
+                     sqrt_psd, star_projective_povm, substream,
                      trace_norm, twisting_conjugate_measurement,
                      twisting_unitary, uhlmann_conjugate_measurement)
-from privlab import cli
+from privlab import cli, privacy
 from privlab.cli import build_state
 from privlab.privacy import _conjugate_key_elements
 from conftest import assert_povm, largest_side
@@ -160,6 +160,14 @@ def test_ccq_direct_figures_match_explicit_oracle(case):
             fidelity(measured, ideal), abs=1e-8)
 
 
+def _root_without_dust(b):
+    # B_jj is rank-deficient here; a square root would turn its rounding
+    # eigenvalues (about 1e-17) into components of about 3e-9
+    vals, vecs = np.linalg.eigh(b)
+    vals = np.where(vals > 1e-14, vals, 0.0)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
 def test_ccq_fidelity_matches_block_formula():
     # F = sum_j F(B_jj, rho_E / d) on the block dict, wider B included
     for case, (dims, labels) in enumerate([((2, 3, 2, 3), ("A", "B", "S", "E")),
@@ -168,7 +176,9 @@ def test_ccq_fidelity_matches_block_formula():
         blocks = ccq_blocks(psi)
         d = psi.space.dim_of("A")
         rho_e = np.sum(list(blocks.values()), axis=0)
-        want = sum(fidelity(blocks[(j, j)], rho_e / d) for j in range(d))
+        root_key = sqrt_psd(rho_e / d)
+        want = sum(np.sum(np.linalg.svd(_root_without_dust(blocks[(j, j)]) @ root_key,
+                                        compute_uv=False)) for j in range(d))
         assert ccq_fidelity_to_key(psi) == pytest.approx(want, abs=1e-12)
 
 
@@ -182,6 +192,102 @@ def test_epsilon_secret_direct_guess_register_larger_than_key():
     with pytest.raises(ValueError):
         epsilon_secret_direct(StateVector(HilbertSpace((3, 2), ("A", "B")),
                                           np.eye(3, 2).reshape(-1) / math.sqrt(2)))
+
+
+def direct_distance_oracle(state, eve_labels=("E",)):
+    """The d-fold formula: off-diagonal traces + sum_j ||B_jj - rho_E / d||_1."""
+    blocks = ccq_blocks(state, eve_labels=eve_labels)
+    d = state.space.dim_of("A")
+    rho_e = np.sum(list(blocks.values()), axis=0)
+    total = sum(trace_norm(b - rho_e / d) if j == k else float(np.trace(b).real)
+                for (j, k), b in blocks.items())
+    return float(min(max(0.5 * total, 0.0), 1.0))
+
+
+def _state_with_spectrum(dims, labels, spectrum, seed):
+    """A density on (dims, labels) with the given eigenvalues, random eigenvectors."""
+    space = HilbertSpace(dims, labels)
+    vecs = haar_unitary(space.dim, substream(seed))
+    lam = np.zeros(space.dim)
+    lam[:len(spectrum)] = np.asarray(spectrum) / np.sum(spectrum)
+    return DensityOperator(space, (vecs * lam) @ vecs.conj().T)
+
+
+def _vector_with_env_spectrum(dims, labels, spectrum, seed):
+    """A pure state whose environment E has the given spectrum (rank <= lab dim)."""
+    space = HilbertSpace(dims, labels)
+    lab, e = space.dim // space.dim_of("E"), space.dim_of("E")
+    lam = np.asarray(spectrum) / np.sum(spectrum)
+    lab_vecs = haar_unitary(lab, substream(seed))[:, :lam.size]
+    env_vecs = haar_unitary(e, substream(seed, 1))[:, :lam.size]
+    amps = (lab_vecs * np.sqrt(lam)) @ env_vecs.T  # (lab, E), E last
+    return StateVector(space, amps.reshape(-1))
+
+
+def _ccq_shape_state(case):
+    dims, labels, eves, mixed = CCQ_SHAPES[case]
+    space = HilbertSpace(dims, labels)
+    if mixed:
+        return random_density_operator(space, substream(90 + case), rank=3), eves
+    return random_pure_state(space, substream(90 + case)), eves
+
+
+_SPLIT = 1e-10  # wider than the clustering window 1e-13 / r: the clusters stay apart
+DIRECT_CASES = {
+    **{f"werner_d{d}": lambda d=d: (build_state({"kind": "werner", "d": d, "p": 0.9}, 5)[0],
+                                    ("E",)) for d in range(2, 13)},
+    "werner_d4_pure": lambda: (build_state({"kind": "werner", "d": 4, "p": 1.0}, 5)[0], ("E",)),
+    **{f"twisted_d{d}_s{s}": lambda d=d, s=s: (
+        build_state({"kind": "twisted", "d": d, "shield_dim": s}, 5)[0], ("E",))
+       for d, s in ((2, 2), (3, 4), (4, 8))},
+    "twisted_density_d3_s3": lambda: (random_private_state(3, 3, 41)[0], ("E",)),
+    "noisy_twisted_d3": lambda: (_noisy_private_state(3, 81, 0.12), ("E",)),
+    "shielded_bit": lambda: (build_state({"kind": "shielded_bit", "s": 0.6}, 5)[0], ("E",)),
+    "mixed_s3_rank4": lambda: (random_density_operator(
+        HilbertSpace((2, 2, 3), ("A", "B", "S")), substream(120), rank=4), ("E",)),
+    "mixed_s2_full": lambda: (random_density_operator(
+        HilbertSpace((3, 3, 2), ("A", "B", "S")), substream(121)), ("E",)),
+    # rho_E of rank 4, one eigenvalue tiny, inside an 8-dimensional environment
+    "vector_rank_deficient_env": lambda: (_vector_with_env_spectrum(
+        (2, 2, 8), ("A", "B", "E"), [0.5, 0.3, 0.2, 1e-9], 122), ("E",)),
+    # degenerate clusters larger than s, next to clusters split by _SPLIT
+    "mixed_split_clusters": lambda: (_state_with_spectrum(
+        (2, 2, 2), ("A", "B", "S"),
+        [0.2] * 3 + [0.2 + _SPLIT, 0.1, 0.1 - _SPLIT, 0.1, 0.05], 123), ("E",)),
+    "vector_split_clusters": lambda: (_vector_with_env_spectrum(
+        (2, 3, 2, 12), ("A", "B", "S", "E"),
+        [0.1] * 4 + [0.1 + _SPLIT, 0.1 - _SPLIT] + [0.03] * 5 + [0.03 + _SPLIT], 124),
+        ("E",)),
+    **{f"ccq_shape_{case}": lambda case=case: _ccq_shape_state(case)
+       for case in range(len(CCQ_SHAPES))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_CASES))
+def test_direct_distance_matches_trace_norm_oracle(case):
+    state, eves = DIRECT_CASES[case]()
+    want = direct_distance_oracle(state, eves)
+    assert abs(epsilon_secret_direct(state, eve_labels=eves) - want) <= 1e-12
+
+
+def test_direct_distance_splits_a_stack_over_the_cap(monkeypatch, factorised):
+    # Werner d=5 compresses to 2 x 2 blocks; a cap of 8 allows two per eigvalsh
+    state = build_state({"kind": "werner", "d": 5, "p": 0.9}, 5)[0]
+    want = epsilon_secret_direct(state)
+    monkeypatch.setattr(privacy, "AMPLITUDE_CAP", 8)
+    factorised["eigvalsh"].clear()
+    assert abs(epsilon_secret_direct(state) - want) <= 1e-15
+    assert factorised["eigvalsh"] == [(2, 2)] * 3
+
+
+def test_werner_direct_distance_factorises_only_its_purification(factorised):
+    state = build_state({"kind": "werner", "d": 12, "p": 0.9}, 5)[0]
+    for shapes in factorised.values():
+        shapes.clear()
+    eps = epsilon_secret_direct(state)
+    assert factorised["eigh"] == [(144, 144)]  # the purification
+    assert largest_side(*(v for k, v in factorised.items() if k != "eigh")) < 144
+    assert abs(eps - direct_distance_oracle(state)) <= 1e-12
 
 
 def test_private_states_are_exactly_private():
@@ -285,6 +391,13 @@ def test_privacy_report_validation():
     rep = PrivacyReport(p_e=0.1, p_tilde_e=0.04, eps_certified=0.3,
                         eps_direct=0.25, measurement_used="test")
     assert rep.measurement_used == "test"
+
+
+@pytest.mark.parametrize("bound", [float("nan"), -0.1, float("inf")])
+def test_privacy_report_rejects_bad_certified_bound(bound):
+    with pytest.raises(InvariantViolation):
+        PrivacyReport(p_e=0.1, p_tilde_e=0.01, eps_certified=bound,
+                      eps_direct=0.3, measurement_used="test")
 
 
 def double_loop_conjugate_elements(conj_basis, omega):
