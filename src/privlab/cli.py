@@ -149,8 +149,10 @@ def build_state(spec: Mapping, seed: int):
         p = _as_real(spec.get("p", 1.0), "p")
         if not 0.0 <= p <= 1.0:
             raise ValueError("werner weight must lie in [0, 1]")
-        phi = maximally_entangled(d).density()
-        mat = p * phi.matrix + (1.0 - p) * np.eye(d * d) / (d * d)
+        # only the Werner matrix is validated: one D x D eigvalsh per build
+        phi = maximally_entangled(d)
+        mat = (p * np.outer(phi.amplitudes, phi.amplitudes.conj())
+               + (1.0 - p) * np.eye(d * d) / (d * d))
         return DensityOperator(phi.space, mat), extras
     sh = _as_int(spec.get("shield_dim", 2), "shield_dim")
     if kind == "twisted":

@@ -160,7 +160,9 @@ def _class_pgms(rows: np.ndarray, classes: Mapping) -> HswDecoderResult:
     for value, members in classes.items():
         members = np.asarray(members, dtype=np.int64)
         weight = float(weights[members].sum())
-        dec = decoders[value] = _pgm_of_rows(rows[members], members.tolist())
+        # a class of every row, in order, reads the rows without a copy
+        sub = rows if np.array_equal(members, np.arange(len(rows))) else rows[members]
+        dec = decoders[value] = _pgm_of_rows(sub, members.tolist())
         hits = sum(np.vdot(rows[x], el @ rows[x]).real for x, el in zip(members, dec.elements))
         per_class[value] = float(min(max(1.0 - hits / weight, 0.0), 1.0)) if weight else 0.0
         total_error += weight * per_class[value]

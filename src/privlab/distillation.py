@@ -6,11 +6,13 @@ Register conventions: A and B are the d^n-dimensional key registers, any
 extra labels except E are Bob's shield, E is the purifying environment.
 Syndromes live in public registers R (standard basis, values M_z k) and T
 (conjugate basis, values M_x x); decoded guesses go to fresh registers with
-one extra "fail" slot.
+one extra "fail" slot.  R is one-hot: after extraction it holds
+``alpha_of[a]`` for the value a of A, so the circuit never stores it and
+reads it from ``alpha_of`` where it is needed.
 
 The one-shot protocol and the hashing chain run the same CSS circuit, built
 once here from four helpers: ``_code_tables`` (class values and encode maps
-of a code), ``_extract`` (coherent extraction of both syndromes),
+of a code), ``_extract`` (coherent extraction of the syndromes),
 ``_key_decode`` (Bob's per-alpha guess of the key string) and ``_encode``
 (strings and guesses onto logical, syndrome and destabiliser coordinates).
 Every decoder error (eps_z, eps_x, p~'_e and the two-copy error) is scored
@@ -29,10 +31,10 @@ import numpy as np
 from .css_codes import CssCode, GfMatrix, all_strings
 from .discrimination import HswDecoderResult, _class_pgms, helstrom_pair
 from .info_measures import _entropy_of_rows, shannon_entropy
-from .privacy import PrivacyReport, epsilon_secret_direct
+from .privacy import PrivacyReport, _block_frame, _direct_distance
 from .qudit_ops import ConjugateBasis, Povm
-from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, _budget, purify)
+from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
+                          InvariantViolation, StateVector, _budget, purify)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 
@@ -132,21 +134,16 @@ def _code_tables(code: CssCode) -> _CodeTables:
 
 
 def _extract(amps: np.ndarray, tab: _CodeTables) -> np.ndarray:
-    """Coherently copy both syndromes of A (axis 0) onto trailing R, T axes.
+    """Coherently read the conjugate syndrome of A (axis 0) into a trailing T axis.
 
-    The result has shape ``amps.shape + (r_dim, t_dim)``: beta is read in
-    the conjugate basis, then alpha in the standard basis.
+    The result has shape ``amps.shape + (t_dim,)``: slice beta is the
+    projection of A onto conjugate class beta.  The standard syndrome needs
+    no axis: it commutes with that projection, and its register R holds
+    ``alpha_of[a]`` for every value a of A.
     """
-    v = tab.v
-    mask_shape = (-1,) + (1,) * (amps.ndim - 1)
-    rows = np.arange(amps.shape[0])
-    g0 = np.tensordot(v.conj().T, amps, axes=(1, 0))
-    out = np.zeros(amps.shape + (len(tab.alpha_classes), len(tab.beta_classes)),
-                   dtype=np.complex128)
-    for beta in range(len(tab.beta_classes)):
-        gb = np.where((tab.beta_of == beta).reshape(mask_shape), g0, 0.0)
-        out[rows, ..., tab.alpha_of, beta] = np.tensordot(v, gb, axes=(1, 0))
-    return out
+    g0 = np.tensordot(tab.v.conj().T, amps, axes=(1, 0))
+    return np.stack([np.tensordot(tab.v[:, members], g0[members], axes=(1, 0))
+                     for members in tab.beta_classes.values()], axis=-1)
 
 
 def _guess_slots(dec: Povm, fail: int) -> np.ndarray:
@@ -158,19 +155,18 @@ def _guess_slots(dec: Povm, fail: int) -> np.ndarray:
 def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables) -> np.ndarray:
     """Decode Bob's guess of the key string from B (axis 1) into a new last axis.
 
-    ``t1`` carries R and T as its last two axes; the guess register has
-    one slot per string plus the fail slot.
+    The rows of A in alpha class ``key`` are decoded by ``key_decoders[key]``
+    alone; the guess register has one slot per string plus the fail slot.
     """
     dd = t1.shape[0]
     t2 = np.zeros(t1.shape + (dd + 1,), dtype=np.complex128)
-    for alpha, key in enumerate(tab.alpha_classes):
+    for key, rows in tab.alpha_classes.items():
         dec: Povm = key_decoders[key]
         if dec.dim != dd:
             raise ValueError("key decoders must act on B alone")
         # roots as (outcome, B', B); the outcome axis lands on the guess slots
-        roots = np.stack(dec.sqrt_elements())
-        applied = np.tensordot(roots, t1[..., alpha, :], axes=(2, 1))
-        t2[..., alpha, :, _guess_slots(dec, dd)] = np.moveaxis(applied, 1, 2)
+        applied = np.tensordot(np.stack(dec.sqrt_elements()), t1[rows], axes=(2, 1))
+        t2[rows[:, None], ..., _guess_slots(dec, dd)] = np.moveaxis(applied, 2, 0)
     return t2
 
 
@@ -189,8 +185,9 @@ def _encode(arr: np.ndarray, tab: _CodeTables) -> np.ndarray:
     return enc
 
 
-def _logical_fidelity(arr: np.ndarray, tab: _CodeTables, k_dim: int) -> float:
-    """Fidelity of the encoded logical (A, last axis) pair with the Bell state.
+def _logical_weight(arr: np.ndarray, tab: _CodeTables, k_dim: int) -> float:
+    """k_dim F^2 for the fidelity F of the encoded logical (A, last axis) pair
+    with the Bell state, as a sum over every other axis.
 
     Reads the amplitudes of ``_encode(arr, tab)`` with equal logical values
     on A and on the guess register through the inverse of ``zperm``, so the
@@ -198,17 +195,21 @@ def _logical_fidelity(arr: np.ndarray, tab: _CodeTables, k_dim: int) -> float:
     """
     of = np.argsort(tab.zperm).reshape(k_dim, -1)
     acc = sum(arr[rows[:, None], ..., rows] for rows in of)
-    val = float(np.vdot(acc, acc).real) / k_dim
-    return math.sqrt(min(max(val, 0.0), 1.0))
+    return float(np.vdot(acc, acc).real)
 
 
-def _chain_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Unnormalised Tr|a - b| of two unit chain states, from one overlap."""
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(<a|a>, <b|b>, <a|b>): the sums a chain distance reads, over any chunk."""
+    return np.array([np.vdot(a, a), np.vdot(b, b), np.vdot(a, b)])
+
+
+def _chain_distance(gram: np.ndarray) -> float:
+    """Unnormalised Tr|a - b| of two unit chain states from their ``_gram`` sums."""
+    na, nb = math.sqrt(gram[0].real), math.sqrt(gram[1].real)
     for nrm in (na, nb):
         if not abs(nrm - 1.0) <= 1e-9:
             raise InvariantViolation(f"chain state norm {nrm!r} is not 1")
-    ov = abs(complex(np.vdot(a, b))) / (na * nb)
+    ov = abs(complex(gram[2])) / (na * nb)
     return 2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, ov) ** 2))
 
 
@@ -418,33 +419,35 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
         if key not in conj_decoders:
             raise ValueError(f"missing conjugate decoder for beta {key}")
 
-    # coherent syndrome extraction
-    _budget((dd, dd, s_dim, e_dim, r_dim, t_dim), "syndrome extraction")
+    # the encoded final state, the only array holding R, is the largest one
+    c_dim = dd + 1
+    _budget((dd, dd, s_dim, e_dim, r_dim, t_dim, c_dim), "key decoding")
     t1 = _extract(amps, tab)
     nrm = float(np.linalg.norm(t1))
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise InvariantViolation(f"syndrome extraction broke normalisation ({nrm!r})")
 
     # coherent key decoding into the guess register
-    c_dim = dd + 1
-    _budget((dd, dd, s_dim, e_dim, r_dim, t_dim, c_dim), "key decoding")
     t2 = _key_decode(t1, key_decoders, tab)
     nrm = float(np.linalg.norm(t2))
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise InvariantViolation(f"key decoding broke normalisation ({nrm!r})")
 
     # logical key test on the protocol state
-    w2 = np.einsum("absert c->ac", np.abs(t2) ** 2)
+    w2 = (np.abs(t2) ** 2).reshape(dd, -1, c_dim).sum(axis=1)
     lam_c = np.concatenate([tab.lam_of, [-1]])
     succ = sum(float(w2[tab.lam_of == lam][:, lam_c == lam].sum()) for lam in range(k_dim))
     p_prime_e = float(min(max(1.0 - succ, 0.0), 1.0))
 
     # logical conjugate test on the stored pre-decode state: P_alpha and Q_beta
     # commute for a CSS code, so conjugate value x lives only on T = beta_of[x]
-    # and T joins the rest that Bob's (B, shield) decoder never reads
+    # and T joins the rest that Bob's (B, shield) decoder never reads; so does
+    # R = alpha_of[a], whose rows r are vh[:, class r] t1[class r]
     vh = tab.v.conj().T
-    conj_t1 = np.tensordot(vh, t1, axes=(1, 0)).reshape(dd, dd * s_dim, -1)
-    p_tilde_prime_e = _guess_error(conj_t1, conj_decoders, tab.beta_classes, tab.mu_of)
+    conj_t1 = np.stack([np.tensordot(vh[:, rows], t1[rows], axes=(1, 0))
+                        for rows in tab.alpha_classes.values()], axis=-1)
+    p_tilde_prime_e = _guess_error(conj_t1.reshape(dd, dd * s_dim, -1), conj_decoders,
+                                   tab.beta_classes, tab.mu_of)
     eps_certified = p_prime_e + math.sqrt(p_tilde_prime_e)
 
     # incoherent hypothesis errors at string level
@@ -453,21 +456,27 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     eps_x = _guess_error(np.tensordot(vh, amps, axes=(1, 0)).reshape(dd, dd * s_dim, e_dim),
                          conj_decoders, tab.beta_classes, np.arange(dd))
 
-    if p_prime_e > eps_z + 1e-9:
+    if not p_prime_e <= eps_z + 1e-9:
         raise InvariantViolation(
             f"logical key error {p_prime_e:.6e} exceeds the string-level "
             f"hypothesis error {eps_z:.6e}")
 
-    # encode: A -> (logical, z-syndrome, destabiliser), guesses likewise
+    # encode: A -> (logical, z-syndrome, destabiliser), guesses likewise, as
+    # (A, Az, Ag, Bq, Sq, E, T, B, Bg); R, a copy of Az, goes in before T
     baux = dd // k_dim
+    enc = _encode(t2, tab).reshape((k_dim, r_dim, t_dim) + t2.shape[1:-1]
+                                   + (k_dim + 1, baux))
+    # with Eve on (E, R), rho_ER and every B_jj are block diagonal over r, so
+    # the distance sums the slices Az = R = r, with E as their environment
+    eps_direct = _direct_distance([_block_frame(
+        enc[:, r].transpose(0, 6, 1, 2, 3, 5, 7, 4).reshape(k_dim, k_dim + 1, -1, e_dim))
+        for r in range(r_dim)])
     dims = ((k_dim, r_dim, t_dim, dd) + ((s_dim,) if shield else ())
             + ((e_dim,) if has_e else ()) + (r_dim, t_dim, k_dim + 1, baux))
     labels = (("A", "Az", "Ag", "Bq") + (("Sq",) if shield else ())
               + (("E",) if has_e else ()) + ("R", "T", "B", "Bg"))
-    enc = _encode(t2, tab).reshape((k_dim, r_dim, t_dim) + t2.shape[1:-1]
-                                   + (k_dim + 1, baux))
-    final = StateVector(HilbertSpace(dims, labels), enc.reshape(-1))
-    eps_direct = epsilon_secret_direct(final, eve_labels=("E", "R"))
+    final = StateVector(HilbertSpace(dims, labels), np.einsum(
+        "azgqseTbh,zr->azgqserTbh", enc, np.eye(r_dim)).reshape(-1))
 
     report = PrivacyReport(p_e=p_prime_e, p_tilde_e=p_tilde_prime_e,
                            eps_certified=eps_certified, eps_direct=eps_direct,
@@ -534,80 +543,91 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     amps = psi.amplitudes.reshape(dd, dd, e_dim)
 
     tab = _code_tables(code)
-    v = tab.v
-    k_dim = d ** code.k
-    r_dim, t_dim = d ** code.m_z, d ** code.m_x
-    c_dim = dd + 1
-    _budget((dd, dd, e_dim, r_dim, t_dim, c_dim, c_dim), "hashing chain")
+    v, vc = tab.v, tab.v.conj()
+    k_dim, t_dim, c_dim = d ** code.k, d ** code.m_x, dd + 1
+    # every step acts trivially on E and every figure is a sum over E, so the
+    # chain runs on chunks of E columns; its largest arrays are (A, B, E, T, C, D)
+    step = AMPLITUDE_CAP // _budget((dd, dd, t_dim, c_dim, c_dim),
+                                    "hashing chain per environment column")
 
     decs = build_css_decoders(psi, code, x_on_copy=True)
-    eps_z = decs.z_result.average_error
-    eps_x = decs.x_result.average_error
+    eps_z, eps_x = decs.z_result.average_error, decs.x_result.average_error
 
-    # standard-string decode into C, and the ideal copy branch: copy A onto
-    # C first, then extract the syndromes from A alone, so C carries the
-    # pre-projection string
-    t2 = _key_decode(_extract(amps, tab), decs.key_decoders, tab)
-    copied = extend_with_copy(psi, "C").amplitudes.reshape(dd, dd, dd, e_dim)
-    t2p = np.moveaxis(_extract(np.moveaxis(copied, 1, -1), tab), 3, -1)
-    t2p = np.pad(t2p, [(0, 0)] * 5 + [(0, 1)])
-    for arr, name in ((t2, "key decode"), (t2p, "ideal copy")):
-        nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > 1e-10:
-            raise InvariantViolation(f"{name} broke normalisation ({nrm!r})")
-    overlap = float(np.vdot(t2, t2p).real)
-    td2 = _chain_distance(t2, t2p)
-    bound2 = 2.0 * math.sqrt(2.0 * eps_z)
-
-    # conjugate-string decode on (C, B), outcome kept as a conjugated ket
-    # in D (column x of ``kets``); the fail outcome and the untouched C-fail
-    # block route to the D fail slot
-    kets = np.pad(v.conj(), (0, 1))
+    # Bob's conjugate outcome x lands in D as the ket conj(v[:, x]) (column x
+    # of ``kets``); the fail outcome and the untouched C-fail block go to the
+    # D fail slot.  The phase decoupler on (C, D) multiplies ket x by
+    # phases[1][c, x] given C = c < dd, so it folds into the kets
+    kets = np.pad(vc, (0, 1))
     kets[dd, dd] = 1.0
+    strings = all_strings(d, n)
+    phases = np.ones((2, dd, c_dim), dtype=np.complex128)
+    phases[1, :, :dd] = np.exp(2j * np.pi * ((strings @ strings.T) % d) / d)
 
-    def conj_decode(tin: np.ndarray) -> np.ndarray:
+    def conj_decode(tin: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        """Decode the conjugate string from (C, B) of tin (A, B, E, T, C) into D."""
         tout = np.zeros(tin.shape + (c_dim,), dtype=np.complex128)
         for beta, key in enumerate(tab.beta_classes):
             dec: Povm = decs.conj_decoders[key]
-            # roots on (C, B) as (outcome, C', B', C, B); kets as (outcome, D)
-            roots = np.stack(dec.sqrt_elements()).reshape(-1, dd, dd, dd, dd)
             sl = tin[..., beta, :]
-            applied = np.tensordot(roots, sl[..., :dd], axes=((3, 4), (4, 1)))
-            decoded = np.tensordot(applied, kets[:, _guess_slots(dec, dd)].T, axes=(0, 0))
-            tout[..., beta, :dd, :] = decoded.transpose(2, 1, 3, 4, 0, 5)
+            rows = sl[..., :dd].transpose(3, 1, 0, 2).reshape(dd * dd, -1)
+            # one root on (C, B) at a time, as (C' B', C B): (outcome, C', B' A E),
+            # never more amplitudes than one (A, B, E, T, C, D) chunk
+            applied = np.empty((dec.n_outcomes, dd, dd * rows.shape[1]), dtype=np.complex128)
+            for o, root in enumerate(dec.sqrt_elements()):
+                np.matmul(root, rows, out=applied[o].reshape(dd * dd, -1))
+            # (C', outcome, D) kets, then one product per value of C'
+            ket_c = (kets[None] * phase[:, None, :])[:, :, _guess_slots(dec, dd)]
+            decoded = np.matmul(applied.transpose(1, 2, 0), ket_c.transpose(0, 2, 1))
+            tout[..., beta, :dd, :] = decoded.reshape((dd, dd) + sl.shape[:1] + sl.shape[2:-1]
+                                                      + (c_dim,)).transpose(2, 1, 3, 0, 4)
             tout[..., beta, dd, dd] = sl[..., dd]
         return tout
 
-    # ideal conjugate branch: Alice's conjugate string lands in D as a
-    # conjugated ket while (C, B, E) keep the exact conditional states
-    ideal = np.einsum("ax,cx,dx,cbe->abecd", v, v.conj(), kets[:, :dd], amps,
-                      optimize=True)
-    t3pp = np.moveaxis(_extract(ideal, tab), (3, 4), (5, 6))
-    t3pp = np.pad(t3pp, [(0, 0)] * 5 + [(0, 1), (0, 0)])
-    td3 = _chain_distance(conj_decode(t2p), t3pp)
-    bound3 = 2.0 * math.sqrt(2.0 * eps_x)
+    # the ideal branches, C a perfect copy of A taken before the syndromes are
+    # read from A alone, are coef[a, t, c, ...] chunk[c, b, e]: the copy, then
+    # Alice's conjugate string in D as a conjugated ket (before and after the
+    # decoupler) while (C, B, E) keep the exact conditional states
+    mask = tab.beta_of == np.arange(t_dim)[:, None]
+    coefs = [np.einsum("tx,ax,cx->atc", mask, v, vc)] + [
+        np.einsum("tx,ax,cx,dx,cx->atcd", mask, v, vc, vc, ph[:, :dd]) for ph in phases]
 
-    # phase decoupler on (C, D), applied in place; the C fail slot is left alone
-    strings = all_strings(d, n)
-    phases = np.exp(2j * np.pi * ((strings @ strings.T) % d) / d)
-    vc = v.conj()
-    t4, t4pp = conj_decode(t2), t3pp
-    for c in range(dd):
-        u_c = np.zeros((c_dim, c_dim), dtype=np.complex128)
-        u_c[:dd, :dd] = (vc * phases[c]) @ vc.conj().T
-        u_c[dd, dd] = 1.0
-        for arr in (t4, t4pp):
-            arr[..., c, :] = np.tensordot(arr[..., c, :], u_c, (5, 1))
-    td4 = _chain_distance(t4, t4pp)
-    bound4 = 2.0 * (math.sqrt(2.0 * eps_z) + math.sqrt(2.0 * eps_x))
+    def copied(chunk: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """coef[a, t, c, ...] chunk[c, b, e] as (A, B, E, T, C, ...), zero on the fail slots."""
+        extra = coef.ndim - 2
+        out = np.zeros(chunk.shape + (t_dim,) + (c_dim,) * extra, dtype=np.complex128)
+        rest = chunk.transpose(1, 2, 0).reshape((1,) + chunk.shape[1:] + (1, dd)
+                                                + (1,) * (extra - 1))
+        np.multiply(coef[:, None, None], rest, out=out[(...,) + (slice(dd),) * extra])
+        return out
 
-    # encoded logical fidelity with the maximally entangled state on (A, D)
+    def chunk_sums(chunk: np.ndarray) -> np.ndarray:
+        """The _gram sums of psi2, psi3, psi4 and the two logical weights of psi4."""
+        # the standard string decoded into C, against the ideal copy
+        t2 = _key_decode(_extract(chunk, tab), decs.key_decoders, tab)
+        t2p = copied(chunk, coefs[0])
+        g2 = _gram(t2, t2p)
+        # the conjugate string decoded into D, then both branches decoupled
+        g3 = _gram(conj_decode(t2p, phases[0]), copied(chunk, coefs[1]))
+        del t2p
+        t4, t4pp = conj_decode(t2, phases[1]), copied(chunk, coefs[2])
+        return np.concatenate([g2, g3, _gram(t4, t4pp), [_logical_weight(t4, tab, k_dim),
+                                                         _logical_weight(t4pp, tab, k_dim)]])
+
+    sums = sum(chunk_sums(amps[:, :, lo:lo + step]) for lo in range(0, e_dim, step))
+    g2, g3, g4 = sums[0:3], sums[3:6], sums[6:9]
+    for nrm, name in zip(np.sqrt(g2[:2].real), ("key decode", "ideal copy")):
+        if not abs(nrm - 1.0) <= 1e-10:
+            raise InvariantViolation(f"{name} broke normalisation ({float(nrm)!r})")
+    # encoded logical fidelities with the maximally entangled state on (A, D)
+    fid = np.sqrt(np.clip(sums[9:].real / k_dim, 0.0, 1.0))
     return HashingSimResult(n=n, key_dim=k_dim, eps_z=eps_z, eps_x=eps_x,
-                            overlap_psi2=overlap, td_psi2=td2, bound_psi2=bound2,
-                            td_psi3=td3, bound_psi3=bound3,
-                            td_psi4=td4, bound_psi4=bound4,
-                            encoded_fidelity=_logical_fidelity(t4, tab, k_dim),
-                            ideal_encoded_fidelity=_logical_fidelity(t4pp, tab, k_dim))
+                            overlap_psi2=float(g2[2].real), td_psi2=_chain_distance(g2),
+                            bound_psi2=2.0 * math.sqrt(2.0 * eps_z),
+                            td_psi3=_chain_distance(g3),
+                            bound_psi3=2.0 * math.sqrt(2.0 * eps_x),
+                            td_psi4=_chain_distance(g4),
+                            bound_psi4=2.0 * (math.sqrt(2.0 * eps_z) + math.sqrt(2.0 * eps_x)),
+                            encoded_fidelity=float(fid[0]), ideal_encoded_fidelity=float(fid[1]))
 
 
 def tensor_power_grouped(psi: StateVector, n: int) -> StateVector:
@@ -658,12 +678,11 @@ def shielded_bit_state(phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
     registers (A, B, S, E); the shield overlap <phi0|phi1> controls how much
     of Eve's flag leaks into the key phase.
     """
-    phi0 = np.asarray(phi0, dtype=np.complex128).reshape(-1)
-    phi1 = np.asarray(phi1, dtype=np.complex128).reshape(-1)
+    phi0, phi1 = (np.asarray(phi, dtype=np.complex128).reshape(-1) for phi in (phi0, phi1))
     if phi0.shape != phi1.shape:
         raise ValueError("shield states must share a dimension")
     for vec in (phi0, phi1):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(vec) - 1.0) <= 1e-9:
             raise ValueError("shield states must be normalised")
     sh = phi0.shape[0]
     amps = np.zeros((2, 2, sh, 2), dtype=np.complex128)
@@ -674,82 +693,64 @@ def shielded_bit_state(phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
     return StateVector(space, amps.reshape(-1))
 
 
+# mx, logical_z and logical_x of each two-copy code; none has a z stabilizer
+_TWO_COPY_ROWS = {"XX": ([1, 1], [1, 1], [1, 0]), "XI": ([1, 0], [0, 1], [0, 1]),
+                  "IX": ([0, 1], [1, 0], [1, 0])}
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
 def _two_copy_code(stabilizer: str) -> CssCode:
-    gf = lambda rows, cols: GfMatrix(2, np.array(rows, dtype=np.int64).reshape(-1, cols))
-    empty = gf([], 2)
-    if stabilizer == "XX":
-        return CssCode(mz=empty, mx=gf([1, 1], 2),
-                       logical_z=gf([1, 1], 2), logical_x=gf([1, 0], 2))
-    if stabilizer == "XI":
-        return CssCode(mz=empty, mx=gf([1, 0], 2),
-                       logical_z=gf([0, 1], 2), logical_x=gf([0, 1], 2))
-    if stabilizer == "IX":
-        return CssCode(mz=empty, mx=gf([0, 1], 2),
-                       logical_z=gf([1, 0], 2), logical_x=gf([1, 0], 2))
-    raise ValueError(f"unknown stabilizer {stabilizer!r} (use XX, XI or IX)")
+    if stabilizer not in _TWO_COPY_ROWS:
+        raise ValueError(f"unknown stabilizer {stabilizer!r} (use XX, XI or IX)")
+    mx, lz, lx = (GfMatrix(2, np.array([row], dtype=np.int64))
+                  for row in _TWO_COPY_ROWS[stabilizer])
+    return CssCode(mz=GfMatrix(2, np.zeros((0, 2), dtype=np.int64)), mx=mx,
+                   logical_z=lz, logical_x=lx)
 
 
 def _op_on_copy(op: np.ndarray, copy: int, sh: int) -> np.ndarray:
     """Embed an operator on one (B_j, S_j) pair into (B1 B2 S1 S2)."""
-    op4 = op.reshape(2, sh, 2, sh)
-    i2 = np.eye(2)
-    ish = np.eye(sh)
-    if copy == 0:
-        out = np.einsum("bsBS,cC,tT->bcstBCST", op4, i2, ish)
-    else:
-        out = np.einsum("bsBS,cC,tT->cbtsCBTS", op4, i2, ish)
-    return out.reshape(4 * sh * sh, 4 * sh * sh)
+    pair = np.einsum("bsBS,ctCT->bcstBCST", op.reshape(2, sh, 2, sh),
+                     np.eye(2 * sh).reshape(2, sh, 2, sh))
+    if copy == 1:
+        pair = pair.transpose(1, 0, 3, 2, 5, 4, 7, 6)
+    return pair.reshape(4 * sh * sh, 4 * sh * sh)
 
 
-def _adaptive_conj_decoders(phi0: np.ndarray, phi1: np.ndarray) -> Mapping:
+def _adaptive_conj_decoders(phis: list[np.ndarray]) -> Mapping:
     """Optimal conjugate decoders for the XX stabilizer on two copies.
 
     Conditioned on Bob's conjugate-basis pair b, the two candidate shield
     products of a beta class are distinguished by their own pair test, so
     the class measurement splits over Bob's sectors.
     """
-    phis = [np.asarray(phi0, dtype=np.complex128).reshape(-1),
-            np.asarray(phi1, dtype=np.complex128).reshape(-1)]
-    sh = phis[0].shape[0]
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    dim = 4 * sh * sh
+    dim = 4 * phis[0].size ** 2
     decoders = {}
     for beta in (0, 1):
         cands = [(0, beta), (1, 1 - beta)]
-        labels = tuple(2 * x0 + x1 for x0, x1 in cands)
         els = [np.zeros((dim, dim), dtype=np.complex128) for _ in cands]
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                pb = np.kron(np.outer(h[:, b0], h[:, b0].conj()),
-                             np.outer(h[:, b1], h[:, b1].conj()))
-                hs = [np.kron(phis[x0 ^ b0], phis[x1 ^ b1]) for x0, x1 in cands]
-                pair, _ = helstrom_pair(np.outer(hs[0], hs[0].conj()),
-                                        np.outer(hs[1], hs[1].conj()))
-                q0, q1 = pair.elements
-                els[0] += np.kron(pb, q0)
-                els[1] += np.kron(pb, q1)
-        decoders[(beta,)] = Povm(tuple(els), labels)
+        for b0, b1 in np.ndindex(2, 2):
+            pb = np.kron(np.outer(_HADAMARD[:, b0], _HADAMARD[:, b0]),
+                         np.outer(_HADAMARD[:, b1], _HADAMARD[:, b1]))
+            hs = [np.kron(phis[x0 ^ b0], phis[x1 ^ b1]) for x0, x1 in cands]
+            pair, _ = helstrom_pair(np.outer(hs[0], hs[0].conj()),
+                                    np.outer(hs[1], hs[1].conj()))
+            for el, q in zip(els, pair.elements):
+                el += np.kron(pb, q)
+        decoders[(beta,)] = Povm(tuple(els), tuple(2 * x0 + x1 for x0, x1 in cands))
     return decoders
 
 
-def _single_copy_conj_decoders(phi0: np.ndarray, phi1: np.ndarray,
-                               code: CssCode) -> Mapping:
+def _single_copy_conj_decoders(phis: list[np.ndarray], code: CssCode) -> Mapping:
     """Pair-test decoders reading only the copy that carries the logical X."""
-    phis = [np.asarray(phi0, dtype=np.complex128).reshape(-1),
-            np.asarray(phi1, dtype=np.complex128).reshape(-1)]
-    sh = phis[0].shape[0]
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    sh = phis[0].size
     copy = int(np.nonzero(code.logical_x.entries[0])[0][0])
-    rhos = []
-    for x in (0, 1):
-        mat = np.zeros((2 * sh, 2 * sh), dtype=np.complex128)
-        for b in (0, 1):
-            pb = np.outer(h[:, b], h[:, b].conj())
-            shield = phis[x ^ b]
-            mat += 0.5 * np.kron(pb, np.outer(shield, shield.conj()))
-        rhos.append(mat)
-    pair, _ = helstrom_pair(DensityOperator(HilbertSpace((2 * sh,), ("W",)), rhos[0]),
-                            DensityOperator(HilbertSpace((2 * sh,), ("W",)), rhos[1]))
+    # given Bob's conjugate-basis value b of the logical copy, the shield is phi_{x ^ b}
+    space = HilbertSpace((2 * sh,), ("W",))
+    rhos = [DensityOperator(space, sum(0.5 * np.kron(np.outer(_HADAMARD[:, b], _HADAMARD[:, b]),
+                                                     np.outer(phis[x ^ b], phis[x ^ b].conj()))
+                                       for b in (0, 1))) for x in (0, 1)]
+    pair, _ = helstrom_pair(*rhos)
     els = tuple(_op_on_copy(el, copy, sh) for el in pair.elements)
     # guess 0 or 1 on the logical copy, 0 on the other: strings 0 and 2^(1 - copy)
     povm = Povm(els, (0, 2 ** (1 - copy)))
@@ -767,16 +768,15 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     """
     sh = np.asarray(phi0).size
     _budget((4 * sh * sh,) * 2, "two-copy decoders on (B1, B2, S1, S2)")
-    psi1 = shielded_bit_state(phi0, phi1)
     code = _two_copy_code(stabilizer)
-    state = tensor_power_grouped(psi1, 2)
-    s_ov = abs(complex(np.vdot(np.asarray(phi0, dtype=np.complex128).reshape(-1),
-                               np.asarray(phi1, dtype=np.complex128).reshape(-1))))
+    state = tensor_power_grouped(shielded_bit_state(phi0, phi1), 2)
+    phis = [np.asarray(phi, dtype=np.complex128).reshape(-1) for phi in (phi0, phi1)]
+    s_ov = abs(complex(np.vdot(*phis)))
     if stabilizer == "XX" and adaptive:
-        conj_decoders = _adaptive_conj_decoders(phi0, phi1)
+        conj_decoders = _adaptive_conj_decoders(phis)
         analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** 4, 0.0)))
     else:
-        conj_decoders = _single_copy_conj_decoders(phi0, phi1, code)
+        conj_decoders = _single_copy_conj_decoders(phis, code)
         analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** 2, 0.0)))
     tab = _code_tables(code)
     key_decoders = _class_pgms(state.amplitudes.reshape(4, 4, -1), tab.alpha_classes).decoders

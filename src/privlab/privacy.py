@@ -140,25 +140,20 @@ class _KeyFrame(NamedTuple):
     off_mass: float
 
 
-def _key_frame(state, eve_labels: Sequence[str]) -> _KeyFrame:
-    """The eigenframe of rho_E, read off the purification when there is one.
+def _block_frame(w: np.ndarray, purified: bool = False) -> _KeyFrame:
+    """The eigenframe of rho_E for key-measured amplitudes w[j, k, lab, env].
 
-    A mixed state is purified, and the purifier's basis already
+    With ``purified`` the environment basis is a purifier's, which already
     diagonalises rho_E: its spectrum is the squared norms of the
-    environment columns.  A StateVector with a non-trivial environment
-    pays one eigh of rho_E, cut to its support.
+    environment columns.  Otherwise a non-trivial environment pays one eigh
+    of rho_E, cut to its support.
     """
-    space = _space_of(state)
-    d = space.dim_of("A")
-    if space.dim_of("B") < d:
-        raise ValueError("register B cannot be smaller than the key register A")
-    w = _ccq_amplitudes(state, eve_labels)
-    e = w.shape[3]
+    d, e = w.shape[0], w.shape[3]
     _budget((d, w.shape[2], e), "diagonal key rows")
     diag = w[np.arange(d), np.arange(d)]
     off_mass = float(np.vdot(w, w).real - np.vdot(diag, diag).real)
     flat = w.reshape(-1, e)
-    if not isinstance(state, StateVector) or e == 1:
+    if purified or e == 1:
         return _KeyFrame(diag, np.sum(flat.real ** 2 + flat.imag ** 2, axis=0), off_mass)
     lam, vecs = np.linalg.eigh(_env_block(flat))
     # eigenvalues below eigh's own rounding level carry no support
@@ -166,8 +161,24 @@ def _key_frame(state, eve_labels: Sequence[str]) -> _KeyFrame:
     return _KeyFrame(diag @ vecs[:, keep].conj(), lam[keep], off_mass)
 
 
-def _direct_distance(frame: _KeyFrame) -> float:
+def _key_frame(state, eve_labels: Sequence[str]) -> _KeyFrame:
+    """The eigenframe of rho_E, read off the purification when there is one.
+
+    A mixed state is purified, so its frame needs no second factorisation;
+    a StateVector is read as given (``_block_frame``).
+    """
+    space = _space_of(state)
+    if space.dim_of("B") < space.dim_of("A"):
+        raise ValueError("register B cannot be smaller than the key register A")
+    return _block_frame(_ccq_amplitudes(state, eve_labels),
+                        purified=not isinstance(state, StateVector))
+
+
+def _direct_distance(frames: Sequence[_KeyFrame]) -> float:
     """(off-diagonal mass + sum_j || B_jj - rho_E / d ||_1) / 2 in the eigenframe.
+
+    ``frames`` are the blocks of an environment on which rho_E and every
+    B_jj are block diagonal, so both terms are sums over the blocks.
 
     In the eigenframe rho_E / d = diag(q).  Let P_k project onto the
     cluster of equal q = c_k.  The span of the ranges P_k V_j (B_jj =
@@ -177,38 +188,44 @@ def _direct_distance(frame: _KeyFrame) -> float:
     the cluster has at most s members), M_j is Y_j Y_j^dag - C_j of size
     m <= min(r, g s), so one batched eigvalsh of the (d, m, m) stack gives
     every ||M_j||_1 exactly.  A stack above ``AMPLITUDE_CAP`` is split over
-    j; no single block may pass it.
+    j; no single block may pass it.  A block with no support adds its
+    off-diagonal mass only.
     """
-    rows, lam, off_mass = frame
-    d, s, r = rows.shape
-    # Greedy clusters of sorted eigenvalues, each spanning at most tau:
-    # replacing lam_i by its cluster mean moves sum_j ||M_j||_1 by at most
-    # sum_i |lam_i - mean| <= r tau = 1e-13, i.e. by rounding only.
-    order = np.argsort(lam)
-    sorted_lam = lam[order]
-    tau = 1e-13 / r
-    cuts = [0]
-    while cuts[-1] < r:
-        cuts.append(int(np.searchsorted(sorted_lam, sorted_lam[cuts[-1]] + tau, side="right")))
-    sizes = np.diff(cuts)
-    levels = np.add.reduceat(sorted_lam, cuts[:-1]) / sizes / d
-    # clusters of at most s members keep their rows, larger ones an R factor
-    small = np.repeat(sizes <= s, sizes)
-    parts = [rows[:, :, order[small]]]
-    row_levels = [np.repeat(levels, sizes)[small]]
-    for k in np.flatnonzero(sizes > s):
-        members = rows[:, :, order[cuts[k]:cuts[k + 1]]]
-        parts.append(np.linalg.qr(members.mT, mode="r").mT)
-        row_levels.append(np.full(s, levels[k]))
-    yt = np.concatenate(parts, axis=2)
-    c = np.concatenate(row_levels)
-    # one batched eigvalsh, split over j only where the stack would pass the cap
-    step = max(1, AMPLITUDE_CAP // _budget((c.size, c.size), "compressed key block"))
-    compressed = sum(float(np.sum(np.abs(np.linalg.eigvalsh(
-        yt[lo:lo + step].mT @ yt[lo:lo + step].conj() - np.diag(c)))))
-        for lo in range(0, d, step))
-    rest = float(np.sum((sizes - np.minimum(sizes, s)) * levels))
-    return float(min(max(0.5 * (off_mass + compressed + d * rest), 0.0), 1.0))
+    total = 0.0
+    for rows, lam, off_mass in frames:
+        total += off_mass
+        d, s, r = rows.shape
+        if r == 0:
+            continue
+        # Greedy clusters of sorted eigenvalues, each spanning at most tau:
+        # replacing lam_i by its cluster mean moves sum_j ||M_j||_1 by at most
+        # sum_i |lam_i - mean| <= r tau = 1e-13, i.e. by rounding only.
+        order = np.argsort(lam)
+        sorted_lam = lam[order]
+        tau = 1e-13 / r
+        cuts = [0]
+        while cuts[-1] < r:
+            cuts.append(int(np.searchsorted(sorted_lam, sorted_lam[cuts[-1]] + tau,
+                                            side="right")))
+        sizes = np.diff(cuts)
+        levels = np.add.reduceat(sorted_lam, cuts[:-1]) / sizes / d
+        # clusters of at most s members keep their rows, larger ones an R factor
+        small = np.repeat(sizes <= s, sizes)
+        parts = [rows[:, :, order[small]]]
+        row_levels = [np.repeat(levels, sizes)[small]]
+        for k in np.flatnonzero(sizes > s):
+            members = rows[:, :, order[cuts[k]:cuts[k + 1]]]
+            parts.append(np.linalg.qr(members.mT, mode="r").mT)
+            row_levels.append(np.full(s, levels[k]))
+        yt = np.concatenate(parts, axis=2)
+        c = np.concatenate(row_levels)
+        # one batched eigvalsh, split over j only where the stack would pass the cap
+        step = max(1, AMPLITUDE_CAP // _budget((c.size, c.size), "compressed key block"))
+        total += sum(float(np.sum(np.abs(np.linalg.eigvalsh(
+            yt[lo:lo + step].mT @ yt[lo:lo + step].conj() - np.diag(c)))))
+            for lo in range(0, d, step))
+        total += d * float(np.sum((sizes - np.minimum(sizes, s)) * levels))
+    return float(min(max(0.5 * total, 0.0), 1.0))
 
 
 def ccq_blocks(state, *, eve_labels: Sequence[str] = ("E",)
@@ -240,7 +257,7 @@ def epsilon_secret_direct(state, *, eve_labels: Sequence[str] = ("E",)) -> float
     distinct eigenvalues, s lab rows).  A StateVector is read as given,
     never purified.
     """
-    return _direct_distance(_key_frame(state, eve_labels))
+    return _direct_distance([_key_frame(state, eve_labels)])
 
 
 def ccq_fidelity_to_key(state, *, eve_labels: Sequence[str] = ("E",)) -> float:
@@ -392,7 +409,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
                          p_tilde_e=p_tilde_e, eps=eps, bound=bound, fidelity=fid,
                          off_diagonal_mass=max(0.0, 1.0 - float(np.sum(lam))),
                          pad_dim=max(1, math.ceil(r / (d * s))),
-                         eps_direct=_direct_distance(frame))
+                         eps_direct=_direct_distance([frame]))
 
 
 def certify_private(state, conj_basis: ConjugateBasis | None = None,

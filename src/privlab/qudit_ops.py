@@ -36,6 +36,7 @@ from .tensor_core import (
 
 POVM_COMPLETENESS_ATOL = 1e-9
 CONDITIONAL_CUTOFF = 1e-14  # outcomes at or below this probability carry no conditional state
+_CHECK_BLOCK = 2 ** 16  # amplitudes per block of POVM elements checked at once
 
 
 def generalized_paulis(d: int) -> tuple[LinearOperator, LinearOperator, complex]:
@@ -68,7 +69,7 @@ class ConjugateBasis:
         v = self.vectors
         gram = v.conj().T @ v
         dev = float(np.max(np.abs(gram - np.eye(self.d))))
-        if dev > 1e-10:
+        if not dev <= 1e-10:
             raise ValueError(f"phase table is not orthonormal (deviation {dev:g})")
         th.flags.writeable = False
 
@@ -107,32 +108,38 @@ class Povm:
     outcome_labels: tuple = ()
 
     def __post_init__(self):
-        els = tuple(_as_complex(e) for e in self.elements)
-        if not els:
+        if not len(self.elements):
             raise ValueError("a POVM needs at least one element")
-        dim = els[0].shape[0]
-        if any(e.shape != (dim, dim) for e in els):
+        try:
+            stack = np.array(self.elements, dtype=np.complex128)
+        except ValueError:
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("POVM elements must be square and equal-sized")
-        stack = np.stack(els)
         if not np.all(np.isfinite(stack)):
             raise ValueError("POVM elements must be finite")
-        adj = stack.conj().swapaxes(1, 2)
-        herm = float(np.max(np.abs(stack - adj)))
-        if herm > KIND_ATOL:
+        dim = stack.shape[1]
+        # hermiticity and positivity in blocks of elements, so the adjoint and
+        # symmetrised temporaries stay small next to the stack
+        herm, lo = 0.0, np.inf
+        step = max(1, _CHECK_BLOCK // (dim * dim))
+        for i in range(0, len(stack), step):
+            part = stack[i:i + step]
+            adj = part.conj().swapaxes(1, 2)
+            herm = max(herm, float(np.max(np.abs(part - adj))))
+            lo = min(lo, float(np.min(np.linalg.eigvalsh(0.5 * (part + adj))[:, 0])))
+        if not herm <= KIND_ATOL:
             raise ValueError(f"POVM element not hermitian (deviation {herm:g})")
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (stack + adj))[:, 0]))
-        if lo < -PSD_ATOL:
+        if not lo >= -PSD_ATOL:
             raise ValueError(f"POVM element not positive (min eig {lo:g})")
-        total = stack.sum(axis=0)
-        dev = float(np.max(np.abs(total - np.eye(dim))))
-        if dev > POVM_COMPLETENESS_ATOL:
+        dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
+        if not dev <= POVM_COMPLETENESS_ATOL:
             raise ValueError(f"POVM does not sum to identity (deviation {dev:g})")
-        labels = tuple(self.outcome_labels) if self.outcome_labels else tuple(range(len(els)))
-        if len(labels) != len(els):
+        labels = tuple(self.outcome_labels) if self.outcome_labels else tuple(range(len(stack)))
+        if len(labels) != len(stack):
             raise ValueError("outcome label count must match element count")
-        for e in els:
-            e.flags.writeable = False
-        object.__setattr__(self, "elements", els)
+        # the elements are read-only views of the one validated stack
+        object.__setattr__(self, "elements", tuple(_lock(stack)))
         object.__setattr__(self, "outcome_labels", labels)
 
     @property
@@ -236,7 +243,7 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementRe
         outcomes = list(np.ndindex(*probs.shape))
         conditionals = _Conditionals(space.restrict(kept), [outcomes[i] for i in live], cond)
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise InvariantViolation(f"outcome probabilities sum to {total!r}")
     return MeasurementResult(probs=probs,
                              outcome_labels=tuple(p.outcome_labels for _, p in povms),
@@ -256,7 +263,7 @@ def coherent_measure(state: StateVector, labels: Sequence[str], povm: Povm,
     branches = [apply_to_vector(space, state.amplitudes, r, labels) for r in roots]
     amps = np.stack(branches, axis=-1).reshape(-1)
     nrm = float(np.linalg.norm(amps))
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise InvariantViolation(f"coherent measurement broke normalisation ({nrm!r})")
     new_space = space.add_factor(out_label, povm.n_outcomes)
     return StateVector(new_space, amps / nrm)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from privlab import (ConjugateBasis, HilbertSpace, StateVector, TwistingOperator,
-                     certify_private, haar_unitary, haar_vector, random_pure_state,
-                     twisting_conjugate_measurement, uhlmann_conjugate_measurement)
+                     certify_private, haar_unitary, haar_vector, maximally_entangled,
+                     random_pure_state, twisting_conjugate_measurement,
+                     uhlmann_conjugate_measurement)
 from privlab import cli, privacy
 from privlab.cli import MAX_TRIALS, build_parser, build_state, main, run
 from privlab.qudit_ops import _private_vector
@@ -104,6 +105,16 @@ def test_verify_uhlmann_purifies_once(factorised):
     results_of(["verify", "--state", "werner", "--d", "6", "--p", "0.9",
                 "--measurement", "uhlmann", "--seed", "3"])
     assert factorised["eigh"].count((36, 36)) == 1
+
+
+def test_werner_build_validates_one_matrix(factorised):
+    # the maximally entangled projector is read from amplitudes, not validated
+    state, _ = build_state({"kind": "werner", "d": 12, "p": 0.9}, 0)
+    assert factorised["eigvalsh"] == [(144, 144)]
+    assert not factorised["eigh"]
+    # the same matrix as from the validated projector
+    phi = maximally_entangled(12).density().matrix
+    assert np.array_equal(state.matrix, 0.9 * phi + (1.0 - 0.9) * np.eye(144) / 144)
 
 
 def test_verify_uhlmann_reports_bound():

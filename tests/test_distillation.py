@@ -19,8 +19,9 @@ from privlab import (ConjugateBasis, CqEnsemble, CssCode, DensityOperator, Hilbe
                      substream, tensor_power_grouped, two_copy_scenario)
 from privlab import distillation, privacy, tensor_core
 from privlab.cli import build_state, run
+from privlab.cli import build_code
 from privlab.distillation import (_canonical_pure, _chain_distance, _code_tables,
-                                  _encode, _extract, _guess_error, _logical_fidelity)
+                                  _encode, _extract, _gram, _guess_error, _logical_weight)
 from conftest import largest_side
 
 
@@ -212,6 +213,37 @@ def test_one_shot_final_state_registers():
     assert out.key_dims == (2, 3)
 
 
+ONE_SHOT_CASES = {
+    "werner_d9": lambda seed: (werner(0.9, 9), build_code(
+        {"kind": "sampled", "d": 3, "n": 2, "m_z": 1}, seed)),
+    "werner_d8": lambda seed: (werner(0.9, 8), build_code(
+        {"kind": "sampled", "d": 2, "n": 3, "m_z": 1, "m_x": 1}, seed)),
+}
+
+
+@pytest.mark.parametrize("case,seed", [(c, s) for c in sorted(ONE_SHOT_CASES) for s in (1, 7)])
+def test_one_shot_eps_direct_is_the_final_state_distance(case, seed):
+    # R copies the z-syndrome, so the distance splits over its values exactly
+    state, code = ONE_SHOT_CASES[case](seed)
+    decs = build_css_decoders(state, code)
+    out = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
+    want = privlab.epsilon_secret_direct(out.final_state, eve_labels=("E", "R"))
+    assert want > 1e-3
+    assert out.transcript["eps_direct"] == pytest.approx(want, abs=1e-12)
+
+
+def test_one_shot_eps_direct_on_shielded_input():
+    res = two_copy_scenario(*shield_pair(0.6), "XX", adaptive=True)
+    shielded = tensor_power_grouped(shielded_bit_state(*shield_pair(0.6)), 2)
+    z_code = CssCode.from_stabilizers(2, [[1, 1]], [], n=2)
+    decs = build_css_decoders(shielded, z_code)
+    for out in (one_shot_distill(res.state, res.code, res.key_decoders, res.conj_decoders),
+                one_shot_distill(shielded, z_code, decs.key_decoders, decs.conj_decoders)):
+        want = privlab.epsilon_secret_direct(out.final_state, eve_labels=("E", "R"))
+        assert want > 1e-3
+        assert out.transcript["eps_direct"] == pytest.approx(want, abs=1e-12)
+
+
 def test_shielded_bit_state_amplitudes():
     phi0, phi1 = shield_pair(0.6)
     psi = shielded_bit_state(phi0, phi1)
@@ -321,9 +353,36 @@ def test_hashing_sim_qutrit():
 
 
 def test_hashing_sim_enforces_amplitude_cap():
-    code4 = CssCode.from_stabilizers(2, [[1, 1, 1, 1]], [], n=4)
+    # one environment column of the n=5 chain holds 32 * 32 * 33 * 33 amplitudes
+    code5 = CssCode.from_stabilizers(2, [[1, 1, 1, 1, 1]], [], n=5)
     with pytest.raises(ValueError, match="amplitude"):
-        coherent_hashing_sim(werner(0.95), 4, code4)
+        coherent_hashing_sim(werner(0.95), 5, code5)
+
+
+FOUR_COPY_CODES = {"z1111": ([[1, 1, 1, 1]], []), "z1111_x1100": ([[1, 1, 1, 1]], [[1, 1, 0, 0]])}
+
+
+@pytest.fixture(scope="module", params=sorted(FOUR_COPY_CODES))
+def four_copy_chain(request):
+    """The n=4 chain on Werner(0.95), run once per code (a few seconds each)."""
+    mz, mx = FOUR_COPY_CODES[request.param]
+    return coherent_hashing_sim(werner(0.95), 4, CssCode.from_stabilizers(2, mz, mx, n=4))
+
+
+def test_hashing_sim_four_copies_meets_every_chain_bound(four_copy_chain):
+    # E is streamed in chunks of columns, so the chain runs under the cap at n=4
+    res = four_copy_chain
+    assert res.n == 4 and res.key_dim in (8, 4)
+    assert res.eps_z == pytest.approx(0.07670472888270297, abs=1e-9)
+    assert res.overlap_psi2 >= 1.0 - res.eps_z
+    assert res.td_psi2 <= res.bound_psi2
+    assert res.td_psi3 <= res.bound_psi3
+    assert res.td_psi4 <= res.bound_psi4
+    assert res.bound_psi3 == pytest.approx(2.0 * math.sqrt(2.0 * res.eps_x), abs=1e-12)
+    assert res.bound_psi4 == pytest.approx(
+        2.0 * (math.sqrt(2.0 * res.eps_z) + math.sqrt(2.0 * res.eps_x)), abs=1e-12)
+    assert res.ideal_encoded_fidelity >= 1.0 - 1e-9
+    assert 0.5 < res.encoded_fidelity <= 1.0
 
 
 def test_one_shot_code_dimension_mismatch():
@@ -353,7 +412,7 @@ def test_logical_fidelity_matches_encoded_oracle(d, n, m_z, m_x, seed):
     tab = _code_tables(code)
     k_dim, dd = d ** code.k, d ** n
     rng = substream(70 + seed)
-    shape = (dd, dd, 2, d ** m_z, d ** m_x, dd + 1, dd + 1)
+    shape = (dd, dd, 2, d ** m_x, dd + 1, dd + 1)
     arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     arr /= np.linalg.norm(arr)
     # mostly on the logical diagonal, so the fidelity is far from zero
@@ -362,7 +421,10 @@ def test_logical_fidelity_matches_encoded_oracle(d, n, m_z, m_x, seed):
     arr /= np.linalg.norm(arr)
     want = _encoded_fidelity_oracle(arr, tab, k_dim)
     assert 0.1 < want < 1.0
-    assert _logical_fidelity(arr, tab, k_dim) == pytest.approx(want, abs=1e-12)
+    assert math.sqrt(_logical_weight(arr, tab, k_dim) / k_dim) == pytest.approx(want, abs=1e-12)
+    # the weight is a sum over the middle axes, so chunks of E add up
+    halves = _logical_weight(arr[:, :, :1], tab, k_dim) + _logical_weight(arr[:, :, 1:], tab, k_dim)
+    assert halves == pytest.approx(_logical_weight(arr, tab, k_dim), abs=1e-12)
 
 
 def test_chain_distance_matches_pure_state_distance_and_rejects_bad_norms():
@@ -371,15 +433,18 @@ def test_chain_distance_matches_pure_state_distance_and_rejects_bad_norms():
     b = a + 0.3 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
     a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
     flat = lambda x: StateVector(HilbertSpace((x.size,), ("X",)), x.reshape(-1))
-    assert _chain_distance(a, b) == pytest.approx(
+    assert _chain_distance(_gram(a, b)) == pytest.approx(
         pure_state_trace_distance(flat(a), flat(b)), abs=1e-12)
+    # the sums of chunks give the same distance
+    assert _chain_distance(_gram(a[:1], b[:1]) + _gram(a[1:], b[1:])) == pytest.approx(
+        _chain_distance(_gram(a, b)), abs=1e-12)
     for bad in (np.nan, np.inf, 2.0):
         c = b.copy()
         c[1, 2, 3] = bad
         with pytest.raises(InvariantViolation):
-            _chain_distance(a, c)
+            _chain_distance(_gram(a, c))
         with pytest.raises(InvariantViolation):
-            _chain_distance(c, a)
+            _chain_distance(_gram(c, a))
 
 
 def test_two_copy_scenario_enforces_amplitude_cap():
@@ -500,16 +565,49 @@ def test_guess_error_matches_explicit_loops():
         assert out.transcript["eps_x"] == pytest.approx(eps_x, abs=1e-12)
 
 
+def dense_extract(amps, tab):
+    """Both syndromes of A (axis 0) copied onto trailing R, T axes, R stored
+    densely: beta is read in the conjugate basis, then alpha in the standard
+    basis, so R holds alpha_of[a]."""
+    v = tab.v
+    mask_shape = (-1,) + (1,) * (amps.ndim - 1)
+    rows = np.arange(amps.shape[0])
+    g0 = np.tensordot(v.conj().T, amps, axes=(1, 0))
+    out = np.zeros(amps.shape + (len(tab.alpha_classes), len(tab.beta_classes)),
+                   dtype=np.complex128)
+    for beta in range(len(tab.beta_classes)):
+        gb = np.where((tab.beta_of == beta).reshape(mask_shape), g0, 0.0)
+        out[rows, ..., tab.alpha_of, beta] = np.tensordot(v, gb, axes=(1, 0))
+    return out
+
+
+@pytest.mark.parametrize("d,n,m_z,m_x,seed", [(2, 3, 1, 0, 0), (2, 3, 1, 1, 1),
+                                             (3, 2, 1, 0, 2), (2, 2, 0, 0, 3),
+                                             (2, 3, 2, 0, 4)])
+def test_extraction_indexes_r_from_alpha(d, n, m_z, m_x, seed):
+    code = sample_universal_css(d, n, m_z, m_x, substream(60 + seed))
+    tab = _code_tables(code)
+    dd = d ** n
+    amps = random_pure_state(HilbertSpace((dd, dd, 3), ("A", "B", "E")),
+                             substream(75 + seed)).amplitudes.reshape(dd, dd, 3)
+    dense = dense_extract(amps, tab)
+    # R is one-hot: nothing outside r = alpha_of[a]
+    off = dense.copy()
+    off[np.arange(dd), ..., tab.alpha_of, :] = 0.0
+    assert np.max(np.abs(off)) == 0.0
+    assert np.allclose(dense.sum(axis=-2), _extract(amps, tab), atol=1e-13)
+
+
 def loop_p_tilde_prime_e(psi, code, conj_decoders):
     """The conjugate test p~'_e by the explicit loop over beta and decoder roots:
-    each beta slice of the extracted state is decoded by its own class decoder,
-    read in the conjugate basis, and scored on the logical value mu."""
+    each beta slice of the densely extracted state is decoded by its own class
+    decoder, read in the conjugate basis, and scored on the logical value mu."""
     psi = _canonical_pure(psi)
     tab = _code_tables(code)
     dd, e_dim = psi.space.dim_of("A"), psi.space.dim_of("E")
     amps = psi.amplitudes.reshape(dd, dd, -1, e_dim)
     s_dim, r_dim = amps.shape[2], len(tab.alpha_classes)
-    t1 = _extract(amps, tab)
+    t1 = dense_extract(amps, tab)
     succ_x = 0.0
     for beta, key in enumerate(tab.beta_classes):
         dec = conj_decoders[key]

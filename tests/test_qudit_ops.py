@@ -8,6 +8,7 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace, Povm,
                      coherent_measure, generalized_paulis, haar_unitary,
                      maximally_entangled, measure, partial_trace,
                      random_pure_state, substream, twisting_unitary)
+from privlab.tensor_core import InvariantViolation
 from conftest import assert_povm
 
 
@@ -202,6 +203,36 @@ def test_povm_validation():
     roots = povm.sqrt_elements()
     for r, e in zip(roots, povm.elements):
         assert np.allclose(r @ r, e, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,count", [(2, 3), (256, 3)])
+def test_povm_validation_on_one_stack(dim, count):
+    # every check still fires on the last of several elements, small or large
+    base = [np.eye(dim) / count for _ in range(count)]
+    nonherm = np.zeros((dim, dim))
+    nonherm[0, 1] = 1e-6
+    negative = np.zeros((dim, dim))
+    negative[0, 0] = -1.0
+    nan = np.zeros((dim, dim))
+    nan[1, 0] = np.nan
+    for bad, match in ((nan, "finite"), (nonherm, "hermitian"), (negative, "positive"),
+                       (1e-6 * np.eye(dim), "identity")):
+        with pytest.raises(ValueError, match=match):
+            Povm(tuple(base[:-1]) + (base[-1] + bad,))
+    with pytest.raises(ValueError, match="square"):
+        Povm((np.eye(2), np.eye(3)))
+    # the elements are read-only views of one stack, not copies of their own
+    povm = Povm(tuple(base))
+    assert povm.elements[0].base is povm.elements[1].base is not None
+    assert not any(el.flags.writeable for el in povm.elements)
+
+
+def test_coherent_measure_rejects_nan_roots():
+    psi = random_pure_state(HilbertSpace((2, 2), ("A", "B")), substream(71))
+    povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    povm.__dict__["_roots"] = tuple(np.full((2, 2), np.nan) for _ in range(2))
+    with pytest.raises(InvariantViolation, match="normalisation"):
+        coherent_measure(psi, ("A",), povm, "R")
 
 
 def test_standard_and_fourier_povms_and_roots_are_built_once():
