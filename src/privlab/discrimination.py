@@ -4,25 +4,25 @@ and class decoders for ensembles partitioned into syndrome fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .info_measures import CqEnsemble, shannon_entropy, von_neumann_entropy
 from .qudit_ops import Povm
 from .tensor_core import (SUPPORT_ATOL, DensityOperator, _as_complex, _budget,
-                          operator_function, sqrt_psd)
+                          _check_finite, _eigh_hermitian, sqrt_psd)
 
 
 @dataclass(frozen=True)
 class HswConfig:
     """Decoder configuration.
 
-    With use_typicality the decoder elements are literally
-    T^{-1/2} Q Q_k Q T^{-1/2} with spectral-band typical projectors; the
-    default skips the projectors (Q = Q_k = 1), which at small block length
-    is strictly better.
+    With use_typicality the decoder elements are the PGM of the rows Q V_k,
+    with Q the typical projector of the average state and V_k the
+    spectral-band eigenvectors of rho_k; the default skips the projectors
+    (Q = Q_k = 1), which at small block length is strictly better.
     """
 
     delta: float = 0.1
@@ -36,7 +36,9 @@ class HswConfig:
 def _matrix_of(state) -> np.ndarray:
     if isinstance(state, DensityOperator):
         return state.matrix
-    return _as_complex(state)
+    m = _as_complex(state)
+    _check_finite(m)
+    return m
 
 
 def helstrom_pair(rho0, rho1, p0: float = 0.5, p1: float | None = None
@@ -55,7 +57,7 @@ def helstrom_pair(rho0, rho1, p0: float = 0.5, p1: float | None = None
     if m0.shape != m1.shape:
         raise ValueError("states must act on the same space")
     delta = p0 * m0 - p1 * m1
-    vals, vecs, _ = operator_function(delta, "identity")
+    vals, vecs = _eigh_hermitian(delta)
     pos = vecs[:, vals >= 0.0]
     proj0 = pos @ pos.conj().T
     proj0 = 0.5 * (proj0 + proj0.conj().T)
@@ -138,19 +140,22 @@ class HswDecoderResult:
     aborted_mass: float = 0.0
 
 
-def _band_projector(matrix: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    vals, vecs, _ = operator_function(matrix, "identity")
-    sel = (vals >= lo) & (vals <= hi)
-    v = vecs[:, sel]
-    return v @ v.conj().T
+def _band_vectors(matrix: np.ndarray, rate: float, slack: float) -> np.ndarray:
+    """Eigenvectors of the eigenvalues in [2^(-rate - slack), 2^(-rate + slack)]."""
+    vals, vecs = _eigh_hermitian(matrix)
+    return vecs[:, (vals >= 2.0 ** (-rate - slack)) & (vals <= 2.0 ** (-rate + slack))]
 
 
-def _class_pgms(rows: np.ndarray, classes: Mapping) -> HswDecoderResult:
+def _class_pgms(rows: np.ndarray, classes: Mapping,
+                pgm_rows: Callable | None = None) -> HswDecoderResult:
     """One ``_pgm_of_rows`` decoder per class of the rows (x, m, r), with its errors.
 
-    ``classes`` maps a class value to its member indices; the class error
-    1 - sum_x Tr[Lambda_x w_x w_x^dag] / sum_x ||w_x||^2 is read off the same
-    rows (0 at zero weight) and averaged with the classes' shares of the total.
+    ``classes`` maps a class value to its member indices.  The decoder is
+    the PGM of the class's rows, or of the rows and member labels that
+    ``pgm_rows(members)`` returns.  The class error 1 - sum_x Tr[Lambda_x
+    w_x w_x^dag] / sum_x ||w_x||^2 is read off ``rows`` (0 at zero weight; a
+    member without an element scores nothing) and averaged with the
+    classes' shares of the total.
     """
     _budget(rows.shape[:1] + rows.shape[1:2] * 2, "class decoder elements")
     weights = np.einsum("xmr,xmr->x", rows, rows.conj()).real
@@ -160,10 +165,15 @@ def _class_pgms(rows: np.ndarray, classes: Mapping) -> HswDecoderResult:
     for value, members in classes.items():
         members = np.asarray(members, dtype=np.int64)
         weight = float(weights[members].sum())
-        # a class of every row, in order, reads the rows without a copy
-        sub = rows if np.array_equal(members, np.arange(len(rows))) else rows[members]
-        dec = decoders[value] = _pgm_of_rows(sub, members.tolist())
-        hits = sum(np.vdot(rows[x], el @ rows[x]).real for x, el in zip(members, dec.elements))
+        if pgm_rows is not None:
+            sub, labels = pgm_rows(members)
+        else:
+            # a class of every row, in order, reads the rows without a copy
+            sub = rows if np.array_equal(members, np.arange(len(rows))) else rows[members]
+            labels = members.tolist()
+        dec = decoders[value] = _pgm_of_rows(sub, labels)
+        owned = dec.elements if dec.outcome_labels[-1] != "fail" else dec.elements[:-1]
+        hits = sum(np.vdot(rows[x], el @ rows[x]).real for x, el in zip(labels, owned))
         per_class[value] = float(min(max(1.0 - hits / weight, 0.0), 1.0)) if weight else 0.0
         total_error += weight * per_class[value]
     average = float(min(max(total_error / weights.sum(), 0.0), 1.0))
@@ -181,9 +191,11 @@ def hsw_class_decoder(ensemble: CqEnsemble, classes: Mapping, cfg: HswConfig = H
     equal to the member indices, from one factorisation of the class's rows
     sqrt(p_k) sqrt(phi_k) (``_class_pgms``); a class of zero weight gets
     {fail: 1}.  With ``cfg.use_typicality`` the elements are instead
-    T^{-1/2} Q Q_k Q T^{-1/2} using spectral-band typical projectors derived
-    from ``iid_base`` rates at block length ``n_copies``; members whose prior
-    falls outside the typical band abort, which counts as an error.
+    T^{-1/2} Q Q_k Q T^{-1/2} = PGM of the rows Q V_k, with the
+    spectral-band typical projectors Q and Q_k = V_k V_k^dag derived from
+    ``iid_base`` rates at block length ``n_copies``; members whose prior
+    falls outside the typical band get no outcome, which counts as an error,
+    and "fail" is the kernel of T = sum_k Q Q_k Q.
     """
     n = len(ensemble.states)
     seen: set[int] = set()
@@ -197,8 +209,9 @@ def hsw_class_decoder(ensemble: CqEnsemble, classes: Mapping, cfg: HswConfig = H
     if seen != set(range(n)):
         raise ValueError("classes do not partition the ensemble indices")
 
+    rows = _ensemble_rows(ensemble)
     if not cfg.use_typicality:
-        return _class_pgms(_ensemble_rows(ensemble), classes)
+        return _class_pgms(rows, classes)
     if iid_base is None or n_copies is None:
         raise ValueError("typicality mode needs iid_base and n_copies")
     h_rate = shannon_entropy(iid_base.probs)
@@ -206,47 +219,22 @@ def hsw_class_decoder(ensemble: CqEnsemble, classes: Mapping, cfg: HswConfig = H
                          [von_neumann_entropy(st) for st in iid_base.states]))
     s_avg = von_neumann_entropy(iid_base.average_matrix())
     nd = n_copies * cfg.delta
-    q = _band_projector(ensemble.average_matrix(),
-                        2.0 ** (-n_copies * s_avg - nd),
-                        2.0 ** (-n_copies * s_avg + nd))
-    prior_band = (2.0 ** (-n_copies * h_rate - nd),
-                  2.0 ** (-n_copies * h_rate + nd))
+    vq = _band_vectors(ensemble.average_matrix(), n_copies * s_avg, nd)
+    q = vq @ vq.conj().T
+    probs = ensemble.probs
+    prior_rate = n_copies * h_rate
+    typical = (probs >= 2.0 ** (-prior_rate - nd)) & (probs <= 2.0 ** (-prior_rate + nd))
 
-    def q_k(matrix: np.ndarray) -> np.ndarray:
-        return _band_projector(matrix, 2.0 ** (-n_copies * s_bar - nd),
-                               2.0 ** (-n_copies * s_bar + nd))
+    def band_rows(members: np.ndarray) -> tuple[np.ndarray, list]:
+        """Rows Q V_k of the typical members, zero-padded to one width."""
+        kept = [k for k in members.tolist() if typical[k]]
+        vecs = [q @ _band_vectors(ensemble.states[k].matrix, n_copies * s_bar, nd) for k in kept]
+        out = np.zeros((max(len(kept), 1), q.shape[0], max([v.shape[1] for v in vecs] + [1])),
+                       dtype=np.complex128)
+        for row, v in zip(out, vecs):
+            row[:, :v.shape[1]] = v
+        return out, kept
 
-    decoders: dict = {}
-    per_class: dict = {}
-    total_error = 0.0
-    aborted = 0.0
-    dim = ensemble.states[0].space.dim
-    for value, members in classes.items():
-        members = tuple(members)
-        mass = float(np.sum(ensemble.probs[list(members)]))
-        typical = [k for k in members
-                   if prior_band[0] <= ensemble.probs[k] <= prior_band[1]]
-        atyp_mass = float(sum(ensemble.probs[k] for k in members if k not in typical))
-        aborted += atyp_mass
-        sandwiched = {k: q @ q_k(ensemble.states[k].matrix) @ q for k in typical}
-        t = np.sum(list(sandwiched.values()), axis=0) if typical else np.zeros((dim, dim))
-        t = 0.5 * (t + t.conj().T)
-        tvals, tvecs, t_inv_root = operator_function(t, "inv_sqrt_on_support")
-        elements = [0.5 * ((t_inv_root @ sandwiched[k] @ t_inv_root)
-                           + (t_inv_root @ sandwiched[k] @ t_inv_root).conj().T)
-                    for k in typical]
-        rest = np.eye(dim) - np.sum(elements, axis=0) if elements else np.eye(dim)
-        elements.append(0.5 * (rest + rest.conj().T))
-        dec = Povm(tuple(elements), tuple(typical) + ("fail",))
-        err = atyp_mass
-        for pos, k in enumerate(typical):
-            err += float(ensemble.probs[k]
-                         * (1.0 - np.trace(dec.elements[pos]
-                                           @ ensemble.states[k].matrix).real))
-        err = err / mass if mass > 0 else 0.0
-        decoders[value] = dec
-        per_class[value] = float(min(max(err, 0.0), 1.0))
-        total_error += mass * per_class[value]
-    return HswDecoderResult(decoders=decoders, per_class_error=per_class,
-                            average_error=float(min(max(total_error, 0.0), 1.0)),
-                            aborted_mass=float(aborted))
+    # atypical members get no outcome: their mass counts as error
+    return replace(_class_pgms(rows, classes, band_rows),
+                   aborted_mass=float(probs[~typical].sum()))

@@ -37,6 +37,7 @@ from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
                           InvariantViolation, StateVector, _budget, purify)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
+_GRAM_BLOCK = 2 ** 14  # amplitudes per block of a chain distance: the difference stays in cache
 
 
 def _canonical_pure(state) -> StateVector:
@@ -199,18 +200,35 @@ def _logical_weight(arr: np.ndarray, tab: _CodeTables, k_dim: int) -> float:
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(<a|a>, <b|b>, <a|b>): the sums a chain distance reads, over any chunk."""
-    return np.array([np.vdot(a, a), np.vdot(b, b), np.vdot(a, b)])
+    """(<a|a>, <b|b>, <a|b>, ||a - b||^2): the sums a chain distance reads, over any chunk.
+
+    Read in blocks of ``_GRAM_BLOCK`` amplitudes, so a - b never takes a
+    full-size array (at n=3 a chain state is 5 MB).
+    """
+    a, b = a.reshape(-1), b.reshape(-1)
+    sums = np.zeros(4, dtype=np.complex128)
+    diff = np.empty(min(a.size, _GRAM_BLOCK), dtype=np.complex128)
+    for lo in range(0, a.size, _GRAM_BLOCK):
+        x, y = a[lo:lo + _GRAM_BLOCK], b[lo:lo + _GRAM_BLOCK]
+        d = np.subtract(x, y, out=diff[:x.size])
+        sums += (np.vdot(x, x), np.vdot(y, y), np.vdot(x, y), np.vdot(d, d))
+    return sums
 
 
 def _chain_distance(gram: np.ndarray) -> float:
-    """Unnormalised Tr|a - b| of two unit chain states from their ``_gram`` sums."""
+    """Unnormalised Tr|a - b| of two unit chain states from their ``_gram`` sums.
+
+    1 - |<a|b>|^2 / (na nb)^2 = D (1 - D/4) - y^2, with D = 2 - 2 Re<a|b> /
+    (na nb) read from ||a - b||^2 and y = Im<a|b> / (na nb), so equal states
+    give 0 instead of the square root of rounding.
+    """
     na, nb = math.sqrt(gram[0].real), math.sqrt(gram[1].real)
     for nrm in (na, nb):
         if not abs(nrm - 1.0) <= 1e-9:
             raise InvariantViolation(f"chain state norm {nrm!r} is not 1")
-    ov = abs(complex(gram[2])) / (na * nb)
-    return 2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, ov) ** 2))
+    dist = (gram[3].real - (na - nb) ** 2) / (na * nb)
+    y = complex(gram[2]).imag / (na * nb)
+    return 2.0 * math.sqrt(max(0.0, dist * (1.0 - dist / 4.0) - y * y))
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +632,12 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
                                                          _logical_weight(t4pp, tab, k_dim)]])
 
     sums = sum(chunk_sums(amps[:, :, lo:lo + step]) for lo in range(0, e_dim, step))
-    g2, g3, g4 = sums[0:3], sums[3:6], sums[6:9]
+    g2, g3, g4 = sums[0:4], sums[4:8], sums[8:12]
     for nrm, name in zip(np.sqrt(g2[:2].real), ("key decode", "ideal copy")):
         if not abs(nrm - 1.0) <= 1e-10:
             raise InvariantViolation(f"{name} broke normalisation ({float(nrm)!r})")
     # encoded logical fidelities with the maximally entangled state on (A, D)
-    fid = np.sqrt(np.clip(sums[9:].real / k_dim, 0.0, 1.0))
+    fid = np.sqrt(np.clip(sums[12:].real / k_dim, 0.0, 1.0))
     return HashingSimResult(n=n, key_dim=k_dim, eps_z=eps_z, eps_x=eps_x,
                             overlap_psi2=float(g2[2].real), td_psi2=_chain_distance(g2),
                             bound_psi2=2.0 * math.sqrt(2.0 * eps_z),

@@ -155,6 +155,7 @@ def _block_frame(w: np.ndarray, purified: bool = False) -> _KeyFrame:
     flat = w.reshape(-1, e)
     if purified or e == 1:
         return _KeyFrame(diag, np.sum(flat.real ** 2 + flat.imag ** 2, axis=0), off_mass)
+    _budget((e, e), "environment marginal")
     lam, vecs = np.linalg.eigh(_env_block(flat))
     # eigenvalues below eigh's own rounding level carry no support
     keep = lam > e * np.finfo(float).eps * lam[-1]

@@ -30,8 +30,8 @@ from .tensor_core import (
     _check_finite,
     _check_psd,
     _lock,
-    operator_function,
     reduce_blocks,
+    sqrt_psd,
 )
 
 POVM_COMPLETENESS_ATOL = 1e-9
@@ -167,7 +167,7 @@ class Povm:
 
     @cached_property
     def _roots(self) -> tuple[np.ndarray, ...]:
-        return tuple(_lock(operator_function(e, "sqrt")[2]) for e in self.elements)
+        return tuple(_lock(sqrt_psd(e)) for e in self.elements)
 
 
 @dataclass(frozen=True)

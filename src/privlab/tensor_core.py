@@ -404,38 +404,27 @@ def purify(rho: DensityOperator, new_label: str = "E") -> StateVector:
     return StateVector(space, amps)
 
 
-def operator_function(matrix: np.ndarray, f: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecompose a hermitian matrix and apply a spectral function.
-
-    ``f`` is one of ``identity``, ``sqrt``, ``inv_sqrt_on_support``,
-    ``log2_clamped``.  Returns ``(eigenvalues, eigenvectors, f(matrix))``.
-    """
+def _eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a finite hermitian matrix."""
     m = _as_complex(matrix)
     _check_finite(m)
     herm = float(np.max(np.abs(m - m.conj().T)))
     if not herm <= KIND_ATOL:
-        raise ValueError(f"operator_function needs a hermitian input (deviation {herm:g})")
-    vals, vecs = np.linalg.eigh(m)
-    if f == "identity":
-        fv = vals.astype(float)
-    elif f == "sqrt":
-        if vals[0] < -PSD_ATOL:
-            raise ValueError(f"sqrt of a non-positive operator (min eig {vals[0]:g})")
-        fv = np.sqrt(np.clip(vals, 0.0, None))
-    elif f == "inv_sqrt_on_support":
-        if vals[0] < -PSD_ATOL:
-            raise ValueError(f"inv sqrt of a non-positive operator (min eig {vals[0]:g})")
-        fv = np.where(vals > SUPPORT_ATOL, 1.0 / np.sqrt(np.clip(vals, SUPPORT_ATOL, None)), 0.0)
-    elif f == "log2_clamped":
-        fv = np.log2(np.clip(vals, LOG_CLAMP, None))
-    else:
-        raise ValueError(f"unknown spectral function {f!r}")
-    out = (vecs * fv) @ vecs.conj().T
-    return vals, vecs, out
+        raise ValueError(f"eigendecomposition needs a hermitian input (deviation {herm:g})")
+    return np.linalg.eigh(m)
 
 
 def sqrt_psd(matrix: np.ndarray) -> np.ndarray:
-    return operator_function(matrix, "sqrt")[2]
+    """Square root of a positive semidefinite matrix.
+
+    Eigenvalues at or below eigh's own rounding level (dim * eps * the
+    largest) are zeroed first, so rounding dust does not become a 1e-8 root.
+    """
+    vals, vecs = _eigh_hermitian(matrix)
+    if vals[0] < -PSD_ATOL:
+        raise ValueError(f"sqrt of a non-positive operator (min eig {vals[0]:g})")
+    vals = np.where(vals > len(vals) * np.finfo(float).eps * vals[-1], vals, 0.0)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def trace_norm(matrix: np.ndarray) -> float:

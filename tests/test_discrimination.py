@@ -251,3 +251,108 @@ def test_hsw_class_decoder_matches_the_oracle_per_class():
 def test_hsw_config_rejects_bad_delta(delta):
     with pytest.raises(ValueError):
         HswConfig(delta=delta)
+
+
+# ---------------------------------------------------------------------------
+# the typicality decoder against the explicit T^{-1/2} Q Q_k Q T^{-1/2} formula
+
+
+def typicality_oracle(ensemble, classes, delta, iid_base, n_copies):
+    """Oracle: T^{-1/2} Q Q_k Q T^{-1/2} per typical member, with 1 - sum as "fail"."""
+
+    def band_projector(matrix, lo, hi):
+        vals, vecs = np.linalg.eigh(matrix)
+        v = vecs[:, (vals >= lo) & (vals <= hi)]
+        return v @ v.conj().T
+
+    def entropy(matrix):
+        vals = np.linalg.eigvalsh(matrix)
+        vals = vals[vals > 1e-12]
+        return float(-np.sum(vals * np.log2(vals)))
+
+    probs = ensemble.probs
+    base_p = iid_base.probs[iid_base.probs > 0]
+    h_rate = float(-np.sum(base_p * np.log2(base_p)))
+    s_bar = float(np.dot(iid_base.probs, [entropy(st.matrix) for st in iid_base.states]))
+    s_avg = entropy(iid_base.average_matrix())
+    nd = n_copies * delta
+    q = band_projector(ensemble.average_matrix(), 2.0 ** (-n_copies * s_avg - nd),
+                       2.0 ** (-n_copies * s_avg + nd))
+    dim = q.shape[0]
+    decoders, per_class, total, aborted = {}, {}, 0.0, 0.0
+    for value, members in classes.items():
+        mass = float(np.sum(probs[list(members)]))
+        typical = [k for k in members if 2.0 ** (-n_copies * h_rate - nd) <= probs[k]
+                   <= 2.0 ** (-n_copies * h_rate + nd)]
+        atyp = float(sum(probs[k] for k in members if k not in typical))
+        aborted += atyp
+        sandwiched = {k: q @ band_projector(ensemble.states[k].matrix,
+                                            2.0 ** (-n_copies * s_bar - nd),
+                                            2.0 ** (-n_copies * s_bar + nd)) @ q
+                      for k in typical}
+        t = np.sum(list(sandwiched.values()), axis=0) if typical else np.zeros((dim, dim))
+        vals, vecs = np.linalg.eigh(0.5 * (t + t.conj().T))
+        sup = vals > 1e-10
+        inv_root = (vecs[:, sup] / np.sqrt(vals[sup])) @ vecs[:, sup].conj().T
+        elements = {k: inv_root @ sandwiched[k] @ inv_root for k in typical}
+        elements["fail"] = np.eye(dim) - sum(elements.values(), np.zeros((dim, dim)))
+        err = atyp + sum(probs[k] * (1.0 - np.trace(elements[k] @ ensemble.states[k].matrix).real)
+                         for k in typical)
+        per_class[value] = min(max(err / mass if mass > 0 else 0.0, 0.0), 1.0)
+        decoders[value] = elements
+        total += mass * per_class[value]
+    return decoders, per_class, min(max(total, 0.0), 1.0), aborted
+
+
+def iid_extension(base, n):
+    """The n-fold iid ensemble of ``base``: product priors, Kronecker states."""
+    probs, mats = np.ones(1), [np.ones((1, 1))]
+    for _ in range(n):
+        probs = np.kron(probs, base.probs)
+        mats = [np.kron(m, st.matrix) for m in mats for st in base.states]
+    h = HilbertSpace((mats[0].shape[0],), ("Q",))
+    return CqEnsemble(probs, tuple(DensityOperator(h, m) for m in mats),
+                      labels=tuple(range(len(probs))))
+
+
+def _typicality_cases():
+    h = HilbertSpace((2,), ("Q",))
+    fixed = CqEnsemble(np.array([0.5, 0.5]), (DensityOperator(h, np.diag([0.9, 0.1])),
+                                              DensityOperator(h, np.diag([0.2, 0.8]))),
+                       labels=(0, 1))
+    cases = [(fixed, 2, 0.4, {(): tuple(range(4))})]
+    for i in range(24):
+        rng = substream(1400 + i)
+        size, n = 2 + i % 2, 2 + (i // 2) % 2
+        base = CqEnsemble(rng.dirichlet(np.ones(size)),
+                          tuple(random_density_operator(h, rng, rank=1 + int(rng.integers(2)))
+                                for _ in range(size)))
+        members = rng.permutation(size ** n)
+        cuts = np.sort(rng.choice(np.arange(1, size ** n), size=2, replace=False))
+        classes = {c: tuple(int(k) for k in part)
+                   for c, part in enumerate(np.split(members, cuts))}
+        cases.append((base, n, float(rng.uniform(0.05, 2.5)), classes))
+    return cases
+
+
+def test_typicality_decoder_matches_the_inverse_root_oracle():
+    empty_classes = rank_deficient = full_rank = 0
+    for base, n, delta, classes in _typicality_cases():
+        ens = iid_extension(base, n)
+        res = hsw_class_decoder(ens, classes, HswConfig(delta=delta, use_typicality=True),
+                                iid_base=base, n_copies=n)
+        decoders, per_class, average, aborted = typicality_oracle(ens, classes, delta, base, n)
+        for value, want in decoders.items():
+            got = dict(zip(res.decoders[value].outcome_labels, res.decoders[value].elements))
+            assert set(got) <= set(want)
+            zero = np.zeros((ens.states[0].space.dim,) * 2)
+            for label, element in want.items():
+                assert np.allclose(got.get(label, zero), element, rtol=0.0, atol=1e-12)
+            assert res.per_class_error[value] == pytest.approx(per_class[value], abs=1e-12)
+            empty_classes += set(want) == {"fail"}
+            rank_deficient += "fail" in got and len(want) > 1
+            full_rank += "fail" not in got
+        assert res.average_error == pytest.approx(average, abs=1e-12)
+        assert res.aborted_mass == pytest.approx(aborted, abs=1e-12)
+    # classes with no typical member, with a rank-deficient T and with a full-rank one
+    assert empty_classes and rank_deficient and full_rank

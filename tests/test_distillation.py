@@ -232,6 +232,16 @@ def test_one_shot_eps_direct_is_the_final_state_distance(case, seed):
     assert out.transcript["eps_direct"] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("case,seed", [(c, s) for c in sorted(ONE_SHOT_CASES) for s in (1, 7)])
+def test_one_shot_transcript_errors_equal_the_decoder_scores(case, seed):
+    # _guess_error on the one-shot rows and _class_pgms' hit sums score the same decoders
+    state, code = ONE_SHOT_CASES[case](seed)
+    decs = build_css_decoders(state, code)
+    out = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
+    assert out.transcript["eps_z"] == pytest.approx(decs.z_result.average_error, abs=1e-12)
+    assert out.transcript["eps_x"] == pytest.approx(decs.x_result.average_error, abs=1e-12)
+
+
 def test_one_shot_eps_direct_on_shielded_input():
     res = two_copy_scenario(*shield_pair(0.6), "XX", adaptive=True)
     shielded = tensor_power_grouped(shielded_bit_state(*shield_pair(0.6)), 2)
@@ -445,6 +455,17 @@ def test_chain_distance_matches_pure_state_distance_and_rejects_bad_norms():
             _chain_distance(_gram(a, c))
         with pytest.raises(InvariantViolation):
             _chain_distance(_gram(c, a))
+
+
+@pytest.mark.parametrize("d,flag", [(2, None), (2, "--mz-rows"), (2, "--mx-rows"),
+                                    (3, "--mz-rows")])
+def test_hashing_sim_exact_bell_input_gives_zero_distances(d, flag):
+    # equal chain states: the distances come from ||a - b||^2, not 1 - |<a|b>|^2
+    argv = ["hashing-sim", "--state", "bell", "--d", str(d), "--n", "2",
+            "--code-kind", "explicit", "--code-d", str(d), "--code-n", "2"]
+    res = json.loads(run(argv + ([flag, "1 1"] if flag else [])))["results"]
+    for key in ("td_psi2", "td_psi3", "td_psi4"):
+        assert res[key] <= 1e-12
 
 
 def test_two_copy_scenario_enforces_amplitude_cap():

@@ -280,6 +280,15 @@ def test_direct_distance_splits_a_stack_over_the_cap(monkeypatch, factorised):
     assert factorised["eigvalsh"] == [(2, 2)] * 3
 
 
+def test_environment_marginal_is_budgeted_before_it_is_built():
+    # a StateVector's e x e rho_E sits at the cap for e = 1024 and above it for e = 1025
+    psi = random_pure_state(HilbertSpace((2, 2, 1024), ("A", "B", "E")), substream(140))
+    assert 0.0 < epsilon_secret_direct(psi) <= 1.0
+    wide = random_pure_state(HilbertSpace((2, 2, 1025), ("A", "B", "E")), substream(141))
+    with pytest.raises(ValueError, match="amplitudes"):
+        epsilon_secret_direct(wide)
+
+
 def test_werner_direct_distance_factorises_only_its_purification(factorised):
     state = build_state({"kind": "werner", "d": 12, "p": 0.9}, 5)[0]
     for shapes in factorised.values():

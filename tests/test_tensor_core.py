@@ -8,12 +8,12 @@ import pytest
 
 from privlab import (CqEnsemble, DensityOperator, HilbertSpace,
                      LinearOperator, Povm, StateVector,
-                     fidelity, haar_unitary, measure, partial_trace,
+                     fidelity, haar_unitary, helstrom_pair, measure, partial_trace,
                      pure_state_trace_distance, purify, substream,
                      trace_distance, trace_norm, von_neumann_entropy)
 from privlab.info_measures import _cq_blocks
 from privlab.tensor_core import (AMPLITUDE_CAP, apply_to_vector, embed_operator,
-                                 operator_function, permute_vector, sqrt_psd,
+                                 permute_vector, sqrt_psd,
                                  tensor_product, vector_marginal)
 from privlab.sampling import random_density_operator, random_pure_state
 
@@ -108,9 +108,9 @@ def test_operators_and_ensembles_reject_non_finite_entries(kind, bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("helper", [von_neumann_entropy, sqrt_psd, trace_norm,
-                                    lambda m: operator_function(m, "log2_clamped")],
+                                    lambda m: helstrom_pair(m, np.eye(2) / 2)],
                          ids=["von_neumann_entropy", "sqrt_psd", "trace_norm",
-                              "operator_function"])
+                              "helstrom_pair"])
 def test_spectral_helpers_reject_non_finite_matrices(helper, bad):
     m = np.eye(2, dtype=np.complex128) / 2
     m[0, 1] = m[1, 0] = bad
