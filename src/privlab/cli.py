@@ -35,7 +35,7 @@ from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
                         _private_vector, maximally_entangled)
 from .sampling import haar_unitary, haar_vector, random_pure_state, substream
 from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, _budget)
+                          StateVector, _budget, purify)
 
 STATE_KINDS = {
     "bell": {"d"},
@@ -305,6 +305,8 @@ def cmd_distill(cfg: Mapping, seed: int):
         return results, [results]
     state, _ = build_state(cfg.get("state", {"kind": "bell"}), seed)
     code = build_code(code_spec, seed)
+    if isinstance(state, DensityOperator):
+        state = purify(state)  # once, for the decoders and the protocol alike
     decs = build_css_decoders(state, code)
     outcome = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
     results = dict(outcome.transcript)

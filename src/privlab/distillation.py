@@ -30,34 +30,14 @@ import numpy as np
 
 from .css_codes import CssCode, GfMatrix, all_strings
 from .discrimination import HswDecoderResult, _class_pgms, helstrom_pair
-from .info_measures import _entropy_of_rows, shannon_entropy
-from .privacy import PrivacyReport, _block_frame, _direct_distance
+from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
+from .privacy import PrivacyReport, _block_frame, _direct_distance, _key_amplitudes
 from .qudit_ops import ConjugateBasis, Povm
 from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
-                          InvariantViolation, StateVector, _budget, purify)
+                          InvariantViolation, StateVector, _budget)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 _GRAM_BLOCK = 2 ** 14  # amplitudes per block of a chain distance: the difference stays in cache
-
-
-def _canonical_pure(state) -> StateVector:
-    """Pure state with axis order (A, B, shield..., E?); mixed inputs are purified."""
-    if isinstance(state, DensityOperator):
-        if "E" in state.space.labels:
-            raise ValueError("mixed states must not carry an E register; "
-                             "the purifier owns that name")
-        psi = purify(state, "E")
-    elif isinstance(state, StateVector):
-        psi = state
-    else:
-        raise TypeError("expected a StateVector or DensityOperator")
-    labels = psi.space.labels
-    for need in ("A", "B"):
-        if need not in labels:
-            raise ValueError(f"state must carry register {need!r}")
-    shield = tuple(x for x in labels if x not in ("A", "B", "E"))
-    order = ("A", "B") + shield + (("E",) if "E" in labels else ())
-    return psi.permuted(order)
 
 
 def extend_with_copy(psi: StateVector, label: str = "C") -> StateVector:
@@ -279,19 +259,6 @@ def _guess_error(rows: np.ndarray, decoders: Mapping, classes: Mapping,
     return float(min(max(1.0 - succ, 0.0), 1.0))
 
 
-def _holevo_of_rows(rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """Holevo quantity of {p_x, w_x w_x^dag / p_x} and the normalised p_x.
-
-    ``rows`` is shaped (x, kept, rest); the average state sums the w_x
-    w_x^dag, i.e. it is read from the blocks laid side by side along rest.
-    """
-    n, m, k = rows.shape
-    p, ent = _entropy_of_rows(rows)
-    avg = _entropy_of_rows(rows.transpose(1, 0, 2).reshape(1, m, n * k))[1][0]
-    q = p / p.sum()
-    return float(avg - q @ ent), q
-
-
 def distillable_rate(state, conj_basis: ConjugateBasis | None = None) -> RateBreakdown:
     """Evaluate the one-way rate bound I(Z:B) - H(Z) + I(X:CBS).
 
@@ -304,17 +271,13 @@ def distillable_rate(state, conj_basis: ConjugateBasis | None = None) -> RateBre
     the copied X ensemble the rows conj(v[:, x]) (.) t as (C B S, e), and
     the coherent information S(BS) - S(ABS) the two cuts of t itself.
     """
-    psi = _canonical_pure(state)
-    space = psi.space
-    d, b = space.dim_of("A"), space.dim_of("B")
+    t = _key_amplitudes(state)[0]
+    d, b, s, e = t.shape
     if conj_basis is None:
         conj_basis = ConjugateBasis.fourier(d)
     if conj_basis.d != d:
         raise ValueError("conjugate basis dimension does not match register A")
-    _budget((d, space.dim), "rate amplitude rows")
-    e = space.dim_of("E") if "E" in space.labels else 1
-    t = psi.amplitudes.reshape(d, b, -1, e)
-    s = t.shape[2]
+    _budget((d, t.size), "rate amplitude rows")
 
     i_zb, pz = _holevo_of_rows(t.reshape(d, b, s * e))
     h_z = shannon_entropy(pz)
@@ -361,24 +324,25 @@ def build_css_decoders(state, code: CssCode, *, x_on_copy: bool = False) -> CssD
     strings, (v^dag t)[x] as (B S, E) or conj(v[:, x]) (.) t as (C B, S E)
     for the conjugate ones.  A class of zero weight gets {fail: 1}.
     """
-    psi = _canonical_pure(state)
-    space = psi.space
-    d, n = code.d, code.n
-    dd = d ** n
-    if space.dim_of("A") != dd or space.dim_of("B") != dd:
+    return _css_decoders(*_key_amplitudes(state), code, x_on_copy)
+
+
+def _css_decoders(t: np.ndarray, shield: tuple[str, ...], code: CssCode,
+                  x_on_copy: bool) -> CssDecoders:
+    """``build_css_decoders`` on the amplitudes t[a, b, s, e] and shield labels."""
+    dd = code.d ** code.n
+    if t.shape[:2] != (dd, dd):
         raise ValueError("key registers must have dimension d^n")
     tab = _code_tables(code)
-    t = psi.amplitudes.reshape(dd, dd, -1)
-    z_result = _class_pgms(t, tab.alpha_classes)
+    z_result = _class_pgms(t.reshape(dd, dd, -1), tab.alpha_classes)
     if x_on_copy:
-        _budget((dd, space.dim), "copied conjugate rows")
+        _budget((dd, t.size), "copied conjugate rows")
         x_labels = ("C", "B")
-        rows = (tab.v.conj().T[:, :, None, None] * t).reshape(dd, dd * dd, -1)
+        rows = (tab.v.conj().T[:, :, None, None] * t.reshape(dd, dd, -1)).reshape(
+            dd, dd * dd, -1)
     else:
-        shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
         x_labels = ("B",) + shield
-        e_dim = space.dim_of("E") if "E" in space.labels else 1
-        rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, e_dim)
+        rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, t.shape[3])
     x_result = _class_pgms(rows, tab.beta_classes)
     return CssDecoders(key_decoders=z_result.decoders,
                        conj_decoders=x_result.decoders,
@@ -412,20 +376,15 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     direct ccq distance of the encoded key (Eve holding E and R) is checked
     against the certificate.
     """
-    psi = _canonical_pure(state)
-    space = psi.space
+    amps, shield = _key_amplitudes(state)
     d, n = code.d, code.n
     dd = d ** n
-    if space.dim_of("A") != dd or space.dim_of("B") != dd:
+    if amps.shape[:2] != (dd, dd):
         raise ValueError(f"key registers must have dimension {dd}")
-    shield = tuple(x for x in space.labels if x not in ("A", "B", "E"))
     bad = [x for x in shield if x in _RESERVED]
     if bad:
         raise ValueError(f"shield labels {bad} collide with protocol registers")
-    has_e = "E" in space.labels
-    s_dim = int(np.prod(space.dims_of(shield), dtype=np.int64)) if shield else 1
-    e_dim = space.dim_of("E") if has_e else 1
-    amps = psi.amplitudes.reshape(dd, dd, s_dim, e_dim)
+    s_dim, e_dim = amps.shape[2:]
 
     tab = _code_tables(code)
     k_dim = d ** code.k
@@ -480,7 +439,8 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
             f"hypothesis error {eps_z:.6e}")
 
     # encode: A -> (logical, z-syndrome, destabiliser), guesses likewise, as
-    # (A, Az, Ag, Bq, Sq, E, T, B, Bg); R, a copy of Az, goes in before T
+    # (A, Az, Ag, Bq, Sq, E, T, B, Bg), with trivial Sq and E when the state has
+    # no shield or environment; R, a copy of Az, goes in before T
     baux = dd // k_dim
     enc = _encode(t2, tab).reshape((k_dim, r_dim, t_dim) + t2.shape[1:-1]
                                    + (k_dim + 1, baux))
@@ -489,12 +449,12 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     eps_direct = _direct_distance([_block_frame(
         enc[:, r].transpose(0, 6, 1, 2, 3, 5, 7, 4).reshape(k_dim, k_dim + 1, -1, e_dim))
         for r in range(r_dim)])
-    dims = ((k_dim, r_dim, t_dim, dd) + ((s_dim,) if shield else ())
-            + ((e_dim,) if has_e else ()) + (r_dim, t_dim, k_dim + 1, baux))
-    labels = (("A", "Az", "Ag", "Bq") + (("Sq",) if shield else ())
-              + (("E",) if has_e else ()) + ("R", "T", "B", "Bg"))
-    final = StateVector(HilbertSpace(dims, labels), np.einsum(
-        "azgqseTbh,zr->azgqserTbh", enc, np.eye(r_dim)).reshape(-1))
+    # R holds Az: the slice R = r of the final state is the slice Az = r of enc
+    final = np.zeros(enc.shape[:6] + (r_dim,) + enc.shape[6:], dtype=np.complex128)
+    for r in range(r_dim):
+        final[:, r, :, :, :, :, r] = enc[:, r]
+    final = StateVector(HilbertSpace(final.shape, ("A", "Az", "Ag", "Bq", "Sq", "E", "R",
+                                                   "T", "B", "Bg")), final.reshape(-1))
 
     report = PrivacyReport(p_e=p_prime_e, p_tilde_e=p_tilde_prime_e,
                            eps_certified=eps_certified, eps_direct=eps_direct,
@@ -545,20 +505,17 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     decoupler on (C, D).  Each step is compared against the ideal branch
     where C is a perfect copy of A.
     """
-    psi1 = _canonical_pure(state)
-    extra = set(psi1.space.labels) - {"A", "B", "E"}
-    if extra:
-        raise ValueError(f"hashing takes plain (A, B) states, got extra {sorted(extra)}")
+    t, shield = _key_amplitudes(state)
+    if shield:
+        raise ValueError(f"hashing takes plain (A, B) states, got extra {sorted(shield)}")
     d = code.d
-    if psi1.space.dim_of("A") != d or psi1.space.dim_of("B") != d:
+    if t.shape[:2] != (d, d):
         raise ValueError("single-copy registers must have dimension d")
     if code.n != n:
         raise ValueError("code length must match the number of copies")
 
-    psi = tensor_power_grouped(psi1, n)
-    dd = d ** n
-    e_dim = psi.space.dim_of("E") if "E" in psi.space.labels else 1
-    amps = psi.amplitudes.reshape(dd, dd, e_dim)
+    amps = _grouped_power(t[:, :, 0], n)
+    dd, e_dim = amps.shape[1:]
 
     tab = _code_tables(code)
     v, vc = tab.v, tab.v.conj()
@@ -568,7 +525,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     step = AMPLITUDE_CAP // _budget((dd, dd, t_dim, c_dim, c_dim),
                                     "hashing chain per environment column")
 
-    decs = build_css_decoders(psi, code, x_on_copy=True)
+    decs = _css_decoders(amps[:, :, None], (), code, True)
     eps_z, eps_x = decs.z_result.average_error, decs.x_result.average_error
 
     # Bob's conjugate outcome x lands in D as the ket conj(v[:, x]) (column x
@@ -657,17 +614,18 @@ def tensor_power_grouped(psi: StateVector, n: int) -> StateVector:
     """
     if n < 1:
         raise ValueError("need at least one copy")
-    space = psi.space
-    ll = len(space.labels)
-    _budget([dim ** n for dim in space.dims], "tensor power")
-    arr = psi.amplitudes.reshape(space.dims)
+    out = _grouped_power(psi.amplitudes.reshape(psi.space.dims), n)
+    return StateVector(HilbertSpace(out.shape, psi.space.labels), out.reshape(-1))
+
+
+def _grouped_power(arr: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold tensor power of an array with the copies of each axis merged."""
+    _budget([dim ** n for dim in arr.shape], "tensor power")
     out = arr
     for _ in range(n - 1):
         out = np.multiply.outer(out, arr)
-    perm = [c * ll + l for l in range(ll) for c in range(n)]
-    out = out.transpose(perm)
-    dims = tuple(int(dim) ** n for dim in space.dims)
-    return StateVector(HilbertSpace(dims, space.labels), out.reshape(-1))
+    perm = [c * arr.ndim + l for l in range(arr.ndim) for c in range(n)]
+    return out.transpose(perm).reshape(tuple(dim ** n for dim in arr.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -203,15 +203,10 @@ class _Conditionals(Mapping):
         return len(self._rows)
 
 
-def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementResult:
-    """Measure disjoint label sets jointly.
-
-    For each joint outcome (j, k, ...) the probability is
-    Tr[(E_j (x) F_k (x) ... (x) 1) rho] and the conditional state on the
-    unmeasured factors is the normalised partial trace of the same product.
-    Zero-probability outcomes carry no conditional state.  A StateVector is
-    reduced from its amplitudes and never becomes a D x D matrix.
-    """
+def _joint_blocks(state, povms: Sequence[tuple[Sequence[str], Povm]], keep_rest: bool
+                  ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Blocks, probabilities (block traces, summing to 1) and kept labels of a
+    joint measurement; the blocks keep every unmeasured register, or none."""
     if not isinstance(state, (StateVector, DensityOperator)):
         raise TypeError("measure expects a DensityOperator or StateVector")
     space = state.space
@@ -224,12 +219,33 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementRe
         want = int(np.prod(space.dims_of(labels), dtype=np.int64))
         if povm.dim != want:
             raise ValueError(f"POVM dim {povm.dim} does not match labels {labels}")
-    kept = tuple(x for x in space.labels if x not in seen)
+    kept = tuple(x for x in space.labels if x not in seen) if keep_rest else ()
 
     data = state.amplitudes if isinstance(state, StateVector) else state.matrix
     blocks = reduce_blocks(space, data, kept,
                            [(labels, np.stack(povm.elements)) for labels, povm in povms])
     probs = np.einsum("...ii->...", blocks.real)
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= 1e-10:
+        raise InvariantViolation(f"outcome probabilities sum to {total!r}")
+    return blocks, probs, kept
+
+
+def _joint_probs(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> np.ndarray:
+    """The ``probs`` of ``measure(state, povms)``, reduced without keeping a register."""
+    return _joint_blocks(state, povms, False)[1]
+
+
+def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementResult:
+    """Measure disjoint label sets jointly.
+
+    For each joint outcome (j, k, ...) the probability is
+    Tr[(E_j (x) F_k (x) ... (x) 1) rho] and the conditional state on the
+    unmeasured factors is the normalised partial trace of the same product.
+    Zero-probability outcomes carry no conditional state.  A StateVector is
+    reduced from its amplitudes and never becomes a D x D matrix.
+    """
+    blocks, probs, kept = _joint_blocks(state, povms, True)
     conditionals: Mapping[tuple, DensityOperator] = {}
     if kept:
         k = blocks.shape[-1]
@@ -241,10 +257,8 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementRe
         _check_finite(cond)
         _check_psd(np.linalg.eigvalsh(cond))
         outcomes = list(np.ndindex(*probs.shape))
-        conditionals = _Conditionals(space.restrict(kept), [outcomes[i] for i in live], cond)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-10:
-        raise InvariantViolation(f"outcome probabilities sum to {total!r}")
+        conditionals = _Conditionals(state.space.restrict(kept),
+                                     [outcomes[i] for i in live], cond)
     return MeasurementResult(probs=probs,
                              outcome_labels=tuple(p.outcome_labels for _, p in povms),
                              kept_labels=kept,

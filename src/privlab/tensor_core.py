@@ -404,6 +404,11 @@ def purify(rho: DensityOperator, new_label: str = "E") -> StateVector:
     return StateVector(space, amps)
 
 
+def _unused_label(space: HilbertSpace) -> str:
+    """A label no register of ``space`` carries: it is longer than all of theirs."""
+    return "E" * (1 + max(map(len, space.labels)))
+
+
 def _eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of a finite hermitian matrix."""
     m = _as_complex(matrix)

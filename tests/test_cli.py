@@ -1,5 +1,6 @@
 """Command-line workbench: subcommands, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 from privlab import (ConjugateBasis, HilbertSpace, StateVector, TwistingOperator,
-                     certify_private, haar_unitary, haar_vector, maximally_entangled,
-                     random_pure_state, twisting_conjugate_measurement,
-                     uhlmann_conjugate_measurement)
+                     build_css_decoders, certify_private, haar_unitary, haar_vector,
+                     maximally_entangled, one_shot_distill, random_pure_state,
+                     twisting_conjugate_measurement, uhlmann_conjugate_measurement)
+import privlab
 from privlab import cli, privacy
-from privlab.cli import MAX_TRIALS, build_parser, build_state, main, run
+from privlab.cli import MAX_TRIALS, build_code, build_parser, build_state, main, run
 from privlab.qudit_ops import _private_vector
 from privlab.tensor_core import AMPLITUDE_CAP
 from privlab.sampling import substream
@@ -84,8 +86,8 @@ def test_twisted_state_draws_only_the_diagonal_blocks(monkeypatch, d, sh, seed):
                                   {"kind": "twisted", "d": 4, "shield_dim": 8}])
 def test_verify_uhlmann_scores_the_key_tests_once(monkeypatch, spec):
     measured = []
-    monkeypatch.setattr(privacy, "measure",
-                        lambda *a, _f=privacy.measure, **k: measured.append(1) or _f(*a, **k))
+    monkeypatch.setattr(privacy, "_joint_probs",
+                        lambda *a, _f=privacy._joint_probs, **k: measured.append(1) or _f(*a, **k))
     argv = ["verify", "--measurement", "uhlmann", "--seed", "3"]
     for key, value in spec.items():
         argv += [f"--{key.replace('_', '-')}" if key != "kind" else "--state", str(value)]
@@ -115,6 +117,23 @@ def test_werner_build_validates_one_matrix(factorised):
     # the same matrix as from the validated projector
     phi = maximally_entangled(12).density().matrix
     assert np.array_equal(state.matrix, 0.9 * phi + (1.0 - 0.9) * np.eye(144) / 144)
+
+
+def test_distill_purifies_a_mixed_state_once(monkeypatch):
+    purified = []
+    for mod in (cli, privacy):
+        monkeypatch.setattr(mod, "purify",
+                            lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
+    argv = ["distill", "--state", "werner", "--d", "9", "--p", "0.9", "--code-kind",
+            "sampled", "--code-d", "3", "--code-n", "2", "--m-z", "1", "--seed", "5"]
+    res = results_of(argv)
+    assert len(purified) == 1
+    # the same payload as purifying for the decoders and the protocol apart
+    state, _ = build_state({"kind": "werner", "d": 9, "p": 0.9}, 5)
+    code = build_code({"kind": "sampled", "d": 3, "n": 2, "m_z": 1}, 5)
+    decs = build_css_decoders(state, code)
+    out = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
+    assert res == {**out.transcript, "key_dim": out.key_dims[0]}
 
 
 def test_verify_uhlmann_reports_bound():
@@ -479,3 +498,38 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
         if not ok:
             bad.append((command, json.dumps(cfg), want, rc))
     assert not bad, bad
+
+
+# The public contract: the names privlab exports and the CLI subcommands.
+PUBLIC_NAMES = [
+    "AuditRecord", "CodeSamplingError", "ConjugateBasis", "CqEnsemble", "CssCode",
+    "CssDecoders", "DensityOperator", "DistillationOutcome", "GfMatrix",
+    "HashingSimResult", "HilbertSpace", "HswConfig", "HswDecoderResult",
+    "InvariantViolation", "LinearOperator", "MeasurementResult", "Povm", "PrivacyReport",
+    "RateBreakdown", "StateVector", "TwistingOperator", "TwoCopyResult", "UhlmannRecord",
+    "all_strings", "apply_to_vector", "build_css_decoders", "build_private_state",
+    "ccq_blocks", "ccq_fidelity_to_key", "certify_private", "class_members",
+    "class_projector", "coherent_hashing_sim", "coherent_information", "coherent_measure",
+    "conditional_entropy", "css_codes", "discrimination", "distillable_rate",
+    "distillation", "embed_operator", "epsilon_secret_direct", "extend_with_copy",
+    "fidelity", "generalized_paulis", "haar_unitary", "haar_vector", "helstrom_pair",
+    "holevo_information", "hsw_class_decoder", "info_measures", "key_error_rates",
+    "logical_operators", "maximally_entangled", "measure", "mutual_information",
+    "one_shot_distill", "partial_trace", "permute_vector", "pgm", "pgm_error", "privacy",
+    "pure_state_trace_distance", "purify", "qudit_ops", "random_density_operator",
+    "random_pure_state", "sample_universal_css", "sampling", "shannon_entropy",
+    "shielded_bit_state", "sqrt_psd", "star_projective_povm", "string_index", "substream",
+    "syndrome", "tensor_core", "tensor_power_grouped", "tensor_product", "trace_distance",
+    "trace_norm", "twisting_conjugate_measurement", "twisting_unitary",
+    "two_copy_scenario", "uhlmann_conjugate_measurement", "uncertainty_audit",
+    "universality_estimate", "vector_marginal", "von_neumann_entropy",
+]
+SUBCOMMANDS = ["appd", "css", "distill", "hashing-sim", "rates", "uncertainty", "verify"]
+
+
+def test_public_names_and_subcommands_are_pinned():
+    assert sorted(privlab.__all__) == PUBLIC_NAMES
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == SUBCOMMANDS
+    assert sorted(cli.COMMANDS) == SUBCOMMANDS

@@ -20,8 +20,8 @@ from privlab import (ConjugateBasis, CqEnsemble, CssCode, DensityOperator, Hilbe
 from privlab import distillation, privacy, tensor_core
 from privlab.cli import build_state, run
 from privlab.cli import build_code
-from privlab.distillation import (_canonical_pure, _chain_distance, _code_tables,
-                                  _encode, _extract, _gram, _guess_error, _logical_weight)
+from privlab.distillation import (_chain_distance, _code_tables, _encode, _extract, _gram,
+                                  _guess_error, _key_decode, _logical_weight)
 from conftest import largest_side
 
 
@@ -81,7 +81,7 @@ def test_rate_is_reported_even_when_negative():
 
 def ensemble_rate_oracle(state, conj_basis=None) -> RateBreakdown:
     """The rate bound from conditional-state ensembles, one density per outcome."""
-    psi = _canonical_pure(state)
+    psi = purify(state) if isinstance(state, DensityOperator) else state
     space = psi.space
     d = space.dim_of("A")
     if conj_basis is None:
@@ -140,7 +140,7 @@ def test_rates_match_the_ensemble_oracle(case):
 
 def test_twisted_rates_factorise_only_small_blocks(factorised, monkeypatch):
     purified = []
-    for mod in (privlab, tensor_core, privacy, distillation):
+    for mod in (privlab, tensor_core, privacy):
         monkeypatch.setattr(mod, "purify",
                             lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
     res = json.loads(run(["rates", "--state", "twisted", "--d", "4",
@@ -240,6 +240,26 @@ def test_one_shot_transcript_errors_equal_the_decoder_scores(case, seed):
     out = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
     assert out.transcript["eps_z"] == pytest.approx(decs.z_result.average_error, abs=1e-12)
     assert out.transcript["eps_x"] == pytest.approx(decs.x_result.average_error, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SHOT_CASES))
+def test_one_shot_final_state_is_the_einsum_r_copy(case):
+    # R is filled slice by slice; the same bits as the diagonal einsum with eye(r_dim)
+    state, code = ONE_SHOT_CASES[case](1)
+    decs = build_css_decoders(state, code)
+    out = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
+    tab = _code_tables(code)
+    k_dim, r_dim, t_dim = code.d ** code.k, code.d ** code.m_z, code.d ** code.m_x
+    dd = code.d ** code.n
+    amps = purify(state).amplitudes.reshape(dd, dd, 1, -1)
+    t2 = _key_decode(_extract(amps, tab), decs.key_decoders, tab)
+    enc = _encode(t2, tab).reshape((k_dim, r_dim, t_dim) + t2.shape[1:-1]
+                                   + (k_dim + 1, dd // k_dim))
+    want = np.einsum("azgqseTbh,zr->azgqserTbh", enc, np.eye(r_dim))
+    assert out.final_state.space.labels == ("A", "Az", "Ag", "Bq", "Sq", "E", "R", "T",
+                                            "B", "Bg")
+    assert out.final_state.space.dims == want.shape
+    assert np.array_equal(out.final_state.amplitudes, want.reshape(-1))
 
 
 def test_one_shot_eps_direct_on_shielded_input():
@@ -556,7 +576,7 @@ def test_guess_error_matches_explicit_loops():
     tab = _code_tables(code)
     strings = np.arange(4)
     for p in (0.97, 0.9):
-        psi = _canonical_pure(tensor_power_grouped(purify(werner(p), "E"), 2))
+        psi = tensor_power_grouped(purify(werner(p), "E"), 2)
         decs = build_css_decoders(psi, code)
         ens_z = loop_ensemble(psi, None, ("B",))
         ens_x = loop_ensemble(psi, tab.v, ("B",))
@@ -623,7 +643,8 @@ def loop_p_tilde_prime_e(psi, code, conj_decoders):
     """The conjugate test p~'_e by the explicit loop over beta and decoder roots:
     each beta slice of the densely extracted state is decoded by its own class
     decoder, read in the conjugate basis, and scored on the logical value mu."""
-    psi = _canonical_pure(psi)
+    if isinstance(psi, DensityOperator):
+        psi = purify(psi)
     tab = _code_tables(code)
     dd, e_dim = psi.space.dim_of("A"), psi.space.dim_of("E")
     amps = psi.amplitudes.reshape(dd, dd, -1, e_dim)
@@ -713,7 +734,7 @@ def test_four_copy_conjugate_decoders_complete_to_machine_precision():
     # eigenvalues down to 2.4e-8, where an inverse square root of the average
     # completes only to about 5e-10
     code = CssCode.from_stabilizers(2, [[1, 1, 1, 1]], [], n=4)
-    psi = tensor_power_grouped(_canonical_pure(werner(0.95)), 4)
+    psi = tensor_power_grouped(purify(werner(0.95)), 4)
     decs = build_css_decoders(psi, code, x_on_copy=True)
     for dec in (*decs.key_decoders.values(), *decs.conj_decoders.values()):
         total = np.sum(dec.elements, axis=0)

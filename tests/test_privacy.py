@@ -12,13 +12,13 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace,
                      ccq_fidelity_to_key, certify_private,
                      epsilon_secret_direct, fidelity, haar_unitary,
                      haar_vector, key_error_rates, maximally_entangled,
-                     purify, random_density_operator, random_pure_state,
+                     measure, purify, random_density_operator, random_pure_state,
                      sqrt_psd, star_projective_povm, substream,
                      trace_norm, twisting_conjugate_measurement,
                      twisting_unitary, uhlmann_conjugate_measurement)
 from privlab import cli, privacy
 from privlab.cli import build_state
-from privlab.privacy import _conjugate_key_elements
+from privlab.privacy import _conjugate_key_elements, _key_amplitudes
 from conftest import assert_povm, largest_side
 
 
@@ -287,6 +287,67 @@ def test_environment_marginal_is_budgeted_before_it_is_built():
     wide = random_pure_state(HilbertSpace((2, 2, 1025), ("A", "B", "E")), substream(141))
     with pytest.raises(ValueError, match="amplitudes"):
         epsilon_secret_direct(wide)
+
+
+def measured_key_error_rates(state, conj_basis, conj_povm, povm_labels):
+    """(p_e, p_tilde_e) from the outcome probabilities of two public ``measure`` calls."""
+    d = state.space.dim_of("A")
+    std = measure(state, [(("A",), Povm.standard_basis(d)),
+                          (("B",), Povm.standard_basis(state.space.dim_of("B")))])
+    conj = measure(state, [(("A",), conj_basis.povm()), (povm_labels, conj_povm)])
+    p_match = sum(conj.probs[lab, y] for y, lab in enumerate(conj_povm.outcome_labels)
+                  if lab != "fail" and lab < d)
+    return 1.0 - float(np.trace(std.probs)), 1.0 - float(p_match)
+
+
+def test_key_error_rates_keep_no_register():
+    # the key tests read probabilities only, so a (2, 2, 1024) StateVector
+    # certifies although measure's (2, 2, 1024, 1024) conditional blocks pass the cap
+    psi = random_pure_state(HilbertSpace((2, 2, 1024), ("A", "B", "E")), substream(142))
+    rep = certify_private(psi)
+    assert rep.eps_direct == epsilon_secret_direct(psi)
+    cb = ConjugateBasis.fourier(2)
+    with pytest.raises(ValueError, match="amplitudes"):
+        measured_key_error_rates(psi, cb, star_projective_povm(cb), ("B",))
+    # the same figures as from measure, on states where it fits
+    for case, (dims, labels) in enumerate([((2, 2, 8), ("A", "B", "E")),
+                                           ((3, 4, 2, 3), ("E", "A", "S", "B"))]):
+        space = HilbertSpace(dims, labels)
+        d = space.dim_of("A")
+        cb = ConjugateBasis.fourier(d)
+        povm = Povm.projective_from_columns(haar_unitary(space.dim // d, substream(143, case)))
+        rest = tuple(x for x in labels if x != "A")
+        for state in (random_pure_state(space, substream(144, case)),
+                      random_density_operator(space, substream(145, case), rank=2)):
+            got = key_error_rates(state, cb, povm)
+            want = measured_key_error_rates(state, cb, povm, rest)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_key_amplitudes_layout():
+    # a vector keeps its own registers: A, B, the shield in state order, then env
+    psi = random_pure_state(HilbertSpace((2, 3, 2, 2, 3), ("R", "B", "S", "A", "E")),
+                            substream(146))
+    t, shield = _key_amplitudes(psi, ("E", "R"))
+    assert t.shape == (2, 3, 2, 6) and shield == ("S",)
+    want = psi.amplitudes.reshape(2, 3, 2, 2, 3).transpose(3, 1, 2, 4, 0)
+    assert np.array_equal(t, want.reshape(2, 3, 2, 6))
+    # with no environment named, E is a lab register and the environment is trivial
+    t, shield = _key_amplitudes(psi, ())
+    assert t.shape == (2, 3, 12, 1) and shield == ("R", "S", "E")
+    # a mixed state is purified once, its purifier being the environment
+    rho = random_density_operator(HilbertSpace((2, 2, 3), ("A", "S", "B")), substream(147),
+                                  rank=4)
+    t, shield = _key_amplitudes(rho)
+    assert t.shape == (2, 3, 2, 4) and shield == ("S",)
+    lab = t.transpose(0, 2, 1, 3).reshape(12, 4)
+    assert np.allclose(lab @ lab.conj().T, rho.matrix, rtol=0.0, atol=1e-12)
+    assert _key_amplitudes(maximally_entangled(2))[0].shape == (2, 2, 1, 1)
+    with pytest.raises(ValueError, match="already used"):
+        _key_amplitudes(DensityOperator(HilbertSpace((2, 2, 2), ("A", "B", "E")),
+                                        np.eye(8) / 8))
+    with pytest.raises(ValueError, match="register 'B'"):
+        _key_amplitudes(random_pure_state(HilbertSpace((2, 2), ("A", "S")), substream(148)))
 
 
 def test_werner_direct_distance_factorises_only_its_purification(factorised):

@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from privlab import (CqEnsemble, DensityOperator, HilbertSpace,
+from privlab import (ConjugateBasis, CqEnsemble, DensityOperator, HilbertSpace,
                      LinearOperator, Povm, StateVector,
                      fidelity, haar_unitary, helstrom_pair, measure, partial_trace,
                      pure_state_trace_distance, purify, substream,
-                     trace_distance, trace_norm, von_neumann_entropy)
-from privlab.info_measures import _cq_blocks
+                     trace_distance, trace_norm, uncertainty_audit,
+                     von_neumann_entropy)
 from privlab.tensor_core import (AMPLITUDE_CAP, apply_to_vector, embed_operator,
                                  permute_vector, sqrt_psd,
                                  tensor_product, vector_marginal)
@@ -372,19 +372,41 @@ def test_partial_trace_non_contiguous_keep():
                                rtol=0.0, atol=1e-12)
 
 
-def test_cq_blocks_same_for_vector_and_density():
+def _entropy_of_block(m):
+    vals = np.linalg.eigvalsh(m)
+    vals = vals[vals > 1e-12]
+    return float(-np.sum(vals * np.log2(vals)))
+
+
+def naive_key_given_side(rho, columns, side):
+    """S(A|side) after measuring A in ``columns``, from the explicit cq blocks
+    Tr_rest[(|v_x><v_x| (x) 1) rho] of an index-loop partial trace."""
+    space = rho.space
+    blocks = [naive_partial_trace(space.dims, space.labels,
+                                  embed_operator(space, np.outer(v, v.conj()), ("A",))
+                                  @ rho.matrix, (side,))
+              for v in columns.T]
+    return sum(map(_entropy_of_block, blocks)) - _entropy_of_block(sum(blocks))
+
+
+def test_quantum_cit_same_for_vector_and_density():
     space = HilbertSpace((3, 2, 3), ("A", "B", "E"))
+    x, k = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     for trial in range(3):
         rng = substream(330, trial)
         psi = random_pure_state(space, rng)
-        cols = haar_unitary(3, rng)
-        for side in (("E",), ("B",), ("B", "E")):
-            from_vector = _cq_blocks(psi, "A", cols, side)
-            from_density = _cq_blocks(psi.density(), "A", cols, side)
-            assert np.allclose(from_vector, from_density, rtol=0.0, atol=1e-12)
-            for x in range(3):
-                proj = embed_operator(space, np.outer(cols[:, x], cols[:, x].conj()), ("A",))
-                want = naive_partial_trace(space.dims, space.labels,
-                                           proj @ psi.density().matrix, side)
-                assert np.allclose(from_vector[x], want, rtol=0.0, atol=1e-12)
-
+        basis = ConjugateBasis(3, 2.0 * np.pi * x * k / 3 + rng.uniform(0, 2 * np.pi, 3))
+        from_vector = uncertainty_audit("quantum_cit", psi, basis).lhs_terms
+        from_density = uncertainty_audit("quantum_cit", psi.density(), basis).lhs_terms
+        assert np.allclose(from_vector, from_density, rtol=0.0, atol=1e-12)
+        want = [naive_key_given_side(psi.density(), cols, side)
+                for cols, side in ((np.eye(3), "E"), (basis.vectors, "B"))]
+        assert np.allclose(from_vector, want, rtol=0.0, atol=1e-12)
+    # a mixed state with a register outside A, B and E is purified first
+    rho = random_density_operator(HilbertSpace((2, 2, 3, 2), ("A", "S", "B", "E")),
+                                  substream(331), rank=3)
+    basis = ConjugateBasis.fourier(2)
+    want = [naive_key_given_side(rho, cols, side)
+            for cols, side in ((np.eye(2), "E"), (basis.vectors, "B"))]
+    assert np.allclose(uncertainty_audit("quantum_cit", rho).lhs_terms, want,
+                       rtol=0.0, atol=1e-12)
