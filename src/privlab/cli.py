@@ -28,14 +28,16 @@ from .distillation import (build_css_decoders, coherent_hashing_sim,
                            distillable_rate, one_shot_distill,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
-from .info_measures import uncertainty_audit
+from .info_measures import AUDIT_MODES, _audit_rows, uncertainty_audit
 from .privacy import (_certified_report, certify_private, epsilon_secret_direct,
                       twisting_conjugate_measurement, uhlmann_conjugate_measurement)
-from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
+from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _check_povms,
                         _private_vector, maximally_entangled)
-from .sampling import haar_unitary, haar_vector, random_pure_state, substream
-from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, _budget, purify)
+from .sampling import (_haar_unitaries, haar_unitary, haar_vector, random_pure_state,
+                       substream)
+from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
+                          InvariantViolation, StateVector, _budget, _checked_amplitudes,
+                          _checked_densities, _reduce_amplitudes, purify)
 
 STATE_KINDS = {
     "bell": {"d"},
@@ -358,36 +360,69 @@ def cmd_css(cfg: Mapping, seed: int):
     raise ValueError(f"unknown css mode {mode!r} (use sample or universality)")
 
 
+# amplitudes per trial of the largest array an audit stacks: the key marginal
+# (d^2), the rows and Gram blocks of both sides (d^3), or the stacked kets of
+# the two joint measurements (d^5)
+_AUDIT_TRIAL_SIZE = {"maassen_uffink": 2, "quantum_cit": 3, "cit": 5}
+
+
 def cmd_uncertainty(cfg: Mapping, seed: int):
     _check_keys(cfg, {"mode", "d", "trials"}, "uncertainty")
     mode = str(cfg.get("mode", "maassen_uffink"))
     d = _as_int(cfg.get("d", 2), "d")
     trials = _as_count(cfg.get("trials", 100), "trials")
+    if mode not in AUDIT_MODES:
+        raise ValueError(f"unknown audit mode {mode!r}")
     # the reduction kernel budgets each audit's measurements on top
     _budget((d, d) if mode == "maassen_uffink" else (d, d, d), f"{mode} state")
+    space = (HilbertSpace((d, d), ("A", "K")) if mode == "maassen_uffink"
+             else HilbertSpace((d, d, d), ("A", "B", "E")))
+    basis = ConjugateBasis.fourier(d)
 
-    def one(i: int):
-        rng = substream(seed, i)
+    def witnesses(batch: range) -> np.ndarray:
+        """The z and x witness unitaries of each trial in ``batch``, stacked (2, T, d, d)."""
+        rngs = [substream(seed, base + i) for base in (10_000, 20_000) for i in batch]
+        return _haar_unitaries(d, rngs).reshape(2, len(batch), d, d)
+
+    def lhs_terms(lo: int, hi: int) -> np.ndarray:
+        """The kernel's lhs terms of trials lo..hi-1, audited as one stack."""
+        amps = _checked_amplitudes(
+            np.stack([haar_vector(space.dim, substream(seed, i)) for i in range(lo, hi)]))
         if mode == "maassen_uffink":
-            space = HilbertSpace((d, d), ("A", "K"))
-            state = random_pure_state(space, rng).marginal(("A",))
-            return uncertainty_audit(mode, state)
-        space = HilbertSpace((d, d, d), ("A", "B", "E"))
-        state = random_pure_state(space, rng)
+            data = _checked_densities(_reduce_amplitudes(space, amps, ("A",)))[0]
+            return _audit_rows(mode, space, data, basis)
         if mode == "quantum_cit":
-            return uncertainty_audit(mode, state)
-        zw = Povm.projective_from_columns(haar_unitary(d, substream(seed, 10_000 + i)))
-        xw = Povm.projective_from_columns(haar_unitary(d, substream(seed, 20_000 + i)))
-        return uncertainty_audit(mode, state, z_witness=(("E",), zw),
-                                 x_witness=(("B",), xw))
+            return _audit_rows(mode, space, amps, basis)
+        units = witnesses(range(lo, hi))
+        # element x of a witness is |u_x><u_x|, u_x its column x
+        els = np.einsum("wtkx,wtlx->wtxkl", units, units.conj())
+        _check_povms(els)
+        return _audit_rows(mode, space, amps, basis,
+                           witnesses=((("E",), els[0]), (("B",), els[1])))
 
-    records = [one(i) for i in range(trials)]
-    slacks = np.array([r.slack for r in records])
+    chunk = max(1, AMPLITUDE_CAP // d ** _AUDIT_TRIAL_SIZE[mode])
+    terms = np.concatenate([lhs_terms(lo, min(lo + chunk, trials))
+                            for lo in range(0, trials, chunk)])
+    slacks = terms.sum(axis=1) - float(np.log2(d))
     worst = int(np.argmin(slacks))
+    # the worst trial again, through the public audit on its state objects
+    state = random_pure_state(space, substream(seed, worst))
+    if mode == "maassen_uffink":
+        record = uncertainty_audit(mode, state.marginal(("A",)))
+    elif mode == "quantum_cit":
+        record = uncertainty_audit(mode, state)
+    else:
+        zw, xw = map(Povm.projective_from_columns, witnesses(range(worst, worst + 1))[:, 0])
+        record = uncertainty_audit(mode, state, z_witness=(("E",), zw),
+                                   x_witness=(("B",), xw))
+    dev = float(np.max(np.abs(np.array(record.lhs_terms) - terms[worst])))
+    if not dev <= 1e-12:
+        raise InvariantViolation(
+            f"stacked audit of trial {worst} is off its single audit by {dev:g}")
     results = {"mode": mode, "d": d, "trials": trials,
                "min_slack": float(slacks.min()), "mean_slack": float(slacks.mean()),
-               "rhs": records[0].rhs,
-               "worst_lhs_terms": list(records[worst].lhs_terms)}
+               "rhs": record.rhs,
+               "worst_lhs_terms": list(record.lhs_terms)}
     return results, [results]
 
 

@@ -14,72 +14,92 @@ import numpy as np
 
 # measure stays bound here: perfbench's tracer test checks that it is patched here
 from .qudit_ops import (CONDITIONAL_CUTOFF, ConjugateBasis, Povm,  # noqa: F401
-                        _joint_probs, measure)
+                        _check_groups, _outcome_probs, measure)
 from .tensor_core import (
     LOG_CLAMP,
     DensityOperator,
+    HilbertSpace,
     StateVector,
     _as_complex,
     _check_finite,
+    _reduce_amplitudes,
     _unused_label,
-    permute_vector,
     purify,
 )
 
 
-def _probabilities(p, what: str) -> np.ndarray:
-    """``p`` as floats, finite, nonnegative and summing to 1 (NaN fails every check)."""
+def _probability_rows(p, what: str) -> np.ndarray:
+    """``p`` (T, ...) as floats, finite, nonnegative, each row summing to 1 (NaN fails every check)."""
     arr = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} entries must be finite")
     if arr.size and not float(arr.min()) >= -1e-12:
         raise ValueError(f"negative {what} entry {arr.min():g}")
-    if not abs(float(arr.sum()) - 1.0) <= 1e-9:
-        raise ValueError(f"{what} sums to {arr.sum()!r}")
+    sums = arr.reshape(len(arr), -1).sum(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= 1e-9)
+    if np.any(bad):
+        raise ValueError(f"{what} sums to {sums[np.argmax(bad)]!r}")
     return arr
+
+
+def _probabilities(p, what: str) -> np.ndarray:
+    """``p`` as floats, finite, nonnegative and summing to 1 (NaN fails every check)."""
+    return _probability_rows(np.asarray(p, dtype=float)[None], what)[0]
+
+
+def _shannon_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropies in bits along the last axis; entries are clamped at ``LOG_CLAMP``."""
+    arr = np.clip(p, LOG_CLAMP, None)
+    return -np.sum(arr * np.log2(arr), axis=-1)
 
 
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits of a probability vector."""
-    arr = np.clip(_probabilities(p, "probability vector").reshape(-1), LOG_CLAMP, None)
-    return float(-np.sum(arr * np.log2(arr)) if arr.size else 0.0)
+    return float(_shannon_rows(_probabilities(p, "probability vector").reshape(-1)))
 
 
-def _entropy_of_weights(w: np.ndarray) -> float:
-    """-sum w log2 w over raw nonnegative weights (no normalisation check)."""
+def _entropy_of_weights(w):
+    """-sum w log2 w along the last axis of raw nonnegative weights (no
+    normalisation check); weights at or below ``LOG_CLAMP`` add nothing.
+
+    A float for one weight vector, an array for a stack of them.
+    """
     w = np.clip(np.asarray(w, dtype=float), 0.0, None)
-    w = w[w > LOG_CLAMP]
-    return float(-np.sum(w * np.log2(w))) if w.size else 0.0
+    ent = -np.sum(w * np.log2(np.where(w > LOG_CLAMP, w, 1.0)), axis=-1)
+    return ent if np.ndim(ent) else float(ent)
 
 
 def _entropy_of_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights p_x = ||w_x||^2 and entropies S(w_x w_x^dag / p_x) of stacked blocks.
 
-    ``rows`` stacks n amplitude blocks w_x of shape (m, k).  The spectra
-    come from one batched eigvalsh of whichever Gram matrix
-    (w w^dag or w^dag w, equal nonzero spectra) is smaller; blocks at or
-    below ``CONDITIONAL_CUTOFF`` weight carry entropy 0.
+    ``rows`` stacks amplitude blocks w_x of shape (m, k) as (..., x, m, k),
+    with any leading axes.  The spectra come from one batched eigvalsh of
+    whichever Gram matrix (w w^dag or w^dag w, equal nonzero spectra) is
+    smaller; blocks at or below ``CONDITIONAL_CUTOFF`` weight carry entropy 0.
     """
-    adj = rows.conj().swapaxes(1, 2)
-    gram = rows @ adj if rows.shape[1] <= rows.shape[2] else adj @ rows
-    p = np.einsum("xii->x", gram).real
+    adj = rows.conj().swapaxes(-1, -2)
+    gram = rows @ adj if rows.shape[-2] <= rows.shape[-1] else adj @ rows
+    p = np.einsum("...ii->...", gram).real
     vals = np.linalg.eigvalsh(gram)
-    ent = [_entropy_of_weights(v / q) if q > CONDITIONAL_CUTOFF else 0.0
-           for v, q in zip(vals, p)]
-    return p, np.array(ent)
+    live = p > CONDITIONAL_CUTOFF
+    ent = _entropy_of_weights(vals / np.where(live, p, 1.0)[..., None])
+    return p, np.where(live, ent, 0.0)
 
 
-def _holevo_of_rows(rows: np.ndarray) -> tuple[float, np.ndarray]:
+def _holevo_of_rows(rows: np.ndarray):
     """Holevo quantity of {p_x, w_x w_x^dag / p_x} and the normalised p_x.
 
-    ``rows`` is shaped (x, kept, rest); the average state sums the w_x
-    w_x^dag, i.e. it is read from the blocks laid side by side along rest.
+    ``rows`` is shaped (..., x, kept, rest), with any leading axes; the
+    average state sums the w_x w_x^dag, i.e. it is read from the blocks laid
+    side by side along rest.  The quantity is a float for one ensemble and
+    an array over the leading axes otherwise.
     """
-    n, m, k = rows.shape
+    *lead, n, m, k = rows.shape
     p, ent = _entropy_of_rows(rows)
-    avg = _entropy_of_rows(rows.transpose(1, 0, 2).reshape(1, m, n * k))[1][0]
-    q = p / p.sum()
-    return float(avg - q @ ent), q
+    avg = _entropy_of_rows(rows.swapaxes(-3, -2).reshape(*lead, 1, m, n * k))[1][..., 0]
+    q = p / p.sum(axis=-1, keepdims=True)
+    chi = avg - np.sum(q * ent, axis=-1)
+    return (chi if lead else float(chi)), q
 
 
 def von_neumann_entropy(rho) -> float:
@@ -139,12 +159,18 @@ def coherent_information(rho: DensityOperator, target="B") -> float:
     return von_neumann_entropy(reduced) - von_neumann_entropy(rho)
 
 
+def _conditional_entropies(tables: np.ndarray) -> np.ndarray:
+    """H(X|Y) in bits of joint tables stacked as (T, X, Y)."""
+    return (_entropy_of_weights(tables.reshape(len(tables), -1))
+            - _entropy_of_weights(tables.sum(axis=1)))
+
+
 def conditional_entropy(joint) -> float:
     """H(X|Y) in bits from a joint table with X on axis 0 and Y on axis 1."""
     j = _probabilities(joint, "joint table")
     if j.ndim != 2:
         raise ValueError("joint table must be two-dimensional")
-    return _entropy_of_weights(j.reshape(-1)) - _entropy_of_weights(j.sum(axis=0))
+    return float(_conditional_entropies(j[None])[0])
 
 
 def mutual_information(joint) -> float:
@@ -173,24 +199,39 @@ class AuditRecord:
                 "rhs": self.rhs, "slack": self.slack}
 
 
-def _key_probs(rho: DensityOperator, columns: np.ndarray) -> np.ndarray:
-    p = np.einsum("kx,kl,lx->x", columns.conj(), rho.matrix, columns).real
-    return np.clip(p, 0.0, None)
+def _audit_rows(mode: str, space: HilbertSpace, data: np.ndarray, basis: ConjugateBasis,
+                key_label: str = "A",
+                witnesses: Sequence[tuple[Sequence[str], np.ndarray]] = ()) -> np.ndarray:
+    """lhs terms (T, 2) of T instances of one audit, stacked along axis 0.
 
-
-def _key_given_side(psi: StateVector, key_label: str, columns: np.ndarray,
-                    side: str) -> float:
-    """S(K|side) = H(K) - chi in bits after measuring key_label of a pure state.
-
-    The cq blocks on ``side`` are the Gram matrices of the rows
-    (conj(columns[:, x]) on key_label) psi, shaped (side, every other register).
+    ``data`` holds validated key marginals (T, d, d) for ``maassen_uffink``
+    and validated amplitudes (T, D) on ``space`` otherwise.  ``witnesses``
+    pairs the z and then the x witness label groups of ``cit`` with their
+    element stacks, (n, m, m) shared or (T, n, m, m) one POVM per instance.
     """
-    space = psi.space
-    rest = tuple(x for x in space.labels if x not in (key_label, side))
-    amps = permute_vector(space, psi.amplitudes, (key_label, side) + rest)
-    rows = columns.conj().T @ amps.reshape(space.dim_of(key_label), -1)
-    chi, q = _holevo_of_rows(rows.reshape(columns.shape[1], space.dim_of(side), -1))
-    return _entropy_of_weights(q) - chi
+    d = basis.d
+    if mode == "maassen_uffink":
+        probs = (np.einsum("tii->ti", data).real,
+                 np.einsum("tkx,kx->tx", data @ basis.vectors, basis.vectors.conj()).real)
+        terms = [_shannon_rows(_probability_rows(np.clip(p, 0.0, None), "probability vector"))
+                 for p in probs]
+    elif mode == "cit":
+        keys = (np.stack(Povm.standard_basis(d).elements), np.stack(basis.povm().elements))
+        terms = [_conditional_entropies(_probability_rows(_outcome_probs(_reduce_amplitudes(
+            space, data, (), [((key_label,), key), (labels, els)])), "joint table"))
+            for key, (labels, els) in zip(keys, witnesses)]
+    else:  # quantum_cit: S(K|side) = H(K) - chi after measuring the key
+        terms = []
+        for columns, side in ((np.eye(d), "E"), (basis.vectors, "B")):
+            # the cq blocks on side are the Gram matrices of the rows
+            # (conj(columns[:, x]) on the key) psi_t, shaped (side, every other register)
+            rest = tuple(x for x in space.labels if x not in (key_label, side))
+            perm = [0] + [1 + space.axis(x) for x in (key_label, side) + rest]
+            t = data.reshape((len(data),) + space.dims).transpose(perm)
+            rows = columns.conj().T @ t.reshape(len(data), d, -1)
+            chi, q = _holevo_of_rows(rows.reshape(len(data), d, space.dim_of(side), -1))
+            terms.append(_entropy_of_weights(q) - chi)
+    return np.stack(terms, axis=1)
 
 
 def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None, *,
@@ -205,6 +246,9 @@ def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None
         the witnesses measured on disjoint label sets of the same state.
       * ``quantum_cit``: S(Z|E) + S(X~|B) >= log2 d on a state with labels
         A, B, E.
+
+    The terms come from ``_audit_rows`` on a stack of one; a density is
+    purified first in the two conditional modes.
     """
     if mode not in AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -213,31 +257,26 @@ def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None
     basis = conj_basis if conj_basis is not None else ConjugateBasis.fourier(d)
     if basis.d != d:
         raise ValueError("conjugate basis dimension does not match the key register")
-    rhs = float(np.log2(d))
+    witnesses = ()
 
     if mode == "maassen_uffink":
         rho = state.marginal((key_label,)) if len(space.labels) > 1 else (
             state.density() if isinstance(state, StateVector) else state)
-        hz = shannon_entropy(np.clip(np.diag(rho.matrix).real, 0.0, None))
-        hx = shannon_entropy(_key_probs(rho, basis.vectors))
-        terms = (hz, hx)
-
-    elif mode == "cit":
-        if x_witness is None or z_witness is None:
-            raise ValueError("cit mode needs x_witness and z_witness POVMs")
-        terms = tuple(conditional_entropy(_joint_probs(
-            state, [((key_label,), key), (tuple(labels), witness)]))
-            for key, (labels, witness) in ((Povm.standard_basis(d), z_witness),
-                                           (basis.povm(), x_witness)))
-
-    else:  # quantum_cit
-        for lbl in ("B", "E"):
-            if lbl not in space.labels:
-                raise ValueError("quantum_cit expects labels A, B, E")
+        data = rho.matrix[None]
+    else:
+        if mode == "cit":
+            if x_witness is None or z_witness is None:
+                raise ValueError("cit mode needs x_witness and z_witness POVMs")
+            for labels, w in (z_witness, x_witness):
+                _check_groups(space, [((key_label,), d), (labels, w.dim)])
+                witnesses += ((tuple(labels), np.stack(w.elements)),)
+        elif not {"B", "E"} <= set(space.labels):
+            raise ValueError("quantum_cit expects labels A, B, E")
         psi = state if isinstance(state, StateVector) else purify(state, _unused_label(space))
-        terms = (_key_given_side(psi, key_label, np.eye(d), "E"),
-                 _key_given_side(psi, key_label, basis.vectors, "B"))
+        space, data = psi.space, psi.amplitudes[None]
 
+    terms = _audit_rows(mode, space, data, basis, key_label, witnesses)[0]
     lhs = float(sum(terms))
+    rhs = float(np.log2(d))
     return AuditRecord(mode=mode, lhs_terms=tuple(float(t) for t in terms),
                        rhs=rhs, slack=lhs - rhs)

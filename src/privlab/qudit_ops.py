@@ -12,6 +12,7 @@ diagonalises X with eigenvalue w^{-x}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
@@ -100,6 +101,31 @@ class ConjugateBasis:
         return Povm.projective_from_columns(self.vectors)
 
 
+def _check_povms(stack: np.ndarray) -> None:
+    """Raise unless each POVM of ``stack`` (..., n, m, m), its n elements along
+    axis -3, is finite, hermitian, positive and complete."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("POVM elements must be finite")
+    dim = stack.shape[-1]
+    flat = stack.reshape(-1, dim, dim)
+    # hermiticity and positivity in blocks of elements, so the adjoint and
+    # symmetrised temporaries stay small next to the stack
+    herm, lo = 0.0, np.inf
+    step = max(1, _CHECK_BLOCK // (dim * dim))
+    for i in range(0, len(flat), step):
+        part = flat[i:i + step]
+        adj = part.conj().swapaxes(1, 2)
+        herm = max(herm, float(np.max(np.abs(part - adj))))
+        lo = min(lo, float(np.min(np.linalg.eigvalsh(0.5 * (part + adj))[:, 0])))
+    if not herm <= KIND_ATOL:
+        raise ValueError(f"POVM element not hermitian (deviation {herm:g})")
+    if not lo >= -PSD_ATOL:
+        raise ValueError(f"POVM element not positive (min eig {lo:g})")
+    dev = float(np.max(np.abs(stack.sum(axis=-3) - np.eye(dim))))
+    if not dev <= POVM_COMPLETENESS_ATOL:
+        raise ValueError(f"POVM does not sum to identity (deviation {dev:g})")
+
+
 @dataclass(frozen=True)
 class Povm:
     """A positive operator-valued measure with explicit outcome labels."""
@@ -116,25 +142,7 @@ class Povm:
             stack = None
         if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("POVM elements must be square and equal-sized")
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("POVM elements must be finite")
-        dim = stack.shape[1]
-        # hermiticity and positivity in blocks of elements, so the adjoint and
-        # symmetrised temporaries stay small next to the stack
-        herm, lo = 0.0, np.inf
-        step = max(1, _CHECK_BLOCK // (dim * dim))
-        for i in range(0, len(stack), step):
-            part = stack[i:i + step]
-            adj = part.conj().swapaxes(1, 2)
-            herm = max(herm, float(np.max(np.abs(part - adj))))
-            lo = min(lo, float(np.min(np.linalg.eigvalsh(0.5 * (part + adj))[:, 0])))
-        if not herm <= KIND_ATOL:
-            raise ValueError(f"POVM element not hermitian (deviation {herm:g})")
-        if not lo >= -PSD_ATOL:
-            raise ValueError(f"POVM element not positive (min eig {lo:g})")
-        dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
-        if not dev <= POVM_COMPLETENESS_ATOL:
-            raise ValueError(f"POVM does not sum to identity (deviation {dev:g})")
+        _check_povms(stack)
         labels = tuple(self.outcome_labels) if self.outcome_labels else tuple(range(len(stack)))
         if len(labels) != len(stack):
             raise ValueError("outcome label count must match element count")
@@ -203,6 +211,33 @@ class _Conditionals(Mapping):
         return len(self._rows)
 
 
+def _check_groups(space: HilbertSpace, groups: Sequence[tuple[Sequence[str], int]]) -> set[str]:
+    """The labels of measured groups, each given with its POVM dimension;
+    the groups must be disjoint and each dimension must match its labels."""
+    seen: set[str] = set()
+    for labels, dim in groups:
+        labels = tuple(labels)
+        if seen & set(labels):
+            raise ValueError("measured label sets must be disjoint")
+        seen |= set(labels)
+        want = math.prod(space.dims_of(labels))
+        if dim != want:
+            raise ValueError(f"POVM dim {dim} does not match labels {labels}")
+    return seen
+
+
+def _outcome_probs(blocks: np.ndarray) -> np.ndarray:
+    """Traces (T, n_1, ..., n_k) of stacked blocks (T, n_1, ..., n_k, K, K),
+    each row's outcomes summing to 1 within 1e-10."""
+    probs = np.einsum("...ii->...", blocks.real)
+    totals = probs.reshape(len(probs), -1).sum(axis=1)
+    bad = ~(np.abs(totals - 1.0) <= 1e-10)
+    if np.any(bad):
+        raise InvariantViolation(
+            f"outcome probabilities sum to {float(totals[np.argmax(bad)])!r}")
+    return probs
+
+
 def _joint_blocks(state, povms: Sequence[tuple[Sequence[str], Povm]], keep_rest: bool
                   ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Blocks, probabilities (block traces, summing to 1) and kept labels of a
@@ -210,25 +245,13 @@ def _joint_blocks(state, povms: Sequence[tuple[Sequence[str], Povm]], keep_rest:
     if not isinstance(state, (StateVector, DensityOperator)):
         raise TypeError("measure expects a DensityOperator or StateVector")
     space = state.space
-    seen: set[str] = set()
-    for labels, povm in povms:
-        labels = tuple(labels)
-        if seen & set(labels):
-            raise ValueError("measured label sets must be disjoint")
-        seen |= set(labels)
-        want = int(np.prod(space.dims_of(labels), dtype=np.int64))
-        if povm.dim != want:
-            raise ValueError(f"POVM dim {povm.dim} does not match labels {labels}")
+    seen = _check_groups(space, [(labels, povm.dim) for labels, povm in povms])
     kept = tuple(x for x in space.labels if x not in seen) if keep_rest else ()
 
     data = state.amplitudes if isinstance(state, StateVector) else state.matrix
     blocks = reduce_blocks(space, data, kept,
                            [(labels, np.stack(povm.elements)) for labels, povm in povms])
-    probs = np.einsum("...ii->...", blocks.real)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-10:
-        raise InvariantViolation(f"outcome probabilities sum to {total!r}")
-    return blocks, probs, kept
+    return blocks, _outcome_probs(blocks[None])[0], kept
 
 
 def _joint_probs(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> np.ndarray:
@@ -315,8 +338,9 @@ class TwistingOperator:
                 v = _as_complex(self.blocks[(j, k)])
                 if v.shape != (s, s):
                     raise ValueError(f"block ({j}, {k}) must be {s}x{s}")
+                _check_finite(v)
                 dev = float(np.max(np.abs(v @ v.conj().T - np.eye(s))))
-                if dev > KIND_ATOL:
+                if not dev <= KIND_ATOL:
                     raise ValueError(f"block ({j}, {k}) is not unitary (deviation {dev:g})")
                 v.flags.writeable = False
                 blocks[(j, k)] = v

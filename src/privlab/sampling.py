@@ -7,6 +7,8 @@ reproducible and trials can be fanned out in any order.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .tensor_core import DensityOperator, HilbertSpace, StateVector
@@ -24,10 +26,20 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return _haar_unitaries(dim, [rng])[0]
+
+
+def _haar_unitaries(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One ``haar_unitary`` per generator, stacked (len(rngs), dim, dim).
+
+    Each generator draws its own Ginibre matrix; one batched QR (the same
+    LAPACK call per matrix) factors them all.
+    """
+    g = np.stack([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                  for rng in rngs])
     q, r = np.linalg.qr(g)
-    phase = np.diag(r) / np.abs(np.diag(r))
-    return q * phase
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

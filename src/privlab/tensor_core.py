@@ -57,6 +57,54 @@ def _check_psd(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _checked_amplitudes(amps: np.ndarray) -> np.ndarray:
+    """State vectors stacked as rows of ``amps`` (T, D), each finite with norm 1.
+
+    A norm off by more than 1e-9 fails; one off by more than ``NORM_ATOL``
+    is divided out (accumulated float dust).
+    """
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    # vecdot sums |psi_i|^2 row by row without a temporary as large as the stack
+    nrm = np.sqrt(np.vecdot(amps, amps).real)
+    dev = np.abs(nrm - 1.0)
+    worst = float(dev.max())
+    if not worst <= 1e-9:
+        raise ValueError(f"state norm {float(nrm[np.argmax(dev)])!r} is not 1")
+    if worst > NORM_ATOL:
+        fix = dev > NORM_ATOL
+        amps = amps.copy()
+        amps[fix] /= nrm[fix, None]
+    return amps
+
+
+def _checked_densities(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Density matrices stacked along axis 0 of ``m`` (T, D, D), and their spectra.
+
+    Each must be finite, hermitian within 1e-9 and of unit trace within
+    1e-9 (deviations past ``NORM_ATOL`` are symmetrised or divided out, in
+    place), and positive to ``PSD_ATOL``; one batched eigvalsh gives the
+    ascending eigenvalues.
+    """
+    _check_finite(m)
+    herm = np.abs(m - m.conj().swapaxes(1, 2)).reshape(len(m), -1).max(axis=1)
+    worst = float(herm.max())
+    if not worst <= 1e-9:
+        raise ValueError(f"matrix is not hermitian (deviation {worst:g})")
+    if worst > NORM_ATOL:
+        fix = herm > NORM_ATOL
+        m[fix] = 0.5 * (m[fix] + m[fix].conj().swapaxes(1, 2))
+    tr = m.diagonal(axis1=1, axis2=2).sum(axis=1)
+    dev = np.abs(tr - 1.0)
+    worst = float(dev.max())
+    if not worst <= 1e-9:
+        raise ValueError(f"trace {complex(tr[np.argmax(dev)])!r} is not 1")
+    if worst > NORM_ATOL:
+        fix = dev > NORM_ATOL
+        m[fix] /= tr[fix].real[:, None, None]
+    return m, _check_psd(np.linalg.eigvalsh(m))
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """An ordered list of tensor factors with unique string labels."""
@@ -128,18 +176,11 @@ class StateVector:
 
     def __post_init__(self):
         amps = _as_complex(self.amplitudes).reshape(-1)
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
         if amps.size != self.space.dim:
             raise ValueError(
                 f"amplitude count {amps.size} does not match space dim {self.space.dim}"
             )
-        nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"state norm {nrm!r} is not 1")
-        if abs(nrm - 1.0) > NORM_ATOL:
-            amps = amps / nrm  # renormalise away accumulated float dust
-        object.__setattr__(self, "amplitudes", _lock(amps))
+        object.__setattr__(self, "amplitudes", _lock(_checked_amplitudes(amps[None])[0]))
 
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(self.space.tensor(other.space),
@@ -174,20 +215,10 @@ class DensityOperator:
         dim = self.space.dim
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {dim}")
-        _check_finite(m)
-        herm = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
-        if herm > 1e-9:
-            raise ValueError(f"matrix is not hermitian (deviation {herm:g})")
-        if herm > NORM_ATOL:
-            m = 0.5 * (m + m.conj().T)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"trace {tr!r} is not 1")
-        if abs(tr - 1.0) > NORM_ATOL:
-            m = m / tr.real
+        stack, vals = _checked_densities(m[None])
         # the spectrum of the stored matrix, kept for entropies and ranks
-        object.__setattr__(self, "_eigenvalues", _lock(_check_psd(np.linalg.eigvalsh(m))))
-        object.__setattr__(self, "matrix", _lock(m))
+        object.__setattr__(self, "_eigenvalues", _lock(vals[0]))
+        object.__setattr__(self, "matrix", _lock(stack[0]))
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         return DensityOperator(self.space.tensor(other.space),
@@ -313,6 +344,15 @@ def embed_operator(space: HilbertSpace, matrix: np.ndarray, labels: Sequence[str
     return np.ascontiguousarray(shaped.transpose(perm)).reshape(space.dim, space.dim)
 
 
+def _group_layout(space: HilbertSpace, keep: Sequence[str],
+                  ops: Sequence[tuple[Sequence[str], np.ndarray]]) -> tuple[list[int], list[int]]:
+    """Axis order (each measured group, then ``keep``, then the rest) and group sizes."""
+    groups = [tuple(labels) for labels, _ in ops] + [tuple(keep)]
+    axes = [space.axis(x) for g in groups for x in g]
+    rest = [a for a in range(len(space.dims)) if a not in axes]
+    return axes + rest, [math.prod(space.dims_of(g)) for g in groups]
+
+
 def reduce_blocks(space: HilbertSpace, data: np.ndarray, keep: Sequence[str],
                   ops: Sequence[tuple[Sequence[str], np.ndarray]] = ()) -> np.ndarray:
     """Blocks Tr_rest[(E_j (x) F_k (x) ... (x) 1) rho] on ``keep``, per joint outcome.
@@ -321,30 +361,16 @@ def reduce_blocks(space: HilbertSpace, data: np.ndarray, keep: Sequence[str],
     rho = |psi><psi|.  Each entry of ``ops`` pairs a label group with its
     stacked elements of shape (n, m, m), indexed in the group's label order.
     A matrix has the registers neither kept nor measured traced out first,
-    then each group contracted against its elements.  Amplitudes never become
-    D x D: each group's elements act on the ket, and one contraction with
-    psi* over the measured and traced registers gives sum (E psi) psi*; the
-    stacked kets and the blocks are budgeted first.  The result has shape
-    (n_1, ..., n_k, K, K), with K indexed in the order of ``keep``.
+    then each group contracted against its elements.  Amplitudes go through
+    ``_reduce_amplitudes`` as a stack of one and never become D x D.  The
+    result has shape (n_1, ..., n_k, K, K), with K indexed in the order of
+    ``keep``.
     """
-    groups = [tuple(labels) for labels, _ in ops] + [tuple(keep)]
-    axes = [space.axis(x) for g in groups for x in g]
-    rest = [a for a in range(len(space.dims)) if a not in axes]
-    sizes = [int(np.prod(space.dims_of(g), dtype=np.int64)) for g in groups]
-    n = len(space.dims)
-    order = axes + rest
-    k = len(ops)
     if data.ndim == 1:
-        outcomes = [len(els) for _, els in ops]
-        _budget(outcomes + [space.dim], "stacked measurement kets")
-        _budget(outcomes + sizes[-1:] * 2, "measurement blocks")
-        t = psi = data.reshape(space.dims).transpose(order).reshape(sizes + [-1])
-        for g in reversed(range(k)):
-            # t is (outcomes and rows of groups after g, columns of groups 0..g, K, rest)
-            t = np.tensordot(ops[g][1], t, axes=([2], [2 * (k - 1 - g) + g]))
-        # t is (n_1, row_1, ..., n_k, row_k, K, rest)
-        return np.tensordot(t, psi.conj(), axes=(list(range(1, 2 * k, 2)) + [2 * k + 1],
-                                                 list(range(k)) + [k + 1]))
+        return _reduce_amplitudes(space, data[None], keep, ops)[0]
+    order, sizes = _group_layout(space, keep, ops)
+    n = len(space.dims)
+    k = len(ops)
     t = data.reshape(space.dims * 2).transpose(order + [n + a for a in order])
     m = int(np.prod(sizes, dtype=np.int64))
     rdim = space.dim // m
@@ -355,6 +381,41 @@ def reduce_blocks(space: HilbertSpace, data: np.ndarray, keep: Sequence[str],
         lead = k - 1 - g
         t = np.tensordot(ops[g][1], t, axes=([1, 2], [lead + 2 * g + 2, lead + g]))
     return t
+
+
+def _reduce_amplitudes(space: HilbertSpace, amps: np.ndarray, keep: Sequence[str],
+                       ops: Sequence[tuple[Sequence[str], np.ndarray]] = ()) -> np.ndarray:
+    """``reduce_blocks`` of every row psi_t of ``amps`` (T, D): shape (T, n_1, ..., n_k, K, K).
+
+    An element stack is (n, m, m), shared by every row, or (T, n, m, m), one
+    POVM per row.  Each group's elements act on the kets, and one batched
+    product with psi* over the measured and traced registers gives
+    sum (E psi) psi*; the stacked kets and the blocks are budgeted first.
+    """
+    order, sizes = _group_layout(space, keep, ops)
+    count, k = len(amps), len(ops)
+    outcomes = [els.shape[-3] for _, els in ops]
+    _budget([count] + outcomes + [space.dim], "stacked measurement kets")
+    _budget([count] + outcomes + sizes[-1:] * 2, "measurement blocks")
+    perm = [0] + [1 + a for a in order]
+    t = psi = amps.reshape((count,) + space.dims).transpose(perm).reshape([count] + sizes + [-1])
+    for g in reversed(range(k)):
+        # t is (T, outcomes and rows of groups after g, columns of groups 0..g, K, rest);
+        # the group's (outcome, row) pair replaces its column at the front
+        els = ops[g][1]
+        n_g, m_g = els.shape[-3], els.shape[-1]
+        col = 1 + 2 * (k - 1 - g) + g
+        t = t.transpose([0, col] + [a for a in range(1, t.ndim) if a != col])
+        shape = t.shape[2:]
+        t = els.reshape(els.shape[:-3] + (n_g * m_g, m_g)) @ t.reshape(count, m_g, -1)
+        t = t.reshape((count, n_g, m_g) + shape)
+    # t is (T, n_1, row_1, ..., n_k, row_k, K, rest): pair rows and rest with psi*
+    outs = [1 + 2 * g for g in range(k)] + [1 + 2 * k]
+    rows = [2 + 2 * g for g in range(k)] + [2 + 2 * k]
+    lhs = t.transpose([0] + outs + rows).reshape(count, -1, psi[0].size // sizes[-1])
+    rhs = psi.conj().transpose([0] + list(range(1, k + 1)) + [k + 2, k + 1])
+    blocks = lhs @ rhs.reshape(count, -1, sizes[-1])
+    return blocks.reshape([count] + outcomes + sizes[-1:] * 2)
 
 
 def vector_marginal(space: HilbertSpace, amps: np.ndarray, keep: Sequence[str]) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,19 @@ def test_uncertainty_command_all_modes():
         assert res["mode"] == mode
         assert res["min_slack"] >= -1e-9
         assert res["trials"] == 25
+
+
+def test_first_audit_round_replays_the_benchmark_reference(monkeypatch):
+    # the benchmark's recorded payloads, checked in tier-1 and not only in bench runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import oracle
+    from workloads import DEFAULT_SEED, MIXES, op_argv
+
+    refs = oracle.load_reference("audit")
+    for i in range(len(MIXES["audit"])):
+        argv = op_argv("audit", DEFAULT_SEED, i)
+        assert refs[i]["argv"] == argv
+        assert oracle.compare(results_of(argv), refs[i]["results"]) == [], argv
 
 
 def test_appd_sweep():

@@ -1,16 +1,20 @@
 """Entropies, Holevo quantity, uncertainty-relation audits."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from privlab import (ConjugateBasis, CqEnsemble, DensityOperator, HilbertSpace,
-                     Povm, coherent_information, conditional_entropy,
+                     Povm, StateVector, coherent_information, conditional_entropy,
                      haar_unitary, helstrom_pair, holevo_information,
-                     maximally_entangled, mutual_information, partial_trace,
-                     random_density_operator, random_pure_state, shannon_entropy,
-                     substream, uncertainty_audit, von_neumann_entropy)
+                     maximally_entangled, measure, mutual_information, partial_trace,
+                     permute_vector, purify, random_density_operator, random_pure_state,
+                     shannon_entropy, substream, uncertainty_audit, von_neumann_entropy)
+from privlab.cli import run as cli_run
+from privlab.info_measures import AUDIT_MODES, _audit_rows
+from privlab.tensor_core import AMPLITUDE_CAP
 
 
 def test_shannon_entropy_frozen_values():
@@ -245,3 +249,195 @@ def test_non_finite_probabilities_are_rejected_up_front(case):
     call, match = NON_FINITE[case]
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the stacked audit kernel against the per-trial audit it replaced
+
+
+def _oracle_entropy(w) -> float:
+    w = np.clip(np.asarray(w, dtype=float), 0.0, None)
+    w = w[w > 1e-12]
+    return float(-np.sum(w * np.log2(w))) if w.size else 0.0
+
+
+def _oracle_key_given_side(psi, key_label, columns, side) -> float:
+    """S(K|side) = H(K) - chi with one eigvalsh per cq block, as a loop."""
+    space = psi.space
+    rest = tuple(x for x in space.labels if x not in (key_label, side))
+    amps = permute_vector(space, psi.amplitudes, (key_label, side) + rest)
+    rows = columns.conj().T @ amps.reshape(space.dim_of(key_label), -1)
+    rows = rows.reshape(columns.shape[1], space.dim_of(side), -1)
+    blocks = [w @ w.conj().T for w in rows]
+    p = np.array([np.trace(b).real for b in blocks])
+    ent = [_oracle_entropy(np.linalg.eigvalsh(b) / q) if q > 1e-14 else 0.0
+           for b, q in zip(blocks, p)]
+    q = p / p.sum()
+    chi = _oracle_entropy(np.linalg.eigvalsh(sum(blocks))) - float(q @ ent)
+    return _oracle_entropy(q) - chi
+
+
+def per_trial_audit(mode, state, conj_basis=None, *, key_label="A",
+                    x_witness=None, z_witness=None) -> tuple[float, float]:
+    """lhs terms of one audit, computed the way the per-trial audit did."""
+    space = state.space
+    d = space.dim_of(key_label)
+    basis = conj_basis if conj_basis is not None else ConjugateBasis.fourier(d)
+    if mode == "maassen_uffink":
+        rho = state.marginal((key_label,)) if len(space.labels) > 1 else (
+            state.density() if isinstance(state, StateVector) else state)
+        cols = basis.vectors
+        key_probs = np.einsum("kx,kl,lx->x", cols.conj(), rho.matrix, cols).real
+        return (shannon_entropy(np.clip(np.diag(rho.matrix).real, 0.0, None)),
+                shannon_entropy(np.clip(key_probs, 0.0, None)))
+    if mode == "cit":
+        return tuple(conditional_entropy(measure(
+            state, [((key_label,), key), (tuple(labels), witness)]).probs)
+            for key, (labels, witness) in ((Povm.standard_basis(d), z_witness),
+                                           (basis.povm(), x_witness)))
+    psi = state if isinstance(state, StateVector) else purify(state, "EE")
+    return (_oracle_key_given_side(psi, key_label, np.eye(d), "E"),
+            _oracle_key_given_side(psi, key_label, basis.vectors, "B"))
+
+
+def random_povm(m: int, n: int, rng) -> Povm:
+    """n full-rank elements S^-1/2 G_k S^-1/2 on dimension m (not projective)."""
+    g = rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))
+    g = g @ g.conj().swapaxes(1, 2)
+    vals, vecs = np.linalg.eigh(g.sum(axis=0))
+    root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    els = root @ g @ root
+    return Povm(tuple(0.5 * (e + e.conj().T) for e in els))
+
+
+def audit_cases(d: int, seed: int):
+    """(mode, state, witness keywords) over vector and density inputs and
+    projective and non-projective witnesses."""
+    rng = substream(900 + d, seed)
+    space = HilbertSpace((d, 2, 3), ("A", "B", "E"))
+    psi = random_pure_state(space, rng)
+    rho = random_density_operator(space, rng, rank=2)
+    projective = {"z_witness": (("E",), Povm.projective_from_columns(haar_unitary(3, rng))),
+                  "x_witness": (("B",), Povm.projective_from_columns(haar_unitary(2, rng)))}
+    general = {"z_witness": (("E",), random_povm(3, 4, rng)),
+               "x_witness": (("B",), random_povm(2, 3, rng))}
+    for state in (psi, rho):
+        yield "maassen_uffink", state, {}
+        yield "quantum_cit", state, {}
+        yield "cit", state, projective
+        yield "cit", state, general
+    key = HilbertSpace((d,), ("A",))
+    yield "maassen_uffink", random_pure_state(key, rng), {}
+    yield "maassen_uffink", random_density_operator(key, rng), {}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_uncertainty_audit_matches_the_per_trial_oracle(d):
+    for seed in range(3):
+        for mode, state, kw in audit_cases(d, seed):
+            got = uncertainty_audit(mode, state, **kw)
+            want = per_trial_audit(mode, state, **kw)
+            assert np.allclose(got.lhs_terms, want, rtol=0.0, atol=1e-12), (mode, kw)
+            assert got.rhs == math.log2(d)
+            assert got.slack == sum(got.lhs_terms) - got.rhs
+
+
+@pytest.mark.parametrize("mode", AUDIT_MODES)
+def test_stacked_kernel_rows_match_the_per_trial_oracle(mode):
+    d, count = 3, 7
+    space = HilbertSpace((d, 2, 3), ("A", "B", "E"))
+    states = [random_pure_state(space, substream(950, i)) for i in range(count)]
+    rng = substream(951)
+    povms = [(random_povm(3, 4, rng), Povm.projective_from_columns(haar_unitary(2, rng)))
+             for _ in range(count)]
+    basis = ConjugateBasis.fourier(d)
+    amps = np.stack([s.amplitudes for s in states])
+    if mode == "maassen_uffink":
+        rows = _audit_rows(mode, space, np.stack([s.marginal(("A",)).matrix for s in states]),
+                           basis)
+    else:
+        witnesses = ((("E",), np.stack([np.stack(z.elements) for z, _ in povms])),
+                     (("B",), np.stack([np.stack(x.elements) for _, x in povms])))
+        rows = _audit_rows(mode, space, amps, basis, witnesses=witnesses)
+    assert rows.shape == (count, 2)
+    for state, (zw, xw), row in zip(states, povms, rows):
+        want = per_trial_audit(mode, state, z_witness=(("E",), zw), x_witness=(("B",), xw))
+        assert np.allclose(row, want, rtol=0.0, atol=1e-12)
+
+
+def oracle_payload(mode: str, d: int, trials: int, seed: int) -> dict:
+    """The ``uncertainty`` results of a loop of per-trial oracle audits."""
+    terms = []
+    for i in range(trials):
+        rng = substream(seed, i)
+        if mode == "maassen_uffink":
+            state = random_pure_state(HilbertSpace((d, d), ("A", "K")), rng).marginal(("A",))
+            terms.append(per_trial_audit(mode, state))
+            continue
+        state = random_pure_state(HilbertSpace((d, d, d), ("A", "B", "E")), rng)
+        zw = Povm.projective_from_columns(haar_unitary(d, substream(seed, 10_000 + i)))
+        xw = Povm.projective_from_columns(haar_unitary(d, substream(seed, 20_000 + i)))
+        terms.append(per_trial_audit(mode, state, z_witness=(("E",), zw),
+                                     x_witness=(("B",), xw)))
+    slacks = np.array([sum(t) - math.log2(d) for t in terms])
+    return {"mode": mode, "d": d, "trials": trials, "min_slack": float(slacks.min()),
+            "mean_slack": float(slacks.mean()), "rhs": math.log2(d),
+            "worst_lhs_terms": list(terms[int(np.argmin(slacks))])}
+
+
+def assert_payload(got: dict, want: dict) -> None:
+    assert set(got) == set(want)
+    for key, value in want.items():
+        if isinstance(value, float) or isinstance(value, list):
+            assert np.allclose(got[key], value, rtol=0.0, atol=1e-12), key
+        else:
+            assert got[key] == value, key
+
+
+def cli_results(argv) -> dict:
+    return json.loads(cli_run(argv))["results"]
+
+
+@pytest.mark.parametrize("mode", AUDIT_MODES)
+def test_uncertainty_payloads_equal_a_loop_of_the_oracle(mode, capsys):
+    for seed in (1, 2, 3):
+        got = cli_results(["uncertainty", "--mode", mode, "--d", "3", "--trials", "12",
+                           "--seed", str(seed)])
+        assert_payload(got, oracle_payload(mode, 3, 12, seed))
+
+
+def test_uncertainty_stack_spanning_two_chunks_gives_the_oracle_payload(capsys):
+    # 64^3 amplitudes per trial: four trials fill the cap, so six take two chunks
+    assert AMPLITUDE_CAP // 64 ** 3 == 4
+    got = cli_results(["uncertainty", "--mode", "quantum_cit", "--d", "64",
+                       "--trials", "6", "--seed", "5"])
+    assert_payload(got, oracle_payload("quantum_cit", 64, 6, 5))
+
+
+def test_uncertainty_builds_no_per_trial_objects(monkeypatch, capsys):
+    built = []
+    for cls in (StateVector, DensityOperator, Povm):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, _f=cls.__post_init__, _n=cls.__name__:
+                            built.append(_n) or _f(self))
+
+    def count(mode, trials):
+        built.clear()
+        cli_results(["uncertainty", "--mode", mode, "--d", "3", "--trials", str(trials)])
+        return sorted(built)
+
+    for mode in AUDIT_MODES:
+        count(mode, 1)  # fills the cached bases
+        assert count(mode, 2) == count(mode, 20), mode
+        assert 1 <= len(count(mode, 20)) <= 3, mode
+
+
+def test_uncertainty_exits_3_when_the_stack_disagrees_with_the_single_audit(monkeypatch,
+                                                                              capsys):
+    from privlab import cli
+
+    # only the stacked pass is shifted; the re-audit runs the kernel unpatched
+    monkeypatch.setattr(cli, "_audit_rows", lambda *a, **k: _audit_rows(*a, **k) + 1e-9)
+    for mode in AUDIT_MODES:
+        assert cli.main(["uncertainty", "--mode", mode, "--d", "2", "--trials", "3"]) == 3
+        assert "off its single audit" in capsys.readouterr().err

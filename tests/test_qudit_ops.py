@@ -98,6 +98,19 @@ def test_twisting_identity_and_diagonal():
     assert np.allclose(u, np.diag(np.diag(u)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_twisting_rejects_non_finite_blocks(bad):
+    # a NaN deviation used to pass the unitarity comparison
+    block = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        TwistingOperator.from_diagonal(2, [block, np.eye(2)])
+    space = HilbertSpace((2, 2, 2), ("A", "B", "S"))
+    blocks = {(j, k): np.eye(2) for j in range(2) for k in range(2)}
+    blocks[(0, 1)] = block
+    with pytest.raises(ValueError, match="finite"):
+        TwistingOperator(space, blocks)
+
+
 def test_private_state_key_correlations():
     for d, seed in ((2, 0), (3, 1)):
         sh = 2
