@@ -28,16 +28,15 @@ from .distillation import (build_css_decoders, coherent_hashing_sim,
                            distillable_rate, one_shot_distill,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
-from .info_measures import AUDIT_MODES, _audit_rows, uncertainty_audit
+from .info_measures import AUDIT_MODES, AuditRecord, _audit_trials, uncertainty_audit
 from .privacy import (_certified_report, certify_private, epsilon_secret_direct,
                       twisting_conjugate_measurement, uhlmann_conjugate_measurement)
-from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _check_povms,
+from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
                         _private_vector, maximally_entangled)
 from .sampling import (_haar_unitaries, haar_unitary, haar_vector, random_pure_state,
                        substream)
-from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
-                          InvariantViolation, StateVector, _budget, _checked_amplitudes,
-                          _checked_densities, _reduce_amplitudes, purify)
+from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation, StateVector,
+                          _budget, purify)
 
 STATE_KINDS = {
     "bell": {"d"},
@@ -360,12 +359,6 @@ def cmd_css(cfg: Mapping, seed: int):
     raise ValueError(f"unknown css mode {mode!r} (use sample or universality)")
 
 
-# amplitudes per trial of the largest array an audit stacks: the key marginal
-# (d^2), the rows and Gram blocks of both sides (d^3), or the stacked kets of
-# the two joint measurements (d^5)
-_AUDIT_TRIAL_SIZE = {"maassen_uffink": 2, "quantum_cit": 3, "cit": 5}
-
-
 def cmd_uncertainty(cfg: Mapping, seed: int):
     _check_keys(cfg, {"mode", "d", "trials"}, "uncertainty")
     mode = str(cfg.get("mode", "maassen_uffink"))
@@ -377,48 +370,39 @@ def cmd_uncertainty(cfg: Mapping, seed: int):
     _budget((d, d) if mode == "maassen_uffink" else (d, d, d), f"{mode} state")
     space = (HilbertSpace((d, d), ("A", "K")) if mode == "maassen_uffink"
              else HilbertSpace((d, d, d), ("A", "B", "E")))
-    basis = ConjugateBasis.fourier(d)
 
     def witnesses(batch: range) -> np.ndarray:
         """The z and x witness unitaries of each trial in ``batch``, stacked (2, T, d, d)."""
         rngs = [substream(seed, base + i) for base in (10_000, 20_000) for i in batch]
         return _haar_unitaries(d, rngs).reshape(2, len(batch), d, d)
 
-    def lhs_terms(lo: int, hi: int) -> np.ndarray:
-        """The kernel's lhs terms of trials lo..hi-1, audited as one stack."""
-        amps = _checked_amplitudes(
-            np.stack([haar_vector(space.dim, substream(seed, i)) for i in range(lo, hi)]))
-        if mode == "maassen_uffink":
-            data = _checked_densities(_reduce_amplitudes(space, amps, ("A",)))[0]
-            return _audit_rows(mode, space, data, basis)
-        if mode == "quantum_cit":
-            return _audit_rows(mode, space, amps, basis)
-        units = witnesses(range(lo, hi))
-        # element x of a witness is |u_x><u_x|, u_x its column x
-        els = np.einsum("wtkx,wtlx->wtxkl", units, units.conj())
-        _check_povms(els)
-        return _audit_rows(mode, space, amps, basis,
-                           witnesses=((("E",), els[0]), (("B",), els[1])))
+    def draw(lo: int, hi: int):
+        amps = np.stack([haar_vector(space.dim, substream(seed, i)) for i in range(lo, hi)])
+        return amps, (witnesses(range(lo, hi)) if mode == "cit" else None)
 
-    chunk = max(1, AMPLITUDE_CAP // d ** _AUDIT_TRIAL_SIZE[mode])
-    terms = np.concatenate([lhs_terms(lo, min(lo + chunk, trials))
-                            for lo in range(0, trials, chunk)])
-    slacks = terms.sum(axis=1) - float(np.log2(d))
-    worst = int(np.argmin(slacks))
-    # the worst trial again, through the public audit on its state objects
-    state = random_pure_state(space, substream(seed, worst))
-    if mode == "maassen_uffink":
-        record = uncertainty_audit(mode, state.marginal(("A",)))
-    elif mode == "quantum_cit":
-        record = uncertainty_audit(mode, state)
+    def audit(i: int) -> AuditRecord:
+        """Trial i through the public audit, on its state objects."""
+        state = random_pure_state(space, substream(seed, i))
+        if mode == "maassen_uffink":
+            return uncertainty_audit(mode, state.marginal(("A",)))
+        if mode == "quantum_cit":
+            return uncertainty_audit(mode, state)
+        zw, xw = map(Povm.projective_from_columns, witnesses(range(i, i + 1))[:, 0])
+        return uncertainty_audit(mode, state, z_witness=(("E",), zw), x_witness=(("B",), xw))
+
+    if trials == 1:
+        # a stack of one is the public audit itself
+        record = audit(0)
+        slacks = np.array([record.slack])
     else:
-        zw, xw = map(Povm.projective_from_columns, witnesses(range(worst, worst + 1))[:, 0])
-        record = uncertainty_audit(mode, state, z_witness=(("E",), zw),
-                                   x_witness=(("B",), xw))
-    dev = float(np.max(np.abs(np.array(record.lhs_terms) - terms[worst])))
-    if not dev <= 1e-12:
-        raise InvariantViolation(
-            f"stacked audit of trial {worst} is off its single audit by {dev:g}")
+        terms = _audit_trials(mode, space, trials, draw)
+        slacks = terms.sum(axis=1) - float(np.log2(d))
+        worst = int(np.argmin(slacks))
+        record = audit(worst)
+        dev = float(np.max(np.abs(np.array(record.lhs_terms) - terms[worst])))
+        if not dev <= 1e-12:
+            raise InvariantViolation(
+                f"stacked audit of trial {worst} is off its single audit by {dev:g}")
     results = {"mode": mode, "d": d, "trials": trials,
                "min_slack": float(slacks.min()), "mean_slack": float(slacks.mean()),
                "rhs": record.rhs,

@@ -7,6 +7,7 @@ anything above the clamp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -14,17 +15,23 @@ import numpy as np
 
 # measure stays bound here: perfbench's tracer test checks that it is patched here
 from .qudit_ops import (CONDITIONAL_CUTOFF, ConjugateBasis, Povm,  # noqa: F401
-                        _check_groups, _outcome_probs, measure)
+                        _check_groups, _check_povms, _outcome_probs, _projective_elements,
+                        measure)
 from .tensor_core import (
+    AMPLITUDE_CAP,
     LOG_CLAMP,
     DensityOperator,
     HilbertSpace,
     StateVector,
     _as_complex,
     _check_finite,
+    _checked_amplitudes,
+    _checked_densities,
     _reduce_amplitudes,
+    _reduction_stacks,
     _unused_label,
     purify,
+    reduce_blocks,
 )
 
 
@@ -204,10 +211,12 @@ def _audit_rows(mode: str, space: HilbertSpace, data: np.ndarray, basis: Conjuga
                 witnesses: Sequence[tuple[Sequence[str], np.ndarray]] = ()) -> np.ndarray:
     """lhs terms (T, 2) of T instances of one audit, stacked along axis 0.
 
-    ``data`` holds validated key marginals (T, d, d) for ``maassen_uffink``
-    and validated amplitudes (T, D) on ``space`` otherwise.  ``witnesses``
-    pairs the z and then the x witness label groups of ``cit`` with their
-    element stacks, (n, m, m) shared or (T, n, m, m) one POVM per instance.
+    ``data`` holds validated key marginals (T, d, d) for ``maassen_uffink``,
+    validated amplitudes (T, D) on ``space`` for ``quantum_cit``, and either
+    of amplitudes (T, D) or density matrices (T, D, D) for ``cit``.
+    ``witnesses`` pairs the z and then the x witness label groups of ``cit``
+    with their element stacks: (n, m, m) shared, or (T, n, m, m) one POVM per
+    instance of amplitudes.
     """
     d = basis.d
     if mode == "maassen_uffink":
@@ -216,10 +225,13 @@ def _audit_rows(mode: str, space: HilbertSpace, data: np.ndarray, basis: Conjuga
         terms = [_shannon_rows(_probability_rows(np.clip(p, 0.0, None), "probability vector"))
                  for p in probs]
     elif mode == "cit":
-        keys = (np.stack(Povm.standard_basis(d).elements), np.stack(basis.povm().elements))
-        terms = [_conditional_entropies(_probability_rows(_outcome_probs(_reduce_amplitudes(
-            space, data, (), [((key_label,), key), (labels, els)])), "joint table"))
-            for key, (labels, els) in zip(keys, witnesses)]
+        terms = []
+        for columns, (labels, els) in zip((np.eye(d), basis.vectors), witnesses):
+            groups = [((key_label,), _projective_elements(columns)), (labels, els)]
+            blocks = (_reduce_amplitudes(space, data, (), groups) if data.ndim == 2
+                      else np.stack([reduce_blocks(space, m, (), groups) for m in data]))
+            tables = _probability_rows(_outcome_probs(blocks), "joint table")
+            terms.append(_conditional_entropies(tables))
     else:  # quantum_cit: S(K|side) = H(K) - chi after measuring the key
         terms = []
         for columns, side in ((np.eye(d), "E"), (basis.vectors, "B")):
@@ -232,6 +244,42 @@ def _audit_rows(mode: str, space: HilbertSpace, data: np.ndarray, basis: Conjuga
             chi, q = _holevo_of_rows(rows.reshape(len(data), d, space.dim_of(side), -1))
             terms.append(_entropy_of_weights(q) - chi)
     return np.stack(terms, axis=1)
+
+
+def _audit_trials(mode: str, space: HilbertSpace, trials: int, draw) -> np.ndarray:
+    """lhs terms (trials, 2) of random audit instances, audited in stacked chunks.
+
+    ``space`` is (A, K) for ``maassen_uffink`` and (A, B, E) otherwise, with
+    the key on A and the Fourier conjugate basis.  ``draw(lo, hi)`` returns
+    the amplitudes (hi - lo, D) of trials lo..hi-1 and, for ``cit``, their z
+    and x witness unitaries (2, hi - lo, d, d), whose columns are projective
+    measurements on E and B (``None`` otherwise).  Each chunk is checked as
+    the state and POVM objects check themselves, and holds as many trials as
+    keep its largest stacked array (amplitudes, marginals, Gram blocks, or
+    the kets ``_reduce_amplitudes`` budgets) within ``AMPLITUDE_CAP``.
+    """
+    d = space.dim_of("A")
+    basis = ConjugateBasis.fourier(d)
+    size = space.dim
+    if mode == "cit":
+        size = max([size] + [math.prod(s) for s in _reduction_stacks(space, (), [d, d]).values()])
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        amps, units = draw(lo, hi)
+        amps = _checked_amplitudes(amps)
+        if mode == "maassen_uffink":
+            return _audit_rows(mode, space, _checked_densities(
+                _reduce_amplitudes(space, amps, ("A",)))[0], basis)
+        witnesses = ()
+        if mode == "cit":
+            for labels, u in zip((("E",), ("B",)), units):
+                els = _projective_elements(u)
+                _check_povms(els)
+                witnesses += ((labels, els),)
+        return _audit_rows(mode, space, amps, basis, witnesses=witnesses)
+
+    step = max(1, AMPLITUDE_CAP // size)
+    return np.concatenate([chunk(lo, min(lo + step, trials)) for lo in range(0, trials, step)])
 
 
 def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None, *,
@@ -247,8 +295,8 @@ def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None
       * ``quantum_cit``: S(Z|E) + S(X~|B) >= log2 d on a state with labels
         A, B, E.
 
-    The terms come from ``_audit_rows`` on a stack of one; a density is
-    purified first in the two conditional modes.
+    The terms come from ``_audit_rows`` on a stack of one; ``quantum_cit``
+    purifies a density first, ``cit`` reduces its matrix.
     """
     if mode not in AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -263,14 +311,15 @@ def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None
         rho = state.marginal((key_label,)) if len(space.labels) > 1 else (
             state.density() if isinstance(state, StateVector) else state)
         data = rho.matrix[None]
+    elif mode == "cit":
+        if x_witness is None or z_witness is None:
+            raise ValueError("cit mode needs x_witness and z_witness POVMs")
+        for labels, w in (z_witness, x_witness):
+            _check_groups(space, [((key_label,), d), (labels, w.dim)])
+            witnesses += ((tuple(labels), np.stack(w.elements)),)
+        data = (state.amplitudes if isinstance(state, StateVector) else state.matrix)[None]
     else:
-        if mode == "cit":
-            if x_witness is None or z_witness is None:
-                raise ValueError("cit mode needs x_witness and z_witness POVMs")
-            for labels, w in (z_witness, x_witness):
-                _check_groups(space, [((key_label,), d), (labels, w.dim)])
-                witnesses += ((tuple(labels), np.stack(w.elements)),)
-        elif not {"B", "E"} <= set(space.labels):
+        if not {"B", "E"} <= set(space.labels):
             raise ValueError("quantum_cit expects labels A, B, E")
         psi = state if isinstance(state, StateVector) else purify(state, _unused_label(space))
         space, data = psi.space, psi.amplitudes[None]

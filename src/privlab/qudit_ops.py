@@ -101,6 +101,12 @@ class ConjugateBasis:
         return Povm.projective_from_columns(self.vectors)
 
 
+def _projective_elements(columns: np.ndarray) -> np.ndarray:
+    """Elements |c_x><c_x| of the columns c_x of ``columns`` (..., m, n), stacked (..., n, m, m)."""
+    cols = np.swapaxes(columns, -1, -2)
+    return cols[..., :, None] * cols.conj()[..., None, :]
+
+
 def _check_povms(stack: np.ndarray) -> None:
     """Raise unless each POVM of ``stack`` (..., n, m, m), its n elements along
     axis -3, is finite, hermitian, positive and complete."""
@@ -165,9 +171,7 @@ class Povm:
 
     @classmethod
     def projective_from_columns(cls, columns: np.ndarray, labels: tuple = ()) -> "Povm":
-        cols = _as_complex(columns)
-        els = tuple(np.outer(cols[:, i], cols[:, i].conj()) for i in range(cols.shape[1]))
-        return cls(els, labels)
+        return cls(tuple(_projective_elements(_as_complex(columns))), labels)
 
     def sqrt_elements(self) -> tuple[np.ndarray, ...]:
         """Square roots of the elements, computed once per POVM (read-only)."""

@@ -65,8 +65,10 @@ def _checked_amplitudes(amps: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
-    # vecdot sums |psi_i|^2 row by row without a temporary as large as the stack
-    nrm = np.sqrt(np.vecdot(amps, amps).real)
+    # the squared real and imaginary parts, summed row by row on a real view
+    # of the stack, so no temporary is as large as the stack
+    flat = np.ascontiguousarray(amps).view(np.float64)
+    nrm = np.sqrt(np.einsum("td,td->t", flat, flat))
     dev = np.abs(nrm - 1.0)
     worst = float(dev.max())
     if not worst <= 1e-9:
@@ -383,6 +385,15 @@ def reduce_blocks(space: HilbertSpace, data: np.ndarray, keep: Sequence[str],
     return t
 
 
+def _reduction_stacks(space: HilbertSpace, keep: Sequence[str],
+                      outcomes: Sequence[int]) -> dict[str, list[int]]:
+    """Per-row shapes of the stacks ``_reduce_amplitudes`` builds: one ket of D
+    amplitudes, and one K x K block on ``keep``, per joint outcome."""
+    kept = math.prod(space.dims_of(keep))
+    return {"stacked measurement kets": [*outcomes, space.dim],
+            "measurement blocks": [*outcomes, kept, kept]}
+
+
 def _reduce_amplitudes(space: HilbertSpace, amps: np.ndarray, keep: Sequence[str],
                        ops: Sequence[tuple[Sequence[str], np.ndarray]] = ()) -> np.ndarray:
     """``reduce_blocks`` of every row psi_t of ``amps`` (T, D): shape (T, n_1, ..., n_k, K, K).
@@ -395,8 +406,8 @@ def _reduce_amplitudes(space: HilbertSpace, amps: np.ndarray, keep: Sequence[str
     order, sizes = _group_layout(space, keep, ops)
     count, k = len(amps), len(ops)
     outcomes = [els.shape[-3] for _, els in ops]
-    _budget([count] + outcomes + [space.dim], "stacked measurement kets")
-    _budget([count] + outcomes + sizes[-1:] * 2, "measurement blocks")
+    for what, shape in _reduction_stacks(space, keep, outcomes).items():
+        _budget([count] + shape, what)
     perm = [0] + [1 + a for a in order]
     t = psi = amps.reshape((count,) + space.dims).transpose(perm).reshape([count] + sizes + [-1])
     for g in reversed(range(k)):

@@ -13,7 +13,7 @@ from privlab import (ConjugateBasis, CqEnsemble, DensityOperator, HilbertSpace,
                      permute_vector, purify, random_density_operator, random_pure_state,
                      shannon_entropy, substream, uncertainty_audit, von_neumann_entropy)
 from privlab.cli import run as cli_run
-from privlab.info_measures import AUDIT_MODES, _audit_rows
+from privlab.info_measures import AUDIT_MODES, _audit_rows, _audit_trials
 from privlab.tensor_core import AMPLITUDE_CAP
 
 
@@ -399,11 +399,50 @@ def cli_results(argv) -> dict:
 
 
 @pytest.mark.parametrize("mode", AUDIT_MODES)
-def test_uncertainty_payloads_equal_a_loop_of_the_oracle(mode, capsys):
+def test_uncertainty_payloads_equal_a_loop_of_the_oracle(mode, monkeypatch, capsys):
+    from privlab import cli
+
     for seed in (1, 2, 3):
         got = cli_results(["uncertainty", "--mode", mode, "--d", "3", "--trials", "12",
                            "--seed", str(seed)])
         assert_payload(got, oracle_payload(mode, 3, 12, seed))
+    # one trial is the public audit alone, with no stacked pass to repeat it
+    monkeypatch.setattr(cli, "_audit_trials", None)
+    got = cli_results(["uncertainty", "--mode", mode, "--d", "3", "--trials", "1", "--seed", "4"])
+    assert_payload(got, oracle_payload(mode, 3, 1, 4))
+
+
+def test_uncertainty_chunks_by_the_kernel_budget(monkeypatch, capsys):
+    from privlab import info_measures, tensor_core
+
+    # cit at d = 3 stacks d^2 kets of 27 amplitudes per trial: a cap of two
+    # trials' kets makes 7 trials take 4 chunks, none refused by the kernel
+    stacks = tensor_core._reduction_stacks(HilbertSpace((3, 3, 3), ("A", "B", "E")), (), [3, 3])
+    assert stacks["stacked measurement kets"] == [3, 3, 27]
+    cap = 2 * 3 ** 5
+    monkeypatch.setattr(tensor_core, "AMPLITUDE_CAP", cap)
+    monkeypatch.setattr(info_measures, "AMPLITUDE_CAP", cap)
+    spans = []
+    real = info_measures._audit_rows
+    monkeypatch.setattr(info_measures, "_audit_rows",
+                        lambda *a, **k: spans.append(len(a[2])) or real(*a, **k))
+    got = cli_results(["uncertainty", "--mode", "cit", "--d", "3", "--trials", "7",
+                       "--seed", "6"])
+    assert spans == [2, 2, 2, 1, 1]  # four chunks, then the worst trial's re-audit
+    assert_payload(got, oracle_payload("cit", 3, 7, 6))
+
+
+def test_cit_reduces_a_density_without_purifying_it():
+    # a full-rank density on (4, 4, 16) purifies to 65536 amplitudes, whose
+    # 4 x 16 measured kets would exceed the cap; its matrix reduces directly
+    space = HilbertSpace((4, 4, 16), ("A", "B", "E"))
+    rng = substream(960)
+    rho = random_density_operator(space, rng)
+    assert rho.rank() == space.dim and 4 * 16 * space.dim ** 2 > AMPLITUDE_CAP
+    kw = {"z_witness": (("E",), Povm.projective_from_columns(haar_unitary(16, rng))),
+          "x_witness": (("B",), random_povm(4, 5, rng))}
+    got = uncertainty_audit("cit", rho, **kw)
+    assert np.allclose(got.lhs_terms, per_trial_audit("cit", rho, **kw), rtol=0.0, atol=1e-12)
 
 
 def test_uncertainty_stack_spanning_two_chunks_gives_the_oracle_payload(capsys):
@@ -437,7 +476,7 @@ def test_uncertainty_exits_3_when_the_stack_disagrees_with_the_single_audit(monk
     from privlab import cli
 
     # only the stacked pass is shifted; the re-audit runs the kernel unpatched
-    monkeypatch.setattr(cli, "_audit_rows", lambda *a, **k: _audit_rows(*a, **k) + 1e-9)
+    monkeypatch.setattr(cli, "_audit_trials", lambda *a, **k: _audit_trials(*a, **k) + 1e-9)
     for mode in AUDIT_MODES:
         assert cli.main(["uncertainty", "--mode", mode, "--d", "2", "--trials", "3"]) == 3
         assert "off its single audit" in capsys.readouterr().err
