@@ -31,7 +31,7 @@ from .distillation import (build_css_decoders, coherent_hashing_sim,
 from .info_measures import AUDIT_MODES, AuditRecord, _audit_trials, uncertainty_audit
 from .privacy import (_certified_report, certify_private, epsilon_secret_direct,
                       twisting_conjugate_measurement, uhlmann_conjugate_measurement)
-from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator,
+from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _bell_basis,
                         _private_vector, maximally_entangled)
 from .sampling import (_haar_unitaries, haar_unitary, haar_vector, random_pure_state,
                        substream)
@@ -134,8 +134,9 @@ def build_state(spec: Mapping, seed: int):
             raise ValueError("a state file must hold a JSON object")
         _check_keys(payload, STATE_KINDS["inline"], "state[file]")
         return _inline_state(payload), extras
-    # each kind checks its size against the cap before building anything
-    # (werner and twisted states against their D x D density matrices)
+    # each kind checks the arrays it builds against the cap before building
+    # anything: a werner state its D x D matrix, a twisted state its vector
+    # and its twisting blocks
     d = _as_int(spec.get("d", 2), "d")
     if kind == "bell":
         _budget((d, d), "bell state")
@@ -150,14 +151,20 @@ def build_state(spec: Mapping, seed: int):
         p = _as_real(spec.get("p", 1.0), "p")
         if not 0.0 <= p <= 1.0:
             raise ValueError("werner weight must lie in [0, 1]")
-        # only the Werner matrix is validated: one D x D eigvalsh per build
+        # Bell-diagonal: weight p + (1 - p) / D on Phi = Bell vector (0, 0),
+        # (1 - p) / D on the other D - 1, so no D x D eigensolve is needed
         phi = maximally_entangled(d)
         mat = (p * np.outer(phi.amplitudes, phi.amplitudes.conj())
                + (1.0 - p) * np.eye(d * d) / (d * d))
-        return DensityOperator(phi.space, mat), extras
+        vals = np.full(d * d, (1.0 - p) / (d * d))
+        vals[-1] += p
+        # ascending: the D - 1 equal weights first, Phi last
+        return DensityOperator._from_eigensystem(
+            phi.space, mat, vals, np.roll(_bell_basis(d), -1, axis=1)), extras
     sh = _as_int(spec.get("shield_dim", 2), "shield_dim")
     if kind == "twisted":
-        _budget((d, d, sh) * 2, "twisted state")
+        _budget((d, d, sh), "twisted state")
+        _budget((d, d, sh, sh), "twisting blocks")
         # block (k, k) keeps the stream 1 + k d + k of a full d x d draw
         t = TwistingOperator.from_diagonal(
             d, [haar_unitary(sh, substream(seed, 1 + k * (d + 1))) for k in range(d)])
@@ -237,7 +244,6 @@ def _rows_arg(text: str) -> list[list[int]]:
 def cmd_rates(cfg: Mapping, seed: int):
     _check_keys(cfg, {"state"}, "rates")
     state, _ = build_state(cfg.get("state", {"kind": "bell"}), seed)
-    _budget(state.space.dims * 2, "rate density matrix")
     rb = distillable_rate(state)
     results = dataclasses.asdict(rb)
     return results, [results]
@@ -246,7 +252,6 @@ def cmd_rates(cfg: Mapping, seed: int):
 def cmd_verify(cfg: Mapping, seed: int):
     _check_keys(cfg, {"state", "measurement", "soundness_margin"}, "verify")
     state, extras = build_state(cfg.get("state", {"kind": "bell"}), seed)
-    _budget(state.space.dims * 2, "verified density matrix")
     meas = cfg.get("measurement", "projective")
     margin = _as_real(cfg.get("soundness_margin", 1e-6), "soundness_margin")
     if meas == "projective":

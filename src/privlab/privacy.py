@@ -311,6 +311,7 @@ def twisting_conjugate_measurement(t: TwistingOperator,
     """
     if conj_basis.d != t.d:
         raise ValueError("conjugate basis dimension does not match the twisting")
+    _budget((t.d, t.d * t.shield_dim, t.d * t.shield_dim), "twisting decoder")
     elements = _conjugate_key_elements(conj_basis, np.vstack(t.diagonal_blocks()))
     return Povm(tuple(elements), tuple(range(t.d)))
 

@@ -410,6 +410,15 @@ def maximally_entangled(d: int, labels: tuple[str, str] = ("A", "B")) -> StateVe
     return StateVector(space, amps)
 
 
+def _bell_basis(d: int) -> np.ndarray:
+    """The d^2 Bell vectors (Z^j X^k (x) 1)|Phi_d> as the columns j d + k of a
+    (d^2, d^2) matrix on (A, B): column (j, k) is w^{jx} / sqrt(d) at (x, x - k)."""
+    x, j, k = np.ix_(np.arange(d), np.arange(d), np.arange(d))
+    basis = np.zeros((d, d, d, d), dtype=np.complex128)
+    basis[x, (x - k) % d, j, k] = np.exp(2j * np.pi * (j * x % d) / d) / np.sqrt(d)
+    return basis.reshape(d * d, d * d)
+
+
 def _private_vector(d: int, t: TwistingOperator, xi: StateVector) -> StateVector:
     """U (|Phi_d> (x) |xi>) = d^{-1/2} sum_j |j j> (x) V_jj |xi> on (A, B, S).
 

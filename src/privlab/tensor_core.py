@@ -80,13 +80,29 @@ def _checked_amplitudes(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _checked_densities(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _checked_spectra(vals: np.ndarray) -> np.ndarray:
+    """Ascending spectra stacked as rows of ``vals`` (T, D), each finite and
+    summing to 1 within 1e-9; ``_check_psd`` is left to the caller."""
+    if not np.isfinite(vals).all():
+        raise ValueError("eigenvalues must be finite")
+    if not np.all(np.diff(vals, axis=-1) >= 0.0):
+        raise ValueError("eigenvalues must be ascending")
+    sums = vals.sum(axis=-1)
+    dev = np.abs(sums - 1.0)
+    if not float(dev.max()) <= 1e-9:
+        raise ValueError(f"eigenvalues sum to {float(sums[np.argmax(dev)])!r}, not 1")
+    return vals
+
+
+def _checked_densities(m: np.ndarray, spectra: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Density matrices stacked along axis 0 of ``m`` (T, D, D), and their spectra.
 
     Each must be finite, hermitian within 1e-9 and of unit trace within
     1e-9 (deviations past ``NORM_ATOL`` are symmetrised or divided out, in
-    place), and positive to ``PSD_ATOL``; one batched eigvalsh gives the
-    ascending eigenvalues.
+    place), and positive to ``PSD_ATOL``.  One batched eigvalsh gives the
+    ascending eigenvalues, unless the caller knows them: given ``spectra``
+    (T, D) are checked by ``_checked_spectra`` and used instead.
     """
     _check_finite(m)
     herm = np.abs(m - m.conj().swapaxes(1, 2)).reshape(len(m), -1).max(axis=1)
@@ -104,7 +120,8 @@ def _checked_densities(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if worst > NORM_ATOL:
         fix = dev > NORM_ATOL
         m[fix] /= tr[fix].real[:, None, None]
-    return m, _check_psd(np.linalg.eigvalsh(m))
+    vals = np.linalg.eigvalsh(m) if spectra is None else _checked_spectra(spectra)
+    return m, _check_psd(vals)
 
 
 @dataclass(frozen=True)
@@ -212,15 +229,42 @@ class DensityOperator:
     space: HilbertSpace
     matrix: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, eigensystem: tuple[np.ndarray, np.ndarray] | None = None):
         m = _as_complex(self.matrix)
         dim = self.space.dim
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dim {dim}")
-        stack, vals = _checked_densities(m[None])
-        # the spectrum of the stored matrix, kept for entropies and ranks
+        vals = vecs = None
+        if eigensystem is not None:
+            vals = np.array(eigensystem[0], dtype=float)
+            vecs = _as_complex(eigensystem[1])
+            _check_finite(vecs)
+            if vals.shape != (dim,) or vecs.shape != (dim, dim):
+                raise ValueError(f"an eigensystem of a {dim}-dim space needs {dim} values "
+                                 f"and {dim} x {dim} vectors")
+            vals = vals[None]
+        stack, vals = _checked_densities(m[None], vals)
+        # the spectrum of the stored matrix, kept for entropies and ranks, and
+        # its eigenvectors when they were given
         object.__setattr__(self, "_eigenvalues", _lock(vals[0]))
+        object.__setattr__(self, "_eigenvectors", None if vecs is None else _lock(vecs))
         object.__setattr__(self, "matrix", _lock(stack[0]))
+
+    @classmethod
+    def _from_eigensystem(cls, space: HilbertSpace, matrix: np.ndarray, vals: np.ndarray,
+                          vecs: np.ndarray) -> "DensityOperator":
+        """A density whose ascending spectrum ``vals`` and orthonormal eigenvectors
+        (the columns of ``vecs``) are known to the caller.
+
+        The matrix is checked as in construction, except that positivity is
+        read off ``vals`` in place of an eigvalsh; ``purify`` then reads the
+        eigensystem instead of factorising the matrix.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "space", space)
+        object.__setattr__(rho, "matrix", matrix)
+        rho.__post_init__((vals, vecs))
+        return rho
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         return DensityOperator(self.space.tensor(other.space),
@@ -235,6 +279,13 @@ class DensityOperator:
 
     def rank(self, tol: float = SUPPORT_ATOL) -> int:
         return int(np.sum(self.eigenvalues() > tol))
+
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors: the pair given at construction,
+        or one eigh of the matrix."""
+        if self._eigenvectors is not None:
+            return self._eigenvalues, self._eigenvectors
+        return np.linalg.eigh(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -461,11 +512,13 @@ def purify(rho: DensityOperator, new_label: str = "E") -> StateVector:
     """Return a pure state on ``space (x) new_label`` whose marginal is rho.
 
     The purifier dimension equals the rank of rho (support cut at
-    ``SUPPORT_ATOL``), so pure inputs get a one-dimensional purifier.
+    ``SUPPORT_ATOL``), so pure inputs get a one-dimensional purifier.  The
+    purifier basis is rho's eigenbasis: the one rho was built with, if any
+    (a Werner state's Bell basis), else the eigh of its matrix.
     """
     if new_label in rho.space.labels:
         raise ValueError(f"label {new_label!r} already used")
-    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals, vecs = rho._eigensystem()
     sel = vals > SUPPORT_ATOL
     if not np.any(sel):
         raise ValueError("cannot purify an operator with empty support")

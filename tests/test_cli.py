@@ -103,17 +103,24 @@ def test_verify_uhlmann_scores_the_key_tests_once(monkeypatch, spec):
                    "bound": rec.bound, "pad_dim": rec.pad_dim}
 
 
-def test_verify_uhlmann_purifies_once(factorised):
-    # the partner and the report read one purification of the 36 x 36 state
+def test_verify_uhlmann_purifies_once(factorised, monkeypatch):
+    # the partner and the report read one purification of the 36 x 36 state,
+    # taken from its Bell eigenbasis with no eigensolve
+    purified = []
+    for mod in (cli, privacy):
+        monkeypatch.setattr(mod, "purify",
+                            lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
     results_of(["verify", "--state", "werner", "--d", "6", "--p", "0.9",
                 "--measurement", "uhlmann", "--seed", "3"])
-    assert factorised["eigh"].count((36, 36)) == 1
+    assert len(purified) == 1
+    assert (36, 36) not in factorised["eigh"]
 
 
 def test_werner_build_validates_one_matrix(factorised):
-    # the maximally entangled projector is read from amplitudes, not validated
+    # the maximally entangled projector is read from amplitudes, not validated,
+    # and the Werner matrix's positivity is read off its Bell spectrum
     state, _ = build_state({"kind": "werner", "d": 12, "p": 0.9}, 0)
-    assert factorised["eigvalsh"] == [(144, 144)]
+    assert not factorised["eigvalsh"]
     assert not factorised["eigh"]
     # the same matrix as from the validated projector
     phi = maximally_entangled(12).density().matrix
@@ -135,6 +142,90 @@ def test_distill_purifies_a_mixed_state_once(monkeypatch):
     decs = build_css_decoders(state, code)
     out = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
     assert res == {**out.transcript, "key_dim": out.key_dims[0]}
+
+
+# Werner command lines, each run at p = 0, 0.9 and 1
+WERNER_LINES = [
+    "verify --state werner --d 6 --measurement projective --seed 3",
+    "verify --state werner --d 12 --measurement projective --seed 3",
+    "verify --state werner --d 3 --measurement uhlmann --seed 3",
+    "verify --state werner --d 6 --measurement uhlmann --seed 3",
+    "rates --state werner --d 5 --seed 3",
+    "distill --state werner --d 9 --code-kind sampled --code-d 3 --code-n 2 --m-z 1 --seed 5",
+    "distill --state werner --d 8 --code-kind sampled --code-d 2 --code-n 3 --m-z 1 --m-x 1"
+    " --seed 5",
+    "hashing-sim --state werner --d 2 --n 3 --code-kind sampled --code-d 2 --code-n 3 --m-z 1"
+    " --seed 5",
+]
+# payload entries that are square roots of others; at p = 1 they are roots of
+# rounding dust, so their squares are compared
+ROOT_KEYS = {"eps_certified", "bound_psi2", "bound_psi3", "bound_psi4"}
+
+
+def generic_werner(monkeypatch):
+    """Build Werner states as a plain DensityOperator of the same matrix, so
+    that its validation and purification factorise it."""
+    monkeypatch.setattr(cli.DensityOperator, "_from_eigensystem",
+                        lambda space, matrix, vals, vecs: cli.DensityOperator(space, matrix))
+
+
+@pytest.mark.parametrize("p", ["0", "0.9", "1"])
+@pytest.mark.parametrize("line", WERNER_LINES)
+def test_werner_payloads_match_the_generic_path(monkeypatch, line, p):
+    argv = line.split() + ["--p", p]
+    got = results_of(argv)
+    generic_werner(monkeypatch)
+    want = results_of(argv)
+    assert set(got) == set(want)
+    for key, value in want.items():
+        if isinstance(value, float):
+            a, b = (got[key] ** 2, value ** 2) if key in ROOT_KEYS else (got[key], value)
+            assert abs(a - b) <= 1e-12, key
+        else:
+            assert got[key] == value, key
+
+
+@pytest.mark.parametrize("p", ["nan", "-0.1", "1.1", "inf"])
+def test_werner_rejects_bad_weights(tmp_path, capsys, p):
+    assert main(["verify", "--state", "werner", "--d", "3", "--p", p]) == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"state": {"kind": "werner", "d": 3, "p": float(p)}}))
+    assert main(["rates", "--config", str(path)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("line, d", [
+    ("verify --state werner --d 12 --p 0.9 --measurement projective", 12),
+    ("verify --state werner --d 6 --p 0.9 --measurement uhlmann", 6),
+    ("hashing-sim --state werner --d 2 --p 0.9 --n 3 --code-kind sampled --code-d 2 "
+     "--code-n 3 --m-z 1", 2),
+    ("rates --state werner --d 6 --p 0.9", 6),
+    ("distill --state werner --d 9 --p 0.9 --code-kind sampled --code-d 3 --code-n 2 --m-z 1", 9),
+    ("distill --state werner --d 8 --p 0.9 --code-kind sampled --code-d 2 --code-n 3 --m-z 1 "
+     "--m-x 1", 8),
+])
+def test_werner_paths_factorise_no_werner_matrix(factorised, monkeypatch, line, d):
+    """Of the D x D factorisations the generic path runs, exactly the
+    validation eigvalsh and the purification eigh are gone; verify and
+    hashing-sim run none at all.  Those left in rates and distill are the
+    rate formulas' conditional spectra and the one-shot distance's rho_E
+    slices, not the Werner matrix."""
+    side = d * d
+
+    def square(name):
+        return sorted(sh for sh in factorised[name] if sh == (side, side))
+
+    results_of(line.split())
+    got = {name: square(name) for name in ("eigh", "eigvalsh")}
+    for shapes in factorised.values():
+        shapes.clear()
+    generic_werner(monkeypatch)
+    results_of(line.split())
+    want = {name: square(name) for name in ("eigh", "eigvalsh")}
+    for name in ("eigh", "eigvalsh"):
+        assert want[name].count((side, side)) == got[name].count((side, side)) + 1, name
+    if line.startswith(("verify", "hashing-sim")):
+        assert not got["eigh"] and not got["eigvalsh"]
 
 
 def test_verify_uhlmann_reports_bound():
@@ -373,6 +464,35 @@ def test_state_spec_rejects_mistyped_and_oversized_d(command, d, tmp_path, capsy
     cfg.write_text(json.dumps({"state": {"kind": "werner", "d": d, "p": 0.9}}))
     assert main([command, "--config", str(cfg)]) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--measurement", "projective"],
+                                  ["verify", "--measurement", "twisting"],
+                                  ["verify", "--measurement", "uhlmann"], ["rates"]])
+def test_twisted_state_is_budgeted_by_what_it_builds(argv, capsys):
+    # a vector of 4 * 4 * 65 = 1,040 amplitudes: its D x D density would be
+    # over the cap, but no command builds it
+    res = results_of(argv + ["--state", "twisted", "--d", "4", "--shield-dim", "65",
+                             "--seed", "3"])
+    if argv[0] == "rates":
+        assert res["rate"] == pytest.approx(2.0, abs=1e-9)
+    else:
+        assert res["p_e"] <= 1e-10 and res["eps_direct"] <= 1e-9
+    # (4, 4, 257, 257) twisting blocks, and a (4, 1024, 1024) twisting decoder,
+    # are refused before they are allocated: the peak stays below the array
+    cases = [(257, "twisting blocks", 4 * 4 * 257 * 257)]
+    if argv[-1] == "twisting":
+        cases.append((256, "twisting decoder", 4 * 1024 * 1024))
+    for shield, what, size in cases:
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["--state", "twisted", "--d", "4", "--shield-dim", str(shield)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert what in capsys.readouterr().err
+        assert peak < 16 * size
 
 
 def test_werner_at_the_amplitude_cap_still_builds():

@@ -355,9 +355,60 @@ def test_werner_direct_distance_factorises_only_its_purification(factorised):
     for shapes in factorised.values():
         shapes.clear()
     eps = epsilon_secret_direct(state)
-    assert factorised["eigh"] == [(144, 144)]  # the purification
-    assert largest_side(*(v for k, v in factorised.items() if k != "eigh")) < 144
+    # the purification reads the Bell eigenbasis the state was built with
+    assert largest_side(*factorised.values()) < 144
     assert abs(eps - direct_distance_oracle(state)) <= 1e-12
+
+
+def werner_direct_distance(d, p):
+    """Closed form of eps_direct for the Werner state p Phi + (1 - p) 1 / D.
+
+    In the Bell purification B_jj is rank one on the d environment vectors
+    (x, 0): weight a = p + (1 - p) / D on x = 0, b = (1 - p) / D on the rest.
+    B_jj - rho_E / d is -b / d on the other D - d vectors and on d - 2 of
+    those d, and a 2 x 2 block with trace t = (d - 2) b / d and determinant
+    -c^2, c^2 = a (d - 1) b / d^2, on the remaining two.
+    """
+    big_d = d * d
+    a, b = p + (1.0 - p) / big_d, (1.0 - p) / big_d
+    t, c2 = (d - 2) * b / d, a * (d - 1) * b / d ** 2
+    off = 1.0 - a - (d - 1) * b
+    return 0.5 * (off + (big_d - 2) * b + d * math.sqrt(t * t + 4.0 * c2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_werner_closed_form_is_the_direct_distance_oracle(d):
+    for p in (0.0, 0.3, 0.9, 1.0):
+        state = build_state({"kind": "werner", "d": d, "p": p}, 5)[0]
+        generic = DensityOperator(state.space, state.matrix)
+        want = werner_direct_distance(d, p)
+        assert abs(direct_distance_oracle(generic) - want) <= 1e-12
+        assert abs(direct_distance_oracle(state) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.9, 1.0])
+def test_werner_d32_direct_distance_has_exact_clusters(factorised, p):
+    # rho_E is (1 - p) / D on D - 1 Bell vectors and p + (1 - p) / D on Phi:
+    # two exact clusters, so each compressed key block is at most 2 x 2 (one
+    # R-factor row for the large cluster, the Phi row), where rounded
+    # eigenvalues of an eigh split the large cluster into several
+    state = build_state({"kind": "werner", "d": 32, "p": p}, 5)[0]
+    for shapes in factorised.values():
+        shapes.clear()
+    eps = epsilon_secret_direct(state)
+    assert factorised["eigvalsh"] and largest_side(factorised["eigvalsh"]) <= 2
+    assert not factorised["eigh"] and not factorised["svd"]
+    assert all(shape[-1] == 1 for shape in factorised["qr"])  # one row per cluster
+    # D = 1024 puts the d^2 dense blocks of the oracle at 16 GB; the closed
+    # form above stands in for it, checked against it at small d
+    assert abs(eps - werner_direct_distance(32, p)) <= 1e-12
+    # and the verify command factorises nothing of side D
+    for shapes in factorised.values():
+        shapes.clear()
+    res = json.loads(cli.run(["verify", "--state", "werner", "--d", "32", "--p", str(p),
+                              "--measurement", "projective"]))["results"]
+    assert largest_side(factorised["eigh"], factorised["eigvalsh"]) <= 32
+    assert abs(res["eps_direct"] - werner_direct_distance(32, p)) <= 1e-12
 
 
 def test_private_states_are_exactly_private():

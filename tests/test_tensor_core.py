@@ -8,13 +8,16 @@ import pytest
 
 from privlab import (ConjugateBasis, CqEnsemble, DensityOperator, HilbertSpace,
                      LinearOperator, Povm, StateVector,
-                     fidelity, haar_unitary, helstrom_pair, measure, partial_trace,
+                     fidelity, generalized_paulis, haar_unitary, helstrom_pair,
+                     maximally_entangled, measure, partial_trace,
                      pure_state_trace_distance, purify, substream,
                      trace_distance, trace_norm, uncertainty_audit,
                      von_neumann_entropy)
 from privlab.tensor_core import (AMPLITUDE_CAP, apply_to_vector, embed_operator,
                                  permute_vector, sqrt_psd,
                                  tensor_product, vector_marginal)
+from privlab.cli import build_state
+from privlab.qudit_ops import _bell_basis
 from privlab.sampling import random_density_operator, random_pure_state
 
 
@@ -154,6 +157,79 @@ def test_purify_round_trip():
         assert "E" in psi.space.labels
         back = partial_trace(psi, ("A", "B"))
         assert np.allclose(back.matrix, rho.matrix, atol=1e-10)
+
+
+def bell_vectors(d):
+    """Columns (Z^j X^k (x) 1)|Phi_d>, j d + k, from the generalized Pauli matrices."""
+    z, x, _ = generalized_paulis(d)
+    phi = maximally_entangled(d).amplitudes
+    return np.stack([np.kron(np.linalg.matrix_power(z.matrix, j)
+                             @ np.linalg.matrix_power(x.matrix, k), np.eye(d)) @ phi
+                     for j in range(d) for k in range(d)], axis=1)
+
+
+def werner_pair(d, p):
+    """The CLI Werner state (Bell eigensystem) and the same matrix built generically."""
+    spectral = build_state({"kind": "werner", "d": d, "p": p}, 0)[0]
+    return spectral, DensityOperator(spectral.space, spectral.matrix)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_bell_basis_is_the_pauli_orbit_of_phi(d):
+    basis = _bell_basis(d)
+    assert np.max(np.abs(basis - bell_vectors(d))) <= 1e-12
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(d * d))) <= 1e-12
+    assert np.array_equal(basis[:, 0], maximally_entangled(d).amplitudes)
+
+
+@pytest.mark.parametrize("d, p", [(d, p) for d in (2, 3, 6) for p in (0.0, 0.37, 0.9, 1.0)])
+def test_werner_eigensystem_matches_the_generic_path(d, p):
+    spectral, generic = werner_pair(d, p)
+    assert np.array_equal(spectral.matrix, generic.matrix)
+    vals = spectral.eigenvalues()
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.max(np.abs(vals - generic.eigenvalues())) <= 1e-12
+    assert spectral.rank() == generic.rank()
+    assert abs(von_neumann_entropy(spectral) - von_neumann_entropy(generic)) <= 1e-12
+    # the stored pair diagonalises the matrix
+    lam, vecs = spectral._eigensystem()
+    assert np.max(np.abs((vecs * lam) @ vecs.conj().T - spectral.matrix)) <= 1e-12
+    for rho in (spectral, generic):
+        psi = purify(rho, "E")
+        assert psi.space.dim_of("E") == generic.rank()
+        back = partial_trace(psi, ("A", "B")).matrix
+        assert np.max(np.abs(back - rho.matrix)) <= 1e-12
+
+
+def test_given_eigensystem_is_checked_and_the_matrix_too():
+    d, p = 3, 0.6
+    spectral, _ = werner_pair(d, p)
+    mat = spectral.matrix
+    lam, vecs = spectral._eigensystem()
+
+    def make(m, v, u=vecs):
+        return DensityOperator._from_eigensystem(spectral.space, m, v, u)
+
+    for bad, why in ((np.where(lam == lam[0], np.nan, lam), "finite"),
+                     (lam[::-1], "ascending"),
+                     (lam * 1.1, "sum"),
+                     (np.concatenate([[-1e-6], lam[1:-1], [lam[-1] + lam[0] + 1e-6]]),
+                      "positive semidefinite")):
+        with pytest.raises(ValueError, match=why):
+            make(mat, bad)
+    with pytest.raises(ValueError, match="eigensystem"):
+        make(mat, lam[1:])
+    with pytest.raises(ValueError, match="finite"):
+        make(mat, lam, np.where(vecs == 0, np.nan, vecs))
+    skew = mat.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="hermitian"):
+        make(skew, lam)
+    with pytest.raises(ValueError, match="trace"):
+        make(2.0 * mat, lam)
+    # a generic density has no stored vectors: purify factorises it as before
+    assert DensityOperator(spectral.space, mat)._eigenvectors is None
+    assert spectral._eigenvectors is not None
 
 
 def test_trace_norm_is_singular_value_sum():
