@@ -135,8 +135,8 @@ def build_state(spec: Mapping, seed: int):
         _check_keys(payload, STATE_KINDS["inline"], "state[file]")
         return _inline_state(payload), extras
     # each kind checks the arrays it builds against the cap before building
-    # anything: a werner state its D x D matrix, a twisted state its vector
-    # and its twisting blocks
+    # anything: a werner state its D x D matrix, a twisted state its d^2
+    # twisting blocks of s x s, which outsize its d^2 s amplitudes
     d = _as_int(spec.get("d", 2), "d")
     if kind == "bell":
         _budget((d, d), "bell state")
@@ -158,12 +158,11 @@ def build_state(spec: Mapping, seed: int):
                + (1.0 - p) * np.eye(d * d) / (d * d))
         vals = np.full(d * d, (1.0 - p) / (d * d))
         vals[-1] += p
-        # ascending: the D - 1 equal weights first, Phi last
+        # ascending: the D - 1 equal weights first, Phi last (a reversed view)
         return DensityOperator._from_eigensystem(
-            phi.space, mat, vals, np.roll(_bell_basis(d), -1, axis=1)), extras
+            phi.space, mat, vals, _bell_basis(d)[:, ::-1]), extras
     sh = _as_int(spec.get("shield_dim", 2), "shield_dim")
     if kind == "twisted":
-        _budget((d, d, sh), "twisted state")
         _budget((d, d, sh, sh), "twisting blocks")
         # block (k, k) keeps the stream 1 + k d + k of a full d x d draw
         t = TwistingOperator.from_diagonal(

@@ -237,7 +237,7 @@ class DensityOperator:
         vals = vecs = None
         if eigensystem is not None:
             vals = np.array(eigensystem[0], dtype=float)
-            vecs = _as_complex(eigensystem[1])
+            vecs = np.asarray(eigensystem[1], dtype=np.complex128)  # kept, not copied
             _check_finite(vecs)
             if vals.shape != (dim,) or vecs.shape != (dim, dim):
                 raise ValueError(f"an eigensystem of a {dim}-dim space needs {dim} values "

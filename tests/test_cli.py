@@ -210,22 +210,18 @@ def test_werner_paths_factorise_no_werner_matrix(factorised, monkeypatch, line, 
     hashing-sim run none at all.  Those left in rates and distill are the
     rate formulas' conditional spectra and the one-shot distance's rho_E
     slices, not the Werner matrix."""
-    side = d * d
-
-    def square(name):
-        return sorted(sh for sh in factorised[name] if sh == (side, side))
+    def counts():
+        return [factorised[name].count((d * d, d * d)) for name in ("eigh", "eigvalsh")]
 
     results_of(line.split())
-    got = {name: square(name) for name in ("eigh", "eigvalsh")}
+    got = counts()
     for shapes in factorised.values():
         shapes.clear()
     generic_werner(monkeypatch)
     results_of(line.split())
-    want = {name: square(name) for name in ("eigh", "eigvalsh")}
-    for name in ("eigh", "eigvalsh"):
-        assert want[name].count((side, side)) == got[name].count((side, side)) + 1, name
+    assert counts() == [got[0] + 1, got[1] + 1]
     if line.startswith(("verify", "hashing-sim")):
-        assert not got["eigh"] and not got["eigvalsh"]
+        assert got == [0, 0]
 
 
 def test_verify_uhlmann_reports_bound():

@@ -1,18 +1,19 @@
 """Record the benchmark of a checkout as ``BENCH_<pr>.json``, and compare two records.
 
-    python3 tools/bench_record.py --pr 16 [--root DIR] [--runs 3] [--seconds 35]
+    python3 tools/bench_record.py --pr 16 [--root DIR]
     python3 tools/bench_record.py --pr 16 --compare BENCH_15.json
     python3 tools/bench_record.py --load BENCH_16.json --compare BENCH_15.json
 
 Each workload of ``BENCHMARK.json`` is run as a subprocess,
 ``python3 perfbench/run.py --workload W --seed 1 --seconds 35 --trace 0|1``,
-``--runs`` times untraced and once traced. The record keeps, per workload, the
+three times untraced and once traced. The record keeps, per workload, the
 median and interquartile range of every end-to-end metric over the untraced
 runs, the per-layer metrics of the traced run, and the host facts: the
 ``perfbench/hostspeed`` kernel time, the CPU count, the numpy version, the
 BLAS threads and the commit. ``--root`` names the checkout that is run (by
 default the one holding this script); the benchmark writes its own result
-files under that checkout's ``perfbench/results/``.
+files under that checkout's ``perfbench/results/``, and the record goes to
+``BENCH_<pr>.json`` beside this script's checkout.
 
 ``--compare PREV`` prints each metric's ratio to PREV. An end-to-end metric
 whose median lies outside PREV's interquartile range is flagged ``better`` or
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED, SECONDS, RUNS = 1, 35, 3  # each workload: RUNS untraced runs and one traced
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HOSTSPEED = ("import statistics, hostspeed; "
              "print(statistics.median(hostspeed.kernel_s() for _ in range(5)))")
@@ -60,8 +62,7 @@ def last_result(stdout: str) -> dict:
 def spread(values: Sequence[float]) -> dict:
     """Median, quartiles and interquartile range of the runs of one metric."""
     values = sorted(float(v) for v in values)
-    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                   if len(values) > 1 else values * 3)
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
@@ -97,22 +98,21 @@ def host_facts(root: Path, seed: int, workload: str) -> dict:
     return facts
 
 
-def record(root: Path, pr: int, runs: int, seconds: float, seed: int = 1,
-           workloads: Sequence[str] | None = None, runner: Runner = run_benchmark,
+def record(root: Path, pr: int, runner: Runner = run_benchmark,
            facts: Callable[[Path, int, str], dict] = host_facts) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = list(workloads or [w["name"] for w in spec["workloads"]])
-    out = {"pr": pr, "settings": {"seed": seed, "seconds": seconds, "untraced_runs": runs,
+    names = [w["name"] for w in spec["workloads"]]
+    out = {"pr": pr, "settings": {"seed": SEED, "seconds": SECONDS, "untraced_runs": RUNS,
                                   "traced_runs": 1},
            "workloads": {}}
     for name in names:
-        untraced = [last_result(runner(root, name, seed, seconds, 0)) for _ in range(runs)]
-        traced = last_result(runner(root, name, seed, seconds, 1))
+        untraced = [last_result(runner(root, name, SEED, SECONDS, 0)) for _ in range(RUNS)]
+        traced = last_result(runner(root, name, SEED, SECONDS, 1))
         out["workloads"][name] = summarise(spec, untraced, traced)
         print(f"{name}: " + ", ".join(f"{k} {v['median']:.6g}"
                                       for k, v in out["workloads"][name]["end_to_end"].items()),
               file=sys.stderr)
-    out["host"] = facts(root, seed, names[-1])
+    out["host"] = facts(root, SEED, names[-1])
     return out
 
 
@@ -155,19 +155,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--load", type=Path, help="compare an existing record instead")
     p.add_argument("--compare", type=Path, help="previous record to compare with")
     p.add_argument("--root", type=Path, default=ROOT, help="checkout to benchmark")
-    p.add_argument("--out", type=Path, help="output path (default BENCH_<pr>.json here)")
-    p.add_argument("--runs", type=int, default=3, help="untraced runs per workload")
-    p.add_argument("--seconds", type=float, default=35.0)
-    p.add_argument("--workload", action="append", help="limit to these workloads")
     args = p.parse_args(argv)
     if (args.pr is None) == (args.load is None):
         p.error("give exactly one of --pr and --load")
     if args.load is not None:
         cur = json.loads(args.load.read_text(encoding="utf-8"))
     else:
-        cur = record(args.root.resolve(), args.pr, args.runs, args.seconds,
-                     workloads=args.workload)
-        out = args.out or ROOT / f"BENCH_{args.pr}.json"
+        cur = record(args.root.resolve(), args.pr)
+        out = ROOT / f"BENCH_{args.pr}.json"
         out.write_text(json.dumps(cur, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {out}", file=sys.stderr)
     if args.compare is not None:
