@@ -274,7 +274,7 @@ class DensityOperator:
         return partial_trace(self, keep)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, computed once at construction (read-only)."""
+        """Ascending eigenvalues, computed or given at construction (read-only)."""
         return self._eigenvalues
 
     def rank(self, tol: float = SUPPORT_ATOL) -> int:
