@@ -40,7 +40,7 @@ def canned(untraced, traced):
     return runner, calls
 
 
-def make_record(tmp_path, untraced, traced, pr=16):
+def make_record(tmp_path, untraced, traced, pr=2):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     runner, calls = canned(untraced, traced)
     rec = bench_record.record(tmp_path, pr, runner=runner,
@@ -78,7 +78,7 @@ def test_record_runs_three_untraced_and_one_traced_per_workload(tmp_path):
     assert cert["end_to_end"]["latency_p90_s"]["better"] == "lower"
     assert cert["per_layer"]["tensor_core.purify_s"] == {"value": 1e-3, "unit": "s/op"}
     assert cert["correct"] and cert["failed"] == [0, 0, 0, 0]
-    assert rec["host"]["commit"] == "abc" and rec["pr"] == 16
+    assert rec["host"]["commit"] == "abc" and rec["pr"] == 2
     assert rec["settings"] == {"seed": 1, "seconds": 35, "untraced_runs": 3, "traced_runs": 1}
 
 
@@ -98,7 +98,7 @@ def test_compare_flags_changes_outside_the_previous_iqr(tmp_path):
         tmp_path,
         {"certify": [result_line(250, 8e-3), result_line(260, 9e-3), result_line(255, 8.5e-3)],
          "audit": [result_line(340, 3e-3), result_line(350, 3.2e-3), result_line(345, 3.1e-3)]},
-        {"certify": traced_line(1e-3), "audit": traced_line(0.0)}, pr=15)
+        {"certify": traced_line(1e-3), "audit": traced_line(0.0)}, pr=1)
     cur, _ = make_record(
         tmp_path,
         {"certify": [result_line(330, 4e-3)] * 3,

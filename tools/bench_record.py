@@ -1,8 +1,8 @@
 """Record the benchmark of a checkout as ``BENCH_<pr>.json``, and compare two records.
 
-    python3 tools/bench_record.py --pr 16 [--root DIR]
-    python3 tools/bench_record.py --pr 16 --compare BENCH_15.json
-    python3 tools/bench_record.py --load BENCH_16.json --compare BENCH_15.json
+    python3 tools/bench_record.py --pr N [--root DIR]
+    python3 tools/bench_record.py --pr N --compare BENCH_M.json
+    python3 tools/bench_record.py --load BENCH_N.json --compare BENCH_M.json
 
 Each workload of ``BENCHMARK.json`` is run as a subprocess,
 ``python3 perfbench/run.py --workload W --seed 1 --seconds 35 --trace 0|1``,
