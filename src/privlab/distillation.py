@@ -33,8 +33,8 @@ from .discrimination import HswDecoderResult, _class_pgms, helstrom_pair
 from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
 from .privacy import PrivacyReport, _block_frame, _direct_distance, _key_amplitudes
 from .qudit_ops import ConjugateBasis, Povm
-from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
-                          InvariantViolation, StateVector, _budget)
+from .tensor_core import (AMPLITUDE_CAP, NORM_ATOL, DensityOperator, HilbertSpace,
+                          InvariantViolation, StateVector, _budget, sqrt_psd)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 _GRAM_BLOCK = 2 ** 14  # amplitudes per block of a chain distance: the difference stays in cache
@@ -521,59 +521,91 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     v, vc = tab.v, tab.v.conj()
     k_dim, t_dim, c_dim = d ** code.k, d ** code.m_x, dd + 1
     # every step acts trivially on E and every figure is a sum over E, so the
-    # chain runs on chunks of E columns; its largest arrays are (A, B, E, T, C, D)
+    # chain runs on chunks of E columns; its largest arrays are (T, C, D, B, A, E)
     step = AMPLITUDE_CAP // _budget((dd, dd, t_dim, c_dim, c_dim),
                                     "hashing chain per environment column")
 
     decs = _css_decoders(amps[:, :, None], (), code, True)
     eps_z, eps_x = decs.z_result.average_error, decs.x_result.average_error
 
-    # Bob's conjugate outcome x lands in D as the ket conj(v[:, x]) (column x
-    # of ``kets``); the fail outcome and the untouched C-fail block go to the
-    # D fail slot.  The phase decoupler on (C, D) multiplies ket x by
-    # phases[1][c, x] given C = c < dd, so it folds into the kets
-    kets = np.pad(vc, (0, 1))
-    kets[dd, dd] = 1.0
+    # Bob's conjugate outcome x lands in D as the ket conj(v[:, x]); the fail
+    # outcome and the untouched C-fail block go to the D fail slot.  The phase
+    # decoupler on (C, D) multiplies ket x by phases[1][c, x] given C = c < dd
     strings = all_strings(d, n)
-    phases = np.ones((2, dd, c_dim), dtype=np.complex128)
-    phases[1, :, :dd] = np.exp(2j * np.pi * ((strings @ strings.T) % d) / d)
+    phases = np.ones((2, dd, dd), dtype=np.complex128)
+    phases[1] = np.exp(2j * np.pi * ((strings @ strings.T) % d) / d)
 
-    def conj_decode(tin: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        """Decode the conjugate string from (C, B) of tin (A, B, E, T, C) into D."""
-        tout = np.zeros(tin.shape + (c_dim,), dtype=np.complex128)
-        for beta, key in enumerate(tab.beta_classes):
-            dec: Povm = decs.conj_decoders[key]
-            sl = tin[..., beta, :]
-            rows = sl[..., :dd].transpose(3, 1, 0, 2).reshape(dd * dd, -1)
-            # one root on (C, B) at a time, as (C' B', C B): (outcome, C', B' A E),
-            # never more amplitudes than one (A, B, E, T, C, D) chunk
-            applied = np.empty((dec.n_outcomes, dd, dd * rows.shape[1]), dtype=np.complex128)
-            for o, root in enumerate(dec.sqrt_elements()):
-                np.matmul(root, rows, out=applied[o].reshape(dd * dd, -1))
-            # (C', outcome, D) kets, then one product per value of C'
-            ket_c = (kets[None] * phase[:, None, :])[:, :, _guess_slots(dec, dd)]
-            decoded = np.matmul(applied.transpose(1, 2, 0), ket_c.transpose(0, 2, 1))
-            tout[..., beta, :dd, :] = decoded.reshape((dd, dd) + sl.shape[:1] + sl.shape[2:-1]
-                                                      + (c_dim,)).transpose(2, 1, 3, 0, 4)
-            tout[..., beta, dd, dd] = sl[..., dd]
+    # The copied rows of string x are w_x = D_x w_0 with D_x = diag_C(conj(v[c, x])),
+    # so the PGM of a class X_beta is covariant: its element x is chi_x Lambda_rep
+    # chi_x^dag with chi_x[c] = dd conj(v[c, x]) v[c, rep] on C, rep the first
+    # member, and so is its root; the fail element commutes with every chi_x.
+    # Every class has weight 1 / t_dim, so it always has a representative.
+    # One root per class then decodes every member: Y[c', c] = root[c', c] rows[c]
+    # on the (C' B', C B) blocks of the root, and D gets sum_c F[c', d, c] Y[c', c]
+    # with F[c', d, c] = sum_x ket_x[d] phase[c', x] chi_x[c'] conj(chi_x[c])
+    plans = []
+    for key in tab.beta_classes:
+        dec: Povm = decs.conj_decoders[key]
+        slots = _guess_slots(dec, dd)
+        own = np.flatnonzero(slots < dd)
+        fail_roots = [sqrt_psd(dec.elements[o]) for o in np.flatnonzero(slots == dd)]
+        xs = slots[own]
+        chi = dd * vc[:, xs] * v[:, xs[:1]]
+        rep = dec.elements[own[0]].reshape(dd, dd, dd, dd)
+        for o, ch in zip(own, chi.T):
+            phased = rep * (ch[:, None] * ch.conj())[:, None, :, None]
+            dev = float(np.max(np.abs(dec.elements[o].reshape(rep.shape) - phased)))
+            if not dev <= NORM_ATOL:
+                raise InvariantViolation(
+                    f"conjugate decoder element {int(slots[o])} is not the phased "
+                    f"class representative (deviation {dev!r})")
+        # (C, C' B', B): the C blocks of the root as one batch
+        root = np.ascontiguousarray(
+            sqrt_psd(dec.elements[own[0]]).reshape(dd, dd, dd, dd).transpose(2, 0, 1, 3)
+        ).reshape(dd, dd * dd, dd)
+        # (phase, C', D, C), zero on the D fail slot
+        fs = np.einsum("dx,pax,ax,cx->padc", vc[:, xs], phases[:, :, xs], chi, chi.conj())
+        plans.append((root, np.pad(fs, ((0, 0), (0, 0), (0, 1), (0, 0))), fail_roots))
+
+    def conj_decode(tin: np.ndarray, phase: int) -> np.ndarray:
+        """Decode the conjugate string from (C, B) of tin (A, B, E, T, C) into D,
+        as (T, C, D, B, A, E) with phases[phase] in the decoupler."""
+        tout = np.zeros((t_dim, c_dim, c_dim, dd, dd, tin.shape[2]), dtype=np.complex128)
+        for beta, (root, fs, fail_roots) in enumerate(plans):
+            # (C, B, A E), never more amplitudes than one (T, C, D, B, A, E) chunk
+            rows = tin[..., beta, :dd].transpose(3, 1, 0, 2).reshape(dd, dd, -1)
+            y = np.matmul(root, rows).reshape(dd, dd, -1).swapaxes(0, 1)
+            np.matmul(fs[phase], y, out=tout[beta, :dd].reshape(dd, c_dim, -1))
+            for fail in fail_roots:
+                tout[beta, :dd, dd] += (fail @ rows.reshape(dd * dd, -1)).reshape(
+                    (dd,) + tout.shape[3:])
+            tout[beta, dd, dd] = tin[..., beta, dd].transpose(1, 0, 2)
         return tout
 
     # the ideal branches, C a perfect copy of A taken before the syndromes are
-    # read from A alone, are coef[a, t, c, ...] chunk[c, b, e]: the copy, then
+    # read from A alone, are coef[..., a, ...] chunk[c, b, e]: the copy, then
     # Alice's conjugate string in D as a conjugated ket (before and after the
     # decoupler) while (C, B, E) keep the exact conditional states
     mask = tab.beta_of == np.arange(t_dim)[:, None]
     coefs = [np.einsum("tx,ax,cx->atc", mask, v, vc)] + [
-        np.einsum("tx,ax,cx,dx,cx->atcd", mask, v, vc, vc, ph[:, :dd]) for ph in phases]
+        np.einsum("tx,ax,cx,dx,cx->tcda", mask, v, vc, vc, ph) for ph in phases]
 
     def copied(chunk: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """coef[a, t, c, ...] chunk[c, b, e] as (A, B, E, T, C, ...), zero on the fail slots."""
-        extra = coef.ndim - 2
-        out = np.zeros(chunk.shape + (t_dim,) + (c_dim,) * extra, dtype=np.complex128)
-        rest = chunk.transpose(1, 2, 0).reshape((1,) + chunk.shape[1:] + (1, dd)
-                                                + (1,) * (extra - 1))
-        np.multiply(coef[:, None, None], rest, out=out[(...,) + (slice(dd),) * extra])
+        """coef[a, t, c] chunk[c, b, e] as (A, B, E, T, C), or coef[t, c, d, a]
+        chunk[c, b, e] as the decoded (T, C, D, B, A, E); zero on the fail slots."""
+        if coef.ndim == 3:
+            out = np.zeros(chunk.shape + (t_dim, c_dim), dtype=np.complex128)
+            np.multiply(coef[:, None, None], chunk.transpose(1, 2, 0)[None, :, :, None],
+                        out=out[..., :dd])
+            return out
+        out = np.zeros((t_dim, c_dim, c_dim, dd, dd, chunk.shape[2]), dtype=np.complex128)
+        np.multiply(coef[:, :, :, None, :, None], chunk[None, :, None, :, None],
+                    out=out[:, :dd, :dd])
         return out
+
+    def logical(arr: np.ndarray) -> float:
+        """_logical_weight of a decoded (T, C, D, B, A, E) array, read as (A, ..., D)."""
+        return _logical_weight(arr.transpose(4, 0, 1, 3, 5, 2), tab, k_dim)
 
     def chunk_sums(chunk: np.ndarray) -> np.ndarray:
         """The _gram sums of psi2, psi3, psi4 and the two logical weights of psi4."""
@@ -582,11 +614,10 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
         t2p = copied(chunk, coefs[0])
         g2 = _gram(t2, t2p)
         # the conjugate string decoded into D, then both branches decoupled
-        g3 = _gram(conj_decode(t2p, phases[0]), copied(chunk, coefs[1]))
+        g3 = _gram(conj_decode(t2p, 0), copied(chunk, coefs[1]))
         del t2p
-        t4, t4pp = conj_decode(t2, phases[1]), copied(chunk, coefs[2])
-        return np.concatenate([g2, g3, _gram(t4, t4pp), [_logical_weight(t4, tab, k_dim),
-                                                         _logical_weight(t4pp, tab, k_dim)]])
+        t4, t4pp = conj_decode(t2, 1), copied(chunk, coefs[2])
+        return np.concatenate([g2, g3, _gram(t4, t4pp), [logical(t4), logical(t4pp)]])
 
     sums = sum(chunk_sums(amps[:, :, lo:lo + step]) for lo in range(0, e_dim, step))
     g2, g3, g4 = sums[0:4], sums[4:8], sums[8:12]

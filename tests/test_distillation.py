@@ -1,5 +1,6 @@
 """Rates, one-shot distillation, coherent hashing chain, two-copy scenario."""
 
+import dataclasses
 import json
 import math
 
@@ -20,8 +21,10 @@ from privlab import (ConjugateBasis, CqEnsemble, CssCode, DensityOperator, Hilbe
 from privlab import distillation, privacy, tensor_core
 from privlab.cli import build_state, run
 from privlab.cli import build_code
-from privlab.distillation import (_chain_distance, _code_tables, _encode, _extract, _gram,
-                                  _guess_error, _key_decode, _logical_weight)
+from privlab.css_codes import all_strings
+from privlab.distillation import (HashingSimResult, _chain_distance, _code_tables, _encode,
+                                  _extract, _gram, _guess_error, _guess_slots, _key_decode,
+                                  _logical_weight)
 from conftest import largest_side
 
 
@@ -457,6 +460,19 @@ def test_logical_fidelity_matches_encoded_oracle(d, n, m_z, m_x, seed):
     assert halves == pytest.approx(_logical_weight(arr, tab, k_dim), abs=1e-12)
 
 
+def test_logical_weight_reads_a_transposed_view():
+    # the chain reads its decoded (T, C, D, B, A, E) arrays as (A, T, C, B, E, D) views
+    code = sample_universal_css(2, 3, 1, 1, substream(61))
+    tab, dd = _code_tables(code), 8
+    rng = substream(71)
+    shape = (2, dd + 1, dd + 1, dd, dd, 3)
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    view = (arr / np.linalg.norm(arr)).transpose(4, 0, 1, 3, 5, 2)
+    assert not view.flags.c_contiguous
+    assert _logical_weight(view, tab, 2) == pytest.approx(
+        _logical_weight(np.ascontiguousarray(view), tab, 2), abs=1e-12)
+
+
 def test_chain_distance_matches_pure_state_distance_and_rejects_bad_norms():
     rng = substream(80)
     a = rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5))
@@ -486,6 +502,120 @@ def test_hashing_sim_exact_bell_input_gives_zero_distances(d, flag):
     res = json.loads(run(argv + ([flag, "1 1"] if flag else [])))["results"]
     for key in ("td_psi2", "td_psi3", "td_psi4"):
         assert res[key] <= 1e-12
+
+
+def dense_conj_decode(tin, decoders, tab, phase):
+    """The conjugate string decoded from (C, B) of tin (A, B, E, T, C) into D one
+    outcome at a time, as (A, B, E, T, C, D): the root of outcome x on (C, B),
+    then the ket conj(v[:, x]) in D times phase[c', x] given C = c'; the fail
+    outcome and the C-fail block go to the D fail slot."""
+    dd = tin.shape[0]
+    kets = np.pad(tab.v.conj(), (0, 1))
+    kets[dd, dd] = 1.0
+    phase = np.pad(phase, ((0, 0), (0, 1)), constant_values=1.0)
+    tout = np.zeros(tin.shape + (dd + 1,), dtype=np.complex128)
+    for beta, key in enumerate(tab.beta_classes):
+        dec = decoders[key]
+        sl = tin[..., beta, :]
+        rows = sl[..., :dd].transpose(3, 1, 0, 2).reshape(dd * dd, -1)
+        # (outcome, C', B' A E), then one product with the (C', outcome, D) kets per C'
+        applied = np.stack([root @ rows for root in dec.sqrt_elements()]).reshape(
+            dec.n_outcomes, dd, -1)
+        ket_c = (kets[None] * phase[:, None, :])[:, :, _guess_slots(dec, dd)]
+        decoded = np.matmul(applied.transpose(1, 2, 0), ket_c.transpose(0, 2, 1))
+        tout[..., beta, :dd, :] = decoded.reshape((dd, dd) + sl.shape[:1] + sl.shape[2:-1]
+                                                  + (dd + 1,)).transpose(2, 1, 3, 0, 4)
+        tout[..., beta, dd, dd] = sl[..., dd]
+    return tout
+
+
+def dense_hashing_chain(state, n, code):
+    """The hashing chain in one environment chunk, every array as (A, B, E, T, C, ...),
+    the conjugate string decoded by ``dense_conj_decode``."""
+    amps = distillation._grouped_power(privacy._key_amplitudes(state)[0][:, :, 0], n)
+    d, dd, e_dim = code.d, amps.shape[0], amps.shape[2]
+    tab = _code_tables(code)
+    v, vc = tab.v, tab.v.conj()
+    k_dim, t_dim = d ** code.k, d ** code.m_x
+    decs = distillation._css_decoders(amps[:, :, None], (), code, True)
+    strings = all_strings(d, n)
+    phases = [np.ones((dd, dd)), np.exp(2j * np.pi * ((strings @ strings.T) % d) / d)]
+    mask = tab.beta_of == np.arange(t_dim)[:, None]
+    # the ideal copy, then Alice's conjugate string in D before and after the decoupler
+    t2p = np.zeros((dd, dd, e_dim, t_dim, dd + 1), dtype=np.complex128)
+    t2p[..., :dd] = np.einsum("tx,ax,cx,cbe->abetc", mask, v, vc, amps)
+    ideal = []
+    for ph in phases:
+        out = np.zeros(t2p.shape + (dd + 1,), dtype=np.complex128)
+        out[..., :dd, :dd] = np.einsum("tx,ax,cx,dx,cx,cbe->abetcd", mask, v, vc, vc, ph, amps)
+        ideal.append(out)
+    t2 = _key_decode(_extract(amps, tab), decs.key_decoders, tab)
+    g2 = _gram(t2, t2p)
+    g3 = _gram(dense_conj_decode(t2p, decs.conj_decoders, tab, phases[0]), ideal[0])
+    t4 = dense_conj_decode(t2, decs.conj_decoders, tab, phases[1])
+    fid = [math.sqrt(min(max(_logical_weight(x, tab, k_dim) / k_dim, 0.0), 1.0))
+           for x in (t4, ideal[1])]
+    eps_z, eps_x = decs.z_result.average_error, decs.x_result.average_error
+    return decs, HashingSimResult(
+        n=n, key_dim=k_dim, eps_z=eps_z, eps_x=eps_x, overlap_psi2=float(g2[2].real),
+        td_psi2=_chain_distance(g2), bound_psi2=2.0 * math.sqrt(2.0 * eps_z),
+        td_psi3=_chain_distance(g3), bound_psi3=2.0 * math.sqrt(2.0 * eps_x),
+        td_psi4=_chain_distance(_gram(t4, ideal[1])),
+        bound_psi4=2.0 * (math.sqrt(2.0 * eps_z) + math.sqrt(2.0 * eps_x)),
+        encoded_fidelity=fid[0], ideal_encoded_fidelity=fid[1])
+
+
+CHAIN_CASES = {
+    "werner_n3_mx0": lambda: (werner(0.9), 3, sample_universal_css(2, 3, 1, 0, substream(60))),
+    "werner_n3_mx1": lambda: (werner(0.9), 3, sample_universal_css(2, 3, 1, 1, substream(61))),
+    "qutrit_n2": lambda: (random_pure_state(HilbertSpace((3, 3, 3), ("A", "B", "E")),
+                                            substream(45)),
+                          2, CssCode.from_stabilizers(3, [[1, 2]], [], n=2)),
+    "pure_e3": lambda: (random_pure_state(HilbertSpace((2, 2, 3), ("A", "B", "E")),
+                                          substream(53)),
+                        2, sample_universal_css(2, 2, 1, 0, substream(7))),
+    # rank-1 members: two per key class in B (dim 4), four per conjugate class
+    # in (C, B) (dim 16), so every key and conjugate decoder has a fail element
+    "pure_e1_fail": lambda: (random_pure_state(HilbertSpace((2, 2, 1), ("A", "B", "E")),
+                                               substream(51)),
+                             2, sample_universal_css(2, 2, 1, 0, substream(7))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_hashing_chain_matches_the_dense_decode_with_one_root_per_class(case, monkeypatch):
+    decs, want = dense_hashing_chain(*CHAIN_CASES[case]())
+    if case == "pure_e1_fail":
+        assert all("fail" in dec.outcome_labels
+                   for dec in (*decs.key_decoders.values(), *decs.conj_decoders.values()))
+    built, roots = [], []
+    build, root = distillation._css_decoders, distillation.sqrt_psd
+    monkeypatch.setattr(distillation, "_css_decoders", lambda *a: built.append(build(*a)) or built[0])
+    monkeypatch.setattr(distillation, "sqrt_psd", lambda m: roots.append(1) or root(m))
+    got = coherent_hashing_sim(*CHAIN_CASES[case]())
+    for key, value in dataclasses.asdict(want).items():
+        assert getattr(got, key) == pytest.approx(value, abs=1e-12), key
+    # the chain roots one element of each conjugate class, and its fail element
+    conj = built[0].conj_decoders.values()
+    assert len(roots) == sum(1 + ("fail" in dec.outcome_labels) for dec in conj)
+    assert not any("_roots" in vars(dec) for dec in conj)
+
+
+def test_hashing_chain_rejects_a_class_decoder_that_is_not_covariant(monkeypatch):
+    # elements 1 and 2 of the class swapped against their labels: a valid POVM
+    # whose element 1 is not the phased representative
+    build = distillation._css_decoders
+
+    def swapped(*args):
+        decs = build(*args)
+        (key, dec), = decs.conj_decoders.items()
+        order = [0, 2, 1] + list(range(3, dec.n_outcomes))
+        bad = Povm(tuple(dec.elements[i] for i in order), dec.outcome_labels)
+        return dataclasses.replace(decs, conj_decoders={key: bad})
+
+    monkeypatch.setattr(distillation, "_css_decoders", swapped)
+    with pytest.raises(InvariantViolation, match="not the phased class representative"):
+        coherent_hashing_sim(*CHAIN_CASES["werner_n3_mx0"]())
 
 
 def test_two_copy_scenario_enforces_amplitude_cap():
