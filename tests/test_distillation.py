@@ -590,7 +590,8 @@ def test_hashing_chain_matches_the_dense_decode_with_one_root_per_class(case, mo
                    for dec in (*decs.key_decoders.values(), *decs.conj_decoders.values()))
     built, roots = [], []
     build, root = distillation._css_decoders, distillation.sqrt_psd
-    monkeypatch.setattr(distillation, "_css_decoders", lambda *a: built.append(build(*a)) or built[0])
+    monkeypatch.setattr(distillation, "_css_decoders",
+                        lambda *a: built.append(build(*a)) or built[-1])
     monkeypatch.setattr(distillation, "sqrt_psd", lambda m: roots.append(1) or root(m))
     got = coherent_hashing_sim(*CHAIN_CASES[case]())
     for key, value in dataclasses.asdict(want).items():
