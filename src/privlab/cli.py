@@ -1,8 +1,12 @@
 """Command line front end.
 
-Every subcommand compiles its flags into one JSON-serialisable config
-(flags override --config file entries, unknown config keys are rejected),
+Every subcommand compiles its flags into one JSON-serialisable config,
 runs deterministically from --seed, and emits a run report as JSON or CSV.
+The parser is the only table from flags to config entries: a flag's dest is
+the entry it sets (``--d`` sets ``state.d``, entry d of the state spec), and
+only the flags given take part. Flags override --config file entries, and
+the flags of one spec form a new spec that replaces the file's. A config
+entry that its command, spec kind or mode does not read is rejected.
 Exit codes: 2 for invalid configs or values, 3 for violated invariants,
 4 for I/O failures.
 """
@@ -55,6 +59,12 @@ CODE_KINDS = {
 }
 
 
+# the css entries each mode reads, beside mode, d and n
+CSS_MODES = {
+    "sample": {"count", "m_z", "m_x"},
+    "universality": {"m", "m_x", "row_slice", "trials"},
+}
+
 MAX_TRIALS = 100_000  # largest code count or trial count a run may ask for
 
 
@@ -64,10 +74,16 @@ def _check_keys(spec: Mapping, allowed: set, what: str) -> None:
         raise ValueError(f"unknown {what} keys {unknown}; allowed: {sorted(allowed)}")
 
 
-def _spec_kind(spec, what: str):
+def _spec_kind(spec, kinds: Mapping, what: str):
+    """The kind of a spec, checked to be one of ``kinds``, whose other keys it reads."""
     if not isinstance(spec, Mapping) or "kind" not in spec:
         raise ValueError(f"{what} spec must be an object with a 'kind' entry")
-    return spec["kind"]
+    kind = spec["kind"]
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}; choose from {sorted(kinds)}")
+    _check_keys({k: v for k, v in spec.items() if k != "kind"}, kinds[kind],
+                f"{what}[{kind}]")
+    return kind
 
 
 def _is_real(value) -> bool:
@@ -115,12 +131,7 @@ def _shield_pair(s: float, shield_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_state(spec: Mapping, seed: int):
     """Build the state named by a spec dict; returns (state, extras)."""
-    kind = _spec_kind(spec, "state")
-    if kind not in STATE_KINDS:
-        raise ValueError(f"unknown state kind {kind!r}; "
-                         f"choose from {sorted(STATE_KINDS)}")
-    _check_keys({k: v for k, v in spec.items() if k != "kind"},
-                STATE_KINDS[kind], f"state[{kind}]")
+    kind = _spec_kind(spec, STATE_KINDS, "state")
     extras: dict = {}
     if kind == "inline":
         return _inline_state(spec), extras
@@ -200,19 +211,13 @@ def _inline_state(spec: Mapping) -> StateVector:
 
 
 def build_code(spec: Mapping, seed: int) -> CssCode:
-    kind = _spec_kind(spec, "code")
-    if kind not in CODE_KINDS:
-        raise ValueError(f"unknown code kind {kind!r}; "
-                         f"choose from {sorted(CODE_KINDS)}")
-    _check_keys({k: v for k, v in spec.items() if k != "kind"},
-                CODE_KINDS[kind], f"code[{kind}]")
-    if kind == "two_copy":
+    if _spec_kind(spec, CODE_KINDS, "code") == "two_copy":
         raise ValueError("two_copy codes are driven through the distill command")
     d = _as_int(spec.get("d", 2), "code d")
     n = _as_int(spec.get("n"), "code n")
     # every use of a code indexes its d^n strings
     _budget((d ** min(n, 21),), "code strings")
-    if kind == "explicit":
+    if spec["kind"] == "explicit":
         return CssCode.from_stabilizers(d, _rows(spec.get("mz_rows", []), "mz_rows"),
                                         _rows(spec.get("mx_rows", []), "mx_rows"), n=n)
     return sample_universal_css(d, n, _as_int(spec.get("m_z", 0), "m_z", lo=0),
@@ -225,15 +230,6 @@ def _rows(rows, what: str) -> list[list[int]]:
             not all(isinstance(r, (list, tuple)) for r in rows):
         raise ValueError(f"{what} must be a list of integer rows")
     return [[_as_int(v, f"{what} entry", lo=0) for v in row] for row in rows]
-
-
-def _rows_arg(text: str) -> list[list[int]]:
-    rows = []
-    for part in text.split(";"):
-        part = part.strip()
-        if part:
-            rows.append([int(v) for v in part.replace(",", " ").split()])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +287,9 @@ def cmd_distill(cfg: Mapping, seed: int):
     if not isinstance(adaptive, bool):
         raise ValueError(f"adaptive must be true or false, got {adaptive!r}")
     if isinstance(code_spec, Mapping) and code_spec.get("kind") == "two_copy":
-        _check_keys({k: v for k, v in code_spec.items() if k != "kind"},
-                    CODE_KINDS["two_copy"], "code[two_copy]")
+        _spec_kind(code_spec, CODE_KINDS, "code")
         state_spec = cfg.get("state", {"kind": "shielded_bit"})
-        if _spec_kind(state_spec, "state") != "shielded_bit":
+        if _spec_kind(state_spec, STATE_KINDS, "state") != "shielded_bit":
             raise ValueError("two_copy distillation needs a shielded_bit state")
         _, extras = build_state(state_spec, seed)
         phi0, phi1 = extras["shields"]
@@ -308,6 +303,8 @@ def cmd_distill(cfg: Mapping, seed: int):
                         "scenario_analytic_error": sc.analytic_error,
                         "stabilizer": sc.stabilizer, "adaptive": sc.adaptive})
         return results, [results]
+    if "adaptive" in cfg:
+        raise ValueError("adaptive applies to two_copy codes only")
     state, _ = build_state(cfg.get("state", {"kind": "bell"}), seed)
     code = build_code(code_spec, seed)
     if isinstance(state, DensityOperator):
@@ -331,9 +328,10 @@ def cmd_hashing_sim(cfg: Mapping, seed: int):
 
 
 def cmd_css(cfg: Mapping, seed: int):
-    _check_keys(cfg, {"mode", "d", "n", "m_z", "m_x", "count", "m",
-                      "row_slice", "trials"}, "css")
     mode = cfg.get("mode", "sample")
+    if mode not in CSS_MODES:
+        raise ValueError(f"unknown css mode {mode!r} (use sample or universality)")
+    _check_keys(cfg, {"mode", "d", "n"} | CSS_MODES[mode], f"css[{mode}]")
     d = _as_int(cfg.get("d", 2), "d")
     n = _as_int(cfg.get("n", 3), "n")
     if mode == "sample":
@@ -349,18 +347,16 @@ def cmd_css(cfg: Mapping, seed: int):
                          "logical_z": json.dumps(code.logical_z.entries.tolist()),
                          "logical_x": json.dumps(code.logical_x.entries.tolist())})
         return {"codes": rows}, rows
-    if mode == "universality":
-        est = universality_estimate(d, n, _as_int(cfg.get("m", 1), "m", lo=0),
-                                    str(cfg.get("row_slice", "z")),
-                                    trials=_as_count(cfg.get("trials", 10_000), "trials"),
-                                    rng=substream(seed, 0),
-                                    m_other=_as_int(cfg.get("m_x", 0), "m_x", lo=0))
-        results = {"collision_rate": est.collision_rate,
-                   "std_error": est.std_error, "trials": est.trials,
-                   "reference": est.reference,
-                   "strings": json.dumps([list(s) for s in est.strings])}
-        return results, [results]
-    raise ValueError(f"unknown css mode {mode!r} (use sample or universality)")
+    est = universality_estimate(d, n, _as_int(cfg.get("m", 1), "m", lo=0),
+                                str(cfg.get("row_slice", "z")),
+                                trials=_as_count(cfg.get("trials", 10_000), "trials"),
+                                rng=substream(seed, 0),
+                                m_other=_as_int(cfg.get("m_x", 0), "m_x", lo=0))
+    results = {"collision_rate": est.collision_rate,
+               "std_error": est.std_error, "trials": est.trials,
+               "reference": est.reference,
+               "strings": json.dumps([list(s) for s in est.strings])}
+    return results, [results]
 
 
 def cmd_uncertainty(cfg: Mapping, seed: int):
@@ -505,56 +501,24 @@ def _write_atomic(text: str, out: str | None) -> None:
         raise
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("--config must hold a JSON object")
-        cfg.update(loaded)
-    for key, value in (args.overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
+# the parser's own entries; every other dest is the config entry its flag sets
+RUN_FLAGS = ("command", "config", "seed", "out", "format")
 
 
-def _state_from_flags(args) -> dict | None:
-    if getattr(args, "state", None) is None:
-        return None
-    spec: dict = {"kind": args.state}
-    allowed = STATE_KINDS.get(args.state, set())
-    for flag, key in (("d", "d"), ("copies", "n"), ("p", "p"), ("s", "s"),
-                      ("shield_dim", "shield_dim"), ("state_file", "path")):
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if key not in allowed:
-            raise ValueError(f"flag --{flag.replace('_', '-')} does not apply "
-                             f"to {args.state} states")
-        spec[key] = value
-    return spec
-
-
-def _code_from_flags(args) -> dict | None:
-    kind = getattr(args, "code_kind", None)
-    if kind is None:
-        return None
-    spec: dict = {"kind": kind}
-    for flag, key in (("code_d", "d"), ("code_n", "n"), ("m_z", "m_z"),
-                      ("m_x", "m_x"), ("stabilizer", "stabilizer")):
-        value = getattr(args, flag, None)
-        if value is not None and key in CODE_KINDS.get(kind, set()):
-            spec[key] = value
-    if kind == "explicit":
-        if getattr(args, "mz_rows", None) is not None:
-            spec["mz_rows"] = _rows_arg(args.mz_rows)
-        if getattr(args, "mx_rows", None) is not None:
-            spec["mx_rows"] = _rows_arg(args.mx_rows)
-    return spec
+def _rows_arg(text: str) -> list[list[int]]:
+    """Integer rows from a flag, e.g. '1 1 0; 0 1 1' (commas separate entries too)."""
+    try:
+        return [[int(v) for v in part.replace(",", " ").split()]
+                for part in text.split(";") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not integer rows: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one table from flags to config entries: a flag's dest is the entry
+    it sets, ``state.d`` being entry d of the state spec. Only the flags given
+    reach the namespace (``argparse.SUPPRESS``), so a flag either takes effect
+    or is rejected with its config entry."""
     parser = argparse.ArgumentParser(
         prog="privlab",
         description="Private-state toolbox: rates, certification, "
@@ -562,103 +526,88 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_state=False):
-        p.add_argument("--config", help="JSON config file")
+    def command(name: str, summary: str, state=False, code=False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=7, help="master RNG seed")
-        p.add_argument("--out", help="output path (atomic write)")
+        p.add_argument("--out", default=None, help="output path (atomic write)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if with_state:
-            p.add_argument("--state", choices=sorted(STATE_KINDS))
-            p.add_argument("--d", type=int)
-            p.add_argument("--copies", type=int, help="n for bell_power states")
-            p.add_argument("--p", type=float, help="werner weight")
-            p.add_argument("--s", type=float, help="shield overlap")
-            p.add_argument("--shield-dim", dest="shield_dim", type=int)
-            p.add_argument("--state-file", dest="state_file",
-                           help="path for file states")
+        if state:
+            p.add_argument("--state", dest="state.kind", choices=sorted(STATE_KINDS))
+            p.add_argument("--d", dest="state.d", type=int)
+            p.add_argument("--copies", dest="state.n", type=int,
+                           help="n for bell_power states")
+            p.add_argument("--p", dest="state.p", type=float, help="werner weight")
+            p.add_argument("--s", dest="state.s", type=float, help="shield overlap")
+            p.add_argument("--shield-dim", dest="state.shield_dim", type=int)
+            p.add_argument("--state-file", dest="state.path", help="path for file states")
+        if code:
+            p.add_argument("--code-kind", dest="code.kind", choices=sorted(CODE_KINDS))
+            p.add_argument("--code-d", dest="code.d", type=int)
+            p.add_argument("--code-n", dest="code.n", type=int)
+            p.add_argument("--m-z", dest="code.m_z", type=int)
+            p.add_argument("--m-x", dest="code.m_x", type=int)
+            p.add_argument("--mz-rows", dest="code.mz_rows", type=_rows_arg,
+                           help="semicolon-separated rows, e.g. '1 1 0; 0 1 1'")
+            p.add_argument("--mx-rows", dest="code.mx_rows", type=_rows_arg)
+            p.add_argument("--stabilizer", dest="code.stabilizer", choices=("XX", "XI", "IX"))
+        return p
 
-    def code_flags(p: argparse.ArgumentParser):
-        p.add_argument("--code-kind", choices=sorted(CODE_KINDS))
-        p.add_argument("--code-d", type=int)
-        p.add_argument("--code-n", type=int)
-        p.add_argument("--m-z", dest="m_z", type=int)
-        p.add_argument("--m-x", dest="m_x", type=int)
-        p.add_argument("--mz-rows", dest="mz_rows",
-                       help="semicolon-separated rows, e.g. '1 1 0; 0 1 1'")
-        p.add_argument("--mx-rows", dest="mx_rows")
-        p.add_argument("--stabilizer", choices=("XX", "XI", "IX"))
+    command("rates", "one-way key rate breakdown", state=True)
 
-    p = sub.add_parser("rates", help="one-way key rate breakdown")
-    common(p, with_state=True)
-
-    p = sub.add_parser("verify", help="certify a state as an approximate private state")
-    common(p, with_state=True)
+    p = command("verify", "certify a state as an approximate private state", state=True)
     p.add_argument("--measurement", choices=("projective", "twisting", "uhlmann"))
-    p.add_argument("--soundness-margin", dest="soundness_margin", type=float)
+    p.add_argument("--soundness-margin", type=float)
 
-    p = sub.add_parser("distill", help="run the certified one-shot protocol")
-    common(p, with_state=True)
-    code_flags(p)
-    p.add_argument("--adaptive", dest="adaptive", action="store_true", default=None)
+    p = command("distill", "run the certified one-shot protocol", state=True, code=True)
+    p.add_argument("--adaptive", action="store_true")
     p.add_argument("--no-adaptive", dest="adaptive", action="store_false")
 
-    p = sub.add_parser("hashing-sim", help="coherent hashing chain on n copies")
-    common(p, with_state=True)
-    code_flags(p)
+    p = command("hashing-sim", "coherent hashing chain on n copies", state=True, code=True)
     p.add_argument("--n", type=int, help="number of copies")
 
-    p = sub.add_parser("css", help="sample codes or estimate two-universality")
-    common(p)
-    p.add_argument("--mode", choices=("sample", "universality"))
+    p = command("css", "sample codes or estimate two-universality")
+    p.add_argument("--mode", choices=sorted(CSS_MODES))
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--m-z", dest="m_z", type=int)
-    p.add_argument("--m-x", dest="m_x", type=int)
+    p.add_argument("--m-z", type=int)
+    p.add_argument("--m-x", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--row-slice", dest="row_slice", choices=("z", "x"))
+    p.add_argument("--row-slice", choices=("z", "x"))
     p.add_argument("--trials", type=int)
 
-    p = sub.add_parser("uncertainty", help="audit entropic uncertainty relations")
-    common(p)
-    p.add_argument("--mode", choices=("maassen_uffink", "cit", "quantum_cit"))
+    p = command("uncertainty", "audit entropic uncertainty relations")
+    p.add_argument("--mode", choices=AUDIT_MODES)
     p.add_argument("--d", type=int)
     p.add_argument("--trials", type=int)
 
-    p = sub.add_parser("appd", help="two-copy scenario error sweep")
-    common(p)
+    p = command("appd", "two-copy scenario error sweep")
     p.add_argument("--s", type=float, action="append",
                    help="shield overlap (repeatable for a sweep)")
     p.add_argument("--stabilizer", choices=("XX", "XI", "IX"))
     return parser
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    over: dict = {}
-    state = _state_from_flags(args)
-    if state is not None:
-        over["state"] = state
-    code = _code_from_flags(args)
-    if code is not None:
-        over["code"] = code
-    if args.command == "verify":
-        over["measurement"] = getattr(args, "measurement", None)
-        over["soundness_margin"] = getattr(args, "soundness_margin", None)
-    if args.command == "distill":
-        over["adaptive"] = getattr(args, "adaptive", None)
-    if args.command == "hashing-sim":
-        over["n"] = getattr(args, "n", None)
-    if args.command == "css":
-        for key in ("mode", "d", "n", "m_z", "m_x", "count", "m",
-                    "row_slice", "trials"):
-            over[key] = getattr(args, key, None)
-    if args.command == "uncertainty":
-        for key in ("mode", "d", "trials"):
-            over[key] = getattr(args, key, None)
-    if args.command == "appd":
-        over["s"] = getattr(args, "s", None)
-        over["stabilizer"] = getattr(args, "stabilizer", None)
-    return {k: v for k, v in over.items() if v is not None}
+def _config(args: argparse.Namespace) -> dict:
+    """The --config file's entries, each overridden by its flag. The flags of
+    one spec form a new spec, which replaces the file's."""
+    cfg: dict = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("--config must hold a JSON object")
+        cfg.update(loaded)
+    flags: dict = {}
+    for dest, value in vars(args).items():
+        head, dot, key = dest.partition(".")
+        if dot:
+            flags.setdefault(head, {})[key] = value
+        elif dest not in RUN_FLAGS:
+            flags[dest] = value
+    cfg.update(flags)
+    return cfg
 
 
 @functools.cache
@@ -668,8 +617,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str] | None = None) -> str:
     args = _parser().parse_args(argv)
-    args.overrides = _collect_overrides(args)
-    cfg = _merge_config(args)
+    cfg = _config(args)
     start = time.perf_counter()
     results, rows = COMMANDS[args.command](cfg, int(args.seed))
     report = {"command": args.command, "config": _pyify(cfg),

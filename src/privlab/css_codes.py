@@ -150,10 +150,6 @@ class GfMatrix:
     def rank(self) -> int:
         return gf_rank(self.entries, self.d)
 
-    def __matmul__(self, other):
-        o = other.entries if isinstance(other, GfMatrix) else np.asarray(other)
-        return (self.entries @ o) % self.d
-
 
 # ---------------------------------------------------------------------------
 # codes

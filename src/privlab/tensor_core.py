@@ -23,7 +23,7 @@ LOG_CLAMP = 1e-12      # eigenvalue clamp before logarithms
 
 AMPLITUDE_CAP = 2 ** 20  # largest dense array (complex entries) a workload may ask for
 
-OPERATOR_KINDS = ("general", "hermitian", "unitary", "projector", "povm-element")
+OPERATOR_KINDS = ("general", "unitary", "projector")
 
 
 class InvariantViolation(RuntimeError):
@@ -320,24 +320,14 @@ class LinearOperator:
 def _verify_kind(m: np.ndarray, kind: str) -> None:
     if kind == "general":
         return
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    if kind == "hermitian":
-        if herm > KIND_ATOL:
-            raise ValueError(f"hermitian tag violated by {herm:g}")
-    elif kind == "unitary":
+    if kind == "unitary":
         dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
         if dev > KIND_ATOL:
             raise ValueError(f"unitary tag violated by {dev:g}")
     elif kind == "projector":
-        dev = max(herm, float(np.max(np.abs(m @ m - m))))
+        dev = max(float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - m))))
         if dev > KIND_ATOL:
             raise ValueError(f"projector tag violated by {dev:g}")
-    elif kind == "povm-element":
-        if herm > KIND_ATOL:
-            raise ValueError(f"povm-element tag violated by hermiticity {herm:g}")
-        lo = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-        if lo < -PSD_ATOL:
-            raise ValueError(f"povm-element tag violated by min eig {lo:g}")
 
 
 # ---------------------------------------------------------------------------

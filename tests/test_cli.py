@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import json
 import os
+import re
+import shlex
 import time
 import tracemalloc
 from pathlib import Path
@@ -343,6 +345,8 @@ def test_config_file_with_flag_override(tmp_path):
     res2 = results_of(["verify", "--config", str(cfg), "--seed", "3",
                        "--state", "werner", "--d", "2", "--p", "0.9"])
     assert res2["p_e"] == pytest.approx(0.05, abs=1e-9)
+    # the flags of a spec form a new spec: one without a kind is rejected
+    assert main(["verify", "--config", str(cfg), "--p", "0.9"]) == 2
 
 
 def test_inline_state_round_trip():
@@ -363,6 +367,110 @@ def test_exit_code_invalid_config(capsys):
     assert main(["distill", "--state", "bell", "--d", "2", "--copies",
                  "2"]) == 2  # copies flag does not apply to bell
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("line", [
+    "verify --d 6",
+    "rates --shield-dim 8",
+    "distill --stabilizer XI",
+    "hashing-sim --state bell --d 2 --n 2 --m-z 1",
+    "distill --state bell --d 4 --code-kind sampled --code-d 2 --code-n 2 --m-z 1 "
+    "--stabilizer XI",
+    "hashing-sim --state bell --d 2 --n 2 --code-kind explicit --code-n 2 --m-z 1",
+])
+def test_a_flag_outside_its_spec_kind_exits_2(line, capsys):
+    # each flag sets the config entry it names, so none is dropped unread
+    assert main(line.split()) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("distill", {"state": {"kind": "bell", "d": 2},
+                 "code": {"kind": "explicit", "d": 2, "n": 1}, "adaptive": False}),
+    ("css", {"mode": "universality", "d": 2, "n": 4, "m": 2, "trials": 50, "count": 2}),
+    ("css", {"mode": "universality", "d": 2, "n": 4, "m": 2, "trials": 50, "m_z": 1}),
+    ("css", {"mode": "sample", "d": 2, "n": 3, "m": 1}),
+    ("css", {"mode": "sample", "d": 2, "n": 3, "row_slice": "x"}),
+    ("css", {"mode": "sample", "d": 2, "n": 3, "trials": 50}),
+])
+def test_a_config_entry_its_command_never_reads_exits_2(command, cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_malformed_rows_fail_in_the_parser():
+    with pytest.raises(SystemExit) as exc:
+        main(["hashing-sim", "--state", "werner", "--d", "2", "--p", "0.9", "--n", "2",
+              "--code-kind", "explicit", "--code-d", "2", "--code-n", "2",
+              "--mz-rows", "1 a"])
+    assert exc.value.code == 2
+
+
+def readme_lines():
+    """The ``privlab`` command lines of README.md's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = [line.strip() for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("privlab ")]
+
+
+def test_readme_examples_exit_0(tmp_path, capsys):
+    lines = readme_lines()
+    assert len(lines) >= 12  # the parse found the examples
+    for argv in lines:
+        assert main(argv + ["--out", str(tmp_path / "report")]) == 0, argv
+    capsys.readouterr()
+
+
+# The config that each perfbench mix and warm-up line compiles to.
+WERNER = {"kind": "werner", "p": 0.9}
+BENCH_CONFIGS = {
+    **{f"uncertainty --mode {m} --d {d} --trials {t}": {"mode": m, "d": d, "trials": t}
+       for m, d, t in (("cit", 5, 2), ("cit", 3, 10), ("quantum_cit", 5, 20),
+                       ("maassen_uffink", 5, 50), ("cit", 2, 1), ("quantum_cit", 2, 1),
+                       ("maassen_uffink", 2, 1))},
+    **{f"verify --state werner --d {d} --p 0.9 --measurement {m}":
+       {"state": {**WERNER, "d": d}, "measurement": m}
+       for d, m in ((6, "uhlmann"), (12, "projective"), (2, "uhlmann"), (2, "projective"))},
+    **{f"verify --state twisted --d {d} --shield-dim {s} --measurement {m}":
+       {"state": {"kind": "twisted", "d": d, "shield_dim": s}, "measurement": m}
+       for d, s, m in ((4, 8, "twisting"), (4, 8, "uhlmann"), (3, 16, "uhlmann"),
+                       (2, 2, "twisting"))},
+    "rates --state twisted --d 4 --shield-dim 16":
+        {"state": {"kind": "twisted", "d": 4, "shield_dim": 16}},
+    "rates --state bell --d 2": {"state": {"kind": "bell", "d": 2}},
+    "hashing-sim --state werner --d 2 --p 0.9 --n 3 --code-kind sampled --code-d 2 "
+    "--code-n 3 --m-z 1": {"state": {**WERNER, "d": 2}, "n": 3,
+                           "code": {"kind": "sampled", "d": 2, "n": 3, "m_z": 1}},
+    "hashing-sim --state werner --d 2 --p 0.9 --n 2 --code-kind explicit --code-d 2 "
+    "--code-n 2 --mz-rows 1,1": {"state": {**WERNER, "d": 2}, "n": 2,
+                                 "code": {"kind": "explicit", "d": 2, "n": 2,
+                                          "mz_rows": [[1, 1]]}},
+    **{f"distill --state werner --d {d} --p 0.9 --code-kind sampled --code-d {cd} "
+       f"--code-n {n} --m-z 1" + (" --m-x 1" if mx else ""):
+       {"state": {**WERNER, "d": d},
+        "code": {"kind": "sampled", "d": cd, "n": n, "m_z": 1, **({"m_x": 1} if mx else {})}}
+       for d, cd, n, mx in ((9, 3, 2, 0), (8, 2, 3, 1), (4, 2, 2, 0))},
+    "distill --state shielded_bit --s 0.6 --code-kind two_copy --stabilizer XX":
+        {"state": {"kind": "shielded_bit", "s": 0.6},
+         "code": {"kind": "two_copy", "stabilizer": "XX"}},
+    "appd --s 0.3 --s 0.6 --s 0.9": {"s": [0.3, 0.6, 0.9]},
+    "appd --s 0.6": {"s": [0.6]},
+}
+
+
+def test_benchmark_lines_compile_to_their_pinned_configs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import MIXES, WARMUP
+
+    lines = {" ".join(op.argv) for mix in MIXES.values() for op in mix}
+    lines |= {" ".join(argv) for group in WARMUP.values() for argv in group}
+    assert lines == set(BENCH_CONFIGS)
+    for line in sorted(lines):
+        assert payload(line.split())["config"] == BENCH_CONFIGS[line], line
 
 
 def test_exit_code_invariant_violation(capsys):
@@ -599,6 +707,14 @@ def _fuzz_case(i):
         return command, _replaced(base, path, pool[int(rng.integers(len(pool)))]), "error"
     pool = IN_TYPE[kind]
     return command, _replaced(base, path, pool[int(rng.integers(len(pool)))]), "any"
+
+
+def test_cli_fuzz_bases_exit_0(tmp_path, capsys):
+    for i, (command, cfg) in enumerate(FUZZ_BASES):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 0, (command, cfg)
+    capsys.readouterr()
 
 
 def test_cli_fuzz_exit_codes(tmp_path, capsys):

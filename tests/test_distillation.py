@@ -565,6 +565,12 @@ def dense_hashing_chain(state, n, code):
         encoded_fidelity=fid[0], ideal_encoded_fidelity=fid[1])
 
 
+def near_parallel_keys(theta):
+    """sum_a |a>_A |t_a>_B / sqrt(2), t_0 = |0>, t_1 = cos(theta)|0> + sin(theta)|1>."""
+    amps = np.array([1.0, 0.0, math.cos(theta), math.sin(theta)]) / math.sqrt(2)
+    return StateVector(HilbertSpace((2, 2, 1), ("A", "B", "E")), amps)
+
+
 CHAIN_CASES = {
     "werner_n3_mx0": lambda: (werner(0.9), 3, sample_universal_css(2, 3, 1, 0, substream(60))),
     "werner_n3_mx1": lambda: (werner(0.9), 3, sample_universal_css(2, 3, 1, 1, substream(61))),
@@ -579,6 +585,11 @@ CHAIN_CASES = {
     "pure_e1_fail": lambda: (random_pure_state(HilbertSpace((2, 2, 1), ("A", "B", "E")),
                                                substream(51)),
                              2, sample_universal_css(2, 2, 1, 0, substream(7))),
+    # sum_a |a>|t_a> / sqrt(2) with t_1 = cos(theta) t_0 + sin(theta) t_perp: the
+    # PGM support cut drops one key direction, so the chain's C fail slot carries
+    # 2.45e-11 of mass, and dropping its copy moves td_psi4 by 1.7e-11
+    "near_parallel_c_fail": lambda: (near_parallel_keys(7e-6), 2,
+                                     CssCode.from_stabilizers(2, [[1, 1]], [], n=2)),
 }
 
 
