@@ -320,8 +320,12 @@ def cmd_hashing_sim(cfg: Mapping, seed: int):
     _check_keys(cfg, {"state", "n", "code"}, "hashing-sim")
     state, _ = build_state(cfg.get("state", {"kind": "bell"}), seed)
     n = _as_int(cfg.get("n", 1), "n")
-    code_spec = dict(cfg.get("code", {"kind": "explicit", "n": n}))
-    code = build_code(code_spec, seed)
+    spec = cfg.get("code", {"kind": "explicit"})
+    # a code spec without a length takes the number of copies
+    code = build_code({"n": n, **spec} if isinstance(spec, Mapping) else spec, seed)
+    if code.n != n:
+        raise ValueError(f"the code length (--code-n {code.n}) must match the number "
+                         f"of copies (--n {n})")
     res = coherent_hashing_sim(state, n, code)
     results = dataclasses.asdict(res)
     return results, [results]

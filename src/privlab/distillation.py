@@ -22,8 +22,8 @@ by one more, ``_guess_error``, straight from pure-state amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Mapping
 
 import numpy as np
@@ -32,9 +32,9 @@ from .css_codes import CssCode, GfMatrix, all_strings
 from .discrimination import HswDecoderResult, _class_pgms, helstrom_pair
 from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
 from .privacy import PrivacyReport, _block_frame, _direct_distance, _key_amplitudes
-from .qudit_ops import ConjugateBasis, Povm
-from .tensor_core import (AMPLITUDE_CAP, NORM_ATOL, DensityOperator, HilbertSpace,
-                          InvariantViolation, StateVector, _budget, sqrt_psd)
+from .qudit_ops import POVM_COMPLETENESS_ATOL, ConjugateBasis, Povm
+from .tensor_core import (AMPLITUDE_CAP, KIND_ATOL, PSD_ATOL, SUPPORT_ATOL, DensityOperator,
+                          HilbertSpace, InvariantViolation, StateVector, _budget, sqrt_psd)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 _GRAM_BLOCK = 2 ** 14  # amplitudes per block of a chain distance: the difference stays in cache
@@ -78,7 +78,9 @@ class _CodeTables:
     """Flat class values of every string under one code, and its encode maps.
 
     ``alpha_classes``/``beta_classes`` map each syndrome value to its member
-    strings; ``zperm`` sends a string to its flat (logical, z-syndrome,
+    strings, ``strings`` lists the strings by index, and each row of
+    ``cosets`` holds the strings of one coset of the row space of mx;
+    ``zperm`` sends a string to its flat (logical, z-syndrome,
     destabiliser) coordinate, ``cperm`` does the same for a guess register
     and sends its fail slot to the first value past the strings.
     """
@@ -89,6 +91,8 @@ class _CodeTables:
     mu_of: np.ndarray
     alpha_classes: dict
     beta_classes: dict
+    strings: np.ndarray
+    cosets: np.ndarray
     v: np.ndarray
     zperm: np.ndarray
     cperm: np.ndarray
@@ -102,6 +106,9 @@ def _code_tables(code: CssCode) -> _CodeTables:
     g_of = _flat_classes(strings, code.destabilizer_z())
     # k + m_z + m_x = n, so the coordinates (lam, alpha, g) index all d^n values
     zperm = (lam_of * d ** code.m_z + alpha_of) * d ** code.m_x + g_of
+    # the cosets of the strings modulo the row space of mx, d^m_x strings each
+    span = (all_strings(d, code.m_x) @ code.mx.entries) % d
+    shifted = ((strings[:, None] + span) % d) @ d ** np.arange(n - 1, -1, -1)
     return _CodeTables(
         alpha_of=alpha_of, beta_of=beta_of,
         lam_of=lam_of, mu_of=_flat_classes(strings, code.logical_x),
@@ -109,6 +116,7 @@ def _code_tables(code: CssCode) -> _CodeTables:
                        for c, a in enumerate(all_strings(d, code.m_z))},
         beta_classes={tuple(int(x) for x in b): np.flatnonzero(beta_of == c)
                       for c, b in enumerate(all_strings(d, code.m_x))},
+        strings=strings, cosets=np.unique(np.sort(shifted, axis=1), axis=0),
         # column x of v is the n-qudit Fourier conjugate-basis vector |x~>
         v=reduce(np.kron, [ConjugateBasis.fourier(d).vectors] * n),
         zperm=zperm, cperm=np.append(zperm, d ** n))
@@ -321,8 +329,11 @@ def build_css_decoders(state, code: CssCode, *, x_on_copy: bool = False) -> CssD
     conjugate-basis string within the beta class.  Each decoder is the PGM
     of its class from one factorisation of the members' amplitude rows, read
     off t[a, b, s, e] of the pure state: t[x] as (B, S E) for the key
-    strings, (v^dag t)[x] as (B S, E) or conj(v[:, x]) (.) t as (C B, S E)
-    for the conjugate ones.  A class of zero weight gets {fail: 1}.
+    strings, (v^dag t)[x] as (B S, E) for the conjugate ones.  A class of
+    zero weight gets {fail: 1}.  The copied rows conj(v[:, x]) (.) t as
+    (C B, S E) are never built: every class comes from one thin SVD of t per
+    coset of the row space of mx, and its elements are phased copies of one
+    element (``_copied_conj_classes``).
     """
     return _css_decoders(*_key_amplitudes(state), code, x_on_copy)
 
@@ -336,18 +347,119 @@ def _css_decoders(t: np.ndarray, shield: tuple[str, ...], code: CssCode,
     tab = _code_tables(code)
     z_result = _class_pgms(t.reshape(dd, dd, -1), tab.alpha_classes)
     if x_on_copy:
-        _budget((dd, t.size), "copied conjugate rows")
         x_labels = ("C", "B")
-        rows = (tab.v.conj().T[:, :, None, None] * t.reshape(dd, dd, -1)).reshape(
-            dd, dd * dd, -1)
+        _budget((dd, dd * dd, dd * dd), "class decoder elements")
+        classes, error = _copied_conj_classes(t.reshape(dd, dd, -1), tab)
+        x_result = HswDecoderResult(decoders={key: cls.povm() for key, cls in classes.items()},
+                                    per_class_error=dict.fromkeys(classes, error),
+                                    average_error=error)
     else:
         x_labels = ("B",) + shield
         rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, t.shape[3])
-    x_result = _class_pgms(rows, tab.beta_classes)
+        x_result = _class_pgms(rows, tab.beta_classes)
     return CssDecoders(key_decoders=z_result.decoders,
                        conj_decoders=x_result.decoders,
                        z_result=z_result, x_result=x_result,
                        z_labels=("B",), x_labels=x_labels)
+
+
+@dataclass(frozen=True)
+class _CopiedClass:
+    """The PGM of one conjugate class on (C, B) of the copied rows, kept as one element.
+
+    Element x of the class is chi_x rep chi_x^dag, with chi_x[c] = dd conj(v[c, x])
+    v[c, x0] on C (column x of ``chi``) and x0 = members[0]; ``fail`` is None at
+    full rank.  What is built is checked without expanding it: rep and fail are
+    positive, and sum_x chi_x rep chi_x^dag + fail, which is rep times
+    sum_x chi_x[c] conj(chi_x[c']) on its (C, C') blocks plus fail, is the identity.
+    """
+
+    members: np.ndarray
+    chi: np.ndarray
+    rep: np.ndarray
+    fail: np.ndarray | None
+
+    def __post_init__(self):
+        for name, el in (("representative", self.rep), ("fail", self.fail)):
+            if el is None:
+                continue
+            herm = float(np.max(np.abs(el - el.conj().T)))
+            if not herm <= KIND_ATOL:
+                raise InvariantViolation(
+                    f"conjugate class {name} element is not hermitian (deviation {herm!r})")
+            low = float(np.linalg.eigvalsh(el)[0])
+            if not low >= -PSD_ATOL:
+                raise InvariantViolation(
+                    f"conjugate class {name} element is not positive (min eig {low!r})")
+        total = self._phased(self.chi @ self.chi.conj().T)
+        if self.fail is not None:
+            total += self.fail
+        dev = float(np.max(np.abs(total - np.eye(len(total)))))
+        if not dev <= POVM_COMPLETENESS_ATOL:
+            raise InvariantViolation(
+                f"conjugate class elements do not sum to the identity (deviation {dev!r})")
+
+    def _phased(self, phase: np.ndarray) -> np.ndarray:
+        """rep times phase[c, c'] on its (C, C') blocks."""
+        dd = len(phase)
+        return (self.rep.reshape(dd, dd, dd, dd) * phase[:, None, :, None]).reshape(
+            self.rep.shape)
+
+    def povm(self) -> Povm:
+        elements = [self._phased(np.outer(ch, ch.conj())) for ch in self.chi.T]
+        labels = self.members.tolist()
+        if self.fail is not None:
+            elements.append(self.fail)
+            labels.append("fail")
+        return Povm(tuple(elements), tuple(labels))
+
+
+def _copied_conj_classes(t: np.ndarray, tab: _CodeTables) -> tuple[dict, float]:
+    """The conjugate class PGMs on (C, B) of the copied rows w_x = conj(v[c, x]) t[c, b, r],
+    as ``_CopiedClass``es, and the error of every class, without building the rows.
+
+    A class X = x0 + ker(mx) averages to sum_x w_x w_x^dag, which is block diagonal
+    over the cosets Q of C modulo the row space of mx (``tab.cosets``, |X| of them):
+    block Q is (|X| / dd) (delta T_Q)(delta T_Q)^dag, with T_Q the rows t[c] of c in
+    Q as (Q B, r) and delta_c = sqrt(dd) conj(v[c, x0]) a phase.  So with T_Q = U_Q
+    Sigma_Q V_Q^dag on the support that ``_pgm_of_rows`` keeps, the element of x0
+    is delta Z Z^dag delta^dag / |X| with Z = [U_Q V_Q^dag]_Q, and the fail element
+    is 1 - delta U U^dag delta^dag with U = diag_Q(U_Q): the classes share one thin
+    SVD per coset and differ in their phases.  Every member of every class scores
+    the hit of x0, |X| ||mean_Q A_Q||^2 / ||t||^2 with A_Q = V_Q Sigma_Q V_Q^dag; its
+    miss is read as the spread sum_Q ||A_Q - mean||^2 plus the mass cut from the
+    support, a sum of squares, so a perfect decoder scores 0 and not rounding.
+    """
+    dd, r = t.shape[0], t.shape[2]
+    n_q, q_dim = tab.cosets.shape
+    _budget((dd * dd, dd * dd), "conjugate class elements")
+    _budget((n_q, r, r), "conjugate class hits")
+    u, sing, vh = np.linalg.svd(t[tab.cosets].reshape(n_q, q_dim * dd, r), full_matrices=False)
+    keep = sing ** 2 > SUPPORT_ATOL * float(np.sum(sing ** 2))
+    spread = (vh.conj().swapaxes(1, 2) * (sing * keep)[:, None, :]) @ vh
+    spread -= spread.mean(axis=0)
+    miss = float(np.vdot(spread, spread).real) + float(np.sum(sing[~keep] ** 2))
+    del spread
+    u = u * keep[:, None, :]
+    z = np.empty((dd, dd, r), dtype=np.complex128)
+    z[tab.cosets.reshape(-1)] = (u @ vh).reshape(dd, dd, r)
+    z = z.reshape(dd * dd, r)
+    gram = (z @ z.conj().T).reshape(dd, dd, dd, dd)
+    full = np.count_nonzero(keep) == dd * dd
+    if not full:
+        # the (Q, C, C', B, B') blocks of U U^dag, placed on C and C' in Q
+        proj = np.zeros((dd, dd, dd, dd), dtype=np.complex128)
+        blocks = (u @ u.conj().swapaxes(1, 2)).reshape(n_q, q_dim, dd, q_dim, dd)
+        proj[tab.cosets[:, :, None], :, tab.cosets[:, None, :]] = blocks.transpose(0, 1, 3, 2, 4)
+    classes = {}
+    for key, members in tab.beta_classes.items():
+        delta = math.sqrt(dd) * tab.v[:, members[0]].conj()
+        phase = (delta[:, None] * delta.conj())[:, None, :, None]
+        rep = (gram * phase).reshape(dd * dd, dd * dd) / n_q  # n_q = |X|
+        classes[key] = _CopiedClass(
+            members=members, chi=dd * tab.v[:, members].conj() * tab.v[:, members[:1]],
+            rep=rep, fail=None if full else np.eye(dd * dd) - (proj * phase).reshape(rep.shape))
+    return classes, float(min(max(miss / float(np.sum(sing ** 2)), 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +468,25 @@ def _css_decoders(t: np.ndarray, shield: tuple[str, ...], code: CssCode,
 
 @dataclass(frozen=True)
 class DistillationOutcome:
-    """Certified one-shot result: final state, key sizes, privacy report."""
+    """Certified one-shot result: key sizes, privacy report, and the final state,
+    built and validated from the encoded protocol state when first read."""
 
-    final_state: StateVector
     key_dims: tuple[int, int]
     report: PrivacyReport
     transcript: Mapping
+    _encoded: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def final_state(self) -> StateVector:
+        """The encoded state with R, a copy of Az, put in before T: its slice R = r
+        is the slice Az = r of the encoded (A, Az, Ag, Bq, Sq, E, T, B, Bg)."""
+        enc = self._encoded
+        r_dim = enc.shape[1]
+        final = np.zeros(enc.shape[:6] + (r_dim,) + enc.shape[6:], dtype=np.complex128)
+        for r in range(r_dim):
+            final[:, r, :, :, :, :, r] = enc[:, r]
+        return StateVector(HilbertSpace(final.shape, ("A", "Az", "Ag", "Bq", "Sq", "E", "R",
+                                                      "T", "B", "Bg")), final.reshape(-1))
 
 
 def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
@@ -449,12 +574,6 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     eps_direct = _direct_distance([_block_frame(
         enc[:, r].transpose(0, 6, 1, 2, 3, 5, 7, 4).reshape(k_dim, k_dim + 1, -1, e_dim))
         for r in range(r_dim)])
-    # R holds Az: the slice R = r of the final state is the slice Az = r of enc
-    final = np.zeros(enc.shape[:6] + (r_dim,) + enc.shape[6:], dtype=np.complex128)
-    for r in range(r_dim):
-        final[:, r, :, :, :, :, r] = enc[:, r]
-    final = StateVector(HilbertSpace(final.shape, ("A", "Az", "Ag", "Bq", "Sq", "E", "R",
-                                                   "T", "B", "Bg")), final.reshape(-1))
 
     report = PrivacyReport(p_e=p_prime_e, p_tilde_e=p_tilde_prime_e,
                            eps_certified=eps_certified, eps_direct=eps_direct,
@@ -462,8 +581,8 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     transcript = {"n": n, "d": d, "k": code.k, "eps_z": eps_z, "eps_x": eps_x,
                   "p_prime_e": p_prime_e, "p_tilde_prime_e": p_tilde_prime_e,
                   "eps_certified": eps_certified, "eps_direct": eps_direct}
-    return DistillationOutcome(final_state=final, key_dims=(k_dim, k_dim + 1),
-                               report=report, transcript=transcript)
+    return DistillationOutcome(key_dims=(k_dim, k_dim + 1), report=report,
+                               transcript=transcript, _encoded=enc)
 
 
 # ---------------------------------------------------------------------------
@@ -525,59 +644,44 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     step = AMPLITUDE_CAP // _budget((dd, dd, t_dim, c_dim, c_dim),
                                     "hashing chain per environment column")
 
-    decs = _css_decoders(amps[:, :, None], (), code, True)
-    eps_z, eps_x = decs.z_result.average_error, decs.x_result.average_error
+    key_decoders = _class_pgms(amps, tab.alpha_classes)
+    classes, eps_x = _copied_conj_classes(amps, tab)
+    eps_z = key_decoders.average_error
 
     # Bob's conjugate outcome x lands in D as the ket conj(v[:, x]); the fail
     # outcome and the untouched C-fail block go to the D fail slot.  The phase
     # decoupler on (C, D) multiplies ket x by phases[1][c, x] given C = c < dd
-    strings = all_strings(d, n)
     phases = np.ones((2, dd, dd), dtype=np.complex128)
-    phases[1] = np.exp(2j * np.pi * ((strings @ strings.T) % d) / d)
+    phases[1] = np.exp(2j * np.pi * ((tab.strings @ tab.strings.T) % d) / d)
 
-    # The copied rows of string x are w_x = D_x w_0 with D_x = diag_C(conj(v[c, x])),
-    # so the PGM of a class X_beta is covariant: its element x is chi_x Lambda_rep
-    # chi_x^dag with chi_x[c] = dd conj(v[c, x]) v[c, rep] on C, rep the first
-    # member, and so is its root; the fail element commutes with every chi_x.
-    # Every class has weight 1 / t_dim, so it always has a representative.
-    # One root per class then decodes every member: Y[c', c] = root[c', c] rows[c]
-    # on the (C' B', C B) blocks of the root, and D gets sum_c F[c', d, c] Y[c', c]
-    # with F[c', d, c] = sum_x ket_x[d] phase[c', x] chi_x[c'] conj(chi_x[c])
+    # Element x of a class decoder is chi_x rep chi_x^dag (``_CopiedClass``), and so
+    # is its root; the fail element commutes with every chi_x.  One root per class
+    # then decodes every member: Y[c', c] = root[c', c] rows[c] on the (C' B', C B)
+    # blocks of the root, and D gets sum_c F[c', d, c] Y[c', c] with
+    # F[c', d, c] = sum_x ket_x[d] phase[c', x] chi_x[c'] conj(chi_x[c])
     plans = []
-    for key in tab.beta_classes:
-        dec: Povm = decs.conj_decoders[key]
-        slots = _guess_slots(dec, dd)
-        own = np.flatnonzero(slots < dd)
-        fail_roots = [sqrt_psd(dec.elements[o]) for o in np.flatnonzero(slots == dd)]
-        xs = slots[own]
-        chi = dd * vc[:, xs] * v[:, xs[:1]]
-        rep = dec.elements[own[0]].reshape(dd, dd, dd, dd)
-        for o, ch in zip(own, chi.T):
-            phased = rep * (ch[:, None] * ch.conj())[:, None, :, None]
-            dev = float(np.max(np.abs(dec.elements[o].reshape(rep.shape) - phased)))
-            if not dev <= NORM_ATOL:
-                raise InvariantViolation(
-                    f"conjugate decoder element {int(slots[o])} is not the phased "
-                    f"class representative (deviation {dev!r})")
+    for cls in classes.values():
+        xs, chi = cls.members, cls.chi
         # (C, C' B', B): the C blocks of the root as one batch
         root = np.ascontiguousarray(
-            sqrt_psd(dec.elements[own[0]]).reshape(dd, dd, dd, dd).transpose(2, 0, 1, 3)
+            sqrt_psd(cls.rep).reshape(dd, dd, dd, dd).transpose(2, 0, 1, 3)
         ).reshape(dd, dd * dd, dd)
         # (phase, C', D, C), zero on the D fail slot
         fs = np.einsum("dx,pax,ax,cx->padc", vc[:, xs], phases[:, :, xs], chi, chi.conj())
-        plans.append((root, np.pad(fs, ((0, 0), (0, 0), (0, 1), (0, 0))), fail_roots))
+        plans.append((root, np.pad(fs, ((0, 0), (0, 0), (0, 1), (0, 0))),
+                      None if cls.fail is None else sqrt_psd(cls.fail)))
 
     def conj_decode(tin: np.ndarray, phase: int) -> np.ndarray:
         """Decode the conjugate string from (C, B) of tin (A, B, E, T, C) into D,
         as (T, C, D, B, A, E) with phases[phase] in the decoupler."""
         tout = np.zeros((t_dim, c_dim, c_dim, dd, dd, tin.shape[2]), dtype=np.complex128)
-        for beta, (root, fs, fail_roots) in enumerate(plans):
+        for beta, (root, fs, fail_root) in enumerate(plans):
             # (C, B, A E), never more amplitudes than one (T, C, D, B, A, E) chunk
             rows = tin[..., beta, :dd].transpose(3, 1, 0, 2).reshape(dd, dd, -1)
             y = np.matmul(root, rows).reshape(dd, dd, -1).swapaxes(0, 1)
             np.matmul(fs[phase], y, out=tout[beta, :dd].reshape(dd, c_dim, -1))
-            for fail in fail_roots:
-                tout[beta, :dd, dd] += (fail @ rows.reshape(dd * dd, -1)).reshape(
+            if fail_root is not None:
+                tout[beta, :dd, dd] = (fail_root @ rows.reshape(dd * dd, -1)).reshape(
                     (dd,) + tout.shape[3:])
             tout[beta, dd, dd] = tin[..., beta, dd].transpose(1, 0, 2)
         return tout
@@ -610,7 +714,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     def chunk_sums(chunk: np.ndarray) -> np.ndarray:
         """The _gram sums of psi2, psi3, psi4 and the two logical weights of psi4."""
         # the standard string decoded into C, against the ideal copy
-        t2 = _key_decode(_extract(chunk, tab), decs.key_decoders, tab)
+        t2 = _key_decode(_extract(chunk, tab), key_decoders.decoders, tab)
         t2p = copied(chunk, coefs[0])
         g2 = _gram(t2, t2p)
         # the conjugate string decoded into D, then both branches decoupled

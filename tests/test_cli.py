@@ -260,6 +260,24 @@ def test_hashing_sim_command():
     assert res["overlap_psi2"] >= 1.0 - res["eps_z"]
 
 
+@pytest.mark.parametrize("line", [
+    "hashing-sim --state werner --d 2 --p 0.9 --n 3 --code-kind sampled --code-d 2 --m-z 1",
+    "hashing-sim --state werner --d 2 --p 0.95 --n 2 --code-kind explicit --code-d 2 "
+    "--mz-rows 1,1",
+])
+def test_hashing_sim_code_without_a_length_takes_the_number_of_copies(line):
+    n = line.split()[line.split().index("--n") + 1]
+    assert results_of(line.split()) == results_of(line.split() + ["--code-n", n])
+
+
+def test_hashing_sim_code_length_mismatch_names_both_flags(capsys):
+    line = ("hashing-sim --state werner --d 2 --p 0.9 --n 3 --code-kind explicit "
+            "--code-d 2 --code-n 2 --mz-rows 1,1")
+    assert main(line.split()) == 2
+    err = capsys.readouterr().err
+    assert "--n 3" in err and "--code-n 2" in err
+
+
 def test_css_sample_and_universality():
     rep = payload(["css", "--mode", "sample", "--d", "2", "--n", "3", "--m-z",
                    "1", "--m-x", "1", "--count", "3", "--seed", "12"])

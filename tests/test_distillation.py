@@ -18,10 +18,11 @@ from privlab import (ConjugateBasis, CqEnsemble, CssCode, DensityOperator, Hilbe
                      random_density_operator, random_pure_state,
                      sample_universal_css, shannon_entropy, shielded_bit_state,
                      substream, tensor_power_grouped, two_copy_scenario)
-from privlab import distillation, privacy, tensor_core
+from privlab import discrimination, distillation, privacy, tensor_core
 from privlab.cli import build_state, run
 from privlab.cli import build_code
 from privlab.css_codes import all_strings
+from privlab.discrimination import _class_pgms
 from privlab.distillation import (HashingSimResult, _chain_distance, _code_tables, _encode,
                                   _extract, _gram, _guess_error, _guess_slots, _key_decode,
                                   _logical_weight)
@@ -233,6 +234,17 @@ def test_one_shot_eps_direct_is_the_final_state_distance(case, seed):
     want = privlab.epsilon_secret_direct(out.final_state, eve_labels=("E", "R"))
     assert want > 1e-3
     assert out.transcript["eps_direct"] == pytest.approx(want, abs=1e-12)
+
+
+def test_one_shot_builds_the_final_state_when_it_is_read(monkeypatch):
+    state, code = ONE_SHOT_CASES["werner_d8"](1)
+    decs = build_css_decoders(state, code)
+    wraps = []
+    vector = distillation.StateVector
+    monkeypatch.setattr(distillation, "StateVector", lambda *a: wraps.append(1) or vector(*a))
+    out = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
+    assert not wraps
+    assert out.final_state is out.final_state and len(wraps) == 1
 
 
 @pytest.mark.parametrize("case,seed", [(c, s) for c in sorted(ONE_SHOT_CASES) for s in (1, 7)])
@@ -529,15 +541,28 @@ def dense_conj_decode(tin, decoders, tab, phase):
     return tout
 
 
+def chain_amplitudes(state, n):
+    """The n-copy amplitudes t[a, b, e] that the hashing chain runs on."""
+    return distillation._grouped_power(privacy._key_amplitudes(state)[0][:, :, 0], n)
+
+
+def copied_conj_rows(amps, tab):
+    """The copied rows conj(v[c, x]) t[c, b, e] of every conjugate string x, as (x, C B, E)."""
+    dd = amps.shape[0]
+    return (tab.v.conj().T[:, :, None, None] * amps).reshape(dd, dd * dd, -1)
+
+
 def dense_hashing_chain(state, n, code):
     """The hashing chain in one environment chunk, every array as (A, B, E, T, C, ...),
-    the conjugate string decoded by ``dense_conj_decode``."""
-    amps = distillation._grouped_power(privacy._key_amplitudes(state)[0][:, :, 0], n)
+    the conjugate string decoded by ``dense_conj_decode`` with the ``_class_pgms``
+    decoders of the copied rows."""
+    amps = chain_amplitudes(state, n)
     d, dd, e_dim = code.d, amps.shape[0], amps.shape[2]
     tab = _code_tables(code)
     v, vc = tab.v, tab.v.conj()
     k_dim, t_dim = d ** code.k, d ** code.m_x
-    decs = distillation._css_decoders(amps[:, :, None], (), code, True)
+    z_result = _class_pgms(amps, tab.alpha_classes)
+    x_result = _class_pgms(copied_conj_rows(amps, tab), tab.beta_classes)
     strings = all_strings(d, n)
     phases = [np.ones((dd, dd)), np.exp(2j * np.pi * ((strings @ strings.T) % d) / d)]
     mask = tab.beta_of == np.arange(t_dim)[:, None]
@@ -549,14 +574,14 @@ def dense_hashing_chain(state, n, code):
         out = np.zeros(t2p.shape + (dd + 1,), dtype=np.complex128)
         out[..., :dd, :dd] = np.einsum("tx,ax,cx,dx,cx,cbe->abetcd", mask, v, vc, vc, ph, amps)
         ideal.append(out)
-    t2 = _key_decode(_extract(amps, tab), decs.key_decoders, tab)
+    t2 = _key_decode(_extract(amps, tab), z_result.decoders, tab)
     g2 = _gram(t2, t2p)
-    g3 = _gram(dense_conj_decode(t2p, decs.conj_decoders, tab, phases[0]), ideal[0])
-    t4 = dense_conj_decode(t2, decs.conj_decoders, tab, phases[1])
+    g3 = _gram(dense_conj_decode(t2p, x_result.decoders, tab, phases[0]), ideal[0])
+    t4 = dense_conj_decode(t2, x_result.decoders, tab, phases[1])
     fid = [math.sqrt(min(max(_logical_weight(x, tab, k_dim) / k_dim, 0.0), 1.0))
            for x in (t4, ideal[1])]
-    eps_z, eps_x = decs.z_result.average_error, decs.x_result.average_error
-    return decs, HashingSimResult(
+    eps_z, eps_x = z_result.average_error, x_result.average_error
+    return (z_result, x_result), HashingSimResult(
         n=n, key_dim=k_dim, eps_z=eps_z, eps_x=eps_x, overlap_psi2=float(g2[2].real),
         td_psi2=_chain_distance(g2), bound_psi2=2.0 * math.sqrt(2.0 * eps_z),
         td_psi3=_chain_distance(g3), bound_psi3=2.0 * math.sqrt(2.0 * eps_x),
@@ -595,39 +620,81 @@ CHAIN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
 def test_hashing_chain_matches_the_dense_decode_with_one_root_per_class(case, monkeypatch):
-    decs, want = dense_hashing_chain(*CHAIN_CASES[case]())
+    results, want = dense_hashing_chain(*CHAIN_CASES[case]())
     if case == "pure_e1_fail":
         assert all("fail" in dec.outcome_labels
-                   for dec in (*decs.key_decoders.values(), *decs.conj_decoders.values()))
+                   for res in results for dec in res.decoders.values())
     built, roots = [], []
-    build, root = distillation._css_decoders, distillation.sqrt_psd
-    monkeypatch.setattr(distillation, "_css_decoders",
+    build, root = distillation._copied_conj_classes, distillation.sqrt_psd
+    monkeypatch.setattr(distillation, "_copied_conj_classes",
                         lambda *a: built.append(build(*a)) or built[-1])
     monkeypatch.setattr(distillation, "sqrt_psd", lambda m: roots.append(1) or root(m))
     got = coherent_hashing_sim(*CHAIN_CASES[case]())
     for key, value in dataclasses.asdict(want).items():
         assert getattr(got, key) == pytest.approx(value, abs=1e-12), key
     # the chain roots one element of each conjugate class, and its fail element
-    conj = built[0].conj_decoders.values()
-    assert len(roots) == sum(1 + ("fail" in dec.outcome_labels) for dec in conj)
-    assert not any("_roots" in vars(dec) for dec in conj)
+    classes = built[0][0].values()
+    assert len(roots) == sum(1 + (cls.fail is not None) for cls in classes)
 
 
-def test_hashing_chain_rejects_a_class_decoder_that_is_not_covariant(monkeypatch):
-    # elements 1 and 2 of the class swapped against their labels: a valid POVM
-    # whose element 1 is not the phased representative
-    build = distillation._css_decoders
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_copied_conj_classes_match_the_pgm_of_the_copied_rows(case):
+    state, n, code = CHAIN_CASES[case]()
+    amps = chain_amplitudes(state, n)
+    tab = _code_tables(code)
+    want = _class_pgms(copied_conj_rows(amps, tab), tab.beta_classes)
+    # the public build expands every class from its representative
+    got = distillation._css_decoders(amps[:, :, None], (), code, True).x_result
+    assert got.average_error == pytest.approx(want.average_error, abs=1e-12)
+    for key, dec in want.decoders.items():
+        assert got.decoders[key].outcome_labels == dec.outcome_labels
+        dev = np.abs(np.stack(got.decoders[key].elements) - np.stack(dec.elements))
+        assert np.max(dev) <= 1e-12, key
+        assert got.per_class_error[key] == pytest.approx(want.per_class_error[key], abs=1e-12)
+    if case == "pure_e1_fail":
+        assert all(dec.outcome_labels[-1] == "fail" for dec in want.decoders.values())
 
-    def swapped(*args):
-        decs = build(*args)
-        (key, dec), = decs.conj_decoders.items()
-        order = [0, 2, 1] + list(range(3, dec.n_outcomes))
-        bad = Povm(tuple(dec.elements[i] for i in order), dec.outcome_labels)
-        return dataclasses.replace(decs, conj_decoders={key: bad})
 
-    monkeypatch.setattr(distillation, "_css_decoders", swapped)
-    with pytest.raises(InvariantViolation, match="not the phased class representative"):
-        coherent_hashing_sim(*CHAIN_CASES["werner_n3_mx0"]())
+def tampered_class(cls, how):
+    """A class whose representative breaks one check: completeness, or the
+    positivity of rep or of fail with the sum kept at the identity."""
+    eye, size = np.eye(len(cls.rep)), len(cls.members)
+    fail = np.zeros_like(eye) if cls.fail is None else cls.fail
+    rep, fail = {"scaled": (cls.rep * 1.001, cls.fail),
+                 "rep_negative": (cls.rep - 2.0 * eye, fail + 2.0 * size * eye),
+                 "fail_negative": (cls.rep + 1e-3 * eye, fail - 1e-3 * size * eye),
+                 "nan": (np.where(eye > 0, np.nan, cls.rep), cls.fail)}[how]
+    return dataclasses.replace(cls, rep=rep, fail=fail)
+
+
+@pytest.mark.parametrize("how,match", [("scaled", "do not sum to the identity"),
+                                       ("rep_negative", "representative element is not positive"),
+                                       ("fail_negative", "fail element is not positive"),
+                                       ("nan", "representative element is not hermitian")])
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_hashing_chain_rejects_a_tampered_class_representative(case, how, match, monkeypatch):
+    build = distillation._copied_conj_classes
+
+    def tampered(*args):
+        classes, average = build(*args)
+        key = next(iter(classes))
+        return {**classes, key: tampered_class(classes[key], how)}, average
+
+    monkeypatch.setattr(distillation, "_copied_conj_classes", tampered)
+    with pytest.raises(InvariantViolation, match=match):
+        coherent_hashing_sim(*CHAIN_CASES[case]())
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_hashing_chain_factorises_only_the_key_classes(case, monkeypatch):
+    # the conjugate classes come from one thin SVD per coset: no (dd, dd^2, dd^2)
+    # element stack and no PGM of the copied rows
+    calls = []
+    pgm = discrimination._pgm_of_rows
+    monkeypatch.setattr(discrimination, "_pgm_of_rows", lambda *a: calls.append(1) or pgm(*a))
+    state, n, code = CHAIN_CASES[case]()
+    coherent_hashing_sim(state, n, code)
+    assert len(calls) == len(_code_tables(code).alpha_classes)
 
 
 def test_two_copy_scenario_enforces_amplitude_cap():
