@@ -106,7 +106,8 @@ def _code_tables(code: CssCode) -> _CodeTables:
     g_of = _flat_classes(strings, code.destabilizer_z())
     # k + m_z + m_x = n, so the coordinates (lam, alpha, g) index all d^n values
     zperm = (lam_of * d ** code.m_z + alpha_of) * d ** code.m_x + g_of
-    # the cosets of the strings modulo the row space of mx, d^m_x strings each
+    # row c of shifted is the coset of string c modulo the row space of mx;
+    # the rows of the strings that are their coset's least member list each once
     span = (all_strings(d, code.m_x) @ code.mx.entries) % d
     shifted = ((strings[:, None] + span) % d) @ d ** np.arange(n - 1, -1, -1)
     return _CodeTables(
@@ -116,7 +117,7 @@ def _code_tables(code: CssCode) -> _CodeTables:
                        for c, a in enumerate(all_strings(d, code.m_z))},
         beta_classes={tuple(int(x) for x in b): np.flatnonzero(beta_of == c)
                       for c, b in enumerate(all_strings(d, code.m_x))},
-        strings=strings, cosets=np.unique(np.sort(shifted, axis=1), axis=0),
+        strings=strings, cosets=shifted[shifted.min(axis=1) == np.arange(d ** n)],
         # column x of v is the n-qudit Fourier conjugate-basis vector |x~>
         v=reduce(np.kron, [ConjugateBasis.fourier(d).vectors] * n),
         zperm=zperm, cperm=np.append(zperm, d ** n))

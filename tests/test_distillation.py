@@ -599,6 +599,8 @@ def near_parallel_keys(theta):
 CHAIN_CASES = {
     "werner_n3_mx0": lambda: (werner(0.9), 3, sample_universal_css(2, 3, 1, 0, substream(60))),
     "werner_n3_mx1": lambda: (werner(0.9), 3, sample_universal_css(2, 3, 1, 1, substream(61))),
+    # four conjugate classes, each spread over two cosets of four strings
+    "werner_n3_mx2": lambda: (werner(0.9), 3, sample_universal_css(2, 3, 0, 2, substream(62))),
     "qutrit_n2": lambda: (random_pure_state(HilbertSpace((3, 3, 3), ("A", "B", "E")),
                                             substream(45)),
                           2, CssCode.from_stabilizers(3, [[1, 2]], [], n=2)),
