@@ -146,8 +146,9 @@ def build_state(spec: Mapping, seed: int):
         _check_keys(payload, STATE_KINDS["inline"], "state[file]")
         return _inline_state(payload), extras
     # each kind checks the arrays it builds against the cap before building
-    # anything: a werner state its D x D matrix, a twisted state its d^2
-    # twisting blocks of s x s, which outsize its d^2 s amplitudes
+    # anything: a werner state its D x D matrix, a twisted state its d diagonal
+    # twisting blocks of s x s and the identity they share off the diagonal,
+    # which outsize its d^2 s amplitudes
     d = _as_int(spec.get("d", 2), "d")
     if kind == "bell":
         _budget((d, d), "bell state")
@@ -174,7 +175,7 @@ def build_state(spec: Mapping, seed: int):
             phi.space, mat, vals, _bell_basis(d)[:, ::-1]), extras
     sh = _as_int(spec.get("shield_dim", 2), "shield_dim")
     if kind == "twisted":
-        _budget((d, d, sh, sh), "twisting blocks")
+        _budget((d + 1, sh, sh), "twisting blocks")
         # block (k, k) keeps the stream 1 + k d + k of a full d x d draw
         t = TwistingOperator.from_diagonal(
             d, [haar_unitary(sh, substream(seed, 1 + k * (d + 1))) for k in range(d)])

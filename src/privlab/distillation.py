@@ -34,7 +34,7 @@ from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
 from .privacy import PrivacyReport, _block_frame, _direct_distance, _key_amplitudes
 from .qudit_ops import POVM_COMPLETENESS_ATOL, ConjugateBasis, Povm
 from .tensor_core import (AMPLITUDE_CAP, KIND_ATOL, PSD_ATOL, SUPPORT_ATOL, DensityOperator,
-                          HilbertSpace, InvariantViolation, StateVector, _budget, sqrt_psd)
+                          HilbertSpace, InvariantViolation, StateVector, _budget, _psd_root)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 _GRAM_BLOCK = 2 ** 14  # amplitudes per block of a chain distance: the difference stays in cache
@@ -332,9 +332,9 @@ def build_css_decoders(state, code: CssCode, *, x_on_copy: bool = False) -> CssD
     off t[a, b, s, e] of the pure state: t[x] as (B, S E) for the key
     strings, (v^dag t)[x] as (B S, E) for the conjugate ones.  A class of
     zero weight gets {fail: 1}.  The copied rows conj(v[:, x]) (.) t as
-    (C B, S E) are never built: every class comes from one thin SVD of t per
-    coset of the row space of mx, and its elements are phased copies of one
-    element (``_copied_conj_classes``).
+    (C B, S E) are never built: one thin SVD of t per coset of the row space
+    of mx gives one (representative, fail) pair, and the elements of every
+    class are that pair phased on C (``_copied_conj_classes``).
     """
     return _css_decoders(*_key_amplitudes(state), code, x_on_copy)
 
@@ -350,10 +350,10 @@ def _css_decoders(t: np.ndarray, shield: tuple[str, ...], code: CssCode,
     if x_on_copy:
         x_labels = ("C", "B")
         _budget((dd, dd * dd, dd * dd), "class decoder elements")
-        classes, error = _copied_conj_classes(t.reshape(dd, dd, -1), tab)
-        x_result = HswDecoderResult(decoders={key: cls.povm() for key, cls in classes.items()},
-                                    per_class_error=dict.fromkeys(classes, error),
-                                    average_error=error)
+        pair, error = _copied_conj_classes(t.reshape(dd, dd, -1), tab)
+        x_result = HswDecoderResult(
+            decoders={key: pair.povm(members, tab.v) for key, members in tab.beta_classes.items()},
+            per_class_error=dict.fromkeys(tab.beta_classes, error), average_error=error)
     else:
         x_labels = ("B",) + shield
         rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, t.shape[3])
@@ -364,72 +364,80 @@ def _css_decoders(t: np.ndarray, shield: tuple[str, ...], code: CssCode,
                        z_labels=("B",), x_labels=x_labels)
 
 
-@dataclass(frozen=True)
-class _CopiedClass:
-    """The PGM of one conjugate class on (C, B) of the copied rows, kept as one element.
+def _blockwise(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """m times w[c, c'] on its (C, C') blocks, for an operator m on (C B, C' B')."""
+    dd = len(w)
+    return (m.reshape(dd, dd, dd, dd) * w[:, None, :, None]).reshape(m.shape)
 
-    Element x of the class is chi_x rep chi_x^dag, with chi_x[c] = dd conj(v[c, x])
-    v[c, x0] on C (column x of ``chi``) and x0 = members[0]; ``fail`` is None at
-    full rank.  What is built is checked without expanding it: rep and fail are
-    positive, and sum_x chi_x rep chi_x^dag + fail, which is rep times
-    sum_x chi_x[c] conj(chi_x[c']) on its (C, C') blocks plus fail, is the identity.
+
+@dataclass(frozen=True)
+class _CopiedClasses:
+    """Every conjugate class PGM on (C, B) of the copied rows, as one checked pair.
+
+    Element x of every class is delta_x rep delta_x^dag with the phase delta_x =
+    sqrt(dd) conj(v[:, x]) on C, and the fail element of the class of x0 is
+    delta_x0 fail delta_x0^dag: rep is the element of string 0, fail (None at full
+    rank) a projector.  The check holds for every class: rep is hermitian and
+    positive (off the eigh that gives ``root``), fail a hermitian projector, and
+    |X| rep on the (C, C') blocks within one coset of the row space of mx (a row
+    of ``cosets``), plus fail, is the identity, as sum_{y in ker mx}
+    omega^{-(c - c') y} is |X| on those blocks and 0 on the others.
     """
 
-    members: np.ndarray
-    chi: np.ndarray
     rep: np.ndarray
     fail: np.ndarray | None
+    cosets: np.ndarray
+    root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, el in (("representative", self.rep), ("fail", self.fail)):
-            if el is None:
-                continue
-            herm = float(np.max(np.abs(el - el.conj().T)))
+            herm = 0.0 if el is None else float(np.max(np.abs(el - el.conj().T)))
             if not herm <= KIND_ATOL:
                 raise InvariantViolation(
                     f"conjugate class {name} element is not hermitian (deviation {herm!r})")
-            low = float(np.linalg.eigvalsh(el)[0])
-            if not low >= -PSD_ATOL:
-                raise InvariantViolation(
-                    f"conjugate class {name} element is not positive (min eig {low!r})")
-        total = self._phased(self.chi @ self.chi.conj().T)
+        vals, vecs = np.linalg.eigh(self.rep)
+        low = float(vals[0])
+        if not low >= -PSD_ATOL:
+            raise InvariantViolation(
+                f"conjugate class representative element is not positive (min eig {low!r})")
+        object.__setattr__(self, "root", _psd_root(vals, vecs))
+        # the cosets partition the strings: string c sits at flat position argsort[c]
+        coset_of = np.argsort(self.cosets, axis=None) // self.cosets.shape[1]
+        total = len(self.cosets) * _blockwise(self.rep, coset_of[:, None] == coset_of)
         if self.fail is not None:
+            dev = float(np.max(np.abs(self.fail @ self.fail - self.fail)))
+            if not dev <= KIND_ATOL:
+                raise InvariantViolation(
+                    f"conjugate class fail element is not positive (projector deviation {dev!r})")
             total += self.fail
         dev = float(np.max(np.abs(total - np.eye(len(total)))))
         if not dev <= POVM_COMPLETENESS_ATOL:
             raise InvariantViolation(
                 f"conjugate class elements do not sum to the identity (deviation {dev!r})")
 
-    def _phased(self, phase: np.ndarray) -> np.ndarray:
-        """rep times phase[c, c'] on its (C, C') blocks."""
-        dd = len(phase)
-        return (self.rep.reshape(dd, dd, dd, dd) * phase[:, None, :, None]).reshape(
-            self.rep.shape)
-
-    def povm(self) -> Povm:
-        elements = [self._phased(np.outer(ch, ch.conj())) for ch in self.chi.T]
-        labels = self.members.tolist()
-        if self.fail is not None:
-            elements.append(self.fail)
-            labels.append("fail")
-        return Povm(tuple(elements), tuple(labels))
+    def povm(self, members: np.ndarray, v: np.ndarray) -> Povm:
+        """The decoder of the class of ``members``, with v[:, x] the vector of string x."""
+        phases = [np.outer(ph, ph.conj()) for ph in v[:, members].conj().T * math.sqrt(len(v))]
+        fail = [] if self.fail is None else [_blockwise(self.fail, phases[0])]
+        return Povm(tuple(_blockwise(self.rep, ph) for ph in phases) + tuple(fail),
+                    tuple(members.tolist() + ["fail"] * len(fail)))
 
 
-def _copied_conj_classes(t: np.ndarray, tab: _CodeTables) -> tuple[dict, float]:
+def _copied_conj_classes(t: np.ndarray, tab: _CodeTables) -> tuple[_CopiedClasses, float]:
     """The conjugate class PGMs on (C, B) of the copied rows w_x = conj(v[c, x]) t[c, b, r],
-    as ``_CopiedClass``es, and the error of every class, without building the rows.
+    as one ``_CopiedClasses`` pair, and the error of every class, without building the rows.
 
     A class X = x0 + ker(mx) averages to sum_x w_x w_x^dag, which is block diagonal
     over the cosets Q of C modulo the row space of mx (``tab.cosets``, |X| of them):
     block Q is (|X| / dd) (delta T_Q)(delta T_Q)^dag, with T_Q the rows t[c] of c in
     Q as (Q B, r) and delta_c = sqrt(dd) conj(v[c, x0]) a phase.  So with T_Q = U_Q
-    Sigma_Q V_Q^dag on the support that ``_pgm_of_rows`` keeps, the element of x0
-    is delta Z Z^dag delta^dag / |X| with Z = [U_Q V_Q^dag]_Q, and the fail element
-    is 1 - delta U U^dag delta^dag with U = diag_Q(U_Q): the classes share one thin
-    SVD per coset and differ in their phases.  Every member of every class scores
-    the hit of x0, |X| ||mean_Q A_Q||^2 / ||t||^2 with A_Q = V_Q Sigma_Q V_Q^dag; its
-    miss is read as the spread sum_Q ||A_Q - mean||^2 plus the mass cut from the
-    support, a sum of squares, so a perfect decoder scores 0 and not rounding.
+    Sigma_Q V_Q^dag on the support that ``_pgm_of_rows`` keeps, the element of x0 is
+    delta rep delta^dag with rep = Z Z^dag / |X|, Z = [U_Q V_Q^dag]_Q, and its fail
+    element delta fail delta^dag with fail = 1 - U U^dag, U = diag_Q(U_Q).  Every
+    member of every class scores the hit of x0, |X| ||mean_Q A_Q||^2 / ||t||^2 with
+    A_Q = V_Q Sigma_Q V_Q^dag; its miss is read as the spread sum_Q ||A_Q - mean||^2
+    plus the mass cut from the support, a sum of squares, so a perfect decoder
+    scores 0 and not rounding.
     """
     dd, r = t.shape[0], t.shape[2]
     n_q, q_dim = tab.cosets.shape
@@ -445,22 +453,15 @@ def _copied_conj_classes(t: np.ndarray, tab: _CodeTables) -> tuple[dict, float]:
     z = np.empty((dd, dd, r), dtype=np.complex128)
     z[tab.cosets.reshape(-1)] = (u @ vh).reshape(dd, dd, r)
     z = z.reshape(dd * dd, r)
-    gram = (z @ z.conj().T).reshape(dd, dd, dd, dd)
-    full = np.count_nonzero(keep) == dd * dd
-    if not full:
+    fail = None
+    if np.count_nonzero(keep) < dd * dd:
         # the (Q, C, C', B, B') blocks of U U^dag, placed on C and C' in Q
         proj = np.zeros((dd, dd, dd, dd), dtype=np.complex128)
         blocks = (u @ u.conj().swapaxes(1, 2)).reshape(n_q, q_dim, dd, q_dim, dd)
         proj[tab.cosets[:, :, None], :, tab.cosets[:, None, :]] = blocks.transpose(0, 1, 3, 2, 4)
-    classes = {}
-    for key, members in tab.beta_classes.items():
-        delta = math.sqrt(dd) * tab.v[:, members[0]].conj()
-        phase = (delta[:, None] * delta.conj())[:, None, :, None]
-        rep = (gram * phase).reshape(dd * dd, dd * dd) / n_q  # n_q = |X|
-        classes[key] = _CopiedClass(
-            members=members, chi=dd * tab.v[:, members].conj() * tab.v[:, members[:1]],
-            rep=rep, fail=None if full else np.eye(dd * dd) - (proj * phase).reshape(rep.shape))
-    return classes, float(min(max(miss / float(np.sum(sing ** 2)), 0.0), 1.0))
+        fail = np.eye(dd * dd) - proj.reshape(dd * dd, dd * dd)
+    return (_CopiedClasses(rep=(z @ z.conj().T) / n_q, fail=fail, cosets=tab.cosets),
+            float(min(max(miss / float(np.sum(sing ** 2)), 0.0), 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +647,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
                                     "hashing chain per environment column")
 
     key_decoders = _class_pgms(amps, tab.alpha_classes)
-    classes, eps_x = _copied_conj_classes(amps, tab)
+    pair, eps_x = _copied_conj_classes(amps, tab)
     eps_z = key_decoders.average_error
 
     # Bob's conjugate outcome x lands in D as the ket conj(v[:, x]); the fail
@@ -655,34 +656,33 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     phases = np.ones((2, dd, dd), dtype=np.complex128)
     phases[1] = np.exp(2j * np.pi * ((tab.strings @ tab.strings.T) % d) / d)
 
-    # Element x of a class decoder is chi_x rep chi_x^dag (``_CopiedClass``), and so
-    # is its root; the fail element commutes with every chi_x.  One root per class
-    # then decodes every member: Y[c', c] = root[c', c] rows[c] on the (C' B', C B)
-    # blocks of the root, and D gets sum_c F[c', d, c] Y[c', c] with
-    # F[c', d, c] = sum_x ket_x[d] phase[c', x] chi_x[c'] conj(chi_x[c])
+    # Element x of every class decoder is delta_x rep delta_x^dag (``_CopiedClasses``),
+    # and so is its root, so one root decodes every member of every class: Y[c', c] =
+    # root[c', c] rows[c] on the (C' B', C B) blocks of the root, and D gets sum_c
+    # F[c', d, c] Y[c', c] with F[c', d, c] = sum_x ket_x[d] phase[c', x] delta_x[c']
+    # conj(delta_x[c]).  The fail element of a class, delta_x0 fail delta_x0^dag, is a
+    # projector and so its own root.  (C, C' B', B): the C blocks of the root as one batch
+    root = np.ascontiguousarray(
+        pair.root.reshape(dd, dd, dd, dd).transpose(2, 0, 1, 3)).reshape(dd, dd * dd, dd)
     plans = []
-    for cls in classes.values():
-        xs, chi = cls.members, cls.chi
-        # (C, C' B', B): the C blocks of the root as one batch
-        root = np.ascontiguousarray(
-            sqrt_psd(cls.rep).reshape(dd, dd, dd, dd).transpose(2, 0, 1, 3)
-        ).reshape(dd, dd * dd, dd)
+    for xs in tab.beta_classes.values():
+        delta = math.sqrt(dd) * vc[:, xs]
         # (phase, C', D, C), zero on the D fail slot
-        fs = np.einsum("dx,pax,ax,cx->padc", vc[:, xs], phases[:, :, xs], chi, chi.conj())
-        plans.append((root, np.pad(fs, ((0, 0), (0, 0), (0, 1), (0, 0))),
-                      None if cls.fail is None else sqrt_psd(cls.fail)))
+        fs = np.einsum("dx,pax,ax,cx->padc", vc[:, xs], phases[:, :, xs], delta, delta.conj())
+        plans.append((np.pad(fs, ((0, 0), (0, 0), (0, 1), (0, 0))), None if pair.fail is None
+                      else _blockwise(pair.fail, np.outer(delta[:, 0], delta[:, 0].conj()))))
 
     def conj_decode(tin: np.ndarray, phase: int) -> np.ndarray:
         """Decode the conjugate string from (C, B) of tin (A, B, E, T, C) into D,
         as (T, C, D, B, A, E) with phases[phase] in the decoupler."""
         tout = np.zeros((t_dim, c_dim, c_dim, dd, dd, tin.shape[2]), dtype=np.complex128)
-        for beta, (root, fs, fail_root) in enumerate(plans):
+        for beta, (fs, fail) in enumerate(plans):
             # (C, B, A E), never more amplitudes than one (T, C, D, B, A, E) chunk
             rows = tin[..., beta, :dd].transpose(3, 1, 0, 2).reshape(dd, dd, -1)
             y = np.matmul(root, rows).reshape(dd, dd, -1).swapaxes(0, 1)
             np.matmul(fs[phase], y, out=tout[beta, :dd].reshape(dd, c_dim, -1))
-            if fail_root is not None:
-                tout[beta, :dd, dd] = (fail_root @ rows.reshape(dd * dd, -1)).reshape(
+            if fail is not None:
+                tout[beta, :dd, dd] = (fail @ rows.reshape(dd * dd, -1)).reshape(
                     (dd,) + tout.shape[3:])
             tout[beta, dd, dd] = tin[..., beta, dd].transpose(1, 0, 2)
         return tout

@@ -334,20 +334,24 @@ class TwistingOperator:
         if self.space.dim_of("B") != d:
             raise ValueError("key registers A and B must have equal dimension")
         s = self.space.dim_of("S")
-        blocks = {}
+        # a block given for several pairs is converted and checked once, and shared
+        blocks, checked = {}, {}
         for j in range(d):
             for k in range(d):
                 if (j, k) not in self.blocks:
                     raise ValueError(f"missing twisting block ({j}, {k})")
-                v = _as_complex(self.blocks[(j, k)])
-                if v.shape != (s, s):
-                    raise ValueError(f"block ({j}, {k}) must be {s}x{s}")
-                _check_finite(v)
-                dev = float(np.max(np.abs(v @ v.conj().T - np.eye(s))))
-                if not dev <= KIND_ATOL:
-                    raise ValueError(f"block ({j}, {k}) is not unitary (deviation {dev:g})")
-                v.flags.writeable = False
-                blocks[(j, k)] = v
+                raw = self.blocks[(j, k)]
+                if id(raw) not in checked:
+                    v = _as_complex(raw)
+                    if v.shape != (s, s):
+                        raise ValueError(f"block ({j}, {k}) must be {s}x{s}")
+                    _check_finite(v)
+                    dev = float(np.max(np.abs(v @ v.conj().T - np.eye(s))))
+                    if not dev <= KIND_ATOL:
+                        raise ValueError(f"block ({j}, {k}) is not unitary (deviation {dev:g})")
+                    v.flags.writeable = False
+                    checked[id(raw)] = v
+                blocks[(j, k)] = checked[id(raw)]
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -364,13 +368,12 @@ class TwistingOperator:
 
     @classmethod
     def from_diagonal(cls, d: int, diagonal: Sequence[np.ndarray]) -> "TwistingOperator":
-        """All off-diagonal blocks set to the identity (only V_kk matter)."""
+        """All off-diagonal blocks set to one shared identity (only V_kk matter)."""
         if len(diagonal) != d:
             raise ValueError("need one diagonal block per key value")
-        s = _as_complex(diagonal[0]).shape[0]
-        blocks = {(j, k): np.eye(s, dtype=np.complex128) for j in range(d) for k in range(d)}
-        for k in range(d):
-            blocks[(k, k)] = _as_complex(diagonal[k])
+        s = np.shape(diagonal[0])[0]
+        eye = np.eye(s, dtype=np.complex128)
+        blocks = {(j, k): diagonal[k] if j == k else eye for j in range(d) for k in range(d)}
         return cls(cls._space(d, s), blocks)
 
     @classmethod

@@ -535,14 +535,19 @@ def _eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sqrt_psd(matrix: np.ndarray) -> np.ndarray:
-    """Square root of a positive semidefinite matrix.
+    """Square root of a positive semidefinite matrix."""
+    vals, vecs = _eigh_hermitian(matrix)
+    if vals[0] < -PSD_ATOL:
+        raise ValueError(f"sqrt of a non-positive operator (min eig {vals[0]:g})")
+    return _psd_root(vals, vecs)
+
+
+def _psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The square root of a positive matrix from its ascending eigensystem.
 
     Eigenvalues at or below eigh's own rounding level (dim * eps * the
     largest) are zeroed first, so rounding dust does not become a 1e-8 root.
     """
-    vals, vecs = _eigh_hermitian(matrix)
-    if vals[0] < -PSD_ATOL:
-        raise ValueError(f"sqrt of a non-positive operator (min eig {vals[0]:g})")
     vals = np.where(vals > len(vals) * np.finfo(float).eps * vals[-1], vals, 0.0)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 

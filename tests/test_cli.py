@@ -593,18 +593,22 @@ def test_state_spec_rejects_mistyped_and_oversized_d(command, d, tmp_path, capsy
                                   ["verify", "--measurement", "uhlmann"], ["rates"]])
 def test_twisted_state_is_budgeted_by_what_it_builds(argv, capsys):
     # a vector of 4 * 4 * 65 = 1,040 amplitudes: its D x D density would be
-    # over the cap, but no command builds it
-    res = results_of(argv + ["--state", "twisted", "--d", "4", "--shield-dim", "65",
-                             "--seed", "3"])
-    if argv[0] == "rates":
-        assert res["rate"] == pytest.approx(2.0, abs=1e-9)
-    else:
-        assert res["p_e"] <= 1e-10 and res["eps_direct"] <= 1e-9
-    # (4, 4, 257, 257) twisting blocks, and a (4, 1024, 1024) twisting decoder,
-    # are refused before they are allocated: the peak stays below the array
-    cases = [(257, "twisting blocks", 4 * 4 * 257 * 257)]
-    if argv[-1] == "twisting":
-        cases.append((256, "twisting decoder", 4 * 1024 * 1024))
+    # over the cap, but no command builds it; nor does any build the d^2 - d
+    # off-diagonal twisting blocks, one shared identity, so at s = 257 the
+    # (5, 257, 257) blocks fit and projective and rates run
+    decoder = {"twisting": "twisting decoder", "uhlmann": "Uhlmann partner decoder"}
+    for shield in (65,) if argv[-1] in decoder else (65, 257):
+        res = results_of(argv + ["--state", "twisted", "--d", "4", "--shield-dim", str(shield),
+                                 "--seed", "3"])
+        if argv[0] == "rates":
+            assert res["rate"] == pytest.approx(2.0, abs=1e-9)
+        else:
+            assert res["p_e"] <= 1e-10 and res["eps_direct"] <= 1e-9
+    # (5, 458, 458) twisting blocks, and a (4, 1028, 1028) twisting or Uhlmann
+    # decoder, are refused before they are allocated: the peak stays below the array
+    cases = [(458, "twisting blocks", 5 * 458 * 458)]
+    if argv[-1] in decoder:
+        cases.append((257, decoder[argv[-1]], 4 * 1028 * 1028))
     for shield, what, size in cases:
         tracemalloc.start()
         try:

@@ -617,26 +617,37 @@ CHAIN_CASES = {
     # 2.45e-11 of mass, and dropping its copy moves td_psi4 by 1.7e-11
     "near_parallel_c_fail": lambda: (near_parallel_keys(7e-6), 2,
                                      CssCode.from_stabilizers(2, [[1, 1]], [], n=2)),
+    # m_x = 1 and rank-1 members: two conjugate classes of two strings in (C, B)
+    # (dim 16), each with a fail element
+    "pure_e1_mx1_fail": lambda: (random_pure_state(HilbertSpace((2, 2, 1), ("A", "B", "E")),
+                                                   substream(3)),
+                                 2, sample_universal_css(2, 2, 0, 1, substream(103))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
-def test_hashing_chain_matches_the_dense_decode_with_one_root_per_class(case, monkeypatch):
+def test_hashing_chain_matches_the_dense_decode_with_one_root(case, monkeypatch):
     results, want = dense_hashing_chain(*CHAIN_CASES[case]())
+    fails = [["fail" in dec.outcome_labels for dec in res.decoders.values()] for res in results]
     if case == "pure_e1_fail":
-        assert all("fail" in dec.outcome_labels
-                   for res in results for dec in res.decoders.values())
-    built, roots = [], []
-    build, root = distillation._copied_conj_classes, distillation.sqrt_psd
-    monkeypatch.setattr(distillation, "_copied_conj_classes",
-                        lambda *a: built.append(build(*a)) or built[-1])
-    monkeypatch.setattr(distillation, "sqrt_psd", lambda m: roots.append(1) or root(m))
-    got = coherent_hashing_sim(*CHAIN_CASES[case]())
+        assert all(fails[0]) and all(fails[1])
+    if case == "pure_e1_mx1_fail":
+        assert fails[1] == [True, True]
+    # every factorisation of a (dd^2, dd^2) matrix on (C, B), by numpy routine
+    state, n, code = CHAIN_CASES[case]()
+    size, factorised = (code.d ** n) ** 2, []
+    for name in ("eigh", "eigvalsh", "svd", "qr", "cholesky", "eig", "eigvals"):
+        def counted(m, *args, _name=name, _run=getattr(np.linalg, name), **kwargs):
+            if np.shape(m)[-2:] == (size, size):
+                factorised.append(_name)
+            return _run(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    got = coherent_hashing_sim(state, n, code)
     for key, value in dataclasses.asdict(want).items():
         assert getattr(got, key) == pytest.approx(value, abs=1e-12), key
-    # the chain roots one element of each conjugate class, and its fail element
-    classes = built[0][0].values()
-    assert len(roots) == sum(1 + (cls.fail is not None) for cls in classes)
+    # one eigh of the shared representative gives its check and the one root of
+    # every class; the fail projector is its own root
+    assert factorised == ["eigh"]
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
@@ -657,16 +668,16 @@ def test_copied_conj_classes_match_the_pgm_of_the_copied_rows(case):
         assert all(dec.outcome_labels[-1] == "fail" for dec in want.decoders.values())
 
 
-def tampered_class(cls, how):
-    """A class whose representative breaks one check: completeness, or the
+def tampered_pair(pair, how):
+    """The shared class pair with one check broken: completeness, or the
     positivity of rep or of fail with the sum kept at the identity."""
-    eye, size = np.eye(len(cls.rep)), len(cls.members)
-    fail = np.zeros_like(eye) if cls.fail is None else cls.fail
-    rep, fail = {"scaled": (cls.rep * 1.001, cls.fail),
-                 "rep_negative": (cls.rep - 2.0 * eye, fail + 2.0 * size * eye),
-                 "fail_negative": (cls.rep + 1e-3 * eye, fail - 1e-3 * size * eye),
-                 "nan": (np.where(eye > 0, np.nan, cls.rep), cls.fail)}[how]
-    return dataclasses.replace(cls, rep=rep, fail=fail)
+    eye, size = np.eye(len(pair.rep)), len(pair.cosets)
+    fail = np.zeros_like(eye) if pair.fail is None else pair.fail
+    rep, fail = {"scaled": (pair.rep * 1.001, pair.fail),
+                 "rep_negative": (pair.rep - 2.0 * eye, fail + 2.0 * size * eye),
+                 "fail_negative": (pair.rep + 1e-3 * eye, fail - 1e-3 * size * eye),
+                 "nan": (np.where(eye > 0, np.nan, pair.rep), pair.fail)}[how]
+    return dataclasses.replace(pair, rep=rep, fail=fail)
 
 
 @pytest.mark.parametrize("how,match", [("scaled", "do not sum to the identity"),
@@ -674,13 +685,12 @@ def tampered_class(cls, how):
                                        ("fail_negative", "fail element is not positive"),
                                        ("nan", "representative element is not hermitian")])
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
-def test_hashing_chain_rejects_a_tampered_class_representative(case, how, match, monkeypatch):
+def test_hashing_chain_rejects_a_tampered_class_pair(case, how, match, monkeypatch):
     build = distillation._copied_conj_classes
 
     def tampered(*args):
-        classes, average = build(*args)
-        key = next(iter(classes))
-        return {**classes, key: tampered_class(classes[key], how)}, average
+        pair, average = build(*args)
+        return tampered_pair(pair, how), average
 
     monkeypatch.setattr(distillation, "_copied_conj_classes", tampered)
     with pytest.raises(InvariantViolation, match=match):

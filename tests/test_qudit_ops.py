@@ -8,6 +8,7 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace, Povm,
                      coherent_measure, generalized_paulis, haar_unitary,
                      maximally_entangled, measure, partial_trace,
                      random_pure_state, substream, twisting_unitary)
+from privlab import qudit_ops
 from privlab.tensor_core import InvariantViolation
 from conftest import assert_povm
 
@@ -96,6 +97,21 @@ def test_twisting_identity_and_diagonal():
     td = TwistingOperator.from_diagonal(2, blocks)
     u = twisting_unitary(td).matrix
     assert np.allclose(u, np.diag(np.diag(u)))
+
+
+def test_twisting_shares_one_checked_identity_off_the_diagonal(monkeypatch):
+    # d diagonal blocks and one identity, each converted and checked once
+    checked = []
+    as_complex = qudit_ops._as_complex
+    monkeypatch.setattr(qudit_ops, "_as_complex", lambda a: checked.append(1) or as_complex(a))
+    diagonal = [np.diag(np.exp(1j * np.array([0.3, -0.1, 0.2]) * k)) for k in range(3)]
+    t = TwistingOperator.from_diagonal(3, diagonal)
+    assert len(checked) == 4
+    off = {id(t.blocks[(j, k)]) for j in range(3) for k in range(3) if j != k}
+    assert len(off) == 1 and np.array_equal(t.blocks[(0, 1)], np.eye(3))
+    assert not t.blocks[(0, 1)].flags.writeable
+    assert all(t.blocks[(k, k)] is not diagonal[k] and diagonal[k].flags.writeable
+               for k in range(3))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
