@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qudit_ops import ConjugateBasis
+from .qudit_ops import ConjugateBasis, generalized_paulis
 from .tensor_core import HilbertSpace, LinearOperator
 
 
@@ -485,8 +485,6 @@ def class_projector(code: CssCode, value: Sequence[int], kind: str) -> LinearOpe
 
 def logical_operators(code: CssCode) -> tuple[list[LinearOperator], list[LinearOperator]]:
     """Encoded operators: Z-type rows as Z^s, X-type rows as X^t."""
-    from .qudit_ops import generalized_paulis
-
     z1, x1, _ = generalized_paulis(code.d)
     dim = code.d ** code.n
     space = HilbertSpace((dim,), ("Q",))

@@ -56,15 +56,22 @@ def helstrom_pair(rho0, rho1, p0: float = 0.5, p1: float | None = None
     m0, m1 = _matrix_of(rho0), _matrix_of(rho1)
     if m0.shape != m1.shape:
         raise ValueError("states must act on the same space")
-    delta = p0 * m0 - p1 * m1
-    vals, vecs = _eigh_hermitian(delta)
-    pos = vecs[:, vals >= 0.0]
-    proj0 = pos @ pos.conj().T
-    proj0 = 0.5 * (proj0 + proj0.conj().T)
-    proj1 = np.eye(m0.shape[0]) - proj0
+    vals, vecs = _eigh_hermitian(p0 * m0 - p1 * m1)
     error = 0.5 * (1.0 - float(np.sum(np.abs(vals))))
-    povm = Povm((proj0, proj1), (0, 1))
+    povm = Povm(tuple(_helstrom_projectors(vals, vecs)), (0, 1))
     return povm, float(min(max(error, 0.0), 1.0))
+
+
+def _helstrom_projectors(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Pair tests of a stack of eigensystems of p0 rho0 - p1 rho1, as (..., 2, m, m).
+
+    Outcome 0 is the projector P onto the eigenvectors of eigenvalue >= 0
+    (zero eigenvalues go to outcome 0), outcome 1 is 1 - P.
+    """
+    pos = vecs * (vals >= 0.0)[..., None, :]
+    proj0 = pos @ pos.conj().swapaxes(-1, -2)
+    proj0 = 0.5 * (proj0 + proj0.conj().swapaxes(-1, -2))
+    return np.stack([proj0, np.eye(vals.shape[-1]) - proj0], axis=-3)
 
 
 def _pgm_of_rows(rows: np.ndarray, labels: Sequence) -> Povm:

@@ -29,11 +29,11 @@ from typing import Mapping
 import numpy as np
 
 from .css_codes import CssCode, GfMatrix, all_strings
-from .discrimination import HswDecoderResult, _class_pgms, helstrom_pair
+from .discrimination import HswDecoderResult, _class_pgms, _helstrom_projectors
 from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
 from .privacy import PrivacyReport, _block_frame, _direct_distance, _key_amplitudes
 from .qudit_ops import POVM_COMPLETENESS_ATOL, ConjugateBasis, Povm
-from .tensor_core import (AMPLITUDE_CAP, KIND_ATOL, PSD_ATOL, SUPPORT_ATOL, DensityOperator,
+from .tensor_core import (AMPLITUDE_CAP, KIND_ATOL, PSD_ATOL, SUPPORT_ATOL,
                           HilbertSpace, InvariantViolation, StateVector, _budget, _psd_root)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
@@ -820,53 +820,42 @@ def _two_copy_code(stabilizer: str) -> CssCode:
                    logical_z=lz, logical_x=lx)
 
 
-def _op_on_copy(op: np.ndarray, copy: int, sh: int) -> np.ndarray:
-    """Embed an operator on one (B_j, S_j) pair into (B1 B2 S1 S2)."""
-    pair = np.einsum("bsBS,ctCT->bcstBCST", op.reshape(2, sh, 2, sh),
-                     np.eye(2 * sh).reshape(2, sh, 2, sh))
-    if copy == 1:
-        pair = pair.transpose(1, 0, 3, 2, 5, 4, 7, 6)
-    return pair.reshape(4 * sh * sh, 4 * sh * sh)
+def _two_copy_conj_decoders(phis: list[np.ndarray], code: CssCode, adaptive: bool) -> Mapping:
+    """Pair-test conjugate decoders on (B1 B2, S1 S2), from one batched eigh.
 
-
-def _adaptive_conj_decoders(phis: list[np.ndarray]) -> Mapping:
-    """Optimal conjugate decoders for the XX stabilizer on two copies.
-
-    Conditioned on Bob's conjugate-basis pair b, the two candidate shield
-    products of a beta class are distinguished by their own pair test, so
-    the class measurement splits over Bob's sectors.
+    Every decoder is block diagonal over Bob's conjugate-basis pair (b0, b1),
+    given which the shields of the string (x0, x1) are phi_{x0 ^ b0}
+    phi_{x1 ^ b1}.  The adaptive (XX) decoder of class beta tells its two
+    candidate strings (0, beta) and (1, 1 - beta) apart by the pair test of
+    their shield products.  Otherwise one decoder serves both classes: the
+    pair test of phi_b against phi_{1 ^ b} on the shield of the copy that
+    carries the logical X, with b that copy's conjugate value, widened by the
+    identity on the other shield.
     """
-    dim = 4 * phis[0].size ** 2
-    decoders = {}
-    for beta in (0, 1):
-        cands = [(0, beta), (1, 1 - beta)]
-        els = [np.zeros((dim, dim), dtype=np.complex128) for _ in cands]
-        for b0, b1 in np.ndindex(2, 2):
-            pb = np.kron(np.outer(_HADAMARD[:, b0], _HADAMARD[:, b0]),
-                         np.outer(_HADAMARD[:, b1], _HADAMARD[:, b1]))
-            hs = [np.kron(phis[x0 ^ b0], phis[x1 ^ b1]) for x0, x1 in cands]
-            pair, _ = helstrom_pair(np.outer(hs[0], hs[0].conj()),
-                                    np.outer(hs[1], hs[1].conj()))
-            for el, q in zip(els, pair.elements):
-                el += np.kron(pb, q)
-        decoders[(beta,)] = Povm(tuple(els), tuple(2 * x0 + x1 for x0, x1 in cands))
-    return decoders
-
-
-def _single_copy_conj_decoders(phis: list[np.ndarray], code: CssCode) -> Mapping:
-    """Pair-test decoders reading only the copy that carries the logical X."""
-    sh = phis[0].size
-    copy = int(np.nonzero(code.logical_x.entries[0])[0][0])
-    # given Bob's conjugate-basis value b of the logical copy, the shield is phi_{x ^ b}
-    space = HilbertSpace((2 * sh,), ("W",))
-    rhos = [DensityOperator(space, sum(0.5 * np.kron(np.outer(_HADAMARD[:, b], _HADAMARD[:, b]),
-                                                     np.outer(phis[x ^ b], phis[x ^ b].conj()))
-                                       for b in (0, 1))) for x in (0, 1)]
-    pair, _ = helstrom_pair(*rhos)
-    els = tuple(_op_on_copy(el, copy, sh) for el in pair.elements)
-    # guess 0 or 1 on the logical copy, 0 on the other: strings 0 and 2^(1 - copy)
-    povm = Povm(els, (0, 2 ** (1 - copy)))
-    return {(0,): povm, (1,): povm}
+    sh, phi = phis[0].size, np.stack(phis)
+    if adaptive:
+        beta, b0, b1, c = np.indices((2, 2, 2, 2))
+        kets = (phi[c ^ b0][..., :, None] * phi[beta ^ c ^ b1][..., None, :]).reshape(*c.shape, -1)
+        labels = [(0, 3), (1, 2)]
+    else:
+        copy = int(np.nonzero(code.logical_x.entries[0])[0][0])
+        b, x = np.indices((2, 2))
+        kets = phi[x ^ b]
+        # guess 0 or 1 on the logical copy, 0 on the other: strings 0 and 2^(1 - copy)
+        labels = [(0, 2 ** (1 - copy))]
+    outer = kets[..., :, None] * kets.conj()[..., None, :]
+    proj = _helstrom_projectors(*np.linalg.eigh(0.5 * outer[..., 0, :, :]
+                                                - 0.5 * outer[..., 1, :, :]))
+    if not adaptive:
+        # sector (b0, b1) runs the test of sector b_copy, widened by 1 on the other shield
+        eye = np.eye(sh)[None, None]
+        proj = (np.kron(proj, eye) if copy == 0 else np.kron(eye, proj))[np.indices((2, 2))[copy]]
+    # place each sector's projectors on Bob's Hadamard pair |h_b0 h_b1>
+    hh, m = np.kron(_HADAMARD, _HADAMARD), sh * sh
+    elements = np.einsum("Xb,Yb,kbost->koXsYt", hh, hh,
+                         proj.reshape(-1, 4, 2, m, m)).reshape(-1, 2, 4 * m, 4 * m)
+    povms = [Povm(tuple(els), labs) for els, labs in zip(elements, labels)]
+    return {(0,): povms[0], (1,): povms[-1]}
 
 
 def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
@@ -884,12 +873,9 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     state = tensor_power_grouped(shielded_bit_state(phi0, phi1), 2)
     phis = [np.asarray(phi, dtype=np.complex128).reshape(-1) for phi in (phi0, phi1)]
     s_ov = abs(complex(np.vdot(*phis)))
-    if stabilizer == "XX" and adaptive:
-        conj_decoders = _adaptive_conj_decoders(phis)
-        analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** 4, 0.0)))
-    else:
-        conj_decoders = _single_copy_conj_decoders(phis, code)
-        analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** 2, 0.0)))
+    both_copies = stabilizer == "XX" and adaptive
+    conj_decoders = _two_copy_conj_decoders(phis, code, both_copies)
+    analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** (4 if both_copies else 2), 0.0)))
     tab = _code_tables(code)
     key_decoders = _class_pgms(state.amplitudes.reshape(4, 4, -1), tab.alpha_classes).decoders
 

@@ -408,7 +408,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     p_e, p_tilde_e = key_error_rates(state, conj_basis, povm, povm_labels=povm_labels)
     eps = float(min(max(1.0 - fid, 0.0), 1.0))
     bound = 2.0 * eps - eps * eps
-    if p_tilde_e > bound + 1e-6:
+    if not p_tilde_e <= bound + 1e-6:
         raise InvariantViolation(
             f"conjugate error {p_tilde_e:.6e} exceeds the partner bound "
             f"{bound:.6e} at eps = {eps:.6e}")

@@ -19,6 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .sampling import haar_unitary
 from .tensor_core import (
     KIND_ATOL,
     PSD_ATOL,
@@ -31,6 +32,7 @@ from .tensor_core import (
     _check_finite,
     _check_psd,
     _lock,
+    apply_to_vector,
     reduce_blocks,
     sqrt_psd,
 )
@@ -295,8 +297,6 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementRe
 def coherent_measure(state: StateVector, labels: Sequence[str], povm: Povm,
                      out_label: str) -> StateVector:
     """Steer a POVM into a fresh register: sum_k (sqrt(E_k) |psi>) (x) |k>."""
-    from .tensor_core import apply_to_vector  # local import keeps module load light
-
     space = state.space
     if out_label in space.labels:
         raise ValueError(f"label {out_label!r} already used")
@@ -383,8 +383,6 @@ class TwistingOperator:
     @classmethod
     def random(cls, d: int, shield_dim: int, rng: np.random.Generator,
                diagonal_only: bool = False) -> "TwistingOperator":
-        from .sampling import haar_unitary
-
         if diagonal_only:
             return cls.from_diagonal(d, [haar_unitary(shield_dim, rng) for _ in range(d)])
         blocks = {(j, k): haar_unitary(shield_dim, rng) for j in range(d) for k in range(d)}

@@ -52,7 +52,7 @@ def _check_finite(m: np.ndarray) -> None:
 def _check_psd(vals: np.ndarray) -> np.ndarray:
     """Pass through ascending eigenvalues (one row per matrix) if none is too negative."""
     lo = float(np.min(vals[..., 0], initial=np.inf))
-    if lo < -PSD_ATOL:
+    if not lo >= -PSD_ATOL:
         raise ValueError(f"matrix is not positive semidefinite (min eig {lo:g})")
     return vals
 
@@ -322,11 +322,11 @@ def _verify_kind(m: np.ndarray, kind: str) -> None:
         return
     if kind == "unitary":
         dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
-        if dev > KIND_ATOL:
+        if not dev <= KIND_ATOL:
             raise ValueError(f"unitary tag violated by {dev:g}")
     elif kind == "projector":
         dev = max(float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - m))))
-        if dev > KIND_ATOL:
+        if not dev <= KIND_ATOL:
             raise ValueError(f"projector tag violated by {dev:g}")
 
 
@@ -537,7 +537,7 @@ def _eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     """Square root of a positive semidefinite matrix."""
     vals, vecs = _eigh_hermitian(matrix)
-    if vals[0] < -PSD_ATOL:
+    if not vals[0] >= -PSD_ATOL:
         raise ValueError(f"sqrt of a non-positive operator (min eig {vals[0]:g})")
     return _psd_root(vals, vecs)
 

@@ -40,6 +40,14 @@ def test_helstrom_orthogonal_states_and_identical():
     assert same == pytest.approx(0.5, abs=1e-12)
 
 
+def test_helstrom_routes_zero_eigenvalues_to_outcome_0():
+    # identical states leave p0 rho0 - p1 rho1 = 0: the whole space is outcome 0
+    e0 = ket_density([1.0, 0.0])
+    povm, _ = helstrom_pair(e0, e0)
+    assert np.array_equal(povm.elements[0], np.eye(2))
+    assert np.array_equal(povm.elements[1], np.zeros((2, 2)))
+
+
 def test_helstrom_trace_norm_oracle():
     # p_err = 1/2 (1 - ||p0 rho0 - p1 rho1||_1)
     h = HilbertSpace((3,), ("Q",))

@@ -19,7 +19,7 @@ from privlab import (ConjugateBasis, CqEnsemble, CssCode, DensityOperator, Hilbe
                      sample_universal_css, shannon_entropy, shielded_bit_state,
                      substream, tensor_power_grouped, two_copy_scenario)
 from privlab import discrimination, distillation, privacy, tensor_core
-from privlab.cli import build_state, run
+from privlab.cli import _shield_pair, build_state, run
 from privlab.cli import build_code
 from privlab.css_codes import all_strings
 from privlab.discrimination import _class_pgms
@@ -353,6 +353,101 @@ def test_one_shot_on_two_copy_scenario():
     assert tr["eps_certified"] == pytest.approx(
         tr["p_prime_e"] + math.sqrt(tr["p_tilde_prime_e"]), abs=1e-12)
     assert tr["eps_direct"] <= tr["eps_certified"]
+
+
+# The two-copy conjugate decoders as first written: one helstrom_pair and one
+# np.kron placement per (class, sector), kept as the reference for
+# distillation._two_copy_conj_decoders.
+_HADAMARD = distillation._HADAMARD
+
+
+def _op_on_copy(op: np.ndarray, copy: int, sh: int) -> np.ndarray:
+    """Embed an operator on one (B_j, S_j) pair into (B1 B2 S1 S2)."""
+    pair = np.einsum("bsBS,ctCT->bcstBCST", op.reshape(2, sh, 2, sh),
+                     np.eye(2 * sh).reshape(2, sh, 2, sh))
+    if copy == 1:
+        pair = pair.transpose(1, 0, 3, 2, 5, 4, 7, 6)
+    return pair.reshape(4 * sh * sh, 4 * sh * sh)
+
+
+def _adaptive_conj_decoders(phis: list[np.ndarray]):
+    """Optimal conjugate decoders for the XX stabilizer on two copies.
+
+    Conditioned on Bob's conjugate-basis pair b, the two candidate shield
+    products of a beta class are distinguished by their own pair test, so
+    the class measurement splits over Bob's sectors.
+    """
+    dim = 4 * phis[0].size ** 2
+    decoders = {}
+    for beta in (0, 1):
+        cands = [(0, beta), (1, 1 - beta)]
+        els = [np.zeros((dim, dim), dtype=np.complex128) for _ in cands]
+        for b0, b1 in np.ndindex(2, 2):
+            pb = np.kron(np.outer(_HADAMARD[:, b0], _HADAMARD[:, b0]),
+                         np.outer(_HADAMARD[:, b1], _HADAMARD[:, b1]))
+            hs = [np.kron(phis[x0 ^ b0], phis[x1 ^ b1]) for x0, x1 in cands]
+            pair, _ = privlab.helstrom_pair(np.outer(hs[0], hs[0].conj()),
+                                            np.outer(hs[1], hs[1].conj()))
+            for el, q in zip(els, pair.elements):
+                el += np.kron(pb, q)
+        decoders[(beta,)] = Povm(tuple(els), tuple(2 * x0 + x1 for x0, x1 in cands))
+    return decoders
+
+
+def _single_copy_conj_decoders(phis: list[np.ndarray], code: CssCode):
+    """Pair-test decoders reading only the copy that carries the logical X."""
+    sh = phis[0].size
+    copy = int(np.nonzero(code.logical_x.entries[0])[0][0])
+    # given Bob's conjugate-basis value b of the logical copy, the shield is phi_{x ^ b}
+    space = HilbertSpace((2 * sh,), ("W",))
+    rhos = [DensityOperator(space, sum(0.5 * np.kron(np.outer(_HADAMARD[:, b], _HADAMARD[:, b]),
+                                                     np.outer(phis[x ^ b], phis[x ^ b].conj()))
+                                       for b in (0, 1))) for x in (0, 1)]
+    pair, _ = privlab.helstrom_pair(*rhos)
+    els = tuple(_op_on_copy(el, copy, sh) for el in pair.elements)
+    # guess 0 or 1 on the logical copy, 0 on the other: strings 0 and 2^(1 - copy)
+    povm = Povm(els, (0, 2 ** (1 - copy)))
+    return {(0,): povm, (1,): povm}
+
+
+def reference_conj_decoders(phis, stab, adaptive):
+    if stab == "XX" and adaptive:
+        return _adaptive_conj_decoders(phis)
+    return _single_copy_conj_decoders(phis, distillation._two_copy_code(stab))
+
+
+@pytest.mark.parametrize("stab", ["XX", "XI", "IX"])
+@pytest.mark.parametrize("adaptive", [True, False])
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.6, 1.0])
+def test_two_copy_conj_decoders_match_the_reference_on_qubit_shields(stab, adaptive, s):
+    got = two_copy_scenario(*shield_pair(s), stab, adaptive).conj_decoders
+    want = reference_conj_decoders([np.asarray(p, dtype=np.complex128) for p in shield_pair(s)],
+                                   stab, adaptive)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].outcome_labels == want[key].outcome_labels
+        assert np.max(np.abs(np.array(got[key].elements)
+                             - np.array(want[key].elements))) <= 1e-12
+
+
+@pytest.mark.parametrize("stab", ["XX", "XI", "IX"])
+@pytest.mark.parametrize("adaptive", [True, False])
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.6, 1.0])
+def test_two_copy_conj_decoders_match_the_reference_on_every_candidate(stab, adaptive, s):
+    # at shield_dim 3 a single-copy pair test has a kernel that neither shield
+    # state occupies; which outcome owns it is up to rounding, so the elements
+    # are compared on every candidate ket P_b (x) |phi_{x0^b0} phi_{x1^b1}>
+    phis = list(_shield_pair(s, 3))
+    got = two_copy_scenario(*phis, stab, adaptive).conj_decoders
+    want = reference_conj_decoders(phis, stab, adaptive)
+    hh = np.kron(_HADAMARD, _HADAMARD)
+    kets = np.array([np.kron(hh[:, 2 * b0 + b1], np.kron(phis[x0 ^ b0], phis[x1 ^ b1]))
+                     for b0, b1, x0, x1 in np.ndindex(2, 2, 2, 2)]).T
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].outcome_labels == want[key].outcome_labels
+        for el_got, el_want in zip(got[key].elements, want[key].elements):
+            assert np.max(np.abs(el_got @ kets - el_want @ kets)) <= 1e-12
 
 
 def test_hashing_sim_ideal_input():
@@ -943,11 +1038,16 @@ def test_one_shot_scores_decoders_without_conditional_ensembles(monkeypatch):
     assert not built
 
 
-def test_two_copy_scenario_builds_only_the_key_conditionals(monkeypatch):
-    # the key and conjugate decoders come straight from the amplitudes
+@pytest.mark.parametrize("stab", ["XX", "XI", "IX"])
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_two_copy_scenario_builds_only_the_key_conditionals(factorised, monkeypatch, stab,
+                                                            adaptive):
+    # the key and conjugate decoders come straight from the amplitudes, and
+    # every pair test of the conjugate decoders shares one batched eigh
     built = count_density_builds(monkeypatch)
-    two_copy_scenario(*shield_pair(0.6), "XX", adaptive=True)
+    two_copy_scenario(*shield_pair(0.6), stab, adaptive=adaptive)
     assert not built
+    assert len(factorised["eigh"]) == 1
 
 
 def test_four_copy_conjugate_decoders_complete_to_machine_precision():

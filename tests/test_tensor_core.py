@@ -13,7 +13,7 @@ from privlab import (ConjugateBasis, CqEnsemble, DensityOperator, HilbertSpace,
                      pure_state_trace_distance, purify, substream,
                      trace_distance, trace_norm, uncertainty_audit,
                      von_neumann_entropy)
-from privlab.tensor_core import (AMPLITUDE_CAP, apply_to_vector, embed_operator,
+from privlab.tensor_core import (AMPLITUDE_CAP, _check_psd, apply_to_vector, embed_operator,
                                  permute_vector, sqrt_psd,
                                  tensor_product, vector_marginal)
 from privlab.cli import build_state
@@ -82,6 +82,11 @@ def test_density_operator_validation():
         DensityOperator(h, np.array([[0.5, 0.5], [-0.5, 0.5]]))
     with pytest.raises(ValueError):
         DensityOperator(h, np.array([[1.4, 0.0], [0.0, -0.4]]))
+
+
+def test_check_psd_rejects_nan_eigenvalues():
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        _check_psd(np.array([[np.nan, 1.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
