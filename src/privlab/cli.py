@@ -395,19 +395,14 @@ def cmd_uncertainty(cfg: Mapping, seed: int):
         zw, xw = map(Povm.projective_from_columns, witnesses(range(i, i + 1))[:, 0])
         return uncertainty_audit(mode, state, z_witness=(("E",), zw), x_witness=(("B",), xw))
 
-    if trials == 1:
-        # a stack of one is the public audit itself
-        record = audit(0)
-        slacks = np.array([record.slack])
-    else:
-        terms = _audit_trials(mode, space, trials, draw)
-        slacks = terms.sum(axis=1) - float(np.log2(d))
-        worst = int(np.argmin(slacks))
-        record = audit(worst)
-        dev = float(np.max(np.abs(np.array(record.lhs_terms) - terms[worst])))
-        if not dev <= 1e-12:
-            raise InvariantViolation(
-                f"stacked audit of trial {worst} is off its single audit by {dev:g}")
+    terms = _audit_trials(mode, space, trials, draw)
+    slacks = terms.sum(axis=1) - float(np.log2(d))
+    worst = int(np.argmin(slacks))
+    record = audit(worst)
+    dev = float(np.max(np.abs(np.array(record.lhs_terms) - terms[worst])))
+    if not dev <= 1e-12:
+        raise InvariantViolation(
+            f"stacked audit of trial {worst} is off its single audit by {dev:g}")
     results = {"mode": mode, "d": d, "trials": trials,
                "min_slack": float(slacks.min()), "mean_slack": float(slacks.mean()),
                "rhs": record.rhs,

@@ -13,9 +13,8 @@ codes additionally condition on all rows being linearly independent.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -286,36 +285,6 @@ class CssCode:
         if gf_rank(frame, d) != n:
             raise ValueError("destabilizer completion failed")
         return GfMatrix(d, out)
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "mz_rows": self.mz.entries.tolist(),
-            "mx_rows": self.mx.entries.tolist(),
-            "logical_z_rows": self.logical_z.entries.tolist(),
-            "logical_x_rows": self.logical_x.entries.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CssCode":
-        d, n = int(data["d"]), int(data["n"])
-
-        def block(rows):
-            arr = np.array(rows, dtype=np.int64)
-            return arr.reshape((-1, n)) if arr.size else np.zeros((0, n), np.int64)
-
-        return cls(GfMatrix(d, block(data["mz_rows"])),
-                   GfMatrix(d, block(data["mx_rows"])),
-                   GfMatrix(d, block(data["logical_z_rows"])),
-                   GfMatrix(d, block(data["logical_x_rows"])))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CssCode":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

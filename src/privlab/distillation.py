@@ -321,47 +321,30 @@ class CssDecoders:
     x_labels: tuple[str, ...]
 
 
-def build_css_decoders(state, code: CssCode, *, x_on_copy: bool = False) -> CssDecoders:
+def build_css_decoders(state, code: CssCode) -> CssDecoders:
     """Class decoders for a state and code: one POVM per syndrome value.
 
     Key decoders act on B and guess Alice's standard-basis string within
-    the alpha class; conjugate decoders act on (B, shield), or on (C, B)
-    with ``x_on_copy`` (C being a coherent copy of A), and guess her
+    the alpha class; conjugate decoders act on (B, shield) and guess her
     conjugate-basis string within the beta class.  Each decoder is the PGM
     of its class from one factorisation of the members' amplitude rows, read
     off t[a, b, s, e] of the pure state: t[x] as (B, S E) for the key
     strings, (v^dag t)[x] as (B S, E) for the conjugate ones.  A class of
-    zero weight gets {fail: 1}.  The copied rows conj(v[:, x]) (.) t as
-    (C B, S E) are never built: one thin SVD of t per coset of the row space
-    of mx gives one (representative, fail) pair, and the elements of every
-    class are that pair phased on C (``_copied_conj_classes``).
+    zero weight gets {fail: 1}.  The hashing chain's conjugate decoders on
+    (C, B), C a coherent copy of A, come from ``_copied_conj_classes``.
     """
-    return _css_decoders(*_key_amplitudes(state), code, x_on_copy)
-
-
-def _css_decoders(t: np.ndarray, shield: tuple[str, ...], code: CssCode,
-                  x_on_copy: bool) -> CssDecoders:
-    """``build_css_decoders`` on the amplitudes t[a, b, s, e] and shield labels."""
+    t, shield = _key_amplitudes(state)
     dd = code.d ** code.n
     if t.shape[:2] != (dd, dd):
         raise ValueError("key registers must have dimension d^n")
     tab = _code_tables(code)
     z_result = _class_pgms(t.reshape(dd, dd, -1), tab.alpha_classes)
-    if x_on_copy:
-        x_labels = ("C", "B")
-        _budget((dd, dd * dd, dd * dd), "class decoder elements")
-        pair, error = _copied_conj_classes(t.reshape(dd, dd, -1), tab)
-        x_result = HswDecoderResult(
-            decoders={key: pair.povm(members, tab.v) for key, members in tab.beta_classes.items()},
-            per_class_error=dict.fromkeys(tab.beta_classes, error), average_error=error)
-    else:
-        x_labels = ("B",) + shield
-        rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, t.shape[3])
-        x_result = _class_pgms(rows, tab.beta_classes)
+    rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, t.shape[3])
+    x_result = _class_pgms(rows, tab.beta_classes)
     return CssDecoders(key_decoders=z_result.decoders,
                        conj_decoders=x_result.decoders,
                        z_result=z_result, x_result=x_result,
-                       z_labels=("B",), x_labels=x_labels)
+                       z_labels=("B",), x_labels=("B",) + shield)
 
 
 def _blockwise(m: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -414,13 +397,6 @@ class _CopiedClasses:
         if not dev <= POVM_COMPLETENESS_ATOL:
             raise InvariantViolation(
                 f"conjugate class elements do not sum to the identity (deviation {dev!r})")
-
-    def povm(self, members: np.ndarray, v: np.ndarray) -> Povm:
-        """The decoder of the class of ``members``, with v[:, x] the vector of string x."""
-        phases = [np.outer(ph, ph.conj()) for ph in v[:, members].conj().T * math.sqrt(len(v))]
-        fail = [] if self.fail is None else [_blockwise(self.fail, phases[0])]
-        return Povm(tuple(_blockwise(self.rep, ph) for ph in phases) + tuple(fail),
-                    tuple(members.tolist() + ["fail"] * len(fail)))
 
 
 def _copied_conj_classes(t: np.ndarray, tab: _CodeTables) -> tuple[_CopiedClasses, float]:

@@ -1,8 +1,8 @@
 """Entropies, Holevo quantities, and entropic uncertainty audits.
 
-All entropies are in bits.  Eigenvalues are clamped at 1e-12 before
-logarithms, which keeps zero modes out of the sum without disturbing
-anything above the clamp.
+All entropies are in bits and come from one kernel, ``_entropy_of_weights``:
+probabilities and eigenvalues at or below ``LOG_CLAMP`` add nothing to the
+sum, and nothing is clamped up, so zero modes contribute exactly 0.
 """
 
 from __future__ import annotations
@@ -54,15 +54,9 @@ def _probabilities(p, what: str) -> np.ndarray:
     return _probability_rows(np.asarray(p, dtype=float)[None], what)[0]
 
 
-def _shannon_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropies in bits along the last axis; entries are clamped at ``LOG_CLAMP``."""
-    arr = np.clip(p, LOG_CLAMP, None)
-    return -np.sum(arr * np.log2(arr), axis=-1)
-
-
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits of a probability vector."""
-    return float(_shannon_rows(_probabilities(p, "probability vector").reshape(-1)))
+    return _entropy_of_weights(_probabilities(p, "probability vector").reshape(-1))
 
 
 def _entropy_of_weights(w):
@@ -222,8 +216,8 @@ def _audit_rows(mode: str, space: HilbertSpace, data: np.ndarray, basis: Conjuga
     if mode == "maassen_uffink":
         probs = (np.einsum("tii->ti", data).real,
                  np.einsum("tkx,kx->tx", data @ basis.vectors, basis.vectors.conj()).real)
-        terms = [_shannon_rows(_probability_rows(np.clip(p, 0.0, None), "probability vector"))
-                 for p in probs]
+        terms = [_entropy_of_weights(_probability_rows(np.clip(p, 0.0, None),
+                                                       "probability vector")) for p in probs]
     elif mode == "cit":
         terms = []
         for columns, (labels, els) in zip((np.eye(d), basis.vectors), witnesses):

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .tensor_core import (
     StateVector,
     _as_complex,
     _check_finite,
-    _check_psd,
     _lock,
     apply_to_vector,
     reduce_blocks,
@@ -194,29 +194,6 @@ class MeasurementResult:
     conditionals: Mapping[tuple, DensityOperator]
 
 
-class _Conditionals(Mapping):
-    """Conditional states by joint outcome, each built as a DensityOperator on first read."""
-
-    def __init__(self, space: HilbertSpace, keys: list[tuple], matrices: np.ndarray):
-        self._space = space
-        self._rows = {key: i for i, key in enumerate(keys)}
-        self._matrices = matrices
-        self._built: dict[tuple, DensityOperator] = {}
-
-    def __getitem__(self, key: tuple) -> DensityOperator:
-        rho = self._built.get(key)
-        if rho is None:
-            rho = DensityOperator(self._space, self._matrices[self._rows[key]])
-            self._built[key] = rho
-        return rho
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
 def _check_groups(space: HilbertSpace, groups: Sequence[tuple[Sequence[str], int]]) -> set[str]:
     """The labels of measured groups, each given with its POVM dimension;
     the groups must be disjoint and each dimension must match its labels."""
@@ -270,28 +247,25 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementRe
 
     For each joint outcome (j, k, ...) the probability is
     Tr[(E_j (x) F_k (x) ... (x) 1) rho] and the conditional state on the
-    unmeasured factors is the normalised partial trace of the same product.
-    Zero-probability outcomes carry no conditional state.  A StateVector is
-    reduced from its amplitudes and never becomes a D x D matrix.
+    unmeasured factors is the normalised partial trace of the same product,
+    symmetrised and built once as a ``DensityOperator`` (which runs its own
+    checks).  Outcomes at or below ``CONDITIONAL_CUTOFF`` carry no conditional
+    state, and the conditionals come as a read-only mapping.  A StateVector
+    is reduced from its amplitudes and never becomes a D x D matrix.
     """
     blocks, probs, kept = _joint_blocks(state, povms, True)
-    conditionals: Mapping[tuple, DensityOperator] = {}
+    conditionals = {}
     if kept:
-        k = blocks.shape[-1]
-        flat = probs.reshape(-1)
-        live = np.flatnonzero(flat > CONDITIONAL_CUTOFF)
-        cond = blocks.reshape(-1, k, k)[live] / flat[live, None, None]
-        cond = 0.5 * (cond + cond.conj().swapaxes(1, 2))
-        # one stacked check now; each DensityOperator runs its own when read
-        _check_finite(cond)
-        _check_psd(np.linalg.eigvalsh(cond))
-        outcomes = list(np.ndindex(*probs.shape))
-        conditionals = _Conditionals(state.space.restrict(kept),
-                                     [outcomes[i] for i in live], cond)
+        space = state.space.restrict(kept)
+        for outcome in np.ndindex(*probs.shape):
+            prob = float(probs[outcome])
+            if prob > CONDITIONAL_CUTOFF:
+                cond = blocks[outcome] / prob
+                conditionals[outcome] = DensityOperator(space, 0.5 * (cond + cond.conj().T))
     return MeasurementResult(probs=probs,
                              outcome_labels=tuple(p.outcome_labels for _, p in povms),
                              kept_labels=kept,
-                             conditionals=conditionals)
+                             conditionals=MappingProxyType(conditionals))
 
 
 def coherent_measure(state: StateVector, labels: Sequence[str], povm: Povm,
@@ -381,10 +355,7 @@ class TwistingOperator:
         return cls.from_diagonal(d, [np.eye(shield_dim)] * d)
 
     @classmethod
-    def random(cls, d: int, shield_dim: int, rng: np.random.Generator,
-               diagonal_only: bool = False) -> "TwistingOperator":
-        if diagonal_only:
-            return cls.from_diagonal(d, [haar_unitary(shield_dim, rng) for _ in range(d)])
+    def random(cls, d: int, shield_dim: int, rng: np.random.Generator) -> "TwistingOperator":
         blocks = {(j, k): haar_unitary(shield_dim, rng) for j in range(d) for k in range(d)}
         return cls(cls._space(d, shield_dim), blocks)
 

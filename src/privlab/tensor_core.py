@@ -19,7 +19,7 @@ NORM_ATOL = 1e-12      # state norm, trace, hermiticity
 KIND_ATOL = 1e-10      # unitarity / idempotence checks on tagged operators
 PSD_ATOL = 1e-10       # most negative eigenvalue tolerated on a positive object
 SUPPORT_ATOL = 1e-10   # rank decisions (support of an operator)
-LOG_CLAMP = 1e-12      # eigenvalue clamp before logarithms
+LOG_CLAMP = 1e-12      # weights at or below this add nothing to an entropy
 
 AMPLITUDE_CAP = 2 ** 20  # largest dense array (complex entries) a workload may ask for
 

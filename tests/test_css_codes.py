@@ -232,12 +232,3 @@ def test_universality_custom_string_pair():
     est = universality_estimate(2, 3, 1, "z", trials=1500, rng=substream(5),
                                 strings=([1, 0, 0], [0, 1, 0]))
     assert est.collision_rate <= est.reference + 5 * est.std_error + 1e-3
-
-
-def test_serialization_round_trip():
-    code = sample_universal_css(3, 3, 1, 1, substream(123))
-    back = CssCode.from_dict(code.to_dict())
-    assert back.mz.entries.tolist() == code.mz.entries.tolist()
-    assert back.logical_x.entries.tolist() == code.logical_x.entries.tolist()
-    again = CssCode.from_json(code.to_json())
-    assert again.mx.entries.tolist() == code.mx.entries.tolist()

@@ -745,20 +745,38 @@ def test_hashing_chain_matches_the_dense_decode_with_one_root(case, monkeypatch)
     assert factorised == ["eigh"]
 
 
+def expand_copied_classes(pair, tab):
+    """Labels and stacked elements on (C, B) of every conjugate class of a
+    ``_copied_conj_classes`` pair: element x is delta_x rep delta_x^dag, with the
+    phase delta_x = sqrt(dd) conj(v[:, x]) on C, and the fail element of the class
+    of x0 is delta_x0 fail delta_x0^dag."""
+    out = {}
+    for key, members in tab.beta_classes.items():
+        deltas = tab.v[:, members].conj().T * math.sqrt(len(tab.v))
+        phases = [np.outer(delta, delta.conj()) for delta in deltas]
+        els, labels = [distillation._blockwise(pair.rep, ph) for ph in phases], members.tolist()
+        if pair.fail is not None:
+            els.append(distillation._blockwise(pair.fail, phases[0]))
+            labels.append("fail")
+        out[key] = (tuple(labels), np.stack(els))
+    return out
+
+
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
 def test_copied_conj_classes_match_the_pgm_of_the_copied_rows(case):
     state, n, code = CHAIN_CASES[case]()
     amps = chain_amplitudes(state, n)
     tab = _code_tables(code)
     want = _class_pgms(copied_conj_rows(amps, tab), tab.beta_classes)
-    # the public build expands every class from its representative
-    got = distillation._css_decoders(amps[:, :, None], (), code, True).x_result
-    assert got.average_error == pytest.approx(want.average_error, abs=1e-12)
+    # every class expands from the one checked (representative, fail) pair
+    pair, error = distillation._copied_conj_classes(amps, tab)
+    got = expand_copied_classes(pair, tab)
+    assert error == pytest.approx(want.average_error, abs=1e-12)
     for key, dec in want.decoders.items():
-        assert got.decoders[key].outcome_labels == dec.outcome_labels
-        dev = np.abs(np.stack(got.decoders[key].elements) - np.stack(dec.elements))
-        assert np.max(dev) <= 1e-12, key
-        assert got.per_class_error[key] == pytest.approx(want.per_class_error[key], abs=1e-12)
+        labels, els = got[key]
+        assert labels == dec.outcome_labels
+        assert np.max(np.abs(els - np.stack(dec.elements))) <= 1e-12, key
+        assert error == pytest.approx(want.per_class_error[key], abs=1e-12)
     if case == "pure_e1_fail":
         assert all(dec.outcome_labels[-1] == "fail" for dec in want.decoders.values())
 
@@ -1056,14 +1074,18 @@ def test_four_copy_conjugate_decoders_complete_to_machine_precision():
     # completes only to about 5e-10
     code = CssCode.from_stabilizers(2, [[1, 1, 1, 1]], [], n=4)
     psi = tensor_power_grouped(purify(werner(0.95)), 4)
-    decs = build_css_decoders(psi, code, x_on_copy=True)
-    for dec in (*decs.key_decoders.values(), *decs.conj_decoders.values()):
-        total = np.sum(dec.elements, axis=0)
-        assert np.max(np.abs(total - np.eye(dec.dim))) <= 1e-12
-    assert decs.conj_decoders[()].dim == 256
+    decs = build_css_decoders(psi, code)
+    tab = _code_tables(code)
+    pair, x_error = distillation._copied_conj_classes(
+        privacy._key_amplitudes(psi)[0].reshape(16, 16, -1), tab)
+    conj = [els for _, els in expand_copied_classes(pair, tab).values()]
+    for els in (*(np.stack(dec.elements) for dec in decs.key_decoders.values()), *conj):
+        total = els.sum(axis=0)
+        assert np.max(np.abs(total - np.eye(len(total)))) <= 1e-12
+    assert conj[0].shape[-1] == 256
     # the errors of the inverse-square-root construction
     assert decs.z_result.average_error == pytest.approx(0.07670472888270297, abs=1e-9)
-    assert decs.x_result.average_error == pytest.approx(0.14062772726589967, abs=1e-9)
+    assert x_error == pytest.approx(0.14062772726589967, abs=1e-9)
 
 
 def test_one_shot_rejects_missing_or_misshapen_decoders():
