@@ -98,20 +98,6 @@ def gf_nullspace(a: np.ndarray, d: int) -> np.ndarray:
     return basis
 
 
-def gf_solve(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """One solution of a v = b mod d; raises ValueError if inconsistent."""
-    a = np.atleast_2d(np.array(a, dtype=np.int64)) % d
-    b = np.array(b, dtype=np.int64).reshape(-1) % d
-    aug = np.hstack([a, b[:, None]])
-    r, pivots = gf_rref(aug, d)
-    if a.shape[1] in pivots:
-        raise ValueError("inconsistent linear system over GF(d)")
-    v = np.zeros(a.shape[1], dtype=np.int64)
-    for row, p in enumerate(pivots):
-        v[p] = r[row, -1]
-    return v % d
-
-
 def gf_inv(a: np.ndarray, d: int) -> np.ndarray:
     a = np.array(a, dtype=np.int64) % d
     n = a.shape[0]
@@ -146,9 +132,6 @@ class GfMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def rank(self) -> int:
-        return gf_rank(self.entries, self.d)
-
 
 # ---------------------------------------------------------------------------
 # codes
@@ -156,19 +139,16 @@ class GfMatrix:
 
 def _complete_basis(fixed: np.ndarray, candidates: np.ndarray, d: int,
                     count: int) -> np.ndarray:
-    """Pick ``count`` candidate rows extending ``fixed`` to an independent set."""
-    picked: list[np.ndarray] = []
-    base = fixed.reshape(-1, candidates.shape[1]) if fixed.size else fixed
-    rank = gf_rank(base, d) if fixed.size else 0
-    for row in candidates:
-        if len(picked) == count:
-            break
-        trial = np.vstack([base] + picked + [row]) if (fixed.size or picked) else row[None, :]
-        if gf_rank(trial, d) > rank + len(picked):
-            picked.append(row[None, :])
+    """Pick ``count`` candidate rows extending ``fixed`` to an independent set.
+
+    The pivot columns of the transposed stack are the rows, in order, that
+    are independent of the rows before them.
+    """
+    _, pivots = gf_rref(np.vstack([fixed, candidates]).T, d)
+    picked = [p - len(fixed) for p in pivots if p >= len(fixed)][:count]
     if len(picked) != count:
         raise ValueError("could not complete an independent set")
-    return np.vstack(picked) % d
+    return candidates[picked] % d
 
 
 @dataclass(frozen=True)
@@ -232,34 +212,26 @@ class CssCode:
 
     @classmethod
     def from_stabilizers(cls, d: int, mz_rows, mx_rows, n: int | None = None) -> "CssCode":
-        """Derive paired logical representatives from parity rows."""
+        """Derive paired logical representatives from parity rows of n entries each."""
         d = _check_prime(d)
-
-        def block(rows):
-            arr = np.array(rows, dtype=np.int64)
-            if arr.size == 0:
-                return None
-            return np.atleast_2d(arr) % d
-
-        mz, mx = block(mz_rows), block(mx_rows)
+        mz, mx = ([np.asarray(row, dtype=np.int64) % d for row in rows]
+                  for rows in (mz_rows, mx_rows))
         if n is None:
-            if mz is None and mx is None:
+            if not (mz or mx):
                 raise ValueError("need n for a trivial code")
-            n = (mz if mz is not None else mx).shape[1]
-        if mz is None:
-            mz = np.zeros((0, n), dtype=np.int64)
-        if mx is None:
-            mx = np.zeros((0, n), dtype=np.int64)
+            n = (mz or mx)[0].size
+        for row in mz + mx:
+            if row.shape != (n,):
+                raise ValueError(f"a stabilizer row has {row.size} entries, but n = {n}")
+        mz, mx = (np.array(rows, dtype=np.int64).reshape(len(rows), n) for rows in (mz, mx))
         k = n - mz.shape[0] - mx.shape[0]
         if k < 0:
             raise ValueError("more stabilizers than positions")
         # X-type logicals: complete M_x inside the kernel of M_z
-        lx = _complete_basis(mx, gf_nullspace(mz, d), d, k) if k else np.zeros((0, n), np.int64)
+        lx = _complete_basis(mx, gf_nullspace(mz, d), d, k)
         # Z-type logicals: complete M_z inside the kernel of M_x, then pair them
-        lz = _complete_basis(mz, gf_nullspace(mx, d), d, k) if k else np.zeros((0, n), np.int64)
-        if k:
-            gram = (lz @ lx.T) % d
-            lz = (gf_inv(gram, d) @ lz) % d
+        lz = _complete_basis(mz, gf_nullspace(mx, d), d, k)
+        lz = (gf_inv((lz @ lx.T) % d, d) @ lz) % d
         return cls(GfMatrix(d, mz), GfMatrix(d, mx), GfMatrix(d, lz), GfMatrix(d, lx))
 
     @classmethod
@@ -273,14 +245,13 @@ class CssCode:
         Together with (logical_z, M_z) they turn the string k into the
         invertible coordinate triple (L_z k, M_z k, D_z k).
         """
-        d, n = self.d, self.n
-        rows = []
-        for i in range(self.m_x):
-            constraint = np.vstack([self.mx.entries, self.logical_x.entries])
-            rhs = np.zeros(constraint.shape[0], dtype=np.int64)
-            rhs[i] = 1
-            rows.append(gf_solve(constraint, rhs, d))
-        out = np.array(rows, dtype=np.int64).reshape(self.m_x, n) % d
+        d, n, m_x = self.d, self.n, self.m_x
+        # one reduction of [M_x; L_x | e_0 ... e_{m_x - 1}]; the rows of
+        # [M_x; L_x] are independent, so every pivot lies in their n columns
+        lhs = np.vstack([self.mx.entries, self.logical_x.entries])
+        r, pivots = gf_rref(np.hstack([lhs, np.eye(len(lhs), m_x, dtype=np.int64)]), d)
+        out = np.zeros((m_x, n), dtype=np.int64)  # free entries stay 0
+        out[:, pivots] = r[:len(pivots), n:].T
         frame = np.vstack([self.logical_z.entries, self.mz.entries, out])
         if gf_rank(frame, d) != n:
             raise ValueError("destabilizer completion failed")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Mapping
 
 import numpy as np
@@ -781,19 +781,16 @@ def shielded_bit_state(phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
     return StateVector(space, amps.reshape(-1))
 
 
-# mx, logical_z and logical_x of each two-copy code; none has a z stabilizer
-_TWO_COPY_ROWS = {"XX": ([1, 1], [1, 1], [1, 0]), "XI": ([1, 0], [0, 1], [0, 1]),
-                  "IX": ([0, 1], [1, 0], [1, 0])}
+# the one X stabilizer of each two-copy code; none has a z stabilizer
+_TWO_COPY_MX = {"XX": [1, 1], "XI": [1, 0], "IX": [0, 1]}
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
+@cache  # a CssCode is immutable, and there are three of them
 def _two_copy_code(stabilizer: str) -> CssCode:
-    if stabilizer not in _TWO_COPY_ROWS:
+    if stabilizer not in _TWO_COPY_MX:
         raise ValueError(f"unknown stabilizer {stabilizer!r} (use XX, XI or IX)")
-    mx, lz, lx = (GfMatrix(2, np.array([row], dtype=np.int64))
-                  for row in _TWO_COPY_ROWS[stabilizer])
-    return CssCode(mz=GfMatrix(2, np.zeros((0, 2), dtype=np.int64)), mx=mx,
-                   logical_z=lz, logical_x=lx)
+    return CssCode.from_stabilizers(2, [], [_TWO_COPY_MX[stabilizer]], n=2)
 
 
 def _two_copy_conj_decoders(phis: list[np.ndarray], code: CssCode, adaptive: bool) -> Mapping:

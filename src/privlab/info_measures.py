@@ -139,7 +139,7 @@ class CqEnsemble:
         object.__setattr__(self, "labels", labels)
 
     @property
-    def dim(self) -> int:
+    def dim(self) -> int:  # perfbench's pgm probe reads it
         return self.states[0].matrix.shape[0]
 
     def average_matrix(self) -> np.ndarray:
@@ -194,10 +194,6 @@ class AuditRecord:
     lhs_terms: tuple[float, ...]
     rhs: float
     slack: float
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "lhs_terms": list(self.lhs_terms),
-                "rhs": self.rhs, "slack": self.slack}
 
 
 def _audit_rows(mode: str, space: HilbertSpace, data: np.ndarray, basis: ConjugateBasis,

@@ -13,8 +13,6 @@ import numpy as np
 
 from .tensor_core import DensityOperator, HilbertSpace, StateVector
 
-RNG_NAME = "philox4x64"
-RNG_VERSION = 1
 _MASK = (1 << 64) - 1
 
 

@@ -313,9 +313,6 @@ class LinearOperator:
         return LinearOperator(self.space.tensor(other.space),
                               np.kron(self.matrix, other.matrix), kind)
 
-    def dagger(self) -> "LinearOperator":
-        return LinearOperator(self.space, self.matrix.conj().T, self.kind)
-
 
 def _verify_kind(m: np.ndarray, kind: str) -> None:
     if kind == "general":

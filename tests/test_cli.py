@@ -278,6 +278,20 @@ def test_hashing_sim_code_length_mismatch_names_both_flags(capsys):
     assert "--n 3" in err and "--code-n 2" in err
 
 
+@pytest.mark.parametrize("line, length, n", [
+    ("hashing-sim --state werner --d 2 --p 0.9 --n 3 --code-kind explicit --code-d 2 "
+     "--code-n 3 --mz-rows 1,1", 2, 3),
+    ("distill --state werner --d 4 --p 0.9 --code-kind explicit --code-d 2 --code-n 2 "
+     "--mx-rows '1 1 1'", 3, 2),
+    ("hashing-sim --state werner --d 2 --p 0.9 --n 2 --code-kind explicit --code-d 2 "
+     "--code-n 2 --mz-rows '1 1; 1 1 0'", 3, 2),
+])
+def test_explicit_rows_of_the_wrong_length_name_both_lengths(capsys, line, length, n):
+    assert main(shlex.split(line)) == 2
+    err = capsys.readouterr().err
+    assert f"{length} entries" in err and f"n = {n}" in err, err
+
+
 def test_css_sample_and_universality():
     rep = payload(["css", "--mode", "sample", "--d", "2", "--n", "3", "--m-z",
                    "1", "--m-x", "1", "--count", "3", "--seed", "12"])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from privlab import CssCode, GfMatrix, substream
-from privlab.css_codes import (CodeSamplingError, all_strings, class_members,
+from privlab.css_codes import (CodeSamplingError, _complete_basis, all_strings, class_members,
                                class_projector, gf_inv, gf_nullspace, gf_rank,
-                               gf_rref, gf_solve, is_prime, logical_operators,
+                               gf_rref, is_prime, logical_operators,
                                sample_universal_css, string_index, syndrome,
                                universality_estimate)
 
@@ -55,15 +55,11 @@ def test_gf_rref_reproduces_row_space():
                 assert np.array_equal(col, want)
 
 
-def test_gf_solve_and_nullspace():
+def test_gf_nullspace():
     for d in (2, 3, 5):
         for seed in range(6):
             rng = substream(3000 * d + seed)
             a = rng.integers(0, d, size=(3, 5))
-            x_true = rng.integers(0, d, size=5)
-            b = (a @ x_true) % d
-            x = gf_solve(a, b, d)
-            assert np.array_equal((a @ x) % d, b)
             ns = gf_nullspace(a, d)
             assert ns.shape[0] == 5 - gf_rank(a, d)
             if ns.size:
@@ -188,13 +184,70 @@ def test_logical_operators_weyl_pairing():
                                atol=1e-10)
 
 
-def test_destabilizer_z():
-    code = sample_universal_css(2, 4, 1, 2, substream(9))
-    dz = code.destabilizer_z()
-    assert dz.rows == code.m_x
-    assert np.array_equal((dz.entries @ code.mx.entries.T) % 2,
-                          np.eye(code.m_x, dtype=np.int64))
-    assert not np.any((dz.entries @ code.logical_x.entries.T) % 2)
+def solve_one(a, b, d):
+    """One solution of a v = b mod d with every free entry 0, one system at a time."""
+    r, pivots = gf_rref(np.hstack([a, b[:, None]]), d)
+    assert a.shape[1] not in pivots, "inconsistent system"
+    v = np.zeros(a.shape[1], dtype=np.int64)
+    for row, p in enumerate(pivots):
+        v[p] = r[row, -1]
+    return v
+
+
+# (n, m_z, m_x): generic, m_x = 0, k = 0, and both
+@pytest.mark.parametrize("shape", [(4, 1, 2), (3, 1, 1), (4, 2, 0), (3, 0, 0),
+                                   (3, 0, 3), (4, 1, 3), (3, 2, 1), (3, 3, 0)])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_destabilizer_z(d, shape):
+    n, m_z, m_x = shape
+    for seed in range(4):
+        code = sample_universal_css(d, n, m_z, m_x, substream(seed, 9))
+        dz = code.destabilizer_z().entries
+        lhs = np.vstack([code.mx.entries, code.logical_x.entries])
+        want = [solve_one(lhs, np.eye(len(lhs), dtype=np.int64)[i], d) for i in range(m_x)]
+        assert dz.shape == (m_x, n)
+        assert np.array_equal(dz, np.array(want, dtype=np.int64).reshape(m_x, n))
+        assert np.array_equal((dz @ code.mx.entries.T) % d, np.eye(m_x, dtype=np.int64))
+        assert not np.any((dz @ code.logical_x.entries.T) % d)
+        assert gf_rank(np.vstack([code.logical_z.entries, code.mz.entries, dz]), d) == n
+
+
+def complete_basis_one_by_one(fixed, candidates, d, count):
+    """Add each candidate row that raises the rank, until ``count`` are picked."""
+    picked = []
+    rank = gf_rank(fixed, d)
+    for row in candidates:
+        if len(picked) == count:
+            break
+        if gf_rank(np.vstack([fixed, *picked, row]), d) > rank + len(picked):
+            picked.append(row)
+    if len(picked) != count:
+        raise ValueError("could not complete an independent set")
+    return np.array(picked, dtype=np.int64).reshape(count, candidates.shape[1]) % d
+
+
+def test_complete_basis_picks_what_a_rank_per_candidate_picks():
+    rng = substream(4040)
+    outcomes = {"picked": 0, "raised": 0, "count 0": 0}
+    for _ in range(600):
+        d = int(rng.choice([2, 3, 5]))
+        n = int(rng.integers(1, 6))
+        fixed = rng.integers(0, d, size=(int(rng.integers(0, n + 1)), n))
+        if len(fixed) > 1 and rng.random() < 0.3:  # a dependent fixed row
+            fixed[-1] = (fixed[0] * int(rng.integers(0, d))) % d
+        candidates = rng.integers(0, d, size=(int(rng.integers(0, n + 3)), n))
+        count = int(rng.integers(0, n + 1))
+        try:
+            want = complete_basis_one_by_one(fixed, candidates, d, count)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                _complete_basis(fixed, candidates, d, count)
+            outcomes["raised"] += 1
+            continue
+        got = _complete_basis(fixed, candidates, d, count)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        outcomes["picked" if count else "count 0"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_sampled_codes_are_valid():

@@ -342,6 +342,18 @@ def test_two_copy_single_copy_stabilizers():
             0.5 - 0.5 * math.sqrt(1 - 0.36), abs=1e-6)
 
 
+@pytest.mark.parametrize("stab, rows", [
+    ("XX", ([1, 1], [1, 1], [1, 0])), ("XI", ([1, 0], [0, 1], [0, 1])),
+    ("IX", ([0, 1], [1, 0], [1, 0]))])
+def test_two_copy_codes_are_derived_once(stab, rows):
+    # rows: the mx, logical_z and logical_x rows each code must come out with
+    code = distillation._two_copy_code(stab)
+    assert code.mz.entries.shape == (0, 2)
+    assert [m.entries.tolist() for m in (code.mx, code.logical_z, code.logical_x)] == \
+        [[row] for row in rows]
+    assert distillation._two_copy_code(stab) is code
+
+
 def test_one_shot_on_two_copy_scenario():
     phi0, phi1 = shield_pair(0.6)
     res = two_copy_scenario(phi0, phi1, "XX", adaptive=True)

@@ -44,3 +44,40 @@ def test_the_allowed_unused_imports_are_still_imported():
     for module, name in UNUSED_ALLOWED:
         tree = ast.parse((SRC / f"{module}.py").read_text())
         assert name in _imported_names(tree), (module, name)
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    """Module-level functions and assigned names, and the methods of module-level
+    classes, as ``name`` or ``Class.method``; dunders are left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return [name for name in names if not name.split(".")[-1].startswith("__")]
+
+
+def test_every_definition_is_read():
+    """Every function, method and module-level constant of privlab is read
+    somewhere in privlab or its tests, as a name or as an attribute.
+
+    The match is by name alone, so a member passes unseen when a namesake is
+    read: nothing here reads ``CqEnsemble.dim`` (perfbench's pgm probe does),
+    but ``HilbertSpace.dim`` and ``Povm.dim`` are read."""
+    read = set()
+    for path in [*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in _defined_names(ast.parse(path.read_text()))
+              if name.split(".")[-1] not in read]
+    assert not unread, f"defined but never read: {', '.join(unread)}"
