@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -89,16 +90,23 @@ class _CodeTables:
     beta_of: np.ndarray
     lam_of: np.ndarray
     mu_of: np.ndarray
-    alpha_classes: dict
-    beta_classes: dict
+    alpha_classes: Mapping
+    beta_classes: Mapping
     strings: np.ndarray
     cosets: np.ndarray
     v: np.ndarray
     zperm: np.ndarray
     cperm: np.ndarray
 
+    def __post_init__(self):  # every caller of one code shares them: read-only
+        for value in vars(self).values():
+            for arr in value.values() if isinstance(value, Mapping) else (value,):
+                arr.flags.writeable = False
+
 
 def _code_tables(code: CssCode) -> _CodeTables:
+    if "_tables" in vars(code):  # built once, on the (frozen) code object
+        return vars(code)["_tables"]
     d, n = code.d, code.n
     strings = all_strings(d, n)
     alpha_of, beta_of = _flat_classes(strings, code.mz), _flat_classes(strings, code.mx)
@@ -110,17 +118,17 @@ def _code_tables(code: CssCode) -> _CodeTables:
     # the rows of the strings that are their coset's least member list each once
     span = (all_strings(d, code.m_x) @ code.mx.entries) % d
     shifted = ((strings[:, None] + span) % d) @ d ** np.arange(n - 1, -1, -1)
-    return _CodeTables(
+    return vars(code).setdefault("_tables", _CodeTables(
         alpha_of=alpha_of, beta_of=beta_of,
         lam_of=lam_of, mu_of=_flat_classes(strings, code.logical_x),
-        alpha_classes={tuple(int(x) for x in a): np.flatnonzero(alpha_of == c)
-                       for c, a in enumerate(all_strings(d, code.m_z))},
-        beta_classes={tuple(int(x) for x in b): np.flatnonzero(beta_of == c)
-                      for c, b in enumerate(all_strings(d, code.m_x))},
+        alpha_classes=MappingProxyType({tuple(int(x) for x in a): np.flatnonzero(alpha_of == c)
+                                        for c, a in enumerate(all_strings(d, code.m_z))}),
+        beta_classes=MappingProxyType({tuple(int(x) for x in b): np.flatnonzero(beta_of == c)
+                                       for c, b in enumerate(all_strings(d, code.m_x))}),
         strings=strings, cosets=shifted[shifted.min(axis=1) == np.arange(d ** n)],
         # column x of v is the n-qudit Fourier conjugate-basis vector |x~>
         v=reduce(np.kron, [ConjugateBasis.fourier(d).vectors] * n),
-        zperm=zperm, cperm=np.append(zperm, d ** n))
+        zperm=zperm, cperm=np.append(zperm, d ** n)))
 
 
 def _extract(amps: np.ndarray, tab: _CodeTables) -> np.ndarray:
@@ -477,7 +485,9 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     p'_e is the logical key-test error of the protocol state and p~'_e the
     logical conjugate-test error of the stored pre-decode state.  The
     direct ccq distance of the encoded key (Eve holding E and R) is checked
-    against the certificate.
+    against the certificate.  Its frame on the slice R = r is read off the
+    input rows of alpha class r: P_alpha commutes with Q_beta and every later
+    step acts on the lab side, so those rows have the slice's E marginal.
     """
     amps, shield = _key_amplitudes(state)
     d, n = code.d, code.n
@@ -550,8 +560,9 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     # with Eve on (E, R), rho_ER and every B_jj are block diagonal over r, so
     # the distance sums the slices Az = R = r, with E as their environment
     eps_direct = _direct_distance([_block_frame(
-        enc[:, r].transpose(0, 6, 1, 2, 3, 5, 7, 4).reshape(k_dim, k_dim + 1, -1, e_dim))
-        for r in range(r_dim)])
+        enc[:, r].transpose(0, 6, 1, 2, 3, 5, 7, 4).reshape(k_dim, k_dim + 1, -1, e_dim),
+        source=amps[rows].reshape(-1, e_dim))
+        for r, rows in enumerate(tab.alpha_classes.values())])
 
     report = PrivacyReport(p_e=p_prime_e, p_tilde_e=p_tilde_prime_e,
                            eps_certified=eps_certified, eps_direct=eps_direct,
@@ -746,7 +757,7 @@ def _grouped_power(arr: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoCopyResult:
-    """Two-copy scenario outcome: decoders, numeric and analytic errors."""
+    """Two-copy scenario outcome: decoders (the key ones built when read) and errors."""
 
     stabilizer: str
     adaptive: bool
@@ -755,8 +766,12 @@ class TwoCopyResult:
     analytic_error: float
     state: StateVector
     code: CssCode
-    key_decoders: Mapping
     conj_decoders: Mapping
+
+    @cached_property
+    def key_decoders(self) -> Mapping:
+        rows = self.state.amplitudes.reshape(4, 4, -1)
+        return _class_pgms(rows, _code_tables(self.code).alpha_classes).decoders
 
 
 def shielded_bit_state(phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
@@ -850,7 +865,6 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     conj_decoders = _two_copy_conj_decoders(phis, code, both_copies)
     analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** (4 if both_copies else 2), 0.0)))
     tab = _code_tables(code)
-    key_decoders = _class_pgms(state.amplitudes.reshape(4, 4, -1), tab.alpha_classes).decoders
 
     # class-level conjugate guess error, end to end, on (B, S) of the (A, B, S, E) state
     rows = np.tensordot(tab.v.conj().T, state.amplitudes.reshape(4, 4 * sh * sh, -1),
@@ -858,5 +872,4 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     error = _guess_error(rows, conj_decoders, tab.beta_classes, tab.mu_of)
     return TwoCopyResult(stabilizer=stabilizer, adaptive=bool(adaptive),
                       overlap=s_ov, error_prob=error, analytic_error=analytic,
-                      state=state, code=code,
-                      key_decoders=key_decoders, conj_decoders=conj_decoders)
+                      state=state, code=code, conj_decoders=conj_decoders)

@@ -126,11 +126,6 @@ def _key_amplitudes(state, env: Sequence[str] = ("E",)
                      math.prod(space.dims_of(shield)), -1), shield
 
 
-def _env_block(x: np.ndarray) -> np.ndarray:
-    """sum_s |x_s><x_s| over the rows of an (s, environment) amplitude block."""
-    return x.T @ x.conj()
-
-
 class _KeyFrame(NamedTuple):
     """The key-measured state in the eigenframe of rho_E.
 
@@ -145,13 +140,16 @@ class _KeyFrame(NamedTuple):
     off_mass: float
 
 
-def _block_frame(w: np.ndarray, purified: bool = False) -> _KeyFrame:
+def _block_frame(w: np.ndarray, purified: bool = False,
+                 source: np.ndarray | None = None) -> _KeyFrame:
     """The eigenframe of rho_E for key-measured amplitudes w[j, k, lab, env].
 
     With ``purified`` the environment basis is a purifier's, which already
     diagonalises rho_E: its spectrum is the squared norms of the
-    environment columns.  Otherwise a non-trivial environment pays one eigh
-    of rho_E, cut to its support.
+    environment columns.  Otherwise one eigh factorises the smaller side of
+    ``source``, rows X with rho_E = X^T conj(X) (w's own by default): rho_E,
+    or the Gram conj(X) X^T, whose eigenvectors u give the frame vectors
+    X^T u / sqrt(mu).  The diagonal rows must keep their mass in the frame.
     """
     d, e = w.shape[0], w.shape[3]
     _budget((d, w.shape[2], e), "diagonal key rows")
@@ -160,11 +158,20 @@ def _block_frame(w: np.ndarray, purified: bool = False) -> _KeyFrame:
     flat = w.reshape(-1, e)
     if purified or e == 1:
         return _KeyFrame(diag, np.sum(flat.real ** 2 + flat.imag ** 2, axis=0), off_mass)
-    _budget((e, e), "environment marginal")
-    lam, vecs = np.linalg.eigh(_env_block(flat))
+    x = flat if source is None else source
+    _budget((e, min(len(x), e)), "environment frame")
+    marginal = x.conj() @ x.T if len(x) < e else x.T @ x.conj()
+    if not np.isfinite(marginal.trace()):
+        raise InvariantViolation("environment rows are not finite")
+    lam, vecs = np.linalg.eigh(marginal)
     # eigenvalues below eigh's own rounding level carry no support
     keep = lam > e * np.finfo(float).eps * lam[-1]
-    return _KeyFrame(diag @ vecs[:, keep].conj(), lam[keep], off_mass)
+    lam, vecs = lam[keep], vecs[:, keep]
+    rows = diag @ (x.T @ vecs / np.sqrt(lam) if len(x) < e else vecs).conj()
+    dev = abs(float(np.vdot(rows, rows).real - np.vdot(diag, diag).real))
+    if not dev <= 1e-10:
+        raise InvariantViolation(f"key rows leave the frame of rho_E ({dev!r})")
+    return _KeyFrame(rows, lam, off_mass)
 
 
 def _key_frame(state, eve_labels: Sequence[str]) -> _KeyFrame:
@@ -246,7 +253,7 @@ def ccq_blocks(state, *, eve_labels: Sequence[str] = ("E",)
     trivial 1x1 blocks.
     """
     w = _key_amplitudes(state, eve_labels)[0]
-    return {(j, k): _env_block(w[j, k])
+    return {(j, k): w[j, k].T @ w[j, k].conj()
             for j in range(w.shape[0]) for k in range(w.shape[1])}
 
 

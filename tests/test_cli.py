@@ -316,15 +316,16 @@ def test_uncertainty_command_all_modes():
         assert res["trials"] == 25
 
 
-def test_first_audit_round_replays_the_benchmark_reference(monkeypatch):
+@pytest.mark.parametrize("workload", ["audit", "certify", "distill"])
+def test_first_round_replays_the_benchmark_reference(monkeypatch, workload):
     # the benchmark's recorded payloads, checked in tier-1 and not only in bench runs
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import oracle
     from workloads import DEFAULT_SEED, MIXES, op_argv
 
-    refs = oracle.load_reference("audit")
-    for i in range(len(MIXES["audit"])):
-        argv = op_argv("audit", DEFAULT_SEED, i)
+    refs = oracle.load_reference(workload)
+    for i in range(len(MIXES[workload])):
+        argv = op_argv(workload, DEFAULT_SEED, i)
         assert refs[i]["argv"] == argv
         assert oracle.compare(results_of(argv), refs[i]["results"]) == [], argv
 

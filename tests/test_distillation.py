@@ -1113,3 +1113,85 @@ def test_one_shot_rejects_missing_or_misshapen_decoders():
             (keys, {k: wide for k in conj}, r"decoders must act on \(B, shield\)")):
         with pytest.raises(ValueError, match=match):
             one_shot_distill(phi2, code, key_decoders, conj_decoders)
+
+
+WERNER_D9 = ["distill", "--state", "werner", "--d", "9", "--p", "0.9", "--code-kind", "sampled",
+             "--code-d", "3", "--code-n", "2", "--m-z", "1", "--seed", "3"]
+
+
+@pytest.mark.parametrize("foreign", ["next_class", "nan"])
+def test_one_shot_frame_rejects_a_source_of_another_marginal(monkeypatch, foreign):
+    # the frame of slice R = r must come from the rows of alpha class r: the rows
+    # of class r + 1 (same weight, another support) or NaN rows break the check
+    state = purify(build_state({"kind": "werner", "d": 9, "p": 0.9}, 3)[0])
+    code = build_code({"kind": "sampled", "d": 3, "n": 2, "m_z": 1}, 3)
+    amps, classes = privacy._key_amplitudes(state)[0], list(_code_tables(code).alpha_classes.values())
+    real, calls = distillation._block_frame, []
+
+    def swapped(w, source):
+        calls.append(source)
+        if foreign == "nan":
+            return real(w, source=np.full_like(source, np.nan))
+        other = amps[classes[len(calls) % len(classes)]].reshape(source.shape)
+        assert not np.allclose(other, source)
+        return real(w, source=other)
+
+    monkeypatch.setattr(distillation, "_block_frame", swapped)
+    match = {"next_class": "leave the frame of rho_E", "nan": "not finite"}[foreign]
+    with pytest.raises(InvariantViolation, match=match):
+        run(WERNER_D9)
+    assert len(calls) == 1
+
+
+def count_table_builds(monkeypatch):
+    """Record one entry for every ``_CodeTables`` built."""
+    built = []
+    monkeypatch.setattr(distillation, "_CodeTables",
+                        lambda _cls=distillation._CodeTables, **kw: built.append(1) or _cls(**kw))
+    return built
+
+
+def test_sampled_distill_builds_its_code_tables_once(monkeypatch):
+    # build_css_decoders and one_shot_distill share the tables of one code object
+    built = count_table_builds(monkeypatch)
+    run(WERNER_D9)
+    assert len(built) == 1
+
+
+def test_appd_builds_each_two_copy_code_table_once_and_no_key_decoders(monkeypatch):
+    distillation._two_copy_code.cache_clear()
+    built = count_table_builds(monkeypatch)
+    pgms = []
+    monkeypatch.setattr(distillation, "_class_pgms",
+                        lambda *a, _f=_class_pgms, **k: pgms.append(1) or _f(*a, **k))
+    for _ in range(2):
+        for stab in ("XX", "XI", "IX"):
+            run(["appd", "--s", "0.3", "--s", "0.6", "--stabilizer", stab])
+    assert len(built) == 3
+    assert not pgms
+
+
+def test_two_copy_key_decoders_built_when_read_equal_the_eager_ones():
+    sc = two_copy_scenario(*_shield_pair(0.6, 2), "XX", True)
+    assert "key_decoders" not in vars(sc)
+    eager = build_css_decoders(sc.state, sc.code).key_decoders
+    assert sc.key_decoders is sc.key_decoders
+    assert set(sc.key_decoders) == set(eager)
+    for key, dec in eager.items():
+        assert sc.key_decoders[key].outcome_labels == dec.outcome_labels
+        for got, want in zip(sc.key_decoders[key].elements, dec.elements, strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_code_tables_are_shared_and_read_only():
+    code = sample_universal_css(3, 2, 1, 0, substream(90))
+    tab = _code_tables(code)
+    assert _code_tables(code) is tab
+    arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
+    arrays += [*tab.alpha_classes.values(), *tab.beta_classes.values()]
+    assert len(arrays) == 9 + 3 + 1
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(TypeError):
+        tab.alpha_classes[(0,)] = np.arange(3)

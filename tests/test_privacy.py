@@ -281,12 +281,15 @@ def test_direct_distance_splits_a_stack_over_the_cap(monkeypatch, factorised):
 
 
 def test_environment_marginal_is_budgeted_before_it_is_built():
-    # a StateVector's e x e rho_E sits at the cap for e = 1024 and above it for e = 1025
+    # with 4 lab rows the frame comes from their 4 x 4 Gram, so a (2, 2, 1025)
+    # StateVector runs although its e x e rho_E would pass the cap; a source of
+    # 1025 rows still needs that rho_E, and is stopped before it is built
     psi = random_pure_state(HilbertSpace((2, 2, 1024), ("A", "B", "E")), substream(140))
     assert 0.0 < epsilon_secret_direct(psi) <= 1.0
     wide = random_pure_state(HilbertSpace((2, 2, 1025), ("A", "B", "E")), substream(141))
+    assert 0.0 < epsilon_secret_direct(wide) <= 1.0
     with pytest.raises(ValueError, match="amplitudes"):
-        epsilon_secret_direct(wide)
+        privacy._block_frame(_key_amplitudes(wide)[0], source=np.zeros((1025, 1025)))
 
 
 def measured_key_error_rates(state, conj_basis, conj_povm, povm_labels):
@@ -738,3 +741,87 @@ def test_twisted_cli_payloads_match_the_density_path(cmd, d, s, seed, monkeypatc
             assert abs(got[key] - value) <= tol, key
         else:
             assert got[key] == value, key
+
+
+def eigh_frame(w):
+    """The e x e frame: one eigh of rho_E from w's own rows, cut to its support
+    at eigh's rounding level."""
+    d, e = w.shape[0], w.shape[3]
+    flat, diag = w.reshape(-1, e), w[np.arange(d), np.arange(d)]
+    lam, vecs = np.linalg.eigh(flat.T @ flat.conj())
+    keep = lam > e * np.finfo(float).eps * lam[-1]
+    off_mass = float(np.vdot(w, w).real - np.vdot(diag, diag).real)
+    return privacy._KeyFrame(diag @ vecs[:, keep].conj(), lam[keep], off_mass)
+
+
+def cluster_sizes(lam):
+    """Sizes of the greedy clusters of ``_direct_distance``: sorted eigenvalues,
+    each cluster spanning at most 1e-13 / r."""
+    lam, cuts = np.sort(lam), [0]
+    while cuts[-1] < lam.size:
+        cuts.append(int(np.searchsorted(lam, lam[cuts[-1]] + 1e-13 / lam.size, side="right")))
+    return np.diff(cuts).tolist()
+
+
+def same_marginal_rows(w, rows, seed):
+    """``rows`` (at least the rank) amplitude rows with the E marginal of w's rows:
+    the support rows of a thin SVD, padded with zeros and mixed by a random unitary."""
+    _, sing, vh = np.linalg.svd(w.reshape(-1, w.shape[3]), full_matrices=False)
+    rank = int(np.count_nonzero(sing > 1e-12 * sing[0]))
+    assert rows >= rank
+    x = np.zeros((rows, w.shape[3]), dtype=np.complex128)
+    x[:rank] = sing[:rank, None] * vh[:rank]
+    return haar_unitary(rows, substream(seed)) @ x
+
+
+def rank_deficient_slice(shape, rank, seed):
+    """Key-measured amplitudes w[j, k, lab, env] whose E marginal has the given rank."""
+    rng = substream(seed)
+    size = (math.prod(shape[:3]), rank)
+    coef = rng.normal(size=size) + 1j * rng.normal(size=size)
+    w = coef @ haar_unitary(shape[3], substream(seed, 1))[:rank]
+    return (w / np.linalg.norm(w)).reshape(shape)
+
+
+FRAME_CASES = {
+    # fewer source rows than environment values: the Gram path, rank below both sides
+    "rank_deficient_gram": (rank_deficient_slice((3, 4, 2, 40), 7, 1), 9),
+    "rank_deficient_tall_gram": (rank_deficient_slice((2, 3, 5, 64), 30, 2), 30),
+    # as many source rows as environment values or more: the e x e path
+    "rows_at_least_e": (rank_deficient_slice((2, 3, 4, 12), 12, 3), 12),
+    "rows_above_e": (rank_deficient_slice((2, 3, 4, 12), 5, 4), 20),
+    # a trivial environment needs no factorisation
+    "e_is_one": (rank_deficient_slice((3, 4, 2, 1), 1, 5), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_source_frame_matches_the_eigh_frame(case):
+    w, rows = FRAME_CASES[case]
+    got = privacy._block_frame(w, source=same_marginal_rows(w, rows, 7))
+    want = eigh_frame(w)
+    assert cluster_sizes(got.lam) == cluster_sizes(want.lam)
+    assert abs(privacy._direct_distance([got]) - privacy._direct_distance([want])) <= 1e-12
+
+
+def test_one_shot_werner_frames_match_the_eigh_frame(monkeypatch):
+    # the real slices of the distill benchmark ops, whose rho_E has degenerate clusters
+    frames = []
+    real = privacy._block_frame
+
+    def recorded(w, *args, **kwargs):
+        frames.append((w, real(w, *args, **kwargs)))
+        return frames[-1][1]
+
+    from privlab import distillation
+    monkeypatch.setattr(distillation, "_block_frame", recorded)
+    for line in ("--d 9 --code-d 3 --code-n 2 --m-z 1", "--d 8 --code-d 2 --code-n 3 --m-z 1 --m-x 1"):
+        cli.run(["distill", "--state", "werner", "--p", "0.9", "--code-kind", "sampled",
+                 *line.split(), "--seed", "3"])
+    assert len(frames) == 3 + 2
+    for w, got in frames:
+        want = eigh_frame(w)
+        assert got.lam.size == want.lam.size < w.shape[3]
+        assert cluster_sizes(got.lam) == cluster_sizes(want.lam)
+        assert max(cluster_sizes(got.lam)) > 1
+        assert abs(privacy._direct_distance([got]) - privacy._direct_distance([want])) <= 1e-12
