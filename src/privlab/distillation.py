@@ -11,10 +11,10 @@ one extra "fail" slot.  R is one-hot: after extraction it holds
 reads it from ``alpha_of`` where it is needed.
 
 The one-shot protocol and the hashing chain run the same CSS circuit, built
-once here from four helpers: ``_code_tables`` (class values and encode maps
-of a code), ``_extract`` (coherent extraction of the syndromes),
-``_key_decode`` (Bob's per-alpha guess of the key string) and ``_encode``
-(strings and guesses onto logical, syndrome and destabiliser coordinates).
+once here from three helpers: ``_code_tables`` (class values and encode
+maps of a code), ``_extract`` (coherent extraction of the syndromes) and
+``_key_decode`` (Bob's per-alpha guess of the key string, as a plain guess
+register or straight onto logical, syndrome and destabiliser coordinates).
 Every decoder error (eps_z, eps_x, p~'_e and the two-copy error) is scored
 by one more, ``_guess_error``, straight from pure-state amplitudes.
 """
@@ -150,46 +150,40 @@ def _guess_slots(dec: Povm, fail: int) -> np.ndarray:
     return np.where(labels == "fail", fail, labels).astype(np.int64)
 
 
-def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables) -> np.ndarray:
+def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables,
+                encoded: bool = False) -> np.ndarray:
     """Decode Bob's guess of the key string from B (axis 1) into a new last axis.
 
     The rows of A in alpha class ``key`` are decoded by ``key_decoders[key]``
     alone; the guess register has one slot per string plus the fail slot.
+    ``encoded`` writes them straight onto logical, syndrome and destabiliser
+    coordinates: row a of A to ``zperm[a]`` and guess slot g to ``cperm[g]``
+    of a guess axis of (k_dim + 1) * r_dim * t_dim values, which splits into
+    a logical part with a fail value and an auxiliary part.
     """
     dd = t1.shape[0]
-    t2 = np.zeros(t1.shape + (dd + 1,), dtype=np.complex128)
+    rows_to, slots_to = (tab.zperm, tab.cperm) if encoded else (np.arange(dd), np.arange(dd + 1))
+    width = dd + len(tab.alpha_classes) * len(tab.beta_classes) if encoded else dd + 1
+    t2 = np.zeros(t1.shape + (width,), dtype=np.complex128)
     for key, rows in tab.alpha_classes.items():
         dec: Povm = key_decoders[key]
         if dec.dim != dd:
             raise ValueError("key decoders must act on B alone")
         # roots as (outcome, B', B); the outcome axis lands on the guess slots
         applied = np.tensordot(np.stack(dec.sqrt_elements()), t1[rows], axes=(2, 1))
-        t2[rows[:, None], ..., _guess_slots(dec, dd)] = np.moveaxis(applied, 2, 0)
+        slots = slots_to[_guess_slots(dec, dd)]
+        t2[rows_to[rows][:, None], ..., slots] = np.moveaxis(applied, 2, 0)
     return t2
-
-
-def _encode(arr: np.ndarray, tab: _CodeTables) -> np.ndarray:
-    """Map A (axis 0) by ``zperm`` and the guess register (last axis) by ``cperm``.
-
-    The guess axis grows to (k_dim + 1) * r_dim * t_dim values, so it splits
-    into a logical part with a fail value and an auxiliary part.
-    """
-    dd = arr.shape[0]
-    out = np.zeros_like(arr)
-    out[tab.zperm] = arr
-    enc = np.zeros(arr.shape[:-1] + (dd + len(tab.alpha_classes) * len(tab.beta_classes),),
-                   dtype=np.complex128)
-    enc[..., tab.cperm] = out
-    return enc
 
 
 def _logical_weight(arr: np.ndarray, tab: _CodeTables, k_dim: int) -> float:
     """k_dim F^2 for the fidelity F of the encoded logical (A, last axis) pair
     with the Bell state, as a sum over every other axis.
 
-    Reads the amplitudes of ``_encode(arr, tab)`` with equal logical values
-    on A and on the guess register through the inverse of ``zperm``, so the
-    encoded array is never built; the fail slot carries no logical value.
+    Reads the amplitudes of the encoded layout (``_key_decode(...,
+    encoded=True)``) with equal logical values on A and on the guess register
+    through the inverse of ``zperm``, from the plain layout of ``arr``; the
+    fail slot carries no logical value.
     """
     of = np.argsort(tab.zperm).reshape(k_dim, -1)
     acc = sum(arr[rows[:, None], ..., rows] for rows in of)
@@ -199,8 +193,8 @@ def _logical_weight(arr: np.ndarray, tab: _CodeTables, k_dim: int) -> float:
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(<a|a>, <b|b>, <a|b>, ||a - b||^2): the sums a chain distance reads, over any chunk.
 
-    Read in blocks of ``_GRAM_BLOCK`` amplitudes, so a - b never takes a
-    full-size array (at n=3 a chain state is 5 MB).
+    Read in blocks of ``_GRAM_BLOCK`` amplitudes, so a - b takes one block and
+    not the size of its arguments (at n=3 a (D, B, A, E) chain slice is 0.6 MB).
     """
     a, b = a.reshape(-1), b.reshape(-1)
     sums = np.zeros(4, dtype=np.complex128)
@@ -509,7 +503,7 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
         if key not in conj_decoders:
             raise ValueError(f"missing conjugate decoder for beta {key}")
 
-    # the encoded final state, the only array holding R, is the largest one
+    # the final state, the only array holding R, is the largest one
     c_dim = dd + 1
     _budget((dd, dd, s_dim, e_dim, r_dim, t_dim, c_dim), "key decoding")
     t1 = _extract(amps, tab)
@@ -517,16 +511,19 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     if not abs(nrm - 1.0) <= 1e-10:
         raise InvariantViolation(f"syndrome extraction broke normalisation ({nrm!r})")
 
-    # coherent key decoding into the guess register
-    t2 = _key_decode(t1, key_decoders, tab)
-    nrm = float(np.linalg.norm(t2))
+    # coherent key decoding into the guess register, encoded: A -> (logical,
+    # z-syndrome, destabiliser), guesses likewise, as (A, Az, Ag, Bq, Sq, E, T, B,
+    # Bg), with trivial Sq and E when the state has no shield or environment
+    baux = dd // k_dim
+    enc = _key_decode(t1, key_decoders, tab, encoded=True).reshape(
+        (k_dim, r_dim, t_dim) + t1.shape[1:] + (k_dim + 1, baux))
+    nrm = float(np.linalg.norm(enc))
     if not abs(nrm - 1.0) <= 1e-10:
         raise InvariantViolation(f"key decoding broke normalisation ({nrm!r})")
 
-    # logical key test on the protocol state
-    w2 = (np.abs(t2) ** 2).reshape(dd, -1, c_dim).sum(axis=1)
-    lam_c = np.concatenate([tab.lam_of, [-1]])
-    succ = sum(float(w2[tab.lam_of == lam][:, lam_c == lam].sum()) for lam in range(k_dim))
+    # logical key test on the protocol state: the leading coordinate of A and of
+    # the guess is the logical value, and the fail slot goes to logical value k_dim
+    succ = sum(float((np.abs(enc[lam, ..., lam, :]) ** 2).sum()) for lam in range(k_dim))
     p_prime_e = float(min(max(1.0 - succ, 0.0), 1.0))
 
     # logical conjugate test on the stored pre-decode state: P_alpha and Q_beta
@@ -551,12 +548,6 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
             f"logical key error {p_prime_e:.6e} exceeds the string-level "
             f"hypothesis error {eps_z:.6e}")
 
-    # encode: A -> (logical, z-syndrome, destabiliser), guesses likewise, as
-    # (A, Az, Ag, Bq, Sq, E, T, B, Bg), with trivial Sq and E when the state has
-    # no shield or environment; R, a copy of Az, goes in before T
-    baux = dd // k_dim
-    enc = _encode(t2, tab).reshape((k_dim, r_dim, t_dim) + t2.shape[1:-1]
-                                   + (k_dim + 1, baux))
     # with Eve on (E, R), rho_ER and every B_jj are block diagonal over r, so
     # the distance sums the slices Az = R = r, with E as their environment
     eps_direct = _direct_distance([_block_frame(
@@ -629,7 +620,8 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     v, vc = tab.v, tab.v.conj()
     k_dim, t_dim, c_dim = d ** code.k, d ** code.m_x, dd + 1
     # every step acts trivially on E and every figure is a sum over E, so the
-    # chain runs on chunks of E columns; its largest arrays are (T, C, D, B, A, E)
+    # chain runs on chunks of E columns, budgeted as whole (T, C, D, B, A, E)
+    # chain states although only one (D, B, A, E) slice of them is ever built
     step = AMPLITUDE_CAP // _budget((dd, dd, t_dim, c_dim, c_dim),
                                     "hashing chain per environment column")
 
@@ -648,31 +640,16 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     # root[c', c] rows[c] on the (C' B', C B) blocks of the root, and D gets sum_c
     # F[c', d, c] Y[c', c] with F[c', d, c] = sum_x ket_x[d] phase[c', x] delta_x[c']
     # conj(delta_x[c]).  The fail element of a class, delta_x0 fail delta_x0^dag, is a
-    # projector and so its own root.  (C, C' B', B): the C blocks of the root as one batch
-    root = np.ascontiguousarray(
-        pair.root.reshape(dd, dd, dd, dd).transpose(2, 0, 1, 3)).reshape(dd, dd * dd, dd)
+    # projector and so its own root.  (C', C, B', B): the blocks of the root
+    root = np.ascontiguousarray(pair.root.reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3))
     plans = []
     for xs in tab.beta_classes.values():
         delta = math.sqrt(dd) * vc[:, xs]
-        # (phase, C', D, C), zero on the D fail slot
+        # (phase, C', D, C), zero on the D fail slot; the fail rows as (C', B', C B)
         fs = np.einsum("dx,pax,ax,cx->padc", vc[:, xs], phases[:, :, xs], delta, delta.conj())
         plans.append((np.pad(fs, ((0, 0), (0, 0), (0, 1), (0, 0))), None if pair.fail is None
-                      else _blockwise(pair.fail, np.outer(delta[:, 0], delta[:, 0].conj()))))
-
-    def conj_decode(tin: np.ndarray, phase: int) -> np.ndarray:
-        """Decode the conjugate string from (C, B) of tin (A, B, E, T, C) into D,
-        as (T, C, D, B, A, E) with phases[phase] in the decoupler."""
-        tout = np.zeros((t_dim, c_dim, c_dim, dd, dd, tin.shape[2]), dtype=np.complex128)
-        for beta, (fs, fail) in enumerate(plans):
-            # (C, B, A E), never more amplitudes than one (T, C, D, B, A, E) chunk
-            rows = tin[..., beta, :dd].transpose(3, 1, 0, 2).reshape(dd, dd, -1)
-            y = np.matmul(root, rows).reshape(dd, dd, -1).swapaxes(0, 1)
-            np.matmul(fs[phase], y, out=tout[beta, :dd].reshape(dd, c_dim, -1))
-            if fail is not None:
-                tout[beta, :dd, dd] = (fail @ rows.reshape(dd * dd, -1)).reshape(
-                    (dd,) + tout.shape[3:])
-            tout[beta, dd, dd] = tin[..., beta, dd].transpose(1, 0, 2)
-        return tout
+                      else _blockwise(pair.fail, np.outer(delta[:, 0], delta[:, 0].conj()))
+                      .reshape(dd, dd, dd * dd)))
 
     # the ideal branches, C a perfect copy of A taken before the syndromes are
     # read from A alone, are coef[..., a, ...] chunk[c, b, e]: the copy, then
@@ -682,34 +659,51 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     coefs = [np.einsum("tx,ax,cx->atc", mask, v, vc)] + [
         np.einsum("tx,ax,cx,dx,cx->tcda", mask, v, vc, vc, ph) for ph in phases]
 
-    def copied(chunk: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """coef[a, t, c] chunk[c, b, e] as (A, B, E, T, C), or coef[t, c, d, a]
-        chunk[c, b, e] as the decoded (T, C, D, B, A, E); zero on the fail slots."""
-        if coef.ndim == 3:
-            out = np.zeros(chunk.shape + (t_dim, c_dim), dtype=np.complex128)
-            np.multiply(coef[:, None, None], chunk.transpose(1, 2, 0)[None, :, :, None],
-                        out=out[..., :dd])
-            return out
-        out = np.zeros((t_dim, c_dim, c_dim, dd, dd, chunk.shape[2]), dtype=np.complex128)
-        np.multiply(coef[:, :, :, None, :, None], chunk[None, :, None, :, None],
-                    out=out[:, :dd, :dd])
-        return out
+    def decoded_sums(tin: np.ndarray, chunk: np.ndarray, phase: int) -> np.ndarray:
+        """The _gram sums of the conjugate string decoded from (C, B) of tin (A, B, E, T,
+        C) into D, with phases[phase] in the decoupler, against the ideal branch
+        coefs[phase + 1], then (after the decoupler) the logical weights of both.
 
-    def logical(arr: np.ndarray) -> float:
-        """_logical_weight of a decoded (T, C, D, B, A, E) array, read as (A, ..., D)."""
-        return _logical_weight(arr.transpose(4, 0, 1, 3, 5, 2), tab, k_dim)
+        Every sum runs over (T, C), so each (D, B, A, E) slice T = beta, C = c' is
+        built on its own: the decoded one from tin[..., beta, :] alone, the ideal one
+        as coef[beta, c', d, a] chunk[c', b, e].
+        """
+        got, want = (np.zeros((c_dim, dd, dd, chunk.shape[2]), dtype=np.complex128)
+                     for _ in range(2))
+        y = np.empty((dd, dd, dd * chunk.shape[2]), dtype=np.complex128)
+        sums = np.zeros(6, dtype=np.complex128)
+        for beta, (fs, fail) in enumerate(plans):
+            rows = tin[..., beta, :dd].transpose(3, 1, 0, 2).reshape(dd, dd, -1)  # (C, B, A E)
+            for c in range(dd):
+                np.matmul(root[c], rows, out=y)
+                np.matmul(fs[phase, c], y.reshape(dd, -1), out=got.reshape(c_dim, -1))
+                if fail is not None:
+                    np.matmul(fail[c], rows.reshape(dd * dd, -1), out=got[dd].reshape(dd, -1))
+                np.multiply(coefs[phase + 1][beta, c][:, None, :, None], chunk[c][None, :, None],
+                            out=want[:dd])
+                sums[:4] += _gram(got, want)
+                if phase:
+                    sums[4:] += [_logical_weight(x.transpose(2, 1, 3, 0), tab, k_dim)
+                                 for x in (got, want)]
+            # the C fail slot holds tin[..., beta, dd] on the D fail slot alone, and
+            # the ideal branch none: it adds to <a|a> and ||a - b||^2 only
+            held = tin[..., beta, dd]
+            sums[[0, 3]] += np.vdot(held, held)
+        return sums
 
     def chunk_sums(chunk: np.ndarray) -> np.ndarray:
         """The _gram sums of psi2, psi3, psi4 and the two logical weights of psi4."""
-        # the standard string decoded into C, against the ideal copy
+        # the standard string decoded into C, against the ideal copy coef[a, t, c]
+        # chunk[c, b, e] as (A, B, E, T, C), zero on the C fail slot
         t2 = _key_decode(_extract(chunk, tab), key_decoders.decoders, tab)
-        t2p = copied(chunk, coefs[0])
+        t2p = np.zeros(chunk.shape + (t_dim, c_dim), dtype=np.complex128)
+        np.multiply(coefs[0][:, None, None], chunk.transpose(1, 2, 0)[None, :, :, None],
+                    out=t2p[..., :dd])
         g2 = _gram(t2, t2p)
         # the conjugate string decoded into D, then both branches decoupled
-        g3 = _gram(conj_decode(t2p, 0), copied(chunk, coefs[1]))
+        g3 = decoded_sums(t2p, chunk, 0)[:4]
         del t2p
-        t4, t4pp = conj_decode(t2, 1), copied(chunk, coefs[2])
-        return np.concatenate([g2, g3, _gram(t4, t4pp), [logical(t4), logical(t4pp)]])
+        return np.concatenate([g2, g3, decoded_sums(t2, chunk, 1)])
 
     sums = sum(chunk_sums(amps[:, :, lo:lo + step]) for lo in range(0, e_dim, step))
     g2, g3, g4 = sums[0:4], sums[4:8], sums[8:12]

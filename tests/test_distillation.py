@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from privlab.cli import _shield_pair, build_state, run
 from privlab.cli import build_code
 from privlab.css_codes import all_strings
 from privlab.discrimination import _class_pgms
-from privlab.distillation import (HashingSimResult, _chain_distance, _code_tables, _encode,
-                                  _extract, _gram, _guess_error, _guess_slots, _key_decode,
+from privlab.distillation import (HashingSimResult, _chain_distance, _code_tables, _extract,
+                                  _gram, _guess_error, _guess_slots, _key_decode,
                                   _logical_weight)
 from conftest import largest_side
 
@@ -34,6 +35,22 @@ def werner(p, d=2):
     dim = d * d
     return DensityOperator(phi.space,
                            p * phi.matrix + (1 - p) * np.eye(dim) / dim)
+
+
+def _encode(arr, tab):
+    """Map A (axis 0) by ``zperm`` and the guess register (last axis) by ``cperm``,
+    from the plain layout of ``_key_decode``: the oracle of its encoded layout.
+
+    The guess axis grows to (k_dim + 1) * r_dim * t_dim values, so it splits
+    into a logical part with a fail value and an auxiliary part.
+    """
+    dd = arr.shape[0]
+    out = np.zeros_like(arr)
+    out[tab.zperm] = arr
+    enc = np.zeros(arr.shape[:-1] + (dd + len(tab.alpha_classes) * len(tab.beta_classes),),
+                   dtype=np.complex128)
+    enc[..., tab.cperm] = out
+    return enc
 
 
 def shield_pair(s):
@@ -580,13 +597,13 @@ def test_logical_fidelity_matches_encoded_oracle(d, n, m_z, m_x, seed):
 
 
 def test_logical_weight_reads_a_transposed_view():
-    # the chain reads its decoded (T, C, D, B, A, E) arrays as (A, T, C, B, E, D) views
+    # the chain reads its decoded (D, B, A, E) slices as (A, B, E, D) views
     code = sample_universal_css(2, 3, 1, 1, substream(61))
     tab, dd = _code_tables(code), 8
     rng = substream(71)
-    shape = (2, dd + 1, dd + 1, dd, dd, 3)
+    shape = (dd + 1, dd, dd, 3)
     arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    view = (arr / np.linalg.norm(arr)).transpose(4, 0, 1, 3, 5, 2)
+    view = (arr / np.linalg.norm(arr)).transpose(2, 1, 3, 0)
     assert not view.flags.c_contiguous
     assert _logical_weight(view, tab, 2) == pytest.approx(
         _logical_weight(np.ascontiguousarray(view), tab, 2), abs=1e-12)
@@ -832,6 +849,84 @@ def test_hashing_chain_factorises_only_the_key_classes(case, monkeypatch):
     state, n, code = CHAIN_CASES[case]()
     coherent_hashing_sim(state, n, code)
     assert len(calls) == len(_code_tables(code).alpha_classes)
+
+
+def test_hashing_chain_never_builds_a_whole_chain_state():
+    # the (T, C, D, B, A, E) chain states are summed one (D, B, A, E) slice at a time
+    state, n, code = CHAIN_CASES["werner_n3_mx1"]()
+    coherent_hashing_sim(state, n, code)  # first call: lazy imports and code tables
+    dd, e_dim = code.d ** n, chain_amplitudes(state, n).shape[2]
+    chain = code.d ** code.m_x * (dd + 1) ** 2 * dd * dd * e_dim  # E fits in one chunk
+    tracemalloc.start()
+    try:
+        coherent_hashing_sim(state, n, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain == 663552
+    assert peak < 16 * chain
+
+
+@pytest.mark.parametrize("case", ["werner_n3_mx1", "pure_e3"])
+def test_hashing_chain_sums_over_many_environment_chunks(case, monkeypatch):
+    # a cap of three environment columns per chunk: the sums run across chunks and slices
+    state, n, code = CHAIN_CASES[case]()
+    want = dense_hashing_chain(state, n, code)[1]
+    dd, e_dim = code.d ** n, chain_amplitudes(state, n).shape[2]
+    monkeypatch.setattr(distillation, "AMPLITUDE_CAP",
+                        3 * dd * dd * code.d ** code.m_x * (dd + 1) ** 2)
+    chunks = []
+    extract = distillation._extract
+    monkeypatch.setattr(distillation, "_extract",
+                        lambda amps, tab: chunks.append(amps.shape[2]) or extract(amps, tab))
+    got = coherent_hashing_sim(state, n, code)
+    assert chunks == [3] * (e_dim // 3) + [e_dim % 3] * (e_dim % 3 > 0)
+    for key, value in dataclasses.asdict(want).items():
+        assert getattr(got, key) == pytest.approx(value, abs=1e-12), key
+
+
+def plain_p_prime_e(state, code, key_decoders):
+    """p'_e from the plain guess layout of ``_key_decode``: one minus the weight of
+    the guesses whose logical value is that of A; the fail slot carries none."""
+    amps = privacy._key_amplitudes(state)[0]
+    tab, dd = _code_tables(code), amps.shape[0]
+    t2 = _key_decode(_extract(amps, tab), key_decoders, tab)
+    w2 = (np.abs(t2) ** 2).reshape(dd, -1, dd + 1).sum(axis=1)
+    lam_c = np.append(tab.lam_of, -1)
+    succ = sum(float(w2[tab.lam_of == lam][:, lam_c == lam].sum())
+               for lam in range(code.d ** code.k))
+    return min(max(1.0 - succ, 0.0), 1.0)
+
+
+def one_shot_inputs(case):
+    """(state, code, key decoders, conjugate decoders) of a one-shot case: the n-copy
+    ``CHAIN_CASES`` states, the distill mix's Werner codes, and two shielded inputs."""
+    if case in CHAIN_CASES:
+        state, n, code = CHAIN_CASES[case]()
+        state = tensor_power_grouped(purify(state) if isinstance(state, DensityOperator)
+                                     else state, n)
+    elif case == "two_copy_xx":
+        res = two_copy_scenario(*shield_pair(0.6), "XX", adaptive=True)
+        return res.state, res.code, res.key_decoders, res.conj_decoders
+    elif case == "shielded_z":
+        state = tensor_power_grouped(shielded_bit_state(*shield_pair(0.6)), 2)
+        code = CssCode.from_stabilizers(2, [[1, 1]], [], n=2)
+    else:
+        state, code = ONE_SHOT_CASES[case](1)
+    decs = build_css_decoders(state, code)
+    return state, code, decs.key_decoders, decs.conj_decoders
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES) + sorted(ONE_SHOT_CASES)
+                         + ["two_copy_xx", "shielded_z"])
+def test_one_shot_p_prime_e_is_the_plain_layout_key_error(case):
+    # the one-shot reads p'_e off its encoded layout, logical value first
+    state, code, key_decoders, conj_decoders = one_shot_inputs(case)
+    out = one_shot_distill(state, code, key_decoders, conj_decoders)
+    want = plain_p_prime_e(state, code, key_decoders)
+    if case.startswith("werner"):
+        assert want > 1e-3
+    assert out.transcript["p_prime_e"] == pytest.approx(want, abs=1e-12)
 
 
 def test_two_copy_scenario_enforces_amplitude_cap():
