@@ -668,8 +668,8 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
         built on its own: the decoded one from tin[..., beta, :] alone, the ideal one
         as coef[beta, c', d, a] chunk[c', b, e].
         """
-        got, want = (np.zeros((c_dim, dd, dd, chunk.shape[2]), dtype=np.complex128)
-                     for _ in range(2))
+        got = np.empty((c_dim, dd, dd, chunk.shape[2]), dtype=np.complex128)
+        want = np.zeros_like(got)  # zero on the D fail slot
         y = np.empty((dd, dd, dd * chunk.shape[2]), dtype=np.complex128)
         sums = np.zeros(6, dtype=np.complex128)
         for beta, (fs, fail) in enumerate(plans):
