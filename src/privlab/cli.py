@@ -33,7 +33,7 @@ from .distillation import (build_css_decoders, coherent_hashing_sim,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
 from .info_measures import AUDIT_MODES, AuditRecord, _audit_trials, uncertainty_audit
-from .privacy import (_certified_report, certify_private, epsilon_secret_direct,
+from .privacy import (_certified_report, certify_private,
                       twisting_conjugate_measurement, uhlmann_conjugate_measurement)
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _bell_basis,
                         _private_vector, maximally_entangled)
@@ -264,12 +264,12 @@ def cmd_verify(cfg: Mapping, seed: int):
                                  measurement_name="twisting_conjugate")
         extra_out = {}
     elif meas == "uhlmann":
-        rec = uhlmann_conjugate_measurement(state)
-        # the partner purified the state already; its environment is the
-        # report's unless the state has an E register of its own
-        eps_direct = (rec.eps_direct if "E" not in state.space.labels
-                      else epsilon_secret_direct(state))
-        report = _certified_report(rec.p_e, rec.p_tilde_e, eps_direct, margin,
+        # the partner puts every register but A and B on Bob's side, so Eve's
+        # E register is traced out first and the partner purifies onto a new E
+        labels = state.space.labels
+        rec = uhlmann_conjugate_measurement(
+            state.marginal([x for x in labels if x != "E"]) if "E" in labels else state)
+        report = _certified_report(rec.p_e, rec.p_tilde_e, rec.eps_direct, margin,
                                    "uhlmann_partner")
         extra_out = {"fidelity": rec.fidelity, "bound": rec.bound,
                      "pad_dim": rec.pad_dim}

@@ -4,6 +4,8 @@ A code is a pair of parity matrices M_z (m_z x n) and M_x (m_x x n) over
 GF(d) with M_z M_x^T = 0.  Standard-basis strings k fall into classes by
 the syndrome alpha = M_z k; conjugate-basis strings x by beta = M_x x.
 Logical representatives are normalised so logical_z . logical_x^T = 1.
+A code builds its strings' class values, encode maps and n-qudit Fourier
+basis once, when first read, as ``CssCode._tables``.
 
 The sampler draws each row uniformly from the orthogonal complement of the
 rows drawn so far, which makes every row slice a two-universal hash family;
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property, reduce
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -133,6 +137,16 @@ class GfMatrix:
         return self.entries.shape[1]
 
 
+def _flat_classes(strings: np.ndarray, rows: GfMatrix) -> np.ndarray:
+    """Flat class value of each string under the GF(d) map ``rows``."""
+    d = rows.d
+    if rows.rows == 0:
+        return np.zeros(len(strings), dtype=np.int64)
+    vals = (strings @ rows.entries.T) % d
+    powers = d ** np.arange(rows.rows - 1, -1, -1)
+    return vals @ powers
+
+
 # ---------------------------------------------------------------------------
 # codes
 
@@ -149,6 +163,37 @@ def _complete_basis(fixed: np.ndarray, candidates: np.ndarray, d: int,
     if len(picked) != count:
         raise ValueError("could not complete an independent set")
     return candidates[picked] % d
+
+
+@dataclass(frozen=True)
+class _CodeTables:
+    """Flat class values of every string under one code, and its encode maps.
+
+    ``alpha_classes``/``beta_classes`` map each syndrome value to its member
+    strings, ``strings`` lists the strings by index, and each row of
+    ``cosets`` holds the strings of one coset of the row space of mx;
+    column x of ``v`` is the n-qudit Fourier conjugate-basis vector |x~>;
+    ``zperm`` sends a string to its flat (logical, z-syndrome,
+    destabiliser) coordinate, ``cperm`` does the same for a guess register
+    and sends its fail slot to the first value past the strings.
+    """
+
+    alpha_of: np.ndarray
+    beta_of: np.ndarray
+    lam_of: np.ndarray
+    mu_of: np.ndarray
+    alpha_classes: Mapping
+    beta_classes: Mapping
+    strings: np.ndarray
+    cosets: np.ndarray
+    v: np.ndarray
+    zperm: np.ndarray
+    cperm: np.ndarray
+
+    def __post_init__(self):  # every caller of one code shares them: read-only
+        for value in vars(self).values():
+            for arr in value.values() if isinstance(value, Mapping) else (value,):
+                arr.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -256,6 +301,31 @@ class CssCode:
         if gf_rank(frame, d) != n:
             raise ValueError("destabilizer completion failed")
         return GfMatrix(d, out)
+
+    @cached_property
+    def _tables(self) -> _CodeTables:
+        """The code's ``_CodeTables``, built when first read."""
+        d, n = self.d, self.n
+        strings = all_strings(d, n)
+        alpha_of, beta_of = _flat_classes(strings, self.mz), _flat_classes(strings, self.mx)
+        lam_of = _flat_classes(strings, self.logical_z)
+        g_of = _flat_classes(strings, self.destabilizer_z())
+        # k + m_z + m_x = n, so the coordinates (lam, alpha, g) index all d^n values
+        zperm = (lam_of * d ** self.m_z + alpha_of) * d ** self.m_x + g_of
+        # row c of shifted is the coset of string c modulo the row space of mx;
+        # the rows of the strings that are their coset's least member list each once
+        span = (all_strings(d, self.m_x) @ self.mx.entries) % d
+        shifted = ((strings[:, None] + span) % d) @ d ** np.arange(n - 1, -1, -1)
+        return _CodeTables(
+            alpha_of=alpha_of, beta_of=beta_of,
+            lam_of=lam_of, mu_of=_flat_classes(strings, self.logical_x),
+            alpha_classes=MappingProxyType({tuple(int(x) for x in a): np.flatnonzero(alpha_of == c)
+                                            for c, a in enumerate(all_strings(d, self.m_z))}),
+            beta_classes=MappingProxyType({tuple(int(x) for x in b): np.flatnonzero(beta_of == c)
+                                           for c, b in enumerate(all_strings(d, self.m_x))}),
+            strings=strings, cosets=shifted[shifted.min(axis=1) == np.arange(d ** n)],
+            v=reduce(np.kron, [ConjugateBasis.fourier(d).vectors] * n),
+            zperm=zperm, cperm=np.append(zperm, d ** n))
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +462,12 @@ def class_members(code: CssCode, value: Sequence[int], kind: str) -> np.ndarray:
     """Register indices of the strings in the class ``{s : M s = value}``."""
     if kind not in _KIND_MATRIX:
         raise ValueError(f"unknown class kind {kind!r}")
-    attr, _ = _KIND_MATRIX[kind]
-    m: GfMatrix = getattr(code, attr)
+    m: GfMatrix = getattr(code, _KIND_MATRIX[kind][0])
     v = np.array(value, dtype=np.int64).reshape(-1) % code.d
     if v.shape != (m.rows,):
         raise ValueError(f"class value must have length {m.rows}")
-    strings = all_strings(code.d, code.n)
-    hit = np.all((strings @ m.entries.T) % code.d == v[None, :], axis=1)
-    return np.nonzero(hit)[0]
+    flat = _flat_classes(all_strings(code.d, code.n), m)
+    return np.flatnonzero(flat == string_index(v, code.d))
 
 
 def class_projector(code: CssCode, value: Sequence[int], kind: str) -> LinearOperator:
@@ -416,10 +484,7 @@ def class_projector(code: CssCode, value: Sequence[int], kind: str) -> LinearOpe
     space = HilbertSpace((dim,), ("Q",))
     if basis == "standard":
         return LinearOperator(space, np.diag(diag.astype(np.complex128)), "projector")
-    f1 = ConjugateBasis.fourier(code.d).vectors
-    f = f1
-    for _ in range(code.n - 1):
-        f = np.kron(f, f1)
+    f = code._tables.v
     return LinearOperator(space, (f * diag) @ f.conj().T, "projector")
 
 

@@ -11,34 +11,34 @@ one extra "fail" slot.  R is one-hot: after extraction it holds
 reads it from ``alpha_of`` where it is needed.
 
 The one-shot protocol and the hashing chain run the same CSS circuit, built
-once here from three helpers: ``_code_tables`` (class values and encode
-maps of a code), ``_extract`` (coherent extraction of the syndromes) and
-``_key_decode`` (Bob's per-alpha guess of the key string, as a plain guess
-register or straight onto logical, syndrome and destabiliser coordinates).
-Every decoder error (eps_z, eps_x, p~'_e and the two-copy error) is scored
-by one more, ``_guess_error``, straight from pure-state amplitudes.
+once here from two helpers, ``_extract`` (coherent extraction of the
+syndromes) and ``_key_decode`` (Bob's per-alpha guess of the key string, as
+a plain guess register or straight onto logical, syndrome and destabiliser
+coordinates), over the class values and encode maps of the code
+(``CssCode._tables``).  Every decoder error (eps_z, eps_x, p~'_e and the
+two-copy error) is scored by one more, ``_guess_error``, straight from
+pure-state amplitudes; the chain distances come from ``tensor_core._gram``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
-from types import MappingProxyType
+from functools import cache, cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .css_codes import CssCode, GfMatrix, all_strings
+from .css_codes import CssCode, _CodeTables
 from .discrimination import HswDecoderResult, _class_pgms, _helstrom_projectors
 from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
 from .privacy import PrivacyReport, _block_frame, _direct_distance, _key_amplitudes
 from .qudit_ops import POVM_COMPLETENESS_ATOL, ConjugateBasis, Povm
 from .tensor_core import (AMPLITUDE_CAP, KIND_ATOL, PSD_ATOL, SUPPORT_ATOL,
-                          HilbertSpace, InvariantViolation, StateVector, _budget, _psd_root)
+                          HilbertSpace, InvariantViolation, StateVector, _budget,
+                          _chain_distance, _gram, _psd_root)
 
 _RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
-_GRAM_BLOCK = 2 ** 14  # amplitudes per block of a chain distance: the difference stays in cache
 
 
 def extend_with_copy(psi: StateVector, label: str = "C") -> StateVector:
@@ -60,75 +60,8 @@ def extend_with_copy(psi: StateVector, label: str = "C") -> StateVector:
     return StateVector(new_space, out.reshape(-1))
 
 
-def _flat_classes(strings: np.ndarray, rows: GfMatrix) -> np.ndarray:
-    """Flat class value of each string under the GF(d) map ``rows``."""
-    d = rows.d
-    if rows.rows == 0:
-        return np.zeros(len(strings), dtype=np.int64)
-    vals = (strings @ rows.entries.T) % d
-    powers = d ** np.arange(rows.rows - 1, -1, -1)
-    return vals @ powers
-
-
 # ---------------------------------------------------------------------------
 # the CSS circuit shared by one-shot distillation and the hashing chain
-
-
-@dataclass(frozen=True)
-class _CodeTables:
-    """Flat class values of every string under one code, and its encode maps.
-
-    ``alpha_classes``/``beta_classes`` map each syndrome value to its member
-    strings, ``strings`` lists the strings by index, and each row of
-    ``cosets`` holds the strings of one coset of the row space of mx;
-    ``zperm`` sends a string to its flat (logical, z-syndrome,
-    destabiliser) coordinate, ``cperm`` does the same for a guess register
-    and sends its fail slot to the first value past the strings.
-    """
-
-    alpha_of: np.ndarray
-    beta_of: np.ndarray
-    lam_of: np.ndarray
-    mu_of: np.ndarray
-    alpha_classes: Mapping
-    beta_classes: Mapping
-    strings: np.ndarray
-    cosets: np.ndarray
-    v: np.ndarray
-    zperm: np.ndarray
-    cperm: np.ndarray
-
-    def __post_init__(self):  # every caller of one code shares them: read-only
-        for value in vars(self).values():
-            for arr in value.values() if isinstance(value, Mapping) else (value,):
-                arr.flags.writeable = False
-
-
-def _code_tables(code: CssCode) -> _CodeTables:
-    if "_tables" in vars(code):  # built once, on the (frozen) code object
-        return vars(code)["_tables"]
-    d, n = code.d, code.n
-    strings = all_strings(d, n)
-    alpha_of, beta_of = _flat_classes(strings, code.mz), _flat_classes(strings, code.mx)
-    lam_of = _flat_classes(strings, code.logical_z)
-    g_of = _flat_classes(strings, code.destabilizer_z())
-    # k + m_z + m_x = n, so the coordinates (lam, alpha, g) index all d^n values
-    zperm = (lam_of * d ** code.m_z + alpha_of) * d ** code.m_x + g_of
-    # row c of shifted is the coset of string c modulo the row space of mx;
-    # the rows of the strings that are their coset's least member list each once
-    span = (all_strings(d, code.m_x) @ code.mx.entries) % d
-    shifted = ((strings[:, None] + span) % d) @ d ** np.arange(n - 1, -1, -1)
-    return vars(code).setdefault("_tables", _CodeTables(
-        alpha_of=alpha_of, beta_of=beta_of,
-        lam_of=lam_of, mu_of=_flat_classes(strings, code.logical_x),
-        alpha_classes=MappingProxyType({tuple(int(x) for x in a): np.flatnonzero(alpha_of == c)
-                                        for c, a in enumerate(all_strings(d, code.m_z))}),
-        beta_classes=MappingProxyType({tuple(int(x) for x in b): np.flatnonzero(beta_of == c)
-                                       for c, b in enumerate(all_strings(d, code.m_x))}),
-        strings=strings, cosets=shifted[shifted.min(axis=1) == np.arange(d ** n)],
-        # column x of v is the n-qudit Fourier conjugate-basis vector |x~>
-        v=reduce(np.kron, [ConjugateBasis.fourier(d).vectors] * n),
-        zperm=zperm, cperm=np.append(zperm, d ** n)))
 
 
 def _extract(amps: np.ndarray, tab: _CodeTables) -> np.ndarray:
@@ -188,38 +121,6 @@ def _logical_weight(arr: np.ndarray, tab: _CodeTables, k_dim: int) -> float:
     of = np.argsort(tab.zperm).reshape(k_dim, -1)
     acc = sum(arr[rows[:, None], ..., rows] for rows in of)
     return float(np.vdot(acc, acc).real)
-
-
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(<a|a>, <b|b>, <a|b>, ||a - b||^2): the sums a chain distance reads, over any chunk.
-
-    Read in blocks of ``_GRAM_BLOCK`` amplitudes, so a - b takes one block and
-    not the size of its arguments (at n=3 a (D, B, A, E) chain slice is 0.6 MB).
-    """
-    a, b = a.reshape(-1), b.reshape(-1)
-    sums = np.zeros(4, dtype=np.complex128)
-    diff = np.empty(min(a.size, _GRAM_BLOCK), dtype=np.complex128)
-    for lo in range(0, a.size, _GRAM_BLOCK):
-        x, y = a[lo:lo + _GRAM_BLOCK], b[lo:lo + _GRAM_BLOCK]
-        d = np.subtract(x, y, out=diff[:x.size])
-        sums += (np.vdot(x, x), np.vdot(y, y), np.vdot(x, y), np.vdot(d, d))
-    return sums
-
-
-def _chain_distance(gram: np.ndarray) -> float:
-    """Unnormalised Tr|a - b| of two unit chain states from their ``_gram`` sums.
-
-    1 - |<a|b>|^2 / (na nb)^2 = D (1 - D/4) - y^2, with D = 2 - 2 Re<a|b> /
-    (na nb) read from ||a - b||^2 and y = Im<a|b> / (na nb), so equal states
-    give 0 instead of the square root of rounding.
-    """
-    na, nb = math.sqrt(gram[0].real), math.sqrt(gram[1].real)
-    for nrm in (na, nb):
-        if not abs(nrm - 1.0) <= 1e-9:
-            raise InvariantViolation(f"chain state norm {nrm!r} is not 1")
-    dist = (gram[3].real - (na - nb) ** 2) / (na * nb)
-    y = complex(gram[2]).imag / (na * nb)
-    return 2.0 * math.sqrt(max(0.0, dist * (1.0 - dist / 4.0) - y * y))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +240,7 @@ def build_css_decoders(state, code: CssCode) -> CssDecoders:
     dd = code.d ** code.n
     if t.shape[:2] != (dd, dd):
         raise ValueError("key registers must have dimension d^n")
-    tab = _code_tables(code)
+    tab = code._tables
     z_result = _class_pgms(t.reshape(dd, dd, -1), tab.alpha_classes)
     rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, t.shape[3])
     x_result = _class_pgms(rows, tab.beta_classes)
@@ -493,7 +394,7 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
         raise ValueError(f"shield labels {bad} collide with protocol registers")
     s_dim, e_dim = amps.shape[2:]
 
-    tab = _code_tables(code)
+    tab = code._tables
     k_dim = d ** code.k
     r_dim, t_dim = d ** code.m_z, d ** code.m_x
     for key in tab.alpha_classes:
@@ -616,7 +517,7 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     amps = _grouped_power(t[:, :, 0], n)
     dd, e_dim = amps.shape[1:]
 
-    tab = _code_tables(code)
+    tab = code._tables
     v, vc = tab.v, tab.v.conj()
     k_dim, t_dim, c_dim = d ** code.k, d ** code.m_x, dd + 1
     # every step acts trivially on E and every figure is a sum over E, so the
@@ -765,7 +666,7 @@ class TwoCopyResult:
     @cached_property
     def key_decoders(self) -> Mapping:
         rows = self.state.amplitudes.reshape(4, 4, -1)
-        return _class_pgms(rows, _code_tables(self.code).alpha_classes).decoders
+        return _class_pgms(rows, self.code._tables.alpha_classes).decoders
 
 
 def shielded_bit_state(phi0: np.ndarray, phi1: np.ndarray) -> StateVector:
@@ -858,7 +759,7 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     both_copies = stabilizer == "XX" and adaptive
     conj_decoders = _two_copy_conj_decoders(phis, code, both_copies)
     analytic = 0.5 * (1.0 - math.sqrt(max(1.0 - s_ov ** (4 if both_copies else 2), 0.0)))
-    tab = _code_tables(code)
+    tab = code._tables
 
     # class-level conjugate guess error, end to end, on (B, S) of the (A, B, S, E) state
     rows = np.tensordot(tab.v.conj().T, state.amplitudes.reshape(4, 4 * sh * sh, -1),

@@ -24,7 +24,6 @@ from .tensor_core import (
     HilbertSpace,
     StateVector,
     _as_complex,
-    _check_finite,
     _checked_amplitudes,
     _checked_densities,
     _reduce_amplitudes,
@@ -104,12 +103,10 @@ def _holevo_of_rows(rows: np.ndarray):
 
 
 def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy in bits."""
+    """Von Neumann entropy in bits; a raw matrix is checked as a density first."""
     if isinstance(rho, DensityOperator):
         return _entropy_of_weights(rho.eigenvalues())
-    m = _as_complex(rho)
-    _check_finite(m)
-    return _entropy_of_weights(np.linalg.eigvalsh(m))
+    return _entropy_of_weights(_checked_densities(_as_complex(rho)[None])[1][0])
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ from .tensor_core import (
     _as_complex,
     _check_finite,
     _lock,
+    _psd_root,
     apply_to_vector,
     reduce_blocks,
-    sqrt_psd,
 )
 
 POVM_COMPLETENESS_ATOL = 1e-9
@@ -181,7 +181,8 @@ class Povm:
 
     @cached_property
     def _roots(self) -> tuple[np.ndarray, ...]:
-        return tuple(_lock(sqrt_psd(e)) for e in self.elements)
+        # the elements passed _check_povms: one batched eigh of their stack
+        return tuple(_lock(_psd_root(*np.linalg.eigh(np.stack(self.elements)))))
 
 
 @dataclass(frozen=True)

@@ -382,6 +382,33 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["verify", "--config", str(cfg), "--p", "0.9"]) == 2
 
 
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.6, 0.9, 1.0])
+def test_verify_uhlmann_leaves_e_to_eve(s, tmp_path, capsys):
+    # the shielded bit carries Eve's E register; the partner is built from
+    # the marginal on (A, B, S) and scored with Eve holding E, as projective is
+    argv = ["verify", "--state", "shielded_bit", "--s", str(s), "--measurement"]
+    out = tmp_path / "uhlmann.json"
+    assert main(argv + ["uhlmann", "--out", str(out)]) == 0, capsys.readouterr().err
+    res = json.loads(out.read_text())["results"]
+    assert res["p_tilde_e"] <= res["bound"] + 1e-6
+    assert abs(res["eps_direct"] - results_of(argv + ["projective"])["eps_direct"]) <= 1e-12
+
+
+def test_file_state_gives_the_inline_results(tmp_path, capsys):
+    spec = {"dims": [2, 2, 2], "labels": ["A", "B", "E"],
+            "amps": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                     [0.0, 0.0], [0.0, 0.0], [0.0, 0.48], [0.64, 0.0]]}
+    state_file, cfg = tmp_path / "state.json", tmp_path / "cfg.json"
+    state_file.write_text(json.dumps(spec))
+    cfg.write_text(json.dumps({"state": {"kind": "inline", **spec}}))
+    for command in (["rates"], ["verify", "--measurement", "projective"]):
+        assert results_of(command + ["--state", "file", "--state-file", str(state_file)]) \
+            == results_of(command + ["--config", str(cfg)])
+    state_file.write_text(json.dumps([spec]))
+    assert main(["rates", "--state", "file", "--state-file", str(state_file)]) == 2
+    assert "a state file must hold a JSON object" in capsys.readouterr().err
+
+
 def test_inline_state_round_trip():
     spec = {"state": {"kind": "inline", "dims": [2, 2], "labels": ["A", "B"],
                       "amps": [[0.7071067811865476, 0.0], [0.0, 0.0],

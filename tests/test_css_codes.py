@@ -116,6 +116,17 @@ def test_from_stabilizers_validation():
     assert code.d == 3 and code.k == 1
 
 
+def test_from_stabilizers_reads_n_off_the_rows():
+    code = CssCode.from_stabilizers(2, [[1, 1, 0]], [[0, 0, 1]])
+    want = CssCode.from_stabilizers(2, [[1, 1, 0]], [[0, 0, 1]], n=3)
+    assert code.n == 3 and code.k == 1
+    for block in ("mz", "mx", "logical_z", "logical_x"):
+        assert np.array_equal(getattr(code, block).entries, getattr(want, block).entries)
+    assert CssCode.from_stabilizers(3, [], [[1, 2]]).n == 2  # x rows alone give n too
+    with pytest.raises(ValueError, match="need n for a trivial code"):
+        CssCode.from_stabilizers(2, [], [])
+
+
 def test_syndrome_matches_matrix_product():
     code = CssCode.from_stabilizers(2, [[1, 1, 0]], [[0, 0, 1]], n=3)
     for s in all_strings(2, 3):
@@ -138,6 +149,22 @@ def test_class_members_partition():
                 assert len(members) == d ** (n - rows)
                 seen.extend(members.tolist())
             assert sorted(seen) == list(range(d ** n))
+
+
+def test_class_members_match_the_code_tables_without_building_them():
+    code = sample_universal_css(3, 3, 1, 1, substream(23))
+    members = {(kind, tuple(v)): class_members(code, v, kind)
+               for kind, rows in (("alpha", 1), ("beta", 1)) for v in all_strings(3, rows)}
+    assert "_tables" not in vars(code)  # the d^(2n) Fourier basis was never built
+    tab = code._tables
+    assert code._tables is tab
+    for (kind, value), got in members.items():
+        want = (tab.alpha_classes if kind == "alpha" else tab.beta_classes)[value]
+        assert np.array_equal(got, want)
+    # a conjugate-basis projector reads the code's one Fourier basis
+    p = class_projector(code, [2], "beta").matrix
+    f = tab.v[:, members[("beta", (2,))]]
+    assert np.allclose(p, f @ f.conj().T, atol=1e-12)
 
 
 def test_class_projectors_resolve_identity_and_commute():

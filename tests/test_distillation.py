@@ -15,18 +15,18 @@ from privlab import (ConjugateBasis, CqEnsemble, CssCode, DensityOperator, Hilbe
                      coherent_information, distillable_rate, extend_with_copy,
                      haar_unitary, holevo_information, maximally_entangled,
                      one_shot_distill, partial_trace,
-                     pure_state_trace_distance, purify,
+                     purify,
                      random_density_operator, random_pure_state,
                      sample_universal_css, shannon_entropy, shielded_bit_state,
                      substream, tensor_power_grouped, two_copy_scenario)
-from privlab import discrimination, distillation, privacy, tensor_core
+from privlab import css_codes, discrimination, distillation, privacy, tensor_core
 from privlab.cli import _shield_pair, build_state, run
 from privlab.cli import build_code
 from privlab.css_codes import all_strings
 from privlab.discrimination import _class_pgms
-from privlab.distillation import (HashingSimResult, _chain_distance, _code_tables, _extract,
-                                  _gram, _guess_error, _guess_slots, _key_decode,
-                                  _logical_weight)
+from privlab.tensor_core import _chain_distance, _gram
+from privlab.distillation import (HashingSimResult, _extract, _guess_error, _guess_slots,
+                                  _key_decode, _logical_weight)
 from conftest import largest_side
 
 
@@ -280,7 +280,7 @@ def test_one_shot_final_state_is_the_einsum_r_copy(case):
     state, code = ONE_SHOT_CASES[case](1)
     decs = build_css_decoders(state, code)
     out = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
-    tab = _code_tables(code)
+    tab = code._tables
     k_dim, r_dim, t_dim = code.d ** code.k, code.d ** code.m_z, code.d ** code.m_x
     dd = code.d ** code.n
     amps = purify(state).amplitudes.reshape(dd, dd, 1, -1)
@@ -578,7 +578,7 @@ def _encoded_fidelity_oracle(arr, tab, k_dim):
                                              (3, 2, 1, 0, 2), (2, 2, 0, 0, 3)])
 def test_logical_fidelity_matches_encoded_oracle(d, n, m_z, m_x, seed):
     code = sample_universal_css(d, n, m_z, m_x, substream(60 + seed))
-    tab = _code_tables(code)
+    tab = code._tables
     k_dim, dd = d ** code.k, d ** n
     rng = substream(70 + seed)
     shape = (dd, dd, 2, d ** m_x, dd + 1, dd + 1)
@@ -599,7 +599,7 @@ def test_logical_fidelity_matches_encoded_oracle(d, n, m_z, m_x, seed):
 def test_logical_weight_reads_a_transposed_view():
     # the chain reads its decoded (D, B, A, E) slices as (A, B, E, D) views
     code = sample_universal_css(2, 3, 1, 1, substream(61))
-    tab, dd = _code_tables(code), 8
+    tab, dd = code._tables, 8
     rng = substream(71)
     shape = (dd + 1, dd, dd, 3)
     arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -614,9 +614,10 @@ def test_chain_distance_matches_pure_state_distance_and_rejects_bad_norms():
     a = rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5))
     b = a + 0.3 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
     a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    flat = lambda x: StateVector(HilbertSpace((x.size,), ("X",)), x.reshape(-1))
+    # the overlap formula 2 sqrt(1 - |<a|b>|^2) as the oracle
+    ov = abs(complex(np.vdot(a, b)))
     assert _chain_distance(_gram(a, b)) == pytest.approx(
-        pure_state_trace_distance(flat(a), flat(b)), abs=1e-12)
+        2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, ov) ** 2)), abs=1e-12)
     # the sums of chunks give the same distance
     assert _chain_distance(_gram(a[:1], b[:1]) + _gram(a[1:], b[1:])) == pytest.approx(
         _chain_distance(_gram(a, b)), abs=1e-12)
@@ -682,7 +683,7 @@ def dense_hashing_chain(state, n, code):
     decoders of the copied rows."""
     amps = chain_amplitudes(state, n)
     d, dd, e_dim = code.d, amps.shape[0], amps.shape[2]
-    tab = _code_tables(code)
+    tab = code._tables
     v, vc = tab.v, tab.v.conj()
     k_dim, t_dim = d ** code.k, d ** code.m_x
     z_result = _class_pgms(amps, tab.alpha_classes)
@@ -795,7 +796,7 @@ def expand_copied_classes(pair, tab):
 def test_copied_conj_classes_match_the_pgm_of_the_copied_rows(case):
     state, n, code = CHAIN_CASES[case]()
     amps = chain_amplitudes(state, n)
-    tab = _code_tables(code)
+    tab = code._tables
     want = _class_pgms(copied_conj_rows(amps, tab), tab.beta_classes)
     # every class expands from the one checked (representative, fail) pair
     pair, error = distillation._copied_conj_classes(amps, tab)
@@ -848,7 +849,7 @@ def test_hashing_chain_factorises_only_the_key_classes(case, monkeypatch):
     monkeypatch.setattr(discrimination, "_pgm_of_rows", lambda *a: calls.append(1) or pgm(*a))
     state, n, code = CHAIN_CASES[case]()
     coherent_hashing_sim(state, n, code)
-    assert len(calls) == len(_code_tables(code).alpha_classes)
+    assert len(calls) == len(code._tables.alpha_classes)
 
 
 def test_hashing_chain_never_builds_a_whole_chain_state():
@@ -889,7 +890,7 @@ def plain_p_prime_e(state, code, key_decoders):
     """p'_e from the plain guess layout of ``_key_decode``: one minus the weight of
     the guesses whose logical value is that of A; the fail slot carries none."""
     amps = privacy._key_amplitudes(state)[0]
-    tab, dd = _code_tables(code), amps.shape[0]
+    tab, dd = code._tables, amps.shape[0]
     t2 = _key_decode(_extract(amps, tab), key_decoders, tab)
     w2 = (np.abs(t2) ** 2).reshape(dd, -1, dd + 1).sum(axis=1)
     lam_c = np.append(tab.lam_of, -1)
@@ -993,7 +994,7 @@ def loop_string_errors(psi, code, key_decoders, conj_decoders):
     """eps_z and eps_x by one conditional per string, read off the amplitudes
     of a canonical (A, B, shield..., E) state: the key strings are guessed
     from B alone, the conjugate strings from (B, shield)."""
-    tab = _code_tables(code)
+    tab = code._tables
     dd, e_dim = psi.space.dim_of("A"), psi.space.dim_of("E")
     amps = psi.amplitudes.reshape(dd, -1, e_dim)
     conj_rows = np.tensordot(tab.v.conj().T, amps, axes=(1, 0))
@@ -1014,7 +1015,7 @@ def loop_string_errors(psi, code, key_decoders, conj_decoders):
 
 def test_guess_error_matches_explicit_loops():
     code = CssCode.from_stabilizers(2, [[1, 1]], [], n=2)
-    tab = _code_tables(code)
+    tab = code._tables
     strings = np.arange(4)
     for p in (0.97, 0.9):
         psi = tensor_power_grouped(purify(werner(p), "E"), 2)
@@ -1034,7 +1035,7 @@ def test_guess_error_matches_explicit_loops():
         assert out.transcript["eps_x"] == pytest.approx(eps_x, abs=1e-12)
     for stab, adaptive in (("XX", True), ("XX", False), ("XI", True)):
         res = two_copy_scenario(*shield_pair(0.6), stab, adaptive=adaptive)
-        tab2 = _code_tables(res.code)
+        tab2 = res.code._tables
         ens = loop_ensemble(res.state, tab2.v, ("B", "S"))
         assert res.error_prob == pytest.approx(
             loop_guess_error(ens, res.conj_decoders, list(tab2.beta_classes), tab2.beta_of,
@@ -1068,7 +1069,7 @@ def dense_extract(amps, tab):
                                              (2, 3, 2, 0, 4)])
 def test_extraction_indexes_r_from_alpha(d, n, m_z, m_x, seed):
     code = sample_universal_css(d, n, m_z, m_x, substream(60 + seed))
-    tab = _code_tables(code)
+    tab = code._tables
     dd = d ** n
     amps = random_pure_state(HilbertSpace((dd, dd, 3), ("A", "B", "E")),
                              substream(75 + seed)).amplitudes.reshape(dd, dd, 3)
@@ -1086,7 +1087,7 @@ def loop_p_tilde_prime_e(psi, code, conj_decoders):
     decoder, read in the conjugate basis, and scored on the logical value mu."""
     if isinstance(psi, DensityOperator):
         psi = purify(psi)
-    tab = _code_tables(code)
+    tab = code._tables
     dd, e_dim = psi.space.dim_of("A"), psi.space.dim_of("E")
     amps = psi.amplitudes.reshape(dd, dd, -1, e_dim)
     s_dim, r_dim = amps.shape[2], len(tab.alpha_classes)
@@ -1182,7 +1183,7 @@ def test_four_copy_conjugate_decoders_complete_to_machine_precision():
     code = CssCode.from_stabilizers(2, [[1, 1, 1, 1]], [], n=4)
     psi = tensor_power_grouped(purify(werner(0.95)), 4)
     decs = build_css_decoders(psi, code)
-    tab = _code_tables(code)
+    tab = code._tables
     pair, x_error = distillation._copied_conj_classes(
         privacy._key_amplitudes(psi)[0].reshape(16, 16, -1), tab)
     conj = [els for _, els in expand_copied_classes(pair, tab).values()]
@@ -1220,7 +1221,7 @@ def test_one_shot_frame_rejects_a_source_of_another_marginal(monkeypatch, foreig
     # of class r + 1 (same weight, another support) or NaN rows break the check
     state = purify(build_state({"kind": "werner", "d": 9, "p": 0.9}, 3)[0])
     code = build_code({"kind": "sampled", "d": 3, "n": 2, "m_z": 1}, 3)
-    amps, classes = privacy._key_amplitudes(state)[0], list(_code_tables(code).alpha_classes.values())
+    amps, classes = privacy._key_amplitudes(state)[0], list(code._tables.alpha_classes.values())
     real, calls = distillation._block_frame, []
 
     def swapped(w, source):
@@ -1241,8 +1242,8 @@ def test_one_shot_frame_rejects_a_source_of_another_marginal(monkeypatch, foreig
 def count_table_builds(monkeypatch):
     """Record one entry for every ``_CodeTables`` built."""
     built = []
-    monkeypatch.setattr(distillation, "_CodeTables",
-                        lambda _cls=distillation._CodeTables, **kw: built.append(1) or _cls(**kw))
+    monkeypatch.setattr(css_codes, "_CodeTables",
+                        lambda _cls=css_codes._CodeTables, **kw: built.append(1) or _cls(**kw))
     return built
 
 
@@ -1280,8 +1281,8 @@ def test_two_copy_key_decoders_built_when_read_equal_the_eager_ones():
 
 def test_code_tables_are_shared_and_read_only():
     code = sample_universal_css(3, 2, 1, 0, substream(90))
-    tab = _code_tables(code)
-    assert _code_tables(code) is tab
+    tab = code._tables
+    assert code._tables is tab
     arrays = [v for v in vars(tab).values() if isinstance(v, np.ndarray)]
     arrays += [*tab.alpha_classes.values(), *tab.beta_classes.values()]
     assert len(arrays) == 9 + 3 + 1

@@ -70,6 +70,18 @@ def test_von_neumann_entropy_reads_the_construction_spectrum(monkeypatch):
     assert not rho.eigenvalues().flags.writeable
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+def test_von_neumann_entropy_rejects_a_matrix_that_is_no_density(transpose):
+    # eigvalsh reads one triangle: these read 1.0 and -0.68 bits unchecked
+    m = np.array([[0.5, 0.9], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="hermitian"):
+        von_neumann_entropy(m.T if transpose else m)
+    with pytest.raises(ValueError, match="positive"):
+        von_neumann_entropy(np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="trace"):
+        von_neumann_entropy(np.eye(2))
+
+
 def test_von_neumann_entropy_additivity():
     a = random_density_operator(HilbertSpace((2,), ("A",)), substream(3))
     b = random_density_operator(HilbertSpace((3,), ("B",)), substream(4))

@@ -270,6 +270,34 @@ def test_direct_distance_matches_trace_norm_oracle(case):
     assert abs(epsilon_secret_direct(state, eve_labels=eves) - want) <= 1e-12
 
 
+def test_a_frame_with_no_support_adds_its_off_diagonal_mass_only():
+    rng = substream(31)
+    w = rng.normal(size=(2, 2, 3, 4)) + 1j * rng.normal(size=(2, 2, 3, 4))
+    frame = privacy._block_frame(w / np.linalg.norm(w))
+    # an all-zero slice, as a one-shot alpha class of zero weight gives
+    empty = privacy._block_frame(np.zeros((2, 2, 3, 4), dtype=np.complex128))
+    assert empty.rows.shape == (2, 3, 0) and empty.off_mass == 0.0
+    assert privacy._direct_distance([frame, empty]) == privacy._direct_distance([frame])
+    hollow = privacy._KeyFrame(empty.rows, empty.lam, 0.5)
+    assert privacy._direct_distance([hollow]) == 0.25
+
+
+def test_mixed_shield_matches_the_pure_shield_path():
+    d, sh = 3, 2
+    t = TwistingOperator.random(d, sh, substream(32))
+    shields = [StateVector(HilbertSpace((sh,), ("S",)), haar_vector(sh, substream(33 + i)))
+               for i in range(2)]
+    pure = [build_private_state(d, t, xi) for xi in shields]
+    # the assembled twisting unitary on a pure shield's matrix
+    assert np.max(np.abs(build_private_state(d, t, shields[0].density()).matrix
+                         - pure[0].matrix)) <= 1e-15
+    # and on a mixture, which it twists linearly
+    mixed = DensityOperator(shields[0].space, 0.3 * shields[0].density().matrix
+                            + 0.7 * shields[1].density().matrix)
+    want = 0.3 * pure[0].matrix + 0.7 * pure[1].matrix
+    assert np.max(np.abs(build_private_state(d, t, mixed).matrix - want)) <= 1e-15
+
+
 def test_direct_distance_splits_a_stack_over_the_cap(monkeypatch, factorised):
     # Werner d=5 compresses to 2 x 2 blocks; a cap of 8 allows two per eigvalsh
     state = build_state({"kind": "werner", "d": 5, "p": 0.9}, 5)[0]

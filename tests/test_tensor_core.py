@@ -295,6 +295,42 @@ def test_pure_state_trace_distance_matches_density():
         assert abs(pure_state_trace_distance(a, b) - want) < 1e-9
 
 
+def test_pure_state_trace_distance_of_equal_states_is_zero():
+    # the overlap formula read 4.2e-8 here: the square root of rounding
+    for dims, seed in (((3, 4), 2), ((2, 2), 5), ((5, 3), 9)):
+        a = random_pure_state(HilbertSpace(dims, ("A", "B")), substream(1, seed))
+        assert pure_state_trace_distance(a, a) == 0.0
+    with pytest.raises(ValueError, match="identical spaces"):
+        pure_state_trace_distance(a, random_pure_state(HilbertSpace((3, 5), ("A", "B")),
+                                                       substream(1)))
+
+
+def test_state_vector_divides_out_a_norm_off_by_rounding():
+    space = HilbertSpace((3, 2), ("A", "B"))
+    v = random_pure_state(space, substream(6)).amplitudes
+    amps = v * (1.0 + 1e-10)
+    psi = StateVector(space, amps)
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-15
+    assert np.max(np.abs(psi.amplitudes - v)) <= 1e-15
+    assert np.array_equal(amps, v * (1.0 + 1e-10))  # the caller's array is untouched
+    with pytest.raises(ValueError, match="state norm"):
+        StateVector(space, v * (1.0 + 1e-8))
+
+
+def test_density_operator_symmetrises_and_rescales_within_tolerance():
+    space = HilbertSpace((2, 3), ("A", "B"))
+    rho = random_density_operator(space, substream(7)).matrix
+    skew = np.zeros((6, 6), dtype=np.complex128)
+    skew[0, 1] = 1e-10
+    got = DensityOperator(space, (rho + skew) * (1.0 + 1e-10)).matrix
+    assert np.array_equal(got, got.conj().T)
+    assert abs(np.trace(got) - 1.0) <= 1e-15
+    assert np.max(np.abs(got - rho)) <= 1e-9
+    for bad, match in ((rho + 1e3 * skew, "hermitian"), (rho * (1.0 + 1e-8), "trace")):
+        with pytest.raises(ValueError, match=match):
+            DensityOperator(space, bad)
+
+
 def test_sqrt_psd_squares_back():
     rng = substream(130)
     for _ in range(4):
