@@ -620,9 +620,9 @@ def run(argv: Sequence[str] | None = None) -> str:
     cfg = _config(args)
     start = time.perf_counter()
     results, rows = COMMANDS[args.command](cfg, int(args.seed))
-    report = {"command": args.command, "config": _pyify(cfg),
+    report = {"command": args.command, "config": cfg,
               "seed": int(args.seed), "version": __version__,
-              "results": _pyify(results),
+              "results": results,
               "wall_time_s": time.perf_counter() - start}
     text = _render(report, args.format, rows)
     _write_atomic(text, args.out)

@@ -1,5 +1,9 @@
 """State discrimination: the Helstrom pair test, the pretty good measurement,
 and class decoders for ensembles partitioned into syndrome fibers.
+
+Decoder outcomes are read here alone: ``_guess_slots`` maps outcome labels to
+guesses, and ``_guess_error`` sums the hits of class decoders on the amplitude
+rows of a pure state, for ``_class_pgms`` and the errors of ``distillation``.
 """
 
 from __future__ import annotations
@@ -153,38 +157,68 @@ def _band_vectors(matrix: np.ndarray, rate: float, slack: float) -> np.ndarray:
     return vecs[:, (vals >= 2.0 ** (-rate - slack)) & (vals <= 2.0 ** (-rate + slack))]
 
 
+def _guess_slots(dec: Povm, n: int) -> np.ndarray:
+    """Guess slot of each outcome of a decoder over n values: an integer label in
+    [0, n) is its own slot, and every other label ("fail", any other string, a
+    negative or out-of-range integer) goes to the miss slot n."""
+    return np.array([lab if isinstance(lab, (int, np.integer)) and 0 <= lab < n else n
+                     for lab in dec.outcome_labels], dtype=np.int64)
+
+
+def _guess_error(rows: np.ndarray, decoders: Mapping, classes: Mapping,
+                 value_of: np.ndarray) -> tuple[float, dict]:
+    """1 - the hits of class decoders on the rows w_x (x, Bob, rest) of a pure
+    state, and the hits of each class.
+
+    Member x of ``classes[key]`` is decoded by ``decoders[key]`` and hits with
+    <w_x|M_x|w_x>, M_x the sum of the elements whose guess y has ``value_of[y]
+    == value_of[x]``; a miss has no value, so a member that no element guesses
+    scores 0.
+    """
+    bob = rows.shape[1]
+    _budget((rows.shape[0], bob, bob), "decoder scoring blocks")
+    value_fail = np.append(value_of, -1)
+    hits: dict = {}
+    for key, members in classes.items():
+        dec: Povm = decoders[key]
+        if dec.dim != bob:
+            raise ValueError(f"decoders must act on (B, shield), dimension {bob}")
+        members = np.asarray(members, dtype=np.int64)
+        owns = value_of[members][:, None] == value_fail[_guess_slots(dec, len(value_of))]
+        m_x = (owns @ np.reshape(dec.elements, (dec.n_outcomes, -1))).reshape(-1, bob, bob)
+        w = rows[members]
+        hits[key] = sum(np.vdot(wx, applied).real for wx, applied in zip(w, m_x @ w))
+    return float(min(max(1.0 - sum(hits.values()), 0.0), 1.0)), hits
+
+
 def _class_pgms(rows: np.ndarray, classes: Mapping,
                 pgm_rows: Callable | None = None) -> HswDecoderResult:
     """One ``_pgm_of_rows`` decoder per class of the rows (x, m, r), with its errors.
 
     ``classes`` maps a class value to its member indices.  The decoder is
     the PGM of the class's rows, or of the rows and member labels that
-    ``pgm_rows(members)`` returns.  The class error 1 - sum_x Tr[Lambda_x
-    w_x w_x^dag] / sum_x ||w_x||^2 is read off ``rows`` (0 at zero weight; a
-    member without an element scores nothing) and averaged with the
-    classes' shares of the total.
+    ``pgm_rows(members)`` returns.  The class error 1 - (its ``_guess_error``
+    hits) / sum_x ||w_x||^2, 0 at zero weight and exactly 0 for a decoder that
+    recovers every member, is averaged with the classes' shares of the total.
     """
     _budget(rows.shape[:1] + rows.shape[1:2] * 2, "class decoder elements")
-    weights = np.einsum("xmr,xmr->x", rows, rows.conj()).real
     decoders: dict = {}
-    per_class: dict = {}
-    total_error = 0.0
     for value, members in classes.items():
         members = np.asarray(members, dtype=np.int64)
-        weight = float(weights[members].sum())
         if pgm_rows is not None:
-            sub, labels = pgm_rows(members)
+            decoders[value] = _pgm_of_rows(*pgm_rows(members))
         else:
             # a class of every row, in order, reads the rows without a copy
-            sub = rows if np.array_equal(members, np.arange(len(rows))) else rows[members]
-            labels = members.tolist()
-        dec = decoders[value] = _pgm_of_rows(sub, labels)
-        owned = dec.elements if dec.outcome_labels[-1] != "fail" else dec.elements[:-1]
-        hits = sum(np.vdot(rows[x], el @ rows[x]).real for x, el in zip(labels, owned))
-        per_class[value] = float(min(max(1.0 - hits / weight, 0.0), 1.0)) if weight else 0.0
-        total_error += weight * per_class[value]
-    average = float(min(max(total_error / weights.sum(), 0.0), 1.0))
-    return HswDecoderResult(decoders=decoders, per_class_error=per_class, average_error=average)
+            whole = np.array_equal(members, np.arange(len(rows)))
+            decoders[value] = _pgm_of_rows(rows if whole else rows[members], members.tolist())
+    hits = _guess_error(rows, decoders, classes, np.arange(len(rows)))[1]
+    weights = np.einsum("xmr,xmr->x", rows, rows.conj()).real
+    shares = {value: float(weights[list(members)].sum()) for value, members in classes.items()}
+    per_class = {value: float(min(max(1.0 - hits[value] / w, 0.0), 1.0)) if w else 0.0
+                 for value, w in shares.items()}
+    average = sum(w * per_class[value] for value, w in shares.items()) / weights.sum()
+    return HswDecoderResult(decoders=decoders, per_class_error=per_class,
+                            average_error=float(min(max(average, 0.0), 1.0)))
 
 
 def hsw_class_decoder(ensemble: CqEnsemble, classes: Mapping, cfg: HswConfig = HswConfig(),

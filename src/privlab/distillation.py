@@ -16,7 +16,7 @@ syndromes) and ``_key_decode`` (Bob's per-alpha guess of the key string, as
 a plain guess register or straight onto logical, syndrome and destabiliser
 coordinates), over the class values and encode maps of the code
 (``CssCode._tables``).  Every decoder error (eps_z, eps_x, p~'_e and the
-two-copy error) is scored by one more, ``_guess_error``, straight from
+two-copy error) is scored by ``discrimination._guess_error``, straight from
 pure-state amplitudes; the chain distances come from ``tensor_core._gram``.
 """
 
@@ -30,15 +30,15 @@ from typing import Mapping
 import numpy as np
 
 from .css_codes import CssCode, _CodeTables
-from .discrimination import HswDecoderResult, _class_pgms, _helstrom_projectors
+from .discrimination import (HswDecoderResult, _class_pgms, _guess_error, _guess_slots,
+                             _helstrom_projectors)
 from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
-from .privacy import PrivacyReport, _block_frame, _direct_distance, _key_amplitudes
+from .privacy import (SOUNDNESS_ATOL, PrivacyReport, _block_frame, _certified_report,
+                      _direct_distance, _key_amplitudes)
 from .qudit_ops import POVM_COMPLETENESS_ATOL, ConjugateBasis, Povm
 from .tensor_core import (AMPLITUDE_CAP, KIND_ATOL, PSD_ATOL, SUPPORT_ATOL,
                           HilbertSpace, InvariantViolation, StateVector, _budget,
                           _chain_distance, _gram, _psd_root)
-
-_RESERVED = {"A", "B", "C", "E", "R", "T", "Az", "Ag", "Bq", "Bg", "Sq", "D"}
 
 
 def extend_with_copy(psi: StateVector, label: str = "C") -> StateVector:
@@ -75,12 +75,6 @@ def _extract(amps: np.ndarray, tab: _CodeTables) -> np.ndarray:
     g0 = np.tensordot(tab.v.conj().T, amps, axes=(1, 0))
     return np.stack([np.tensordot(tab.v[:, members], g0[members], axes=(1, 0))
                      for members in tab.beta_classes.values()], axis=-1)
-
-
-def _guess_slots(dec: Povm, fail: int) -> np.ndarray:
-    """Guessed string of each outcome of a class decoder; "fail" goes to ``fail``."""
-    labels = np.array(dec.outcome_labels, dtype=object)
-    return np.where(labels == "fail", fail, labels).astype(np.int64)
 
 
 def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables,
@@ -144,31 +138,6 @@ class RateBreakdown:
     ck_rate: float
     coherent_info: float
     identity_residual: float
-
-
-def _guess_error(rows: np.ndarray, decoders: Mapping, classes: Mapping,
-                 value_of: np.ndarray) -> float:
-    """1 - sum_x sum_y Tr[Lambda_y w_x w_x^dag] over the rows w_x of a pure state.
-
-    ``rows`` is shaped (x, Bob, rest) with A already in the measured basis,
-    so Tr_rest w_x w_x^dag is p_x phi_x on Bob.  Each member x of
-    ``classes[key]`` is decoded by ``decoders[key]`` and y runs over its
-    guesses with ``value_of[y] == value_of[x]`` (never "fail").
-    """
-    bob = rows.shape[1]
-    _budget((rows.shape[0], bob, bob), "decoder scoring blocks")
-    value_fail = np.append(value_of, -1)
-    succ = 0.0
-    for key, members in classes.items():
-        dec: Povm = decoders[key]
-        if dec.dim != bob:
-            raise ValueError(f"decoders must act on (B, shield), dimension {bob}")
-        w = rows[members]
-        blocks = w @ w.conj().swapaxes(1, 2)
-        hits = np.einsum("yij,xji->xy", np.stack(dec.elements), blocks).real
-        guessed = value_fail[_guess_slots(dec, len(value_of))]
-        succ += float(hits[value_of[members][:, None] == guessed[None, :]].sum())
-    return float(min(max(1.0 - succ, 0.0), 1.0))
 
 
 def distillable_rate(state, conj_basis: ConjugateBasis | None = None) -> RateBreakdown:
@@ -384,14 +353,11 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     input rows of alpha class r: P_alpha commutes with Q_beta and every later
     step acts on the lab side, so those rows have the slice's E marginal.
     """
-    amps, shield = _key_amplitudes(state)
+    amps = _key_amplitudes(state)[0]
     d, n = code.d, code.n
     dd = d ** n
     if amps.shape[:2] != (dd, dd):
         raise ValueError(f"key registers must have dimension {dd}")
-    bad = [x for x in shield if x in _RESERVED]
-    if bad:
-        raise ValueError(f"shield labels {bad} collide with protocol registers")
     s_dim, e_dim = amps.shape[2:]
 
     tab = code._tables
@@ -435,14 +401,13 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
     conj_t1 = np.stack([np.tensordot(vh[:, rows], t1[rows], axes=(1, 0))
                         for rows in tab.alpha_classes.values()], axis=-1)
     p_tilde_prime_e = _guess_error(conj_t1.reshape(dd, dd * s_dim, -1), conj_decoders,
-                                   tab.beta_classes, tab.mu_of)
-    eps_certified = p_prime_e + math.sqrt(p_tilde_prime_e)
+                                   tab.beta_classes, tab.mu_of)[0]
 
     # incoherent hypothesis errors at string level
     eps_z = _guess_error(amps.reshape(dd, dd, -1), key_decoders, tab.alpha_classes,
-                         np.arange(dd))
+                         np.arange(dd))[0]
     eps_x = _guess_error(np.tensordot(vh, amps, axes=(1, 0)).reshape(dd, dd * s_dim, e_dim),
-                         conj_decoders, tab.beta_classes, np.arange(dd))
+                         conj_decoders, tab.beta_classes, np.arange(dd))[0]
 
     if not p_prime_e <= eps_z + 1e-9:
         raise InvariantViolation(
@@ -456,12 +421,11 @@ def one_shot_distill(state, code: CssCode, key_decoders: Mapping,
         source=amps[rows].reshape(-1, e_dim))
         for r, rows in enumerate(tab.alpha_classes.values())])
 
-    report = PrivacyReport(p_e=p_prime_e, p_tilde_e=p_tilde_prime_e,
-                           eps_certified=eps_certified, eps_direct=eps_direct,
-                           measurement_used="css_one_shot")
+    report = _certified_report(p_prime_e, p_tilde_prime_e, eps_direct, SOUNDNESS_ATOL,
+                               "css_one_shot")
     transcript = {"n": n, "d": d, "k": code.k, "eps_z": eps_z, "eps_x": eps_x,
                   "p_prime_e": p_prime_e, "p_tilde_prime_e": p_tilde_prime_e,
-                  "eps_certified": eps_certified, "eps_direct": eps_direct}
+                  "eps_certified": report.eps_certified, "eps_direct": eps_direct}
     return DistillationOutcome(key_dims=(k_dim, k_dim + 1), report=report,
                                transcript=transcript, _encoded=enc)
 
@@ -764,7 +728,7 @@ def two_copy_scenario(phi0: np.ndarray, phi1: np.ndarray,
     # class-level conjugate guess error, end to end, on (B, S) of the (A, B, S, E) state
     rows = np.tensordot(tab.v.conj().T, state.amplitudes.reshape(4, 4 * sh * sh, -1),
                         axes=(1, 0))
-    error = _guess_error(rows, conj_decoders, tab.beta_classes, tab.mu_of)
+    error = _guess_error(rows, conj_decoders, tab.beta_classes, tab.mu_of)[0]
     return TwoCopyResult(stabilizer=stabilizer, adaptive=bool(adaptive),
                       overlap=s_ov, error_prob=error, analytic_error=analytic,
                       state=state, code=code, conj_decoders=conj_decoders)

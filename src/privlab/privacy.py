@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .discrimination import _guess_slots
 # measure stays bound here: perfbench's tracer test checks that it is patched here
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _joint_probs,  # noqa: F401
                         measure)
@@ -84,13 +85,10 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
 
     conj = _joint_probs(state, [(("A",), conj_basis.povm()),
                                 (tuple(povm_labels), conj_povm)])
-    p_match = 0.0
-    for y_idx, lab in enumerate(conj_povm.outcome_labels):
-        if isinstance(lab, (int, np.integer)) and 0 <= int(lab) < d:
-            p_match += float(conj[int(lab), y_idx])
-    p_e = min(max(1.0 - p_same, 0.0), 1.0)
-    p_tilde_e = min(max(1.0 - p_match, 0.0), 1.0)
-    return p_e, p_tilde_e
+    # outcome y matches when it guesses Alice's value; a miss lands on an empty row
+    slots = _guess_slots(conj_povm, d)
+    p_match = float(np.pad(conj, ((0, 1), (0, 0)))[slots, np.arange(len(slots))].sum())
+    return min(max(1.0 - p_same, 0.0), 1.0), min(max(1.0 - p_match, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +294,13 @@ def _conjugate_key_elements(conj_basis: ConjugateBasis, g: np.ndarray) -> list[n
     """Conjugate key decoder elements on (B, S) from stacked shield blocks.
 
     ``g`` stacks d blocks G_k of s rows each; element y has (k, k') block
-    (P*_y)_{k k'} G_k G_k'^dag, made exactly hermitian.
+    (P*_y)_{k k'} G_k G_k'^dag = F_y F_y^dag, block k of F_y being v*_y[k] G_k
+    with v*_y = conj(v_y) the conjugated basis vector, made exactly hermitian.
     """
-    star = conj_basis.conjugated()
-    s = g.shape[0] // conj_basis.d
-    gram = g @ g.conj().T
-    elements = []
-    for y in range(conj_basis.d):
-        el = np.kron(star.projector(y), np.ones((s, s))) * gram
-        elements.append(0.5 * (el + el.conj().T))
-    return elements
+    d, (rows, r) = conj_basis.d, g.shape
+    f = (conj_basis.vectors.conj().T[:, :, None, None] * g.reshape(d, -1, r)).reshape(d, rows, r)
+    el = f @ f.conj().swapaxes(1, 2)
+    return list(0.5 * (el + el.conj().swapaxes(1, 2)))
 
 
 def twisting_conjugate_measurement(t: TwistingOperator,

@@ -77,7 +77,7 @@ class ConjugateBasis:
         th.flags.writeable = False
 
     @classmethod
-    @lru_cache(maxsize=8)  # each entry holds d^3 amplitudes with its POVM
+    @lru_cache(maxsize=8)  # each entry holds 2 d^3 amplitudes: its POVM and its conjugate's
     def fourier(cls, d: int) -> "ConjugateBasis":
         x, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
         return cls(d, 2.0 * np.pi * x * k / d)
@@ -88,7 +88,11 @@ class ConjugateBasis:
         return np.exp(1j * self.theta.T) / np.sqrt(self.d)
 
     def conjugated(self) -> "ConjugateBasis":
-        """Entrywise complex conjugate basis (negated phases)."""
+        """Entrywise complex conjugate basis (negated phases), built once per basis."""
+        return self._conjugated
+
+    @cached_property
+    def _conjugated(self) -> "ConjugateBasis":
         return ConjugateBasis(self.d, -self.theta)
 
     def projector(self, x: int) -> np.ndarray:

@@ -46,6 +46,24 @@ def largest_side(*shape_lists) -> int:
     return max((max(sh) for shapes in shape_lists for sh in shapes), default=0)
 
 
+def loop_class_errors(rows, classes, decoders):
+    """Per-class and average errors of class decoders on the rows (x, m, r), by the
+    member loop that ``_class_pgms`` once ran: element i, labelled with member x,
+    hits with <w_x|Lambda_i|w_x>, a trailing "fail" element scores nothing, and the
+    class errors are averaged with the classes' shares of the total."""
+    weights = np.einsum("xmr,xmr->x", rows, rows.conj()).real
+    per_class, total_error = {}, 0.0
+    for value, members in classes.items():
+        dec = decoders[value]
+        weight = float(weights[np.asarray(members, dtype=np.int64)].sum())
+        owned = dec.elements if dec.outcome_labels[-1] != "fail" else dec.elements[:-1]
+        hits = sum(np.vdot(rows[x], el @ rows[x]).real
+                   for x, el in zip(dec.outcome_labels, owned))
+        per_class[value] = float(min(max(1.0 - hits / weight, 0.0), 1.0)) if weight else 0.0
+        total_error += weight * per_class[value]
+    return per_class, float(min(max(total_error / weights.sum(), 0.0), 1.0))
+
+
 def assert_povm(povm, dim, atol=1e-9):
     total = np.zeros((dim, dim), dtype=np.complex128)
     for el in povm.elements:

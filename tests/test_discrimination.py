@@ -7,9 +7,10 @@ import pytest
 
 from privlab import (CqEnsemble, DensityOperator, HilbertSpace, HswConfig,
                      HswDecoderResult, haar_vector, helstrom_pair,
-                     hsw_class_decoder, pgm, pgm_error,
+                     Povm, hsw_class_decoder, pgm, pgm_error,
                      random_density_operator, substream, trace_norm)
-from conftest import assert_povm
+from privlab.discrimination import _ensemble_rows, _guess_slots
+from conftest import assert_povm, loop_class_errors
 
 
 def ket_density(vec, label="Q"):
@@ -364,3 +365,20 @@ def test_typicality_decoder_matches_the_inverse_root_oracle():
         assert res.aborted_mass == pytest.approx(aborted, abs=1e-12)
     # classes with no typical member, with a rank-deficient T and with a full-rank one
     assert empty_classes and rank_deficient and full_rank
+
+
+def test_typicality_decoder_errors_equal_the_member_loop_bit_for_bit():
+    # atypical members have no element, and some classes have a fail element
+    for base, n, delta, classes in _typicality_cases():
+        ens = iid_extension(base, n)
+        res = hsw_class_decoder(ens, classes, HswConfig(delta=delta, use_typicality=True),
+                                iid_base=base, n_copies=n)
+        per_class, average = loop_class_errors(_ensemble_rows(ens), classes, res.decoders)
+        assert res.per_class_error == per_class
+        assert res.average_error == average
+
+
+def test_guess_slots_send_every_label_but_an_in_range_integer_to_the_miss_slot():
+    labels = (0, 2, "fail", "x", 7, -1, np.int64(1))
+    dec = Povm.projective_from_columns(np.eye(len(labels)), labels)
+    assert _guess_slots(dec, 3).tolist() == [0, 2, 3, 3, 3, 3, 1]

@@ -23,11 +23,10 @@ from privlab import css_codes, discrimination, distillation, privacy, tensor_cor
 from privlab.cli import _shield_pair, build_state, run
 from privlab.cli import build_code
 from privlab.css_codes import all_strings
-from privlab.discrimination import _class_pgms
+from privlab.discrimination import _class_pgms, _guess_error, _guess_slots
 from privlab.tensor_core import _chain_distance, _gram
-from privlab.distillation import (HashingSimResult, _extract, _guess_error, _guess_slots,
-                                  _key_decode, _logical_weight)
-from conftest import largest_side
+from privlab.distillation import HashingSimResult, _extract, _key_decode, _logical_weight
+from conftest import largest_side, loop_class_errors
 
 
 def werner(p, d=2):
@@ -930,6 +929,55 @@ def test_one_shot_p_prime_e_is_the_plain_layout_key_error(case):
     assert out.transcript["p_prime_e"] == pytest.approx(want, abs=1e-12)
 
 
+def class_pgm_inputs(case):
+    """The (rows, classes) pairs a case decodes with ``_class_pgms``: the hashing chain's
+    key rows and copied conjugate rows of a ``CHAIN_CASES`` entry, or the key and
+    conjugate rows of ``build_css_decoders`` on a one-shot input."""
+    if case in CHAIN_CASES:
+        state, n, code = CHAIN_CASES[case]()
+        amps, tab = chain_amplitudes(state, n), code._tables
+        return [(amps, tab.alpha_classes), (copied_conj_rows(amps, tab), tab.beta_classes)]
+    state, code = one_shot_inputs(case)[:2]
+    t, tab = privacy._key_amplitudes(state)[0], code._tables
+    dd = t.shape[0]
+    return [(t.reshape(dd, dd, -1), tab.alpha_classes),
+            (np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(dd, -1, t.shape[3]),
+             tab.beta_classes)]
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES) + sorted(ONE_SHOT_CASES)
+                         + ["two_copy_xx", "shielded_z"])
+def test_class_pgm_errors_equal_the_member_loop_bit_for_bit(case):
+    for rows, classes in class_pgm_inputs(case):
+        res = _class_pgms(rows, classes)
+        per_class, average = loop_class_errors(rows, classes, res.decoders)
+        assert res.per_class_error == per_class
+        assert res.average_error == average
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hashing_sim_bell_input_scores_its_key_decoders_exactly_zero(d):
+    argv = ["hashing-sim", "--state", "bell", "--d", str(d), "--n", "2", "--code-kind",
+            "explicit", "--code-d", str(d), "--code-n", "2", "--mz-rows", "1,1"]
+    res = json.loads(run(argv))["results"]
+    assert res["eps_z"] == res["bound_psi2"] == 0.0
+
+
+@pytest.mark.parametrize("label", ["C", "D", "R", "T"])
+def test_one_shot_takes_a_shield_named_like_a_protocol_register(label):
+    # the shield is folded into one axis, and the final state names its own registers
+    psi = shielded_bit_state(*shield_pair(0.6))
+    renamed = StateVector(HilbertSpace(psi.space.dims, ("A", "B", label, "E")), psi.amplitudes)
+    code = CssCode.trivial(2, 1)
+    outs = []
+    for state in (psi, renamed):
+        decs = build_css_decoders(state, code)
+        outs.append(one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders))
+    assert outs[1].transcript == outs[0].transcript
+    assert outs[1].final_state.space == outs[0].final_state.space
+    assert np.array_equal(outs[1].final_state.amplitudes, outs[0].final_state.amplitudes)
+
+
 def test_two_copy_scenario_enforces_amplitude_cap():
     # the decoders act on (B1, B2, S1, S2): (4 * 50^2)^2 entries each
     phi0, phi1 = np.eye(50)[0], np.eye(50)[1]
@@ -1027,7 +1075,7 @@ def test_guess_error_matches_explicit_loops():
         for rows, ens, decoders, classes, class_of in (
                 (rows_z, ens_z, decs.key_decoders, tab.alpha_classes, tab.alpha_of),
                 (rows_x, ens_x, decs.conj_decoders, tab.beta_classes, tab.beta_of)):
-            assert _guess_error(rows, decoders, classes, strings) == pytest.approx(
+            assert _guess_error(rows, decoders, classes, strings)[0] == pytest.approx(
                 loop_guess_error(ens, decoders, list(classes), class_of, strings), abs=1e-12)
         out = one_shot_distill(psi, code, decs.key_decoders, decs.conj_decoders)
         eps_z, eps_x = loop_string_errors(psi, code, decs.key_decoders, decs.conj_decoders)

@@ -81,3 +81,22 @@ def test_every_definition_is_read():
               for name in _defined_names(ast.parse(path.read_text()))
               if name.split(".")[-1] not in read]
     assert not unread, f"defined but never read: {', '.join(unread)}"
+
+
+def test_decoder_outcomes_are_read_and_scored_in_discrimination_alone():
+    """``qudit_ops`` builds a POVM's outcome labels and ``discrimination._guess_slots``
+    alone reads them; it and the scorer ``_guess_error`` are defined in
+    ``discrimination`` only."""
+    helpers = {"_guess_slots", "_guess_error"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        if path.stem == "discrimination":
+            assert helpers <= defined
+            body = [node for node in tree.body if getattr(node, "name", None) != "_guess_slots"]
+        else:
+            assert not helpers & defined, f"{path.name} defines {sorted(helpers & defined)}"
+            body = [] if path.stem == "qudit_ops" else tree.body
+        reads = [node.lineno for top in body for node in ast.walk(top)
+                 if isinstance(node, ast.Attribute) and node.attr == "outcome_labels"]
+        assert not reads, f"{path.name} reads .outcome_labels on lines {reads}"
