@@ -186,7 +186,7 @@ def _guess_error(rows: np.ndarray, decoders: Mapping, classes: Mapping,
         members = np.asarray(members, dtype=np.int64)
         owns = value_of[members][:, None] == value_fail[_guess_slots(dec, len(value_of))]
         m_x = (owns @ np.reshape(dec.elements, (dec.n_outcomes, -1))).reshape(-1, bob, bob)
-        w = rows[members]
+        w = rows if np.array_equal(members, np.arange(len(rows))) else rows[members]
         hits[key] = sum(np.vdot(wx, applied).real for wx, applied in zip(w, m_x @ w))
     return float(min(max(1.0 - sum(hits.values()), 0.0), 1.0)), hits
 

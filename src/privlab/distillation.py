@@ -189,8 +189,6 @@ class CssDecoders:
     conj_decoders: Mapping
     z_result: HswDecoderResult
     x_result: HswDecoderResult
-    z_labels: tuple[str, ...]
-    x_labels: tuple[str, ...]
 
 
 def build_css_decoders(state, code: CssCode) -> CssDecoders:
@@ -205,7 +203,7 @@ def build_css_decoders(state, code: CssCode) -> CssDecoders:
     zero weight gets {fail: 1}.  The hashing chain's conjugate decoders on
     (C, B), C a coherent copy of A, come from ``_copied_conj_classes``.
     """
-    t, shield = _key_amplitudes(state)
+    t = _key_amplitudes(state)[0]
     dd = code.d ** code.n
     if t.shape[:2] != (dd, dd):
         raise ValueError("key registers must have dimension d^n")
@@ -215,8 +213,7 @@ def build_css_decoders(state, code: CssCode) -> CssDecoders:
     x_result = _class_pgms(rows, tab.beta_classes)
     return CssDecoders(key_decoders=z_result.decoders,
                        conj_decoders=x_result.decoders,
-                       z_result=z_result, x_result=x_result,
-                       z_labels=("B",), x_labels=("B",) + shield)
+                       z_result=z_result, x_result=x_result)
 
 
 def _blockwise(m: np.ndarray, w: np.ndarray) -> np.ndarray:

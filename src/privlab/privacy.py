@@ -19,9 +19,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .discrimination import _guess_slots
+from .discrimination import _guess_error
 # measure stays bound here: perfbench's tracer test checks that it is patched here
-from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _joint_probs,  # noqa: F401
+from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _check_groups,  # noqa: F401
                         measure)
 from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
                           InvariantViolation, StateVector, _budget,
@@ -68,9 +68,10 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
     p_e is the probability that measuring A and B in the standard basis
     gives different values.  p_tilde_e is the probability that the given
     POVM (on povm_labels, everything but A by default) fails to reproduce
-    Alice's outcome when she measures in the conjugate basis.  A
-    StateVector is measured on its amplitudes.  Both tests read outcome
-    probabilities only, so no register is kept through the reductions.
+    Alice's outcome when she measures in the conjugate basis.  Both tests
+    read the amplitude rows of the state, a mixed one purified once: p_e
+    is 1 - sum_a ||psi[a, a]||^2 over (A, B, rest), and p_tilde_e is scored
+    by ``_guess_error`` on the rows v^dag psi over (x, povm_labels, rest).
     """
     space = _space_of(state)
     d = space.dim_of("A")
@@ -78,17 +79,18 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
         raise ValueError("conjugate basis dimension does not match register A")
     if povm_labels is None:
         povm_labels = tuple(x for x in space.labels if x != "A")
-
-    std = _joint_probs(state, [(("A",), Povm.standard_basis(d)),
-                               (("B",), Povm.standard_basis(space.dim_of("B")))])
-    p_same = float(np.trace(std))
-
-    conj = _joint_probs(state, [(("A",), conj_basis.povm()),
-                                (tuple(povm_labels), conj_povm)])
-    # outcome y matches when it guesses Alice's value; a miss lands on an empty row
-    slots = _guess_slots(conj_povm, d)
-    p_match = float(np.pad(conj, ((0, 1), (0, 0)))[slots, np.arange(len(slots))].sum())
-    return min(max(1.0 - p_same, 0.0), 1.0), min(max(1.0 - p_match, 0.0), 1.0)
+    key = np.arange(min(d, space.dim_of("B")))
+    _check_groups(space, [(("A",), d), (tuple(povm_labels), conj_povm.dim)])
+    psi = state if isinstance(state, StateVector) else purify(state, _unused_label(space))
+    # views of the amplitudes ordered (A, Bob, every other register), not copies
+    amps, axis = psi.amplitudes.reshape(psi.space.dims), psi.space.axis
+    diag = np.moveaxis(amps, [axis("A"), axis("B")], [0, 1])[key, key]
+    p_e = 1.0 - float(np.vdot(diag, diag).real)
+    bob = [axis(x) for x in povm_labels]
+    rows = np.moveaxis(amps, [axis("A"), *bob], range(1 + len(bob))).reshape(d, -1)
+    rows = (conj_basis.vectors.conj().T @ rows).reshape(d, conj_povm.dim, -1)
+    p_tilde_e = _guess_error(rows, {(): conj_povm}, {(): np.arange(d)}, np.arange(d))[0]
+    return min(max(p_e, 0.0), 1.0), p_tilde_e
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +338,6 @@ class UhlmannRecord:
     eps: float
     bound: float
     fidelity: float
-    off_diagonal_mass: float
     pad_dim: int
     eps_direct: float
 
@@ -368,12 +369,15 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
         raise ValueError("conjugate basis dimension does not match register A")
     # every register but A and B is on the lab side, even one named E
     s = space.dim // (d * d)
-    r_max = 1 if isinstance(state, StateVector) else d * d * s
+    pure = isinstance(state, StateVector)
+    r_max = 1 if pure else d * d * s
     _budget((d, s, r_max), "Uhlmann partner blocks")
     _budget((d, d * s, d * s), "Uhlmann partner decoder")
 
-    t, shield_labels = _key_amplitudes(state, env=())
-    frame = _block_frame(t, purified=not isinstance(state, StateVector))
+    # a mixed state is purified once, for the frame and the key tests alike
+    psi = state if pure else purify(state, _unused_label(space))
+    t, shield_labels = _key_amplitudes(psi, env=() if pure else psi.space.labels[-1:])
+    frame = _block_frame(t, purified=not pure)
     lam = frame.lam
     r = lam.size
     # the d overlap blocks X_k = conj(psi[k, k]) K as one (d, s, r) stack,
@@ -407,7 +411,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     povm = Povm(tuple(elements), labels)
 
     povm_labels = ("B", *shield_labels)
-    p_e, p_tilde_e = key_error_rates(state, conj_basis, povm, povm_labels=povm_labels)
+    p_e, p_tilde_e = key_error_rates(psi, conj_basis, povm, povm_labels=povm_labels)
     eps = float(min(max(1.0 - fid, 0.0), 1.0))
     bound = 2.0 * eps - eps * eps
     if not p_tilde_e <= bound + 1e-6:
@@ -416,7 +420,6 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
             f"{bound:.6e} at eps = {eps:.6e}")
     return UhlmannRecord(povm=povm, povm_labels=povm_labels, p_e=p_e,
                          p_tilde_e=p_tilde_e, eps=eps, bound=bound, fidelity=fid,
-                         off_diagonal_mass=max(0.0, 1.0 - float(np.sum(lam))),
                          pad_dim=max(1, math.ceil(r / (d * s))),
                          eps_direct=_direct_distance([frame]))
 

@@ -226,27 +226,6 @@ def _outcome_probs(blocks: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _joint_blocks(state, povms: Sequence[tuple[Sequence[str], Povm]], keep_rest: bool
-                  ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Blocks, probabilities (block traces, summing to 1) and kept labels of a
-    joint measurement; the blocks keep every unmeasured register, or none."""
-    if not isinstance(state, (StateVector, DensityOperator)):
-        raise TypeError("measure expects a DensityOperator or StateVector")
-    space = state.space
-    seen = _check_groups(space, [(labels, povm.dim) for labels, povm in povms])
-    kept = tuple(x for x in space.labels if x not in seen) if keep_rest else ()
-
-    data = state.amplitudes if isinstance(state, StateVector) else state.matrix
-    blocks = reduce_blocks(space, data, kept,
-                           [(labels, np.stack(povm.elements)) for labels, povm in povms])
-    return blocks, _outcome_probs(blocks[None])[0], kept
-
-
-def _joint_probs(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> np.ndarray:
-    """The ``probs`` of ``measure(state, povms)``, reduced without keeping a register."""
-    return _joint_blocks(state, povms, False)[1]
-
-
 def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementResult:
     """Measure disjoint label sets jointly.
 
@@ -258,10 +237,18 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementRe
     state, and the conditionals come as a read-only mapping.  A StateVector
     is reduced from its amplitudes and never becomes a D x D matrix.
     """
-    blocks, probs, kept = _joint_blocks(state, povms, True)
+    if not isinstance(state, (StateVector, DensityOperator)):
+        raise TypeError("measure expects a DensityOperator or StateVector")
+    space = state.space
+    seen = _check_groups(space, [(labels, povm.dim) for labels, povm in povms])
+    kept = tuple(x for x in space.labels if x not in seen)
+    data = state.amplitudes if isinstance(state, StateVector) else state.matrix
+    blocks = reduce_blocks(space, data, kept,
+                           [(labels, np.stack(povm.elements)) for labels, povm in povms])
+    probs = _outcome_probs(blocks[None])[0]
     conditionals = {}
     if kept:
-        space = state.space.restrict(kept)
+        space = space.restrict(kept)
         for outcome in np.ndindex(*probs.shape):
             prob = float(probs[outcome])
             if prob > CONDITIONAL_CUTOFF:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -282,10 +283,14 @@ class DensityOperator:
 
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors: the pair given at construction,
-        or one eigh of the matrix."""
+        or one eigh of the matrix, taken once per density (read-only)."""
+        return self._eigh
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eigenvectors is not None:
             return self._eigenvalues, self._eigenvectors
-        return np.linalg.eigh(self.matrix)
+        return tuple(map(_lock, np.linalg.eigh(self.matrix)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Command-line workbench: subcommands, determinism, exit codes."""
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -88,14 +90,14 @@ def test_twisted_state_draws_only_the_diagonal_blocks(monkeypatch, d, sh, seed):
 @pytest.mark.parametrize("spec", [{"kind": "werner", "d": 6, "p": 0.9},
                                   {"kind": "twisted", "d": 4, "shield_dim": 8}])
 def test_verify_uhlmann_scores_the_key_tests_once(monkeypatch, spec):
-    measured = []
-    monkeypatch.setattr(privacy, "_joint_probs",
-                        lambda *a, _f=privacy._joint_probs, **k: measured.append(1) or _f(*a, **k))
+    scored = []
+    monkeypatch.setattr(privacy, "key_error_rates",
+                        lambda *a, _f=privacy.key_error_rates, **k: scored.append(1) or _f(*a, **k))
     argv = ["verify", "--measurement", "uhlmann", "--seed", "3"]
     for key, value in spec.items():
         argv += [f"--{key.replace('_', '-')}" if key != "kind" else "--state", str(value)]
     res = results_of(argv)
-    assert len(measured) == 2  # one key test, one conjugate key test
+    assert len(scored) == 1  # both key tests, scored once
     # the same payload as certifying again with the partner's POVM
     state, _ = build_state(spec, 3)
     rec = uhlmann_conjugate_measurement(state)
@@ -103,6 +105,29 @@ def test_verify_uhlmann_scores_the_key_tests_once(monkeypatch, spec):
                            measurement_name="uhlmann_partner")
     assert res == {**dataclasses.asdict(want), "fidelity": rec.fidelity,
                    "bound": rec.bound, "pad_dim": rec.pad_dim}
+
+
+@pytest.mark.parametrize("line", [
+    "verify --state twisted --d 12 --shield-dim 144 --measurement projective",
+    "verify --state bell_power --d 4 --copies 3 --measurement projective",
+])
+def test_verify_scores_pure_states_past_the_measurement_ket_stack(capsys, line):
+    # a reduction through both POVMs would stack n_A n_B D kets: 2985984
+    # amplitudes for the 20736-amplitude twisted state, 16777216 for the 4096 of
+    # the Bell power; the key tests read the state's own amplitude rows
+    assert main(line.split()) == 0
+    rep = json.loads(capsys.readouterr().out)
+    res = rep["results"]
+    assert res["p_e"] == 0.0
+    if "bell_power" in line:
+        assert res["p_tilde_e"] == res["eps_direct"] == 0.0
+        return
+    assert res["eps_direct"] <= 1e-12
+    # Alice's Fourier outcome x leaves Bob the rows sum_j conj(v_jx) |j> (x) s_j / sqrt(d),
+    # s_j = V_jj xi, so the star-basis guess hits with ||sum_j s_j / d||^2
+    state, _ = build_state({"kind": "twisted", "d": 12, "shield_dim": 144}, rep["seed"])
+    diag = state.amplitudes.reshape(12, 12, 144)[np.arange(12), np.arange(12)]
+    assert abs(res["p_tilde_e"] - (1.0 - np.linalg.norm(diag.sum(axis=0)) ** 2 / 12)) <= 1e-12
 
 
 def test_verify_uhlmann_purifies_once(factorised, monkeypatch):
@@ -307,6 +332,27 @@ def test_css_sample_and_universality():
     assert abs(res["collision_rate"] - 0.5) <= 5 * res["std_error"] + 1e-3
 
 
+def test_css_universality_x_slice_collides_at_d_to_the_minus_m():
+    # x rows uniform over the dual of no z rows: a uniform m-symbol syndrome hash
+    res = results_of(["css", "--mode", "universality", "--d", "3", "--n", "4", "--m", "2",
+                      "--row-slice", "x", "--trials", "4000", "--seed", "5"])
+    assert res["reference"] == pytest.approx(3.0 ** -2)
+    assert abs(res["collision_rate"] - 3.0 ** -2) <= 4 * res["std_error"]
+
+
+def test_css_sample_csv_quotes_its_json_cells():
+    argv = ["css", "--mode", "sample", "--d", "3", "--n", "3", "--m-z", "1", "--m-x", "1",
+            "--count", "2", "--seed", "4"]
+    text = run(argv + ["--format", "csv"])
+    assert '"[[' in text
+    rows = list(csv.DictReader(io.StringIO(text)))
+    codes = results_of(argv)["codes"]
+    assert len(rows) == len(codes) == 2
+    for row, code in zip(rows, codes):
+        for key in ("mz_rows", "mx_rows", "logical_z", "logical_x"):
+            assert json.loads(row[key]) == json.loads(code[key])
+
+
 def test_uncertainty_command_all_modes():
     for mode in ("maassen_uffink", "cit", "quantum_cit"):
         res = results_of(["uncertainty", "--mode", mode, "--d", "3",
@@ -368,6 +414,29 @@ def test_out_file_atomic_write(tmp_path):
     assert not [p for p in os.listdir(tmp_path) if p != "report.json"]
 
 
+def test_a_failed_replace_exits_4_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["rates", "--state", "bell", "--d", "2", "--out", str(tmp_path / "r.json")]) == 4
+    assert "replace refused" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_config_must_hold_a_json_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"state": {"kind": "bell", "d": 2}}]))
+    assert main(["rates", "--config", str(path)]) == 2
+    assert "--config must hold a JSON object" in capsys.readouterr().err
+
+
+def test_integral_floats_in_a_config_are_read_as_integers(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"state": {"kind": "bell", "d": 2.0}}))
+    assert results_of(["rates", "--config", str(path)]) == \
+        results_of(["rates", "--state", "bell", "--d", "2"])
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"state": {"kind": "werner", "d": 2, "p": 0.5},
@@ -415,6 +484,9 @@ def test_inline_state_round_trip():
                                [0.0, 0.0], [0.7071067811865476, 0.0]]}}
     state, _ = build_state(spec["state"], 0)
     assert state.space.labels == ("A", "B")
+    # the same amplitudes given as flat (re, im) pairs
+    flat = {**spec["state"], "amps": [v for pair in spec["state"]["amps"] for v in pair]}
+    assert np.array_equal(build_state(flat, 0)[0].amplitudes, state.amplitudes)
 
 
 def test_exit_code_invalid_config(capsys):

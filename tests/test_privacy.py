@@ -340,17 +340,21 @@ def test_key_error_rates_keep_no_register():
     cb = ConjugateBasis.fourier(2)
     with pytest.raises(ValueError, match="amplitudes"):
         measured_key_error_rates(psi, cb, star_projective_povm(cb), ("B",))
-    # the same figures as from measure, on states where it fits
-    for case, (dims, labels) in enumerate([((2, 2, 8), ("A", "B", "E")),
-                                           ((3, 4, 2, 3), ("E", "A", "S", "B"))]):
+    # the same figures as from measure, on states where it fits; the last POVM
+    # acts on (S, B), out of the state's order, and leaves E unmeasured
+    for case, (dims, labels, on) in enumerate([
+            ((2, 2, 8), ("A", "B", "E"), None),
+            ((3, 4, 2, 3), ("E", "A", "S", "B"), None),
+            ((3, 3, 2, 2), ("A", "B", "S", "E"), ("S", "B"))]):
         space = HilbertSpace(dims, labels)
         d = space.dim_of("A")
         cb = ConjugateBasis.fourier(d)
-        povm = Povm.projective_from_columns(haar_unitary(space.dim // d, substream(143, case)))
-        rest = tuple(x for x in labels if x != "A")
+        rest = on or tuple(x for x in labels if x != "A")
+        povm = Povm.projective_from_columns(
+            haar_unitary(math.prod(space.dims_of(rest)), substream(143, case)))
         for state in (random_pure_state(space, substream(144, case)),
                       random_density_operator(space, substream(145, case), rank=2)):
-            got = key_error_rates(state, cb, povm)
+            got = key_error_rates(state, cb, povm, povm_labels=on)
             want = measured_key_error_rates(state, cb, povm, rest)
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 

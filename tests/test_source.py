@@ -100,3 +100,16 @@ def test_decoder_outcomes_are_read_and_scored_in_discrimination_alone():
         reads = [node.lineno for top in body for node in ast.walk(top)
                  if isinstance(node, ast.Attribute) and node.attr == "outcome_labels"]
         assert not reads, f"{path.name} reads .outcome_labels on lines {reads}"
+
+
+def test_privacy_reads_amplitude_rows_and_reduces_no_state():
+    """``privacy`` reads every figure off amplitude rows: it calls none of the
+    reductions, though ``measure`` stays imported for perfbench's tracer."""
+    reductions = {"_joint_probs", "reduce_blocks", "_reduce_amplitudes", "measure",
+                  "partial_trace"}
+    tree = ast.parse((SRC / "privacy.py").read_text())
+    calls = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+                   if name in reductions)
+    assert not calls, f"privacy.py calls {', '.join(calls)}"
