@@ -464,7 +464,9 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     standard syndromes, then her conjugate string into D conditioned on the
     conjugate syndromes, then removes the back action with a phase
     decoupler on (C, D).  Each step is compared against the ideal branch
-    where C is a perfect copy of A.
+    where C is a perfect copy of A.  psi3 decodes that copy, whose rows are
+    products of coefficients and the input's, so its decoder acts on the
+    input once per value of C, not once per syndrome and value of A.
     """
     t, shield = _key_amplitudes(state)
     if shield:
@@ -521,36 +523,31 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     coefs = [np.einsum("tx,ax,cx->atc", mask, v, vc)] + [
         np.einsum("tx,ax,cx,dx,cx->tcda", mask, v, vc, vc, ph) for ph in phases]
 
-    def decoded_sums(tin: np.ndarray, chunk: np.ndarray, phase: int) -> np.ndarray:
-        """The _gram sums of the conjugate string decoded from (C, B) of tin (A, B, E, T,
-        C) into D, with phases[phase] in the decoupler, against the ideal branch
-        coefs[phase + 1], then (after the decoupler) the logical weights of both.
-
-        Every sum runs over (T, C), so each (D, B, A, E) slice T = beta, C = c' is
-        built on its own: the decoded one from tin[..., beta, :] alone, the ideal one
-        as coef[beta, c', d, a] chunk[c', b, e].
+    def decoded_sums(tin: np.ndarray, chunk: np.ndarray, got: np.ndarray,
+                     want: np.ndarray) -> np.ndarray:
+        """The _gram sums of psi4, then the logical weights of both branches: the
+        conjugate string decoded from (C, B) of tin (A, B, E, T, C) into D and
+        decoupled, one (D, B, A, E) slice T = beta, C = c' at a time in got, from
+        tin[..., beta, :] alone, against coefs[2][beta, c', d, a] chunk[c', b, e] in
+        want, whose D fail slot is zero.
         """
-        got = np.empty((c_dim, dd, dd, chunk.shape[2]), dtype=np.complex128)
-        want = np.zeros_like(got)  # zero on the D fail slot
         y = np.empty((dd, dd, dd * chunk.shape[2]), dtype=np.complex128)
         sums = np.zeros(6, dtype=np.complex128)
         for beta, (fs, fail) in enumerate(plans):
             rows = tin[..., beta, :dd].transpose(3, 1, 0, 2).reshape(dd, dd, -1)  # (C, B, A E)
             for c in range(dd):
                 np.matmul(root[c], rows, out=y)
-                np.matmul(fs[phase, c], y.reshape(dd, -1), out=got.reshape(c_dim, -1))
+                np.matmul(fs[1, c], y.reshape(dd, -1), out=got.reshape(c_dim, -1))
                 if fail is not None:
                     np.matmul(fail[c], rows.reshape(dd * dd, -1), out=got[dd].reshape(dd, -1))
-                np.multiply(coefs[phase + 1][beta, c][:, None, :, None], chunk[c][None, :, None],
+                np.multiply(coefs[2][beta, c][:, None, :, None], chunk[c][None, :, None],
                             out=want[:dd])
                 sums[:4] += _gram(got, want)
-                if phase:
-                    sums[4:] += [_logical_weight(x.transpose(2, 1, 3, 0), tab, k_dim)
-                                 for x in (got, want)]
-            # the C fail slot holds tin[..., beta, dd] on the D fail slot alone, and
-            # the ideal branch none: it adds to <a|a> and ||a - b||^2 only
-            held = tin[..., beta, dd]
-            sums[[0, 3]] += np.vdot(held, held)
+                sums[4:] += [_logical_weight(x.transpose(2, 1, 3, 0), tab, k_dim)
+                             for x in (got, want)]
+        # the C fail slot holds tin[..., dd] on the D fail slot alone, and the ideal
+        # branch none: it adds to <a|a> and ||a - b||^2 only
+        sums[[0, 3]] += np.vdot(tin[..., dd], tin[..., dd])
         return sums
 
     def chunk_sums(chunk: np.ndarray) -> np.ndarray:
@@ -561,11 +558,26 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
         t2p = np.zeros(chunk.shape + (t_dim, c_dim), dtype=np.complex128)
         np.multiply(coefs[0][:, None, None], chunk.transpose(1, 2, 0)[None, :, :, None],
                     out=t2p[..., :dd])
-        g2 = _gram(t2, t2p)
-        # the conjugate string decoded into D, then both branches decoupled
-        g3 = decoded_sums(t2p, chunk, 0)[:4]
+        sums = np.concatenate([_gram(t2, t2p), np.zeros(4, dtype=np.complex128)])
         del t2p
-        return np.concatenate([g2, g3, decoded_sums(t2, chunk, 1)])
+        # psi3 decodes the ideal copy, whose rows are coef[a, beta, c] chunk[c, b, e]: the
+        # root of C = c' and each class's fail block act on the chunk as (C, B', E), and
+        # slice T = beta, C = c' is one product with fs[0, c'][d, c] coef[a, beta, c] as
+        # (D, A, B', E), against coefs[1][beta, c'] times chunk[c']; no C fail slot
+        got = np.empty((c_dim, dd, dd, chunk.shape[2]), dtype=np.complex128)
+        want = np.zeros_like(got)  # zero on the D fail slot
+        for c in range(dd):
+            y = root[c] @ chunk
+            for beta, (fs, fail) in enumerate(plans):
+                h = (fs[0, c][:, None] * coefs[0][:, beta]).reshape(-1, dd)
+                np.matmul(h, y.reshape(dd, -1), out=got.reshape(c_dim * dd, -1))
+                if fail is not None:
+                    failed = fail[c].reshape(dd, dd, dd).swapaxes(0, 1) @ chunk
+                    np.matmul(coefs[0][:, beta], failed.reshape(dd, -1),
+                              out=got[dd].reshape(dd, -1))
+                np.multiply(coefs[1][beta, c][:, :, None, None], chunk[c], out=want[:dd])
+                sums[4:] += _gram(got, want)
+        return np.concatenate([sums, decoded_sums(t2, chunk, got, want)])
 
     sums = sum(chunk_sums(amps[:, :, lo:lo + step]) for lo in range(0, e_dim, step))
     g2, g3, g4 = sums[0:4], sums[4:8], sums[8:12]
@@ -574,13 +586,11 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
             raise InvariantViolation(f"{name} broke normalisation ({float(nrm)!r})")
     # encoded logical fidelities with the maximally entangled state on (A, D)
     fid = np.sqrt(np.clip(sums[12:].real / k_dim, 0.0, 1.0))
+    b_z, b_x = 2.0 * math.sqrt(2.0 * eps_z), 2.0 * math.sqrt(2.0 * eps_x)
     return HashingSimResult(n=n, key_dim=k_dim, eps_z=eps_z, eps_x=eps_x,
                             overlap_psi2=float(g2[2].real), td_psi2=_chain_distance(g2),
-                            bound_psi2=2.0 * math.sqrt(2.0 * eps_z),
-                            td_psi3=_chain_distance(g3),
-                            bound_psi3=2.0 * math.sqrt(2.0 * eps_x),
-                            td_psi4=_chain_distance(g4),
-                            bound_psi4=2.0 * (math.sqrt(2.0 * eps_z) + math.sqrt(2.0 * eps_x)),
+                            bound_psi2=b_z, td_psi3=_chain_distance(g3), bound_psi3=b_x,
+                            td_psi4=_chain_distance(g4), bound_psi4=b_z + b_x,
                             encoded_fidelity=float(fid[0]), ideal_encoded_fidelity=float(fid[1]))
 
 

@@ -97,15 +97,15 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
 # direct (ccq) secrecy
 
 
-def _key_amplitudes(state, env: Sequence[str] = ("E",)
+def _key_amplitudes(state, env: Sequence[str] = ("E",), psi: StateVector | None = None
                     ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Amplitudes t[a, b, s, e] of the state, and the labels of its shield.
 
     The axes are A, B, the shield (every other lab register, in the state's
     order) and the environment (the registers named in ``env``, in that
     order).  A mixed state, which must carry none of the ``env`` registers,
-    is purified once and its purifier is the environment.  A missing shield
-    or environment is a trivial axis.
+    is purified once (or read from ``psi``) and its purifier is the
+    environment.  A missing shield or environment is a trivial axis.
     """
     space = _space_of(state)
     for need in ("A", "B"):
@@ -118,7 +118,7 @@ def _key_amplitudes(state, env: Sequence[str] = ("E",)
         clash = [x for x in env if x in space.labels]
         if clash:
             raise ValueError(f"labels {clash!r} already used by lab registers")
-        psi = purify(state, _unused_label(space))
+        psi = purify(state, _unused_label(space)) if psi is None else psi
         eves = psi.space.labels[-1:]
     shield = tuple(x for x in space.labels if x not in ("A", "B") + eves)
     t = permute_vector(psi.space, psi.amplitudes, ("A", "B") + shield + eves)
@@ -174,16 +174,16 @@ def _block_frame(w: np.ndarray, purified: bool = False,
     return _KeyFrame(rows, lam, off_mass)
 
 
-def _key_frame(state, eve_labels: Sequence[str]) -> _KeyFrame:
+def _key_frame(state, eve_labels: Sequence[str], psi: StateVector | None = None) -> _KeyFrame:
     """The eigenframe of rho_E, read off the purification when there is one.
 
-    A mixed state is purified, so its frame needs no second factorisation;
-    a StateVector is read as given (``_block_frame``).
+    A mixed state is purified (or read from ``psi``), so its frame needs no
+    second factorisation; a StateVector is read as given (``_block_frame``).
     """
     space = _space_of(state)
     if space.dim_of("B") < space.dim_of("A"):
         raise ValueError("register B cannot be smaller than the key register A")
-    return _block_frame(_key_amplitudes(state, eve_labels)[0],
+    return _block_frame(_key_amplitudes(state, eve_labels, psi)[0],
                         purified=not isinstance(state, StateVector))
 
 
@@ -435,19 +435,22 @@ def certify_private(state, conj_basis: ConjugateBasis | None = None,
     conjugated basis (exact for a maximally entangled key with no shield).
     The certified bound p_e + sqrt(p_tilde_e) must dominate the direct
     trace distance up to ``soundness_margin``.  A StateVector stays a
-    vector throughout.
+    vector throughout; a mixed state is purified once, for both.
     """
-    d = _space_of(state).dim_of("A")
+    space = _space_of(state)
     if conj_basis is None:
-        conj_basis = ConjugateBasis.fourier(d)
+        conj_basis = ConjugateBasis.fourier(space.dim_of("A"))
     if conj_povm is None:
         conj_povm = star_projective_povm(conj_basis)
         povm_labels = ("B",)
         if measurement_name is None:
             measurement_name = "conjugate_projective"
-    p_e, p_tilde_e = key_error_rates(state, conj_basis, conj_povm, povm_labels=povm_labels)
-    return _certified_report(p_e, p_tilde_e, epsilon_secret_direct(state), soundness_margin,
-                             measurement_name or "custom")
+    if povm_labels is None:  # Bob's registers, named before the purifier joins them
+        povm_labels = tuple(x for x in space.labels if x != "A")
+    psi = state if isinstance(state, StateVector) else purify(state, _unused_label(space))
+    p_e, p_tilde_e = key_error_rates(psi, conj_basis, conj_povm, povm_labels=povm_labels)
+    return _certified_report(p_e, p_tilde_e, _direct_distance([_key_frame(state, ("E",), psi)]),
+                             soundness_margin, measurement_name or "custom")
 
 
 def _certified_report(p_e: float, p_tilde_e: float, eps_direct: float,

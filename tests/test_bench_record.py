@@ -119,3 +119,40 @@ def test_compare_flags_changes_outside_the_previous_iqr(tmp_path):
                               "--compare", str(tmp_path / "prev.json")]) == 0
     with pytest.raises(SystemExit):
         bench_record.main(["--compare", str(tmp_path / "prev.json")])
+
+
+def test_pairs_alternate_the_order_and_count_wins_and_ties(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "change"
+    # ops_per_s (higher is better): the change wins pairs 0 and 2 and ties pair 1;
+    # latency_p90_s (lower is better): it loses pair 0, wins pair 1 and ties pair 2
+    lines = {base: [result_line(100, 10e-3), result_line(100, 10e-3), result_line(100, 9e-3)],
+             change: [result_line(110, 11e-3), result_line(100, 8e-3),
+                      result_line(120, 9e-3, failed=1)]}
+    calls = []
+
+    def runner(root, workload, seed, seconds, trace):
+        calls.append((root, workload, seed, seconds, trace))
+        return "progress\n" + lines[root].pop(0) + "\n"
+
+    old, new = bench_record.run_pairs(base, change, "distill", 3, seed=21, runner=runner)
+    # the base runs first in even pairs and second in odd ones, every run untraced
+    assert [c[0] for c in calls] == [base, change, change, base, base, change]
+    assert {c[1:] for c in calls} == {("distill", 21, 35, 0)}
+    out = bench_record.pair_lines(SPEC, old, new)
+    assert out[0] == "correct base True change True; failed ops base [0, 0, 0] change [0, 0, 1]"
+    row = {line.split()[0]: line for line in out[1:]}
+    assert "base 100 [100, 100]  change 110 [105, 115]  x1.100" in row["ops_per_s"]
+    assert row["ops_per_s"].endswith("change won 2/3 (1 tied)")
+    assert row["latency_p90_s"].endswith("change won 1/3 (1 tied)")
+    # no tie, no tie note
+    assert bench_record.pair_lines(SPEC, old[:2], new[:1] + new[2:])[1].endswith(
+        "change won 2/2")
+
+
+def test_pairs_command_line_needs_its_settings(tmp_path):
+    for argv in (["--pairs", "1", "--against", str(tmp_path), "--workload", "distill"],
+                 ["--pairs", "3", "--workload", "distill"],
+                 ["--pairs", "3", "--against", str(tmp_path)],
+                 ["--pairs", "3", "--pr", "2", "--against", str(tmp_path), "--workload", "a"]):
+        with pytest.raises(SystemExit):
+            bench_record.main(argv)

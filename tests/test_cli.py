@@ -107,6 +107,26 @@ def test_verify_uhlmann_scores_the_key_tests_once(monkeypatch, spec):
                    "bound": rec.bound, "pad_dim": rec.pad_dim}
 
 
+def test_verify_purifies_a_density_once(monkeypatch):
+    # the key tests and the direct distance read one purification of the Werner
+    # density; each on its own purifies it again, with the same figures
+    state, _ = build_state({"kind": "werner", "d": 12, "p": 0.9}, 1)
+    cb = ConjugateBasis.fourier(12)
+    p_e, p_tilde_e = privacy.key_error_rates(state, cb, privacy.star_projective_povm(cb),
+                                             povm_labels=("B",))
+    want = {"p_e": p_e, "p_tilde_e": p_tilde_e, "eps_certified": p_e + p_tilde_e ** 0.5,
+            "eps_direct": privacy.epsilon_secret_direct(state)}
+    purified = []
+    for mod in (privlab, privlab.tensor_core, privacy):
+        monkeypatch.setattr(mod, "purify",
+                            lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
+    res = results_of(["verify", "--state", "werner", "--d", "12", "--p", "0.9",
+                      "--measurement", "projective", "--seed", "1"])
+    assert len(purified) == 1
+    for key, value in want.items():
+        assert res[key] == pytest.approx(value, abs=1e-12), key
+
+
 @pytest.mark.parametrize("line", [
     "verify --state twisted --d 12 --shield-dim 144 --measurement projective",
     "verify --state bell_power --d 4 --copies 3 --measurement projective",

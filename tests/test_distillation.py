@@ -746,6 +746,11 @@ CHAIN_CASES = {
     "pure_e1_mx1_fail": lambda: (random_pure_state(HilbertSpace((2, 2, 1), ("A", "B", "E")),
                                                    substream(3)),
                                  2, sample_universal_css(2, 2, 0, 1, substream(103))),
+    # m_x = 1 over E = 9: two conjugate classes, each with its own fail block, which
+    # the chunked chain test runs as three environment chunks
+    "pure_e3_mx1_fail": lambda: (random_pure_state(HilbertSpace((2, 2, 3), ("A", "B", "E")),
+                                                   substream(53)),
+                                 2, CssCode.from_stabilizers(2, [], [[1, 1]], n=2)),
 }
 
 
@@ -867,12 +872,15 @@ def test_hashing_chain_never_builds_a_whole_chain_state():
     assert peak < 16 * chain
 
 
-@pytest.mark.parametrize("case", ["werner_n3_mx1", "pure_e3"])
+@pytest.mark.parametrize("case", ["werner_n3_mx1", "pure_e3", "pure_e3_mx1_fail"])
 def test_hashing_chain_sums_over_many_environment_chunks(case, monkeypatch):
     # a cap of three environment columns per chunk: the sums run across chunks and slices
     state, n, code = CHAIN_CASES[case]()
     want = dense_hashing_chain(state, n, code)[1]
     dd, e_dim = code.d ** n, chain_amplitudes(state, n).shape[2]
+    if case == "pure_e3_mx1_fail":  # per-class fail blocks, over several chunks
+        pair = distillation._copied_conj_classes(chain_amplitudes(state, n), code._tables)[0]
+        assert pair.fail is not None and len(code._tables.beta_classes) == 2
     monkeypatch.setattr(distillation, "AMPLITUDE_CAP",
                         3 * dd * dd * code.d ** code.m_x * (dd + 1) ** 2)
     chunks = []

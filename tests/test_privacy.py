@@ -385,6 +385,17 @@ def test_key_amplitudes_layout():
         _key_amplitudes(random_pure_state(HilbertSpace((2, 2), ("A", "S")), substream(148)))
 
 
+def test_certify_private_keeps_its_errors_on_a_density_purified_once():
+    # the key tests and the frame share one purification; the frame still refuses a
+    # density that carries E, and a B smaller than A
+    with pytest.raises(ValueError, match="already used"):
+        certify_private(DensityOperator(HilbertSpace((2, 2, 2), ("A", "B", "E")),
+                                        np.eye(8) / 8))
+    with pytest.raises(ValueError, match="cannot be smaller"):
+        certify_private(DensityOperator(HilbertSpace((3, 2), ("A", "B")), np.eye(6) / 6),
+                        conj_povm=Povm.standard_basis(2), povm_labels=("B",))
+
+
 def test_werner_direct_distance_factorises_only_its_purification(factorised):
     state = build_state({"kind": "werner", "d": 12, "p": 0.9}, 5)[0]
     for shapes in factorised.values():

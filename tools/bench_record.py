@@ -3,6 +3,7 @@
     python3 tools/bench_record.py --pr N [--root DIR]
     python3 tools/bench_record.py --pr N --compare BENCH_M.json
     python3 tools/bench_record.py --load BENCH_N.json --compare BENCH_M.json
+    python3 tools/bench_record.py --pairs N --against DIR --workload W [--seed S]
 
 Each workload of ``BENCHMARK.json`` is run as a subprocess,
 ``python3 perfbench/run.py --workload W --seed 1 --seconds 35 --trace 0|1``,
@@ -18,6 +19,16 @@ files under that checkout's ``perfbench/results/``, and the record goes to
 ``--compare PREV`` prints each metric's ratio to PREV. An end-to-end metric
 whose median lies outside PREV's interquartile range is flagged ``better`` or
 ``worse``; the per-layer metrics come from one run each and get no flag.
+
+``--pairs N`` compares two checkouts directly: N pairs of untraced runs of
+workload W, one run of the checkout DIR (the base) and one of ``--root`` (the
+change) per pair, with the same seed and length, the base first in even pairs
+and second in odd ones. Per end-to-end metric it prints each side's median
+and quartiles and how many pairs the change won in the metric's ``better``
+direction; a tie counts for neither side.
+
+Every run is a fresh process with ``PYTHONDONTWRITEBYTECODE=1``, so it writes
+no bytecode cache that a later run would read.
 """
 
 from __future__ import annotations
@@ -44,7 +55,9 @@ Runner = Callable[[Path, str, int, float, int], str]
 def run_benchmark(root: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    return subprocess.run(argv, cwd=root, check=True, capture_output=True, text=True).stdout
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(argv, cwd=root, env=env, check=True, capture_output=True,
+                          text=True).stdout
 
 
 def last_result(stdout: str) -> dict:
@@ -144,6 +157,38 @@ def compare(prev: dict, cur: dict) -> list[str]:
     return lines
 
 
+def run_pairs(base: Path, change: Path, workload: str, pairs: int, seed: int = SEED,
+              runner: Runner = run_benchmark) -> tuple[list[dict], list[dict]]:
+    """The result lines of ``pairs`` alternating pairs of untraced runs, as (base
+    runs, change runs): the base runs first in even pairs and second in odd ones."""
+    sides: tuple[list[dict], list[dict]] = ([], [])
+    for i in range(pairs):
+        for k in ((0, 1) if i % 2 == 0 else (1, 0)):
+            root = (base, change)[k]
+            sides[k].append(last_result(runner(root, workload, seed, SECONDS, 0)))
+    return sides
+
+
+def pair_lines(spec: dict, base: Sequence[dict], change: Sequence[dict]) -> list[str]:
+    """Per end-to-end metric, each side's median [q1, q3] and the pairs the change
+    won in the metric's ``better`` direction; ties count for neither side."""
+    lines = [f"correct base {all(r['correct'] for r in base)} change "
+             f"{all(r['correct'] for r in change)}; failed ops base "
+             f"{[r['failed'] for r in base]} change {[r['failed'] for r in change]}"]
+    for metric in spec["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        old = [r["metrics"][name]["value"] for r in base]
+        new = [r["metrics"][name]["value"] for r in change]
+        won = sum(y > x if higher else y < x for x, y in zip(old, new))
+        tied = sum(x == y for x, y in zip(old, new))
+        a, b = spread(old), spread(new)
+        lines.append(f"{name:16s} base {a['median']:.6g} [{a['q1']:.6g}, {a['q3']:.6g}]"
+                     f"  change {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
+                     f"  x{_ratio(b['median'], a['median']):.3f}"
+                     f"  change won {won}/{len(old)}" + (f" ({tied} tied)" if tied else ""))
+    return lines
+
+
 def _ratio(new: float, old: float) -> float:
     return new / old if old else (1.0 if new == old else float("inf"))
 
@@ -155,9 +200,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--load", type=Path, help="compare an existing record instead")
     p.add_argument("--compare", type=Path, help="previous record to compare with")
     p.add_argument("--root", type=Path, default=ROOT, help="checkout to benchmark")
+    p.add_argument("--pairs", type=int, help="alternating pairs of runs against --against")
+    p.add_argument("--against", type=Path, help="the base checkout of --pairs")
+    p.add_argument("--workload", help="the workload of --pairs")
+    p.add_argument("--seed", type=int, default=SEED, help="the seed of --pairs")
     args = p.parse_args(argv)
-    if (args.pr is None) == (args.load is None):
-        p.error("give exactly one of --pr and --load")
+    if sum(x is not None for x in (args.pr, args.load, args.pairs)) != 1:
+        p.error("give exactly one of --pr, --load and --pairs")
+    if args.pairs is not None:
+        if args.pairs < 2 or args.against is None or args.workload is None:
+            p.error("--pairs needs N >= 2, --against and --workload")
+        root = args.root.resolve()
+        spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        base, change = run_pairs(args.against.resolve(), root, args.workload, args.pairs,
+                                 args.seed)
+        print(f"{args.workload}: {args.pairs} pairs at seed {args.seed}, {SECONDS} s runs")
+        print("\n".join(pair_lines(spec, base, change)))
+        return 0
     if args.load is not None:
         cur = json.loads(args.load.read_text(encoding="utf-8"))
     else:
