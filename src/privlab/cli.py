@@ -39,8 +39,8 @@ from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _bell_basis,
                         _private_vector, maximally_entangled)
 from .sampling import (_haar_unitaries, haar_unitary, haar_vector, random_pure_state,
                        substream)
-from .tensor_core import (DensityOperator, HilbertSpace, InvariantViolation, StateVector,
-                          _budget, purify)
+from .tensor_core import (BOUND_ATOL, DensityOperator, HilbertSpace, InvariantViolation,
+                          StateVector, _budget, purify)
 
 STATE_KINDS = {
     "bell": {"d"},
@@ -79,7 +79,7 @@ def _spec_kind(spec, kinds: Mapping, what: str):
     if not isinstance(spec, Mapping) or "kind" not in spec:
         raise ValueError(f"{what} spec must be an object with a 'kind' entry")
     kind = spec["kind"]
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"unknown {what} kind {kind!r}; choose from {sorted(kinds)}")
     _check_keys({k: v for k, v in spec.items() if k != "kind"}, kinds[kind],
                 f"{what}[{kind}]")
@@ -264,11 +264,7 @@ def cmd_verify(cfg: Mapping, seed: int):
                                  measurement_name="twisting_conjugate")
         extra_out = {}
     elif meas == "uhlmann":
-        # the partner puts every register but A and B on Bob's side, so Eve's
-        # E register is traced out first and the partner purifies onto a new E
-        labels = state.space.labels
-        rec = uhlmann_conjugate_measurement(
-            state.marginal([x for x in labels if x != "E"]) if "E" in labels else state)
+        rec = uhlmann_conjugate_measurement(state)
         report = _certified_report(rec.p_e, rec.p_tilde_e, rec.eps_direct, margin,
                                    "uhlmann_partner")
         extra_out = {"fidelity": rec.fidelity, "bound": rec.bound,
@@ -294,8 +290,7 @@ def cmd_distill(cfg: Mapping, seed: int):
             raise ValueError("two_copy distillation needs a shielded_bit state")
         _, extras = build_state(state_spec, seed)
         phi0, phi1 = extras["shields"]
-        sc = two_copy_scenario(phi0, phi1,
-                               code_spec.get("stabilizer", "XX"), adaptive)
+        sc = two_copy_scenario(phi0, phi1, str(code_spec.get("stabilizer", "XX")), adaptive)
         outcome = one_shot_distill(sc.state, sc.code, sc.key_decoders,
                                    sc.conj_decoders)
         results = dict(outcome.transcript)
@@ -334,7 +329,7 @@ def cmd_hashing_sim(cfg: Mapping, seed: int):
 
 def cmd_css(cfg: Mapping, seed: int):
     mode = cfg.get("mode", "sample")
-    if mode not in CSS_MODES:
+    if not isinstance(mode, str) or mode not in CSS_MODES:
         raise ValueError(f"unknown css mode {mode!r} (use sample or universality)")
     _check_keys(cfg, {"mode", "d", "n"} | CSS_MODES[mode], f"css[{mode}]")
     d = _as_int(cfg.get("d", 2), "d")
@@ -403,6 +398,9 @@ def cmd_uncertainty(cfg: Mapping, seed: int):
     if not dev <= 1e-12:
         raise InvariantViolation(
             f"stacked audit of trial {worst} is off its single audit by {dev:g}")
+    if not slacks[worst] >= -BOUND_ATOL:
+        raise InvariantViolation(f"{mode} relation fails on trial {worst} "
+                                 f"(slack {slacks[worst]!r})")
     results = {"mode": mode, "d": d, "trials": trials,
                "min_slack": float(slacks.min()), "mean_slack": float(slacks.mean()),
                "rhs": record.rhs,

@@ -36,7 +36,7 @@ from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
 from .privacy import (SOUNDNESS_ATOL, PrivacyReport, _block_frame, _certified_report,
                       _direct_distance, _key_amplitudes)
 from .qudit_ops import POVM_COMPLETENESS_ATOL, ConjugateBasis, Povm
-from .tensor_core import (AMPLITUDE_CAP, KIND_ATOL, PSD_ATOL, SUPPORT_ATOL,
+from .tensor_core import (AMPLITUDE_CAP, BOUND_ATOL, KIND_ATOL, PSD_ATOL, SUPPORT_ATOL,
                           HilbertSpace, InvariantViolation, StateVector, _budget,
                           _chain_distance, _gram, _psd_root)
 
@@ -438,7 +438,8 @@ class HashingSimResult:
     td_* are trace distances between the actual chain state and its ideal
     counterpart, each with the proved bound_*; encoded_fidelity is the
     fidelity of the final logical (A, D) pair with the maximally entangled
-    state, ideal_encoded_fidelity the same for the ideal branch.
+    state, ideal_encoded_fidelity the same for the ideal branch.  Every
+    distance must hold its bound up to ``BOUND_ATOL``.
     """
 
     n: int
@@ -454,6 +455,12 @@ class HashingSimResult:
     bound_psi4: float
     encoded_fidelity: float
     ideal_encoded_fidelity: float
+
+    def __post_init__(self):
+        for step in ("psi2", "psi3", "psi4"):
+            td, bound = getattr(self, f"td_{step}"), getattr(self, f"bound_{step}")
+            if not td <= bound + BOUND_ATOL:
+                raise InvariantViolation(f"td_{step} = {td!r} exceeds its bound {bound!r}")
 
 
 def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:

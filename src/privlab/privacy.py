@@ -327,8 +327,8 @@ class UhlmannRecord:
     ``eps`` is 1 - F(measured state, ideal key ccq); the partner
     construction guarantees p_tilde_e <= 2 eps - eps^2 and the key test
     itself obeys p_e <= trace distance.  ``eps_direct`` is that trace
-    distance (``epsilon_secret_direct``) read off the same purification,
-    with every register but A and B on the lab side.
+    distance (``epsilon_secret_direct``) read off the same amplitudes, with
+    Eve holding E.
     """
 
     povm: Povm
@@ -345,10 +345,12 @@ class UhlmannRecord:
 def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = None) -> UhlmannRecord:
     """Build a conjugate key decoder for an approximately private state.
 
-    The state is purified (environment E of rank r; a pure state needs
-    none) and matched by an Uhlmann partner purification of the ideal key
-    ccq with the state's own environment marginal rho_E = d K K^dag.  With
-    A and B copied onto |0> lab ancillas, the overlap between the two
+    Eve holds the environment E of rank r, as in every key figure: a
+    vector's own E (it may carry none) or a mixed state's purifier, and the
+    shield is every other register.  The state is matched by an Uhlmann
+    partner purification of the ideal key ccq with the state's own
+    environment marginal rho_E = d K K^dag.  With A and B copied onto |0>
+    lab ancillas, the overlap between the two
     purifications is block diagonal: block k is the s x r matrix
     X_k = conj(psi[k, k]) K, and the fidelity is the sum of the singular
     values of the X_k.  The partner is an exact private state whose
@@ -367,16 +369,15 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
         conj_basis = ConjugateBasis.fourier(d)
     if conj_basis.d != d:
         raise ValueError("conjugate basis dimension does not match register A")
-    # every register but A and B is on the lab side, even one named E
-    s = space.dim // (d * d)
     pure = isinstance(state, StateVector)
-    r_max = 1 if pure else d * d * s
-    _budget((d, s, r_max), "Uhlmann partner blocks")
+    e = space.dim_of("E") if pure and "E" in space.labels else 1
+    s = space.dim // (d * d * e)
+    _budget((d, s, e if pure else d * d * s), "Uhlmann partner blocks")
     _budget((d, d * s, d * s), "Uhlmann partner decoder")
 
     # a mixed state is purified once, for the frame and the key tests alike
     psi = state if pure else purify(state, _unused_label(space))
-    t, shield_labels = _key_amplitudes(psi, env=() if pure else psi.space.labels[-1:])
+    t, shield_labels = _key_amplitudes(state, ("E",), psi)
     frame = _block_frame(t, purified=not pure)
     lam = frame.lam
     r = lam.size

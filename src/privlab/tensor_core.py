@@ -21,6 +21,7 @@ KIND_ATOL = 1e-10      # unitarity / idempotence checks on tagged operators
 PSD_ATOL = 1e-10       # most negative eigenvalue tolerated on a positive object
 SUPPORT_ATOL = 1e-10   # rank decisions (support of an operator)
 LOG_CLAMP = 1e-12      # weights at or below this add nothing to an entropy
+BOUND_ATOL = 1e-9      # rounding a certified chain bound or uncertainty relation may show
 
 AMPLITUDE_CAP = 2 ** 20  # largest dense array (complex entries) a workload may ask for
 _GRAM_BLOCK = 2 ** 14  # amplitudes per block of a pure-state distance: the difference stays in cache

@@ -156,3 +156,84 @@ def test_pairs_command_line_needs_its_settings(tmp_path):
                  ["--pairs", "3", "--pr", "2", "--against", str(tmp_path), "--workload", "a"]):
         with pytest.raises(SystemExit):
             bench_record.main(argv)
+
+
+WORKLOADS = '''from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Op:
+    argv: tuple
+
+
+MIXES = {"w": (Op(("verify", "--d", "2")),)}
+WARMUP = {"w": (("rates", "--state", "bell", "--d", "2", "--seed", "7"),)}
+'''
+
+
+def payload_checkout(root):
+    """A checkout with one README example, one mix line and a warm-up line equal to
+    the example."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "workloads.py").write_text(WORKLOADS)
+    (root / "README.md").write_text("```sh\n# a comment\nprivlab rates --state bell \\\n"
+                                    "  --d 2 --seed 7\n```\n\n```\nprivlab css\n```\n")
+    return root
+
+
+def test_payload_lines_join_readme_examples_the_mix_and_extras_once(tmp_path):
+    root = payload_checkout(tmp_path)
+    assert bench_record.payload_lines(root, ["css --mode 'sample'"]) == [
+        ["rates", "--state", "bell", "--d", "2", "--seed", "7"], ["verify", "--d", "2"],
+        ["css", "--mode", "sample"]]
+    assert not (root / "perfbench" / "__pycache__").exists()
+
+
+def test_payloads_count_identical_lines_and_list_moved_numbers(tmp_path, capsys):
+    base, change = tmp_path / "base", payload_checkout(tmp_path / "change")
+    calls = []
+
+    def runner(root, lines):
+        calls.append((root, [list(a) for a in lines]))
+        out = [{"results": {"p": 0.25, "name": "x", "rows": [1, 2.0]}} for _ in lines]
+        if root == change:
+            out[2]["results"]["p"] = 0.25 + 2 ** -54      # verify at seed 1
+            out[3]["results"]["rows"] = [1, 2.5]           # verify at seed 2
+        return out
+
+    assert bench_record.payload_main(base, change, (1, 2), [], runner=runner) == 0
+    # one process per checkout, both given every line at every seed
+    assert [c[0] for c in calls] == [base, change] and calls[0][1] == calls[1][1]
+    assert calls[0][1][1:3] == [["rates", "--state", "bell", "--d", "2", "--seed", "7",
+                                 "--seed", "2"], ["verify", "--d", "2", "--seed", "1"]]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "2 of 4 lines byte-identical; 2 fields moved, largest |delta| 0.5"
+    assert out[1] == ("  verify --d 2 --seed 1: results.p 0.25 -> 0.25000000000000006 "
+                      "(delta 5.55e-17)")
+    assert out[2] == "  verify --d 2 --seed 2: results.rows[1] 2.0 -> 2.5 (delta 0.5)"
+
+
+@pytest.mark.parametrize("changed", [{"exit": 2, "error": "invalid input: d"},
+                                     {"results": {"p": 1}},
+                                     {"results": {"p": 0.5, "q": 0.0}}])
+def test_payloads_fail_on_a_key_or_type_mismatch(changed, tmp_path, capsys):
+    base, change = tmp_path / "base", payload_checkout(tmp_path / "change")
+
+    def runner(root, lines):
+        return [changed if root == change and i == 0 else {"results": {"p": 0.5}}
+                for i in range(len(lines))]
+
+    assert bench_record.payload_main(base, change, (1,), [], runner=runner) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("1 of 2 lines byte-identical")
+    assert any(line.startswith("MISMATCH rates --state bell") for line in out)
+
+
+def test_payloads_take_seeds_and_exclude_the_other_modes(tmp_path):
+    for argv in (["--payloads", str(tmp_path), "--pairs", "3", "--against", str(tmp_path),
+                  "--workload", "distill"],
+                 ["--payloads", str(tmp_path), "--pr", "2"],
+                 ["--pairs", "3", "--against", str(tmp_path), "--workload", "distill",
+                  "--seed", "1", "2"]):
+        with pytest.raises(SystemExit):
+            bench_record.main(argv)

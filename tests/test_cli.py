@@ -25,6 +25,7 @@ from privlab.cli import MAX_TRIALS, build_code, build_parser, build_state, main,
 from privlab.qudit_ops import _private_vector
 from privlab.tensor_core import AMPLITUDE_CAP
 from privlab.sampling import substream
+from conftest import largest_side
 
 
 def payload(argv):
@@ -382,6 +383,51 @@ def test_uncertainty_command_all_modes():
         assert res["trials"] == 25
 
 
+K0_CHAIN = ("hashing-sim --state werner --d 2 --p 0.9 --n 2 --code-kind explicit "
+            "--code-d 2 --code-n 2 --mx-rows").split() + ["1 0; 0 1"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chain_bounds_hold_up_to_rounding_on_a_k0_code(seed):
+    # m_x = n leaves no key: bound_psi3 is 0.0, and td_psi3 reads a few 1e-15
+    res = results_of(K0_CHAIN + ["--seed", str(seed)])
+    assert res["key_dim"] == 1 and res["bound_psi3"] == 0.0
+    assert res["td_psi3"] <= res["bound_psi3"] + 1e-9
+
+
+def test_a_chain_distance_over_its_bound_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(privlab.distillation, "_chain_distance", lambda g: 3.0)
+    assert main(K0_CHAIN) == 3
+    assert "td_psi2 = 3.0 exceeds its bound" in capsys.readouterr().err
+
+
+def test_an_audit_slack_below_the_relation_exits_3(monkeypatch, capsys):
+    # the stacked terms and the worst trial's own audit are shifted alike, so
+    # the cross-check passes and the relation itself fails: slack <= -1
+    trials, audit = cli._audit_trials, cli.uncertainty_audit
+    monkeypatch.setattr(cli, "_audit_trials", lambda *a: trials(*a) - 1.0)
+    monkeypatch.setattr(cli, "uncertainty_audit", lambda *a, **k: dataclasses.replace(
+        rec := audit(*a, **k), lhs_terms=tuple(t - 1.0 for t in rec.lhs_terms)))
+    assert main(["uncertainty", "--mode", "maassen_uffink", "--d", "2", "--trials", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "maassen_uffink relation fails on trial" in err and "off its single audit" not in err
+
+
+@pytest.mark.parametrize("command,cfg,named", [
+    ("verify", {"state": {"kind": ["bell"]}}, "unknown state kind ['bell']"),
+    ("css", {"mode": ["sample"]}, "unknown css mode ['sample']"),
+    ("distill", {"code": {"kind": {"a": 1}}}, "unknown code kind {'a': 1}"),
+    ("distill", {"code": {"kind": "two_copy", "stabilizer": ["XX"]}},
+     "unknown stabilizer \"['XX']\""),
+])
+def test_config_entries_of_the_wrong_json_type_name_themselves(command, cfg, named,
+                                                               tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workload", ["audit", "certify", "distill"])
 def test_first_round_replays_the_benchmark_reference(monkeypatch, workload):
     # the benchmark's recorded payloads, checked in tier-1 and not only in bench runs
@@ -670,6 +716,31 @@ def test_uhlmann_partner_on_werner_d8_stays_small(tmp_path):
     assert res["p_tilde_e"] <= res["bound"]
     assert res["p_e"] <= res["eps_direct"]
     assert res["pad_dim"] == 8
+
+
+def test_verify_uhlmann_factorises_the_shielded_bit_on_bobs_side(factorised):
+    # E is Eve's, so nothing of the (A, B, S, E) vector's 32 x 32 density is
+    # factorised: the largest matrix is a decoder element on (B, S)
+    res = results_of(["verify", "--state", "shielded_bit", "--s", "0.6", "--shield-dim", "8",
+                      "--measurement", "uhlmann"])
+    assert res["p_tilde_e"] <= res["bound"] + 1e-6
+    assert largest_side(*factorised.values()) <= 16
+
+
+def test_verify_uhlmann_runs_the_shielded_bit_up_to_its_decoder(capsys):
+    # no (A, B, S) marginal is built: at s = 257 the (2, 514, 514) decoder fits,
+    # and at s = 363 the (2, 726, 726) one is refused before it is allocated
+    argv = ["verify", "--state", "shielded_bit", "--measurement", "uhlmann", "--shield-dim"]
+    assert main(argv + ["257", "--out", os.devnull]) == 0, capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["363"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "Uhlmann partner decoder" in capsys.readouterr().err
+    assert peak < 16 * 2 * 726 * 726
 
 
 def test_uhlmann_partner_decoder_enforces_amplitude_cap():

@@ -729,12 +729,38 @@ def test_uhlmann_blocks_match_padded_oracle(case):
     else:
         state = build_state({"kind": kind, **spec}, 5)[0]
     rec = uhlmann_conjugate_measurement(state)
-    want = padded_uhlmann_oracle(state)
+    # Eve holds E: the oracle gives every register but A and B to Bob
+    lab = state.marginal(("A", "B", "S")) if case == "shielded_bit" else state
+    want = padded_uhlmann_oracle(lab)
     for key, value in want.items():
         assert abs(getattr(rec, key) - value) <= 1e-12, key
     # the oracle's null-space completion carries no payload
-    shuffled = padded_uhlmann_oracle(state, substream(909))
+    shuffled = padded_uhlmann_oracle(lab, substream(909))
     assert abs(shuffled["p_tilde_e"] - want["p_tilde_e"]) < 1e-12
+
+
+@pytest.mark.parametrize("dims,seed", [((2, 2, 3, 4), 31), ((3, 3, 2, 5), 32),
+                                       ((2, 2, 1, 3), 33)])
+def test_uhlmann_partner_reads_e_as_the_environment(dims, seed):
+    # Eve's E is the environment of a vector, as for every key figure: the
+    # partner of (A, B, S, E) is the partner of its (A, B, S) marginal
+    state = random_pure_state(HilbertSpace(dims, ("A", "B", "S", "E")), substream(seed))
+    got = uhlmann_conjugate_measurement(state)
+    want = uhlmann_conjugate_measurement(state.marginal(("A", "B", "S")))
+    assert got.povm_labels == want.povm_labels == ("B", "S")
+    assert got.povm.outcome_labels == want.povm.outcome_labels
+    for a, b in zip(got.povm.elements, want.povm.elements, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    for key in ("p_e", "p_tilde_e", "eps", "bound", "fidelity", "pad_dim", "eps_direct"):
+        assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, key
+    assert abs(got.eps_direct - epsilon_secret_direct(state)) <= 1e-12
+
+
+def test_uhlmann_refuses_a_density_that_carries_e():
+    state = random_pure_state(HilbertSpace((2, 2, 2), ("A", "B", "E")), substream(34))
+    for call in (uhlmann_conjugate_measurement, certify_private):
+        with pytest.raises(ValueError, match="already used by lab registers"):
+            call(state.density())
 
 
 def test_uhlmann_factorises_only_small_blocks(factorised):

@@ -4,6 +4,7 @@
     python3 tools/bench_record.py --pr N --compare BENCH_M.json
     python3 tools/bench_record.py --load BENCH_N.json --compare BENCH_M.json
     python3 tools/bench_record.py --pairs N --against DIR --workload W [--seed S]
+    python3 tools/bench_record.py --payloads DIR [--seed S ...] [--line "..." ...]
 
 Each workload of ``BENCHMARK.json`` is run as a subprocess,
 ``python3 perfbench/run.py --workload W --seed 1 --seconds 35 --trace 0|1``,
@@ -27,6 +28,14 @@ and second in odd ones. Per end-to-end metric it prints each side's median
 and quartiles and how many pairs the change won in the metric's ``better``
 direction; a tie counts for neither side.
 
+``--payloads DIR`` compares the ``results`` of the checkout DIR (the base)
+and ``--root`` (the change) on every ``privlab`` line of README.md's sh blocks,
+every perfbench mix and warm-up line, and every ``--line``, each at the seeds
+given (1, 2 and 3 by default), in one process per checkout with one BLAS
+thread. It prints the number of byte-identical lines, then every moved
+number with its delta, and exits 1 when a field is missing on one side or
+changes type (an exit code counts as a field).
+
 Every run is a fresh process with ``PYTHONDONTWRITEBYTECODE=1``, so it writes
 no bytecode cache that a later run would read.
 """
@@ -34,8 +43,11 @@ no bytecode cache that a later run would read.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
+import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -189,6 +201,91 @@ def pair_lines(spec: dict, base: Sequence[dict], change: Sequence[dict]) -> list
     return lines
 
 
+# runs every line in one process of a checkout: (root, argv lines) -> their outcomes,
+# {"results": ...} for exit code 0 and {"exit": code, "error": message} otherwise
+PayloadRunner = Callable[[Path, Sequence[Sequence[str]]], list]
+PAYLOAD_SEEDS = (1, 2, 3)
+PAYLOAD_SCRIPT = """
+import contextlib, io, json, sys
+from privlab import cli
+outcomes = []
+for argv in json.load(sys.stdin):
+    text, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--format", "json"])
+    outcomes.append({"results": json.loads(text.getvalue())["results"]} if code == 0
+                    else {"exit": code, "error": err.getvalue().strip()})
+print(json.dumps(outcomes))
+"""
+
+
+def run_payloads(root: Path, lines: Sequence[Sequence[str]]) -> list:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{v: "1" for v in BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", PAYLOAD_SCRIPT], cwd=root, env=env,
+                         input=json.dumps([list(a) for a in lines]), check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def payload_lines(root: Path, extra: Sequence[str] = ()) -> list[list[str]]:
+    """The README examples, the perfbench mix and warm-up lines and ``extra``, once each."""
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    argvs = [shlex.split(line)[1:] for line in lines if line.startswith("privlab ")]
+    spec = importlib.util.spec_from_file_location("_workloads", root / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache in perfbench/
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = writes
+    argvs += [list(op.argv) for mix in workloads.MIXES.values() for op in mix]
+    argvs += [list(argv) for warm in workloads.WARMUP.values() for argv in warm]
+    argvs += [shlex.split(line) for line in extra]
+    return [list(a) for a in dict.fromkeys(map(tuple, argvs))]
+
+
+def _leaves(value, path: str = "") -> dict:
+    """Every scalar of a JSON value by its path; every container is marked by its kind."""
+    if isinstance(value, dict):
+        out = {f"{path}{{}}": None}
+        for k, v in value.items():
+            out.update(_leaves(v, f"{path}.{k}" if path else k))
+        return out
+    if isinstance(value, list):
+        out = {f"{path}[]": None}
+        for i, v in enumerate(value):
+            out.update(_leaves(v, f"{path}[{i}]"))
+        return out
+    return {path: value}
+
+
+def diff_payloads(lines: Sequence[Sequence[str]], base: Sequence[dict],
+                  change: Sequence[dict]) -> tuple[list[str], bool]:
+    """The report on two runs of ``lines``, and whether every field kept its key and type."""
+    same, moved, bad, worst = 0, [], [], 0.0
+    for argv, old, new in zip(lines, base, change, strict=True):
+        if json.dumps(old, sort_keys=True) == json.dumps(new, sort_keys=True):
+            same += 1
+            continue
+        a, b, name = _leaves(old), _leaves(new), " ".join(argv)
+        for path in sorted(set(a) | set(b)):
+            x, y = a.get(path), b.get(path)
+            if path not in a or path not in b or type(x) is not type(y):
+                bad.append(f"MISMATCH {name}: {path} {x!r} -> {y!r}")
+            elif isinstance(x, (int, float)) and not isinstance(x, bool) and x != y:
+                worst = max(worst, abs(y - x))
+                moved.append(f"  {name}: {path} {x!r} -> {y!r} (delta {y - x:.3g})")
+            elif x != y:
+                moved.append(f"  {name}: {path} {x!r} -> {y!r}")
+    head = [f"{same} of {len(lines)} lines byte-identical; {len(moved)} fields moved, "
+            f"largest |delta| {worst:.3g}"]
+    return head + moved + bad, not bad
+
+
 def _ratio(new: float, old: float) -> float:
     return new / old if old else (1.0 if new == old else float("inf"))
 
@@ -203,18 +300,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--pairs", type=int, help="alternating pairs of runs against --against")
     p.add_argument("--against", type=Path, help="the base checkout of --pairs")
     p.add_argument("--workload", help="the workload of --pairs")
-    p.add_argument("--seed", type=int, default=SEED, help="the seed of --pairs")
+    p.add_argument("--payloads", type=Path, help="the base checkout of a payload diff")
+    p.add_argument("--line", action="append", default=[],
+                   help="an extra privlab command line for --payloads (repeatable)")
+    p.add_argument("--seed", type=int, nargs="+",
+                   help=f"the seed of --pairs ({SEED}), or the seeds of --payloads "
+                        f"({' '.join(map(str, PAYLOAD_SEEDS))})")
     args = p.parse_args(argv)
-    if sum(x is not None for x in (args.pr, args.load, args.pairs)) != 1:
-        p.error("give exactly one of --pr, --load and --pairs")
+    if sum(x is not None for x in (args.pr, args.load, args.pairs, args.payloads)) != 1:
+        p.error("give exactly one of --pr, --load, --pairs and --payloads")
+    if args.payloads is not None:
+        return payload_main(args.payloads.resolve(), args.root.resolve(),
+                            args.seed or PAYLOAD_SEEDS, args.line)
     if args.pairs is not None:
         if args.pairs < 2 or args.against is None or args.workload is None:
             p.error("--pairs needs N >= 2, --against and --workload")
+        if args.seed is not None and len(args.seed) != 1:
+            p.error("--pairs takes one --seed")
+        seed = SEED if args.seed is None else args.seed[0]
         root = args.root.resolve()
         spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
         base, change = run_pairs(args.against.resolve(), root, args.workload, args.pairs,
-                                 args.seed)
-        print(f"{args.workload}: {args.pairs} pairs at seed {args.seed}, {SECONDS} s runs")
+                                 seed)
+        print(f"{args.workload}: {args.pairs} pairs at seed {seed}, {SECONDS} s runs")
         print("\n".join(pair_lines(spec, base, change)))
         return 0
     if args.load is not None:
@@ -228,6 +336,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         prev = json.loads(args.compare.read_text(encoding="utf-8"))
         print("\n".join(compare(prev, cur)))
     return 0
+
+
+def payload_main(base: Path, change: Path, seeds: Sequence[int], extra: Sequence[str],
+                 runner: PayloadRunner = run_payloads) -> int:
+    lines = [argv + ["--seed", str(seed)]
+             for argv in payload_lines(change, extra) for seed in seeds]
+    report, ok = diff_payloads(lines, runner(base, lines), runner(change, lines))
+    print("\n".join(report))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
