@@ -350,16 +350,16 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     shield is every other register.  The state is matched by an Uhlmann
     partner purification of the ideal key ccq with the state's own
     environment marginal rho_E = d K K^dag.  With A and B copied onto |0>
-    lab ancillas, the overlap between the two
-    purifications is block diagonal: block k is the s x r matrix
-    X_k = conj(psi[k, k]) K, and the fidelity is the sum of the singular
-    values of the X_k.  The partner is an exact private state whose
-    twisting acts on lab registers only.  Undoing the copies puts each of
-    its blocks on the s rows that survive compression through the ancillas
-    as S_k = conj(U_k) conj(Vh_k), from the thin SVD X_k = U_k diag Vh_k
-    kept on the support of X_k; the decoder on (B, shield) is built from
-    the S_k alone.  ``pad_dim`` reports the lab padding g = ceil(r / (d s))
-    the physical construction needs; no padded array is allocated.
+    lab ancillas, the overlap between the two purifications is block
+    diagonal: block k is the s x r matrix X_k = conj(psi[k, k]) K, and the
+    fidelity is the sum of the singular values of the X_k.  The partner is
+    an exact private state whose twisting acts on lab registers only.
+    Undoing the copies puts each of its blocks on the s rows that survive
+    compression through the ancillas as S_k = conj(U_k) conj(Vh_k), from the
+    thin SVD X_k = U_k diag Vh_k kept on the support of X_k; the decoder on
+    (B, shield) is built from the S_k alone.  ``pad_dim`` reports the lab
+    padding g = ceil(r / (d s)) the physical construction needs; no padded
+    array is allocated.
     """
     space = _space_of(state)
     d = space.dim_of("A")
@@ -370,14 +370,16 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     if conj_basis.d != d:
         raise ValueError("conjugate basis dimension does not match register A")
     pure = isinstance(state, StateVector)
-    e = space.dim_of("E") if pure and "E" in space.labels else 1
-    s = space.dim // (d * d * e)
-    _budget((d, s, e if pure else d * d * s), "Uhlmann partner blocks")
-    _budget((d, d * s, d * s), "Uhlmann partner decoder")
-
-    # a mixed state is purified once, for the frame and the key tests alike
+    if not pure:  # budgeted, then purified once for the frame and the key tests alike
+        s = space.dim // (d * d)
+        _budget((d, s, d * d * s), "Uhlmann partner blocks")
+        _budget((d, d * s, d * s), "Uhlmann partner decoder")
     psi = state if pure else purify(state, _unused_label(space))
     t, shield_labels = _key_amplitudes(state, ("E",), psi)
+    s = t.shape[2]
+    if pure:
+        _budget((d, s, t.shape[3]), "Uhlmann partner blocks")
+        _budget((d, d * s, d * s), "Uhlmann partner decoder")
     frame = _block_frame(t, purified=not pure)
     lam = frame.lam
     r = lam.size

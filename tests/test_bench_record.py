@@ -168,12 +168,16 @@ class Op:
 
 MIXES = {"w": (Op(("verify", "--d", "2")),)}
 WARMUP = {"w": (("rates", "--state", "bell", "--d", "2", "--seed", "7"),)}
+
+
+def op_argv(workload, seed, i):
+    return [*MIXES[workload][i].argv, "--seed", f"{seed}{i}"]
 '''
 
 
 def payload_checkout(root):
-    """A checkout with one README example, one mix line and a warm-up line equal to
-    the example."""
+    """A checkout with one README example, one mix line (op 0 at workload seed 1 gets
+    seed 10) and a warm-up line equal to the example."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "workloads.py").write_text(WORKLOADS)
     (root / "README.md").write_text("```sh\n# a comment\nprivlab rates --state bell \\\n"
@@ -185,7 +189,7 @@ def test_payload_lines_join_readme_examples_the_mix_and_extras_once(tmp_path):
     root = payload_checkout(tmp_path)
     assert bench_record.payload_lines(root, ["css --mode 'sample'"]) == [
         ["rates", "--state", "bell", "--d", "2", "--seed", "7"], ["verify", "--d", "2"],
-        ["css", "--mode", "sample"]]
+        ["verify", "--d", "2", "--seed", "10"], ["css", "--mode", "sample"]]
     assert not (root / "perfbench" / "__pycache__").exists()
 
 
@@ -197,17 +201,19 @@ def test_payloads_count_identical_lines_and_list_moved_numbers(tmp_path, capsys)
         calls.append((root, [list(a) for a in lines]))
         out = [{"results": {"p": 0.25, "name": "x", "rows": [1, 2.0]}} for _ in lines]
         if root == change:
-            out[2]["results"]["p"] = 0.25 + 2 ** -54      # verify at seed 1
-            out[3]["results"]["rows"] = [1, 2.5]           # verify at seed 2
+            out[1]["results"]["p"] = 0.25 + 2 ** -54      # verify at seed 1
+            out[2]["results"]["rows"] = [1, 2.5]           # verify at seed 2
         return out
 
-    assert bench_record.payload_main(base, change, (1, 2), [], runner=runner) == 0
-    # one process per checkout, both given every line at every seed
+    assert bench_record.payload_main(base, change, [], runner=runner) == 0
+    # one process per checkout, both given the same lines: a line with its own seed
+    # once as written, every other one at seeds 1-3
     assert [c[0] for c in calls] == [base, change] and calls[0][1] == calls[1][1]
-    assert calls[0][1][1:3] == [["rates", "--state", "bell", "--d", "2", "--seed", "7",
-                                 "--seed", "2"], ["verify", "--d", "2", "--seed", "1"]]
+    verify = ["verify", "--d", "2", "--seed"]
+    assert calls[0][1] == [["rates", "--state", "bell", "--d", "2", "--seed", "7"],
+                           verify + ["1"], verify + ["2"], verify + ["3"], verify + ["10"]]
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "2 of 4 lines byte-identical; 2 fields moved, largest |delta| 0.5"
+    assert out[0] == "3 of 5 lines byte-identical; 2 fields moved, largest |delta| 0.5"
     assert out[1] == ("  verify --d 2 --seed 1: results.p 0.25 -> 0.25000000000000006 "
                       "(delta 5.55e-17)")
     assert out[2] == "  verify --d 2 --seed 2: results.rows[1] 2.0 -> 2.5 (delta 0.5)"
@@ -223,17 +229,15 @@ def test_payloads_fail_on_a_key_or_type_mismatch(changed, tmp_path, capsys):
         return [changed if root == change and i == 0 else {"results": {"p": 0.5}}
                 for i in range(len(lines))]
 
-    assert bench_record.payload_main(base, change, (1,), [], runner=runner) == 1
+    assert bench_record.payload_main(base, change, [], runner=runner) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("1 of 2 lines byte-identical")
+    assert out[0].startswith("4 of 5 lines byte-identical")
     assert any(line.startswith("MISMATCH rates --state bell") for line in out)
 
 
-def test_payloads_take_seeds_and_exclude_the_other_modes(tmp_path):
+def test_payloads_exclude_the_other_modes(tmp_path):
     for argv in (["--payloads", str(tmp_path), "--pairs", "3", "--against", str(tmp_path),
                   "--workload", "distill"],
-                 ["--payloads", str(tmp_path), "--pr", "2"],
-                 ["--pairs", "3", "--against", str(tmp_path), "--workload", "distill",
-                  "--seed", "1", "2"]):
+                 ["--payloads", str(tmp_path), "--pr", "2"]):
         with pytest.raises(SystemExit):
             bench_record.main(argv)

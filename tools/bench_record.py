@@ -4,7 +4,7 @@
     python3 tools/bench_record.py --pr N --compare BENCH_M.json
     python3 tools/bench_record.py --load BENCH_N.json --compare BENCH_M.json
     python3 tools/bench_record.py --pairs N --against DIR --workload W [--seed S]
-    python3 tools/bench_record.py --payloads DIR [--seed S ...] [--line "..." ...]
+    python3 tools/bench_record.py --payloads DIR [--line "..." ...]
 
 Each workload of ``BENCHMARK.json`` is run as a subprocess,
 ``python3 perfbench/run.py --workload W --seed 1 --seconds 35 --trace 0|1``,
@@ -30,11 +30,14 @@ direction; a tie counts for neither side.
 
 ``--payloads DIR`` compares the ``results`` of the checkout DIR (the base)
 and ``--root`` (the change) on every ``privlab`` line of README.md's sh blocks,
-every perfbench mix and warm-up line, and every ``--line``, each at the seeds
-given (1, 2 and 3 by default), in one process per checkout with one BLAS
-thread. It prints the number of byte-identical lines, then every moved
-number with its delta, and exits 1 when a field is missing on one side or
-changes type (an exit code counts as a field).
+every perfbench mix and warm-up line, and every ``--line``, in one process
+per checkout with one BLAS thread. A line that sets its own ``--seed`` runs
+once as written; every other line runs at seeds 1, 2 and 3. Each mix op also
+runs once at the seed the benchmark gives its first occurrence (op i of the
+workload seed, i < the mix length); the later ops of a benchmark run, at
+other hashed seeds, are not covered. It prints the number of byte-identical
+lines, then every moved number with its delta, and exits 1 when a field is
+missing on one side or changes type (an exit code counts as a field).
 
 Every run is a fresh process with ``PYTHONDONTWRITEBYTECODE=1``, so it writes
 no bytecode cache that a later run would read.
@@ -230,7 +233,8 @@ def run_payloads(root: Path, lines: Sequence[Sequence[str]]) -> list:
 
 
 def payload_lines(root: Path, extra: Sequence[str] = ()) -> list[list[str]]:
-    """The README examples, the perfbench mix and warm-up lines and ``extra``, once each."""
+    """The README examples, the perfbench mix lines (bare and at their first benchmark
+    seeds), the warm-up lines and ``extra``, once each."""
     readme = (root / "README.md").read_text(encoding="utf-8")
     lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
              for line in block.replace("\\\n", " ").splitlines()]
@@ -243,6 +247,8 @@ def payload_lines(root: Path, extra: Sequence[str] = ()) -> list[list[str]]:
     finally:
         sys.dont_write_bytecode = writes
     argvs += [list(op.argv) for mix in workloads.MIXES.values() for op in mix]
+    argvs += [list(workloads.op_argv(name, SEED, i))
+              for name, mix in workloads.MIXES.items() for i in range(len(mix))]
     argvs += [list(argv) for warm in workloads.WARMUP.values() for argv in warm]
     argvs += [shlex.split(line) for line in extra]
     return [list(a) for a in dict.fromkeys(map(tuple, argvs))]
@@ -303,26 +309,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--payloads", type=Path, help="the base checkout of a payload diff")
     p.add_argument("--line", action="append", default=[],
                    help="an extra privlab command line for --payloads (repeatable)")
-    p.add_argument("--seed", type=int, nargs="+",
-                   help=f"the seed of --pairs ({SEED}), or the seeds of --payloads "
-                        f"({' '.join(map(str, PAYLOAD_SEEDS))})")
+    p.add_argument("--seed", type=int, default=SEED, help="the seed of --pairs")
     args = p.parse_args(argv)
     if sum(x is not None for x in (args.pr, args.load, args.pairs, args.payloads)) != 1:
         p.error("give exactly one of --pr, --load, --pairs and --payloads")
     if args.payloads is not None:
-        return payload_main(args.payloads.resolve(), args.root.resolve(),
-                            args.seed or PAYLOAD_SEEDS, args.line)
+        return payload_main(args.payloads.resolve(), args.root.resolve(), args.line)
     if args.pairs is not None:
         if args.pairs < 2 or args.against is None or args.workload is None:
             p.error("--pairs needs N >= 2, --against and --workload")
-        if args.seed is not None and len(args.seed) != 1:
-            p.error("--pairs takes one --seed")
-        seed = SEED if args.seed is None else args.seed[0]
         root = args.root.resolve()
         spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
         base, change = run_pairs(args.against.resolve(), root, args.workload, args.pairs,
-                                 seed)
-        print(f"{args.workload}: {args.pairs} pairs at seed {seed}, {SECONDS} s runs")
+                                 args.seed)
+        print(f"{args.workload}: {args.pairs} pairs at seed {args.seed}, {SECONDS} s runs")
         print("\n".join(pair_lines(spec, base, change)))
         return 0
     if args.load is not None:
@@ -338,10 +338,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def payload_main(base: Path, change: Path, seeds: Sequence[int], extra: Sequence[str],
+def _seeded(argv: list[str]) -> list[list[str]]:
+    """``argv`` once as written if it sets its own ``--seed``, else at each payload seed."""
+    if any(a.split("=")[0] == "--seed" for a in argv):
+        return [argv]
+    return [argv + ["--seed", str(seed)] for seed in PAYLOAD_SEEDS]
+
+
+def payload_main(base: Path, change: Path, extra: Sequence[str],
                  runner: PayloadRunner = run_payloads) -> int:
-    lines = [argv + ["--seed", str(seed)]
-             for argv in payload_lines(change, extra) for seed in seeds]
+    lines = [a for argv in payload_lines(change, extra) for a in _seeded(argv)]
     report, ok = diff_payloads(lines, runner(base, lines), runner(change, lines))
     print("\n".join(report))
     return 0 if ok else 1
