@@ -62,7 +62,7 @@ def helstrom_pair(rho0, rho1, p0: float = 0.5, p1: float | None = None
         raise ValueError("states must act on the same space")
     vals, vecs = _eigh_hermitian(p0 * m0 - p1 * m1)
     error = 0.5 * (1.0 - float(np.sum(np.abs(vals))))
-    povm = Povm(tuple(_helstrom_projectors(vals, vecs)), (0, 1))
+    povm = Povm(_helstrom_projectors(vals, vecs), (0, 1))
     return povm, float(min(max(error, 0.0), 1.0))
 
 
@@ -106,7 +106,7 @@ def _pgm_of_rows(rows: np.ndarray, labels: Sequence) -> Povm:
     if u.shape[1] < m:
         elements.append(np.eye(m) - u @ u.conj().T)
         labels.append("fail")
-    return Povm(tuple(elements), tuple(labels))
+    return Povm(elements, tuple(labels))
 
 
 def _ensemble_rows(ensemble: CqEnsemble) -> np.ndarray:
@@ -185,7 +185,7 @@ def _guess_error(rows: np.ndarray, decoders: Mapping, classes: Mapping,
             raise ValueError(f"decoders must act on (B, shield), dimension {bob}")
         members = np.asarray(members, dtype=np.int64)
         owns = value_of[members][:, None] == value_fail[_guess_slots(dec, len(value_of))]
-        m_x = (owns @ np.reshape(dec.elements, (dec.n_outcomes, -1))).reshape(-1, bob, bob)
+        m_x = (owns @ dec.elements.reshape(dec.n_outcomes, -1)).reshape(-1, bob, bob)
         w = rows if np.array_equal(members, np.arange(len(rows))) else rows[members]
         hits[key] = sum(np.vdot(wx, applied).real for wx, applied in zip(w, m_x @ w))
     return float(min(max(1.0 - sum(hits.values()), 0.0), 1.0)), hits

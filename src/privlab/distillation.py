@@ -97,7 +97,7 @@ def _key_decode(t1: np.ndarray, key_decoders: Mapping, tab: _CodeTables,
         if dec.dim != dd:
             raise ValueError("key decoders must act on B alone")
         # roots as (outcome, B', B); the outcome axis lands on the guess slots
-        applied = np.tensordot(np.stack(dec.sqrt_elements()), t1[rows], axes=(2, 1))
+        applied = np.tensordot(dec.sqrt_elements(), t1[rows], axes=(2, 1))
         slots = slots_to[_guess_slots(dec, dd)]
         t2[rows_to[rows][:, None], ..., slots] = np.moveaxis(applied, 2, 0)
     return t2
@@ -715,7 +715,7 @@ def _two_copy_conj_decoders(phis: list[np.ndarray], code: CssCode, adaptive: boo
     hh, m = np.kron(_HADAMARD, _HADAMARD), sh * sh
     elements = np.einsum("Xb,Yb,kbost->koXsYt", hh, hh,
                          proj.reshape(-1, 4, 2, m, m)).reshape(-1, 2, 4 * m, 4 * m)
-    povms = [Povm(tuple(els), labs) for els, labs in zip(elements, labels)]
+    povms = [Povm(els, labs) for els, labs in zip(elements, labels)]
     return {(0,): povms[0], (1,): povms[-1]}
 
 

@@ -303,7 +303,7 @@ def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None
             raise ValueError("cit mode needs x_witness and z_witness POVMs")
         for labels, w in (z_witness, x_witness):
             _check_groups(space, [((key_label,), d), (labels, w.dim)])
-            witnesses += ((tuple(labels), np.stack(w.elements)),)
+            witnesses += ((tuple(labels), w.elements),)
         data = (state.amplitudes if isinstance(state, StateVector) else state.matrix)[None]
     else:
         if not {"B", "E"} <= set(space.labels):

@@ -228,14 +228,14 @@ def _direct_distance(frames: Sequence[_KeyFrame]) -> float:
         row_levels = [np.repeat(levels, sizes)[small]]
         for k in np.flatnonzero(sizes > s):
             members = rows[:, :, order[cuts[k]:cuts[k + 1]]]
-            parts.append(np.linalg.qr(members.mT, mode="r").mT)
+            parts.append(np.linalg.qr(members.swapaxes(-1, -2), mode="r").swapaxes(-1, -2))
             row_levels.append(np.full(s, levels[k]))
         yt = np.concatenate(parts, axis=2)
         c = np.concatenate(row_levels)
         # one batched eigvalsh, split over j only where the stack would pass the cap
         step = max(1, AMPLITUDE_CAP // _budget((c.size, c.size), "compressed key block"))
         total += sum(float(np.sum(np.abs(np.linalg.eigvalsh(
-            yt[lo:lo + step].mT @ yt[lo:lo + step].conj() - np.diag(c)))))
+            yt[lo:lo + step].swapaxes(-1, -2) @ yt[lo:lo + step].conj() - np.diag(c)))))
             for lo in range(0, d, step))
         total += d * float(np.sum((sizes - np.minimum(sizes, s)) * levels))
     return float(min(max(0.5 * total, 0.0), 1.0))
@@ -293,16 +293,15 @@ def ccq_fidelity_to_key(state, *, eve_labels: Sequence[str] = ("E",)) -> float:
 
 
 def _conjugate_key_elements(conj_basis: ConjugateBasis, g: np.ndarray) -> list[np.ndarray]:
-    """Conjugate key decoder elements on (B, S) from stacked shield blocks.
+    """Conjugate key decoder elements on (B, S), as views of one stack F_y F_y^dag.
 
     ``g`` stacks d blocks G_k of s rows each; element y has (k, k') block
-    (P*_y)_{k k'} G_k G_k'^dag = F_y F_y^dag, block k of F_y being v*_y[k] G_k
-    with v*_y = conj(v_y) the conjugated basis vector, made exactly hermitian.
+    (P*_y)_{k k'} G_k G_k'^dag, block k of F_y being v*_y[k] G_k with
+    v*_y = conj(v_y) the conjugated basis vector.
     """
     d, (rows, r) = conj_basis.d, g.shape
     f = (conj_basis.vectors.conj().T[:, :, None, None] * g.reshape(d, -1, r)).reshape(d, rows, r)
-    el = f @ f.conj().swapaxes(1, 2)
-    return list(0.5 * (el + el.conj().swapaxes(1, 2)))
+    return list(f @ f.conj().swapaxes(1, 2))
 
 
 def twisting_conjugate_measurement(t: TwistingOperator,
@@ -317,7 +316,7 @@ def twisting_conjugate_measurement(t: TwistingOperator,
         raise ValueError("conjugate basis dimension does not match the twisting")
     _budget((t.d, t.d * t.shield_dim, t.d * t.shield_dim), "twisting decoder")
     elements = _conjugate_key_elements(conj_basis, np.vstack(t.diagonal_blocks()))
-    return Povm(tuple(elements), tuple(range(t.d)))
+    return Povm(elements, tuple(range(t.d)))
 
 
 @dataclass(frozen=True)
@@ -409,9 +408,10 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     rest = np.eye(d * s) - np.sum(elements, axis=0)
     labels: tuple = tuple(range(d))
     if float(np.max(np.abs(rest))) > 1e-12:
-        elements.append(0.5 * (rest + rest.conj().T))
+        elements.append(rest)
         labels = labels + ("fail",)
-    povm = Povm(tuple(elements), labels)
+    povm = Povm(elements, labels)
+    del elements, rest
 
     povm_labels = ("B", *shield_labels)
     p_e, p_tilde_e = key_error_rates(psi, conj_basis, povm, povm_labels=povm_labels)

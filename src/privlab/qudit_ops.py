@@ -140,9 +140,10 @@ def _check_povms(stack: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Povm:
-    """A positive operator-valued measure with explicit outcome labels."""
+    """A positive operator-valued measure with explicit outcome labels; the
+    elements, given as any sequence, are held as one read-only (n, m, m) stack."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     outcome_labels: tuple = ()
 
     def __post_init__(self):
@@ -158,13 +159,12 @@ class Povm:
         labels = tuple(self.outcome_labels) if self.outcome_labels else tuple(range(len(stack)))
         if len(labels) != len(stack):
             raise ValueError("outcome label count must match element count")
-        # the elements are read-only views of the one validated stack
-        object.__setattr__(self, "elements", tuple(_lock(stack)))
+        object.__setattr__(self, "elements", _lock(stack))
         object.__setattr__(self, "outcome_labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -177,16 +177,16 @@ class Povm:
 
     @classmethod
     def projective_from_columns(cls, columns: np.ndarray, labels: tuple = ()) -> "Povm":
-        return cls(tuple(_projective_elements(_as_complex(columns))), labels)
+        return cls(_projective_elements(_as_complex(columns)), labels)
 
-    def sqrt_elements(self) -> tuple[np.ndarray, ...]:
-        """Square roots of the elements, computed once per POVM (read-only)."""
+    def sqrt_elements(self) -> np.ndarray:
+        """Square roots of the elements as one read-only (n, m, m) stack, computed once."""
         return self._roots
 
     @cached_property
-    def _roots(self) -> tuple[np.ndarray, ...]:
+    def _roots(self) -> np.ndarray:
         # the elements passed _check_povms: one batched eigh of their stack
-        return tuple(_lock(_psd_root(*np.linalg.eigh(np.stack(self.elements)))))
+        return _lock(_psd_root(*np.linalg.eigh(self.elements)))
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def measure(state, povms: Sequence[tuple[Sequence[str], Povm]]) -> MeasurementRe
     kept = tuple(x for x in space.labels if x not in seen)
     data = state.amplitudes if isinstance(state, StateVector) else state.matrix
     blocks = reduce_blocks(space, data, kept,
-                           [(labels, np.stack(povm.elements)) for labels, povm in povms])
+                           [(labels, povm.elements) for labels, povm in povms])
     probs = _outcome_probs(blocks[None])[0]
     conditionals = {}
     if kept:

@@ -241,3 +241,37 @@ def test_payloads_exclude_the_other_modes(tmp_path):
                  ["--payloads", str(tmp_path), "--pr", "2"]):
         with pytest.raises(SystemExit):
             bench_record.main(argv)
+
+
+def test_scale_runs_each_line_on_both_checkouts_and_reports_exit_time_and_peak(
+        tmp_path, capsys):
+    base, change = tmp_path / "base", tmp_path / "change"
+    calls = []
+
+    def runner(root, argv):
+        calls.append((root, list(argv)))
+        refused = "--d 17" in " ".join(argv)
+        return {"exit": 2 if refused else 0,
+                "error": "invalid input: rate amplitude rows needs 1419857" if refused else "",
+                "wall_s": 0.25, "peak_bytes": 3 * 2 ** 22 if root == change else 2 ** 24,
+                "cap": 2 ** 20}
+
+    assert bench_record.scale_main(base, change, runner=runner) == 0
+    lines = bench_record.SCALE_LINES
+    # one call per line and checkout, the base first, each line split as a shell would
+    assert calls[:2] == [(base, ["rates", "--state", "werner", "--d", "16", "--p", "0.9"]),
+                         (change, ["rates", "--state", "werner", "--d", "16", "--p", "0.9"])]
+    assert len(calls) == 2 * len(lines)
+    assert calls[18][1][-4:] == ["--mz-rows", "1 1 1 1", "--mx-rows", "1 1 0 0"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [lines[0], "  base   exit 0  0.250 s  16.8 MB (1.00x)",
+                       "  change exit 0  0.250 s  12.6 MB (0.75x)"]
+    assert out[4] == ('  base   exit 2  0.250 s  16.8 MB (1.00x)'
+                      '  "invalid input: rate amplitude rows needs 1419857"')
+
+
+def test_scale_excludes_the_other_modes(tmp_path):
+    for argv in (["--scale", str(tmp_path), "--payloads", str(tmp_path)],
+                 ["--scale", str(tmp_path), "--pr", "2"]):
+        with pytest.raises(SystemExit):
+            bench_record.main(argv)

@@ -743,6 +743,23 @@ def test_verify_uhlmann_runs_the_shielded_bit_up_to_its_decoder(capsys):
     assert peak < 16 * 2 * 726 * 726
 
 
+@pytest.mark.parametrize("shield, factor", [(256, 2.5), (362, 4.5)])
+def test_verify_uhlmann_peak_stays_within_a_multiple_of_the_cap(shield, factor, capsys):
+    # the partner's decoder is one (2, 2s, 2s) stack held by its Povm and scored
+    # in place: 2.14x the cap's bytes at s = 256 and 4.27x at s = 362
+    argv = ["verify", "--state", "shielded_bit", "--measurement", "uhlmann", "--out", os.devnull,
+            "--shield-dim"]
+    assert main(argv + ["2"]) == 0, capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        rc = main(argv + [str(shield)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    assert peak <= factor * 16 * AMPLITUDE_CAP, f"{peak / (16 * AMPLITUDE_CAP):.2f}x the cap"
+
+
 def test_uhlmann_partner_decoder_enforces_amplitude_cap():
     # a pure d=2 state with a 512-dim shield has (2, 1024, 1024) decoder
     # elements, over the cap; it is refused before any D x D array exists

@@ -250,6 +250,18 @@ def test_povm_validation_on_one_stack(dim, count):
     assert not any(el.flags.writeable for el in povm.elements)
 
 
+def test_elements_and_roots_are_each_one_read_only_stack():
+    given = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(np.complex128)
+    for povm in (Povm(given), Povm.standard_basis(3), ConjugateBasis.fourier(5).povm(),
+                 Povm.projective_from_columns(haar_unitary(4, substream(81)))):
+        shape = (povm.n_outcomes, povm.dim, povm.dim)
+        for stack in (povm.elements, povm.sqrt_elements()):
+            assert type(stack) is np.ndarray and stack.shape == shape
+            assert not stack.flags.writeable
+    # the constructor still copies what it is given
+    assert not np.shares_memory(Povm(given).elements, given) and given.flags.writeable
+
+
 def test_coherent_measure_rejects_nan_roots():
     psi = random_pure_state(HilbertSpace((2, 2), ("A", "B")), substream(71))
     povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))

@@ -113,3 +113,57 @@ def test_privacy_reads_amplitude_rows_and_reduces_no_state():
                    for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
                    if name in reductions)
     assert not calls, f"privacy.py calls {', '.join(calls)}"
+
+
+def _qualified_nodes(tree: ast.Module):
+    """Every node of ``tree`` with the qualified name of the function or method
+    it sits in (``Class.method``; ``""`` at module level)."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            else:
+                inner = scope
+            yield child, inner
+            yield from walk(child, inner)
+    return walk(tree, "")
+
+
+def test_povm_stacks_are_read_in_place():
+    """``Povm.elements`` and ``Povm.sqrt_elements()`` are each one read-only stack:
+    outside ``Povm.__post_init__``, which checks and locks it, no module rebuilds
+    them with ``np.stack``, ``np.array``, ``np.asarray``, ``np.reshape``, ``tuple``
+    or ``list``."""
+    copies = {"stack", "array", "asarray", "reshape"}
+
+    def copier(func):
+        if isinstance(func, ast.Name):
+            return func.id in {"tuple", "list"}
+        return (isinstance(func, ast.Attribute) and func.attr in copies
+                and isinstance(func.value, ast.Name) and func.value.id == "np")
+
+    def is_povm_stack(arg):
+        call = isinstance(arg, ast.Call)
+        node = arg.func if call else arg
+        return (isinstance(node, ast.Attribute)
+                and node.attr == ("sqrt_elements" if call else "elements"))
+
+    sites = [f"{path.name}:{node.lineno} ({scope})" for path in sorted(SRC.glob("*.py"))
+             for node, scope in _qualified_nodes(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and copier(node.func)
+             and scope != "Povm.__post_init__"
+             and any(map(is_povm_stack, [*node.args, *(k.value for k in node.keywords)]))]
+    assert not sites, f"POVM stacks rebuilt at {', '.join(sites)}"
+
+
+# numpy names added in 2.0 or later; pyproject.toml declares numpy>=1.24
+NUMPY_2_ONLY = {"mT", "vecdot", "matvec", "vecmat", "unstack", "concat", "matrix_transpose"}
+
+
+def test_sources_use_no_numpy_2_only_names():
+    uses = [f"{path.name}:{node.lineno} ({name})" for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            for name in [getattr(node, "attr", None) if isinstance(node, ast.Attribute)
+                         else getattr(node, "id", None)]
+            if name in NUMPY_2_ONLY]
+    assert not uses, f"numpy 2.0-only names: {', '.join(uses)}"

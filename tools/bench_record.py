@@ -5,6 +5,7 @@
     python3 tools/bench_record.py --load BENCH_N.json --compare BENCH_M.json
     python3 tools/bench_record.py --pairs N --against DIR --workload W [--seed S]
     python3 tools/bench_record.py --payloads DIR [--line "..." ...]
+    python3 tools/bench_record.py --scale DIR
 
 Each workload of ``BENCHMARK.json`` is run as a subprocess,
 ``python3 perfbench/run.py --workload W --seed 1 --seconds 35 --trace 0|1``,
@@ -38,6 +39,13 @@ workload seed, i < the mix length); the later ops of a benchmark run, at
 other hashed seeds, are not covered. It prints the number of byte-identical
 lines, then every moved number with its delta, and exits 1 when a field is
 missing on one side or changes type (an exit code counts as a field).
+
+``--scale DIR`` runs each line of ``SCALE_LINES`` (the scale limits of ROADMAP.md)
+in the checkout DIR (the base) and in ``--root`` (the change), one fresh process per
+line and checkout with one BLAS thread. A process calls the line three times: the
+first gives the exit code and, on a refusal, the first line of its stderr; the
+second, warm, gives the wall time; the third gives the tracemalloc peak, printed in
+MB and as a multiple of 16 bytes x the checkout's ``AMPLITUDE_CAP``.
 
 Every run is a fresh process with ``PYTHONDONTWRITEBYTECODE=1``, so it writes
 no bytecode cache that a later run would read.
@@ -222,14 +230,81 @@ print(json.dumps(outcomes))
 """
 
 
-def run_payloads(root: Path, lines: Sequence[Sequence[str]]) -> list:
+def _run_privlab(root: Path, script: str, stdin) -> object:
+    """The JSON that ``script`` prints, run in a fresh process on ``root``'s privlab
+    with one BLAS thread and no bytecode, given ``stdin`` as JSON."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{v: "1" for v in BLAS_THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                       env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", PAYLOAD_SCRIPT], cwd=root, env=env,
-                         input=json.dumps([list(a) for a in lines]), check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                         input=json.dumps(stdin), check=True, capture_output=True,
+                         text=True).stdout
     return json.loads(out)
+
+
+def run_payloads(root: Path, lines: Sequence[Sequence[str]]) -> list:
+    return _run_privlab(root, PAYLOAD_SCRIPT, [list(a) for a in lines])
+
+
+# the lines of ROADMAP.md's scale table, each near a limit of AMPLITUDE_CAP
+SCALE_LINES = (
+    "rates --state werner --d 16 --p 0.9",
+    "rates --state werner --d 17 --p 0.9",
+    "verify --state werner --d 32 --p 0.9 --measurement projective",
+    "verify --state twisted --d 4 --shield-dim 457 --measurement projective",
+    "verify --state twisted --d 12 --shield-dim 144 --measurement projective",
+    "verify --state shielded_bit --shield-dim 256 --measurement uhlmann",
+    "verify --state shielded_bit --shield-dim 362 --measurement uhlmann",
+    "verify --state shielded_bit --shield-dim 363 --measurement uhlmann",
+    "hashing-sim --state werner --d 2 --p 0.95 --n 4 --code-kind explicit --code-d 2 "
+    "--code-n 4 --mz-rows '1 1 1 1'",
+    "hashing-sim --state werner --d 2 --p 0.95 --n 4 --code-kind explicit --code-d 2 "
+    "--code-n 4 --mz-rows '1 1 1 1' --mx-rows '1 1 0 0'",
+    "hashing-sim --state werner --d 2 --p 0.95 --n 5 --code-kind explicit --code-d 2 "
+    "--code-n 5 --mz-rows '1 1 1 1 1'",
+    "distill --state werner --d 16 --p 0.9 --code-kind sampled --code-d 2 --code-n 4 "
+    "--m-z 1 --m-x 1",
+    "distill --state werner --d 32 --p 0.9 --code-kind sampled --code-d 2 --code-n 5 "
+    "--m-z 1 --m-x 1",
+)
+# runs one line in a fresh process of a checkout: (root, argv) -> {"exit", "error",
+# "wall_s", "peak_bytes", "cap"}
+ScaleRunner = Callable[[Path, Sequence[str]], dict]
+SCALE_SCRIPT = """
+import contextlib, io, json, sys, time, tracemalloc
+from privlab import cli
+from privlab.tensor_core import AMPLITUDE_CAP
+argv = json.load(sys.stdin)
+
+def call():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return cli.main(argv), err.getvalue()
+
+code, err = call()
+start = time.perf_counter()
+call()
+wall = time.perf_counter() - start
+tracemalloc.start()
+call()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+lines = [line for line in err.splitlines() if line.strip()] if code else []
+print(json.dumps({"exit": code, "error": lines[0] if lines else "", "wall_s": wall,
+                  "peak_bytes": peak, "cap": AMPLITUDE_CAP}))
+"""
+
+
+def run_scale(root: Path, argv: Sequence[str]) -> dict:
+    return _run_privlab(root, SCALE_SCRIPT, list(argv))
+
+
+def scale_report(side: str, out: dict) -> str:
+    """One side's line of a scale run: exit code, warm wall time and peak."""
+    peak = out["peak_bytes"]
+    refusal = f'  "{out["error"]}"' if out["exit"] else ""
+    return (f"  {side:6s} exit {out['exit']}  {out['wall_s']:.3f} s  {peak / 1e6:.1f} MB"
+            f" ({peak / (16 * out['cap']):.2f}x)" + refusal)
 
 
 def payload_lines(root: Path, extra: Sequence[str] = ()) -> list[list[str]]:
@@ -310,9 +385,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--line", action="append", default=[],
                    help="an extra privlab command line for --payloads (repeatable)")
     p.add_argument("--seed", type=int, default=SEED, help="the seed of --pairs")
+    p.add_argument("--scale", type=Path, help="the base checkout of a scale run")
     args = p.parse_args(argv)
-    if sum(x is not None for x in (args.pr, args.load, args.pairs, args.payloads)) != 1:
-        p.error("give exactly one of --pr, --load, --pairs and --payloads")
+    modes = (args.pr, args.load, args.pairs, args.payloads, args.scale)
+    if sum(x is not None for x in modes) != 1:
+        p.error("give exactly one of --pr, --load, --pairs, --payloads and --scale")
+    if args.scale is not None:
+        return scale_main(args.scale.resolve(), args.root.resolve())
     if args.payloads is not None:
         return payload_main(args.payloads.resolve(), args.root.resolve(), args.line)
     if args.pairs is not None:
@@ -335,6 +414,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.compare is not None:
         prev = json.loads(args.compare.read_text(encoding="utf-8"))
         print("\n".join(compare(prev, cur)))
+    return 0
+
+
+def scale_main(base: Path, change: Path, runner: ScaleRunner = run_scale) -> int:
+    for line in SCALE_LINES:
+        print(line)
+        for side, root in (("base", base), ("change", change)):
+            print(scale_report(side, runner(root, shlex.split(line))))
     return 0
 
 
