@@ -33,14 +33,14 @@ from .distillation import (build_css_decoders, coherent_hashing_sim,
                            shielded_bit_state, tensor_power_grouped,
                            two_copy_scenario)
 from .info_measures import AUDIT_MODES, AuditRecord, _audit_trials, uncertainty_audit
-from .privacy import (_certified_report, certify_private,
+from .privacy import (SOUNDNESS_ATOL, _certified_report, certify_private,
                       twisting_conjugate_measurement, uhlmann_conjugate_measurement)
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _bell_basis,
                         _private_vector, maximally_entangled)
 from .sampling import (_haar_unitaries, haar_unitary, haar_vector, random_pure_state,
                        substream)
 from .tensor_core import (BOUND_ATOL, DensityOperator, HilbertSpace, InvariantViolation,
-                          StateVector, _budget, purify)
+                          StateVector, _budget)
 
 STATE_KINDS = {
     "bell": {"d"},
@@ -249,7 +249,7 @@ def cmd_verify(cfg: Mapping, seed: int):
     _check_keys(cfg, {"state", "measurement", "soundness_margin"}, "verify")
     state, extras = build_state(cfg.get("state", {"kind": "bell"}), seed)
     meas = cfg.get("measurement", "projective")
-    margin = _as_real(cfg.get("soundness_margin", 1e-6), "soundness_margin")
+    margin = _as_real(cfg.get("soundness_margin", SOUNDNESS_ATOL), "soundness_margin")
     if meas == "projective":
         report = certify_private(state, soundness_margin=margin)
         extra_out = {}
@@ -304,7 +304,7 @@ def cmd_distill(cfg: Mapping, seed: int):
     state, _ = build_state(cfg.get("state", {"kind": "bell"}), seed)
     code = build_code(code_spec, seed)
     if isinstance(state, DensityOperator):
-        state = purify(state)  # once, for the decoders and the protocol alike
+        state = state._purified  # once, for the decoders and the protocol alike
     decs = build_css_decoders(state, code)
     outcome = one_shot_distill(state, code, decs.key_decoders, decs.conj_decoders)
     results = dict(outcome.transcript)
@@ -555,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "certify a state as an approximate private state", state=True)
     p.add_argument("--measurement", choices=("projective", "twisting", "uhlmann"))
-    p.add_argument("--soundness-margin", type=float)
+    p.add_argument("--soundness-margin", type=float,
+                   help=f"allowed excess of eps_direct over eps_certified; the report "
+                        f"checks again at {SOUNDNESS_ATOL:g} (the default), so it only tightens")
 
     p = command("distill", "run the certified one-shot protocol", state=True, code=True)
     p.add_argument("--adaptive", action="store_true")

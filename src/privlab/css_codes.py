@@ -114,7 +114,7 @@ def gf_inv(a: np.ndarray, d: int) -> np.ndarray:
     return r[:, n:] % d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GfMatrix:
     """An integer matrix with entries reduced mod a prime d."""
 
@@ -165,7 +165,7 @@ def _complete_basis(fixed: np.ndarray, candidates: np.ndarray, d: int,
     return candidates[picked] % d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CodeTables:
     """Flat class values of every string under one code, and its encode maps.
 
@@ -196,7 +196,7 @@ class _CodeTables:
                 arr.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssCode:
     """Stabilizer data plus paired logical representatives over GF(d)."""
 

@@ -141,7 +141,7 @@ def pgm_error(ensemble: CqEnsemble, measurement: Povm | None = None) -> float:
 # class decoders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HswDecoderResult:
     """One POVM per class plus incoherent error bookkeeping."""
 

@@ -181,7 +181,7 @@ def distillable_rate(state, conj_basis: ConjugateBasis | None = None) -> RateBre
 # decoder families
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssDecoders:
     """Per-syndrome decoders plus their incoherent error bookkeeping."""
 
@@ -222,7 +222,7 @@ def _blockwise(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (m.reshape(dd, dd, dd, dd) * w[:, None, :, None]).reshape(m.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CopiedClasses:
     """Every conjugate class PGM on (C, B) of the copied rows, as one checked pair.
 
@@ -628,7 +628,7 @@ def _grouped_power(arr: np.ndarray, n: int) -> np.ndarray:
 # two-qubit shielded scenario
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoCopyResult:
     """Two-copy scenario outcome: decoders (the key ones built when read) and errors."""
 

@@ -28,8 +28,6 @@ from .tensor_core import (
     _checked_densities,
     _reduce_amplitudes,
     _reduction_stacks,
-    _unused_label,
-    purify,
     reduce_blocks,
 )
 
@@ -109,7 +107,7 @@ def von_neumann_entropy(rho) -> float:
     return _entropy_of_weights(_checked_densities(_as_complex(rho)[None])[1][0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqEnsemble:
     """Classical-quantum ensemble: outcome k with probability p_k, state phi_k."""
 
@@ -283,7 +281,7 @@ def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None
         A, B, E.
 
     The terms come from ``_audit_rows`` on a stack of one; ``quantum_cit``
-    purifies a density first, ``cit`` reduces its matrix.
+    reads a density's cached purification, ``cit`` reduces its matrix.
     """
     if mode not in AUDIT_MODES:
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -308,7 +306,7 @@ def uncertainty_audit(mode: str, state, conj_basis: ConjugateBasis | None = None
     else:
         if not {"B", "E"} <= set(space.labels):
             raise ValueError("quantum_cit expects labels A, B, E")
-        psi = state if isinstance(state, StateVector) else purify(state, _unused_label(space))
+        psi = state if isinstance(state, StateVector) else state._purified
         space, data = psi.space, psi.amplitudes[None]
 
     terms = _audit_rows(mode, space, data, basis, key_label, witnesses)[0]

@@ -24,8 +24,7 @@ from .discrimination import _guess_error
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _check_groups,  # noqa: F401
                         measure)
 from .tensor_core import (AMPLITUDE_CAP, DensityOperator, HilbertSpace,
-                          InvariantViolation, StateVector, _budget,
-                          _unused_label, permute_vector, purify)
+                          InvariantViolation, StateVector, _budget, permute_vector)
 
 SOUNDNESS_ATOL = 1e-6
 
@@ -69,7 +68,7 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
     gives different values.  p_tilde_e is the probability that the given
     POVM (on povm_labels, everything but A by default) fails to reproduce
     Alice's outcome when she measures in the conjugate basis.  Both tests
-    read the amplitude rows of the state, a mixed one purified once: p_e
+    read the amplitude rows of the state (a density's cached purification): p_e
     is 1 - sum_a ||psi[a, a]||^2 over (A, B, rest), and p_tilde_e is scored
     by ``_guess_error`` on the rows v^dag psi over (x, povm_labels, rest).
     """
@@ -81,7 +80,7 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
         povm_labels = tuple(x for x in space.labels if x != "A")
     key = np.arange(min(d, space.dim_of("B")))
     _check_groups(space, [(("A",), d), (tuple(povm_labels), conj_povm.dim)])
-    psi = state if isinstance(state, StateVector) else purify(state, _unused_label(space))
+    psi = state if isinstance(state, StateVector) else state._purified
     # views of the amplitudes ordered (A, Bob, every other register), not copies
     amps, axis = psi.amplitudes.reshape(psi.space.dims), psi.space.axis
     diag = np.moveaxis(amps, [axis("A"), axis("B")], [0, 1])[key, key]
@@ -97,15 +96,14 @@ def key_error_rates(state, conj_basis: ConjugateBasis, conj_povm: Povm,
 # direct (ccq) secrecy
 
 
-def _key_amplitudes(state, env: Sequence[str] = ("E",), psi: StateVector | None = None
-                    ) -> tuple[np.ndarray, tuple[str, ...]]:
+def _key_amplitudes(state, env: Sequence[str] = ("E",)) -> tuple[np.ndarray, tuple[str, ...]]:
     """Amplitudes t[a, b, s, e] of the state, and the labels of its shield.
 
     The axes are A, B, the shield (every other lab register, in the state's
     order) and the environment (the registers named in ``env``, in that
-    order).  A mixed state, which must carry none of the ``env`` registers,
-    is purified once (or read from ``psi``) and its purifier is the
-    environment.  A missing shield or environment is a trivial axis.
+    order).  A mixed state, which must carry none of the ``env`` registers, is
+    read through its cached purification (``DensityOperator._purified``), whose
+    purifier is the environment.  A missing shield or environment is a trivial axis.
     """
     space = _space_of(state)
     for need in ("A", "B"):
@@ -118,7 +116,7 @@ def _key_amplitudes(state, env: Sequence[str] = ("E",), psi: StateVector | None 
         clash = [x for x in env if x in space.labels]
         if clash:
             raise ValueError(f"labels {clash!r} already used by lab registers")
-        psi = purify(state, _unused_label(space)) if psi is None else psi
+        psi = state._purified
         eves = psi.space.labels[-1:]
     shield = tuple(x for x in space.labels if x not in ("A", "B") + eves)
     t = permute_vector(psi.space, psi.amplitudes, ("A", "B") + shield + eves)
@@ -174,16 +172,16 @@ def _block_frame(w: np.ndarray, purified: bool = False,
     return _KeyFrame(rows, lam, off_mass)
 
 
-def _key_frame(state, eve_labels: Sequence[str], psi: StateVector | None = None) -> _KeyFrame:
+def _key_frame(state, eve_labels: Sequence[str]) -> _KeyFrame:
     """The eigenframe of rho_E, read off the purification when there is one.
 
-    A mixed state is purified (or read from ``psi``), so its frame needs no
-    second factorisation; a StateVector is read as given (``_block_frame``).
+    A mixed state is read through its cached purification, so its frame needs
+    no second factorisation; a StateVector is read as given (``_block_frame``).
     """
     space = _space_of(state)
     if space.dim_of("B") < space.dim_of("A"):
         raise ValueError("register B cannot be smaller than the key register A")
-    return _block_frame(_key_amplitudes(state, eve_labels, psi)[0],
+    return _block_frame(_key_amplitudes(state, eve_labels)[0],
                         purified=not isinstance(state, StateVector))
 
 
@@ -319,7 +317,7 @@ def twisting_conjugate_measurement(t: TwistingOperator,
     return Povm(elements, tuple(range(t.d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UhlmannRecord:
     """Conjugate measurement extracted from an Uhlmann partner.
 
@@ -369,12 +367,11 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     if conj_basis.d != d:
         raise ValueError("conjugate basis dimension does not match register A")
     pure = isinstance(state, StateVector)
-    if not pure:  # budgeted, then purified once for the frame and the key tests alike
+    if not pure:  # budgeted before the frame and the key tests read its purification
         s = space.dim // (d * d)
         _budget((d, s, d * d * s), "Uhlmann partner blocks")
         _budget((d, d * s, d * s), "Uhlmann partner decoder")
-    psi = state if pure else purify(state, _unused_label(space))
-    t, shield_labels = _key_amplitudes(state, ("E",), psi)
+    t, shield_labels = _key_amplitudes(state)
     s = t.shape[2]
     if pure:
         _budget((d, s, t.shape[3]), "Uhlmann partner blocks")
@@ -414,7 +411,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     del elements, rest
 
     povm_labels = ("B", *shield_labels)
-    p_e, p_tilde_e = key_error_rates(psi, conj_basis, povm, povm_labels=povm_labels)
+    p_e, p_tilde_e = key_error_rates(state, conj_basis, povm, povm_labels=povm_labels)
     eps = float(min(max(1.0 - fid, 0.0), 1.0))
     bound = 2.0 * eps - eps * eps
     if not p_tilde_e <= bound + 1e-6:
@@ -437,8 +434,9 @@ def certify_private(state, conj_basis: ConjugateBasis | None = None,
     Without an explicit POVM the conjugate test projects B onto the
     conjugated basis (exact for a maximally entangled key with no shield).
     The certified bound p_e + sqrt(p_tilde_e) must dominate the direct
-    trace distance up to ``soundness_margin``.  A StateVector stays a
-    vector throughout; a mixed state is purified once, for both.
+    trace distance within ``soundness_margin``; ``PrivacyReport`` checks it
+    again at ``SOUNDNESS_ATOL``, so a margin can only tighten that check.
+    Both tests read a vector's amplitudes or a density's cached purification.
     """
     space = _space_of(state)
     if conj_basis is None:
@@ -448,11 +446,8 @@ def certify_private(state, conj_basis: ConjugateBasis | None = None,
         povm_labels = ("B",)
         if measurement_name is None:
             measurement_name = "conjugate_projective"
-    if povm_labels is None:  # Bob's registers, named before the purifier joins them
-        povm_labels = tuple(x for x in space.labels if x != "A")
-    psi = state if isinstance(state, StateVector) else purify(state, _unused_label(space))
-    p_e, p_tilde_e = key_error_rates(psi, conj_basis, conj_povm, povm_labels=povm_labels)
-    return _certified_report(p_e, p_tilde_e, _direct_distance([_key_frame(state, ("E",), psi)]),
+    p_e, p_tilde_e = key_error_rates(state, conj_basis, conj_povm, povm_labels=povm_labels)
+    return _certified_report(p_e, p_tilde_e, _direct_distance([_key_frame(state, ("E",))]),
                              soundness_margin, measurement_name or "custom")
 
 

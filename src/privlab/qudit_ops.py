@@ -57,7 +57,7 @@ def generalized_paulis(d: int) -> tuple[LinearOperator, LinearOperator, complex]
             complex(omega))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugateBasis:
     """Phase table defining a basis conjugate to the standard one."""
 
@@ -138,7 +138,7 @@ def _check_povms(stack: np.ndarray) -> None:
         raise ValueError(f"POVM does not sum to identity (deviation {dev:g})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A positive operator-valued measure with explicit outcome labels; the
     elements, given as any sequence, are held as one read-only (n, m, m) stack."""
@@ -189,7 +189,7 @@ class Povm:
         return _lock(_psd_root(*np.linalg.eigh(self.elements)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementResult:
     """Joint outcome distribution plus post-measurement marginals."""
 
@@ -280,7 +280,7 @@ def coherent_measure(state: StateVector, labels: Sequence[str], povm: Povm,
 # twisting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistingOperator:
     """Controlled shield unitary U = sum_{jk} P_j (x) P_k (x) V_jk.
 
@@ -403,17 +403,18 @@ def build_private_state(d: int, t: TwistingOperator, xi) -> DensityOperator:
 
     ``xi`` is the shield state (StateVector or DensityOperator on the
     shield); the result is U (Phi_d (x) xi) U^dagger on labels (A, B, S).
-    A pure shield is twisted on its amplitudes (``_private_vector``) and
-    only the result becomes a matrix; a mixed one goes through the
-    assembled twisting unitary.
+    Only the diagonal twisting blocks touch the key-correlated entries: block
+    (jj, kk) is V_jj xi V_kk^dagger / d and every other block is 0, so the
+    (d d s)^2 twisting unitary is never assembled.
     """
     if isinstance(xi, StateVector):
-        return _private_vector(d, t, xi).density()
+        xi = xi.density()
     if t.d != d:
         raise ValueError("twisting dimension does not match d")
     if xi.matrix.shape[0] != t.shield_dim:
         raise ValueError("shield state dimension does not match the twisting blocks")
-    phi = maximally_entangled(d).density()
-    base = np.kron(phi.matrix, xi.matrix)
-    u = twisting_unitary(t).matrix
-    return DensityOperator(t.space, u @ base @ u.conj().T)
+    v, j = np.stack(t.diagonal_blocks()), np.arange(d)[:, None]
+    m = np.zeros((d, d, t.shield_dim) * 2, dtype=np.complex128)
+    # the advanced axes come first: m[j, j, :, k, k, :] = V_jj xi V_kk^dagger / d
+    m[j, j, :, j.T, j.T, :] = (v @ xi.matrix)[:, None] @ v.conj().swapaxes(1, 2) / d
+    return DensityOperator(t.space, m.reshape(t.space.dim, -1))

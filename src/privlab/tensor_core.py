@@ -188,7 +188,7 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A normalised pure state over a labelled space."""
 
@@ -224,7 +224,7 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A density matrix with construction-time invariant checks."""
 
@@ -246,11 +246,12 @@ class DensityOperator:
                                  f"and {dim} x {dim} vectors")
             vals = vals[None]
         stack, vals = _checked_densities(m[None], vals)
-        # the spectrum of the stored matrix, kept for entropies and ranks, and
-        # its eigenvectors when they were given
+        # the spectrum of the stored matrix, kept for entropies and ranks; given
+        # eigenvectors fill the ``_eigh`` cache with it
         object.__setattr__(self, "_eigenvalues", _lock(vals[0]))
-        object.__setattr__(self, "_eigenvectors", None if vecs is None else _lock(vecs))
         object.__setattr__(self, "matrix", _lock(stack[0]))
+        if vecs is not None:
+            self.__dict__["_eigh"] = (self._eigenvalues, _lock(vecs))
 
     @classmethod
     def _from_eigensystem(cls, space: HilbertSpace, matrix: np.ndarray, vals: np.ndarray,
@@ -259,8 +260,8 @@ class DensityOperator:
         (the columns of ``vecs``) are known to the caller.
 
         The matrix is checked as in construction, except that positivity is
-        read off ``vals`` in place of an eigvalsh; ``purify`` then reads the
-        eigensystem instead of factorising the matrix.
+        read off ``vals`` in place of an eigvalsh, and the pair is the ``_eigh``
+        cache, so ``purify`` reads it instead of factorising the matrix.
         """
         rho = object.__new__(cls)
         object.__setattr__(rho, "space", space)
@@ -282,19 +283,21 @@ class DensityOperator:
     def rank(self, tol: float = SUPPORT_ATOL) -> int:
         return int(np.sum(self.eigenvalues() > tol))
 
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors: the pair given at construction,
-        or one eigh of the matrix, taken once per density (read-only)."""
-        return self._eigh
-
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eigenvectors is not None:
-            return self._eigenvalues, self._eigenvectors
+        """Ascending eigenvalues and eigenvectors: the pair given at construction,
+        or one eigh of the matrix, taken once per density (read-only)."""
         return tuple(map(_lock, np.linalg.eigh(self.matrix)))
 
+    @cached_property
+    def _purified(self) -> "StateVector":
+        """The purification every reader of this density shares, taken once: onto
+        E, or onto a label longer than all of the density's when it carries E."""
+        labels = self.space.labels
+        return purify(self, "E" * (1 + max(map(len, labels)) if "E" in labels else 1))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class LinearOperator:
     """A matrix on a labelled space, tagged with the structure it claims."""
 
@@ -506,12 +509,14 @@ def purify(rho: DensityOperator, new_label: str = "E") -> StateVector:
 
     The purifier dimension equals the rank of rho (support cut at
     ``SUPPORT_ATOL``), so pure inputs get a one-dimensional purifier.  The
-    purifier basis is rho's eigenbasis: the one rho was built with, if any
-    (a Werner state's Bell basis), else the eigh of its matrix.
+    purifier basis is rho's eigenbasis (``DensityOperator._eigh``): the one
+    rho was built with, if any (a Werner state's Bell basis), else the eigh
+    of its matrix.  Each call builds a new vector; the package's readers
+    share the one ``DensityOperator._purified`` holds.
     """
     if new_label in rho.space.labels:
         raise ValueError(f"label {new_label!r} already used")
-    vals, vecs = rho._eigensystem()
+    vals, vecs = rho._eigh
     sel = vals > SUPPORT_ATOL
     if not np.any(sel):
         raise ValueError("cannot purify an operator with empty support")
@@ -520,11 +525,6 @@ def purify(rho: DensityOperator, new_label: str = "E") -> StateVector:
     amps = (v * np.sqrt(lam)).reshape(-1)  # index order (space, purifier)
     space = rho.space.add_factor(new_label, int(lam.size))
     return StateVector(space, amps)
-
-
-def _unused_label(space: HilbertSpace) -> str:
-    """A label no register of ``space`` carries: it is longer than all of theirs."""
-    return "E" * (1 + max(map(len, space.labels)))
 
 
 def _eigh_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -110,7 +110,7 @@ def test_verify_uhlmann_scores_the_key_tests_once(monkeypatch, spec):
 
 def test_verify_purifies_a_density_once(monkeypatch):
     # the key tests and the direct distance read one purification of the Werner
-    # density; each on its own purifies it again, with the same figures
+    # density; each on its own reads the same figures
     state, _ = build_state({"kind": "werner", "d": 12, "p": 0.9}, 1)
     cb = ConjugateBasis.fourier(12)
     p_e, p_tilde_e = privacy.key_error_rates(state, cb, privacy.star_projective_povm(cb),
@@ -118,7 +118,7 @@ def test_verify_purifies_a_density_once(monkeypatch):
     want = {"p_e": p_e, "p_tilde_e": p_tilde_e, "eps_certified": p_e + p_tilde_e ** 0.5,
             "eps_direct": privacy.epsilon_secret_direct(state)}
     purified = []
-    for mod in (privlab, privlab.tensor_core, privacy):
+    for mod in (privlab, privlab.tensor_core):
         monkeypatch.setattr(mod, "purify",
                             lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
     res = results_of(["verify", "--state", "werner", "--d", "12", "--p", "0.9",
@@ -155,7 +155,7 @@ def test_verify_uhlmann_purifies_once(factorised, monkeypatch):
     # the partner and the report read one purification of the 36 x 36 state,
     # taken from its Bell eigenbasis with no eigensolve
     purified = []
-    for mod in (cli, privacy):
+    for mod in (privlab.tensor_core,):
         monkeypatch.setattr(mod, "purify",
                             lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
     results_of(["verify", "--state", "werner", "--d", "6", "--p", "0.9",
@@ -177,7 +177,7 @@ def test_werner_build_validates_one_matrix(factorised):
 
 def test_distill_purifies_a_mixed_state_once(monkeypatch):
     purified = []
-    for mod in (cli, privacy):
+    for mod in (privlab.tensor_core,):
         monkeypatch.setattr(mod, "purify",
                             lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
     argv = ["distill", "--state", "werner", "--d", "9", "--p", "0.9", "--code-kind",
@@ -684,6 +684,15 @@ def test_verify_soundness_margin_exit_codes(margin, code, capsys):
                "--measurement", "projective", f"--soundness-margin={margin}"])
     assert rc == code
     capsys.readouterr()
+
+
+def test_soundness_margin_can_only_tighten():
+    # the report checks the bound again at SOUNDNESS_ATOL, so a wider margin
+    # admits no larger direct distance and leaves the payload as it is
+    with pytest.raises(privlab.InvariantViolation, match="exceeds certified bound"):
+        privacy._certified_report(0.0, 0.0, 1e-4, 1e-3, "x")
+    argv = ["verify", "--state", "werner", "--d", "3", "--p", "0.5", "--measurement", "projective"]
+    assert results_of(argv + ["--soundness-margin", "1e-3"]) == results_of(argv)
 
 
 def test_distill_non_object_state_spec(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_rates_match_the_ensemble_oracle(case):
 
 def test_twisted_rates_factorise_only_small_blocks(factorised, monkeypatch):
     purified = []
-    for mod in (privlab, tensor_core, privacy):
+    for mod in (privlab, tensor_core):
         monkeypatch.setattr(mod, "purify",
                             lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
     res = json.loads(run(["rates", "--state", "twisted", "--d", "4",

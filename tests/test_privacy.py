@@ -9,14 +9,15 @@ import pytest
 from privlab import (ConjugateBasis, DensityOperator, HilbertSpace,
                      InvariantViolation, Povm, PrivacyReport, StateVector,
                      TwistingOperator, build_private_state, ccq_blocks,
-                     ccq_fidelity_to_key, certify_private,
+                     ccq_fidelity_to_key, certify_private, distillable_rate,
                      epsilon_secret_direct, fidelity, haar_unitary,
                      haar_vector, key_error_rates, maximally_entangled,
                      measure, purify, random_density_operator, random_pure_state,
                      sqrt_psd, star_projective_povm, substream,
                      trace_norm, twisting_conjugate_measurement,
                      twisting_unitary, uhlmann_conjugate_measurement)
-from privlab import cli, privacy
+import privlab
+from privlab import cli, privacy, tensor_core
 from privlab.cli import build_state
 from privlab.privacy import _conjugate_key_elements, _key_amplitudes
 from conftest import assert_povm, largest_side
@@ -894,3 +895,36 @@ def test_one_shot_werner_frames_match_the_eigh_frame(monkeypatch):
         assert cluster_sizes(got.lam) == cluster_sizes(want.lam)
         assert max(cluster_sizes(got.lam)) > 1
         assert abs(privacy._direct_distance([got]) - privacy._direct_distance([want])) <= 1e-12
+
+
+def test_one_purification_serves_every_public_call(monkeypatch, factorised):
+    # every reader of a density asks it for its one cached purification, so seven
+    # public calls purify it once and factorise its D x D matrix at most once
+    rho = random_density_operator(HilbertSpace((2, 2, 3), ("A", "B", "S")),
+                                  substream(4242), rank=3)
+    cb = ConjugateBasis.fourier(2)
+
+    def figures(state):
+        rec = uhlmann_conjugate_measurement(state)
+        return {"key_error_rates": key_error_rates(state, cb, star_projective_povm(cb),
+                                                   povm_labels=("B",)),
+                "certify_private": certify_private(state),
+                "epsilon_secret_direct": epsilon_secret_direct(state),
+                "ccq_fidelity_to_key": ccq_fidelity_to_key(state),
+                "ccq_blocks": {k: b.tolist() for k, b in ccq_blocks(state).items()},
+                "uhlmann": (rec.p_e, rec.p_tilde_e, rec.eps, rec.fidelity, rec.eps_direct,
+                            rec.povm.elements.tolist()),
+                "distillable_rate": distillable_rate(state)}
+
+    purified = []
+    for mod in (privlab, tensor_core, privacy):
+        if "purify" in vars(mod):
+            monkeypatch.setattr(mod, "purify",
+                                lambda *a, _f=mod.purify, **k: purified.append(1) or _f(*a, **k))
+    got = figures(rho)
+    assert len(purified) == 1
+    assert factorised["eigh"].count((12, 12)) <= 1
+    want = figures(DensityOperator(rho.space, rho.matrix))
+    assert len(purified) == 2
+    for name, value in want.items():
+        assert got[name] == value, name

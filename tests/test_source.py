@@ -156,6 +156,16 @@ def test_povm_stacks_are_read_in_place():
     assert not sites, f"POVM stacks rebuilt at {', '.join(sites)}"
 
 
+def test_only_the_cached_purification_calls_purify():
+    """A density purifies itself once, in ``DensityOperator._purified``; every
+    other reader asks the density for that vector instead of calling ``purify``."""
+    callers = sorted({scope for path in sorted(SRC.glob("*.py"))
+                      for node, scope in _qualified_nodes(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "purify"})
+    assert callers == ["DensityOperator._purified"], f"purify is called from {callers}"
+
+
 # numpy names added in 2.0 or later; pyproject.toml declares numpy>=1.24
 NUMPY_2_ONLY = {"mT", "vecdot", "matvec", "vecmat", "unstack", "concat", "matrix_transpose"}
 

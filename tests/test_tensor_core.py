@@ -197,7 +197,7 @@ def test_werner_eigensystem_matches_the_generic_path(d, p):
     assert spectral.rank() == generic.rank()
     assert abs(von_neumann_entropy(spectral) - von_neumann_entropy(generic)) <= 1e-12
     # the stored pair diagonalises the matrix
-    lam, vecs = spectral._eigensystem()
+    lam, vecs = spectral._eigh
     assert np.max(np.abs((vecs * lam) @ vecs.conj().T - spectral.matrix)) <= 1e-12
     for rho in (spectral, generic):
         psi = purify(rho, "E")
@@ -210,7 +210,7 @@ def test_given_eigensystem_is_checked_and_the_matrix_too():
     d, p = 3, 0.6
     spectral, _ = werner_pair(d, p)
     mat = spectral.matrix
-    lam, vecs = spectral._eigensystem()
+    lam, vecs = spectral._eigh
 
     def make(m, v, u=vecs):
         return DensityOperator._from_eigensystem(spectral.space, m, v, u)
@@ -233,8 +233,8 @@ def test_given_eigensystem_is_checked_and_the_matrix_too():
     with pytest.raises(ValueError, match="trace"):
         make(2.0 * mat, lam)
     # a generic density has no stored vectors: purify factorises it as before
-    assert DensityOperator(spectral.space, mat)._eigenvectors is None
-    assert spectral._eigenvectors is not None
+    assert vars(DensityOperator(spectral.space, mat)).get("_eigh") is None
+    assert vars(spectral).get("_eigh") is not None
 
 
 def test_trace_norm_is_singular_value_sum():
@@ -527,3 +527,46 @@ def test_quantum_cit_same_for_vector_and_density():
             for cols, side in ((np.eye(2), "E"), (basis.vectors, "B"))]
     assert np.allclose(uncertainty_audit("quantum_cit", rho).lhs_terms, want,
                        rtol=0.0, atol=1e-12)
+
+
+def _value_object_factories():
+    """One builder per frozen dataclass that holds an array, directly or through a field."""
+    from privlab import (CssCode, GfMatrix, LinearOperator, TwistingOperator,
+                         build_css_decoders, tensor_power_grouped, two_copy_scenario,
+                         uhlmann_conjugate_measurement)
+    from privlab import distillation, privacy
+    from privlab.cli import _shield_pair
+
+    bell = maximally_entangled(2)
+    phi2 = tensor_power_grouped(bell, 2)
+    code = CssCode.trivial(2, 2)
+    chain = distillation._grouped_power(privacy._key_amplitudes(bell)[0][:, :, 0], 2)
+    return {
+        "StateVector": lambda: maximally_entangled(2),
+        "DensityOperator": lambda: bell.density(),
+        "LinearOperator": lambda: LinearOperator(HilbertSpace((2,), ("A",)), np.eye(2)),
+        "ConjugateBasis": lambda: ConjugateBasis(2, [[0.0, 0.0], [0.0, np.pi]]),
+        "Povm": lambda: Povm.projective_from_columns(np.eye(2)),
+        "MeasurementResult": lambda: measure(bell, [(("A",), Povm.standard_basis(2))]),
+        "TwistingOperator": lambda: TwistingOperator.identity(2, 2),
+        "CqEnsemble": lambda: CqEnsemble(np.full(2, 0.5), (bell.marginal(("A",)),) * 2),
+        "GfMatrix": lambda: GfMatrix(2, np.array([[1, 1]])),
+        "_CodeTables": lambda: CssCode.trivial(2, 2)._tables,
+        "CssCode": lambda: CssCode.trivial(2, 2),
+        "HswDecoderResult": lambda: build_css_decoders(phi2, code).z_result,
+        "UhlmannRecord": lambda: uhlmann_conjugate_measurement(bell),
+        "CssDecoders": lambda: build_css_decoders(phi2, code),
+        "_CopiedClasses": lambda: distillation._copied_conj_classes(chain, code._tables)[0],
+        "TwoCopyResult": lambda: two_copy_scenario(*_shield_pair(0.6, 2), "XX", True),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_value_object_factories()))
+def test_value_objects_with_arrays_compare_by_identity(name):
+    # a generated == would compare the arrays and raise, and hash would hash them
+    build = _value_object_factories()[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name and a is not b
+    assert not a == b and a != b
+    assert a == a and not a != a
+    assert hash(a) == hash(a) and isinstance(hash(b), int)
