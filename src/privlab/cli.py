@@ -37,7 +37,7 @@ from .privacy import (SOUNDNESS_ATOL, _certified_report, certify_private,
                       twisting_conjugate_measurement, uhlmann_conjugate_measurement)
 from .qudit_ops import (ConjugateBasis, Povm, TwistingOperator, _bell_basis,
                         _private_vector, maximally_entangled)
-from .sampling import (_haar_unitaries, haar_unitary, haar_vector, random_pure_state,
+from .sampling import (_haar_unitaries, _haar_vectors, _keyed_normals, random_pure_state,
                        substream)
 from .tensor_core import (BOUND_ATOL, DensityOperator, HilbertSpace, InvariantViolation,
                           StateVector, _budget)
@@ -176,11 +176,13 @@ def build_state(spec: Mapping, seed: int):
     sh = _as_int(spec.get("shield_dim", 2), "shield_dim")
     if kind == "twisted":
         _budget((d + 1, sh, sh), "twisting blocks")
-        # block (k, k) keeps the stream 1 + k d + k of a full d x d draw
+        # block (k, k) keeps the stream 1 + k d + k of a full d x d draw; each block
+        # is factored alone, as a batched QR would hold every block's factors at once
+        keys = [1 + k * (d + 1) for k in range(d)]
         t = TwistingOperator.from_diagonal(
-            d, [haar_unitary(sh, substream(seed, 1 + k * (d + 1))) for k in range(d)])
+            d, [_haar_unitaries(g[None])[0] for g in _keyed_normals(seed, keys, (2, sh, sh))])
         xi_space = HilbertSpace((sh,), ("S",))
-        xi = StateVector(xi_space, haar_vector(sh, substream(seed, 0)))
+        xi = StateVector(xi_space, _haar_vectors(_keyed_normals(seed, [0], (2, sh)))[0])
         extras["twisting"] = t
         return _private_vector(d, t, xi), extras
     _budget((2, 2, sh, 2), "shielded_bit state")
@@ -373,11 +375,11 @@ def cmd_uncertainty(cfg: Mapping, seed: int):
 
     def witnesses(batch: range) -> np.ndarray:
         """The z and x witness unitaries of each trial in ``batch``, stacked (2, T, d, d)."""
-        rngs = [substream(seed, base + i) for base in (10_000, 20_000) for i in batch]
-        return _haar_unitaries(d, rngs).reshape(2, len(batch), d, d)
+        keys = [base + i for base in (10_000, 20_000) for i in batch]
+        return _haar_unitaries(_keyed_normals(seed, keys, (2, d, d))).reshape(2, len(batch), d, d)
 
     def draw(lo: int, hi: int):
-        amps = np.stack([haar_vector(space.dim, substream(seed, i)) for i in range(lo, hi)])
+        amps = _haar_vectors(_keyed_normals(seed, range(lo, hi), (2, space.dim)))
         return amps, (witnesses(range(lo, hi)) if mode == "cit" else None)
 
     def audit(i: int) -> AuditRecord:

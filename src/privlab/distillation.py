@@ -313,7 +313,7 @@ def _copied_conj_classes(t: np.ndarray, tab: _CodeTables) -> tuple[_CopiedClasse
 # one-shot distillation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistillationOutcome:
     """Certified one-shot result: key sizes, privacy report, and the final state,
     built and validated from the encoded protocol state when first read."""
@@ -321,7 +321,7 @@ class DistillationOutcome:
     key_dims: tuple[int, int]
     report: PrivacyReport
     transcript: Mapping
-    _encoded: np.ndarray = field(repr=False, compare=False)
+    _encoded: np.ndarray = field(repr=False)
 
     @cached_property
     def final_state(self) -> StateVector:
@@ -484,17 +484,18 @@ def coherent_hashing_sim(state, n: int, code: CssCode) -> HashingSimResult:
     if code.n != n:
         raise ValueError("code length must match the number of copies")
 
+    dd = d ** n
+    k_dim, t_dim, c_dim = d ** code.k, d ** code.m_x, dd + 1
+    # every step acts trivially on E and every figure is a sum over E, so the chain
+    # runs on chunks of E columns, budgeted (before the n copies are built) as whole
+    # (T, C, D, B, A, E) chain states although only one (D, B, A, E) slice is built
+    step = AMPLITUDE_CAP // _budget((dd, dd, t_dim, c_dim, c_dim),
+                                    "hashing chain per environment column")
     amps = _grouped_power(t[:, :, 0], n)
-    dd, e_dim = amps.shape[1:]
+    e_dim = amps.shape[2]
 
     tab = code._tables
     v, vc = tab.v, tab.v.conj()
-    k_dim, t_dim, c_dim = d ** code.k, d ** code.m_x, dd + 1
-    # every step acts trivially on E and every figure is a sum over E, so the
-    # chain runs on chunks of E columns, budgeted as whole (T, C, D, B, A, E)
-    # chain states although only one (D, B, A, E) slice of them is ever built
-    step = AMPLITUDE_CAP // _budget((dd, dd, t_dim, c_dim, c_dim),
-                                    "hashing chain per environment column")
 
     key_decoders = _class_pgms(amps, tab.alpha_classes)
     pair, eps_x = _copied_conj_classes(amps, tab)

@@ -66,10 +66,11 @@ def test_verify_twisting_exact_state():
 @pytest.mark.parametrize("d, sh, seed", [(2, 3, 7), (4, 8, 11)])
 def test_twisted_state_draws_only_the_diagonal_blocks(monkeypatch, d, sh, seed):
     drawn = []
-    monkeypatch.setattr(cli, "haar_unitary",
-                        lambda n, rng, _f=cli.haar_unitary: drawn.append(n) or _f(n, rng))
+    monkeypatch.setattr(cli, "_keyed_normals", lambda s, keys, shape, _f=cli._keyed_normals:
+                        drawn.append((list(keys), shape)) or _f(s, keys, shape))
     state, extras = build_state({"kind": "twisted", "d": d, "shield_dim": sh}, seed)
-    assert drawn == [sh] * d
+    # d Ginibre draws of sh x sh at the diagonal keys, then xi at key 0
+    assert drawn == [([1 + k * (d + 1) for k in range(d)], (2, sh, sh)), ([0], (2, sh))]
     # the full d x d draw it replaces: block (j, k) from substream(seed, 1 + j d + k)
     blocks = {(j, k): haar_unitary(sh, substream(seed, 1 + j * d + k))
               for j in range(d) for k in range(d)}
@@ -372,6 +373,31 @@ def test_css_sample_csv_quotes_its_json_cells():
     for row, code in zip(rows, codes):
         for key in ("mz_rows", "mx_rows", "logical_z", "logical_x"):
             assert json.loads(row[key]) == json.loads(code[key])
+
+
+def test_twisted_build_factors_one_block_at_a_time():
+    # 3.0x the (d, s, s) blocks' bytes; one batched QR of all d blocks reads 5.0x
+    d, sh = 4, 200
+    build_state({"kind": "twisted", "d": d, "shield_dim": sh}, 7)
+    tracemalloc.start()
+    try:
+        build_state({"kind": "twisted", "d": d, "shield_dim": sh}, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * d * sh * sh * 16
+
+
+def test_audit_trials_and_twisted_builds_build_no_generator_each(monkeypatch):
+    # the batched draws re-key one Philox per call; only the worst-trial
+    # re-audit, the oracle of the stacked terms, draws through substream
+    calls = []
+    monkeypatch.setattr(cli, "substream", lambda *a, _f=cli.substream: calls.append(a) or _f(*a))
+    results_of(["uncertainty", "--mode", "maassen_uffink", "--d", "5", "--trials", "50"])
+    assert len(calls) <= 1
+    calls.clear()
+    build_state({"kind": "twisted", "d": 3, "shield_dim": 4}, 7)
+    assert calls == []
 
 
 def test_uncertainty_command_all_modes():

@@ -527,6 +527,20 @@ def test_hashing_sim_enforces_amplitude_cap():
         coherent_hashing_sim(werner(0.95), 5, code5)
 
 
+def test_hashing_sim_refuses_five_copies_before_it_builds_them():
+    # the chain is budgeted before the 2^20-amplitude five-copy power is built
+    code5 = CssCode.from_stabilizers(2, [[1, 1, 1, 1, 1]], [], n=5)
+    state = werner(0.95)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="hashing chain per environment column"):
+            coherent_hashing_sim(state, 5, code5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 FOUR_COPY_CODES = {"z1111": ([[1, 1, 1, 1]], []), "z1111_x1100": ([[1, 1, 1, 1]], [[1, 1, 0, 0]])}
 
 

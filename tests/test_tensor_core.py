@@ -532,8 +532,8 @@ def test_quantum_cit_same_for_vector_and_density():
 def _value_object_factories():
     """One builder per frozen dataclass that holds an array, directly or through a field."""
     from privlab import (CssCode, GfMatrix, LinearOperator, TwistingOperator,
-                         build_css_decoders, tensor_power_grouped, two_copy_scenario,
-                         uhlmann_conjugate_measurement)
+                         build_css_decoders, one_shot_distill, tensor_power_grouped,
+                         two_copy_scenario, uhlmann_conjugate_measurement)
     from privlab import distillation, privacy
     from privlab.cli import _shield_pair
 
@@ -541,6 +541,11 @@ def _value_object_factories():
     phi2 = tensor_power_grouped(bell, 2)
     code = CssCode.trivial(2, 2)
     chain = distillation._grouped_power(privacy._key_amplitudes(bell)[0][:, :, 0], 2)
+
+    def outcome():
+        decs = build_css_decoders(phi2, code)
+        return one_shot_distill(phi2, code, decs.key_decoders, decs.conj_decoders)
+
     return {
         "StateVector": lambda: maximally_entangled(2),
         "DensityOperator": lambda: bell.density(),
@@ -556,6 +561,7 @@ def _value_object_factories():
         "HswDecoderResult": lambda: build_css_decoders(phi2, code).z_result,
         "UhlmannRecord": lambda: uhlmann_conjugate_measurement(bell),
         "CssDecoders": lambda: build_css_decoders(phi2, code),
+        "DistillationOutcome": outcome,
         "_CopiedClasses": lambda: distillation._copied_conj_classes(chain, code._tables)[0],
         "TwoCopyResult": lambda: two_copy_scenario(*_shield_pair(0.6, 2), "XX", True),
     }
