@@ -62,20 +62,20 @@ def helstrom_pair(rho0, rho1, p0: float = 0.5, p1: float | None = None
         raise ValueError("states must act on the same space")
     vals, vecs = _eigh_hermitian(p0 * m0 - p1 * m1)
     error = 0.5 * (1.0 - float(np.sum(np.abs(vals))))
-    povm = Povm(_helstrom_projectors(vals, vecs), (0, 1))
+    povm = Povm._factored(_helstrom_factors(vals, vecs), (0, 1))
     return povm, float(min(max(error, 0.0), 1.0))
 
 
-def _helstrom_projectors(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Pair tests of a stack of eigensystems of p0 rho0 - p1 rho1, as (..., 2, m, m).
+def _helstrom_factors(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Factors of the pair tests of a stack of eigensystems of p0 rho0 - p1 rho1,
+    as (..., 2, m, m).
 
-    Outcome 0 is the projector P onto the eigenvectors of eigenvalue >= 0
-    (zero eigenvalues go to outcome 0), outcome 1 is 1 - P.
+    Outcome 0 projects onto the eigenvectors of eigenvalue >= 0 (zero
+    eigenvalues go to outcome 0) and outcome 1 onto the rest: each factor is
+    the eigenvector matrix with the other outcome's columns zeroed.
     """
-    pos = vecs * (vals >= 0.0)[..., None, :]
-    proj0 = pos @ pos.conj().swapaxes(-1, -2)
-    proj0 = 0.5 * (proj0 + proj0.conj().swapaxes(-1, -2))
-    return np.stack([proj0, np.eye(vals.shape[-1]) - proj0], axis=-3)
+    pos = (vals >= 0.0)[..., None, :]
+    return np.stack([vecs * pos, vecs * ~pos], axis=-3)
 
 
 def _pgm_of_rows(rows: np.ndarray, labels: Sequence) -> Povm:
@@ -86,7 +86,8 @@ def _pgm_of_rows(rows: np.ndarray, labels: Sequence) -> Povm:
     ``SUPPORT_ATOL`` ||W||^2 and Y_x the columns of V^dag that belong to
     w_x, element x is U Y_x Y_x^dag U^dag, plus a "fail" element 1 - U U^dag
     below full rank: the elements sum to the identity because U and V are
-    orthonormal, and no inverse root is taken.  Zero rows give {fail: 1}.
+    orthonormal, and no inverse root is taken.  The POVM is handed over as
+    the factors U Y_x and the fail remainder.  Zero rows give {fail: 1}.
     """
     n, m, r = rows.shape
     # W^dag = Q R and R^dag = U Sigma Vr^dag, so U Y_x = (U Vr^dag) Q_x^dag
@@ -95,18 +96,11 @@ def _pgm_of_rows(rows: np.ndarray, labels: Sequence) -> Povm:
     u, sing, vrh = np.linalg.svd(rr.conj().T, full_matrices=False)
     keep = sing ** 2 > SUPPORT_ATOL * float(np.sum(sing ** 2))
     if not np.any(keep):
-        return Povm((np.eye(m),), ("fail",))
+        return Povm._factored(np.zeros((0, m, 1)), remainder=True)
     u = u[:, keep]
-    # Z_x = conj(U Y_x) = conj(U Vr^dag) Q_x^T and Lambda_x = conj(Z_x Z_x^dag)
+    # Z_x = conj(U Y_x) = conj(U Vr^dag) Q_x^T, so U Y_x = conj(Z_x)
     z = np.conj(u @ vrh[keep]) @ q.reshape(n, r, -1).swapaxes(1, 2)
-    del q
-    elements = z @ z.conj().swapaxes(1, 2)
-    del z
-    elements, labels = list(np.conj(elements, out=elements)), list(labels)
-    if u.shape[1] < m:
-        elements.append(np.eye(m) - u @ u.conj().T)
-        labels.append("fail")
-    return Povm(elements, tuple(labels))
+    return Povm._factored(np.conj(z, out=z), labels, remainder=u.shape[1] < m)
 
 
 def _ensemble_rows(ensemble: CqEnsemble) -> np.ndarray:
@@ -172,11 +166,13 @@ def _guess_error(rows: np.ndarray, decoders: Mapping, classes: Mapping,
 
     Member x of ``classes[key]`` is decoded by ``decoders[key]`` and hits with
     <w_x|M_x|w_x>, M_x the sum of the elements whose guess y has ``value_of[y]
-    == value_of[x]``; a miss has no value, so a member that no element guesses
-    scores 0.
+    == value_of[x]``; a miss has no value, so a fail outcome is never owned and
+    a member that no element guesses scores 0.  A decoder that keeps its factors
+    (``Povm._factored``, F_y of fewer columns than rows) is scored from them,
+    each owned pair (x, y) hitting with ||F_y^dag w_x||^2; any other from its
+    elements, as one M_x per member.
     """
-    bob = rows.shape[1]
-    _budget((rows.shape[0], bob, bob), "decoder scoring blocks")
+    bob, rest = rows.shape[1:]
     value_fail = np.append(value_of, -1)
     hits: dict = {}
     for key, members in classes.items():
@@ -185,10 +181,27 @@ def _guess_error(rows: np.ndarray, decoders: Mapping, classes: Mapping,
             raise ValueError(f"decoders must act on (B, shield), dimension {bob}")
         members = np.asarray(members, dtype=np.int64)
         owns = value_of[members][:, None] == value_fail[_guess_slots(dec, len(value_of))]
-        m_x = (owns @ dec.elements.reshape(dec.n_outcomes, -1)).reshape(-1, bob, bob)
-        w = rows if np.array_equal(members, np.arange(len(rows))) else rows[members]
-        hits[key] = sum(np.vdot(wx, applied).real for wx, applied in zip(w, m_x @ w))
+        if dec._form is not None:
+            f = dec._form.stack
+            xs, ys = np.nonzero(owns)
+            _budget((len(xs), bob, max(f.shape[2], rest)), "decoder scoring blocks")
+            # one owned outcome per row, in order, reads the rows and factors without a copy
+            at = members[xs]
+            w = rows if np.array_equal(at, np.arange(len(rows))) else rows[at]
+            f = f if np.array_equal(ys, np.arange(len(f))) else f[ys]
+            hits[key] = sum(np.vdot(p, p).real for p in f.conj().swapaxes(1, 2) @ w)
+        else:
+            _budget((len(members), bob, bob), "decoder scoring blocks")
+            m_x = (owns @ dec.elements.reshape(dec.n_outcomes, -1)).reshape(-1, bob, bob)
+            w = rows if np.array_equal(members, np.arange(len(rows))) else rows[members]
+            hits[key] = sum(np.vdot(wx, applied).real for wx, applied in zip(w, m_x @ w))
     return float(min(max(1.0 - sum(hits.values()), 0.0), 1.0)), hits
+
+
+def _row_weights(rows: np.ndarray) -> np.ndarray:
+    """The squared norms ||w_x||^2 of the rows (x, ...), one vdot each: about an
+    ulp from the exact sums, where one einsum over every row drifts by tens."""
+    return np.array([np.vdot(row, row).real for row in rows])
 
 
 def _class_pgms(rows: np.ndarray, classes: Mapping,
@@ -212,7 +225,7 @@ def _class_pgms(rows: np.ndarray, classes: Mapping,
             whole = np.array_equal(members, np.arange(len(rows)))
             decoders[value] = _pgm_of_rows(rows if whole else rows[members], members.tolist())
     hits = _guess_error(rows, decoders, classes, np.arange(len(rows)))[1]
-    weights = np.einsum("xmr,xmr->x", rows, rows.conj()).real
+    weights = _row_weights(rows)
     shares = {value: float(weights[list(members)].sum()) for value, members in classes.items()}
     per_class = {value: float(min(max(1.0 - hits[value] / w, 0.0), 1.0)) if w else 0.0
                  for value, w in shares.items()}

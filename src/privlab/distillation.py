@@ -31,7 +31,7 @@ import numpy as np
 
 from .css_codes import CssCode, _CodeTables
 from .discrimination import (HswDecoderResult, _class_pgms, _guess_error, _guess_slots,
-                             _helstrom_projectors)
+                             _helstrom_factors)
 from .info_measures import _entropy_of_rows, _holevo_of_rows, shannon_entropy
 from .privacy import (SOUNDNESS_ATOL, PrivacyReport, _block_frame, _certified_report,
                       _direct_distance, _key_amplitudes)
@@ -683,7 +683,7 @@ def _two_copy_code(stabilizer: str) -> CssCode:
 
 
 def _two_copy_conj_decoders(phis: list[np.ndarray], code: CssCode, adaptive: bool) -> Mapping:
-    """Pair-test conjugate decoders on (B1 B2, S1 S2), from one batched eigh.
+    """Pair-test conjugate decoders on (B1 B2, S1 S2), factored from one batched eigh.
 
     Every decoder is block diagonal over Bob's conjugate-basis pair (b0, b1),
     given which the shields of the string (x0, x1) are phi_{x0 ^ b0}
@@ -706,17 +706,17 @@ def _two_copy_conj_decoders(phis: list[np.ndarray], code: CssCode, adaptive: boo
         # guess 0 or 1 on the logical copy, 0 on the other: strings 0 and 2^(1 - copy)
         labels = [(0, 2 ** (1 - copy))]
     outer = kets[..., :, None] * kets.conj()[..., None, :]
-    proj = _helstrom_projectors(*np.linalg.eigh(0.5 * outer[..., 0, :, :]
-                                                - 0.5 * outer[..., 1, :, :]))
+    f = _helstrom_factors(*np.linalg.eigh(0.5 * outer[..., 0, :, :] - 0.5 * outer[..., 1, :, :]))
     if not adaptive:
         # sector (b0, b1) runs the test of sector b_copy, widened by 1 on the other shield
         eye = np.eye(sh)[None, None]
-        proj = (np.kron(proj, eye) if copy == 0 else np.kron(eye, proj))[np.indices((2, 2))[copy]]
-    # place each sector's projectors on Bob's Hadamard pair |h_b0 h_b1>
+        f = (np.kron(f, eye) if copy == 0 else np.kron(eye, f))[np.indices((2, 2))[copy]]
+    # place each sector's factors on Bob's Hadamard pair |h_b0 h_b1>: the factor
+    # of outcome o is sum_b |h_b><b| (x) F_bo, so its element is block diagonal
     hh, m = np.kron(_HADAMARD, _HADAMARD), sh * sh
-    elements = np.einsum("Xb,Yb,kbost->koXsYt", hh, hh,
-                         proj.reshape(-1, 4, 2, m, m)).reshape(-1, 2, 4 * m, 4 * m)
-    povms = [Povm(els, labs) for els, labs in zip(elements, labels)]
+    factors = np.einsum("Xb,kbosj->koXsbj", hh,
+                        f.reshape(-1, 4, 2, m, m)).reshape(-1, 2, 4 * m, 4 * m)
+    povms = [Povm._factored(fs, labs) for fs, labs in zip(factors, labels)]
     return {(0,): povms[0], (1,): povms[-1]}
 
 

@@ -290,16 +290,15 @@ def ccq_fidelity_to_key(state, *, eve_labels: Sequence[str] = ("E",)) -> float:
 # conjugate measurements
 
 
-def _conjugate_key_elements(conj_basis: ConjugateBasis, g: np.ndarray) -> list[np.ndarray]:
-    """Conjugate key decoder elements on (B, S), as views of one stack F_y F_y^dag.
+def _conjugate_key_factors(conj_basis: ConjugateBasis, g: np.ndarray) -> np.ndarray:
+    """Factors F_y (d, rows, r) of the conjugate key decoder elements F_y F_y^dag on (B, S).
 
-    ``g`` stacks d blocks G_k of s rows each; element y has (k, k') block
-    (P*_y)_{k k'} G_k G_k'^dag, block k of F_y being v*_y[k] G_k with
-    v*_y = conj(v_y) the conjugated basis vector.
+    ``g`` stacks d blocks G_k of s rows each; block k of F_y is v*_y[k] G_k,
+    with v*_y = conj(v_y) the conjugated basis vector, so element y has (k, k')
+    block (P*_y)_{k k'} G_k G_k'^dag.
     """
     d, (rows, r) = conj_basis.d, g.shape
-    f = (conj_basis.vectors.conj().T[:, :, None, None] * g.reshape(d, -1, r)).reshape(d, rows, r)
-    return list(f @ f.conj().swapaxes(1, 2))
+    return (conj_basis.vectors.conj().T[:, :, None, None] * g.reshape(d, -1, r)).reshape(d, rows, r)
 
 
 def twisting_conjugate_measurement(t: TwistingOperator,
@@ -308,13 +307,13 @@ def twisting_conjugate_measurement(t: TwistingOperator,
 
     Lambda_y = sum_{k k'} (P*_y)_{k k'} |k><k'| (x) V_kk V_k'k'^dag built
     from the conjugated basis and the diagonal twisting blocks; it acts on
-    (B, S) and reproduces Alice's conjugate-basis outcome with certainty.
+    (B, S) and reproduces Alice's conjugate-basis outcome with certainty.  It
+    is carried as the d factors F_y (d s, s), block k of F_y being v*_y[k] V_kk.
     """
     if conj_basis.d != t.d:
         raise ValueError("conjugate basis dimension does not match the twisting")
-    _budget((t.d, t.d * t.shield_dim, t.d * t.shield_dim), "twisting decoder")
-    elements = _conjugate_key_elements(conj_basis, np.vstack(t.diagonal_blocks()))
-    return Povm(elements, tuple(range(t.d)))
+    _budget((t.d, t.d * t.shield_dim, t.shield_dim), "twisting decoder")
+    return Povm._factored(_conjugate_key_factors(conj_basis, np.vstack(t.diagonal_blocks())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +353,9 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     Undoing the copies puts each of its blocks on the s rows that survive
     compression through the ancillas as S_k = conj(U_k) conj(Vh_k), from the
     thin SVD X_k = U_k diag Vh_k kept on the support of X_k; the decoder on
-    (B, shield) is built from the S_k alone.  ``pad_dim`` reports the lab
+    (B, shield) is carried as the d factors F_y (d s, r) of its elements,
+    block k of F_y being v*_y[k] S_k, with 1 - sum_y F_y F_y^dag as its fail
+    element, and no (d s)^2 array is built.  ``pad_dim`` reports the lab
     padding g = ceil(r / (d s)) the physical construction needs; no padded
     array is allocated.
     """
@@ -370,18 +371,19 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     if not pure:  # budgeted before the frame and the key tests read its purification
         s = space.dim // (d * d)
         _budget((d, s, d * d * s), "Uhlmann partner blocks")
-        _budget((d, d * s, d * s), "Uhlmann partner decoder")
     t, shield_labels = _key_amplitudes(state)
     s = t.shape[2]
     if pure:
         _budget((d, s, t.shape[3]), "Uhlmann partner blocks")
-        _budget((d, d * s, d * s), "Uhlmann partner decoder")
     frame = _block_frame(t, purified=not pure)
     lam = frame.lam
     r = lam.size
+    _budget((d, d * s, r), "Uhlmann partner decoder")
+    eps_direct = _direct_distance([frame])
     # the d overlap blocks X_k = conj(psi[k, k]) K as one (d, s, r) stack,
     # with K = diag(sqrt(lam / d)) in the eigenframe of rho_E
     x = frame.rows.conj() * np.sqrt(lam / d)
+    del frame
     u, sing, vh = np.linalg.svd(x, full_matrices=False)
     fid = float(min(max(np.sum(sing), 0.0), 1.0))
     support = sing > 1e-8 * float(np.max(sing))
@@ -400,15 +402,13 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     if not abs(overlap - float(np.sum(sing))) <= 1e-9:
         raise InvariantViolation(
             f"partner overlap {overlap!r} does not reach the fidelity {fid!r}")
+    del x, u
 
-    elements = _conjugate_key_elements(conj_basis, sk.reshape(d * s, r))
-    rest = np.eye(d * s) - np.sum(elements, axis=0)
-    labels: tuple = tuple(range(d))
-    if float(np.max(np.abs(rest))) > 1e-12:
-        elements.append(rest)
-        labels = labels + ("fail",)
-    povm = Povm(elements, labels)
-    del elements, rest
+    # sum_y F_y F_y^dag = diag_k(S_k S_k^dag) projects onto the supports of the X_k:
+    # its remainder is the fail element unless every X_k has rank s
+    povm = Povm._factored(_conjugate_key_factors(conj_basis, sk.reshape(d * s, r)),
+                          range(d), remainder=r < s or not np.all(support))
+    del sk
 
     povm_labels = ("B", *shield_labels)
     p_e, p_tilde_e = key_error_rates(state, conj_basis, povm, povm_labels=povm_labels)
@@ -421,7 +421,7 @@ def uhlmann_conjugate_measurement(state, conj_basis: ConjugateBasis | None = Non
     return UhlmannRecord(povm=povm, povm_labels=povm_labels, p_e=p_e,
                          p_tilde_e=p_tilde_e, eps=eps, bound=bound, fidelity=fid,
                          pad_dim=max(1, math.ceil(r / (d * s))),
-                         eps_direct=_direct_distance([frame]))
+                         eps_direct=eps_direct)
 
 
 def certify_private(state, conj_basis: ConjugateBasis | None = None,

@@ -13,10 +13,10 @@ diagonalises X with eigenvalue w^{-x}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -138,37 +138,118 @@ def _check_povms(stack: np.ndarray) -> None:
         raise ValueError(f"POVM does not sum to identity (deviation {dev:g})")
 
 
+class _Factors(NamedTuple):
+    """Elements F_x F_x^dag of ``stack`` (n, m, r), and a remainder 1 - their sum."""
+
+    stack: np.ndarray
+    remainder: bool
+
+
+def _products(form: _Factors) -> np.ndarray:
+    """The element stack of a factored POVM, its remainder last."""
+    stack = form.stack @ form.stack.conj().swapaxes(1, 2)
+    if form.remainder:
+        stack = np.concatenate([stack, [np.eye(stack.shape[1]) - stack.sum(axis=0)]])
+    return _lock(stack)
+
+
+def _check_factors(gram: np.ndarray, dim: int, remainder: bool) -> None:
+    """Raise unless a factored POVM on ``dim`` dimensions is complete, or with a
+    remainder, has a positive one; its elements are positive by their form.
+
+    ``gram`` is G G^dag = sum_x F_x F_x^dag for G = [F_0 | ... | F_{n-1}], or
+    G^dag G when that is smaller: its eigenvalues, the squared singular values
+    of G, must all be 1 without a remainder (at least as strict as the entrywise
+    completeness check), and at most 1 with one."""
+    # G has rank at most len(gram): its other squared singular values are 0
+    sq = np.append(np.linalg.eigvalsh(gram), np.zeros(dim - len(gram)))
+    if remainder:
+        low = 1.0 - float(np.max(sq))
+        if not low >= -PSD_ATOL:
+            raise ValueError(f"POVM element not positive (min eig {low:g})")
+    else:
+        dev = float(np.max(np.abs(sq - 1.0)))
+        if not dev <= POVM_COMPLETENESS_ATOL:
+            raise ValueError(f"POVM does not sum to identity (deviation {dev:g})")
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """A positive operator-valued measure with explicit outcome labels; the
-    elements, given as any sequence, are held as one read-only (n, m, m) stack."""
+    elements, given as any sequence, are held as one read-only (n, m, m) stack.
+
+    Library decoders are built factored (``Povm._factored``), as F_x F_x^dag of
+    an (n, m, r) stack and optionally a "fail" remainder 1 - sum_x F_x F_x^dag,
+    positive by construction and checked for completeness alone.  Factors
+    narrower than tall (r < m) are kept and their element stack built when
+    first read; wider ones are multiplied out at once, into elements no larger."""
 
     elements: np.ndarray
     outcome_labels: tuple = ()
+    dim: int = field(init=False, repr=False)
+    _form: _Factors | None = field(init=False, repr=False)  # kept narrow factors
 
     def __post_init__(self):
-        if not len(self.elements):
-            raise ValueError("a POVM needs at least one element")
-        try:
-            stack = np.array(self.elements, dtype=np.complex128)
-        except ValueError:
-            stack = None
-        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ValueError("POVM elements must be square and equal-sized")
-        _check_povms(stack)
-        labels = tuple(self.outcome_labels) if self.outcome_labels else tuple(range(len(stack)))
-        if len(labels) != len(stack):
+        form, remainder = self.elements, False
+        if isinstance(form, _Factors):
+            f, remainder = form.stack, form.remainder
+            if not np.all(np.isfinite(f)):
+                raise ValueError("POVM elements must be finite")
+            n, m, r = f.shape
+            if r < m:
+                if n * r < m:  # G^dag G, as the blocks F_x^dag F_y
+                    gram = np.einsum("xmi,ymj->xiyj", f.conj(), f).reshape(n * r, n * r)
+                else:
+                    g = f.transpose(1, 0, 2).reshape(m, n * r)
+                    gram = g @ g.conj().T
+                _check_factors(gram, m, remainder)
+                object.__delattr__(self, "elements")  # built when first read
+            else:
+                stack = _products(form)
+                _check_factors(stack[:n].sum(axis=0), m, remainder)
+                object.__setattr__(self, "elements", stack)
+                form = None
+        else:
+            form = None
+            if not len(self.elements):
+                raise ValueError("a POVM needs at least one element")
+            try:
+                stack = np.array(self.elements, dtype=np.complex128)
+            except ValueError:
+                stack = None
+            if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+                raise ValueError("POVM elements must be square and equal-sized")
+            _check_povms(stack)
+            n, m = stack.shape[:2]
+            object.__setattr__(self, "elements", _lock(stack))
+        labels = tuple(self.outcome_labels) if self.outcome_labels else tuple(range(n))
+        if len(labels) != n:
             raise ValueError("outcome label count must match element count")
-        object.__setattr__(self, "elements", _lock(stack))
+        if remainder:
+            labels += ("fail",)
         object.__setattr__(self, "outcome_labels", labels)
+        object.__setattr__(self, "dim", m)
+        object.__setattr__(self, "_form", form)
 
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[1]
+    def __getattr__(self, name: str):
+        # only kept factors lack their element stack, until it is first read
+        form = self.__dict__.get("_form")
+        if name != "elements" or form is None:
+            raise AttributeError(name)
+        object.__setattr__(self, "elements", _products(form))
+        return self.elements
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return len(self.outcome_labels)
+
+    @classmethod
+    def _factored(cls, factors: np.ndarray, labels: tuple = (),
+                  remainder: bool = False) -> "Povm":
+        """The POVM of elements F_x F_x^dag, one per label, from the factor stack
+        (n, m, r); with ``remainder`` a last "fail" element 1 - sum_x F_x F_x^dag."""
+        return cls(_Factors(_lock(np.asarray(factors, dtype=np.complex128)), remainder),
+                   tuple(labels))
 
     @classmethod
     @lru_cache(maxsize=8)
@@ -177,7 +258,7 @@ class Povm:
 
     @classmethod
     def projective_from_columns(cls, columns: np.ndarray, labels: tuple = ()) -> "Povm":
-        return cls(_projective_elements(_as_complex(columns)), labels)
+        return cls._factored(_as_complex(columns).T[:, :, None], labels)
 
     def sqrt_elements(self) -> np.ndarray:
         """Square roots of the elements as one read-only (n, m, m) stack, computed once."""
@@ -185,8 +266,19 @@ class Povm:
 
     @cached_property
     def _roots(self) -> np.ndarray:
-        # the elements passed _check_povms: one batched eigh of their stack
-        return _lock(_psd_root(*np.linalg.eigh(self.elements)))
+        if self._form is None:
+            # one batched eigh of the element stack
+            return _lock(_psd_root(*np.linalg.eigh(self.elements)))
+        # F (F^dag F)^(-1/2) F^dag from the r x r Grams F^dag F, whose eigenvalues
+        # at or below the element's rounding level carry no root, as in _psd_root
+        f = self._form.stack
+        lam, w = np.linalg.eigh(f.conj().swapaxes(1, 2) @ f)
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam),
+                        where=lam > self.dim * np.finfo(float).eps * lam[:, -1:])
+        roots = f @ _psd_root(inv, w) @ f.conj().swapaxes(1, 2)
+        if self._form.remainder:
+            roots = np.concatenate([roots, _psd_root(*np.linalg.eigh(self.elements[-1:]))])
+        return _lock(roots)
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,16 +49,23 @@ def largest_side(*shape_lists) -> int:
 def loop_class_errors(rows, classes, decoders):
     """Per-class and average errors of class decoders on the rows (x, m, r), by the
     member loop that ``_class_pgms`` once ran: element i, labelled with member x,
-    hits with <w_x|Lambda_i|w_x>, a trailing "fail" element scores nothing, and the
-    class errors are averaged with the classes' shares of the total."""
-    weights = np.einsum("xmr,xmr->x", rows, rows.conj()).real
+    hits with <w_x|Lambda_i|w_x>, or with ||F_i^dag w_x||^2 for a decoder that keeps
+    its factors, Lambda_i = F_i F_i^dag with fewer columns than rows, a trailing "fail"
+    element scores nothing, and the class errors are averaged with the classes'
+    shares of the total, each row weighing ||w_x||^2."""
+    weights = np.array([np.vdot(row, row).real for row in rows])
     per_class, total_error = {}, 0.0
     for value, members in classes.items():
         dec = decoders[value]
         weight = float(weights[np.asarray(members, dtype=np.int64)].sum())
         owned = dec.elements if dec.outcome_labels[-1] != "fail" else dec.elements[:-1]
-        hits = sum(np.vdot(rows[x], el @ rows[x]).real
-                   for x, el in zip(dec.outcome_labels, owned))
+        hits = 0.0
+        for i, (x, el) in enumerate(zip(dec.outcome_labels, owned)):
+            if dec._form is not None:
+                applied = dec._form.stack[i].conj().T @ rows[x]
+                hits += np.vdot(applied, applied).real
+            else:
+                hits += np.vdot(rows[x], el @ rows[x]).real
         per_class[value] = float(min(max(1.0 - hits / weight, 0.0), 1.0)) if weight else 0.0
         total_error += weight * per_class[value]
     return per_class, float(min(max(total_error / weights.sum(), 0.0), 1.0))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -40,11 +41,11 @@ def canned(untraced, traced):
     return runner, calls
 
 
-def make_record(tmp_path, untraced, traced, pr=2):
+def make_record(tmp_path, untraced, traced, pr=2, kernel=0.012):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     runner, calls = canned(untraced, traced)
     rec = bench_record.record(tmp_path, pr, runner=runner,
-                              facts=lambda root, seed, w: {"hostspeed_kernel_s": 0.012,
+                              facts=lambda root, seed, w: {"hostspeed_kernel_s": kernel,
                                                            "cpu_count": 2, "commit": "abc"})
     return rec, calls
 
@@ -105,6 +106,7 @@ def test_compare_flags_changes_outside_the_previous_iqr(tmp_path):
          "audit": [result_line(346, 3.4e-3)] * 3},
         {"certify": traced_line(0.5e-3), "audit": traced_line(0.0)})
     lines = bench_record.compare(prev, cur)
+    assert not any("drift" in line for line in lines)  # the same host kernel time
     row = {tuple(line.split()[:2]): line for line in lines[1:]}
     assert "x1.294" in row["certify", "ops_per_s"] and "better" in row["certify", "ops_per_s"]
     assert "better" in row["certify", "latency_p90_s"]
@@ -119,6 +121,54 @@ def test_compare_flags_changes_outside_the_previous_iqr(tmp_path):
                               "--compare", str(tmp_path / "prev.json")]) == 0
     with pytest.raises(SystemExit):
         bench_record.main(["--compare", str(tmp_path / "prev.json")])
+
+
+def test_compare_flags_host_drift_and_points_to_pairs(tmp_path):
+    untraced = {"certify": [result_line(250, 8e-3), result_line(260, 9e-3),
+                            result_line(255, 8.5e-3)],
+                "audit": [result_line(300, 3e-3), result_line(400, 3.2e-3),
+                          result_line(350, 3.1e-3)]}
+    traced = {"certify": traced_line(1e-3), "audit": traced_line(0.0)}
+    prev, _ = make_record(tmp_path, untraced, traced, pr=1, kernel=0.012)
+    # the same runs, 10% faster on a host whose kernel got 10% faster (9.1% less
+    # time): every metric leaves its IQR, but only audit's ops/s IQR (14% of its
+    # median) is wider than that drift
+    faster = {w: [json.dumps({**json.loads(line), "metrics": {
+        k: {**v, "value": v["value"] * (1.1 if k == "ops_per_s" else 1 / 1.1)}
+        for k, v in json.loads(line)["metrics"].items()}}) for line in lines]
+        for w, lines in untraced.items()}
+    cur, _ = make_record(tmp_path, faster, traced, kernel=0.012 / 1.1)
+    lines = bench_record.compare(prev, cur)
+    assert lines[1].startswith("warning: the host kernel moved by 9.1%")
+    assert "IQR of 3 flagged metrics" in lines[1] and lines[1].endswith("with --pairs")
+    row = {tuple(line.split()[:2]): line for line in lines[2:]}
+    for key in (("certify", "ops_per_s"), ("certify", "latency_p90_s"),
+                ("audit", "latency_p90_s")):
+        assert "better (host drift?)" in row[key]
+    assert "x1.100  better (prev IQR" in row["audit", "ops_per_s"]
+
+
+def test_tree_id_names_head_and_a_hash_of_the_diff(tmp_path):
+    assert bench_record.tree_id(tmp_path) is None  # not a git checkout
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD").strip()
+    assert bench_record.tree_id(tmp_path) == head
+    (tmp_path / "a.txt").write_text("two\n")
+    dirty = bench_record.tree_id(tmp_path)
+    assert dirty.startswith(head + "+diff.") and len(dirty) == len(head) + 18
+    assert bench_record.tree_id(tmp_path) == dirty  # the same diff, the same name
+    (tmp_path / "a.txt").write_text("three\n")
+    assert bench_record.tree_id(tmp_path) not in (head, dirty)
+    git("commit", "-q", "-am", "three")
+    assert bench_record.tree_id(tmp_path) == git("rev-parse", "HEAD").strip()
 
 
 def test_pairs_alternate_the_order_and_count_wins_and_ties(tmp_path):

@@ -20,7 +20,7 @@ from privlab import (ConjugateBasis, HilbertSpace, StateVector, TwistingOperator
                      maximally_entangled, one_shot_distill, random_pure_state,
                      twisting_conjugate_measurement, uhlmann_conjugate_measurement)
 import privlab
-from privlab import cli, privacy
+from privlab import cli, privacy, tensor_core
 from privlab.cli import MAX_TRIALS, build_code, build_parser, build_state, main, run
 from privlab.qudit_ops import _private_vector
 from privlab.tensor_core import AMPLITUDE_CAP
@@ -762,26 +762,28 @@ def test_verify_uhlmann_factorises_the_shielded_bit_on_bobs_side(factorised):
     assert largest_side(*factorised.values()) <= 16
 
 
-def test_verify_uhlmann_runs_the_shielded_bit_up_to_its_decoder(capsys):
-    # no (A, B, S) marginal is built: at s = 257 the (2, 514, 514) decoder fits,
-    # and at s = 363 the (2, 726, 726) one is refused before it is allocated
+def test_verify_uhlmann_runs_the_shielded_bit_up_to_its_state_budget(capsys):
+    # no (A, B, S) marginal is built, and the decoder is held as (2, 2s, 2) factors:
+    # s = 363, whose (2, 726, 726) elements were refused, and s = 4096 run, and the
+    # state itself is refused past the cap before it is allocated
     argv = ["verify", "--state", "shielded_bit", "--measurement", "uhlmann", "--shield-dim"]
-    assert main(argv + ["257", "--out", os.devnull]) == 0, capsys.readouterr().err
+    for shield in ("363", "4096"):
+        assert main(argv + [shield, "--out", os.devnull]) == 0, capsys.readouterr().err
     tracemalloc.start()
     try:
-        rc = main(argv + ["363"])
+        rc = main(argv + ["131073"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 2
-    assert "Uhlmann partner decoder" in capsys.readouterr().err
-    assert peak < 16 * 2 * 726 * 726
+    assert "shielded_bit state" in capsys.readouterr().err
+    assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("shield, factor", [(256, 2.5), (362, 4.5)])
+@pytest.mark.parametrize("shield, factor", [(256, 2.5), (362, 3.0)])
 def test_verify_uhlmann_peak_stays_within_a_multiple_of_the_cap(shield, factor, capsys):
-    # the partner's decoder is one (2, 2s, 2s) stack held by its Povm and scored
-    # in place: 2.14x the cap's bytes at s = 256 and 4.27x at s = 362
+    # the partner's decoder is held as (2, 2s, 2) factors and scored from them, and
+    # its (2, 2s, 2s) elements are never built: 0.02x the cap's bytes at s = 362
     argv = ["verify", "--state", "shielded_bit", "--measurement", "uhlmann", "--out", os.devnull,
             "--shield-dim"]
     assert main(argv + ["2"]) == 0, capsys.readouterr().err
@@ -795,14 +797,25 @@ def test_verify_uhlmann_peak_stays_within_a_multiple_of_the_cap(shield, factor, 
     assert peak <= factor * 16 * AMPLITUDE_CAP, f"{peak / (16 * AMPLITUDE_CAP):.2f}x the cap"
 
 
-def test_uhlmann_partner_decoder_enforces_amplitude_cap():
-    # a pure d=2 state with a 512-dim shield has (2, 1024, 1024) decoder
-    # elements, over the cap; it is refused before any D x D array exists
+def test_uhlmann_partner_decoder_enforces_amplitude_cap(monkeypatch):
+    # a pure d=2 state with a 512-dim shield has (2, 1024, 1024) decoder elements,
+    # over the cap, but its decoder is held as (2, 1024, 1) factors and runs
     space = HilbertSpace((2, 2, 512), ("A", "B", "S"))
     psi = random_pure_state(space, substream(208))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="Uhlmann partner"):
+        rec = uhlmann_conjugate_measurement(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert rec.povm._form.stack.shape == (2, 1024, 1) and "elements" not in vars(rec.povm)
+    # with the cap between its (2, 512, 1) key blocks and its 2048 factor amplitudes,
+    # the partner is refused at its decoder
+    monkeypatch.setattr(tensor_core, "AMPLITUDE_CAP", 2047)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="Uhlmann partner decoder"):
             uhlmann_conjugate_measurement(psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -852,8 +865,9 @@ def test_twisted_state_is_budgeted_by_what_it_builds(argv, capsys):
     # a vector of 4 * 4 * 65 = 1,040 amplitudes: its D x D density would be
     # over the cap, but no command builds it; nor does any build the d^2 - d
     # off-diagonal twisting blocks, one shared identity, so at s = 257 the
-    # (5, 257, 257) blocks fit and projective and rates run
-    decoder = {"twisting": "twisting decoder", "uhlmann": "Uhlmann partner decoder"}
+    # (5, 257, 257) blocks fit and projective, uhlmann (its decoder held as
+    # (4, 1028, 1) factors) and rates run
+    decoder = {"twisting": "twisting decoder"}
     for shield in (65,) if argv[-1] in decoder else (65, 257):
         res = results_of(argv + ["--state", "twisted", "--d", "4", "--shield-dim", str(shield),
                                  "--seed", "3"])
@@ -861,11 +875,11 @@ def test_twisted_state_is_budgeted_by_what_it_builds(argv, capsys):
             assert res["rate"] == pytest.approx(2.0, abs=1e-9)
         else:
             assert res["p_e"] <= 1e-10 and res["eps_direct"] <= 1e-9
-    # (5, 458, 458) twisting blocks, and a (4, 1028, 1028) twisting or Uhlmann
+    # (5, 458, 458) twisting blocks, and the (4, 1028, 257) factors of a twisting
     # decoder, are refused before they are allocated: the peak stays below the array
     cases = [(458, "twisting blocks", 5 * 458 * 458)]
     if argv[-1] in decoder:
-        cases.append((257, decoder[argv[-1]], 4 * 1028 * 1028))
+        cases.append((257, decoder[argv[-1]], 4 * 1028 * 257))
     for shield, what, size in cases:
         tracemalloc.start()
         try:

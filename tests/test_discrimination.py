@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from privlab import (CqEnsemble, DensityOperator, HilbertSpace, HswConfig,
-                     HswDecoderResult, haar_vector, helstrom_pair,
+                     HswDecoderResult, haar_unitary, haar_vector, helstrom_pair,
                      Povm, hsw_class_decoder, pgm, pgm_error,
                      random_density_operator, substream, trace_norm)
-from privlab.discrimination import _ensemble_rows, _guess_slots
+from privlab.discrimination import _ensemble_rows, _guess_error, _guess_slots
 from conftest import assert_povm, loop_class_errors
 
 
@@ -382,3 +382,25 @@ def test_guess_slots_send_every_label_but_an_in_range_integer_to_the_miss_slot()
     labels = (0, 2, "fail", "x", 7, -1, np.int64(1))
     dec = Povm.projective_from_columns(np.eye(len(labels)), labels)
     assert _guess_slots(dec, 3).tolist() == [0, 2, 3, 3, 3, 3, 1]
+
+
+@pytest.mark.parametrize("value_of", [[0, 1, 2, 3], [0, 0, 1, 1]])
+def test_guess_error_scores_narrow_factors_as_their_elements(value_of):
+    # four rank-2 elements of a 10-dim space and the fail remainder, scored on the
+    # rows of six members (two own no outcome) from their factors and, given as
+    # elements, from those; with [0, 0, 1, 1] every member owns two outcomes
+    g = haar_unitary(10, substream(95))
+    factored = Povm._factored(np.stack([g[:, 2 * k:2 * k + 2] for k in range(4)]),
+                              remainder=True)
+    given = Povm(factored.elements, factored.outcome_labels)
+    rng = substream(96)
+    rows = rng.normal(size=(6, 10, 3)) + 1j * rng.normal(size=(6, 10, 3))
+    rows /= np.linalg.norm(rows)
+    value_of = np.array(value_of + [4, 5])
+    classes = {0: np.arange(6), 1: np.array([4, 1, 2])}
+    got = _guess_error(rows, {0: factored, 1: factored}, classes, value_of)
+    want = _guess_error(rows, {0: given, 1: given}, classes, value_of)
+    assert got[0] == pytest.approx(want[0], abs=1e-14)
+    for key in classes:
+        assert got[1][key] == pytest.approx(want[1][key], abs=1e-14)
+    assert want[1][1] > 0.0

@@ -23,7 +23,7 @@ from privlab import css_codes, discrimination, distillation, privacy, tensor_cor
 from privlab.cli import _shield_pair, build_state, run
 from privlab.cli import build_code
 from privlab.css_codes import all_strings
-from privlab.discrimination import _class_pgms, _guess_error, _guess_slots
+from privlab.discrimination import _class_pgms, _guess_error, _guess_slots, _row_weights
 from privlab.tensor_core import _chain_distance, _gram
 from privlab.distillation import HashingSimResult, _extract, _key_decode, _logical_weight
 from conftest import largest_side, loop_class_errors
@@ -975,6 +975,21 @@ def test_class_pgm_errors_equal_the_member_loop_bit_for_bit(case):
         per_class, average = loop_class_errors(rows, classes, res.decoders)
         assert res.per_class_error == per_class
         assert res.average_error == average
+
+
+def test_class_weights_are_within_two_ulps_of_their_exact_sums():
+    # the conjugate rows of `distill --state werner --d 9 --p 0.9 --code-kind sampled
+    # --code-d 3 --code-n 2 --m-z 1`, where one einsum over every row put a weight
+    # 68 ulps (9.4e-16) off and their total at 1 + 8.7e-15
+    state, _ = build_state({"kind": "werner", "d": 9, "p": 0.9}, 7)
+    code = build_code({"kind": "sampled", "d": 3, "n": 2, "m_z": 1}, 7)
+    t, tab = privacy._key_amplitudes(state)[0], code._tables
+    rows = np.tensordot(tab.v.conj().T, t, axes=(1, 0)).reshape(9, -1, t.shape[3])
+    exact = (rows.real.astype(np.longdouble) ** 2
+             + rows.imag.astype(np.longdouble) ** 2).sum(axis=(1, 2))
+    weights = _row_weights(rows)
+    assert np.all(np.abs(weights - exact) <= 2 * np.spacing(exact.astype(float)))
+    assert abs(float(weights.sum()) - 1.0) <= 4e-16
 
 
 @pytest.mark.parametrize("d", [2, 3])

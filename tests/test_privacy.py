@@ -19,7 +19,7 @@ from privlab import (ConjugateBasis, DensityOperator, HilbertSpace,
 import privlab
 from privlab import cli, privacy, tensor_core
 from privlab.cli import build_state
-from privlab.privacy import _conjugate_key_elements, _key_amplitudes
+from privlab.privacy import _conjugate_key_factors, _key_amplitudes
 from conftest import assert_povm, largest_side
 
 
@@ -597,7 +597,8 @@ def test_conjugate_povm_assembly_matches_double_loop():
         # Uhlmann form: lab unitaries W_k compressed onto s of their rows
         ws = [haar_unitary(s * pad, substream(500 + seed, k)) for k in range(d)]
         rows = np.arange(s) * pad
-        got = _conjugate_key_elements(cb, np.vstack([w[rows] for w in ws]))
+        f = _conjugate_key_factors(cb, np.vstack([w[rows] for w in ws]))
+        got = f @ f.conj().swapaxes(1, 2)
         want = double_loop_conjugate_elements(
             cb, lambda k, kp: (ws[k] @ ws[kp].conj().T)[np.ix_(rows, rows)])
         for a, b in zip(got, want, strict=True):
@@ -693,7 +694,8 @@ def padded_uhlmann_oracle(state, rng=None):
         u_k, _, vh_k = svd(mats[k] @ pinv0)
         ws.append(u_k @ vh_k)
     rows = np.arange(s) * (d * d * g)
-    elements = _conjugate_key_elements(cb, np.vstack([w[rows] for w in ws]))
+    f = _conjugate_key_factors(cb, np.vstack([w[rows] for w in ws]))
+    elements = list(f @ f.conj().swapaxes(1, 2))
     rest = np.eye(d * s) - np.sum(elements, axis=0)
     labels = tuple(range(d))
     if float(np.max(np.abs(rest))) > 1e-12:

@@ -9,7 +9,7 @@ from privlab import (ConjugateBasis, HilbertSpace, Povm,
                      maximally_entangled, measure, partial_trace,
                      random_pure_state, substream, twisting_unitary)
 from privlab import qudit_ops
-from privlab.tensor_core import InvariantViolation
+from privlab.tensor_core import InvariantViolation, _psd_root
 from conftest import assert_povm
 
 
@@ -260,6 +260,58 @@ def test_elements_and_roots_are_each_one_read_only_stack():
             assert not stack.flags.writeable
     # the constructor still copies what it is given
     assert not np.shares_memory(Povm(given).elements, given) and given.flags.writeable
+
+
+def test_factored_povm_builds_its_elements_when_read():
+    u = haar_unitary(4, substream(82))
+    f = np.stack([u[:, :2], u[:, 2:]])  # two rank-2 projectors
+    povm = Povm._factored(f, ("a", "b"))
+    assert "elements" not in vars(povm) and povm.dim == 4 and povm.n_outcomes == 2
+    assert povm.outcome_labels == ("a", "b")
+    els = povm.elements
+    assert povm.elements is els and not els.flags.writeable
+    assert np.allclose(els, f @ f.conj().swapaxes(1, 2), atol=1e-14)
+    assert_povm(povm, 4)
+    # three rank-1 factors and the remainder, the projector onto the last column
+    rest = Povm._factored(u[:, :3].T[:, :, None], remainder=True)
+    assert rest.outcome_labels == (0, 1, 2, "fail") and rest.n_outcomes == 4
+    assert np.allclose(rest.elements[-1], np.outer(u[:, 3], u[:, 3].conj()), atol=1e-14)
+    assert_povm(rest, 4)
+
+
+def test_factored_povm_checks_finiteness_and_completeness_from_its_factors():
+    u = haar_unitary(4, substream(83))
+    f = u.T[:, :, None]
+    bad = f.copy()
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Povm._factored(bad)
+    with pytest.raises(ValueError, match="identity"):
+        Povm._factored(f[:3])  # a column short
+    with pytest.raises(ValueError, match="identity"):
+        Povm._factored(1.001 * f)
+    with pytest.raises(ValueError, match="positive"):
+        Povm._factored(1.001 * f[:3], remainder=True)  # a remainder below 0
+    # at least as strict as the entrywise check: G = 1 + cJ puts 2c + 4c^2 on every
+    # entry of G G^dag - 1, inside 1e-9, but 8c + 16c^2 on the all-ones direction
+    c = 2e-10
+    g = np.eye(4) + c * np.ones((4, 4))
+    Povm(g.T[:, :, None] * g.T[:, None, :])  # the same elements, given, pass
+    with pytest.raises(ValueError, match="identity"):
+        Povm._factored(g.T[:, :, None])
+
+
+@pytest.mark.parametrize("outcomes", [3, 2])
+def test_factored_roots_match_the_roots_of_their_elements(outcomes):
+    # the rows of a 12 x 12 unitary sum to the identity over its columns: three
+    # factors of four columns each are complete, two leave a remainder; the
+    # elements are neither projectors nor of full rank
+    g = haar_unitary(12, substream(84))[:6]
+    f = np.stack([g[:, 4 * k:4 * k + 4] for k in range(outcomes)])
+    povm = Povm._factored(f, remainder=outcomes < 3)
+    roots = povm.sqrt_elements()
+    assert roots.shape == (povm.n_outcomes, 6, 6) and not roots.flags.writeable
+    assert np.allclose(roots, _psd_root(*np.linalg.eigh(povm.elements)), atol=1e-12)
 
 
 def test_coherent_measure_rejects_nan_roots():

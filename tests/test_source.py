@@ -177,3 +177,15 @@ def test_sources_use_no_numpy_2_only_names():
                          else getattr(node, "id", None)]
             if name in NUMPY_2_ONLY]
     assert not uses, f"numpy 2.0-only names: {', '.join(uses)}"
+
+
+def test_only_the_povm_constructor_checks_povms():
+    """A ``Povm`` checks itself as it is built: ``_check_povms`` proves given elements
+    and ``_check_factors`` a factored form, each called from ``Povm.__post_init__``
+    alone, so no library path checks a decoder or a witness twice."""
+    checks = {"_check_povms", "_check_factors"}
+    callers = sorted({scope for path in sorted(SRC.glob("*.py"))
+                      for node, scope in _qualified_nodes(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) in checks})
+    assert callers == ["Povm.__post_init__"], f"POVM checks are called from {callers}"

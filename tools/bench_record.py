@@ -13,14 +13,18 @@ three times untraced and once traced. The record keeps, per workload, the
 median and interquartile range of every end-to-end metric over the untraced
 runs, the per-layer metrics of the traced run, and the host facts: the
 ``perfbench/hostspeed`` kernel time, the CPU count, the numpy version, the
-BLAS threads and the commit. ``--root`` names the checkout that is run (by
+BLAS threads and the measured tree (``HEAD``, with ``+diff.`` and a hash of
+``git diff HEAD`` when the tree differs from it). ``--root`` names the checkout that is run (by
 default the one holding this script); the benchmark writes its own result
 files under that checkout's ``perfbench/results/``, and the record goes to
 ``BENCH_<pr>.json`` beside this script's checkout.
 
 ``--compare PREV`` prints each metric's ratio to PREV. An end-to-end metric
 whose median lies outside PREV's interquartile range is flagged ``better`` or
-``worse``; the per-layer metrics come from one run each and get no flag.
+``worse``; the per-layer metrics come from one run each and get no flag. When
+the two host kernel times differ by more than a flagged metric's interquartile
+range relative to its median, the flag is marked ``(host drift?)`` and a warning
+points to ``--pairs``: the host, not the change, may have moved the metric.
 
 ``--pairs N`` compares two checkouts directly: N pairs of untraced runs of
 workload W, one run of the checkout DIR (the base) and one of ``--root`` (the
@@ -54,6 +58,7 @@ no bytecode cache that a later run would read.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -120,17 +125,31 @@ def summarise(spec: dict, untraced: Sequence[dict], traced: dict | None) -> dict
                 for name, m in traced["metrics"].items()}}
 
 
+def tree_id(root: Path) -> str | None:
+    """The tree of the checkout ``root``: its ``HEAD``, and when the tree differs
+    from it ``+diff.`` and the first 12 hex digits of the SHA-256 of ``git diff
+    HEAD``; None outside a git checkout."""
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True).stdout
+    try:
+        head = git("rev-parse", "HEAD").decode().strip()
+        diff = git("diff", "HEAD", "--binary")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return head + (f"+diff.{hashlib.sha256(diff).hexdigest()[:12]}" if diff else "")
+
+
 def host_facts(root: Path, seed: int, workload: str) -> dict:
     """The host facts of a record, read after the runs of ``workload``."""
     env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
     kernel = subprocess.run([sys.executable, "-c", HOSTSPEED], cwd=root / "perfbench",
                             env=env, check=True, capture_output=True, text=True).stdout
     facts = {"hostspeed_kernel_s": float(kernel.split()[-1]), "cpu_count": os.cpu_count()}
-    # the benchmark's own result file gives numpy, BLAS and the commit it ran
+    # the benchmark's own result file gives numpy and BLAS; its commit is HEAD alone
     path = root / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     env_rec = json.loads(path.read_text(encoding="utf-8"))["environment"]
     facts.update(numpy=env_rec.get("numpy"), blas_threads=env_rec.get("blas_threads"),
-                 python=env_rec.get("python"), commit=env_rec.get("git_commit"))
+                 python=env_rec.get("python"), commit=tree_id(root))
     return facts
 
 
@@ -154,9 +173,13 @@ def record(root: Path, pr: int, runner: Runner = run_benchmark,
 
 def compare(prev: dict, cur: dict) -> list[str]:
     """One line per metric present in both records: the ratio to ``prev``, and
-    for end-to-end metrics a flag when the median leaves prev's IQR."""
-    lines = [f"host kernel {prev['host'].get('hostspeed_kernel_s', float('nan')):.4g} s -> "
-             f"{cur['host'].get('hostspeed_kernel_s', float('nan')):.4g} s"]
+    for end-to-end metrics a flag when the median leaves prev's IQR, marked as
+    possible host drift when the host kernel moved by more than that IQR's width
+    relative to prev's median; a warning line then points to ``--pairs``."""
+    k0 = prev["host"].get("hostspeed_kernel_s", float("nan"))
+    k1 = cur["host"].get("hostspeed_kernel_s", float("nan"))
+    drift = abs(_ratio(k1, k0) - 1.0)
+    lines, drifted = [f"host kernel {k0:.4g} s -> {k1:.4g} s"], 0
     for name, now in cur["workloads"].items():
         then = prev["workloads"].get(name)
         if then is None:
@@ -169,6 +192,9 @@ def compare(prev: dict, cur: dict) -> list[str]:
             if not p["q1"] <= m["median"] <= p["q3"]:
                 up = m["median"] > p["q3"]
                 flag = "better" if up == (m["better"] == "higher") else "worse"
+                if drift > (p["iqr"] / abs(p["median"]) if p["median"] else 0.0):
+                    flag += " (host drift?)"
+                    drifted += 1
             lines.append(f"{name:8s} {metric:22s} {p['median']:12.6g} -> {m['median']:12.6g}"
                          f"  x{_ratio(m['median'], p['median']):.3f}  {flag}"
                          f" (prev IQR {p['q1']:.6g}..{p['q3']:.6g})")
@@ -177,6 +203,10 @@ def compare(prev: dict, cur: dict) -> list[str]:
             if p is not None:
                 lines.append(f"{name:8s} {metric:38s} {p['value']:12.6g} -> {m['value']:12.6g}"
                              f"  x{_ratio(m['value'], p['value']):.3f}")
+    if drifted:
+        lines.insert(1, f"warning: the host kernel moved by {drift:.1%}, more than the previous "
+                        f"IQR of {drifted} flagged metrics; their flags may be host drift, so "
+                        "compare the two trees with --pairs")
     return lines
 
 
@@ -255,7 +285,7 @@ SCALE_LINES = (
     "verify --state twisted --d 12 --shield-dim 144 --measurement projective",
     "verify --state shielded_bit --shield-dim 256 --measurement uhlmann",
     "verify --state shielded_bit --shield-dim 362 --measurement uhlmann",
-    "verify --state shielded_bit --shield-dim 363 --measurement uhlmann",
+    "verify --state shielded_bit --shield-dim 131072 --measurement uhlmann",
     "hashing-sim --state werner --d 2 --p 0.95 --n 4 --code-kind explicit --code-d 2 "
     "--code-n 4 --mz-rows '1 1 1 1'",
     "hashing-sim --state werner --d 2 --p 0.95 --n 4 --code-kind explicit --code-d 2 "
@@ -266,6 +296,7 @@ SCALE_LINES = (
     "--m-z 1 --m-x 1",
     "distill --state werner --d 32 --p 0.9 --code-kind sampled --code-d 2 --code-n 5 "
     "--m-z 1 --m-x 1",
+    "verify --state shielded_bit --shield-dim 131073 --measurement uhlmann",
 )
 # runs one line in a fresh process of a checkout: (root, argv) -> {"exit", "error",
 # "wall_s", "peak_bytes", "cap"}
